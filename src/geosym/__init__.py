@@ -35,7 +35,6 @@ from .geometry import (
     FrameReport,
     GeometryError,
     TensorField,
-    annihilator_forms,
     asd_frame,
     asd_span,
     bracket,
@@ -56,7 +55,6 @@ from .geometry import (
     nijenhuis,
     one_form,
     ricci,
-    skew_endo_basis,
     vector,
     volume_root,
 )

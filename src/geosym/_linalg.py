@@ -120,55 +120,3 @@ def independent_rows(
         kept_idx.append(i)
     return kept_idx
 
-
-def pivot_columns_int(rows: List[List[int]], ncols: int) -> List[int]:
-    """Pivot columns of an integer matrix by fraction-free elimination.
-
-    Bareiss one-step division keeps entries as exact integers of
-    determinant size; used where coefficient growth matters.
-    """
-    m = [r[:] for r in rows if any(r)]
-    pivots: List[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pr = None
-        best = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                a = abs(m[i][c])
-                if best is None or a < best:
-                    best, pr = a, i
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
-            if not any(m[i][c:]):
-                continue
-            fi = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c, ncols):
-                row_i[j] = (piv * row_i[j] - fi * row_r[j]) // prev
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return pivots
-
-
-def fractions_to_int_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    """Clear denominators row by row."""
-    out = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            d = x.denominator
-            if d != 1:
-                from math import gcd
-
-                lcm = lcm // gcd(lcm, d) * d
-        out.append([int(x * lcm) for x in row])
-    return out

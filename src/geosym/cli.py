@@ -345,14 +345,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(path: str) -> int:
+def _load(path: str) -> Optional[Model]:
+    """The parsed model, or None after printing why it cannot be read."""
     try:
-        model = load_model(path)
+        return load_model(path)
     except OSError as ex:
         print(f"error: {ex}", file=sys.stderr)
-        return 2
     except ModelError as ex:
         print(f"{path}: {ex}", file=sys.stderr)
+    return None
+
+
+def _cmd_validate(path: str) -> int:
+    model = _load(path)
+    if model is None:
         return 2
     print(f"{path}: ok ({len(model.tasks)} task(s), "
           f"{len(model.object_names())} object(s))")
@@ -362,13 +368,8 @@ def _cmd_validate(path: str) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        model = load_model(args.file)
-    except OSError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except ModelError as ex:
-        print(f"{args.file}: {ex}", file=sys.stderr)
+    model = _load(args.file)
+    if model is None:
         return 2
     if args.task is not None:
         if args.task not in model.tasks:

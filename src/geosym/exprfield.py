@@ -5,8 +5,7 @@ QQ[coordinates, generators] reduced modulo a triangular ideal of
 generator relations.  Generators come in two flavours used throughout
 the corpus: sine/cosine pairs (relation s^2 + c^2 - 1, derivations
 ds = c, dc = -s on the pair's own angle) and square roots
-(relation W^2 - q, derivation dW = dq / (2W)).  Arbitrary quadratic
-generators with explicit derivative rules are supported as well.
+(relation W^2 - q, derivation dW = dq / (2W)).
 
 All arithmetic is exact rational; no floating point anywhere.
 """
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 import ast
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -69,15 +68,12 @@ class GeneratorSpec:
 
     ``square_rhs`` is the reduced polynomial r with relation g^2 = r;
     it may only involve coordinates and earlier generators.
-    ``derivatives`` maps coordinate names to derivative rules; the rule
-    for a root generator is synthesized from the radicand on demand.
     """
 
     name: str
-    kind: str  # "sin" | "cos" | "root" | "custom"
+    kind: str  # "sin" | "cos" | "root"
     partner: Optional[str] = None  # for trig pairs: the other generator
     square_rhs: Optional["Expr"] = None  # None => no rewrite rule (cos)
-    derivatives: Dict[str, "Expr"] = field(default_factory=dict)
 
 
 class Chart:
@@ -169,25 +165,6 @@ class Chart:
         g = GeneratorSpec(name, "root")
         self._declare(g)
         g.square_rhs = self.expr(radicand)  # lift into the enlarged ring
-        return self.var(name)
-
-    def add_generator(
-        self,
-        name: str,
-        square_rhs: "Expr",
-        derivatives: Mapping[str, "Expr"],
-    ) -> "Expr":
-        """Adjoin a generic quadratic generator g with g^2 = square_rhs."""
-        square_rhs = self.expr(square_rhs)
-        if not square_rhs._den.is_one:
-            raise ExprError("relation right-hand side must be denominator-free")
-        g = GeneratorSpec(name, "custom")
-        self._declare(g)
-        g.square_rhs = self.expr(square_rhs)
-        g.derivatives = {x: self.expr(d) for x, d in derivatives.items()}
-        missing = set(self.coordinates) - set(g.derivatives)
-        if missing:
-            raise ExprError(f"generator {name!r} missing derivative rules for {sorted(missing)}")
         return self.var(name)
 
     def _declare(self, g: GeneratorSpec):
@@ -300,11 +277,11 @@ class Chart:
     def sample_point(self, rng: random.Random, max_tries: int = 200) -> Dict[str, Fraction]:
         """Random rational point satisfying all generator relations exactly.
 
-        Trig pairs are sampled from rational circle points.  A root or
-        custom generator whose relation right-hand side is a rational
-        square gets the rational root; otherwise its value is adjoined
-        formally in a quadratic extension of QQ (a :class:`_PointAlgebra`
-        element), which keeps evaluation exact.
+        Trig pairs are sampled from rational circle points.  A root
+        generator whose radicand is a rational square gets the rational
+        root; otherwise its value is adjoined formally in a quadratic
+        extension of QQ (a :class:`_PointAlgebra` element), which keeps
+        evaluation exact.
         """
         for _ in range(max_tries):
             point: Dict[str, object] = {}
@@ -536,10 +513,6 @@ class Expr:
 
     # -- basics -----------------------------------------------------------
 
-    def normalize(self) -> "Expr":
-        """Idempotent by construction; returns self."""
-        return self
-
     def is_zero(self, cross_check: bool = True) -> bool:
         """True iff the reduced numerator is the zero polynomial.
 
@@ -764,12 +737,10 @@ def _var_derivative(chart: Chart, var: str, coordinate: str) -> Optional[Expr]:
     if g.kind == "cos":
         angle = var[len("cos_"):]
         return -chart.var(g.partner) if angle == coordinate else None
-    if g.kind == "root":
-        dq = g.square_rhs.differentiate(coordinate)
-        if dq.is_zero(cross_check=False):
-            return None
-        return dq / (2 * chart.var(var))
-    return g.derivatives.get(coordinate)
+    dq = g.square_rhs.differentiate(coordinate)  # root generator
+    if dq.is_zero(cross_check=False):
+        return None
+    return dq / (2 * chart.var(var))
 
 
 # -- exact square roots ----------------------------------------------------

@@ -8,7 +8,7 @@ over ``itertools.product`` are used without further ado.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import _linalg
@@ -100,14 +100,6 @@ class TensorField:
     def __repr__(self):
         sig = "".join(self.variance)
         return f"TensorField({sig}, {len(self._comps)} nonzero comps)"
-
-    def check_symmetric(self, slot_a: int, slot_b: int) -> bool:
-        for idx in list(self._comps):
-            j = list(idx)
-            j[slot_a], j[slot_b] = j[slot_b], j[slot_a]
-            if not (self.comp(*idx) - self.comp(*j)).is_zero():
-                return False
-        return True
 
 
 def vector(chart: Chart, comps: Sequence) -> TensorField:
@@ -683,35 +675,3 @@ def asd_frame(g: TensorField, orientation: int = 1) -> List[TensorField]:
     frame.append(endo_mul(frame[0], frame[1]))
     return frame
 
-
-def skew_endo_basis(g: TensorField) -> List[TensorField]:
-    """The endomorphisms obtained by raising dx^a ^ dx^b, a<b."""
-    ginv = metric_inverse(g)
-    chart = g.chart
-    out = []
-    for (a, b) in _two_form_basis(chart.dim):
-        out.append(_form_to_endo(ginv, {(a, b): chart.one()}, chart))
-    return out
-
-
-def annihilator_forms(frame: Sequence[TensorField], g: TensorField) -> List[TensorField]:
-    """Basis of the annihilator of span(frame) inside skew endomorphisms.
-
-    Functionals are realized as skew endomorphism fields omega with
-    pairing <omega, A> = tr(omega A)."""
-    chart = g.chart
-    basis = skew_endo_basis(g)
-    rows = []
-    for A in frame:
-        rows.append([endo_trace(endo_mul(A, E)) for E in basis])
-    isz = lambda e: e.is_zero(cross_check=False)
-    null = _linalg.nullspace(rows, len(basis), is_zero=isz, one=chart.one())
-    out = []
-    for coeffs in null:
-        omega = TensorField(chart, ("u", "d"), {})
-        for c, E in zip(coeffs, basis):
-            if isinstance(c, Expr) and c.is_zero(cross_check=False):
-                continue
-            omega = omega + E.scale(c)
-        out.append(omega)
-    return out

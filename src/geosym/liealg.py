@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .exprfield import Expr, ExprError
+from .exprfield import ExprError
 from .geometry import TensorField, bracket
 
 __all__ = [

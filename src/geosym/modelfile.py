@@ -79,6 +79,18 @@ _TASK_PARAMS = {
     },
 }
 
+# Task parameters whose values are read as numbers when the task runs:
+# (the form the value must take, a check that raises or returns False
+# for a malformed value given the chart dimension).
+_PARAM_FORMS = {
+    "max_stage": ("an integer of at least 1", lambda v, n: int(v) >= 1),
+    "orientation": ("1 or -1", lambda v, n: int(v) in (1, -1)),
+    "point": ("one rational per coordinate",
+              lambda v, n: len([Fraction(p) for p in v.split(",")]) == n),
+    "tensor_type": ("two non-negative integers r, s",
+                    lambda v, n: [int(p) >= 0 for p in v.split(",")] == [True, True]),
+}
+
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 
 
@@ -324,9 +336,10 @@ def _parse_matrix(entries, num0: int) -> List[List[Fraction]]:
     return rows
 
 
-def _parse_task(name: str, entries, num0: int) -> Task:
+def _parse_task(name: str, entries, num0: int, chart: Chart) -> Task:
     kind = None
     params: Dict[str, str] = {}
+    lines: Dict[str, int] = {}
     for num, line in entries:
         key, value = _entry(line, num)
         if key == "kind":
@@ -341,13 +354,24 @@ def _parse_task(name: str, entries, num0: int) -> Task:
             if key in params:
                 raise ModelError(f"duplicate parameter {key!r}", num)
             params[key] = value
+            lines[key] = num
     if kind is None:
         raise ModelError(f"task {name!r} lacks a kind entry", num0)
-    for key in params:
+    for key, value in params.items():
         if key not in _TASK_PARAMS[kind]:
             raise ModelError(
                 f"parameter {key!r} is not valid for task kind {kind!r}",
-                num0)
+                lines[key])
+        if key in _PARAM_FORMS:
+            want, valid = _PARAM_FORMS[key]
+            try:
+                ok = valid(value, chart.dim)
+            except (ValueError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ModelError(
+                    f"parameter {key!r} must be {want}, got {value!r}",
+                    lines[key])
     return Task(name, kind, params, num0)
 
 
@@ -386,7 +410,7 @@ def parse_model(text: str, path: str = "<string>") -> Model:
         elif kind == "matrix":
             model.matrices[name] = _parse_matrix(entries, num0)
         elif kind == "task":
-            model.tasks[name] = _parse_task(name, entries, num0)
+            model.tasks[name] = _parse_task(name, entries, num0, chart)
         else:
             raise ModelError(f"unknown section kind {kind!r}", num0)
     _validate_references(model)

@@ -63,7 +63,6 @@ class LinearPDESystem:
         self.chart = chart
         self.n_unknowns = n_unknowns
         self.equations = list(equations)
-        self._seen = {(e.base, e.deriv) for e in self.equations}
 
     @property
     def order(self) -> int:
@@ -105,13 +104,15 @@ def _total_derivative(chart: Chart, eq: Equation, i: int) -> Equation:
     return Equation(out, base=eq.base, deriv=tuple(deriv))
 
 
-def prolong(system: LinearPDESystem) -> LinearPDESystem:
-    """Append all total derivatives of all equations (deduplicated by
-    provenance so each mixed partial appears once); originals retained."""
-    chart = system.chart
-    new = list(system.equations)
-    seen = set(system._seen)
-    for eq in system.equations:
+def _next_derivatives(chart: Chart, known: Sequence[Equation],
+                      frontier: Sequence[Equation]) -> List[Equation]:
+    """First total derivatives of the frontier equations, cleared of
+    denominators.  Deduplicated by provenance (base, deriv), so each
+    mixed partial appears once and none repeats an equation of
+    ``known``."""
+    seen = {(e.base, e.deriv) for e in known}
+    out = []
+    for eq in frontier:
         for i in range(chart.dim):
             d = list(eq.deriv)
             d[i] += 1
@@ -119,8 +120,16 @@ def prolong(system: LinearPDESystem) -> LinearPDESystem:
             if key in seen:
                 continue
             seen.add(key)
-            new.append(_clear_denominators(chart, _total_derivative(chart, eq, i)))
-    return LinearPDESystem(chart, system.n_unknowns, new)
+            out.append(_clear_denominators(chart, _total_derivative(chart, eq, i)))
+    return out
+
+
+def prolong(system: LinearPDESystem) -> LinearPDESystem:
+    """Append all total derivatives of all equations (deduplicated by
+    provenance so each mixed partial appears once); originals retained."""
+    eqs = system.equations
+    return LinearPDESystem(system.chart, system.n_unknowns,
+                           eqs + _next_derivatives(system.chart, eqs, eqs))
 
 
 @dataclass
@@ -202,27 +211,32 @@ class _GradedElimination:
         return out
 
 
-def _dims_from_pivots(per_order: Dict[int, int], n: int, m: int,
-                      max_order: int) -> Tuple[int, ...]:
-    return tuple(m * comb(n + k - 1, k) - per_order.get(k, 0)
-                 for k in range(max_order, -1, -1))
+def _row(eq: Equation, point: GenericPoint) -> Dict[Tuple, Fraction]:
+    try:
+        return eq.evaluate_sparse(point.values)
+    except PoleError:
+        raise ProlongError(
+            f"coefficient pole at sampled point (seed {point.seed}); resample")
+
+
+def _symbol_table(elim: _GradedElimination, system: LinearPDESystem,
+                  stage: int, max_order: int) -> SymbolTable:
+    """dim g_k = (order-k jet coordinates) - (pivots of order k), listed
+    from ``max_order`` down to 0."""
+    n, m = system.chart.dim, system.n_unknowns
+    per_order = elim.pivots_per_order()
+    return SymbolTable(stage, tuple(m * comb(n + k - 1, k) - per_order.get(k, 0)
+                                    for k in range(max_order, -1, -1)))
 
 
 def symbol_dimensions(system: LinearPDESystem, point: GenericPoint,
                       stage: int = 1) -> SymbolTable:
     """dim g_k for k = 0..order: order-k jet freedom left after exact
     elimination of the evaluated system, higher orders eliminated first."""
-    n = system.chart.dim
-    m = system.n_unknowns
     elim = _GradedElimination()
     for eq in system.equations:
-        try:
-            elim.add(eq.evaluate_sparse(point.values))
-        except PoleError:
-            raise ProlongError(
-                f"coefficient pole at sampled point (seed {point.seed}); resample")
-    dims = _dims_from_pivots(elim.pivots_per_order(), n, m, system.order)
-    return SymbolTable(stage=stage, dims=dims)
+        elim.add(_row(eq, point))
+    return _symbol_table(elim, system, stage, system.order)
 
 
 @dataclass
@@ -290,7 +304,6 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     if max_stage < 1:
         raise ProlongError("max_stage must be at least 1")
     chart = system.chart
-    m = system.n_unknowns
     points = [GenericPoint.sample(chart, s) for s in seeds]
     elims = [_GradedElimination() for _ in points]
 
@@ -301,13 +314,10 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
         of the retained ones)."""
         kept = []
         for eq in eqs:
-            try:
-                if elims[0].add(eq.evaluate_sparse(points[0].values)) is None:
-                    continue
-                for p, el in zip(points[1:], elims[1:]):
-                    el.add(eq.evaluate_sparse(p.values))
-            except PoleError:
-                raise ProlongError("coefficient pole at a sampled point; resample")
+            if elims[0].add(_row(eq, points[0])) is None:
+                continue
+            for p, el in zip(points[1:], elims[1:]):
+                el.add(_row(eq, p))
             kept.append(eq)
         return kept
 
@@ -317,11 +327,7 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     frontier = list(active)
     for stage in range(1, max_stage + 1):
         max_order = max(e.order for e in active)
-        stage_tables = [
-            SymbolTable(stage=stage,
-                        dims=_dims_from_pivots(el.pivots_per_order(), chart.dim,
-                                               m, max_order))
-            for el in elims]
+        stage_tables = [_symbol_table(el, system, stage, max_order) for el in elims]
         best = min(stage_tables, key=lambda t: t.total())  # min dims = max rank
         if any(t.dims != best.dims for t in stage_tables):
             point_independent = False
@@ -331,18 +337,7 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
                                [p.seed for p in points], point_independent)
         if stage == max_stage:
             break
-        # prolong the frontier only, deduplicated by provenance
-        seen = {(e.base, e.deriv) for e in active}
-        new_eqs = []
-        for eq in frontier:
-            for i in range(chart.dim):
-                d = list(eq.deriv)
-                d[i] += 1
-                key = (eq.base, tuple(d))
-                if key in seen:
-                    continue
-                seen.add(key)
-                new_eqs.append(_clear_denominators(chart, _total_derivative(chart, eq, i)))
+        new_eqs = _next_derivatives(chart, active, frontier)
         if not new_eqs:
             break
         kept = admit(new_eqs)

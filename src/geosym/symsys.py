@@ -14,9 +14,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from . import _linalg
 from .exprfield import Chart, Expr, ExprError
-from .geometry import (Connection, GeometryError, TensorField, covariant_derivative,
-                       check_hypercomplex_frame, endo_mul, endo_trace)
-from .prolong import Equation, JetKey, LinearPDESystem
+from .geometry import (Connection, TensorField, covariant_derivative,
+                       check_hypercomplex_frame)
+from .prolong import JetKey, LinearPDESystem
 
 
 class SymSysError(ExprError):
@@ -225,7 +225,6 @@ def obata_solve(I: TensorField, J: TensorField, K: TensorField) -> Connection:
     unknowns = [(k, i, j) for k in range(n) for i in range(n) for j in range(i, n)]
     col = {u: c for c, u in enumerate(unknowns)}
     rows: List[List[Expr]] = []
-    rhs: List[Expr] = []
 
     def gamma_col(k: int, i: int, j: int) -> int:
         return col[(k, i, j)] if i <= j else col[(k, j, i)]
@@ -243,18 +242,20 @@ def obata_solve(I: TensorField, J: TensorField, K: TensorField) -> Connection:
                 if not t.is_zero(cross_check=False):
                     cc = gamma_col(c, mm, b)
                     row[cc] = row[cc] - t
+            row.append(-A.comp(a, b).differentiate(chart.coordinates[mm]))
             rows.append(row)
-            rhs.append(-A.comp(a, b).differentiate(chart.coordinates[mm]))
-    isz = lambda e: e.is_zero(cross_check=False)
-    null = _linalg.nullspace(rows, len(unknowns), is_zero=isz, one=chart.one())
-    if null:
+    # one reduction of the augmented matrix [A | b]: the pivots left of
+    # the last column give the nullity, a pivot on it inconsistency
+    ncols = len(unknowns)
+    red, pivots = _linalg.rref(rows, is_zero=lambda e: e.is_zero(cross_check=False))
+    defect = ncols - len([p for p in pivots if p < ncols])
+    if defect:
         raise SymSysError(
-            f"parallelism system underdetermined: {len(null)}-dimensional defect")
-    sol = _linalg.solve(rows, rhs, is_zero=isz)
-    if sol is None:
+            f"parallelism system underdetermined: {defect}-dimensional defect")
+    if ncols in pivots:
         raise SymSysError("parallelism system inconsistent; frame not hypercomplex")
     gamma = {}
     for (k, i, j), c in col.items():
-        gamma[(k, i, j)] = sol[c]
-        gamma[(k, j, i)] = sol[c]
+        gamma[(k, i, j)] = red[c][ncols]
+        gamma[(k, j, i)] = red[c][ncols]
     return Connection(chart, gamma)

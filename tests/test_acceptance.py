@@ -18,6 +18,8 @@ from geosym.modelfile import load_model
 
 import importlib.resources
 
+import pytest
+
 import test_geometry
 
 
@@ -35,6 +37,7 @@ def _bundled(name):
     return str(importlib.resources.files("geosym") / "models" / name)
 
 
+@pytest.mark.slow
 def test_criterion_1_eguchi_hanson_symbol_tables(eh_quaternionic_system):
     with criterion(1, "Eguchi-Hanson stage tables and bound 4"):
         t0 = time.monotonic()

@@ -5,6 +5,7 @@ import importlib.resources
 
 import pytest
 
+from geosym.cli import main
 from geosym.modelfile import ModelError, parse_model
 
 
@@ -129,3 +130,28 @@ def test_bundled_models_parse(name):
     model = parse_model(ref.read_text(), str(ref))
     assert model.tasks
     assert not model.warnings
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("symmetry-bound", "max_stage", "abc"),
+    ("symmetry-bound", "max_stage", "0"),
+    ("symmetry-bound", "max_stage", "2.5"),
+    ("symmetry-bound", "orientation", "2"),
+    ("symmetry-bound", "orientation", "up"),
+    ("invariant-connections", "point", "1/0, 2"),
+    ("invariant-connections", "point", "1"),
+    ("invariant-connections", "point", "a, b"),
+    ("invariant-connections", "tensor_type", "2"),
+    ("invariant-connections", "tensor_type", "2, -1"),
+    ("invariant-connections", "tensor_type", "1, 2, 3"),
+    ("closure", "point", "0, 0"),  # valid form, wrong task kind
+])
+def test_bad_task_parameter_rejected_at_its_line(tmp_path, kind, key, value):
+    text = MINIMAL + f"\n[task t]\nkind = {kind}\n{key} = {value}\n"
+    bad_line = len(text.splitlines())
+    with pytest.raises(ModelError) as exc:
+        parse_model(text)
+    assert exc.value.line == bad_line
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2

@@ -134,3 +134,22 @@ def test_tables_deterministic_for_seed(sphere):
     r2 = P.solution_bound(S.invariance_system(g), seeds=(7, 8, 9))
     assert [t.dims for t in r1.tables] == [t.dims for t in r2.tables]
     assert r1.bound == r2.bound
+
+
+@pytest.mark.parametrize("seed", [1, 7, 17, 101])
+@pytest.mark.parametrize("case", ["sphere", "flat2", "flat3"])
+def test_dropping_dependent_equations_keeps_tables(request, case, seed):
+    """solution_bound carries only equations independent at the sample
+    point forward; its tables equal those of the full prolongations."""
+    if case == "flat3":
+        chart = Chart(["x", "y", "z"])
+        g = G.TensorField(chart, ("d", "d"),
+                          {(i, i): chart.one() for i in range(3)})
+    else:
+        chart, g = request.getfixturevalue(case)
+    system = S.invariance_system(g)
+    res = P.solution_bound(system, max_stage=3, seeds=(seed,))
+    point = P.GenericPoint.sample(chart, seed)
+    for k, table in enumerate(res.tables):
+        assert P.symbol_dimensions(system, point, stage=k + 1).dims == table.dims
+        system = P.prolong(system)

@@ -110,3 +110,22 @@ def test_rotation_in_quaternionic_but_scaling_too(flat4):
     ks = S.invariance_system(g)
     ok, _ = P.verify_solution(ks, euler)
     assert not ok
+
+
+def test_obata_of_a_non_constant_triple(flat4):
+    # the standard triple pushed forward by (x0, x1) -> (x0 + x1^2, x1);
+    # its Obata connection is the flat one in the new coordinates, whose
+    # only Christoffel symbol is Gamma^0_{11} = d^2(x0 - x1^2)/dx1^2 = -2
+    chart, g = flat4
+    dphi = G.endomorphism(chart, [[1, "2*x1", 0, 0], [0, 1, 0, 0],
+                                  [0, 0, 1, 0], [0, 0, 0, 1]])
+    dphi_inv = G.endomorphism(chart, [[1, "-2*x1", 0, 0], [0, 1, 0, 0],
+                                      [0, 0, 1, 0], [0, 0, 0, 1]])
+    I, J, K = (G.endo_mul(G.endo_mul(dphi, A), dphi_inv)
+               for A in standard_triple(chart))
+    D = S.obata_solve(I, J, K)
+    assert D.gamma
+    assert D.comp(0, 1, 1).equals(chart.const(-2))
+    for A in (I, J, K):
+        assert G.covariant_derivative(D, A).is_zero()
+    assert G.curvature(D).is_zero()
