@@ -13,6 +13,7 @@ All arithmetic is exact rational; no floating point anywhere.
 from __future__ import annotations
 
 import ast
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -280,8 +281,9 @@ class Chart:
         Trig pairs are sampled from rational circle points.  A root
         generator whose radicand is a rational square gets the rational
         root; otherwise its value is adjoined formally in a quadratic
-        extension of QQ (a :class:`_PointAlgebra` element), which keeps
-        evaluation exact.
+        extension of QQ (a :class:`_PointAlgebra` element).  Either kind
+        of value goes through the same evaluation, :func:`_eval_pair`,
+        which stays exact.
         """
         for _ in range(max_tries):
             point: Dict[str, object] = {}
@@ -300,7 +302,7 @@ class Chart:
                     partial = {v: Fraction(0) for v in self.var_names}
                     partial.update(point)
                     try:
-                        q = _eval_pair(self, (g.square_rhs._num, g.square_rhs._den), partial)
+                        q = _eval_pair((g.square_rhs._num, g.square_rhs._den), partial)
                     except PoleError:
                         ok = False
                         break
@@ -459,17 +461,10 @@ class _AlgNum:
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
     if q < 0:
         return None
-    rn, rd = _isqrt(q.numerator), _isqrt(q.denominator)
-    if rn is None or rd is None:
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if rn * rn != q.numerator or rd * rd != q.denominator:
         return None
     return Fraction(rn, rd)
-
-
-def _isqrt(n: int) -> Optional[int]:
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
 
 
 class Expr:
@@ -525,7 +520,7 @@ class Expr:
             checked = 0
             for point in self.chart._check_pool(6):
                 try:
-                    v = _eval_pair(self.chart, self._raw, point)
+                    v = _eval_pair(self._raw, point)
                 except PoleError:
                     continue
                 if v != 0:
@@ -631,24 +626,21 @@ class Expr:
     # -- calculus ---------------------------------------------------------
 
     def differentiate(self, coordinate: str) -> "Expr":
-        """Formal partial derivative using the generator derivative rules."""
+        """Formal partial derivative using the generator derivative rules:
+        (n/d)' = (s n' d - n s d') / (s d^2)."""
         ch = self.chart
         if coordinate not in ch.coordinates:
             raise ExprError(f"{coordinate!r} is not a coordinate of this chart")
         n, d = ch._current(self)
-        dn = _poly_total_derivative(ch, n, coordinate)
-        if d.is_one:
-            return dn
-        dd = _poly_total_derivative(ch, d, coordinate)
-        num_part = Expr(ch, n, ch._ring.one)
-        den_expr = Expr(ch, d, ch._ring.one)
-        return (dn * den_expr - num_part * dd) / (den_expr * den_expr)
+        s, rules = _derivation_rules(ch, coordinate, [n, d])
+        dn, dd = (_poly_total_derivative(ch, p, rules) for p in (n, d))
+        return Expr(ch, dn * d - n * dd, s * d * d)
 
     def evaluate(self, point: Mapping[str, Rational]) -> Fraction:
         """Exact value at a rational point satisfying all relations."""
         pt = {k: v if isinstance(v, _AlgNum) else Fraction(v) for k, v in point.items()}
         _check_relations(self.chart, pt)
-        return _eval_pair(self.chart, (self._num, self._den), pt)
+        return _eval_pair((self._num, self._den), pt)
 
     # -- display ----------------------------------------------------------
 
@@ -665,33 +657,24 @@ def _check_relations(chart: Chart, point: Mapping[str, Fraction]):
     for g in chart.generators:
         if g.square_rhs is None:
             continue
-        rhs = _eval_pair(chart, (g.square_rhs._num, g.square_rhs._den), point)
+        rhs = _eval_pair((g.square_rhs._num, g.square_rhs._den), point)
         if point[g.name] ** 2 != rhs:
             raise RelationViolation(f"relation of generator {g.name!r} violated at the point")
 
 
-def _eval_pair(chart: Chart, pair, point: Mapping[str, object]):
-    """Value of num/den at the point; Fraction, or _AlgNum for points
-    carrying formal square roots."""
+def _eval_pair(pair, point: Mapping[str, object]):
+    """Value of num/den at the point: a Fraction, or an _AlgNum where
+    formal square roots do not cancel.  One path for every kind of point;
+    raises PoleError where the denominator vanishes or is a zero divisor."""
     num, den = pair
-    names = [str(g) for g in num.ring.symbols]
-    vals = [point[n] for n in names]
-    if all(isinstance(v, Fraction) for v in vals):
-        subs = [(num.ring.gens[i], _qq(v)) for i, v in enumerate(vals)]
-        dv = den.evaluate(subs) if not den.is_one else 1
-        if dv == 0:
-            raise PoleError("denominator vanishes at the point")
-        nv = num.evaluate(subs) if num else 0
-        if nv == 0:
-            return Fraction(0)
-        return _fr(nv) / (_fr(dv) if dv != 1 else Fraction(1))
+    vals = [point[str(s)] for s in num.ring.symbols]
     dv = _eval_poly(den, vals)
+    if not dv:
+        raise PoleError("denominator vanishes at the point")
     nv = _eval_poly(num, vals)
     try:
         res = nv / dv if dv != 1 else nv
     except ZeroDivisionError:
-        raise PoleError("denominator vanishes at the point")
-    if isinstance(dv, Fraction) and dv == 0:
         raise PoleError("denominator vanishes at the point")
     if isinstance(res, _AlgNum):
         fr = res.as_fraction()
@@ -702,7 +685,7 @@ def _eval_pair(chart: Chart, pair, point: Mapping[str, object]):
 
 def _eval_poly(p, vals):
     total = Fraction(0)
-    for monom, coeff in p.to_dict().items():
+    for monom, coeff in p.items():
         term = _fr(coeff)
         for i, e in enumerate(monom):
             if e:
@@ -711,32 +694,51 @@ def _eval_poly(p, vals):
     return total
 
 
-def _poly_total_derivative(chart: Chart, p, coordinate: str) -> Expr:
-    """d/dx of a polynomial, chaining through generator rules."""
-    result = chart.zero()
-    ring = chart._ring
-    for i, name in enumerate(chart.var_names):
-        gv = ring.gens[i]
-        partial = p.diff(gv)
-        if not partial:
-            continue
-        rule = _var_derivative(chart, name, coordinate)
-        if rule is None or rule.is_zero(cross_check=False):
-            continue
-        result = result + Expr(chart, partial, ring.one) * rule
-    return result
+def _lcm(ring, polys):
+    """Monic least common multiple of the polynomials (ring.one if none)."""
+    out = ring.one
+    for p in polys:
+        if not p.is_one:
+            out = out * p.exquo(out.gcd(p))
+    return out
+
+
+def _derivation_rules(chart: Chart, coordinate: str, polys):
+    """(s, {var index: r}) with s * d(var)/d(coordinate) = r for each
+    variable occurring in ``polys`` (only those: a root's rule
+    differentiates its radicand, so asking for every variable recurses
+    without end on nested roots).  s is 1 unless a root generator's
+    dq/(2W) leaves a denominator."""
+    occurring = sorted({i for p in polys for m in p.itermonoms()
+                        for i, e in enumerate(m) if e})
+    rules = {}
+    for i in occurring:
+        rule = _var_derivative(chart, chart.var_names[i], coordinate)
+        if rule is not None:
+            rules[i] = chart._current(rule)
+    s = _lcm(chart._ring, [den for _, den in rules.values()])
+    # denominators are free of quadratic generators, so r stays reduced
+    return s, {i: num * s.exquo(den) for i, (num, den) in rules.items()}
+
+
+def _poly_total_derivative(chart: Chart, p, rules):
+    """s * dp/dx, unreduced, for the rules (s, ``rules``) of
+    :func:`_derivation_rules` on a set of polynomials containing p."""
+    gens = chart._ring.gens
+    out = chart._ring.zero
+    for i, r in rules.items():
+        out += p.diff(gens[i]) * r
+    return out
 
 
 def _var_derivative(chart: Chart, var: str, coordinate: str) -> Optional[Expr]:
     if var in chart.coordinates:
         return chart.one() if var == coordinate else None
     g = chart._gens_by_name[var]
-    if g.kind == "sin":
-        angle = var[len("sin_"):]
-        return chart.var(g.partner) if angle == coordinate else None
-    if g.kind == "cos":
-        angle = var[len("cos_"):]
-        return -chart.var(g.partner) if angle == coordinate else None
+    if g.kind in ("sin", "cos"):  # named sin_<angle> / cos_<angle>
+        if var[len("sin_"):] != coordinate:
+            return None
+        return chart.var(g.partner) if g.kind == "sin" else -chart.var(g.partner)
     dq = g.square_rhs.differentiate(coordinate)  # root generator
     if dq.is_zero(cross_check=False):
         return None

@@ -79,9 +79,11 @@ _TASK_PARAMS = {
     },
 }
 
-# Task parameters whose values are read as numbers when the task runs:
+# Task parameters whose values are interpreted when the task runs:
 # (the form the value must take, a check that raises or returns False
 # for a malformed value given the chart dimension).
+_COUNT = ("a non-negative integer", lambda v, n: int(v) >= 0)
+_FLAG = ("true or false", lambda v, n: v.lower() in ("true", "false"))
 _PARAM_FORMS = {
     "max_stage": ("an integer of at least 1", lambda v, n: int(v) >= 1),
     "orientation": ("1 or -1", lambda v, n: int(v) in (1, -1)),
@@ -89,6 +91,15 @@ _PARAM_FORMS = {
               lambda v, n: len([Fraction(p) for p in v.split(",")]) == n),
     "tensor_type": ("two non-negative integers r, s",
                     lambda v, n: [int(p) >= 0 for p in v.split(",")] == [True, True]),
+    "expect_bound": _COUNT,
+    "expect_dimension": _COUNT,
+    "expect_center_dimension": _COUNT,
+    "expect_derived_dimension": _COUNT,
+    "expect_block_kernel_dimension": _COUNT,
+    "expect_ricci_flat": _FLAG,
+    "expect_flat": _FLAG,
+    "expect_vanishing": ("a subset of 20, 11, 02",
+                         lambda v, n: set(_name_list(v)) <= {"20", "11", "02"}),
 }
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")

@@ -15,7 +15,10 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exprfield import Chart, Expr, ExprError, PoleError, _eval_pair
+from sympy.polys.rings import PolyElement
+
+from .exprfield import (Chart, Expr, ExprError, _derivation_rules, _eval_pair,
+                        _lcm, _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
 
@@ -28,12 +31,17 @@ class ProlongError(ExprError):
 class Equation:
     """One linear homogeneous equation sum c_{a,alpha} X^a_alpha = 0.
 
+    Each coefficient c_{a,alpha} is a polynomial of ``chart._ring``,
+    reduced modulo the generator relations, and the coefficients have no
+    common polynomial factor: equations are cleared of denominators once,
+    when built, and stay polynomial under total derivatives.
+
     ``base`` and ``deriv`` record provenance: the originating equation
     and how often it has been differentiated per coordinate, so that a
     mixed partial is generated only once.
     """
 
-    coeffs: Dict[JetKey, Expr]
+    coeffs: Dict[JetKey, PolyElement]
     base: int
     deriv: Tuple[int, ...]
 
@@ -47,7 +55,7 @@ class Equation:
         coordinate eliminated first."""
         row = {}
         for (a, alpha), c in self.coeffs.items():
-            v = _eval_pair(c.chart, (c._num, c._den), point)
+            v = _eval_pair((c, c.ring.one), point)
             if not isinstance(v, Fraction):
                 raise ProlongError(
                     "coefficient evaluates outside QQ at the sample point")
@@ -74,34 +82,32 @@ class LinearPDESystem:
     @staticmethod
     def from_coefficient_maps(chart: Chart, n_unknowns: int,
                               maps: Sequence[Dict[JetKey, Expr]]) -> "LinearPDESystem":
+        """One equation per nonzero map, cleared of denominators."""
         zero_d = (0,) * chart.dim
         eqs = []
         for i, m in enumerate(maps):
-            m = {k: v for k, v in m.items() if not v.is_zero(cross_check=False)}
-            if m:
-                eqs.append(Equation(m, base=i, deriv=zero_d))
+            pairs = {k: chart._current(v) for k, v in m.items()
+                     if not v.is_zero(cross_check=False)}
+            if pairs:
+                eqs.append(Equation(_clear_denominators(chart, pairs),
+                                    base=i, deriv=zero_d))
         return LinearPDESystem(chart, n_unknowns, eqs)
 
 
-def _total_derivative(chart: Chart, eq: Equation, i: int) -> Equation:
-    coord = chart.coordinates[i]
-    out: Dict[JetKey, Expr] = {}
-
-    def add(key: JetKey, c: Expr):
-        cur = out.get(key)
-        out[key] = c if cur is None else cur + c
-
+def _total_derivative(chart: Chart, eq: Equation, i: int) -> Dict[JetKey, PolyElement]:
+    """Coefficients of s * D_i(eq), where s clears the denominators of
+    the generator derivation rules (s = 1 without root generators)."""
+    ring = chart._ring
+    s, rules = _derivation_rules(chart, chart.coordinates[i], eq.coeffs.values())
+    out: Dict[JetKey, PolyElement] = {}
     for (a, alpha), c in eq.coeffs.items():
-        dc = c.differentiate(coord)
-        if not dc.is_zero(cross_check=False):
-            add((a, alpha), dc)
+        dc = _poly_total_derivative(chart, c, rules)
+        out[(a, alpha)] = out.get((a, alpha), ring.zero) + dc
         up = list(alpha)
         up[i] += 1
-        add((a, tuple(up)), c)
-    deriv = list(eq.deriv)
-    deriv[i] += 1
-    out = {k: v for k, v in out.items() if not v.is_zero(cross_check=False)}
-    return Equation(out, base=eq.base, deriv=tuple(deriv))
+        out[(a, tuple(up))] = out.get((a, tuple(up)), ring.zero) + s * c
+    out = {k: chart._reduce_poly(p) for k, p in out.items() if p}
+    return {k: p for k, p in out.items() if p}
 
 
 def _next_derivatives(chart: Chart, known: Sequence[Equation],
@@ -111,6 +117,7 @@ def _next_derivatives(chart: Chart, known: Sequence[Equation],
     mixed partial appears once and none repeats an equation of
     ``known``."""
     seen = {(e.base, e.deriv) for e in known}
+    one = chart._ring.one
     out = []
     for eq in frontier:
         for i in range(chart.dim):
@@ -120,13 +127,18 @@ def _next_derivatives(chart: Chart, known: Sequence[Equation],
             if key in seen:
                 continue
             seen.add(key)
-            out.append(_clear_denominators(chart, _total_derivative(chart, eq, i)))
+            coeffs = _total_derivative(chart, eq, i)
+            out.append(Equation(
+                _clear_denominators(chart, {k: (p, one) for k, p in coeffs.items()}),
+                base=eq.base, deriv=key[1]))
     return out
 
 
 def prolong(system: LinearPDESystem) -> LinearPDESystem:
-    """Append all total derivatives of all equations (deduplicated by
-    provenance so each mixed partial appears once); originals retained."""
+    """Append all first total derivatives of all equations (deduplicated
+    by provenance so each mixed partial appears once); originals
+    retained.  Each derivative is taken on the polynomial row and cleared
+    like the originals, so it is a multiple of the true one."""
     eqs = system.equations
     return LinearPDESystem(system.chart, system.n_unknowns,
                            eqs + _next_derivatives(system.chart, eqs, eqs))
@@ -211,14 +223,6 @@ class _GradedElimination:
         return out
 
 
-def _row(eq: Equation, point: GenericPoint) -> Dict[Tuple, Fraction]:
-    try:
-        return eq.evaluate_sparse(point.values)
-    except PoleError:
-        raise ProlongError(
-            f"coefficient pole at sampled point (seed {point.seed}); resample")
-
-
 def _symbol_table(elim: _GradedElimination, system: LinearPDESystem,
                   stage: int, max_order: int) -> SymbolTable:
     """dim g_k = (order-k jet coordinates) - (pivots of order k), listed
@@ -235,7 +239,7 @@ def symbol_dimensions(system: LinearPDESystem, point: GenericPoint,
     elimination of the evaluated system, higher orders eliminated first."""
     elim = _GradedElimination()
     for eq in system.equations:
-        elim.add(_row(eq, point))
+        elim.add(eq.evaluate_sparse(point.values))
     return _symbol_table(elim, system, stage, system.order)
 
 
@@ -254,18 +258,12 @@ class BoundResult:
         return self.tables[-1]
 
 
-def _clear_denominators(chart: Chart, eq: Equation) -> Equation:
-    """Scale the equation by the least common denominator and divide by
-    the common polynomial content; the solution set and symbol spaces
-    are unchanged, and polynomial coefficients differentiate cheaply."""
-    if not eq.coeffs:
-        return eq
-    ring = chart._ring
-    pairs = {k: chart._current(c) for k, c in eq.coeffs.items()}
-    lcd = ring.one
-    for _, den in pairs.values():
-        if not den.is_one:
-            lcd = lcd * den.exquo(lcd.gcd(den))
+def _clear_denominators(chart: Chart, pairs: Dict[JetKey, Tuple]) -> Dict[JetKey, PolyElement]:
+    """Polynomial coefficients of an equation given by (num, den) pairs:
+    scaled by the least common denominator and divided by the common
+    polynomial content.  The solution set and symbol spaces are
+    unchanged, and polynomial coefficients differentiate cheaply."""
+    lcd = _lcm(chart._ring, [den for _, den in pairs.values()])
     nums = {}
     for k, (num, den) in pairs.items():
         f = lcd if den.is_one else lcd.exquo(den)
@@ -275,12 +273,9 @@ def _clear_denominators(chart: Chart, eq: Equation) -> Equation:
         content = p if content is None else content.gcd(p)
         if content.is_ground:
             break
-    out = {}
-    for k, p in nums.items():
-        if content is not None and not content.is_ground:
-            p = p.exquo(content)
-        out[k] = Expr(chart, p, ring.one)
-    return Equation(out, base=eq.base, deriv=eq.deriv)
+    if content is None or content.is_ground:
+        return nums
+    return {k: p.exquo(content) for k, p in nums.items()}
 
 
 _DEFAULT_SEEDS = (101, 202, 303)
@@ -314,16 +309,16 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
         of the retained ones)."""
         kept = []
         for eq in eqs:
-            if elims[0].add(_row(eq, points[0])) is None:
+            if elims[0].add(eq.evaluate_sparse(points[0].values)) is None:
                 continue
             for p, el in zip(points[1:], elims[1:]):
-                el.add(_row(eq, p))
+                el.add(eq.evaluate_sparse(p.values))
             kept.append(eq)
         return kept
 
     tables: List[SymbolTable] = []
     point_independent = True
-    active = admit([_clear_denominators(chart, e) for e in system.equations])
+    active = admit(system.equations)
     frontier = list(active)
     for stage in range(1, max_stage + 1):
         max_order = max(e.order for e in active)
@@ -350,7 +345,8 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
 def verify_solution(system: LinearPDESystem, components: Sequence[Expr],
                     cross_check: bool = True) -> Tuple[bool, List[Expr]]:
     """Substitute a concrete field into every equation; returns
-    (all zero, residuals)."""
+    (all zero, residuals).  Residuals are those of the cleared equations,
+    so each is the raw residual times its equation's clearing factor."""
     chart = system.chart
     if len(components) != system.n_unknowns:
         raise ProlongError("component count does not match the system unknowns")
@@ -375,7 +371,7 @@ def verify_solution(system: LinearPDESystem, components: Sequence[Expr],
     for eq in system.equations:
         r = chart.zero()
         for (a, alpha), c in eq.coeffs.items():
-            r = r + c * jet_value(a, alpha)
+            r = r + Expr(chart, c, c.ring.one) * jet_value(a, alpha)
         residuals.append(r)
         if not r.is_zero(cross_check=cross_check):
             ok = False

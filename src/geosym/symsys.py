@@ -29,6 +29,27 @@ def _unit(i: int, n: int) -> Tuple[int, ...]:
     return tuple(e)
 
 
+def _add(m: Dict[JetKey, Expr], key: JetKey, c: Expr) -> None:
+    """m[key] += c, skipping zero terms."""
+    if c.is_zero(cross_check=False):
+        return
+    cur = m.get(key)
+    m[key] = c if cur is None else cur + c
+
+
+def _contract(omega: Sequence[Expr], slots: Sequence,
+              jets: Dict[Tuple[int, ...], Dict[JetKey, Expr]]) -> Dict[JetKey, Expr]:
+    """Coefficient map of sum_s omega_s * (jet map of slot s): an
+    annihilator row applied to the per-slot jet maps."""
+    m: Dict[JetKey, Expr] = {}
+    for w, s in zip(omega, slots):
+        if w.is_zero(cross_check=False):
+            continue
+        for key, c in jets[s].items():
+            _add(m, key, c * w)
+    return m
+
+
 def lie_derivative_jet(T: TensorField) -> Dict[Tuple[int, ...], Dict[JetKey, Expr]]:
     """Jet-linear coefficient maps of (L_X T)_idx, one per component."""
     chart = T.chart
@@ -37,16 +58,9 @@ def lie_derivative_jet(T: TensorField) -> Dict[Tuple[int, ...], Dict[JetKey, Exp
     out: Dict[Tuple[int, ...], Dict[JetKey, Expr]] = {}
     for idx in T.indices():
         m_: Dict[JetKey, Expr] = {}
-
-        def add(key: JetKey, c: Expr):
-            if c.is_zero(cross_check=False):
-                return
-            cur = m_.get(key)
-            m_[key] = c if cur is None else cur + c
-
         base = T.comp(*idx)
         for mm in range(n):
-            add((mm, zero_a), base.differentiate(chart.coordinates[mm]))
+            _add(m_, (mm, zero_a), base.differentiate(chart.coordinates[mm]))
         for p, v in enumerate(T.variance):
             for mm in range(n):
                 jdx = list(idx)
@@ -56,10 +70,10 @@ def lie_derivative_jet(T: TensorField) -> Dict[Tuple[int, ...], Dict[JetKey, Exp
                     continue
                 if v == "d":
                     # + (d_{idx_p} X^m) T(..m..)
-                    add((mm, _unit(idx[p], n)), t)
+                    _add(m_, (mm, _unit(idx[p], n)), t)
                 else:
                     # - (d_m X^{idx_p}) T(..m..)
-                    add((idx[p], _unit(mm, n)), -t)
+                    _add(m_, (idx[p], _unit(mm, n)), -t)
         out[idx] = m_
     return out
 
@@ -81,24 +95,15 @@ def lie_derivative_connection_jet(D: Connection) -> Dict[Tuple[int, int, int], D
         if i > j:
             continue  # symmetric in (i, j) for torsion-free D
         m_: Dict[JetKey, Expr] = {}
-
-        def add(key: JetKey, c: Expr):
-            if isinstance(c, int):
-                c = chart.const(c)
-            if c.is_zero(cross_check=False):
-                return
-            cur = m_.get(key)
-            m_[key] = c if cur is None else cur + c
-
         for mm in range(n):
-            add((mm, zero_a), D.comp(a, i, j).differentiate(chart.coordinates[mm]))
-            add((a, _unit(mm, n)), -D.comp(mm, i, j))
-            add((mm, _unit(i, n)), D.comp(a, mm, j))
-            add((mm, _unit(j, n)), D.comp(a, i, mm))
+            _add(m_, (mm, zero_a), D.comp(a, i, j).differentiate(chart.coordinates[mm]))
+            _add(m_, (a, _unit(mm, n)), -D.comp(mm, i, j))
+            _add(m_, (mm, _unit(i, n)), D.comp(a, mm, j))
+            _add(m_, (mm, _unit(j, n)), D.comp(a, i, mm))
         ei = list(zero_a)
         ei[i] += 1
         ei[j] += 1
-        add((a, tuple(ei)), chart.one())
+        _add(m_, (a, tuple(ei)), chart.one())
         out[(a, i, j)] = m_
     return out
 
@@ -135,20 +140,12 @@ def quaternionic_symmetry_system(frame: Sequence[TensorField],
     if len(_linalg.independent_rows(flat, is_zero=isz)) != 3:
         raise SymSysError("frame does not span a rank-3 bundle")
     ann = _endo_annihilator_full(frame, chart)
+    # omega is indexed like the (b, a) product; jet maps are keyed (a, b)
+    slots = [(a, b) for b, a in itertools.product(range(n), repeat=2)]
     maps: List[Dict[JetKey, Expr]] = []
     for A in frame:
-        jets = lie_derivative_jet(A)  # keys (a, b) for (1,1) tensor
-        for omega in ann:
-            m_: Dict[JetKey, Expr] = {}
-            for k, (b, a) in enumerate(itertools.product(range(n), repeat=2)):
-                w = omega[k]
-                if isinstance(w, Expr) and isz(w):
-                    continue
-                for key, c in jets[(a, b)].items():
-                    term = c * w
-                    cur = m_.get(key)
-                    m_[key] = term if cur is None else cur + term
-            maps.append(m_)
+        jets = lie_derivative_jet(A)
+        maps += [_contract(omega, slots, jets) for omega in ann]
     return LinearPDESystem.from_coefficient_maps(chart, n, maps)
 
 
@@ -197,16 +194,7 @@ def cprojective_symmetry_system(J: TensorField, D: Connection) -> LinearPDESyste
     rows = [[pat.get(s, chart.zero()) for s in slots] for pat in patterns]
     ann = _linalg.nullspace(rows, len(slots), is_zero=isz, one=chart.one())
     ld = lie_derivative_connection_jet(D)
-    for omega in ann:
-        m_: Dict[JetKey, Expr] = {}
-        for w, s in zip(omega, slots):
-            if isinstance(w, Expr) and isz(w):
-                continue
-            for key, c in ld[s].items():
-                term = c * w
-                cur = m_.get(key)
-                m_[key] = term if cur is None else cur + term
-        maps.append(m_)
+    maps += [_contract(omega, slots, ld) for omega in ann]
     return LinearPDESystem.from_coefficient_maps(chart, n, maps)
 
 

@@ -124,20 +124,42 @@ def flat2():
     return chart, g
 
 
+def block_endomorphism(chart: Chart, block):
+    """The constant endomorphism repeating ``block`` along the diagonal."""
+    k, dim = len(block), chart.dim
+    return G.endomorphism(chart, [
+        [chart.const(block[i % k][j % k] if i // k == j // k else 0)
+         for j in range(dim)] for i in range(dim)])
+
+
 def standard_triple(chart: Chart):
-    """The constant hypercomplex triple on a 4-dimensional chart."""
-    def endo(mat):
-        return G.endomorphism(
-            chart, [[chart.const(v) for v in row] for row in mat])
-    I = endo([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-    J = endo([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
+    """The constant hypercomplex triple on a 4n-dimensional chart: the
+    standard one on each R^4 block."""
+    I = block_endomorphism(
+        chart, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    J = block_endomorphism(
+        chart, [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
     K = G.endo_mul(I, J)
     return I, J, K
 
 
+def nested_root_chart() -> Chart:
+    """Chart (x, y) with W^2 = x^2 + 1 and V^2 = W + y^2 + 3: a root
+    over a root."""
+    chart = Chart(["x", "y"])
+    chart.add_square_root("W", parse_expr(chart, "x^2 + 1"))
+    chart.add_square_root("V", parse_expr(chart, "W + y^2 + 3"))
+    return chart
+
+
+def flat_chart(dim: int):
+    """Chart x0..x(dim-1) with the Euclidean metric."""
+    chart = Chart([f"x{i}" for i in range(dim)])
+    g = G.TensorField(chart, ("d", "d"),
+                      {(i, i): chart.one() for i in range(dim)})
+    return chart, g
+
+
 @pytest.fixture()
 def flat4():
-    chart = Chart(["x0", "x1", "x2", "x3"])
-    g = G.TensorField(chart, ("d", "d"),
-                      {(i, i): chart.one() for i in range(4)})
-    return chart, g
+    return flat_chart(4)

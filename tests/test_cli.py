@@ -125,6 +125,12 @@ def test_blocks_model_runs(capsys):
     assert "h3" in out and "h8" in out
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "two"])
+def test_max_stage_below_one_is_a_usage_error(value):
+    assert main(["run", str(MODELS / "flat2.model"), "--task", "bound",
+                 "--max-stage", value]) == 2
+
+
 def test_max_stage_cap_makes_bound_inconclusive(capsys):
     assert main(["run", str(MODELS / "flat2.model"), "--task", "bound",
                  "--max-stage", "1"]) == 1

@@ -15,6 +15,8 @@ from geosym.exprfield import (
     parse_expr,
 )
 
+from conftest import nested_root_chart
+
 
 def _make_chart():
     ch = Chart(["x", "y", "t"])
@@ -159,6 +161,30 @@ def test_parse_rejects_bad_syntax(chart):
         parse_expr(chart, "x +")
     with pytest.raises(ExprParseError):
         parse_expr(chart, "__import__('os')")
+
+
+def test_root_generator_derivatives():
+    ch = nested_root_chart()
+    x, W, V = ch.var("x"), ch.var("W"), ch.var("V")
+    assert 2 * W * W.differentiate("x") == parse_expr(ch, "x^2 + 1").differentiate("x")
+    assert 2 * V * V.differentiate("y") == parse_expr(ch, "W + y^2 + 3").differentiate("y")
+    assert 2 * V * V.differentiate("x") == W.differentiate("x")  # chain rule
+    f = V ** 3 / (x - W)
+    for coord in ch.coordinates:
+        dV, dD = V.differentiate(coord), (x - W).differentiate(coord)
+        assert f.differentiate(coord) == \
+            (3 * V ** 2 * dV * (x - W) - V ** 3 * dD) / (x - W) ** 2
+
+
+def test_evaluate_at_formal_roots():
+    import random
+    ch = nested_root_chart()
+    W, V = ch.var("W"), ch.var("V")
+    pt = ch.sample_point(random.Random(3))
+    # rational values where the roots cancel, exact formal ones elsewhere
+    assert (V * V - W).evaluate(pt) == pt["y"] ** 2 + 3
+    assert (W * V).evaluate(pt) ** 2 == (W * W * V * V).evaluate(pt)
+    assert ((W + V) / W).evaluate(pt) * W.evaluate(pt) == (W + V).evaluate(pt)
 
 
 def test_exact_sqrt():

@@ -145,6 +145,15 @@ def test_bundled_models_parse(name):
     ("invariant-connections", "tensor_type", "2, -1"),
     ("invariant-connections", "tensor_type", "1, 2, 3"),
     ("closure", "point", "0, 0"),  # valid form, wrong task kind
+    ("symmetry-bound", "expect_bound", "abc"),
+    ("symmetry-bound", "expect_bound", "-1"),
+    ("closure", "expect_dimension", "2.5"),
+    ("closure", "expect_center_dimension", "one"),
+    ("closure", "expect_derived_dimension", "-3"),
+    ("check-structure", "expect_block_kernel_dimension", "x"),
+    ("check-structure", "expect_ricci_flat", "yes"),
+    ("obata", "expect_flat", "1"),
+    ("curvature-type", "expect_vanishing", "20, 12"),
 ])
 def test_bad_task_parameter_rejected_at_its_line(tmp_path, kind, key, value):
     text = MINIMAL + f"\n[task t]\nkind = {kind}\n{key} = {value}\n"

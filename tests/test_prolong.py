@@ -9,7 +9,9 @@ import pytest
 from geosym import geometry as G
 from geosym import prolong as P
 from geosym import symsys as S
-from geosym.exprfield import Chart, parse_expr
+from geosym.exprfield import Chart, Expr, _derivation_rules, parse_expr
+
+from conftest import nested_root_chart
 
 
 def _monotone_tables(tables):
@@ -26,6 +28,39 @@ def test_prolong_adds_first_derivatives():
         chart, 2, [{(0, (1, 0)): chart.one()}])
     sys2 = P.prolong(sys1)
     assert sorted(e.order for e in sys2.equations) == [1, 2, 2]
+
+
+def test_prolonged_rows_are_scaled_total_derivatives():
+    """With nested roots in the coefficients, each derived row of
+    prolong(S) is s times the total derivative of its parent row taken
+    with Expr.differentiate, s clearing the roots' derivation rules."""
+    ch = nested_root_chart()
+    x, W, V = ch.var("x"), ch.var("W"), ch.var("V")
+    system = P.LinearPDESystem.from_coefficient_maps(ch, 2, [
+        {(0, (1, 0)): V, (0, (0, 0)): W * x, (1, (0, 1)): V / (x - W)},
+        {(1, (1, 0)): W * V, (0, (0, 1)): parse_expr(ch, "y^2")}])
+    as_expr = lambda p: Expr(ch, p, p.ring.one)
+    parents = {e.base: e for e in system.equations}
+    derived = [e for e in P.prolong(system).equations if any(e.deriv)]
+    assert len(derived) == 4
+    for eq in derived:
+        i = eq.deriv.index(1)
+        coord = ch.coordinates[i]
+        parent = parents[eq.base]
+        ref = {}
+        for (a, alpha), c in parent.coeffs.items():
+            up = list(alpha)
+            up[i] += 1
+            for key, v in (((a, alpha), as_expr(c).differentiate(coord)),
+                           ((a, tuple(up)), as_expr(c))):
+                ref[key] = ref.get(key, ch.zero()) + v
+        ref = {k: v for k, v in ref.items() if not v.is_zero()}
+        s, _ = _derivation_rules(ch, coord, parent.coeffs.values())
+        assert not s.is_ground
+        assert set(eq.coeffs) == set(ref)
+        for key, v in ref.items():
+            assert eq.coeffs[key].ring is ch._ring
+            assert as_expr(eq.coeffs[key]) / as_expr(s) == v
 
 
 def test_symbol_dimensions_trivial():

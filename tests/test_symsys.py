@@ -8,7 +8,7 @@ from geosym import prolong as P
 from geosym import symsys as S
 from geosym.exprfield import Chart, parse_expr
 
-from conftest import standard_triple
+from conftest import block_endomorphism, flat_chart, standard_triple
 
 
 def test_invariance_system_counts(flat2):
@@ -20,22 +20,29 @@ def test_invariance_system_counts(flat2):
     assert ok
 
 
-def test_flat_quaternionic_bound_is_maximal(flat4):
-    chart, g = flat4
-    I, J, K = standard_triple(chart)
-    qs = S.quaternionic_symmetry_system([I, J, K], g)
+@pytest.mark.parametrize("n", [1, 2])
+def test_flat_quaternionic_bound_is_maximal(n):
+    # flat H^n: sl(n+1, H) = H^n + (gl(n, H) + sp(1)) + (H^n)*, of
+    # dimension 4(n+1)^2 - 1
+    chart, g = flat_chart(4 * n)
+    qs = S.quaternionic_symmetry_system(list(standard_triple(chart)), g)
     res = P.solution_bound(qs, max_stage=6)
     assert res.conclusive
-    assert res.bound == 15
+    assert res.bound == 4 * (n + 1) ** 2 - 1
+    assert res.final_table.dims == (0, 0, 4 * n, 4 * n * n + 3, 4 * n)
 
 
-def test_flat_cprojective_bound(flat4):
-    chart, g = flat4
-    I, _, _ = standard_triple(chart)
-    cs = S.cprojective_symmetry_system(I, G.Connection(chart, {}))
+@pytest.mark.parametrize("n", [2, 3])
+def test_flat_cprojective_bound(n):
+    # flat C^n: sl(n+1, C) = C^n + gl(n, C) + (C^n)*, of real dimension
+    # 2((n+1)^2 - 1)
+    chart, _ = flat_chart(2 * n)
+    J = block_endomorphism(chart, [[0, -1], [1, 0]])
+    cs = S.cprojective_symmetry_system(J, G.Connection(chart, {}))
     res = P.solution_bound(cs, max_stage=6)
     assert res.conclusive
-    assert res.bound == 16
+    assert res.bound == 2 * ((n + 1) ** 2 - 1)
+    assert res.final_table.dims == (0, 0, 2 * n, 2 * n * n, 2 * n)
 
 
 def test_quaternionic_system_rejects_bad_frame(flat4):
