@@ -94,7 +94,10 @@ def _run_symmetry_bound(model: Model, task: Task, seeds, max_stage):
         "equations": len(system),
     }
     checks: List[str] = []
-    if not res.conclusive:
+    if not res.conclusive and len(res.tables) < max_stage:
+        checks.append("bound search inconclusive: no independent equation "
+                      f"left after stage {len(res.tables)}")
+    elif not res.conclusive:
         checks.append("bound search inconclusive at max_stage "
                       f"{max_stage}")
     _expect(checks, "bound", res.bound, task.params.get("expect_bound"))

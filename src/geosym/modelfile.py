@@ -81,16 +81,16 @@ _TASK_PARAMS = {
 
 # Task parameters whose values are interpreted when the task runs:
 # (the form the value must take, a check that raises or returns False
-# for a malformed value given the chart dimension).
-_COUNT = ("a non-negative integer", lambda v, n: int(v) >= 0)
-_FLAG = ("true or false", lambda v, n: v.lower() in ("true", "false"))
+# for a malformed value given the chart).
+_COUNT = ("a non-negative integer", lambda v, ch: int(v) >= 0)
+_FLAG = ("true or false", lambda v, ch: v.lower() in ("true", "false"))
 _PARAM_FORMS = {
-    "max_stage": ("an integer of at least 1", lambda v, n: int(v) >= 1),
-    "orientation": ("1 or -1", lambda v, n: int(v) in (1, -1)),
+    "max_stage": ("an integer of at least 1", lambda v, ch: int(v) >= 1),
+    "orientation": ("1 or -1", lambda v, ch: int(v) in (1, -1)),
     "point": ("one rational per coordinate",
-              lambda v, n: len([Fraction(p) for p in v.split(",")]) == n),
+              lambda v, ch: len([Fraction(p) for p in v.split(",")]) == ch.dim),
     "tensor_type": ("two non-negative integers r, s",
-                    lambda v, n: [int(p) >= 0 for p in v.split(",")] == [True, True]),
+                    lambda v, ch: [int(p) >= 0 for p in v.split(",")] == [True, True]),
     "expect_bound": _COUNT,
     "expect_dimension": _COUNT,
     "expect_center_dimension": _COUNT,
@@ -99,7 +99,9 @@ _PARAM_FORMS = {
     "expect_ricci_flat": _FLAG,
     "expect_flat": _FLAG,
     "expect_vanishing": ("a subset of 20, 11, 02",
-                         lambda v, n: set(_name_list(v)) <= {"20", "11", "02"}),
+                         lambda v, ch: set(_name_list(v)) <= {"20", "11", "02"}),
+    "expect_zero_coordinates": ("coordinates of the chart",
+                                lambda v, ch: set(_name_list(v)) <= set(ch.coordinates)),
 }
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
@@ -376,7 +378,7 @@ def _parse_task(name: str, entries, num0: int, chart: Chart) -> Task:
         if key in _PARAM_FORMS:
             want, valid = _PARAM_FORMS[key]
             try:
-                ok = valid(value, chart.dim)
+                ok = valid(value, chart)
             except (ValueError, ZeroDivisionError):
                 ok = False
             if not ok:

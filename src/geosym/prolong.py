@@ -2,9 +2,25 @@
 
 Systems are linear in the jet coordinates X^a_alpha of the unknown
 vector-field components.  Prolongation appends total derivatives;
-symbol dimensions are computed by exact elimination of the system
-evaluated at admissible rational points, graded by jet order with the
-highest order eliminated first.
+symbol dimensions are computed by elimination mod p = 2^61 - 1 of the
+system evaluated at seeded admissible rational points, graded by jet
+order with the highest order eliminated first.
+
+Soundness of the elimination mod 2^61 - 1.  Each sample point is a
+rational point of the chart satisfying the generator relations (a
+formal square root W^2 = q is sent to q^((p+1)/4), a square root of q
+mod p because p = 3 mod 4; a point whose radicand is not a square mod p
+is replaced by the next point of the same seeded stream).  Evaluation
+at the point followed by reduction mod p is then a ring homomorphism
+from the coefficient ring to GF(p), as long as every denominator met
+(of a coefficient or of a point value) is a unit mod p; one that is
+not raises :class:`ProlongError` and is never reduced silently.  A
+homomorphic image of a matrix has rank at most the rank of the
+matrix, so each rank can only drop, each dim g_k can only grow, and
+the bound stays an upper bound.  Dropping an equation that is
+dependent mod p at every point can also only loosen the bound.  A
+point is non-generic with probability at most deg/p (Schwartz 1980;
+Zippel 1979), and the tables are taken at several points.
 """
 
 from __future__ import annotations
@@ -17,10 +33,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from sympy.polys.rings import PolyElement
 
-from .exprfield import (Chart, Expr, ExprError, _derivation_rules, _eval_pair,
-                        _lcm, _poly_total_derivative)
+from .exprfield import (Chart, Expr, ExprError, _derivation_rules, _lcm,
+                        _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
+
+PRIME = 2 ** 61 - 1  # ranks are taken in GF(PRIME); PRIME = 3 mod 4
 
 
 class ProlongError(ExprError):
@@ -49,16 +67,13 @@ class Equation:
     def order(self) -> int:
         return max((sum(alpha) for (_, alpha) in self.coeffs), default=0)
 
-    def evaluate_sparse(self, point) -> Dict[Tuple[int, int, Tuple[int, ...]], Fraction]:
-        """Row at the point, keyed by the graded column key
+    def evaluate_sparse(self, point: "GenericPoint") -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
+        """Row at the point in GF(PRIME), keyed by the graded column key
         (-order, unknown, multi-index) so that min() picks the jet
         coordinate eliminated first."""
         row = {}
         for (a, alpha), c in self.coeffs.items():
-            v = _eval_pair((c, c.ring.one), point)
-            if not isinstance(v, Fraction):
-                raise ProlongError(
-                    "coefficient evaluates outside QQ at the sample point")
+            v = _poly_mod(c, point.residues)
             if v:
                 row[(-sum(alpha), a, alpha)] = v
         return row
@@ -144,17 +159,74 @@ def prolong(system: LinearPDESystem) -> LinearPDESystem:
                            eqs + _next_derivatives(system.chart, eqs, eqs))
 
 
+def _mod(q) -> int:
+    """Image in GF(PRIME) of a rational (Fraction or ground element)."""
+    den = q.denominator % PRIME
+    if not den:
+        raise ProlongError(f"denominator of {q} is divisible by the prime 2^61-1")
+    num = q.numerator % PRIME
+    return num if den == 1 else num * pow(den, PRIME - 2, PRIME) % PRIME
+
+
+def _poly_mod(p: PolyElement, residues: Sequence[int]) -> int:
+    """Value in GF(PRIME) of a polynomial of ``chart._ring`` at a point
+    given by one residue per chart variable."""
+    total = 0
+    for monom, coeff in p.items():
+        term = _mod(coeff)
+        for v, e in zip(residues, monom):
+            if e:
+                term = term * pow(v, e, PRIME) % PRIME
+        total += term
+    return total % PRIME
+
+
+def _residues(chart: Chart, values: Dict[str, object]) -> Optional[List[int]]:
+    """One residue per chart variable for an admissible rational point,
+    or None when a formal root's radicand is not a square mod PRIME.
+
+    Coordinates, trig values and rational roots are reduced; a formal
+    root W (a point-algebra element) becomes q^((PRIME+1)/4) for the
+    residue q of its radicand, which squares to q whenever q is a
+    square, so the generator relations keep holding mod PRIME."""
+    residues = [0] * len(chart.var_names)
+    for i, name in enumerate(chart.var_names):
+        v = values[name]
+        if isinstance(v, Fraction):
+            residues[i] = _mod(v)
+            continue
+        g = chart._gens_by_name[name]
+        q = _poly_mod(chart._current(g.square_rhs)[0], residues)
+        w = pow(q, (PRIME + 1) // 4, PRIME)
+        if w * w % PRIME != q:
+            return None
+        residues[i] = w
+    return residues
+
+
 @dataclass
 class GenericPoint:
-    """Admissible rational point with the seed that produced it."""
+    """Admissible rational point, its residues mod PRIME (one per chart
+    variable) and the seed that produced it."""
 
     values: Dict[str, object]
     seed: int
+    residues: List[int]
 
     @staticmethod
     def sample(chart: Chart, seed: int) -> "GenericPoint":
+        """The first point of the ``random.Random(seed)`` stream whose
+        formal roots have square radicands mod PRIME (a constant
+        radicand that is not a square mod PRIME, such as 3, never has
+        one)."""
         rng = random.Random(seed)
-        return GenericPoint(chart.sample_point(rng), seed)
+        for _ in range(200):
+            values = chart.sample_point(rng)
+            residues = _residues(chart, values)
+            if residues is not None:
+                return GenericPoint(values, seed, residues)
+        raise ProlongError(f"no sample point for seed {seed} whose formal roots "
+                           "have square radicands mod 2^61-1")
 
 
 @dataclass
@@ -179,7 +251,7 @@ class SymbolTable:
 
 
 class _GradedElimination:
-    """Incremental echelon form over sparse Fraction rows keyed by the
+    """Incremental echelon form over sparse GF(PRIME) rows keyed by the
     graded column key (-order, unknown, multi-index).
 
     Whatever order rows arrive in, the resulting pivot-key set is the
@@ -188,28 +260,28 @@ class _GradedElimination:
     """
 
     def __init__(self):
-        self.rows: Dict[Tuple, Dict[Tuple, Fraction]] = {}
+        self.rows: Dict[Tuple, Dict[Tuple, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, row: Dict[Tuple, Fraction]) -> Optional[Tuple]:
-        """Reduce the row; store it and return its pivot key, or return
-        None if it is dependent on the rows seen so far."""
+    def add(self, row: Dict[Tuple, int]) -> Optional[Tuple]:
+        """Reduce the row; store it (pivot entry 1) and return its pivot
+        key, or return None if it is dependent on the rows seen so far."""
         row = dict(row)
         while row:
             p = min(row)
             krow = self.rows.get(p)
             if krow is None:
-                inv = 1 / row[p]
-                self.rows[p] = {k: v * inv for k, v in row.items()}
+                inv = pow(row[p], PRIME - 2, PRIME)
+                self.rows[p] = {k: v * inv % PRIME for k, v in row.items()}
                 return p
             f = row.pop(p)
             for k, v in krow.items():
                 if k == p:
                     continue
-                nv = row.get(k, Fraction(0)) - f * v
+                nv = (row.get(k, 0) - f * v) % PRIME
                 if nv:
                     row[k] = nv
                 else:
@@ -235,11 +307,12 @@ def _symbol_table(elim: _GradedElimination, system: LinearPDESystem,
 
 def symbol_dimensions(system: LinearPDESystem, point: GenericPoint,
                       stage: int = 1) -> SymbolTable:
-    """dim g_k for k = 0..order: order-k jet freedom left after exact
-    elimination of the evaluated system, higher orders eliminated first."""
+    """dim g_k for k = 0..order: order-k jet freedom left after
+    elimination mod PRIME of the evaluated system, higher orders
+    eliminated first."""
     elim = _GradedElimination()
     for eq in system.equations:
-        elim.add(eq.evaluate_sparse(point.values))
+        elim.add(eq.evaluate_sparse(point))
     return _symbol_table(elim, system, stage, system.order)
 
 
@@ -291,10 +364,12 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
                    seeds: Sequence[int] = _DEFAULT_SEEDS) -> BoundResult:
     """Iterate prolongation and symbol projection until finite type.
 
-    Internally only a maximal independent subset of equations (certified
-    at the sample points) is carried forward: derivatives of a dependent
-    equation are spanned by derivatives of the retained ones plus the
-    retained lower-order equations, so the symbol tables are unchanged.
+    Internally only the equations independent at some sample point are
+    carried forward: derivatives of a dependent equation are spanned by
+    derivatives of the retained ones plus the retained lower-order
+    equations, so the symbol tables are unchanged.  A system with no
+    equation left (say, of an all-zero metric) is not of finite type:
+    the search stops with the stage-1 table and is inconclusive.
     """
     if max_stage < 1:
         raise ProlongError("max_stage must be at least 1")
@@ -304,16 +379,14 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
 
     def admit(eqs: Sequence[Equation]) -> List[Equation]:
         """Add rows for all points; keep the equations independent at
-        the first point (dependent ones add nothing to any symbol table:
-        derivatives of a dependent equation stay in the prolonged span
-        of the retained ones)."""
+        some point (one dependent at every point adds nothing to any
+        symbol table: its derivatives stay in the prolonged span of the
+        retained ones)."""
         kept = []
         for eq in eqs:
-            if elims[0].add(eq.evaluate_sparse(points[0].values)) is None:
-                continue
-            for p, el in zip(points[1:], elims[1:]):
-                el.add(eq.evaluate_sparse(p.values))
-            kept.append(eq)
+            pivots = [el.add(eq.evaluate_sparse(p)) for p, el in zip(points, elims)]
+            if any(pv is not None for pv in pivots):
+                kept.append(eq)
         return kept
 
     tables: List[SymbolTable] = []
@@ -321,7 +394,7 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     active = admit(system.equations)
     frontier = list(active)
     for stage in range(1, max_stage + 1):
-        max_order = max(e.order for e in active)
+        max_order = max((e.order for e in active), default=0)
         stage_tables = [_symbol_table(el, system, stage, max_order) for el in elims]
         best = min(stage_tables, key=lambda t: t.total())  # min dims = max rank
         if any(t.dims != best.dims for t in stage_tables):

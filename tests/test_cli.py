@@ -136,3 +136,16 @@ def test_max_stage_cap_makes_bound_inconclusive(capsys):
                  "--max-stage", "1"]) == 1
     out = capsys.readouterr().out
     assert "inconclusive" in out
+
+
+def test_killing_bound_of_zero_metric_is_inconclusive(tmp_path, capsys):
+    """An all-zero metric gives no equation; the search reports an
+    inconclusive bound with exit 1, not a traceback."""
+    model = tmp_path / "zero.model"
+    model.write_text(FAILING_MODEL.replace("= 1", "= 0")
+                     .replace("expect_bound = 7\n", ""))
+    assert main(["run", str(model)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL]" in out
+    assert "equations: 0" in out
+    assert "no independent equation left after stage 1" in out

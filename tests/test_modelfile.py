@@ -154,6 +154,8 @@ def test_bundled_models_parse(name):
     ("check-structure", "expect_ricci_flat", "yes"),
     ("obata", "expect_flat", "1"),
     ("curvature-type", "expect_vanishing", "20, 12"),
+    ("vanishing-locus", "expect_zero_coordinates", "q"),
+    ("vanishing-locus", "expect_zero_coordinates", "x, q"),
 ])
 def test_bad_task_parameter_rejected_at_its_line(tmp_path, kind, key, value):
     text = MINIMAL + f"\n[task t]\nkind = {kind}\n{key} = {value}\n"

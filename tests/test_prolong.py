@@ -3,15 +3,17 @@ verification."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from geosym import _linalg
 from geosym import geometry as G
 from geosym import prolong as P
 from geosym import symsys as S
 from geosym.exprfield import Chart, Expr, _derivation_rules, parse_expr
 
-from conftest import nested_root_chart
+from conftest import flat_chart, nested_root_chart, standard_triple
 
 
 def _monotone_tables(tables):
@@ -188,3 +190,97 @@ def test_dropping_dependent_equations_keeps_tables(request, case, seed):
     for k, table in enumerate(res.tables):
         assert P.symbol_dimensions(system, point, stage=k + 1).dims == table.dims
         system = P.prolong(system)
+
+
+def _rational_table(system, point):
+    """Reference dim g_k from exact rational ranks at the point: the
+    order-k pivots of the graded elimination number
+    rank(columns of order >= k) - rank(columns of order > k)."""
+    chart = system.chart
+    cols = sorted({key for eq in system.equations for key in eq.coeffs})
+    rows = [[Expr(chart, eq.coeffs[key], chart._ring.one).evaluate(point.values)
+             if key in eq.coeffs else Fraction(0) for key in cols]
+            for eq in system.equations]
+
+    def rank_from(k):
+        idx = [j for j, (_, alpha) in enumerate(cols) if sum(alpha) >= k]
+        return _linalg.rank([[r[j] for j in idx] for r in rows]) if idx else 0
+
+    n, m = chart.dim, system.n_unknowns
+    return tuple(m * comb(n + k - 1, k) - (rank_from(k) - rank_from(k + 1))
+                 for k in range(system.order, -1, -1))
+
+
+def _oracle_system(request, case):
+    if case == "flat3":
+        return S.invariance_system(flat_chart(3)[1])
+    if case == "flat-quaternionic":
+        chart, g = flat_chart(4)
+        return S.quaternionic_symmetry_system(list(standard_triple(chart)), g)
+    return S.invariance_system(request.getfixturevalue(case)[1])
+
+
+@pytest.mark.parametrize("seed", [3, 17, 101])
+@pytest.mark.parametrize("case", ["sphere", "flat2", "flat3", "flat-quaternionic"])
+def test_symbol_tables_mod_p_match_rational_ranks(request, case, seed):
+    """The GF(2^61-1) tables of the system and its prolongations equal
+    the tables from exact rational elimination at the same point."""
+    system = _oracle_system(request, case)
+    point = P.GenericPoint.sample(system.chart, seed)
+    for stage in (1, 2, 3):
+        assert (P.symbol_dimensions(system, point, stage).dims
+                == _rational_table(system, point))
+        system = P.prolong(system)
+
+
+def test_coefficient_denominator_divisible_by_prime_raises():
+    chart = Chart(["x"])
+    system = P.LinearPDESystem.from_coefficient_maps(chart, 1, [{
+        (0, (1,)): chart.const(Fraction(1, P.PRIME)),
+        (0, (0,)): parse_expr(chart, "x")}])
+    with pytest.raises(P.ProlongError, match="divisible by the prime"):
+        P.symbol_dimensions(system, P.GenericPoint.sample(chart, 1))
+    with pytest.raises(P.ProlongError, match="divisible by the prime"):
+        P.solution_bound(system)
+
+
+def _root_chart_metric():
+    """ds^2 + 2(t/W) ds dt + (t^2/W^2 + 1) dt^2 with W^2 = t^2 + 1: since
+    dW = (t/W) dt this is d(s + W)^2 + dt^2, a flat metric."""
+    chart = Chart(["s", "t"])
+    W = chart.add_square_root("W", parse_expr(chart, "t^2 + 1"))
+    t = chart.var("t")
+    return chart, G.TensorField(chart, ("d", "d"), {
+        (0, 0): chart.one(), (0, 1): t / W, (1, 0): t / W,
+        (1, 1): t * t / (W * W) + 1})
+
+
+@pytest.mark.parametrize("seeds", [(101, 202, 303), (1, 102, 203), (7, 108, 209)])
+def test_killing_bound_on_a_root_generator_chart(seeds):
+    chart, g = _root_chart_metric()
+    res = P.solution_bound(S.invariance_system(g), seeds=seeds)
+    assert res.conclusive
+    assert res.bound == 3
+    assert [t.dims for t in res.tables] == [(1, 2), (0, 1, 2), (0, 0, 1, 2)]
+
+
+def test_formal_roots_map_to_square_roots_mod_p():
+    """A formal root W is sent to a square root of its radicand mod p; a
+    point whose radicand is not a square mod p is replaced by the next
+    point of the seed's stream."""
+    chart, _ = _root_chart_metric()
+    t, W = (chart.var_names.index(v) for v in ("t", "W"))
+    resampled = 0
+    for seed in range(1, 12):
+        point = P.GenericPoint.sample(chart, seed)
+        r = point.residues
+        assert r[t] == point.values["t"].numerator * pow(
+            point.values["t"].denominator, P.PRIME - 2, P.PRIME) % P.PRIME
+        assert r[W] * r[W] % P.PRIME == (r[t] * r[t] + 1) % P.PRIME
+        resampled += point.values != chart.sample_point(random.Random(seed))
+    assert resampled
+    # 3 is not a square mod 2^61-1, so Q(sqrt 3) has no point mod p
+    chart = Chart(["x"])
+    chart.add_square_root("W", chart.const(3))
+    with pytest.raises(P.ProlongError, match="square radicands"):
+        P.GenericPoint.sample(chart, 1)
