@@ -1,9 +1,10 @@
 """Exact linear algebra helpers shared across modules.
 
 Two element regimes: plain :class:`fractions.Fraction` matrices (Lie
-algebra and symbol-dimension work) and matrices of kernel ``Expr``
-values, where zero-testing goes through the ideal reduction.  The
-generic routines take an explicit ``is_zero`` predicate so both work.
+algebra work and closure sampling; symbol ranks are taken mod p in
+:mod:`geosym.prolong`) and matrices of kernel ``Expr`` values, where
+zero-testing goes through the ideal reduction.  The generic routines
+take an explicit ``is_zero`` predicate so both work.
 """
 
 from __future__ import annotations

@@ -59,7 +59,8 @@ def _expect(checks: List[str], label: str, got, want_str: Optional[str]) -> None
 
 
 def _symmetry_system(model: Model, params: Dict[str, str]):
-    structure = params.get("structure")
+    # the structure and the parameters it needs are checked at parse time
+    structure = params["structure"]
     if structure == "killing":
         g = model.metrics[params["metric"]]
         return S.invariance_system(g)
@@ -72,12 +73,9 @@ def _symmetry_system(model: Model, params: Dict[str, str]):
             orientation = int(params.get("orientation", "1"))
             frame = G.asd_span(g, orientation=orientation)
         return S.quaternionic_symmetry_system(frame, g)
-    if structure == "cprojective":
-        J = model.endomorphisms[params["complex_structure"]]
-        D = model.connections[params["connection"]]
-        return S.cprojective_symmetry_system(J, D)
-    raise TaskFailure(
-        "structure parameter must be killing, quaternionic, or cprojective")
+    J = model.endomorphisms[params["complex_structure"]]
+    D = model.connections[params["connection"]]
+    return S.cprojective_symmetry_system(J, D)
 
 
 def _run_symmetry_bound(model: Model, task: Task, seeds, max_stage):
@@ -150,10 +148,8 @@ def _point_from_param(model: Model, value: Optional[str]):
     coords = model.chart.coordinates
     if value is None:
         return {c: Fraction(0) for c in coords}
-    parts = [Fraction(p.strip()) for p in value.split(",")]
-    if len(parts) != len(coords):
-        raise TaskFailure("point parameter has the wrong arity")
-    return dict(zip(coords, parts))
+    # one rational per coordinate (parse-time check)
+    return dict(zip(coords, (Fraction(p.strip()) for p in value.split(","))))
 
 
 def _run_invariant_connections(model: Model, task: Task, seeds, max_stage):
@@ -254,8 +250,6 @@ def _run_check_structure(model: Model, task: Task, seeds, max_stage):
                               "does not vanish")
     if "frame" in p:
         frame = [model.endomorphisms[m] for m in model.frames[p["frame"]]]
-        if len(frame) != 3:
-            raise TaskFailure("frame check needs exactly three members")
         rep = G.check_hypercomplex_frame(*frame)
         data["hypercomplex"] = rep.is_hypercomplex
         if not rep.is_hypercomplex:

@@ -7,19 +7,25 @@ the corpus: sine/cosine pairs (relation s^2 + c^2 - 1, derivations
 ds = c, dc = -s on the pair's own angle) and square roots
 (relation W^2 - q, derivation dW = dq / (2W)).
 
-All arithmetic is exact rational; no floating point anywhere.
+Arithmetic in the field is exact rational; no floating point anywhere.
+Generic-point checks (the ``is_zero`` cross-check, and symbol ranks in
+:mod:`geosym.prolong`) evaluate at seeded :class:`GenericPoint` s, each
+reduced modulo its own prime: 2^61 - 1, or a prime below it where the
+chart's radicands are squares.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from sympy import QQ
+from sympy import QQ, prevprime
+from sympy.ntheory import sqrt_mod
 from sympy.polys.rings import PolyRing, ring as _make_ring
 
 Rational = Union[int, Fraction]
@@ -97,7 +103,7 @@ class Chart:
         self._ring: Optional[PolyRing] = None
         self._gens_by_name: Dict[str, GeneratorSpec] = {}
         self._trig_pairs: Dict[str, Tuple[str, str]] = {}  # angle -> (sin, cos)
-        self._sample_pool: List[Dict[str, Fraction]] = []
+        self._sample_pool: List[GenericPoint] = []
         self._rebuild_ring()
 
     # -- ring bookkeeping -------------------------------------------------
@@ -275,196 +281,134 @@ class Chart:
 
     # -- admissible point sampling ----------------------------------------
 
-    def sample_point(self, rng: random.Random, max_tries: int = 200) -> Dict[str, Fraction]:
-        """Random rational point satisfying all generator relations exactly.
+    def sample_point(self, rng: random.Random) -> Dict[str, Fraction]:
+        """Random rational values of the coordinates and trig generators.
 
-        Trig pairs are sampled from rational circle points.  A root
-        generator whose radicand is a rational square gets the rational
-        root; otherwise its value is adjoined formally in a quadratic
-        extension of QQ (a :class:`_PointAlgebra` element).  Either kind
-        of value goes through the same evaluation, :func:`_eval_pair`,
-        which stays exact.
+        Trig pairs are sampled from rational circle points, so
+        sin^2 + cos^2 = 1 holds exactly.  Root generators get no value
+        here: :class:`GenericPoint` sends them to square roots modulo
+        its prime.
         """
-        for _ in range(max_tries):
-            point: Dict[str, object] = {}
-            alg: Optional[_PointAlgebra] = None
-            for x in self.coordinates:
-                point[x] = Fraction(rng.randint(2, 19), rng.randint(1, 7))
-            ok = True
-            for g in self.generators:
-                if g.kind == "sin":
-                    t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-                    point[g.name] = 2 * t / (1 + t * t)
-                    point[g.partner] = (1 - t * t) / (1 + t * t)
-                elif g.kind == "cos":
-                    continue  # set together with its sine
-                else:
-                    partial = {v: Fraction(0) for v in self.var_names}
-                    partial.update(point)
-                    try:
-                        q = _eval_pair((g.square_rhs._num, g.square_rhs._den), partial)
-                    except PoleError:
-                        ok = False
-                        break
-                    r = _rational_sqrt(q) if isinstance(q, Fraction) else None
-                    if r is not None:
-                        point[g.name] = r
-                    else:
-                        if alg is None:
-                            alg = _PointAlgebra()
-                        point[g.name] = alg.adjoin(q)
-            if ok:
-                return point
-        raise ExprError("failed to sample an admissible point")
+        point = {x: Fraction(rng.randint(2, 19), rng.randint(1, 7))
+                 for x in self.coordinates}
+        for g in self.generators:
+            if g.kind == "sin":
+                t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                point[g.name] = 2 * t / (1 + t * t)
+                point[g.partner] = (1 - t * t) / (1 + t * t)
+        return point
 
-    def _check_pool(self, k: int, rng: Optional[random.Random] = None) -> List[Dict[str, Fraction]]:
-        if rng is None:
-            rng = random.Random(0x5EED)
+    def _check_pool(self, k: int) -> List["GenericPoint"]:
         while len(self._sample_pool) < k:
-            self._sample_pool.append(self.sample_point(rng))
+            seed = _POOL_SEED + len(self._sample_pool)
+            self._sample_pool.append(GenericPoint.sample(self, seed))
         return self._sample_pool[:k]
 
 
-class _PointAlgebra:
-    """Quotient algebra QQ[t_1..t_k]/(t_i^2 - a_i) for one sample point.
+PRIME = 2 ** 61 - 1  # the prime of every point of a chart without root generators
+_MAX_PRIMES = 64
+_POOL_SEED = 0x5EED  # seed of the first is_zero cross-check point
 
-    Root generators whose radicand is not a rational square at the
-    point take values here; zero-checking by evaluation stays sound in
-    any commutative QQ-algebra satisfying the relations.  ``squares[i]``
-    is a Fraction or an element over the earlier generators.
+
+@functools.lru_cache(maxsize=None)
+def _prime(i: int) -> int:
+    """The i-th prime of the search: 2^61 - 1, then the primes below it."""
+    return PRIME if i == 0 else prevprime(_prime(i - 1))
+
+
+def _sqrt_mod(q: int, p: int) -> Optional[int]:
+    """A square root of q mod the odd prime p, or None when q is not a
+    square: q^((p+1)/4) when p = 3 mod 4, sympy's ``sqrt_mod`` otherwise."""
+    if p % 4 != 3:
+        return sqrt_mod(q, p)
+    w = pow(q, (p + 1) // 4, p)
+    return w if w * w % p == q else None
+
+
+def _mod(q, prime: int) -> int:
+    """Image in GF(prime) of a rational (Fraction or ground element);
+    PoleError when its denominator is divisible by the prime."""
+    den = q.denominator % prime
+    if not den:
+        raise PoleError(f"denominator of {q} is divisible by the prime {prime}")
+    num = q.numerator % prime
+    return num if den == 1 else num * pow(den, prime - 2, prime) % prime
+
+
+def _poly_mod(p, residues: Sequence[int], prime: int) -> int:
+    """Value in GF(prime) of a polynomial of the chart's ring (or of a
+    ring over a prefix of its variables) at one residue per variable."""
+    total = 0
+    for monom, coeff in p.items():
+        term = _mod(coeff, prime)
+        for v, e in zip(residues, monom):
+            if e:
+                term = term * pow(v, e, prime) % prime
+        total += term
+    return total % prime
+
+
+def _residues(chart: Chart, values: Mapping[str, Fraction],
+              prime: int) -> Optional[List[int]]:
+    """One residue mod ``prime`` per chart variable, or None when a root
+    generator's radicand is not a square mod ``prime``.
+
+    Coordinates and trig values are reduced; a root W becomes the square
+    root :func:`_sqrt_mod` of the residue of its radicand, so the
+    relations keep holding mod prime."""
+    residues: List[int] = []
+    for name in chart.var_names:
+        if name in values:
+            residues.append(_mod(values[name], prime))
+            continue
+        g = chart._gens_by_name[name]
+        q = _poly_mod(chart._current(g.square_rhs)[0], residues, prime)
+        w = _sqrt_mod(q, prime)
+        if w is None:
+            return None
+        residues.append(w)
+    return residues
+
+
+@dataclass
+class GenericPoint:
+    """Seeded sample point of a chart: the rational coordinate and trig
+    values of :meth:`Chart.sample_point`, one residue per chart variable
+    in GF(``prime``), the prime, and the seed.
+
+    Soundness.  The residues satisfy every generator relation mod the
+    prime, so evaluating a polynomial at them is a ring homomorphism from
+    the coordinate ring (with coefficients whose denominators are units
+    mod the prime) to GF(prime); its kernel contains the relation ideal,
+    whose rules are monic.  A true zero therefore maps to zero: a check
+    that flags a nonzero image never flags a true zero, and misses a
+    nonzero element with probability at most deg/prime (Schwartz 1980;
+    Zippel 1979).  Ranks of evaluated matrices can only drop.
     """
 
-    def __init__(self):
-        self.squares: List = []
+    values: Dict[str, Fraction]
+    seed: int
+    residues: List[int]
+    prime: int
 
-    def adjoin(self, square) -> "_AlgNum":
-        self.squares.append(square)
-        return _AlgNum(self, {1 << (len(self.squares) - 1): Fraction(1)})
-
-    def const(self, q: Fraction) -> "_AlgNum":
-        return _AlgNum(self, {0: Fraction(q)} if q else {})
-
-
-class _AlgNum:
-    """Element of a :class:`_PointAlgebra`, sparse over square-free monomials."""
-
-    __slots__ = ("alg", "coeffs")
-
-    def __init__(self, alg: _PointAlgebra, coeffs: Dict[int, Fraction]):
-        self.alg = alg
-        self.coeffs = {m: c for m, c in coeffs.items() if c}
-
-    def _coerce(self, other) -> "_AlgNum":
-        if isinstance(other, _AlgNum):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.alg.const(Fraction(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        out = dict(self.coeffs)
-        for m, c in o.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return _AlgNum(self.alg, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _AlgNum(self.alg, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        total = self.alg.const(Fraction(0))
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in o.coeffs.items():
-                term = _AlgNum(self.alg, {m1 ^ m2: c1 * c2})
-                common = m1 & m2
-                i = 0
-                while common >> i:
-                    if (common >> i) & 1:
-                        sq = self.alg.squares[i]
-                        term = term * sq if isinstance(sq, _AlgNum) \
-                            else _AlgNum(self.alg, {m: c * sq for m, c in term.coeffs.items()})
-                    i += 1
-                total = total + term
-        return total
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = self.alg.const(Fraction(1))
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def as_fraction(self) -> Optional[Fraction]:
-        if not self.coeffs:
-            return Fraction(0)
-        if set(self.coeffs) == {0}:
-            return self.coeffs[0]
-        return None
-
-    def inverse(self) -> "_AlgNum":
-        """Inverse by solving the multiplication operator; raises
-        ZeroDivisionError on zero divisors."""
-        from . import _linalg
-
-        k = len(self.alg.squares)
-        masks = list(range(1 << k))
-        cols = []
-        for m in masks:
-            prod = self * _AlgNum(self.alg, {m: Fraction(1)})
-            cols.append([prod.coeffs.get(r, Fraction(0)) for r in masks])
-        rows = [[cols[c][r] for c in range(len(masks))] for r in range(len(masks))]
-        rhs = [Fraction(1 if m == 0 else 0) for m in masks]
-        sol = _linalg.solve(rows, rhs)
-        if sol is None:
-            raise ZeroDivisionError("element is a zero divisor in the point algebra")
-        return _AlgNum(self.alg, dict(zip(masks, sol)))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __repr__(self):
-        return f"_AlgNum({self.coeffs})"
-
-
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
+    @staticmethod
+    def sample(chart: Chart, seed: int) -> "GenericPoint":
+        """The first point of the ``random.Random(seed)`` stream whose
+        roots have square radicands mod 2^61 - 1; the stream moves to the
+        next prime below only when it yields no such point (a constant
+        radicand, such as 3 or -1, that is not a square mod the prime
+        never does).  A nonsquare rational is a square mod half of all
+        primes, so k such radicands need about 2^k primes."""
+        for i in range(_MAX_PRIMES):
+            prime = _prime(i)
+            rng = random.Random(seed)
+            for _ in range(200):
+                values = chart.sample_point(rng)
+                residues = _residues(chart, values, prime)
+                if residues is not None:
+                    return GenericPoint(values, seed, residues, prime)
+        raise ExprError(f"no sample point for seed {seed} whose roots have "
+                        f"square radicands mod any of {_MAX_PRIMES} primes")
 
 
 class Expr:
@@ -511,19 +455,26 @@ class Expr:
     def is_zero(self, cross_check: bool = True) -> bool:
         """True iff the reduced numerator is the zero polynomial.
 
-        The verdict is cross-checked by evaluating the pre-normalization
-        representation at admissible rational points; disagreement
-        raises :class:`KernelInconsistency`.
+        A zero verdict is cross-checked by evaluating the
+        pre-normalization numerator at the chart's pool of
+        :class:`GenericPoint` s, mod each point's prime (a point where
+        the denominator or a coefficient's denominator is 0 mod the
+        prime is skipped); a nonzero value raises
+        :class:`KernelInconsistency`.  A true zero maps to zero, so the
+        check never raises falsely.
         """
         verdict = not self._num
         if cross_check and verdict:
+            num, den = self._raw
             checked = 0
             for point in self.chart._check_pool(6):
                 try:
-                    v = _eval_pair(self._raw, point)
+                    if not _poly_mod(den, point.residues, point.prime):
+                        continue
+                    v = _poly_mod(num, point.residues, point.prime)
                 except PoleError:
                     continue
-                if v != 0:
+                if v:
                     raise KernelInconsistency(
                         "reduction reports zero but evaluation is nonzero; kernel bug"
                     )
@@ -637,8 +588,13 @@ class Expr:
         return Expr(ch, dn * d - n * dd, s * d * d)
 
     def evaluate(self, point: Mapping[str, Rational]) -> Fraction:
-        """Exact value at a rational point satisfying all relations."""
-        pt = {k: v if isinstance(v, _AlgNum) else Fraction(v) for k, v in point.items()}
+        """Exact rational value at a point.
+
+        The point must give values to the variables occurring in the
+        expression (others may be left out) and, for each generator it
+        gives, to the variables of its relation, which must hold.
+        """
+        pt = {k: Fraction(v) for k, v in point.items()}
         _check_relations(self.chart, pt)
         return _eval_pair((self._num, self._den), pt)
 
@@ -651,36 +607,29 @@ class Expr:
 
 
 def _check_relations(chart: Chart, point: Mapping[str, Fraction]):
-    missing = [v for v in chart.var_names if v not in point]
-    if missing:
-        raise ExprError(f"point missing values for {missing}")
     for g in chart.generators:
-        if g.square_rhs is None:
+        if g.square_rhs is None or g.name not in point:
             continue
         rhs = _eval_pair((g.square_rhs._num, g.square_rhs._den), point)
         if point[g.name] ** 2 != rhs:
             raise RelationViolation(f"relation of generator {g.name!r} violated at the point")
 
 
-def _eval_pair(pair, point: Mapping[str, object]):
-    """Value of num/den at the point: a Fraction, or an _AlgNum where
-    formal square roots do not cancel.  One path for every kind of point;
-    raises PoleError where the denominator vanishes or is a zero divisor."""
+def _eval_pair(pair, point: Mapping[str, Fraction]) -> Fraction:
+    """Exact value of num/den at a rational point giving values to the
+    variables that occur; raises PoleError where the denominator
+    vanishes."""
     num, den = pair
-    vals = [point[str(s)] for s in num.ring.symbols]
+    names = [str(s) for s in num.ring.symbols]
+    missing = [n for i, n in enumerate(names) if n not in point
+               and any(m[i] for p in pair for m in p.itermonoms())]
+    if missing:
+        raise ExprError(f"point missing values for {missing}")
+    vals = [point.get(n) for n in names]
     dv = _eval_poly(den, vals)
     if not dv:
         raise PoleError("denominator vanishes at the point")
-    nv = _eval_poly(num, vals)
-    try:
-        res = nv / dv if dv != 1 else nv
-    except ZeroDivisionError:
-        raise PoleError("denominator vanishes at the point")
-    if isinstance(res, _AlgNum):
-        fr = res.as_fraction()
-        if fr is not None:
-            return fr
-    return res
+    return _eval_poly(num, vals) / dv
 
 
 def _eval_poly(p, vals):
@@ -768,7 +717,7 @@ def exact_sqrt(e: Expr) -> Optional[Expr]:
 
 
 def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
-    from sympy import factor_list, Rational as SymRational
+    from sympy import factor_list
     from sympy import symbols as _symbols
 
     if not p:
@@ -805,12 +754,10 @@ def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
     if not rem.is_constant():
         return None
     c = c * rem.as_fraction()
-    if c < 0:
+    rn, rd = math.isqrt(max(c.numerator, 0)), math.isqrt(c.denominator)
+    if rn * rn != c.numerator or rd * rd != c.denominator:
         return None
-    rc = _rational_sqrt(c)
-    if rc is None:
-        return None
-    return root * ch.const(rc)
+    return root * ch.const(Fraction(rn, rd))
 
 
 # -- parsing ---------------------------------------------------------------

@@ -506,7 +506,8 @@ def _two_form_basis(n: int) -> List[Tuple[int, int]]:
 
 
 def volume_root(g: TensorField) -> Expr:
-    """sqrt(det g) within the field; positive at the chart's sample points.
+    """sqrt(det g) within the field, positive at the rational values of
+    the chart's first cross-check point.
 
     The determinant must be a perfect square (possibly via a declared
     root generator whose relation matches it)."""
@@ -516,10 +517,13 @@ def volume_root(g: TensorField) -> Expr:
         raise GeometryError(
             "det(g) is not a perfect square in the field; "
             "declare a volume-root generator with relation W^2 = det(g)")
-    pt = g.chart._check_pool(1)[0]
-    if W.evaluate(pt) < 0:
-        W = -W
-    return W
+    try:
+        value = W.evaluate(g.chart._check_pool(1)[0].values)
+    except ExprError as ex:
+        raise GeometryError(
+            f"the sign of sqrt(det g) = {W} cannot be fixed at a rational "
+            f"sample point: {ex}") from ex
+    return -W if value < 0 else W
 
 
 def hodge_star_matrix(g: TensorField) -> List[List[Expr]]:

@@ -262,19 +262,8 @@ def _field_samples(fields: Sequence[TensorField], seeds) -> Tuple[List[List[Frac
     chart = fields[0].chart
     points = [chart.sample_point(random.Random(seed)) for seed in seeds]
     n = len(chart.coordinates)
-    rows = []
-    for pt in points:
-        for a in range(n):
-            row = []
-            for f in fields:
-                val = f.comp(a).evaluate(pt)
-                if not isinstance(val, Fraction):
-                    val = val.as_fraction()
-                    if val is None:
-                        raise LieAlgError(
-                            "field evaluation is not rational at sample point")
-                row.append(val)
-            rows.append(row)
+    rows = [[f.comp(a).evaluate(pt) for f in fields]
+            for pt in points for a in range(n)]
     return rows, points
 
 
@@ -283,16 +272,7 @@ def _coordinates_in_span(fields: Sequence[TensorField], Y: TensorField,
     """Exact rational c with Y = sum c_k fields[k], verified symbolically."""
     chart = Y.chart
     n = len(chart.coordinates)
-    rhs = []
-    for pt in points:
-        for a in range(n):
-            val = Y.comp(a).evaluate(pt)
-            if not isinstance(val, Fraction):
-                val = val.as_fraction()
-                if val is None:
-                    raise LieAlgError(
-                        "bracket evaluation is not rational at sample point")
-            rhs.append(val)
+    rhs = [Y.comp(a).evaluate(pt) for pt in points for a in range(n)]
     sol = _linalg.solve(rows, rhs)
     if sol is None:
         return None
@@ -546,15 +526,8 @@ def vanishing_locus(X: TensorField) -> VanishingLocus:
                 if not deriv.differentiate(c2).is_zero():
                     raise LieAlgError(
                         f"component {i} is not affine-linear in the coordinates")
-            val = deriv.evaluate(origin)
-            if not isinstance(val, Fraction):
-                raise LieAlgError(
-                    f"component {i} involves non-polynomial generators")
-            row.append(val)
+            row.append(deriv.evaluate(origin))
         const = comp.evaluate(origin)
-        if not isinstance(const, Fraction):
-            raise LieAlgError(
-                f"component {i} involves non-polynomial generators")
         # verify affine: comp - row.x - const == 0
         residual = comp - chart.const(const)
         for aij, c in zip(row, coords):

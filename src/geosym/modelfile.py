@@ -13,7 +13,7 @@ Section kinds::
     [endomorphism J]        J[a,b] = expr       (value index first: J^a_b)
     [connection D]          D[k; i,j] = expr    (Gamma^k_{ij}, symmetrized)
     [vector v]              v[i] = expr
-    [frame F]               members = I, J, K   (endomorphism names)
+    [frame F]               members = I, J, K   (three endomorphism names)
     [matrix M]              row = 0, -1, 0, 0   (repeatable, exact rationals)
     [task name]             kind = symmetry-bound / further task parameters
 
@@ -79,6 +79,22 @@ _TASK_PARAMS = {
     },
 }
 
+# Parameters a task cannot run without; a symmetry structure adds its own.
+_REQUIRED_PARAMS = {
+    "symmetry-bound": ("structure",),
+    "verify-fields": ("structure", "fields"),
+    "closure": ("fields",),
+    "invariant-connections": ("isotropy", "complement"),
+    "curvature-type": ("connection", "complex_structure"),
+    "vanishing-locus": ("vector",),
+    "obata": ("frame",),
+}
+_STRUCTURES = {
+    "killing": ("metric",),
+    "quaternionic": ("metric",),
+    "cprojective": ("connection", "complex_structure"),
+}
+
 # Task parameters whose values are interpreted when the task runs:
 # (the form the value must take, a check that raises or returns False
 # for a malformed value given the chart).
@@ -102,6 +118,8 @@ _PARAM_FORMS = {
                          lambda v, ch: set(_name_list(v)) <= {"20", "11", "02"}),
     "expect_zero_coordinates": ("coordinates of the chart",
                                 lambda v, ch: set(_name_list(v)) <= set(ch.coordinates)),
+    "structure": ("one of " + ", ".join(_STRUCTURES),
+                  lambda v, ch: v in _STRUCTURES),
 }
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
@@ -326,6 +344,8 @@ def _parse_frame(entries, num0: int) -> List[str]:
         if members is not None:
             raise ModelError("members given twice", num)
         members = [m.strip() for m in value.split(",") if m.strip()]
+        if len(members) != 3:
+            raise ModelError("a frame needs exactly three members I, J, K", num)
     if not members:
         raise ModelError("frame section lacks a members entry", num0)
     return members
@@ -385,6 +405,12 @@ def _parse_task(name: str, entries, num0: int, chart: Chart) -> Task:
                 raise ModelError(
                     f"parameter {key!r} must be {want}, got {value!r}",
                     lines[key])
+    required = (_REQUIRED_PARAMS.get(kind, ())
+                + _STRUCTURES.get(params.get("structure"), ()))
+    missing = [key for key in required if key not in params]
+    if missing:
+        raise ModelError(f"task {name!r} of kind {kind!r} needs the parameter(s) "
+                         + ", ".join(missing), num0)
     return Task(name, kind, params, num0)
 
 
@@ -460,6 +486,12 @@ def _validate_references(model: Model) -> None:
                     raise ModelError(
                         f"task {task.name!r}: matrix {v!r} is not declared",
                         task.line)
+            shapes = {(len(model.matrices[v]), len(model.matrices[v][0]))
+                      for v in _name_list(p["blocks"])}
+            if len(shapes) != 1 or any(r != c for r, c in shapes):
+                raise ModelError(
+                    f"task {task.name!r}: blocks must be square matrices of "
+                    "one size", task.line)
 
 
 def _name_list(value: str) -> List[str]:

@@ -2,43 +2,37 @@
 
 Systems are linear in the jet coordinates X^a_alpha of the unknown
 vector-field components.  Prolongation appends total derivatives;
-symbol dimensions are computed by elimination mod p = 2^61 - 1 of the
-system evaluated at seeded admissible rational points, graded by jet
-order with the highest order eliminated first.
+symbol dimensions are computed by elimination mod a prime of the system
+evaluated at seeded :class:`~geosym.exprfield.GenericPoint` s, graded by
+jet order with the highest order eliminated first.  Each point carries
+its prime: 2^61 - 1, or the first prime below it at which the seed's
+stream has a point whose root radicands are squares.
 
-Soundness of the elimination mod 2^61 - 1.  Each sample point is a
-rational point of the chart satisfying the generator relations (a
-formal square root W^2 = q is sent to q^((p+1)/4), a square root of q
-mod p because p = 3 mod 4; a point whose radicand is not a square mod p
-is replaced by the next point of the same seeded stream).  Evaluation
-at the point followed by reduction mod p is then a ring homomorphism
-from the coefficient ring to GF(p), as long as every denominator met
-(of a coefficient or of a point value) is a unit mod p; one that is
-not raises :class:`ProlongError` and is never reduced silently.  A
-homomorphic image of a matrix has rank at most the rank of the
-matrix, so each rank can only drop, each dim g_k can only grow, and
-the bound stays an upper bound.  Dropping an equation that is
-dependent mod p at every point can also only loosen the bound.  A
-point is non-generic with probability at most deg/p (Schwartz 1980;
-Zippel 1979), and the tables are taken at several points.
+Soundness of the elimination mod p.  Evaluation at a point followed by
+reduction mod its prime p is a ring homomorphism from the coefficient
+ring to GF(p) (see :class:`~geosym.exprfield.GenericPoint`), as long as
+every coefficient denominator is a unit mod p; one that is not raises
+:class:`ProlongError` and is never reduced silently.  A homomorphic
+image of a matrix has rank at most the rank of the matrix, so each rank
+can only drop, each dim g_k can only grow, and the bound stays an upper
+bound.  Dropping an equation that is dependent mod p at every point can
+also only loosen the bound.  A point is non-generic with probability at
+most deg/p (Schwartz 1980; Zippel 1979), and the tables are taken at
+several points.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from sympy.polys.rings import PolyElement
 
-from .exprfield import (Chart, Expr, ExprError, _derivation_rules, _lcm,
-                        _poly_total_derivative)
+from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, PoleError,
+                        _derivation_rules, _lcm, _poly_mod, _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
-
-PRIME = 2 ** 61 - 1  # ranks are taken in GF(PRIME); PRIME = 3 mod 4
 
 
 class ProlongError(ExprError):
@@ -67,15 +61,18 @@ class Equation:
     def order(self) -> int:
         return max((sum(alpha) for (_, alpha) in self.coeffs), default=0)
 
-    def evaluate_sparse(self, point: "GenericPoint") -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
-        """Row at the point in GF(PRIME), keyed by the graded column key
-        (-order, unknown, multi-index) so that min() picks the jet
+    def evaluate_sparse(self, point: GenericPoint) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
+        """Row at the point in GF(point.prime), keyed by the graded column
+        key (-order, unknown, multi-index) so that min() picks the jet
         coordinate eliminated first."""
         row = {}
-        for (a, alpha), c in self.coeffs.items():
-            v = _poly_mod(c, point.residues)
-            if v:
-                row[(-sum(alpha), a, alpha)] = v
+        try:
+            for (a, alpha), c in self.coeffs.items():
+                v = _poly_mod(c, point.residues, point.prime)
+                if v:
+                    row[(-sum(alpha), a, alpha)] = v
+        except PoleError as ex:
+            raise ProlongError(str(ex)) from None
         return row
 
 
@@ -159,76 +156,6 @@ def prolong(system: LinearPDESystem) -> LinearPDESystem:
                            eqs + _next_derivatives(system.chart, eqs, eqs))
 
 
-def _mod(q) -> int:
-    """Image in GF(PRIME) of a rational (Fraction or ground element)."""
-    den = q.denominator % PRIME
-    if not den:
-        raise ProlongError(f"denominator of {q} is divisible by the prime 2^61-1")
-    num = q.numerator % PRIME
-    return num if den == 1 else num * pow(den, PRIME - 2, PRIME) % PRIME
-
-
-def _poly_mod(p: PolyElement, residues: Sequence[int]) -> int:
-    """Value in GF(PRIME) of a polynomial of ``chart._ring`` at a point
-    given by one residue per chart variable."""
-    total = 0
-    for monom, coeff in p.items():
-        term = _mod(coeff)
-        for v, e in zip(residues, monom):
-            if e:
-                term = term * pow(v, e, PRIME) % PRIME
-        total += term
-    return total % PRIME
-
-
-def _residues(chart: Chart, values: Dict[str, object]) -> Optional[List[int]]:
-    """One residue per chart variable for an admissible rational point,
-    or None when a formal root's radicand is not a square mod PRIME.
-
-    Coordinates, trig values and rational roots are reduced; a formal
-    root W (a point-algebra element) becomes q^((PRIME+1)/4) for the
-    residue q of its radicand, which squares to q whenever q is a
-    square, so the generator relations keep holding mod PRIME."""
-    residues = [0] * len(chart.var_names)
-    for i, name in enumerate(chart.var_names):
-        v = values[name]
-        if isinstance(v, Fraction):
-            residues[i] = _mod(v)
-            continue
-        g = chart._gens_by_name[name]
-        q = _poly_mod(chart._current(g.square_rhs)[0], residues)
-        w = pow(q, (PRIME + 1) // 4, PRIME)
-        if w * w % PRIME != q:
-            return None
-        residues[i] = w
-    return residues
-
-
-@dataclass
-class GenericPoint:
-    """Admissible rational point, its residues mod PRIME (one per chart
-    variable) and the seed that produced it."""
-
-    values: Dict[str, object]
-    seed: int
-    residues: List[int]
-
-    @staticmethod
-    def sample(chart: Chart, seed: int) -> "GenericPoint":
-        """The first point of the ``random.Random(seed)`` stream whose
-        formal roots have square radicands mod PRIME (a constant
-        radicand that is not a square mod PRIME, such as 3, never has
-        one)."""
-        rng = random.Random(seed)
-        for _ in range(200):
-            values = chart.sample_point(rng)
-            residues = _residues(chart, values)
-            if residues is not None:
-                return GenericPoint(values, seed, residues)
-        raise ProlongError(f"no sample point for seed {seed} whose formal roots "
-                           "have square radicands mod 2^61-1")
-
-
 @dataclass
 class SymbolTable:
     """Symbol dimensions dim g_k at one prolongation stage.
@@ -251,7 +178,7 @@ class SymbolTable:
 
 
 class _GradedElimination:
-    """Incremental echelon form over sparse GF(PRIME) rows keyed by the
+    """Incremental echelon form over sparse GF(prime) rows keyed by the
     graded column key (-order, unknown, multi-index).
 
     Whatever order rows arrive in, the resulting pivot-key set is the
@@ -259,7 +186,8 @@ class _GradedElimination:
     of the leading column block, which depends only on the row space.
     """
 
-    def __init__(self):
+    def __init__(self, prime: int):
+        self.prime = prime
         self.rows: Dict[Tuple, Dict[Tuple, int]] = {}
 
     @property
@@ -269,19 +197,20 @@ class _GradedElimination:
     def add(self, row: Dict[Tuple, int]) -> Optional[Tuple]:
         """Reduce the row; store it (pivot entry 1) and return its pivot
         key, or return None if it is dependent on the rows seen so far."""
+        prime = self.prime
         row = dict(row)
         while row:
             p = min(row)
             krow = self.rows.get(p)
             if krow is None:
-                inv = pow(row[p], PRIME - 2, PRIME)
-                self.rows[p] = {k: v * inv % PRIME for k, v in row.items()}
+                inv = pow(row[p], prime - 2, prime)
+                self.rows[p] = {k: v * inv % prime for k, v in row.items()}
                 return p
             f = row.pop(p)
             for k, v in krow.items():
                 if k == p:
                     continue
-                nv = (row.get(k, 0) - f * v) % PRIME
+                nv = (row.get(k, 0) - f * v) % prime
                 if nv:
                     row[k] = nv
                 else:
@@ -308,9 +237,9 @@ def _symbol_table(elim: _GradedElimination, system: LinearPDESystem,
 def symbol_dimensions(system: LinearPDESystem, point: GenericPoint,
                       stage: int = 1) -> SymbolTable:
     """dim g_k for k = 0..order: order-k jet freedom left after
-    elimination mod PRIME of the evaluated system, higher orders
-    eliminated first."""
-    elim = _GradedElimination()
+    elimination mod the point's prime of the evaluated system, higher
+    orders eliminated first."""
+    elim = _GradedElimination(point.prime)
     for eq in system.equations:
         elim.add(eq.evaluate_sparse(point))
     return _symbol_table(elim, system, stage, system.order)
@@ -375,7 +304,7 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
         raise ProlongError("max_stage must be at least 1")
     chart = system.chart
     points = [GenericPoint.sample(chart, s) for s in seeds]
-    elims = [_GradedElimination() for _ in points]
+    elims = [_GradedElimination(p.prime) for p in points]
 
     def admit(eqs: Sequence[Equation]) -> List[Equation]:
         """Add rows for all points; keep the equations independent at

@@ -57,6 +57,13 @@ def test_run_single_task(capsys):
     assert "bound: 3" in out
 
 
+def test_missing_task_parameter_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.model"
+    bad.write_text(FAILING_MODEL.replace("metric = g\n", ""))
+    assert main(["run", str(bad)]) == 2
+    assert "line 9" in capsys.readouterr().err
+
+
 def test_run_unknown_task():
     assert main(["run", str(MODELS / "flat2.model"),
                  "--task", "nonsense"]) == 2

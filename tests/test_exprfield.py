@@ -4,13 +4,21 @@ derivations, relation handling, and evaluation."""
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from geosym.exprfield import (
     Chart,
     DivisionByZero,
+    Expr,
     ExprParseError,
+    GenericPoint,
+    KernelInconsistency,
     PoleError,
+    _mod,
+    _poly_mod,
+    _prime,
+    _sqrt_mod,
     exact_sqrt,
     parse_expr,
 )
@@ -177,14 +185,51 @@ def test_root_generator_derivatives():
 
 
 def test_evaluate_at_formal_roots():
-    import random
     ch = nested_root_chart()
     W, V = ch.var("W"), ch.var("V")
-    pt = ch.sample_point(random.Random(3))
-    # rational values where the roots cancel, exact formal ones elsewhere
-    assert (V * V - W).evaluate(pt) == pt["y"] ** 2 + 3
-    assert (W * V).evaluate(pt) ** 2 == (W * W * V * V).evaluate(pt)
-    assert ((W + V) / W).evaluate(pt) * W.evaluate(pt) == (W + V).evaluate(pt)
+    point = GenericPoint.sample(ch, 3)
+    p = point.prime
+    r = dict(zip(ch.var_names, point.residues))
+    x, y = (_mod(point.values[v], p) for v in ("x", "y"))
+    # the residues of the roots satisfy the relations mod the point's prime
+    assert r["x"] == x and r["y"] == y
+    assert r["W"] ** 2 % p == (x * x + 1) % p
+    assert r["V"] ** 2 % p == (r["W"] + y * y + 3) % p
+    # V*V - W reduces to y^2 + 3, and so does its value mod p
+    e = V * V - W
+    assert e == parse_expr(ch, "y^2 + 3")
+    assert _poly_mod(e._num, point.residues, p) == (y * y + 3) % p
+    # rational evaluation needs only the variables that occur
+    assert e.evaluate(point.values) == point.values["y"] ** 2 + 3
+
+
+@pytest.mark.parametrize("radicand", [None, 3, 15, -1])
+def test_is_zero_cross_check_catches_a_planted_disagreement(radicand):
+    """A zero normal form whose pre-normalization pair is x/1 must fail the
+    evaluation cross-check, also on charts with W^2 = 3, 15 or -1, none a
+    square mod 2^61-1; a true zero there passes it."""
+    ch = Chart(["x", "y"])
+    if radicand is not None:
+        W = ch.add_square_root("W", ch.const(radicand))
+        assert (W * W - radicand).is_zero()
+    ring = ch._ring
+    bad = Expr(ch, ring.zero, ring.one, raw=(ring.gens[0], ring.one))
+    assert bad.is_zero(cross_check=False)
+    with pytest.raises(KernelInconsistency):
+        bad.is_zero()
+
+
+def test_square_roots_mod_the_searched_primes():
+    primes = [_prime(i) for i in range(6)]
+    assert primes == sorted(primes, reverse=True) and primes[0] == 2 ** 61 - 1
+    assert all(sympy.isprime(p) for p in primes)
+    assert {p % 4 for p in primes} == {1, 3}
+    for p in primes:
+        for q in (0, 1, 2, 3, 15, p - 1, 12345678901234567):
+            w = _sqrt_mod(q, p)
+            square = pow(q, (p - 1) // 2, p) in (0, 1)
+            assert (w is not None) == square
+            assert w is None or w * w % p == q
 
 
 def test_exact_sqrt():

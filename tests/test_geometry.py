@@ -284,6 +284,16 @@ def test_volume_root_squares_to_det(sphere):
     assert (w * w - G.metric_det(g)).is_zero()
 
 
+def test_volume_root_sign_needs_a_rational_value():
+    # sqrt(det g) is the root W itself, which has no rational value at a
+    # sample point, so its sign cannot be fixed
+    chart = Chart(["x", "y"])
+    W = chart.add_square_root("W", parse_expr(chart, "x^2 + 1"))
+    g = G.TensorField(chart, ("d", "d"), {(0, 0): W, (1, 1): W})
+    with pytest.raises(G.GeometryError, match="cannot be fixed"):
+        G.volume_root(g)
+
+
 def test_connection_shift_projective():
     chart = Chart(["x", "y"])
     D = G.Connection(chart, {})

@@ -156,6 +156,8 @@ def test_bundled_models_parse(name):
     ("curvature-type", "expect_vanishing", "20, 12"),
     ("vanishing-locus", "expect_zero_coordinates", "q"),
     ("vanishing-locus", "expect_zero_coordinates", "x, q"),
+    ("symmetry-bound", "structure", "conformal"),
+    ("verify-fields", "structure", "Killing"),
 ])
 def test_bad_task_parameter_rejected_at_its_line(tmp_path, kind, key, value):
     text = MINIMAL + f"\n[task t]\nkind = {kind}\n{key} = {value}\n"
@@ -166,3 +168,45 @@ def test_bad_task_parameter_rejected_at_its_line(tmp_path, kind, key, value):
     path = tmp_path / "bad.model"
     path.write_text(text)
     assert main(["validate", str(path)]) == 2
+
+
+FRAMED = MINIMAL + """
+[endomorphism J]
+J[x,y] = -1
+J[y,x] = 1
+"""
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("symmetry-bound", "expect_bound = 3"),
+    ("symmetry-bound", "structure = killing"),
+    ("symmetry-bound", "structure = quaternionic"),
+    ("symmetry-bound", "structure = cprojective\ncomplex_structure = J"),
+    ("verify-fields", "structure = killing\nmetric = g"),
+    ("closure", "expect_dimension = 2"),
+    ("invariant-connections", "isotropy = v"),
+    ("curvature-type", "complex_structure = J"),
+    ("vanishing-locus", "expect_dimension = 0"),
+    ("obata", "expect_flat = true"),
+])
+def test_missing_task_parameter_rejected_at_task_line(tmp_path, kind, params):
+    text = FRAMED + "\n[vector v]\nv[x] = 1\n"
+    task_line = len(text.splitlines()) + 2
+    text += f"\n[task t]\nkind = {kind}\n{params}\n"
+    with pytest.raises(ModelError, match="needs the parameter") as exc:
+        parse_model(text)
+    assert exc.value.line == task_line
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("members", ["J, J", "J, J, J, J"])
+def test_frame_needs_three_members(members):
+    # obata unpacks the frame as I, J, K
+    text = FRAMED + f"\n[frame F]\nmembers = {members}\n"
+    members_line = len(text.splitlines())
+    text += "\n[task t]\nkind = obata\nframe = F\n"
+    with pytest.raises(ModelError, match="three members") as exc:
+        parse_model(text)
+    assert exc.value.line == members_line

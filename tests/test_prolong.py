@@ -11,7 +11,7 @@ from geosym import _linalg
 from geosym import geometry as G
 from geosym import prolong as P
 from geosym import symsys as S
-from geosym.exprfield import Chart, Expr, _derivation_rules, parse_expr
+from geosym.exprfield import Chart, Expr, _derivation_rules, _prime, parse_expr
 
 from conftest import flat_chart, nested_root_chart, standard_triple
 
@@ -264,6 +264,20 @@ def test_killing_bound_on_a_root_generator_chart(seeds):
     assert [t.dims for t in res.tables] == [(1, 2), (0, 1, 2), (0, 0, 1, 2)]
 
 
+@pytest.mark.parametrize("radicand", [3, 15, -1])
+def test_killing_bound_with_a_root_that_is_no_square_mod_the_first_prime(radicand):
+    """W dx^2 + W dy^2 with a constant W^2 is flat; 3, 15 and -1 are not
+    squares mod 2^61-1, so its points lie at another prime."""
+    chart = Chart(["x", "y"])
+    W = chart.add_square_root("W", chart.const(radicand))
+    g = G.TensorField(chart, ("d", "d"), {(0, 0): W, (1, 1): W})
+    res = P.solution_bound(S.invariance_system(g))
+    assert res.conclusive
+    assert res.bound == 3
+    assert [t.dims for t in res.tables] == [(1, 2), (0, 1, 2), (0, 0, 1, 2)]
+    assert P.GenericPoint.sample(chart, 101).prime != P.PRIME
+
+
 def test_formal_roots_map_to_square_roots_mod_p():
     """A formal root W is sent to a square root of its radicand mod p; a
     point whose radicand is not a square mod p is replaced by the next
@@ -279,8 +293,13 @@ def test_formal_roots_map_to_square_roots_mod_p():
         assert r[W] * r[W] % P.PRIME == (r[t] * r[t] + 1) % P.PRIME
         resampled += point.values != chart.sample_point(random.Random(seed))
     assert resampled
-    # 3 is not a square mod 2^61-1, so Q(sqrt 3) has no point mod p
+    # 3 is not a square mod 2^61-1: W^2 = 3 samples at the next prime
+    # below it (which is 1 mod 4), and the relation holds there
     chart = Chart(["x"])
     chart.add_square_root("W", chart.const(3))
-    with pytest.raises(P.ProlongError, match="square radicands"):
-        P.GenericPoint.sample(chart, 1)
+    for seed in (1, 2):
+        point = P.GenericPoint.sample(chart, seed)
+        assert point.prime == _prime(1) != P.PRIME
+        assert point.prime % 4 == 1
+        assert point.values == chart.sample_point(random.Random(seed))
+        assert point.residues[1] ** 2 % point.prime == 3

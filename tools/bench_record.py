@@ -3,8 +3,9 @@
     python3 tools/bench_record.py [--root CHECKOUT] [--out-dir DIR]
 
 Runs ``perfbench/run.py`` of the checkout at ``--root`` (default: the
-repository holding this script) on the workloads ``eh-bound`` and
-``eh-certify`` at seeds 101 and 102, untraced and then traced, one run
+repository holding this script) on the workloads ``eh-bound``,
+``eh-certify`` and ``flat8-quaternionic`` (which ``BENCHMARK.json`` does
+not list) at seeds 101 and 102, untraced and then traced, one run
 at a time, each in a fresh interpreter, with the checkout's own
 ``BENCHMARK.json`` run length.  It writes the machine, the checkout's
 git revision (and whether its tracked files differ from it) and each
@@ -28,7 +29,7 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(HERE, "perfbench"))
 from reference import environment  # noqa: E402
 
-WORKLOADS = ("eh-bound", "eh-certify")
+WORKLOADS = ("eh-bound", "eh-certify", "flat8-quaternionic")
 SEEDS = (101, 102)
 RUN_TIMEOUT_S = 900
 
