@@ -31,7 +31,7 @@ from . import symsys as S
 from .exprfield import ExprError
 from .modelfile import Model, ModelError, Task, load_model, _name_list
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 __all__ = ["main", "run_task", "SCHEMA_VERSION"]
 
@@ -89,6 +89,7 @@ def _run_symmetry_bound(model: Model, task: Task, seeds, max_stage):
         "tables": [list(t.dims) for t in res.tables],
         "point_independent": res.point_independent,
         "seeds": list(res.points),
+        "primes": list(res.primes),
         "equations": len(system),
     }
     checks: List[str] = []

@@ -11,7 +11,8 @@ Arithmetic in the field is exact rational; no floating point anywhere.
 Generic-point checks (the ``is_zero`` cross-check, and symbol ranks in
 :mod:`geosym.prolong`) evaluate at seeded :class:`GenericPoint` s, each
 reduced modulo its own prime: 2^61 - 1, or a prime below it where the
-chart's radicands are squares.
+chart's radicands are nonzero squares.  Symbol ranks of prolonged rows
+use the truncated Taylor series at such a point (:class:`TaylorMap`).
 """
 
 from __future__ import annotations
@@ -348,14 +349,114 @@ def _poly_mod(p, residues: Sequence[int], prime: int) -> int:
     return total % prime
 
 
+class TaylorMap:
+    """Truncated Taylor series at a :class:`GenericPoint`, mod its prime.
+
+    Sends a polynomial p of the chart's ring to its Taylor coefficients
+    T_gamma(p) = d^gamma p(x0) / gamma! for |gamma| <= ``order``, as a
+    dict from the multi-index gamma (one entry per coordinate) to a
+    nonzero residue.  The variables' series are: a coordinate x0 + t;
+    sin and cos in closed form, the k-th derivative cycling through
+    s0, c0, -s0, -c0; a root W = W0 * sum_k binom(1/2, k) u^k with
+    u = (q - q0) / q0 the radicand's relative increment (q0 is nonzero
+    mod the prime: :func:`_residues` resamples otherwise).
+
+    Soundness.  The series satisfy every generator relation and every
+    derivation rule up to the truncation, so this is a ring homomorphism
+    from the coordinate ring to GF(prime)[[t]] / m^(order+1) that
+    commutes with each d/dx_i up to the truncation.  Its constant terms
+    are the point's residues, so order 0 is evaluation at the point.
+    """
+
+    def __init__(self, chart: Chart, point: "GenericPoint", order: int):
+        self.order = order
+        self.prime = prime = point.prime
+        n = chart.dim
+        self._zero: Tuple[int, ...] = (0,) * n
+        self._monos: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {
+            (0,) * len(chart.var_names): {self._zero: 1}}
+        self._memo: Dict = {}
+        self._vars: List[Dict[Tuple[int, ...], int]] = []
+        inv_fact = [1]
+        for k in range(1, order + 1):
+            inv_fact.append(inv_fact[-1] * pow(k, prime - 2, prime) % prime)
+        res = point.residues
+        trig = {}  # generator -> (angle index, derivatives at the point mod 4)
+        for angle, (s, c) in chart._trig_pairs.items():
+            j = chart.coordinates.index(angle)
+            s0, c0 = res[chart._index[s]], res[chart._index[c]]
+            trig[s] = (j, (s0, c0, -s0, -c0))
+            trig[c] = (j, (c0, -s0, -c0, s0))
+        for i, name in enumerate(chart.var_names):
+            if i < n:
+                series = {self._zero: res[i], self._unit(i, 1): 1}
+            elif name in trig:
+                j, cycle = trig[name]
+                series = {self._unit(j, k): cycle[k % 4] * inv_fact[k]
+                          for k in range(order + 1)}
+            else:  # root: W^2 = q
+                q = self(chart._current(chart._gens_by_name[name].square_rhs)[0])
+                q0_inv = pow(q.get(self._zero, 0), prime - 2, prime)
+                u = {g: v * q0_inv % prime for g, v in q.items() if any(g)}
+                series, power, binom = {}, {self._zero: 1}, 1
+                for k in range(order + 1):  # u^k vanishes beyond the order
+                    for g, v in power.items():
+                        series[g] = (series.get(g, 0) + binom * v) % prime
+                    power = self._mul(power, u)
+                    binom = binom * (1 - 2 * k) * pow(2 * k + 2, prime - 2, prime) % prime
+                series = {g: v * res[i] for g, v in series.items()}
+            self._vars.append({g: v % prime for g, v in series.items() if v % prime})
+
+    def _unit(self, i: int, k: int) -> Tuple[int, ...]:
+        g = list(self._zero)
+        g[i] = k
+        return tuple(g)
+
+    def _mul(self, a, b):
+        """Truncated product of two series."""
+        out: Dict[Tuple[int, ...], int] = {}
+        for ga, va in a.items():
+            room = self.order - sum(ga)
+            for gb, vb in b.items():
+                if sum(gb) <= room:
+                    g = tuple(x + y for x, y in zip(ga, gb))
+                    out[g] = out.get(g, 0) + va * vb
+        return {g: v % self.prime for g, v in out.items() if v % self.prime}
+
+    def _monomial(self, m: Tuple[int, ...]):
+        series = self._monos.get(m)
+        if series is None:
+            v = max(i for i, e in enumerate(m) if e)
+            series = self._mul(self._monomial(m[:v] + (m[v] - 1,) + m[v + 1:]),
+                               self._vars[v])
+            self._monos[m] = series
+        return series
+
+    def __call__(self, p) -> Dict[Tuple[int, ...], int]:
+        """Taylor coefficients of a polynomial of the chart's ring;
+        PoleError when a coefficient's denominator is divisible by the
+        prime."""
+        out = self._memo.get(p)
+        if out is None:
+            acc: Dict[Tuple[int, ...], int] = {}
+            for monom, coeff in p.items():
+                c = _mod(coeff, self.prime)
+                for g, v in self._monomial(monom).items():
+                    acc[g] = acc.get(g, 0) + c * v
+            out = self._memo[p] = {g: v % self.prime for g, v in acc.items()
+                                   if v % self.prime}
+        return out
+
+
 def _residues(chart: Chart, values: Mapping[str, Fraction],
               prime: int) -> Optional[List[int]]:
     """One residue mod ``prime`` per chart variable, or None when a root
-    generator's radicand is not a square mod ``prime``.
+    generator's radicand is zero or not a square mod ``prime``.
 
     Coordinates and trig values are reduced; a root W becomes the square
     root :func:`_sqrt_mod` of the residue of its radicand, so the
-    relations keep holding mod prime."""
+    relations keep holding mod prime.  W is nonzero, hence a unit in the
+    Taylor series of :class:`TaylorMap`."""
     residues: List[int] = []
     for name in chart.var_names:
         if name in values:
@@ -363,7 +464,7 @@ def _residues(chart: Chart, values: Mapping[str, Fraction],
             continue
         g = chart._gens_by_name[name]
         q = _poly_mod(chart._current(g.square_rhs)[0], residues, prime)
-        w = _sqrt_mod(q, prime)
+        w = _sqrt_mod(q, prime) if q else None
         if w is None:
             return None
         residues.append(w)
@@ -394,10 +495,10 @@ class GenericPoint:
     @staticmethod
     def sample(chart: Chart, seed: int) -> "GenericPoint":
         """The first point of the ``random.Random(seed)`` stream whose
-        roots have square radicands mod 2^61 - 1; the stream moves to the
-        next prime below only when it yields no such point (a constant
-        radicand, such as 3 or -1, that is not a square mod the prime
-        never does).  A nonsquare rational is a square mod half of all
+        roots have nonzero square radicands mod 2^61 - 1; the stream
+        moves to the next prime below only when it yields no such point
+        (a constant radicand, such as 3 or -1, that is not a square mod
+        the prime never does).  A nonsquare rational is a square mod half of all
         primes, so k such radicands need about 2^k primes."""
         for i in range(_MAX_PRIMES):
             prime = _prime(i)
@@ -408,7 +509,7 @@ class GenericPoint:
                 if residues is not None:
                     return GenericPoint(values, seed, residues, prime)
         raise ExprError(f"no sample point for seed {seed} whose roots have "
-                        f"square radicands mod any of {_MAX_PRIMES} primes")
+                        f"nonzero square radicands mod any of {_MAX_PRIMES} primes")
 
 
 class Expr:

@@ -6,31 +6,40 @@ symbol dimensions are computed by elimination mod a prime of the system
 evaluated at seeded :class:`~geosym.exprfield.GenericPoint` s, graded by
 jet order with the highest order eliminated first.  Each point carries
 its prime: 2^61 - 1, or the first prime below it at which the seed's
-stream has a point whose root radicands are squares.
+stream has a point whose root radicands are nonzero squares.
+:func:`prolong` differentiates symbolically; :func:`solution_bound`
+never does: it tracks each prolonged row by its provenance (E, beta)
+and takes the row of D^beta E at a point from the Taylor coefficients
+of E's coefficients there (:class:`~geosym.exprfield.TaylorMap`).
 
-Soundness of the elimination mod p.  Evaluation at a point followed by
-reduction mod its prime p is a ring homomorphism from the coefficient
-ring to GF(p) (see :class:`~geosym.exprfield.GenericPoint`), as long as
-every coefficient denominator is a unit mod p; one that is not raises
-:class:`ProlongError` and is never reduced silently.  A homomorphic
-image of a matrix has rank at most the rank of the matrix, so each rank
-can only drop, each dim g_k can only grow, and the bound stays an upper
-bound.  Dropping an equation that is dependent mod p at every point can
-also only loosen the bound.  A point is non-generic with probability at
-most deg/p (Schwartz 1980; Zippel 1979), and the tables are taken at
-several points.
+Soundness of the elimination mod p.  The Taylor map at a point, to
+order K and mod its prime p, is a ring homomorphism from the coordinate
+ring (with coefficients whose denominators are units mod p) to
+GF(p)[[t]] / m^(K+1), and it commutes with each d/dx_i up to the
+truncation.  Its constant term is evaluation at the point.  So the row
+of D^beta E it gives, for |beta| <= K, is the image of the true
+prolonged row; a coefficient denominator that is not a unit mod p
+raises :class:`ProlongError` and is never reduced silently.  A
+homomorphic image of a matrix has rank at most the rank of the matrix,
+so each rank can only drop, each dim g_k can only grow, and the bound
+stays an upper bound.  Dropping an equation that is dependent mod p at
+every point can also only loosen the bound.  A point is non-generic
+with probability at most deg/p (Schwartz 1980; Zippel 1979), and the
+tables are taken at several points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from functools import lru_cache
+from itertools import product
+from math import comb, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from sympy.polys.rings import PolyElement
 
-from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, PoleError,
-                        _derivation_rules, _lcm, _poly_mod, _poly_total_derivative)
+from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, PoleError, TaylorMap,
+                        _derivation_rules, _lcm, _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
 
@@ -44,9 +53,11 @@ class Equation:
     """One linear homogeneous equation sum c_{a,alpha} X^a_alpha = 0.
 
     Each coefficient c_{a,alpha} is a polynomial of ``chart._ring``,
-    reduced modulo the generator relations, and the coefficients have no
-    common polynomial factor: equations are cleared of denominators once,
-    when built, and stay polynomial under total derivatives.
+    reduced modulo the generator relations.  Equations are cleared of
+    denominators and of their common polynomial factor once, when built,
+    and stay polynomial under total derivatives; a derived row of
+    :func:`prolong` may carry a polynomial factor, which spans the same
+    space over the function field.
 
     ``base`` and ``deriv`` record provenance: the originating equation
     and how often it has been differentiated per coordinate, so that a
@@ -61,19 +72,39 @@ class Equation:
     def order(self) -> int:
         return max((sum(alpha) for (_, alpha) in self.coeffs), default=0)
 
-    def evaluate_sparse(self, point: GenericPoint) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
-        """Row at the point in GF(point.prime), keyed by the graded column
-        key (-order, unknown, multi-index) so that min() picks the jet
-        coordinate eliminated first."""
-        row = {}
+    def evaluate_sparse(self, point: GenericPoint, beta: Tuple[int, ...],
+                        taylor: TaylorMap) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
+        """Row of the total derivative D^beta of this equation at the point
+        in GF(point.prime), keyed by the graded column key (-order,
+        unknown, multi-index) so that min() picks the jet coordinate
+        eliminated first.
+
+        By Leibniz, D^beta (c X^a_alpha) is the sum over gamma <= beta of
+        beta!/(beta-gamma)! T_gamma(c) X^a_(alpha+beta-gamma), where
+        T_gamma(c) is the Taylor coefficient of c at the point: ``taylor``,
+        the point's :class:`~geosym.exprfield.TaylorMap` of order |beta|
+        at least, supplies it.  With beta = 0 this is c(point) X^a_alpha."""
+        prime = point.prime
+        row: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
         try:
             for (a, alpha), c in self.coeffs.items():
-                v = _poly_mod(c, point.residues, point.prime)
-                if v:
-                    row[(-sum(alpha), a, alpha)] = v
+                jet = taylor(c)
+                for gamma, weight in _leibniz(beta):
+                    t = jet.get(gamma)
+                    if t:
+                        up = tuple(x + b - g for x, b, g in zip(alpha, beta, gamma))
+                        key = (-sum(up), a, up)
+                        row[key] = (row.get(key, 0) + weight * t) % prime
         except PoleError as ex:
             raise ProlongError(str(ex)) from None
-        return row
+        return {k: v for k, v in row.items() if v}
+
+
+@lru_cache(maxsize=None)
+def _leibniz(beta: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """(gamma, beta!/(beta-gamma)!) for each multi-index gamma <= beta."""
+    return tuple((gamma, prod(perm(b, g) for b, g in zip(beta, gamma)))
+                 for gamma in product(*(range(b + 1) for b in beta)))
 
 
 class LinearPDESystem:
@@ -122,38 +153,41 @@ def _total_derivative(chart: Chart, eq: Equation, i: int) -> Dict[JetKey, PolyEl
     return {k: p for k, p in out.items() if p}
 
 
-def _next_derivatives(chart: Chart, known: Sequence[Equation],
-                      frontier: Sequence[Equation]) -> List[Equation]:
-    """First total derivatives of the frontier equations, cleared of
-    denominators.  Deduplicated by provenance (base, deriv), so each
-    mixed partial appears once and none repeats an equation of
-    ``known``."""
-    seen = {(e.base, e.deriv) for e in known}
-    one = chart._ring.one
+Row = Tuple[Equation, Tuple[int, ...]]  # (equation, beta): the row of D^beta of it
+
+
+def _provenance(row: Row) -> Tuple[int, Tuple[int, ...]]:
+    eq, beta = row
+    return eq.base, tuple(x + y for x, y in zip(eq.deriv, beta))
+
+
+def _next_derivatives(known: Sequence[Row], frontier: Sequence[Row]) -> List[Row]:
+    """The first total derivatives of the frontier rows, deduplicated by
+    provenance (base, total derivative), so each mixed partial appears
+    once and none repeats a row of ``known``."""
+    seen = {_provenance(r) for r in known}
     out = []
-    for eq in frontier:
-        for i in range(chart.dim):
-            d = list(eq.deriv)
-            d[i] += 1
-            key = (eq.base, tuple(d))
-            if key in seen:
-                continue
-            seen.add(key)
-            coeffs = _total_derivative(chart, eq, i)
-            out.append(Equation(
-                _clear_denominators(chart, {k: (p, one) for k, p in coeffs.items()}),
-                base=eq.base, deriv=key[1]))
+    for eq, beta in frontier:
+        for i in range(len(beta)):
+            row = (eq, beta[:i] + (beta[i] + 1,) + beta[i + 1:])
+            key = _provenance(row)
+            if key not in seen:
+                seen.add(key)
+                out.append(row)
     return out
 
 
 def prolong(system: LinearPDESystem) -> LinearPDESystem:
     """Append all first total derivatives of all equations (deduplicated
     by provenance so each mixed partial appears once); originals
-    retained.  Each derivative is taken on the polynomial row and cleared
-    like the originals, so it is a multiple of the true one."""
-    eqs = system.equations
-    return LinearPDESystem(system.chart, system.n_unknowns,
-                           eqs + _next_derivatives(system.chart, eqs, eqs))
+    retained.  Each derivative is taken on the polynomial row, so it is
+    the true one times the polynomial s of :func:`_total_derivative`."""
+    chart, eqs = system.chart, system.equations
+    zero = (0,) * chart.dim
+    rows = [(e, zero) for e in eqs]
+    return LinearPDESystem(chart, system.n_unknowns, eqs + [
+        Equation(_total_derivative(chart, eq, beta.index(1)), *_provenance((eq, beta)))
+        for eq, beta in _next_derivatives(rows, rows)])
 
 
 @dataclass
@@ -240,8 +274,9 @@ def symbol_dimensions(system: LinearPDESystem, point: GenericPoint,
     elimination mod the point's prime of the evaluated system, higher
     orders eliminated first."""
     elim = _GradedElimination(point.prime)
+    taylor, zero = TaylorMap(system.chart, point, 0), (0,) * system.chart.dim
     for eq in system.equations:
-        elim.add(eq.evaluate_sparse(point))
+        elim.add(eq.evaluate_sparse(point, zero, taylor))
     return _symbol_table(elim, system, stage, system.order)
 
 
@@ -254,6 +289,7 @@ class BoundResult:
     tables: List[SymbolTable]
     points: List[int] = field(default_factory=list)  # seeds used
     point_independent: bool = True
+    primes: List[int] = field(default_factory=list)  # each point's prime
 
     @property
     def final_table(self) -> SymbolTable:
@@ -264,7 +300,8 @@ def _clear_denominators(chart: Chart, pairs: Dict[JetKey, Tuple]) -> Dict[JetKey
     """Polynomial coefficients of an equation given by (num, den) pairs:
     scaled by the least common denominator and divided by the common
     polynomial content.  The solution set and symbol spaces are
-    unchanged, and polynomial coefficients differentiate cheaply."""
+    unchanged, and polynomial coefficients go through
+    :class:`~geosym.exprfield.TaylorMap` as they are."""
     lcd = _lcm(chart._ring, [den for _, den in pairs.values()])
     nums = {}
     for k, (num, den) in pairs.items():
@@ -293,12 +330,15 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
                    seeds: Sequence[int] = _DEFAULT_SEEDS) -> BoundResult:
     """Iterate prolongation and symbol projection until finite type.
 
-    Internally only the equations independent at some sample point are
-    carried forward: derivatives of a dependent equation are spanned by
-    derivatives of the retained ones plus the retained lower-order
-    equations, so the symbol tables are unchanged.  A system with no
-    equation left (say, of an all-zero metric) is not of finite type:
-    the search stops with the stage-1 table and is inconclusive.
+    Prolongation is tracked by provenance only: the row of D^beta E at a
+    point comes from the Taylor coefficients of E's own coefficients
+    there (:meth:`Equation.evaluate_sparse`), so no derivative is taken
+    symbolically.  Only the rows independent at some sample point are
+    carried forward: derivatives of a dependent row are spanned by
+    derivatives of the retained ones plus the retained lower-order rows,
+    so the symbol tables are unchanged.  A system with no equation left
+    (say, of an all-zero metric) is not of finite type: the search stops
+    with the stage-1 table and is inconclusive.
     """
     if max_stage < 1:
         raise ProlongError("max_stage must be at least 1")
@@ -306,42 +346,48 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     points = [GenericPoint.sample(chart, s) for s in seeds]
     elims = [_GradedElimination(p.prime) for p in points]
 
-    def admit(eqs: Sequence[Equation]) -> List[Equation]:
-        """Add rows for all points; keep the equations independent at
-        some point (one dependent at every point adds nothing to any
-        symbol table: its derivatives stay in the prolonged span of the
-        retained ones)."""
+    def admit(rows: Sequence[Row]) -> List[Row]:
+        """Add the rows at all points, through Taylor maps of the rows'
+        order; keep the rows independent at some point (one dependent at
+        every point adds nothing to any symbol table: its derivatives
+        stay in the prolonged span of the retained ones)."""
+        order = max((sum(beta) for _, beta in rows), default=0)
+        taylors = [TaylorMap(chart, p, order) for p in points]
         kept = []
-        for eq in eqs:
-            pivots = [el.add(eq.evaluate_sparse(p)) for p, el in zip(points, elims)]
+        for eq, beta in rows:
+            pivots = [el.add(eq.evaluate_sparse(p, beta, tm))
+                      for p, el, tm in zip(points, elims, taylors)]
             if any(pv is not None for pv in pivots):
-                kept.append(eq)
+                kept.append((eq, beta))
         return kept
+
+    def result(bound: Optional[int]) -> BoundResult:
+        return BoundResult(bound, bound is not None, tables, [p.seed for p in points],
+                           point_independent, [p.prime for p in points])
 
     tables: List[SymbolTable] = []
     point_independent = True
-    active = admit(system.equations)
+    zero = (0,) * chart.dim
+    active = admit([(e, zero) for e in system.equations])
     frontier = list(active)
     for stage in range(1, max_stage + 1):
-        max_order = max((e.order for e in active), default=0)
+        max_order = max((eq.order + sum(beta) for eq, beta in active), default=0)
         stage_tables = [_symbol_table(el, system, stage, max_order) for el in elims]
         best = min(stage_tables, key=lambda t: t.total())  # min dims = max rank
         if any(t.dims != best.dims for t in stage_tables):
             point_independent = False
         tables.append(best)
         if _finite_type(best):
-            return BoundResult(best.total(), True, tables,
-                               [p.seed for p in points], point_independent)
+            return result(best.total())
         if stage == max_stage:
             break
-        new_eqs = _next_derivatives(chart, active, frontier)
-        if not new_eqs:
+        new_rows = _next_derivatives(active, frontier)
+        if not new_rows:
             break
-        kept = admit(new_eqs)
+        kept = admit(new_rows)
         active = active + kept
         frontier = kept
-    return BoundResult(None, False, tables, [p.seed for p in points],
-                       point_independent)
+    return result(None)
 
 
 def verify_solution(system: LinearPDESystem, components: Sequence[Expr],

@@ -15,8 +15,11 @@ from geosym.exprfield import (
     GenericPoint,
     KernelInconsistency,
     PoleError,
+    TaylorMap,
+    _derivation_rules,
     _mod,
     _poly_mod,
+    _poly_total_derivative,
     _prime,
     _sqrt_mod,
     exact_sqrt,
@@ -201,6 +204,65 @@ def test_evaluate_at_formal_roots():
     assert _poly_mod(e._num, point.residues, p) == (y * y + 3) % p
     # rational evaluation needs only the variables that occur
     assert e.evaluate(point.values) == point.values["y"] ** 2 + 3
+
+
+def _truncated_product(a, b, order, prime):
+    out = {}
+    for ga, va in a.items():
+        for gb, vb in b.items():
+            g = tuple(x + y for x, y in zip(ga, gb))
+            if sum(g) <= order:
+                out[g] = (out.get(g, 0) + va * vb) % prime
+    return {g: v for g, v in out.items() if v}
+
+
+@pytest.mark.parametrize("seed", [1, 5, 101])
+def test_taylor_map_keeps_relations_and_derivations(seed):
+    """To order K mod p, the series of sin^2 + cos^2 is 1 and those of
+    W^2 - (x^2 + 1) and of the nested V^2 - (W + y^2 + 3) are 0; the
+    series of s * dp/dx (the derivation rules, s clearing their roots'
+    denominators) is that of s times the termwise derivative of p's
+    series, one order lower; order 0 is evaluation at the point."""
+    K = 4
+    for ch in (_make_chart(), nested_root_chart()):
+        point = GenericPoint.sample(ch, seed)
+        p = point.prime
+        taylor = TaylorMap(ch, point, K)
+        v = dict(zip(ch.var_names, ch._ring.gens))  # unreduced ring elements
+        zero = (0,) * ch.dim
+        if "sin_t" in v:
+            assert taylor(v["sin_t"] ** 2 + v["cos_t"] ** 2) == {zero: 1}
+            f = v["sin_t"] ** 3 * v["x"] + v["cos_t"] * v["t"] ** 2 * v["y"]
+        else:
+            assert taylor(v["W"] ** 2 - v["x"] ** 2 - 1) == {}
+            assert taylor(v["V"] ** 2 - v["W"] - v["y"] ** 2 - 3) == {}
+            f = v["V"] ** 3 * v["x"] + v["W"] * v["y"] ** 2 + v["V"] * v["W"]
+        assert TaylorMap(ch, point, 0)(f) == {zero: _poly_mod(f, point.residues, p)}
+        series = taylor(f)
+        for i, coord in enumerate(ch.coordinates):
+            s, rules = _derivation_rules(ch, coord, [f])
+            d_series = {g[:i] + (g[i] - 1,) + g[i + 1:]: g[i] * c % p
+                        for g, c in series.items() if g[i]}
+            expected = _truncated_product(taylor(s), d_series, K - 1, p)
+            got = taylor(_poly_total_derivative(ch, f, rules))
+            assert {g: c for g, c in got.items() if sum(g) < K} == expected
+
+
+def test_points_with_a_vanishing_radicand_are_resampled():
+    """W^2 = x - 2 vanishes where x = 2; such a point is replaced by the
+    next one of its seed's stream, like a point with a nonsquare
+    radicand, so W stays a unit of the Taylor series."""
+    import random
+    ch = Chart(["x"])
+    ch.add_square_root("W", parse_expr(ch, "x - 2"))
+    hit = [seed for seed in range(1, 100)
+           if ch.sample_point(random.Random(seed))["x"] == 2]
+    assert hit
+    for seed in hit:
+        point = GenericPoint.sample(ch, seed)
+        assert point.values["x"] != 2
+        assert point.residues[1] and point.residues[1] ** 2 % point.prime == \
+            _mod(point.values["x"] - 2, point.prime)
 
 
 @pytest.mark.parametrize("radicand", [None, 3, 15, -1])

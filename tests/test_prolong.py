@@ -173,23 +173,33 @@ def test_tables_deterministic_for_seed(sphere):
     assert r1.bound == r2.bound
 
 
+def _nested_root_system():
+    """Killing system of V dx^2 + W dy^2 on the nested root chart
+    (W^2 = x^2 + 1, V^2 = W + y^2 + 3)."""
+    chart = nested_root_chart()
+    return S.invariance_system(G.TensorField(chart, ("d", "d"), {
+        (0, 0): chart.var("V"), (1, 1): chart.var("W")}))
+
+
 @pytest.mark.parametrize("seed", [1, 7, 17, 101])
-@pytest.mark.parametrize("case", ["sphere", "flat2", "flat3"])
+@pytest.mark.parametrize("case", ["sphere", "flat2", "flat3", "root-chart",
+                                  "flat-quaternionic", "nested-root"])
 def test_dropping_dependent_equations_keeps_tables(request, case, seed):
-    """solution_bound carries only equations independent at the sample
-    point forward; its tables equal those of the full prolongations."""
-    if case == "flat3":
-        chart = Chart(["x", "y", "z"])
-        g = G.TensorField(chart, ("d", "d"),
-                          {(i, i): chart.one() for i in range(3)})
+    """solution_bound carries only rows independent at the sample point
+    forward and takes them from Taylor jets; its tables equal those of
+    the full symbolic prolongations evaluated at the same point."""
+    if case == "root-chart":
+        system = S.invariance_system(_root_chart_metric()[1])
+    elif case == "nested-root":
+        system = _nested_root_system()
     else:
-        chart, g = request.getfixturevalue(case)
-    system = S.invariance_system(g)
+        system = _oracle_system(request, case)
     res = P.solution_bound(system, max_stage=3, seeds=(seed,))
-    point = P.GenericPoint.sample(chart, seed)
+    point = P.GenericPoint.sample(system.chart, seed)
     for k, table in enumerate(res.tables):
+        if k:
+            system = P.prolong(system)
         assert P.symbol_dimensions(system, point, stage=k + 1).dims == table.dims
-        system = P.prolong(system)
 
 
 def _rational_table(system, point):
