@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .exprfield import ExprError
+from .exprfield import ExprError, PoleError
 from .geometry import TensorField, bracket
 
 __all__ = [
@@ -257,13 +257,34 @@ def _mat_sub(a, b):
 _CLOSURE_SEEDS = (811, 822, 833, 844, 855)
 
 
+_POINT_TRIES = 200  # draws per seed before a closure gives up on its poles
+
+
 def _field_samples(fields: Sequence[TensorField], seeds) -> Tuple[List[List[Fraction]], list]:
-    """Evaluation matrix (rows: point x component, columns: field index)."""
+    """Evaluation matrix (rows: point x component, columns: field index).
+
+    Each seed gives the first point of its ``random.Random`` stream at
+    which no field component has a pole.  Bracket denominators divide
+    products of the fields' denominators, so no bracket has a pole there
+    either."""
     chart = fields[0].chart
-    points = [chart.sample_point(random.Random(seed)) for seed in seeds]
     n = len(chart.coordinates)
-    rows = [[f.comp(a).evaluate(pt) for f in fields]
-            for pt in points for a in range(n)]
+    rows: List[List[Fraction]] = []
+    points = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        for _ in range(_POINT_TRIES):
+            pt = chart.sample_point(rng)
+            try:
+                values = [[f.comp(a).evaluate(pt) for f in fields] for a in range(n)]
+            except PoleError:
+                continue
+            break
+        else:
+            raise LieAlgError(f"no sample point for seed {seed} in {_POINT_TRIES} "
+                              "draws avoids the poles of the fields")
+        rows.extend(values)
+        points.append(pt)
     return rows, points
 
 

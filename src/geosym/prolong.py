@@ -12,6 +12,19 @@ never does: it tracks each prolonged row by its provenance (E, beta)
 and takes the row of D^beta E at a point from the Taylor coefficients
 of E's coefficients there (:class:`~geosym.exprfield.TaylorMap`).
 
+Rows are sparse dicts from integer column codes to residues
+(:class:`_Columns`): the code of X^a_alpha is
+-|alpha| m B^n + a B^n + sum_i alpha_i B^(n-1-i), for n coordinates, m
+unknowns and B above every jet order met, so codes sort like the graded
+keys (-|alpha|, a, alpha) and the column of X^a_(alpha+beta-gamma) is
+that of X^a_alpha plus a shift fixed by beta - gamma.  The elimination
+(:class:`_GradedElimination`) takes each row's next pivot from a heap of
+its codes and reduces an entry mod p only when it is tested as a pivot
+or stored.  Relabelling the columns in the same order and reducing
+later change no row space and no pivot choice, so pivots, ranks and
+tables are those of elimination on the graded keys with every step
+reduced.
+
 Soundness of the elimination mod p.  The Taylor map at a point, to
 order K and mod its prime p, is a ring homomorphism from the coordinate
 ring (with coefficients whose denominators are units mod p) to
@@ -31,7 +44,7 @@ tables are taken at several points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import comb, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -73,38 +86,75 @@ class Equation:
         return max((sum(alpha) for (_, alpha) in self.coeffs), default=0)
 
     def evaluate_sparse(self, point: GenericPoint, beta: Tuple[int, ...],
-                        taylor: TaylorMap) -> Dict[Tuple[int, int, Tuple[int, ...]], int]:
+                        taylor: TaylorMap, columns: _Columns) -> Dict[int, int]:
         """Row of the total derivative D^beta of this equation at the point
-        in GF(point.prime), keyed by the graded column key (-order,
-        unknown, multi-index) so that min() picks the jet coordinate
-        eliminated first.
+        in GF(point.prime), keyed by the integer column code of
+        ``columns``, whose order is the order of elimination.
 
         By Leibniz, D^beta (c X^a_alpha) is the sum over gamma <= beta of
         beta!/(beta-gamma)! T_gamma(c) X^a_(alpha+beta-gamma), where
         T_gamma(c) is the Taylor coefficient of c at the point: ``taylor``,
         the point's :class:`~geosym.exprfield.TaylorMap` of order |beta|
-        at least, supplies it.  With beta = 0 this is c(point) X^a_alpha."""
+        at least, supplies it.  With beta = 0 this is c(point) X^a_alpha.
+        The code of X^a_(alpha+beta-gamma) is the code of X^a_alpha plus a
+        shift that depends on beta - gamma only."""
         prime = point.prime
-        row: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
+        if self.order + sum(beta) >= columns.base:
+            raise ProlongError("jet order beyond the column coding")
+        shifts = columns.shifts(beta)
+        row: Dict[int, int] = {}
         try:
             for (a, alpha), c in self.coeffs.items():
+                key = columns.code(a, alpha)
                 jet = taylor(c)
-                for gamma, weight in _leibniz(beta):
+                for gamma, weight, delta in shifts:
                     t = jet.get(gamma)
                     if t:
-                        up = tuple(x + b - g for x, b, g in zip(alpha, beta, gamma))
-                        key = (-sum(up), a, up)
-                        row[key] = (row.get(key, 0) + weight * t) % prime
+                        k = key + delta
+                        row[k] = row.get(k, 0) + weight * t
         except PoleError as ex:
             raise ProlongError(str(ex)) from None
-        return {k: v for k, v in row.items() if v}
+        return {k: r for k, v in row.items() if (r := v % prime)}
 
 
-@lru_cache(maxsize=None)
-def _leibniz(beta: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
-    """(gamma, beta!/(beta-gamma)!) for each multi-index gamma <= beta."""
-    return tuple((gamma, prod(perm(b, g) for b, g in zip(beta, gamma)))
-                 for gamma in product(*(range(b + 1) for b in beta)))
+class _Columns:
+    """Integer codes of the jet coordinates X^a_alpha (n coordinates, m
+    unknowns, orders below ``base`` B):
+
+        code(a, alpha) = -|alpha| m B^n + a B^n + sum_i alpha_i B^(n-1-i).
+
+    Each alpha_i is below B, so the last sum is a base-B numeral below
+    B^n and a below m: codes sort exactly like the keys
+    (-|alpha|, a, alpha), highest order first, and the order is
+    -(code // (m B^n)).  The code is linear in alpha, so the column of
+    X^a_(alpha+beta-gamma) is code(a, alpha) + code(0, beta-gamma).
+    """
+
+    def __init__(self, n: int, m: int, top: int):
+        self.base = top + 1  # every jet order met is at most ``top``
+        self._radix = tuple(self.base ** (n - 1 - i) for i in range(n))
+        self._block = self.base ** n
+        self._unit = m * self._block
+        self._shifts: Dict[Tuple[int, ...], Tuple[Tuple[Tuple[int, ...], int, int], ...]] = {}
+
+    def code(self, a: int, alpha: Sequence[int]) -> int:
+        return (-sum(alpha) * self._unit + a * self._block
+                + sum(x * r for x, r in zip(alpha, self._radix)))
+
+    def order(self, code: int) -> int:
+        return -(code // self._unit)
+
+    def shifts(self, beta: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], int, int], ...]:
+        """The Leibniz terms of D^beta: (gamma, beta!/(beta-gamma)!,
+        code(0, beta-gamma)) for each multi-index gamma <= beta, the last
+        entry being the shift the term adds to a column code."""
+        out = self._shifts.get(beta)
+        if out is None:
+            out = self._shifts[beta] = tuple(
+                (gamma, prod(perm(b, g) for b, g in zip(beta, gamma)),
+                 self.code(0, [b - g for b, g in zip(beta, gamma)]))
+                for gamma in product(*(range(b + 1) for b in beta)))
+        return out
 
 
 class LinearPDESystem:
@@ -213,48 +263,65 @@ class SymbolTable:
 
 class _GradedElimination:
     """Incremental echelon form over sparse GF(prime) rows keyed by the
-    graded column key (-order, unknown, multi-index).
+    integer column codes of :class:`_Columns`, smallest code (highest
+    jet order) eliminated first.
 
     Whatever order rows arrive in, the resulting pivot-key set is the
     canonical one: a column is a pivot exactly when it enlarges the rank
     of the leading column block, which depends only on the row space.
+    ``rows`` maps each pivot to the rest of its stored row as a tuple of
+    keys and a tuple of their entries, reduced mod the prime; the pivot
+    entry is 1.
     """
 
-    def __init__(self, prime: int):
+    def __init__(self, prime: int, columns: _Columns):
         self.prime = prime
-        self.rows: Dict[Tuple, Dict[Tuple, int]] = {}
+        self.columns = columns
+        self.rows: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def add(self, row: Dict[Tuple, int]) -> Optional[Tuple]:
-        """Reduce the row; store it (pivot entry 1) and return its pivot
-        key, or return None if it is dependent on the rows seen so far."""
-        prime = self.prime
+    def add(self, row: Dict[int, int]) -> Optional[int]:
+        """Reduce the row (integers, read mod the prime); store it (pivot
+        entry 1) and return its pivot key, or return None if it is
+        dependent on the rows seen so far.
+
+        The next pivot candidate is the least key on a heap of the row's
+        keys.  Entries stay integers congruent to their residues until
+        that key is popped: each is reduced before it is tested as a
+        pivot or stored, so the result is that of reducing every step."""
+        prime, rows = self.prime, self.rows
         row = dict(row)
-        while row:
-            p = min(row)
-            krow = self.rows.get(p)
-            if krow is None:
-                inv = pow(row[p], prime - 2, prime)
-                self.rows[p] = {k: v * inv % prime for k, v in row.items()}
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            f = row.pop(p) % prime
+            if not f:
+                continue
+            tail = rows.get(p)
+            if tail is None:
+                inv = pow(f, prime - 2, prime)
+                kept = [(k, r) for k, v in row.items() if (r := v * inv % prime)]
+                rows[p] = (tuple(k for k, _ in kept), tuple(r for _, r in kept))
                 return p
-            f = row.pop(p)
-            for k, v in krow.items():
-                if k == p:
-                    continue
-                nv = (row.get(k, 0) - f * v) % prime
-                if nv:
-                    row[k] = nv
+            for k, v in zip(*tail):
+                old = row.get(k)
+                if old is None:
+                    row[k] = -f * v
+                    heappush(heap, k)
                 else:
-                    row.pop(k, None)
+                    row[k] = old - f * v
         return None
 
     def pivots_per_order(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
-        for (neg_order, _, _) in self.rows:
-            out[-neg_order] = out.get(-neg_order, 0) + 1
+        order = self.columns.order
+        for p in self.rows:
+            k = order(p)
+            out[k] = out.get(k, 0) + 1
         return out
 
 
@@ -273,10 +340,11 @@ def symbol_dimensions(system: LinearPDESystem, point: GenericPoint,
     """dim g_k for k = 0..order: order-k jet freedom left after
     elimination mod the point's prime of the evaluated system, higher
     orders eliminated first."""
-    elim = _GradedElimination(point.prime)
+    columns = _Columns(system.chart.dim, system.n_unknowns, system.order)
+    elim = _GradedElimination(point.prime, columns)
     taylor, zero = TaylorMap(system.chart, point, 0), (0,) * system.chart.dim
     for eq in system.equations:
-        elim.add(eq.evaluate_sparse(point, zero, taylor))
+        elim.add(eq.evaluate_sparse(point, zero, taylor, columns))
     return _symbol_table(elim, system, stage, system.order)
 
 
@@ -344,7 +412,8 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
         raise ProlongError("max_stage must be at least 1")
     chart = system.chart
     points = [GenericPoint.sample(chart, s) for s in seeds]
-    elims = [_GradedElimination(p.prime) for p in points]
+    columns = _Columns(chart.dim, system.n_unknowns, system.order + max_stage)
+    elims = [_GradedElimination(p.prime, columns) for p in points]
 
     def admit(rows: Sequence[Row]) -> List[Row]:
         """Add the rows at all points, through Taylor maps of the rows'
@@ -355,7 +424,7 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
         taylors = [TaylorMap(chart, p, order) for p in points]
         kept = []
         for eq, beta in rows:
-            pivots = [el.add(eq.evaluate_sparse(p, beta, tm))
+            pivots = [el.add(eq.evaluate_sparse(p, beta, tm, columns))
                       for p, el, tm in zip(points, elims, taylors)]
             if any(pv is not None for pv in pivots):
                 kept.append((eq, beta))

@@ -156,3 +156,15 @@ def test_killing_bound_of_zero_metric_is_inconclusive(tmp_path, capsys):
     assert "[FAIL]" in out
     assert "equations: 0" in out
     assert "no independent equation left after stage 1" in out
+
+
+def test_closure_with_a_pole_at_the_first_sample_point(tmp_path, capsys):
+    """The first closure sample point has x = 2; a field with a pole
+    there is evaluated at the next point of the seed's stream."""
+    model = tmp_path / "pole.model"
+    model.write_text("[chart]\ncoordinates = x, y\n\n[vector a]\na[y] = 1\n\n"
+                     "[vector b]\nb[y] = 1/(x-2)\n\n"
+                     "[task algebra]\nkind = closure\nfields = a, b\n"
+                     "expect_dimension = 2\nexpect_derived_dimension = 0\n")
+    assert main(["run", str(model)]) == 0
+    assert "dimension: 2" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Exact Lie-algebra toolkit: closures, subalgebras, representations,
 equivariant tensors, and vanishing loci."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,31 @@ def test_closure_rejects_non_closed_span():
     f2 = G.vector(chart, [parse_expr(chart, "x^2")])
     with pytest.raises(L.LieAlgError, match="not closed"):
         L.closure_from_fields([f1, f2])
+
+
+def _pole_fields(pole):
+    """a = d/dy and b = 1/(x - pole) d/dy: an abelian pair."""
+    chart = Chart(["x", "y"])
+    a = G.vector(chart, [chart.zero(), chart.one()])
+    b = G.vector(chart, [chart.zero(), parse_expr(chart, f"1/(x-{pole})")])
+    return chart, [a, b]
+
+
+@pytest.mark.parametrize("pole", [2, 3])
+def test_closure_skips_sample_points_at_a_pole(pole):
+    chart, fields = _pole_fields(pole)
+    first = chart.sample_point(random.Random(L._CLOSURE_SEEDS[0]))
+    assert first["x"] == 2  # so pole 2 sits at the first draw
+    alg = L.closure_from_fields(fields)
+    assert alg.dimension == 2
+    assert len(alg.center()) == 2
+
+
+def test_closure_gives_up_after_bounded_draws(monkeypatch):
+    _, fields = _pole_fields(2)
+    monkeypatch.setattr(L, "_POINT_TRIES", 1)
+    with pytest.raises(L.LieAlgError, match="poles"):
+        L.closure_from_fields(fields)
 
 
 def test_centralizer_so3():

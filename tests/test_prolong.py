@@ -3,9 +3,10 @@ verification."""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, perm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geosym import _linalg
 from geosym import geometry as G
@@ -313,3 +314,116 @@ def test_formal_roots_map_to_square_roots_mod_p():
         assert point.prime % 4 == 1
         assert point.values == chart.sample_point(random.Random(seed))
         assert point.residues[1] ** 2 % point.prime == 3
+
+
+def _multi_indices(n, top):
+    """Every alpha in N^n with |alpha| <= top."""
+    if n == 0:
+        return [()]
+    return [(i,) + rest for i in range(top + 1) for rest in _multi_indices(n - 1, top - i)]
+
+
+def _graded_keys(n, m, top):
+    """Every graded key (-|alpha|, a, alpha) with |alpha| <= top."""
+    return [(-sum(alpha), a, alpha) for alpha in _multi_indices(n, top) for a in range(m)]
+
+
+# (n, m, top): small charts, and the flat R^8 quaternionic system
+# (n = m = 8, first order, max_stage 6) as solution_bound codes it
+@pytest.mark.parametrize("n, m, top", [(1, 1, 0), (1, 3, 5), (2, 2, 7), (3, 4, 5),
+                                       (4, 8, 4), (8, 8, 7)])
+def test_column_codes_sort_like_graded_keys(n, m, top):
+    cols = P._Columns(n, m, top)
+    keys = _graded_keys(n, m, top)
+    code = {key: cols.code(key[1], key[2]) for key in keys}
+    assert sorted(keys, key=code.get) == sorted(keys)
+    assert all(cols.order(code[key]) == -key[0] for key in keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_column_codes_and_shifts_for_any_size(data):
+    """For n, m <= 8 and any top order: two codes compare like their
+    graded keys, the order decodes, and the shift of beta - gamma moves
+    the column of X^a_alpha to that of X^a_(alpha+beta-gamma)."""
+    n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    top = data.draw(st.integers(0, 12))
+    cols = P._Columns(n, m, top)
+
+    def key():
+        a = data.draw(st.integers(0, m - 1))
+        alpha = [0] * n
+        for _ in range(data.draw(st.integers(0, top))):
+            alpha[data.draw(st.integers(0, n - 1))] += 1
+        return (-sum(alpha), a, tuple(alpha))
+
+    k1, k2 = key(), key()
+    c1, c2 = cols.code(k1[1], k1[2]), cols.code(k2[1], k2[2])
+    assert (c1 < c2) == (k1 < k2) and (c1 == c2) == (k1 == k2)
+    assert cols.order(c1) == -k1[0]
+    alpha, beta = k1[2], k2[2]
+    if sum(alpha) + sum(beta) <= top:
+        shifts = cols.shifts(beta)
+        assert len({gamma for gamma, _, _ in shifts}) == prod(b + 1 for b in beta)
+        for gamma, weight, delta in shifts:
+            assert all(g <= b for g, b in zip(gamma, beta))
+            up = tuple(x + b - g for x, b, g in zip(alpha, beta, gamma))
+            assert c1 + delta == cols.code(k1[1], up)
+            assert weight == prod(perm(b, g) for b, g in zip(beta, gamma))
+
+
+def _dense_pivots(rows, columns, prime):
+    """Pivot columns of the reduced row echelon form mod prime of the
+    dense matrix whose columns are ``columns`` in ascending order."""
+    mat = [[r.get(c, 0) % prime for c in columns] for r in rows]
+    pivots = []
+    for j, c in enumerate(columns):
+        rank = len(pivots)
+        i = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+        if i is None:
+            continue
+        mat[rank], mat[i] = mat[i], mat[rank]
+        inv = pow(mat[rank][j], prime - 2, prime)
+        mat[rank] = [v * inv % prime for v in mat[rank]]
+        for i, r in enumerate(mat):
+            if i != rank and r[j]:
+                mat[i] = [(x - r[j] * y) % prime for x, y in zip(r, mat[rank])]
+        pivots.append(c)
+    return pivots
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_graded_elimination_matches_dense_reference(data):
+    """Random sparse integer rows (read mod p, so entries may be
+    unreduced or multiples of p), some of them combinations of earlier
+    rows that cancel to 0 mod p: the pivot keys, per-order counts and
+    rank equal those of dense elimination mod p, whatever order the
+    rows are added in, and every stored row is reduced with pivot 1."""
+    prime = data.draw(st.sampled_from([7, P.PRIME]))
+    n, m, top = (data.draw(st.integers(1, 3)) for _ in range(3))
+    cols = P._Columns(n, m, top)
+    keys = sorted(cols.code(a, alpha) for _, a, alpha in _graded_keys(n, m, top))
+    pool = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=10, unique=True))
+    entry = st.one_of(st.integers(-3 * prime, 3 * prime), st.sampled_from([0, prime, -prime]))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        if len(rows) >= 2 and data.draw(st.booleans()):
+            r1, r2 = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            f1, f2 = data.draw(entry), data.draw(entry)
+            row = {k: f1 * r1.get(k, 0) + f2 * r2.get(k, 0) for k in set(r1) | set(r2)}
+        else:
+            row = data.draw(st.dictionaries(st.sampled_from(pool), entry, min_size=1))
+        rows.append({k: v for k, v in row.items() if v})
+    ref = _dense_pivots(rows, sorted({k for r in rows for k in r}), prime)
+    ref_orders = {}
+    for c in ref:
+        ref_orders[cols.order(c)] = ref_orders.get(cols.order(c), 0) + 1
+    for ordered in (rows, data.draw(st.permutations(rows))):
+        elim = P._GradedElimination(prime, cols)
+        pivots = [elim.add(r) for r in ordered]
+        assert sorted(p for p in pivots if p is not None) == sorted(elim.rows) == ref
+        assert elim.rank == len(ref)
+        assert elim.pivots_per_order() == ref_orders
+        for p, tail in elim.rows.items():
+            assert all(k > p and 0 < v < prime for k, v in zip(*tail))

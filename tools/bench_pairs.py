@@ -1,0 +1,97 @@
+"""Compare two checkouts on one benchmark workload in alternating pairs.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload W --seeds A-B
+
+For each seed (``A-B`` is a range, ``A,B,...`` a list) it runs the
+untraced ``perfbench/run.py`` of both checkouts, each in a fresh
+interpreter and one run at a time: the parent first in even-numbered
+pairs and the change first in odd-numbered ones.  Both checkouts' own
+``BENCHMARK.json`` must give the same run length.  For each end-to-end
+metric it prints each side's median and quartiles
+(``statistics.quantiles`` with ``n=4``), the pairs the change wins
+(ties count for neither side) and whether the change shows a gain: it
+wins at least nine tenths of the pairs, and its median is better than
+the parent's by more than the distance between the parent's quartiles.
+It writes nothing itself; each ``run.py`` writes only under its own
+``perfbench/out``.  Exit code 1 when any run reports an incorrect
+answer.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+from typing import Dict, List
+
+from bench_record import run
+
+
+def parse_seeds(text: str) -> List[int]:
+    if "-" in text:
+        lo, hi = (int(x) for x in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(x) for x in text.split(",")]
+
+
+def benchmark(root: str) -> dict:
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def quartiles(values: List[float]):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="A-B or A,B,...")
+    args = parser.parse_args()
+    roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    benches = {side: benchmark(root) for side, root in roots.items()}
+    seconds = {b["run_seconds"] for b in benches.values()}
+    if len(seconds) != 1:
+        print(f"the checkouts' run lengths differ: {sorted(seconds)}", file=sys.stderr)
+        return 2
+    seconds = seconds.pop()
+    metrics = benches["change"]["end_to_end"]
+    values: Dict[str, Dict[str, List[float]]] = {
+        side: {m["name"]: [] for m in metrics} for side in roots}
+    incorrect = 0
+    for i, seed in enumerate(parse_seeds(args.seeds)):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            result = run(roots[side], args.workload, seed, seconds, 0)
+            incorrect += not result["correct"]
+            for m in metrics:
+                values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
+            print(f"pair {i} seed {seed} {side}: correct {result['correct']}, "
+                  + ", ".join(f"{m['name']} {result['metrics'][m['name']]['value']:.4g}"
+                              for m in metrics), flush=True)
+    for m in metrics:
+        name, sign = m["name"], (1 if m["better"] == "lower" else -1)
+        parent, change = values["parent"][name], values["change"][name]
+        wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+        losses = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        pq1, pmed, pq3 = quartiles(parent)
+        cq1, cmed, cq3 = quartiles(change)
+        gap, iqr = sign * (pmed - cmed), pq3 - pq1
+        gain = wins >= 0.9 * len(parent) and gap > iqr
+        print(f"{args.workload} {name} ({m['unit']}, {m['better']} is better):\n"
+              f"  parent median {pmed:.4g}, quartiles {pq1:.4g} / {pq3:.4g}\n"
+              f"  change median {cmed:.4g}, quartiles {cq1:.4g} / {cq3:.4g}\n"
+              f"  change wins {wins}, loses {losses} of {len(parent)} pairs; "
+              f"median gain {gap:.4g} vs parent IQR {iqr:.4g}: "
+              f"{'gain' if gain else 'no gain shown'}")
+    print(f"incorrect runs: {incorrect}")
+    return 1 if incorrect else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
