@@ -8,11 +8,12 @@ ds = c, dc = -s on the pair's own angle) and square roots
 (relation W^2 - q, derivation dW = dq / (2W)).
 
 Arithmetic in the field is exact rational; no floating point anywhere.
-Generic-point checks (the ``is_zero`` cross-check, and symbol ranks in
-:mod:`geosym.prolong`) evaluate at seeded :class:`GenericPoint` s, each
-reduced modulo its own prime: 2^61 - 1, or a prime below it where the
-chart's radicands are nonzero squares.  Symbol ranks of prolonged rows
-use the truncated Taylor series at such a point (:class:`TaylorMap`).
+Generic-point checks (the cross-check of each zero normal form when it
+is built, and symbol ranks in :mod:`geosym.prolong`) evaluate at seeded
+:class:`GenericPoint` s, each reduced modulo its own prime: 2^61 - 1, or
+a prime below it where the chart's radicands are nonzero squares.
+Symbol ranks of prolonged rows use the truncated Taylor series at such a
+point (:class:`TaylorMap`).
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ class Chart:
 
 PRIME = 2 ** 61 - 1  # the prime of every point of a chart without root generators
 _MAX_PRIMES = 64
-_POOL_SEED = 0x5EED  # seed of the first is_zero cross-check point
+_POOL_SEED = 0x5EED  # seed of the first zero cross-check point
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,57 +519,43 @@ class Expr:
     Immutable.  Construction always normalizes: both polynomials are
     reduced modulo the relation ideal, the denominator is cleared of
     quadratic generators, the gcd is cancelled and the denominator made
-    monic.  Field-equal expressions therefore share a representation.
+    monic.  Field-equal expressions therefore share a representation,
+    and an element is zero exactly when its numerator is.
     """
 
-    __slots__ = ("chart", "_num", "_den", "_raw")
+    __slots__ = ("chart", "_num", "_den")
 
-    def __init__(self, chart: Chart, num, den, raw=None):
+    def __init__(self, chart: Chart, num, den):
+        """Normalize num/den.
+
+        A numerator that is not the zero polynomial but reduces to zero is
+        cross-checked here, once: the unreduced pair must vanish at the
+        chart's pool of :class:`GenericPoint` s, mod each point's prime.
+        A point where the denominator or a coefficient's denominator is
+        0 mod the prime is skipped; the check stops after two checked
+        points of six.  A nonzero value raises
+        :class:`KernelInconsistency`.  A true zero maps to zero, so the
+        check never raises falsely.
+        """
         if num.ring is not chart._ring:
             num = chart._lift(num, len(num.ring.gens))
         if den.ring is not chart._ring:
             den = chart._lift(den, len(den.ring.gens))
         self.chart = chart
-        # keep the pre-normalization pair for the evaluation cross-check
-        self._raw = raw if raw is not None else (num, den)
-        num = chart._reduce_poly(num)
-        den = chart._reduce_poly(den)
-        if not den:
+        n = chart._reduce_poly(num)
+        d = chart._reduce_poly(den)
+        if not d:
             raise DivisionByZero("division by an expression that reduces to zero")
-        if num:
-            num, den = chart._derationalize(num, den)
-            g = num.gcd(den)
+        if n:
+            n, d = chart._derationalize(n, d)
+            g = n.gcd(d)
             if not g.is_one:
-                num = num.exquo(g)
-                den = den.exquo(g)
+                n, d = _exquo(n, g), _exquo(d, g)
         else:
-            den = chart._ring.one
-        lc = den.LC
-        if lc != 1:
-            inv = _qq(Fraction(1) / _fr(lc))
-            num = num.mul_ground(inv)
-            den = den.mul_ground(inv)
-        self._num = num
-        self._den = den
-
-    # -- basics -----------------------------------------------------------
-
-    def is_zero(self, cross_check: bool = True) -> bool:
-        """True iff the reduced numerator is the zero polynomial.
-
-        A zero verdict is cross-checked by evaluating the
-        pre-normalization numerator at the chart's pool of
-        :class:`GenericPoint` s, mod each point's prime (a point where
-        the denominator or a coefficient's denominator is 0 mod the
-        prime is skipped); a nonzero value raises
-        :class:`KernelInconsistency`.  A true zero maps to zero, so the
-        check never raises falsely.
-        """
-        verdict = not self._num
-        if cross_check and verdict:
-            num, den = self._raw
+            d = chart._ring.one
             checked = 0
-            for point in self.chart._check_pool(6):
+            # the zero polynomial itself needs no check
+            for point in (chart._check_pool(6) if num else ()):
                 try:
                     if not _poly_mod(den, point.residues, point.prime):
                         continue
@@ -577,12 +564,27 @@ class Expr:
                     continue
                 if v:
                     raise KernelInconsistency(
-                        "reduction reports zero but evaluation is nonzero; kernel bug"
-                    )
+                        "reduction reports zero but evaluation is nonzero; kernel bug")
                 checked += 1
                 if checked >= 2:
                     break
-        return verdict
+        lc = d.LC
+        if lc != 1:
+            inv = _qq(Fraction(1) / _fr(lc))
+            n = n.mul_ground(inv)
+            d = d.mul_ground(inv)
+        self._num = n
+        self._den = d
+
+    # -- basics -----------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        """True iff the reduced numerator is the zero polynomial (a zero
+        normal form was cross-checked when it was built)."""
+        return not self._num
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
 
     def is_one(self) -> bool:
         return self._num == self._den
@@ -647,7 +649,7 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if o.is_zero(cross_check=False):
+        if o.is_zero():
             raise DivisionByZero("division by an expression that reduces to zero")
         n1, d1 = self.chart._current(self)
         n2, d2 = self.chart._current(o)
@@ -744,12 +746,19 @@ def _eval_poly(p, vals):
     return total
 
 
+def _exquo(p, q):
+    """p / q for q dividing p, as a fresh polynomial: sympy's
+    ``PolyElement.exquo`` builds its quotient in place and keeps the
+    cached hash of the zero polynomial it started from."""
+    return p.exquo(q).copy()
+
+
 def _lcm(ring, polys):
     """Monic least common multiple of the polynomials (ring.one if none)."""
     out = ring.one
     for p in polys:
         if not p.is_one:
-            out = out * p.exquo(out.gcd(p))
+            out = out * _exquo(p, out.gcd(p))
     return out
 
 
@@ -768,7 +777,7 @@ def _derivation_rules(chart: Chart, coordinate: str, polys):
             rules[i] = chart._current(rule)
     s = _lcm(chart._ring, [den for _, den in rules.values()])
     # denominators are free of quadratic generators, so r stays reduced
-    return s, {i: num * s.exquo(den) for i, (num, den) in rules.items()}
+    return s, {i: num * _exquo(s, den) for i, (num, den) in rules.items()}
 
 
 def _poly_total_derivative(chart: Chart, p, rules):
@@ -790,7 +799,7 @@ def _var_derivative(chart: Chart, var: str, coordinate: str) -> Optional[Expr]:
             return None
         return chart.var(g.partner) if g.kind == "sin" else -chart.var(g.partner)
     dq = g.square_rhs.differentiate(coordinate)  # root generator
-    if dq.is_zero(cross_check=False):
+    if dq.is_zero():
         return None
     return dq / (2 * chart.var(var))
 
@@ -806,7 +815,7 @@ def exact_sqrt(e: Expr) -> Optional[Expr]:
     right-hand side (e.g. 1 - cos^2 = sin^2).
     """
     ch = e.chart
-    if e.is_zero(cross_check=False):
+    if e.is_zero():
         return ch.zero()
     # sqrt(n/d) = sqrt(n*d)/d
     n, d = ch._current(e)
@@ -847,7 +856,7 @@ def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
             if g.square_rhs is None or g.square_rhs.is_constant():
                 continue
             q = rem / g.square_rhs
-            if q._den.is_one and (q * g.square_rhs - rem).is_zero(cross_check=False):
+            if q._den.is_one and (q * g.square_rhs - rem).is_zero():
                 rem = q
                 root = root * ch.var(g.name)
                 progress = True

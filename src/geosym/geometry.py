@@ -181,7 +181,7 @@ def _det(m: List[List[Expr]], chart: Chart) -> Expr:
         return m[0][0]
     total = chart.zero()
     for j in range(n):
-        if m[0][j].is_zero(cross_check=False):
+        if m[0][j].is_zero():
             continue
         minor = [row[:j] + row[j + 1:] for row in m[1:]]
         term = m[0][j] * _det(minor, chart)
@@ -205,7 +205,7 @@ def metric_inverse(g: TensorField) -> TensorField:
     return TensorField(g.chart, ("u", "u"), comps)
 
 
-def levi_civita(g: TensorField, check: bool = False) -> Connection:
+def levi_civita(g: TensorField) -> Connection:
     """Unique torsion-free metric connection of ``g``."""
     if g.variance != ("d", "d"):
         raise GeometryError("levi_civita expects a (0,2) tensor")
@@ -221,17 +221,13 @@ def levi_civita(g: TensorField, check: bool = False) -> Connection:
             for j in range(i, n):
                 s = g.chart.zero()
                 for l in range(n):
-                    if ginv.comp(k, l).is_zero(cross_check=False):
+                    if ginv.comp(k, l).is_zero():
                         continue
                     s = s + ginv.comp(k, l) * (dg[(l, j, i)] + dg[(l, i, j)] - dg[(i, j, l)])
                 s = s / 2
                 gamma[(k, i, j)] = s
                 gamma[(k, j, i)] = s
-    D = Connection(g.chart, gamma)
-    if check:
-        if not covariant_derivative(D, g).is_zero():
-            raise GeometryError("internal error: Levi-Civita connection not metric")
-    return D
+    return Connection(g.chart, gamma)
 
 
 def covariant_derivative(D: Connection, T: TensorField) -> TensorField:
@@ -248,7 +244,7 @@ def covariant_derivative(D: Connection, T: TensorField) -> TensorField:
                     jdx = list(idx)
                     jdx[p] = m
                     t = T.comp(*jdx)
-                    if t.is_zero(cross_check=False):
+                    if t.is_zero():
                         continue
                     if v == "u":
                         s = s + D.comp(idx[p], i, m) * t
@@ -305,14 +301,14 @@ def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
         s = T.chart.zero()
         for m in range(n):
             xm = X.comp(m)
-            if not xm.is_zero(cross_check=False):
+            if not xm.is_zero():
                 s = s + xm * T.comp(*idx).differentiate(coords[m])
         for p, v in enumerate(T.variance):
             for m in range(n):
                 jdx = list(idx)
                 jdx[p] = m
                 t = T.comp(*jdx)
-                if t.is_zero(cross_check=False):
+                if t.is_zero():
                     continue
                 if v == "d":
                     s = s + dX[m][idx[p]] * t
@@ -470,7 +466,7 @@ def curvature_type_split(R: TensorField, J: TensorField) -> CurvatureSplit:
             s = chart.zero()
             for k, l in itertools.product(range(n), repeat=2):
                 t = T.comp(a, b, k, l)
-                if t.is_zero(cross_check=False):
+                if t.is_zero():
                     continue
                 s = s + J.comp(k, i) * J.comp(l, j) * t
             comps[(a, b, i, j)] = s
@@ -486,7 +482,7 @@ def curvature_type_split(R: TensorField, J: TensorField) -> CurvatureSplit:
             s = chart.zero()
             for c, k in itertools.product(range(n), repeat=2):
                 t = T.comp(c, b, k, j)
-                if t.is_zero(cross_check=False):
+                if t.is_zero():
                     continue
                 s = s + J.comp(a, c) * J.comp(k, i) * t
             comps[(a, b, i, j)] = s
@@ -602,11 +598,10 @@ def _asd_orthogonal(g: TensorField, orientation: int):
     # projector (Id - orientation * star)/2 maps onto the ASD forms
     proj = [[(chart.const(1 if r == c else 0) - chart.const(orientation) * star[r][c]) / 2
              for c in range(6)] for r in range(6)]
-    cols = [[proj[r][c] for r in range(6)] for c in range(6)]
-    keep = _linalg.independent_rows(cols, is_zero=lambda e: e.is_zero(cross_check=False))
+    keep = _linalg.rref(proj)[1]  # the columns outside the span of those before
     if len(keep) != 3:
         raise GeometryError("ASD projector rank is not 3; metric degenerate?")
-    forms = [{basis[r]: cols[c][r] for r in range(6)} for c in keep[:3]]
+    forms = [{basis[r]: proj[r][c] for r in range(6)} for c in keep]
     ginv = metric_inverse(g)
 
     def inner(f1, f2) -> Expr:
@@ -614,7 +609,7 @@ def _asd_orthogonal(g: TensorField, orientation: int):
         s = chart.zero()
         for (a, b), e1 in f1.items():
             for (c, d), e2 in f2.items():
-                if e1.is_zero(cross_check=False) or e2.is_zero(cross_check=False):
+                if e1.is_zero() or e2.is_zero():
                     continue
                 up = ginv.comp(a, c) * ginv.comp(b, d) - ginv.comp(a, d) * ginv.comp(b, c)
                 s = s + e1 * e2 * up
@@ -626,7 +621,7 @@ def _asd_orthogonal(g: TensorField, orientation: int):
         cur = dict(f)
         for prev, nrm in ortho:
             c = inner(cur, prev) / nrm
-            if c.is_zero(cross_check=False):
+            if c.is_zero():
                 continue
             for key in set(cur) | set(prev):
                 cur[key] = cur.get(key, chart.zero()) - c * prev.get(key, chart.zero())

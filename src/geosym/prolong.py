@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from sympy.polys.rings import PolyElement
 
 from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, PoleError, TaylorMap,
-                        _derivation_rules, _lcm, _poly_total_derivative)
+                        _derivation_rules, _exquo, _lcm, _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
 
@@ -85,11 +85,11 @@ class Equation:
     def order(self) -> int:
         return max((sum(alpha) for (_, alpha) in self.coeffs), default=0)
 
-    def evaluate_sparse(self, point: GenericPoint, beta: Tuple[int, ...],
-                        taylor: TaylorMap, columns: _Columns) -> Dict[int, int]:
+    def evaluate_sparse(self, beta: Tuple[int, ...], taylor: TaylorMap,
+                        columns: _Columns) -> Dict[int, int]:
         """Row of the total derivative D^beta of this equation at the point
-        in GF(point.prime), keyed by the integer column code of
-        ``columns``, whose order is the order of elimination.
+        of ``taylor`` in GF(taylor.prime), keyed by the integer column code
+        of ``columns``, whose order is the order of elimination.
 
         By Leibniz, D^beta (c X^a_alpha) is the sum over gamma <= beta of
         beta!/(beta-gamma)! T_gamma(c) X^a_(alpha+beta-gamma), where
@@ -98,7 +98,7 @@ class Equation:
         at least, supplies it.  With beta = 0 this is c(point) X^a_alpha.
         The code of X^a_(alpha+beta-gamma) is the code of X^a_alpha plus a
         shift that depends on beta - gamma only."""
-        prime = point.prime
+        prime = taylor.prime
         if self.order + sum(beta) >= columns.base:
             raise ProlongError("jet order beyond the column coding")
         shifts = columns.shifts(beta)
@@ -180,7 +180,7 @@ class LinearPDESystem:
         eqs = []
         for i, m in enumerate(maps):
             pairs = {k: chart._current(v) for k, v in m.items()
-                     if not v.is_zero(cross_check=False)}
+                     if not v.is_zero()}
             if pairs:
                 eqs.append(Equation(_clear_denominators(chart, pairs),
                                     base=i, deriv=zero_d))
@@ -344,7 +344,7 @@ def symbol_dimensions(system: LinearPDESystem, point: GenericPoint,
     elim = _GradedElimination(point.prime, columns)
     taylor, zero = TaylorMap(system.chart, point, 0), (0,) * system.chart.dim
     for eq in system.equations:
-        elim.add(eq.evaluate_sparse(point, zero, taylor, columns))
+        elim.add(eq.evaluate_sparse(zero, taylor, columns))
     return _symbol_table(elim, system, stage, system.order)
 
 
@@ -373,7 +373,7 @@ def _clear_denominators(chart: Chart, pairs: Dict[JetKey, Tuple]) -> Dict[JetKey
     lcd = _lcm(chart._ring, [den for _, den in pairs.values()])
     nums = {}
     for k, (num, den) in pairs.items():
-        f = lcd if den.is_one else lcd.exquo(den)
+        f = lcd if den.is_one else _exquo(lcd, den)
         nums[k] = chart._reduce_poly(num * f) if not f.is_one else num
     content = None
     for p in nums.values():
@@ -382,7 +382,7 @@ def _clear_denominators(chart: Chart, pairs: Dict[JetKey, Tuple]) -> Dict[JetKey
             break
     if content is None or content.is_ground:
         return nums
-    return {k: p.exquo(content) for k, p in nums.items()}
+    return {k: _exquo(p, content) for k, p in nums.items()}
 
 
 _DEFAULT_SEEDS = (101, 202, 303)
@@ -424,8 +424,8 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
         taylors = [TaylorMap(chart, p, order) for p in points]
         kept = []
         for eq, beta in rows:
-            pivots = [el.add(eq.evaluate_sparse(p, beta, tm, columns))
-                      for p, el, tm in zip(points, elims, taylors)]
+            pivots = [el.add(eq.evaluate_sparse(beta, tm, columns))
+                      for el, tm in zip(elims, taylors)]
             if any(pv is not None for pv in pivots):
                 kept.append((eq, beta))
         return kept
@@ -459,8 +459,8 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     return result(None)
 
 
-def verify_solution(system: LinearPDESystem, components: Sequence[Expr],
-                    cross_check: bool = True) -> Tuple[bool, List[Expr]]:
+def verify_solution(system: LinearPDESystem,
+                    components: Sequence[Expr]) -> Tuple[bool, List[Expr]]:
     """Substitute a concrete field into every equation; returns
     (all zero, residuals).  Residuals are those of the cleared equations,
     so each is the raw residual times its equation's clearing factor."""
@@ -490,6 +490,6 @@ def verify_solution(system: LinearPDESystem, components: Sequence[Expr],
         for (a, alpha), c in eq.coeffs.items():
             r = r + Expr(chart, c, c.ring.one) * jet_value(a, alpha)
         residuals.append(r)
-        if not r.is_zero(cross_check=cross_check):
+        if not r.is_zero():
             ok = False
     return ok, residuals

@@ -31,7 +31,7 @@ def _unit(i: int, n: int) -> Tuple[int, ...]:
 
 def _add(m: Dict[JetKey, Expr], key: JetKey, c: Expr) -> None:
     """m[key] += c, skipping zero terms."""
-    if c.is_zero(cross_check=False):
+    if c.is_zero():
         return
     cur = m.get(key)
     m[key] = c if cur is None else cur + c
@@ -43,7 +43,7 @@ def _contract(omega: Sequence[Expr], slots: Sequence,
     annihilator row applied to the per-slot jet maps."""
     m: Dict[JetKey, Expr] = {}
     for w, s in zip(omega, slots):
-        if w.is_zero(cross_check=False):
+        if w.is_zero():
             continue
         for key, c in jets[s].items():
             _add(m, key, c * w)
@@ -66,7 +66,7 @@ def lie_derivative_jet(T: TensorField) -> Dict[Tuple[int, ...], Dict[JetKey, Exp
                 jdx = list(idx)
                 jdx[p] = mm
                 t = T.comp(*jdx)
-                if t.is_zero(cross_check=False):
+                if t.is_zero():
                     continue
                 if v == "d":
                     # + (d_{idx_p} X^m) T(..m..)
@@ -117,9 +117,7 @@ def _endo_annihilator_full(frame: Sequence[TensorField], chart: Chart) -> List[L
     for A in frame:
         # <omega, A> = sum_{a,b} omega_flat[(b,a)] A^a_b; unknowns omega_flat
         rows.append([A.comp(a, b) for (b, a) in itertools.product(range(n), repeat=2)])
-    isz = lambda e: e.is_zero(cross_check=False)
-    null = _linalg.nullspace(rows, n * n, is_zero=isz, one=chart.one())
-    return null  # each entry indexed like (b, a) product order
+    return _linalg.nullspace(rows, n * n, one=chart.one())  # entries in (b, a) order
 
 
 def quaternionic_symmetry_system(frame: Sequence[TensorField],
@@ -133,11 +131,10 @@ def quaternionic_symmetry_system(frame: Sequence[TensorField],
     """
     chart = g.chart
     n = chart.dim
-    isz = lambda e: e.is_zero(cross_check=False)
     # precondition: frame spans rank 3 at a generic point
     flat = [[A.comp(a, b) for a, b in itertools.product(range(n), repeat=2)]
             for A in frame]
-    if len(_linalg.independent_rows(flat, is_zero=isz)) != 3:
+    if _linalg.rank(flat) != 3:
         raise SymSysError("frame does not span a rank-3 bundle")
     ann = _endo_annihilator_full(frame, chart)
     # omega is indexed like the (b, a) product; jet maps are keyed (a, b)
@@ -169,7 +166,7 @@ def _cprojective_shift_patterns(J: TensorField) -> List[Dict[Tuple[int, int, int
                 term = term + 1
             term = term - J.comp(k, i) * J.comp(a, j) - J.comp(k, j) * J.comp(a, i)
             term = term * half
-            if not term.is_zero(cross_check=False):
+            if not term.is_zero():
                 pat[(a, i, j)] = term
         out.append(pat)
     return out
@@ -185,14 +182,13 @@ def cprojective_symmetry_system(J: TensorField, D: Connection) -> LinearPDESyste
         raise SymSysError("connection has torsion")
     if not covariant_derivative(D, J).is_zero():
         raise SymSysError("connection does not preserve J")
-    isz = lambda e: e.is_zero(cross_check=False)
 
     maps: List[Dict[JetKey, Expr]] = list(lie_derivative_jet(J).values())
 
     slots = [(a, i, j) for a, i, j in itertools.product(range(n), repeat=3) if i <= j]
     patterns = _cprojective_shift_patterns(J)
     rows = [[pat.get(s, chart.zero()) for s in slots] for pat in patterns]
-    ann = _linalg.nullspace(rows, len(slots), is_zero=isz, one=chart.one())
+    ann = _linalg.nullspace(rows, len(slots), one=chart.one())
     ld = lie_derivative_connection_jet(D)
     maps += [_contract(omega, slots, ld) for omega in ann]
     return LinearPDESystem.from_coefficient_maps(chart, n, maps)
@@ -223,11 +219,11 @@ def obata_solve(I: TensorField, J: TensorField, K: TensorField) -> Connection:
             row = [chart.zero()] * len(unknowns)
             for c in range(n):
                 t = A.comp(c, b)
-                if not t.is_zero(cross_check=False):
+                if not t.is_zero():
                     cc = gamma_col(a, mm, c)
                     row[cc] = row[cc] + t
                 t = A.comp(a, c)
-                if not t.is_zero(cross_check=False):
+                if not t.is_zero():
                     cc = gamma_col(c, mm, b)
                     row[cc] = row[cc] - t
             row.append(-A.comp(a, b).differentiate(chart.coordinates[mm]))
@@ -235,7 +231,7 @@ def obata_solve(I: TensorField, J: TensorField, K: TensorField) -> Connection:
     # one reduction of the augmented matrix [A | b]: the pivots left of
     # the last column give the nullity, a pivot on it inconsistency
     ncols = len(unknowns)
-    red, pivots = _linalg.rref(rows, is_zero=lambda e: e.is_zero(cross_check=False))
+    red, pivots = _linalg.rref(rows)
     defect = ncols - len([p for p in pivots if p < ncols])
     if defect:
         raise SymSysError(

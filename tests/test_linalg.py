@@ -5,6 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from geosym import _linalg
+from geosym.exprfield import Chart
 
 
 frac = st.integers(-6, 6).map(Fraction)
@@ -47,10 +48,28 @@ def test_solve_inconsistent():
 
 @settings(max_examples=50, deadline=None)
 @given(m=matrix)
-def test_independent_rows_have_full_rank(m):
-    idx = _linalg.independent_rows(m)
-    sub = [m[i] for i in idx]
-    assert _linalg.rank(sub) == len(sub) == _linalg.rank(m)
+def test_rref_pivots_are_the_greedy_independent_columns(m):
+    """The pivot columns span the column space, and each non-pivot column
+    lies in the span of the pivot columns before it."""
+    _, pivots = _linalg.rref(m)
+    cols = [list(c) for c in zip(*m)]
+    assert _linalg.rank([cols[c] for c in pivots]) == len(pivots) == _linalg.rank(m)
+    for c in range(len(cols)):
+        if c not in pivots:
+            before = [cols[p] for p in pivots if p < c]
+            assert _linalg.rank(before + [cols[c]]) == len(before)
+
+
+def test_expr_matrix_dependent_through_a_relation():
+    """Rows dependent only through sin^2 + cos^2 = 1: rank 1, and one
+    kernel vector annihilating both rows."""
+    ch = Chart(["t"])
+    s, c = ch.add_trig_pair("t")
+    m = [[s, 1 + c], [1 - c, s]]
+    assert _linalg.rank(m) == 1
+    (v,) = _linalg.nullspace(m, 2, one=ch.one())
+    for row in m:
+        assert (row[0] * v[0] + row[1] * v[1]).is_zero()
 
 
 def test_rref_idempotent():

@@ -166,6 +166,21 @@ def test_clear_denominators_preserves_solutions():
     assert ok
 
 
+def test_cleared_coefficients_hash_like_fresh_polynomials():
+    """Coefficients divided by a gcd (in ``Expr``) or by the content (in
+    clearing) carry the hash of their value, so memo lookups by
+    polynomial find them."""
+    chart = Chart(["x", "y"])
+    maps = [{(0, (1, 0)): "(x^2-1)/(x-1)", (0, (0, 1)): "x"},
+            {(0, (1, 0)): "x*y + y", (1, (0, 1)): "x^2 - 1"},
+            {(0, (0, 0)): "1/(x*y)", (1, (1, 0)): "(x+y)/(x^2*y+x*y^2)"}]
+    system = P.LinearPDESystem.from_coefficient_maps(
+        chart, 2, [{k: parse_expr(chart, v) for k, v in m.items()} for m in maps])
+    for eq in P.prolong(system).equations:
+        for c in eq.coeffs.values():
+            assert hash(c) == hash(c.copy())
+
+
 def test_tables_deterministic_for_seed(sphere):
     chart, g = sphere
     r1 = P.solution_bound(S.invariance_system(g), seeds=(7, 8, 9))

@@ -30,10 +30,19 @@ from bench_record import run
 
 
 def parse_seeds(text: str) -> List[int]:
-    if "-" in text:
-        lo, hi = (int(x) for x in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(x) for x in text.split(",")]
+    """The seeds of ``A-B`` (A <= B) or ``A,B,...``; as an argparse type
+    it turns a malformed or empty list into a usage error (exit code 2)."""
+    try:
+        if "-" in text:
+            lo, hi = (int(x) for x in text.split("-"))
+            seeds = list(range(lo, hi + 1))
+        else:
+            seeds = [int(x) for x in text.split(",")]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"no seeds in {text!r}; give A-B with A <= B, or A,B,...")
+    return seeds
 
 
 def benchmark(root: str) -> dict:
@@ -52,7 +61,7 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, help="A-B or A,B,...")
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B or A,B,...")
     args = parser.parse_args()
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     benches = {side: benchmark(root) for side, root in roots.items()}
@@ -65,7 +74,7 @@ def main() -> int:
     values: Dict[str, Dict[str, List[float]]] = {
         side: {m["name"]: [] for m in metrics} for side in roots}
     incorrect = 0
-    for i, seed in enumerate(parse_seeds(args.seeds)):
+    for i, seed in enumerate(args.seeds):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             result = run(roots[side], args.workload, seed, seconds, 0)
             incorrect += not result["correct"]
