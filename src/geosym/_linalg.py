@@ -16,10 +16,11 @@ from typing import List, Optional, Sequence, Tuple
 def rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
 
-    Works over any exact field; rows are copied.  A column is a pivot
+    Works over any exact field; rows are copied, with ``int`` entries
+    made ``Fraction`` so that ``/`` stays exact.  A column is a pivot
     exactly when it is not in the span of the columns before it.
     """
-    m = [list(r) for r in rows]
+    m = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])

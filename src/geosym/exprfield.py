@@ -8,6 +8,11 @@ ds = c, dc = -s on the pair's own angle) and square roots
 (relation W^2 - q, derivation dW = dq / (2W)).
 
 Arithmetic in the field is exact rational; no floating point anywhere.
+Each ``+``, ``*`` or ``/`` builds a normalized :class:`Expr` and pays a
+gcd, so a sum of products is built with :meth:`Chart.sum_products`: the
+products are grouped by denominator, the groups combined over the lcm
+of their denominators, and the sum normalized once; the normal form is
+canonical, so the result is the one the ``+``/``*`` fold gives.
 Generic-point checks (the cross-check of each zero normal form when it
 is built, and symbol ranks in :mod:`geosym.prolong`) evaluate at seeded
 :class:`GenericPoint` s, each reduced modulo its own prime: 2^61 - 1, or
@@ -24,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from sympy import QQ, prevprime
 from sympy.ntheory import sqrt_mod
@@ -222,6 +227,51 @@ class Chart:
             return parse_expr(self, source)
         raise ExprError(f"cannot coerce {type(source).__name__} to Expr")
 
+    def sum_products(self, terms: Iterable[Sequence[Union["Expr", Rational]]]) -> "Expr":
+        """The sum over ``terms`` of the product of each term's factors
+        (``Expr``, int or ``Fraction``), normalized once.
+
+        Each product's numerator and denominator are multiplied out
+        unreduced, and a term with a zero factor is skipped.  The products
+        are grouped by denominator polynomial and each group's numerators
+        added; the groups are then combined over the lcm of their
+        denominators, not their product, which would blow the numerator up
+        before its one gcd when many distinct denominators meet.
+
+        Soundness.  The :class:`Expr` normal form is canonical (numerator
+        reduced by the relations' Groebner basis, denominator free of
+        quadratic generators, gcd cancelled, denominator monic), so any
+        grouping of the same sum gives the same ``_num`` and ``_den`` as
+        the left fold of ``+`` and ``*``; a sum that cancels to zero is
+        cross-checked in ``Expr.__init__`` like every other zero.
+        """
+        terms = list(terms)
+        if len(terms) == 1 and len(terms[0]) == 1 and isinstance(terms[0][0], Expr):
+            return self.expr(terms[0][0])  # already normal: keep the object
+        ring, one = self._ring, self._ring.one
+        groups: Dict = {}  # denominator -> summed numerators
+        for factors in terms:
+            num, den, c = one, one, 1
+            for f in factors:
+                if not isinstance(f, Expr):
+                    c *= f
+                    if not c:
+                        break
+                elif f.chart is not self:
+                    raise ExprError("expression belongs to a different chart")
+                elif not f._num:
+                    break
+                else:
+                    n, d = self._current(f)
+                    num, den = (n, d) if num is one else (num * n, den * d)
+            else:
+                if c != 1:
+                    num = num.mul_ground(_qq(c))
+                groups[den] = groups[den] + num if den in groups else num
+        den = _lcm(ring, groups)
+        return Expr(self, sum((n if d == den else n * _exquo(den, d)
+                               for d, n in groups.items()), ring.zero), den)
+
     # -- reduction modulo the relation ideal ------------------------------
 
     def _reduce_poly(self, p):
@@ -238,7 +288,7 @@ class Chart:
         while changed:
             changed = False
             for idx, rhs in rules:
-                if p.degree(p.ring.gens[idx]) < 2:
+                if p.degree(idx) < 2:
                     continue
                 out = p.ring.zero
                 for monom, coeff in p.terms():
@@ -265,9 +315,9 @@ class Chart:
             if g.square_rhs is None:
                 continue
             idx = self._index[g.name]
-            gv = self._ring.gens[idx]
-            if den.degree(gv) < 1:
+            if den.degree(idx) < 1:
                 continue
+            gv = self._ring.gens[idx]
             # den = a + b*g with a, b free of g
             b = den.diff(gv)  # degree <= 1, so this is the coefficient of g
             a = den - b * gv
@@ -520,7 +570,11 @@ class Expr:
     reduced modulo the relation ideal, the denominator is cleared of
     quadratic generators, the gcd is cancelled and the denominator made
     monic.  Field-equal expressions therefore share a representation,
-    and an element is zero exactly when its numerator is.
+    and an element is zero exactly when its numerator is.  Build a sum
+    of products with :meth:`Chart.sum_products`, which normalizes once
+    (products grouped by denominator, groups combined over the lcm of
+    their denominators) and, the form being canonical, gives the same
+    ``_num`` and ``_den`` as the fold of ``+`` and ``*``.
     """
 
     __slots__ = ("chart", "_num", "_den")
@@ -548,9 +602,9 @@ class Expr:
             raise DivisionByZero("division by an expression that reduces to zero")
         if n:
             n, d = chart._derationalize(n, d)
-            g = n.gcd(d)
-            if not g.is_one:
-                n, d = _exquo(n, g), _exquo(d, g)
+            g, cn, cd = n.cofactors(d)
+            if not g.is_one:  # the quotients come from ``div``: copy them, see _exquo
+                n, d = cn.copy(), cd.copy()
         else:
             d = chart._ring.one
             checked = 0
@@ -754,11 +808,12 @@ def _exquo(p, q):
 
 
 def _lcm(ring, polys):
-    """Monic least common multiple of the polynomials (ring.one if none)."""
+    """Least common multiple of the polynomials, up to a constant factor
+    (ring.one if none)."""
     out = ring.one
     for p in polys:
         if not p.is_one:
-            out = out * _exquo(p, out.gcd(p))
+            out = out * out.cofactors(p)[2]
     return out
 
 

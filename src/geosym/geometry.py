@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import _linalg
@@ -126,21 +127,13 @@ def identity_endo(chart: Chart) -> TensorField:
 
 def endo_mul(A: TensorField, B: TensorField) -> TensorField:
     n = A.chart.dim
-    comps = {}
-    for a in range(n):
-        for b in range(n):
-            s = A.chart.zero()
-            for m in range(n):
-                s = s + A.comp(a, m) * B.comp(m, b)
-            comps[(a, b)] = s
+    comps = {(a, b): A.chart.sum_products((A.comp(a, m), B.comp(m, b)) for m in range(n))
+             for a, b in itertools.product(range(n), repeat=2)}
     return TensorField(A.chart, ("u", "d"), comps)
 
 
 def endo_trace(A: TensorField) -> Expr:
-    s = A.chart.zero()
-    for i in range(A.chart.dim):
-        s = s + A.comp(i, i)
-    return s
+    return A.chart.sum_products((A.comp(i, i),) for i in range(A.chart.dim))
 
 
 @dataclass
@@ -176,17 +169,11 @@ def metric_det(g: TensorField) -> Expr:
 
 
 def _det(m: List[List[Expr]], chart: Chart) -> Expr:
-    n = len(m)
-    if n == 1:
+    if len(m) == 1:
         return m[0][0]
-    total = chart.zero()
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * _det(minor, chart)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    return chart.sum_products(
+        ((-1) ** j, e, _det([row[:j] + row[j + 1:] for row in m[1:]], chart))
+        for j, e in enumerate(m[0]) if e)
 
 
 def metric_inverse(g: TensorField) -> TensorField:
@@ -212,19 +199,19 @@ def levi_civita(g: TensorField) -> Connection:
     n = g.chart.dim
     ginv = metric_inverse(g)
     gamma: Dict[Index, Expr] = {}
-    dg = {}
+    dg = {}  # dg[(i, j, l)] = d_l g_ij
     for i, j in itertools.product(range(n), repeat=2):
         for l in range(n):
             dg[(i, j, l)] = g.comp(i, j).differentiate(g.chart.coordinates[l])
+    half = Fraction(1, 2)
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                s = g.chart.zero()
-                for l in range(n):
-                    if ginv.comp(k, l).is_zero():
-                        continue
-                    s = s + ginv.comp(k, l) * (dg[(l, j, i)] + dg[(l, i, j)] - dg[(i, j, l)])
-                s = s / 2
+                s = g.chart.sum_products(
+                    t for l in range(n) for t in (
+                        (half, ginv.comp(k, l), dg[(l, j, i)]),
+                        (half, ginv.comp(k, l), dg[(l, i, j)]),
+                        (-half, ginv.comp(k, l), dg[(i, j, l)])))
                 gamma[(k, i, j)] = s
                 gamma[(k, j, i)] = s
     return Connection(g.chart, gamma)
@@ -238,19 +225,13 @@ def covariant_derivative(D: Connection, T: TensorField) -> TensorField:
     for idx in T.indices():
         base = T.comp(*idx)
         for i in range(n):
-            s = base.differentiate(coords[i])
+            terms = [(base.differentiate(coords[i]),)]
             for p, v in enumerate(T.variance):
                 for m in range(n):
-                    jdx = list(idx)
-                    jdx[p] = m
-                    t = T.comp(*jdx)
-                    if t.is_zero():
-                        continue
-                    if v == "u":
-                        s = s + D.comp(idx[p], i, m) * t
-                    else:
-                        s = s - D.comp(m, i, idx[p]) * t
-            comps[idx + (i,)] = s
+                    t = T.comp(*idx[:p], m, *idx[p + 1:])
+                    terms.append((D.comp(idx[p], i, m), t) if v == "u"
+                                 else (-1, D.comp(m, i, idx[p]), t))
+            comps[idx + (i,)] = T.chart.sum_products(terms)
     return TensorField(T.chart, T.variance + ("d",), comps)
 
 
@@ -265,14 +246,14 @@ def curvature(D: Connection) -> TensorField:
     for (k, i, j), e in D.gamma.items():
         for l in range(n):
             dG[(k, i, j, l)] = e.differentiate(coords[l])
-    zero = D.chart.zero()
     comps: Dict[Index, Expr] = {}
     for a, b, i, j in itertools.product(range(n), repeat=4):
         if i >= j:
             continue
-        s = dG.get((a, j, b, i), zero) - dG.get((a, i, b, j), zero)
+        terms = [(dG.get((a, j, b, i), 0),), (-1, dG.get((a, i, b, j), 0))]
         for m in range(n):
-            s = s + D.comp(a, i, m) * D.comp(m, j, b) - D.comp(a, j, m) * D.comp(m, i, b)
+            terms += [(D.comp(a, i, m), D.comp(m, j, b)), (-1, D.comp(a, j, m), D.comp(m, i, b))]
+        s = D.chart.sum_products(terms)
         comps[(a, b, i, j)] = s
         comps[(a, b, j, i)] = -s
     return TensorField(D.chart, ("u", "d", "d", "d"), comps)
@@ -280,12 +261,8 @@ def curvature(D: Connection) -> TensorField:
 
 def ricci(R: TensorField) -> TensorField:
     n = R.chart.dim
-    comps = {}
-    for b, j in itertools.product(range(n), repeat=2):
-        s = R.chart.zero()
-        for a in range(n):
-            s = s + R.comp(a, b, a, j)
-        comps[(b, j)] = s
+    comps = {(b, j): R.chart.sum_products((R.comp(a, b, a, j),) for a in range(n))
+             for b, j in itertools.product(range(n), repeat=2)}
     return TensorField(R.chart, ("d", "d"), comps)
 
 
@@ -298,23 +275,13 @@ def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
     dX = [[X.comp(m).differentiate(coords[i]) for i in range(n)] for m in range(n)]
     comps: Dict[Index, Expr] = {}
     for idx in T.indices():
-        s = T.chart.zero()
-        for m in range(n):
-            xm = X.comp(m)
-            if not xm.is_zero():
-                s = s + xm * T.comp(*idx).differentiate(coords[m])
+        terms = [(X.comp(m), T.comp(*idx).differentiate(coords[m]))
+                 for m in range(n) if X.comp(m)]
         for p, v in enumerate(T.variance):
             for m in range(n):
-                jdx = list(idx)
-                jdx[p] = m
-                t = T.comp(*jdx)
-                if t.is_zero():
-                    continue
-                if v == "d":
-                    s = s + dX[m][idx[p]] * t
-                else:
-                    s = s - dX[idx[p]][m] * t
-        comps[idx] = s
+                t = T.comp(*idx[:p], m, *idx[p + 1:])
+                terms.append((dX[m][idx[p]], t) if v == "d" else (-1, dX[idx[p]][m], t))
+        comps[idx] = T.chart.sum_products(terms)
     return TensorField(T.chart, T.variance, comps)
 
 
@@ -322,13 +289,11 @@ def bracket(X: TensorField, Y: TensorField) -> TensorField:
     """Lie bracket of vector fields."""
     n = X.chart.dim
     coords = X.chart.coordinates
-    comps = {}
-    for a in range(n):
-        s = X.chart.zero()
-        for m in range(n):
-            s = s + X.comp(m) * Y.comp(a).differentiate(coords[m]) \
-                  - Y.comp(m) * X.comp(a).differentiate(coords[m])
-        comps[(a,)] = s
+    comps = {(a,): X.chart.sum_products(
+        t for m in range(n) for t in (
+            (X.comp(m), Y.comp(a).differentiate(coords[m])),
+            (-1, Y.comp(m), X.comp(a).differentiate(coords[m]))))
+        for a in range(n)}
     return TensorField(X.chart, ("u",), comps)
 
 
@@ -340,17 +305,16 @@ def nijenhuis(J: TensorField) -> TensorField:
     for (a, b), e in J.items():
         for m in range(n):
             dJ[(a, b, m)] = e.differentiate(coords[m])
-    zero = J.chart.zero()
     comps = {}
     for a, i, j in itertools.product(range(n), repeat=3):
         if i >= j:
             continue
-        s = J.chart.zero()
-        for m in range(n):
-            s = s + J.comp(m, i) * dJ.get((a, j, m), zero) \
-                  - J.comp(m, j) * dJ.get((a, i, m), zero) \
-                  - J.comp(a, m) * dJ.get((m, j, i), zero) \
-                  + J.comp(a, m) * dJ.get((m, i, j), zero)
+        s = J.chart.sum_products(
+            t for m in range(n) for t in (
+                (J.comp(m, i), dJ.get((a, j, m), 0)),
+                (-1, J.comp(m, j), dJ.get((a, i, m), 0)),
+                (-1, J.comp(a, m), dJ.get((m, j, i), 0)),
+                (J.comp(a, m), dJ.get((m, i, j), 0))))
         comps[(a, i, j)] = s
         comps[(a, j, i)] = -s
     return TensorField(J.chart, ("u", "d", "d"), comps)
@@ -410,33 +374,21 @@ def connection_shift(D: Connection, gamma_form: TensorField, kind: str,
     else:
         raise GeometryError(f"unknown shift kind {kind!r}")
 
-    new = dict(D.gamma)
-
-    def add(k, i, j, e):
-        key = (k, i, j)
-        cur = new.get(key, chart.zero())
-        new[key] = cur + e
-
+    new = {}
+    h = Fraction(1) if kind == "projective" else Fraction(1, 2)
     gm = [gamma_form.comp(i) for i in range(n)]
     for k, i, j in itertools.product(range(n), repeat=3):
         # gm(Y)Z + gm(Z)Y with Y = e_i, Z = e_j, output slot k
-        term = chart.zero()
+        terms = [(D.comp(k, i, j),)]
         if k == j:
-            term = term + gm[i]
+            terms.append((h, gm[i]))
         if k == i:
-            term = term + gm[j]
-        for S in structures:
+            terms.append((h, gm[j]))
+        for S, m in itertools.product(structures, range(n)):
             # - gm(SY) SZ - gm(SZ) SY
-            gSY = chart.zero()
-            for m in range(n):
-                gSY = gSY + gm[m] * S.comp(m, i)
-            gSZ = chart.zero()
-            for m in range(n):
-                gSZ = gSZ + gm[m] * S.comp(m, j)
-            term = term - gSY * S.comp(k, j) - gSZ * S.comp(k, i)
-        if kind != "projective":
-            term = term / 2
-        add(k, i, j, term)
+            terms += [(-h, gm[m], S.comp(m, i), S.comp(k, j)),
+                      (-h, gm[m], S.comp(m, j), S.comp(k, i))]
+        new[(k, i, j)] = chart.sum_products(terms)
     return Connection(chart, new)
 
 
@@ -461,15 +413,10 @@ def curvature_type_split(R: TensorField, J: TensorField) -> CurvatureSplit:
         raise GeometryError("J is not an almost complex structure")
 
     def pull_forms(T: TensorField) -> TensorField:
-        comps = {}
-        for a, b, i, j in itertools.product(range(n), repeat=4):
-            s = chart.zero()
-            for k, l in itertools.product(range(n), repeat=2):
-                t = T.comp(a, b, k, l)
-                if t.is_zero():
-                    continue
-                s = s + J.comp(k, i) * J.comp(l, j) * t
-            comps[(a, b, i, j)] = s
+        comps = {(a, b, i, j): chart.sum_products(
+            (T.comp(a, b, k, l), J.comp(k, i), J.comp(l, j))
+            for k, l in itertools.product(range(n), repeat=2))
+            for a, b, i, j in itertools.product(range(n), repeat=4)}
         return TensorField(chart, T.variance, comps)
 
     r11 = (R + pull_forms(R)).map(lambda e: e / 2)
@@ -477,15 +424,10 @@ def curvature_type_split(R: TensorField, J: TensorField) -> CurvatureSplit:
 
     def value_twist(T: TensorField) -> TensorField:
         # X -> JX in the first form slot, then J in the value slot
-        comps = {}
-        for a, b, i, j in itertools.product(range(n), repeat=4):
-            s = chart.zero()
-            for c, k in itertools.product(range(n), repeat=2):
-                t = T.comp(c, b, k, j)
-                if t.is_zero():
-                    continue
-                s = s + J.comp(a, c) * J.comp(k, i) * t
-            comps[(a, b, i, j)] = s
+        comps = {(a, b, i, j): chart.sum_products(
+            (T.comp(c, b, k, j), J.comp(a, c), J.comp(k, i))
+            for c, k in itertools.product(range(n), repeat=2))
+            for a, b, i, j in itertools.product(range(n), repeat=4)}
         return TensorField(chart, T.variance, comps)
 
     tw = value_twist(rm)
@@ -531,26 +473,19 @@ def hodge_star_matrix(g: TensorField) -> List[List[Expr]]:
     W = volume_root(g)
     ginv = metric_inverse(g)
     basis = _two_form_basis(n)
-    eps = {}
-    for perm in itertools.permutations(range(4)):
-        sign = _perm_sign(perm)
-        eps[perm] = sign
     cols = []
     for (a, b) in basis:
         # omega = dx^a ^ dx^b: omega_{ab}=1, omega_{ba}=-1
-        # (*omega)_{ij} = 1/2 W eps_{ijkl} omega^{kl}
-        comp = {}
+        # (*omega)_{ij} = 1/2 W eps_{ijkl} omega^{kl} = W eps_{ijkl} omega^{kl}
+        # for the one pair k < l besides i, j, and
+        # omega^{kl} = g^{ka} g^{lb} - g^{kb} g^{la}
+        col = []
         for (i, j) in basis:
-            s = chart.zero()
-            for k, l in itertools.product(range(4), repeat=2):
-                e = eps.get((i, j, k, l))
-                if not e:
-                    continue
-                # omega^{kl} = g^{ka} g^{lb} - g^{kb} g^{la}
-                up = ginv.comp(k, a) * ginv.comp(l, b) - ginv.comp(k, b) * ginv.comp(l, a)
-                s = s + chart.const(e) * up
-            comp[(i, j)] = s * W / 2
-        cols.append([comp[(i, j)] for (i, j) in basis])
+            k, l = (x for x in range(4) if x not in (i, j))
+            e = _perm_sign((i, j, k, l))
+            col.append(chart.sum_products([(e, W, ginv.comp(k, a), ginv.comp(l, b)),
+                                           (-e, W, ginv.comp(k, b), ginv.comp(l, a))]))
+        cols.append(col)
     # columns were computed; return matrix rows
     return [[cols[c][r] for c in range(6)] for r in range(6)]
 
@@ -573,15 +508,9 @@ def _form_to_endo(g_inv: TensorField, comps2: Mapping[Tuple[int, int], Expr],
     for (a, b), e in comps2.items():
         full[(a, b)] = e
         full[(b, a)] = -e
-    out = {}
-    for i, j in itertools.product(range(n), repeat=2):
-        s = chart.zero()
-        for k in range(n):
-            t = full.get((k, j))
-            if t is None:
-                continue
-            s = s + g_inv.comp(i, k) * t
-        out[(i, j)] = s
+    out = {(i, j): chart.sum_products((g_inv.comp(i, k), full[(k, j)])
+                                      for k in range(n) if (k, j) in full)
+           for i, j in itertools.product(range(n), repeat=2)}
     return TensorField(chart, ("u", "d"), out)
 
 
@@ -596,7 +525,8 @@ def _asd_orthogonal(g: TensorField, orientation: int):
     star = hodge_star_matrix(g)
     basis = _two_form_basis(4)
     # projector (Id - orientation * star)/2 maps onto the ASD forms
-    proj = [[(chart.const(1 if r == c else 0) - chart.const(orientation) * star[r][c]) / 2
+    proj = [[chart.sum_products([(Fraction(int(r == c), 2),),
+                                 (Fraction(-orientation, 2), star[r][c])])
              for c in range(6)] for r in range(6)]
     keep = _linalg.rref(proj)[1]  # the columns outside the span of those before
     if len(keep) != 3:
@@ -606,14 +536,10 @@ def _asd_orthogonal(g: TensorField, orientation: int):
 
     def inner(f1, f2) -> Expr:
         # <w, e> = 1/2 w_{ij} e^{ij}
-        s = chart.zero()
-        for (a, b), e1 in f1.items():
-            for (c, d), e2 in f2.items():
-                if e1.is_zero() or e2.is_zero():
-                    continue
-                up = ginv.comp(a, c) * ginv.comp(b, d) - ginv.comp(a, d) * ginv.comp(b, c)
-                s = s + e1 * e2 * up
-        return s
+        return chart.sum_products(
+            t for ((a, b), e1), ((c, d), e2) in itertools.product(f1.items(), f2.items())
+            for t in ((e1, e2, ginv.comp(a, c), ginv.comp(b, d)),
+                      (-1, e1, e2, ginv.comp(a, d), ginv.comp(b, c))))
 
     # Gram-Schmidt without normalization keeps everything rational
     ortho = []
@@ -624,7 +550,7 @@ def _asd_orthogonal(g: TensorField, orientation: int):
             if c.is_zero():
                 continue
             for key in set(cur) | set(prev):
-                cur[key] = cur.get(key, chart.zero()) - c * prev.get(key, chart.zero())
+                cur[key] = chart.sum_products([(cur.get(key, 0),), (-1, c, prev.get(key, 0))])
         nrm = inner(cur, cur)
         if nrm.is_zero():
             raise GeometryError("degenerate inner product on ASD forms")

@@ -297,11 +297,8 @@ def _coordinates_in_span(fields: Sequence[TensorField], Y: TensorField,
     sol = _linalg.solve(rows, rhs)
     if sol is None:
         return None
-    residual = Y
-    for c, f in zip(sol, fields):
-        if c:
-            residual = residual - f.scale(chart.const(c))
-    if not residual.is_zero():
+    if any(chart.sum_products([(Y.comp(a),)] + [(-c, f.comp(a)) for c, f in zip(sol, fields)])
+           for a in range(n)):
         return None
     return [Fraction(c) for c in sol]
 

@@ -486,9 +486,8 @@ def verify_solution(system: LinearPDESystem,
     residuals = []
     ok = True
     for eq in system.equations:
-        r = chart.zero()
-        for (a, alpha), c in eq.coeffs.items():
-            r = r + Expr(chart, c, c.ring.one) * jet_value(a, alpha)
+        r = chart.sum_products((Expr(chart, c, c.ring.one), jet_value(a, alpha))
+                               for (a, alpha), c in eq.coeffs.items())
         residuals.append(r)
         if not r.is_zero():
             ok = False

@@ -10,7 +10,8 @@ used by the tests as an independent cross-check.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import _linalg
 from .exprfield import Chart, Expr, ExprError
@@ -29,25 +30,23 @@ def _unit(i: int, n: int) -> Tuple[int, ...]:
     return tuple(e)
 
 
-def _add(m: Dict[JetKey, Expr], key: JetKey, c: Expr) -> None:
-    """m[key] += c, skipping zero terms."""
-    if c.is_zero():
-        return
-    cur = m.get(key)
-    m[key] = c if cur is None else cur + c
+def _collect(chart: Chart, keyed_terms: Iterable[Tuple[JetKey, tuple]]) -> Dict[JetKey, Expr]:
+    """Coefficient map {key: sum of the products of its terms} of
+    (key, factors) pairs, one :meth:`Chart.sum_products` per key; a term
+    with a zero factor adds no key."""
+    terms: Dict[JetKey, list] = {}
+    for key, factors in keyed_terms:
+        if all(factors):
+            terms.setdefault(key, []).append(factors)
+    return {key: chart.sum_products(t) for key, t in terms.items()}
 
 
-def _contract(omega: Sequence[Expr], slots: Sequence,
+def _contract(chart: Chart, omega: Sequence[Expr], slots: Sequence,
               jets: Dict[Tuple[int, ...], Dict[JetKey, Expr]]) -> Dict[JetKey, Expr]:
     """Coefficient map of sum_s omega_s * (jet map of slot s): an
     annihilator row applied to the per-slot jet maps."""
-    m: Dict[JetKey, Expr] = {}
-    for w, s in zip(omega, slots):
-        if w.is_zero():
-            continue
-        for key, c in jets[s].items():
-            _add(m, key, c * w)
-    return m
+    return _collect(chart, ((key, (c, w)) for w, s in zip(omega, slots) if w
+                            for key, c in jets[s].items()))
 
 
 def lie_derivative_jet(T: TensorField) -> Dict[Tuple[int, ...], Dict[JetKey, Expr]]:
@@ -57,24 +56,19 @@ def lie_derivative_jet(T: TensorField) -> Dict[Tuple[int, ...], Dict[JetKey, Exp
     zero_a = (0,) * n
     out: Dict[Tuple[int, ...], Dict[JetKey, Expr]] = {}
     for idx in T.indices():
-        m_: Dict[JetKey, Expr] = {}
         base = T.comp(*idx)
-        for mm in range(n):
-            _add(m_, (mm, zero_a), base.differentiate(chart.coordinates[mm]))
+        terms = [((mm, zero_a), (base.differentiate(chart.coordinates[mm]),))
+                 for mm in range(n)]
         for p, v in enumerate(T.variance):
             for mm in range(n):
-                jdx = list(idx)
-                jdx[p] = mm
-                t = T.comp(*jdx)
-                if t.is_zero():
-                    continue
+                t = T.comp(*idx[:p], mm, *idx[p + 1:])
                 if v == "d":
                     # + (d_{idx_p} X^m) T(..m..)
-                    _add(m_, (mm, _unit(idx[p], n)), t)
+                    terms.append(((mm, _unit(idx[p], n)), (t,)))
                 else:
                     # - (d_m X^{idx_p}) T(..m..)
-                    _add(m_, (idx[p], _unit(mm, n)), -t)
-        out[idx] = m_
+                    terms.append(((idx[p], _unit(mm, n)), (-1, t)))
+        out[idx] = _collect(chart, terms)
     return out
 
 
@@ -94,17 +88,17 @@ def lie_derivative_connection_jet(D: Connection) -> Dict[Tuple[int, int, int], D
     for a, i, j in itertools.product(range(n), repeat=3):
         if i > j:
             continue  # symmetric in (i, j) for torsion-free D
-        m_: Dict[JetKey, Expr] = {}
+        terms = []
         for mm in range(n):
-            _add(m_, (mm, zero_a), D.comp(a, i, j).differentiate(chart.coordinates[mm]))
-            _add(m_, (a, _unit(mm, n)), -D.comp(mm, i, j))
-            _add(m_, (mm, _unit(i, n)), D.comp(a, mm, j))
-            _add(m_, (mm, _unit(j, n)), D.comp(a, i, mm))
+            terms += [((mm, zero_a), (D.comp(a, i, j).differentiate(chart.coordinates[mm]),)),
+                      ((a, _unit(mm, n)), (-1, D.comp(mm, i, j))),
+                      ((mm, _unit(i, n)), (D.comp(a, mm, j),)),
+                      ((mm, _unit(j, n)), (D.comp(a, i, mm),))]
         ei = list(zero_a)
         ei[i] += 1
         ei[j] += 1
-        _add(m_, (a, tuple(ei)), chart.one())
-        out[(a, i, j)] = m_
+        terms.append(((a, tuple(ei)), (1,)))
+        out[(a, i, j)] = _collect(chart, terms)
     return out
 
 
@@ -142,7 +136,7 @@ def quaternionic_symmetry_system(frame: Sequence[TensorField],
     maps: List[Dict[JetKey, Expr]] = []
     for A in frame:
         jets = lie_derivative_jet(A)
-        maps += [_contract(omega, slots, jets) for omega in ann]
+        maps += [_contract(chart, omega, slots, jets) for omega in ann]
     return LinearPDESystem.from_coefficient_maps(chart, n, maps)
 
 
@@ -152,21 +146,18 @@ def _cprojective_shift_patterns(J: TensorField) -> List[Dict[Tuple[int, int, int
     i <= j only."""
     chart = J.chart
     n = chart.dim
-    half = chart.const(1) / 2
+    half = Fraction(1, 2)
     out = []
     for k in range(n):
         pat: Dict[Tuple[int, int, int], Expr] = {}
         for a, i, j in itertools.product(range(n), repeat=3):
             if i > j:
                 continue
-            term = chart.zero()
-            if i == k and a == j:
-                term = term + 1
-            if j == k and a == i:
-                term = term + 1
-            term = term - J.comp(k, i) * J.comp(a, j) - J.comp(k, j) * J.comp(a, i)
-            term = term * half
-            if not term.is_zero():
+            # the delta terms: 1/2 for i == k and a == j, 1/2 for j == k and a == i
+            term = chart.sum_products([(half * (((i, a) == (k, j)) + ((j, a) == (k, i))),),
+                                       (-half, J.comp(k, i), J.comp(a, j)),
+                                       (-half, J.comp(k, j), J.comp(a, i))])
+            if term:
                 pat[(a, i, j)] = term
         out.append(pat)
     return out
@@ -190,7 +181,7 @@ def cprojective_symmetry_system(J: TensorField, D: Connection) -> LinearPDESyste
     rows = [[pat.get(s, chart.zero()) for s in slots] for pat in patterns]
     ann = _linalg.nullspace(rows, len(slots), one=chart.one())
     ld = lie_derivative_connection_jet(D)
-    maps += [_contract(omega, slots, ld) for omega in ann]
+    maps += [_contract(chart, omega, slots, ld) for omega in ann]
     return LinearPDESystem.from_coefficient_maps(chart, n, maps)
 
 

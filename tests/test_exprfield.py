@@ -1,6 +1,7 @@
 """Kernel laws for the exact expression field: normal forms, arithmetic,
 derivations, relation handling, and evaluation."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from geosym.exprfield import (
     Chart,
     DivisionByZero,
     Expr,
+    ExprError,
     ExprParseError,
     GenericPoint,
     KernelInconsistency,
@@ -26,7 +28,7 @@ from geosym.exprfield import (
     parse_expr,
 )
 
-from conftest import nested_root_chart
+from conftest import build_eh_chart, nested_root_chart
 
 
 def _make_chart():
@@ -313,3 +315,95 @@ def test_sample_points_deterministic(chart):
     p1 = chart.sample_point(random.Random(42))
     p2 = chart.sample_point(random.Random(42))
     assert p1 == p2
+
+
+# -- sum_products -----------------------------------------------------------
+
+
+def _root_chart():
+    ch = Chart(["x", "y", "z"])
+    ch.add_square_root("W", parse_expr(ch, "x^2 + 1"))
+    return ch
+
+
+# charts with atoms whose denominators are distinct, share factors, and
+# carry generators that the normal form clears
+_SUM_CHARTS = {
+    "trig": (_CHART, ["x", "sin(t)", "1/x", "1/(x*y)", "1/(x*cos(t))",
+                      "(x+1)/(y*cos(t)+1)", "sin(t)/(x^2-y)", "1/(1+sin(t))"]),
+    "root": (_root_chart(), ["W", "x", "1/(x*y)", "1/(x*z)", "W/(x+y)",
+                             "1/(W+1)", "(W-x)/(y*z)"]),
+    "eguchi-hanson": (build_eh_chart(), [
+        "rho", "sin(phi)", "1/(rho^2-1)", "cos(psi)*cos(phi)/rho",
+        "1/(sin(phi)*sin(psi))", "(rho^2-cos(psi)^2)/rho",
+        "sin(psi)*sin(phi)*cos(phi)/(cos(phi)^2-1)"]),
+}
+
+
+def _fold(chart, terms):
+    """The left fold of ``+`` and ``*`` that sum_products replaces."""
+    s = chart.zero()
+    for factors in terms:
+        p = chart.one()
+        for f in factors:
+            p = p * f
+        s = s + p
+    return s
+
+
+def _same_normal_form(a, b):
+    return a._num == b._num and a._den == b._den
+
+
+@pytest.mark.parametrize("name", sorted(_SUM_CHARTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sum_products_matches_the_left_fold(name, data):
+    chart, atoms = _SUM_CHARTS[name]
+    factor = st.one_of(
+        st.sampled_from(atoms).map(lambda s: parse_expr(chart, s)),
+        st.sampled_from([0, 1, -2, Fraction(1, 3), Fraction(-5, 7)]),
+        st.just(chart.zero()))
+    terms = data.draw(st.lists(st.lists(factor, max_size=3).map(tuple), max_size=5))
+    # a term and its negation make a sum that cancels
+    if terms and data.draw(st.booleans()):
+        terms.append((-1,) + terms[0])
+    assert _same_normal_form(chart.sum_products(terms), _fold(chart, terms))
+
+
+def test_sum_products_of_the_inner_product_shape(eh_metric):
+    """<w, e> = 1/2 w_ij e^ij over pairs of 2-form components: many
+    products, many distinct denominators."""
+    from geosym.geometry import metric_inverse
+
+    chart = eh_metric.chart
+    ginv = metric_inverse(eh_metric)
+    pairs = [(0, 1), (0, 2), (1, 3), (2, 3)]
+    terms = []
+    for (a, b), (c, d) in itertools.product(pairs, repeat=2):
+        e1, e2 = eh_metric.comp(a, c), eh_metric.comp(b, d) + eh_metric.comp(a, b)
+        terms += [(e1, e2, ginv.comp(a, c), ginv.comp(b, d)),
+                  (-1, e1, e2, ginv.comp(a, d), ginv.comp(b, c))]
+    assert len({f._den for t in terms for f in t if isinstance(f, Expr)}) > 5
+    assert _same_normal_form(chart.sum_products(terms), _fold(chart, terms))
+
+
+def test_sum_products_combines_over_the_lcm():
+    ch, _ = _SUM_CHARTS["root"]
+    x, y, z = (ch.var(v) for v in "xyz")
+    s = ch.sum_products([(1 / (x * y),), (1 / (x * z),)])
+    assert _same_normal_form(s, 1 / (x * y) + 1 / (x * z))
+    assert s == (y + z) / (x * y * z)
+
+
+def test_sum_products_edge_cases(chart):
+    x, y = chart.var("x"), chart.var("y")
+    a, b = 1 / (x + y), parse_expr(chart, "sin(t)/x")
+    assert chart.sum_products([]).is_zero()
+    assert chart.sum_products([(a, 0), (chart.zero(), b), (a,)]) == a
+    cancel = chart.sum_products([(a, b), (-1, b, a)])
+    assert cancel.is_zero() and cancel._den.is_one
+    assert chart.sum_products([(2, a), (Fraction(1, 3), b), (Fraction(3, 4),)]) \
+        == 2 * a + b / 3 + Fraction(3, 4)
+    with pytest.raises(ExprError):
+        chart.sum_products([(a, _root_chart().var("x"))])

@@ -271,6 +271,75 @@ def test_asd_span_flat(flat4):
             assert s.is_zero()
 
 
+def _fold_matmul(chart, A, B):
+    """Matrix product by ``+`` and ``*`` alone, independent of
+    Chart.sum_products."""
+    n = len(A)
+    out = [[chart.zero()] * n for _ in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        out[i][j] = out[i][j] + A[i][k] * B[k][j]
+    return out
+
+
+def _rows(A):
+    return [[A.comp(a, b) for b in range(4)] for a in range(4)]
+
+
+def test_hodge_star_squares_to_the_identity_on_eguchi_hanson(eh_metric):
+    """On 2-forms of a Riemannian 4-manifold ** = Id, and * has the
+    eigenvalues +1 and -1 three times each, so its trace is 0."""
+    chart = eh_metric.chart
+    star = G.hodge_star_matrix(eh_metric)
+    square = _fold_matmul(chart, star, star)
+    for r, c in itertools.product(range(6), repeat=2):
+        assert square[r][c] == (1 if r == c else 0)
+    trace = chart.zero()
+    for r in range(6):
+        trace = trace + star[r][r]
+    assert trace.is_zero()
+
+
+@pytest.fixture(scope="module")
+def eh_asd_span(eh_metric):
+    return G.asd_span(eh_metric, orientation=1)
+
+
+def test_asd_span_is_g_skew_on_eguchi_hanson(eh_metric, eh_asd_span):
+    chart = eh_metric.chart
+    g = [[eh_metric.comp(i, j) for j in range(4)] for i in range(4)]
+    for A in eh_asd_span:
+        gA = _fold_matmul(chart, g, _rows(A))  # (gA)_ij = g(e_i, A e_j)
+        for i, j in itertools.product(range(4), repeat=2):
+            assert (gA[i][j] + gA[j][i]).is_zero()
+
+
+def test_asd_span_is_a_quaternion_like_triple_on_eguchi_hanson(eh_metric, eh_asd_span):
+    """Pairwise trace-orthogonal, pairwise anticommuting, and A^2 = -lam Id
+    with lam > 0 where the metric is positive definite (rho > 1)."""
+    chart = eh_metric.chart
+    point = {"rho": 2, "sin_phi": Fraction(5, 13), "cos_phi": Fraction(12, 13),
+             "sin_psi": Fraction(3, 5), "cos_psi": Fraction(4, 5),
+             "sin_theta": Fraction(8, 17), "cos_theta": Fraction(15, 17)}
+    rows = [_rows(A) for A in eh_asd_span]
+    for p, q in itertools.product(range(3), repeat=2):
+        if p > q:
+            continue
+        pq = _fold_matmul(chart, rows[p], rows[q])
+        if p == q:
+            lam = -pq[0][0]
+            assert lam.evaluate(point) > 0
+            for a, b in itertools.product(range(4), repeat=2):
+                assert pq[a][b] == (-lam if a == b else 0)
+            continue
+        qp = _fold_matmul(chart, rows[q], rows[p])
+        trace = chart.zero()
+        for a in range(4):
+            trace = trace + pq[a][a]
+        assert trace.is_zero()
+        for a, b in itertools.product(range(4), repeat=2):
+            assert (pq[a][b] + qp[a][b]).is_zero()
+
+
 def test_asd_frame_flat_is_quaternionic(flat4):
     chart, g = flat4
     I, J, K = G.asd_frame(g)

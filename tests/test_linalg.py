@@ -46,6 +46,14 @@ def test_solve_inconsistent():
     assert _linalg.solve([[1, 1], [1, 1]], [1, 2]) is None
 
 
+def test_int_matrices_are_reduced_exactly():
+    # float division would merge the two rows (10**17 + 1 == 10**17 as floats)
+    assert _linalg.rank([[10 ** 17, 1], [10 ** 17 + 1, 1]]) == 2
+    sol = _linalg.solve([[3, 1], [1, 2]], [1, 1])
+    assert sol == [Fraction(1, 5), Fraction(2, 5)]
+    assert all(isinstance(x, Fraction) for x in sol)
+
+
 @settings(max_examples=50, deadline=None)
 @given(m=matrix)
 def test_rref_pivots_are_the_greedy_independent_columns(m):
