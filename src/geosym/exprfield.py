@@ -8,8 +8,10 @@ ds = c, dc = -s on the pair's own angle) and square roots
 (relation W^2 - q, derivation dW = dq / (2W)).
 
 Arithmetic in the field is exact rational; no floating point anywhere.
-Each ``+``, ``*`` or ``/`` builds a normalized :class:`Expr` and pays a
-gcd, so a sum of products is built with :meth:`Chart.sum_products`: the
+Each ``+``, ``*`` or ``/`` builds a normalized :class:`Expr`; gcds and
+lcms of denominators are trial divisions against a per-chart table of
+irreducibles (only a cofactor that no entry divides is factored anew).
+A sum of products is built with :meth:`Chart.sum_products`: the
 products are grouped by denominator, the groups combined over the lcm
 of their denominators, and the sum normalized once; the normal form is
 canonical, so the result is the one the ``+``/``*`` fold gives.
@@ -127,6 +129,8 @@ class Chart:
         self._ring = _make_ring(",".join(self.var_names), QQ)[0]
         self._index = {n: i for i, n in enumerate(self.var_names)}
         self._sample_pool = []
+        self._irreducibles: List = []  # monic irreducible factors of denominators met
+        self._factorizations: Dict = {}  # denominator -> ((irreducible index, exponent), ...)
 
     def _lift(self, poly, old_nvars: int):
         """Re-embed a polynomial from a ring with fewer variables."""
@@ -236,7 +240,7 @@ class Chart:
         are grouped by denominator polynomial and each group's numerators
         added; the groups are then combined over the lcm of their
         denominators, not their product, which would blow the numerator up
-        before its one gcd when many distinct denominators meet.
+        before its one cancellation when many distinct denominators meet.
 
         Soundness.  The :class:`Expr` normal form is canonical (numerator
         reduced by the relations' Groebner basis, denominator free of
@@ -268,9 +272,65 @@ class Chart:
                 if c != 1:
                     num = num.mul_ground(_qq(c))
                 groups[den] = groups[den] + num if den in groups else num
-        den = _lcm(ring, groups)
-        return Expr(self, sum((n if d == den else n * _exquo(den, d)
-                               for d, n in groups.items()), ring.zero), den)
+        if len(groups) < 2:  # one denominator or none: no lcm
+            den, num = next(iter(groups.items()), (one, ring.zero))
+            return Expr(self, num, den)
+        den, quotients = self._lcm(list(groups))
+        return Expr(self, sum((n * q for n, q in zip(groups.values(), quotients)),
+                              ring.zero), den)
+
+    # -- factored denominators ---------------------------------------------
+
+    def _factor(self, d) -> Tuple[Tuple[int, int], ...]:
+        """((i, e), ...), i ascending, with d = LC(d) * prod irreducible_i^e;
+        cached.  d is trial-divided by the table, and only a cofactor left
+        over goes to ``factor_list``, whose monic factors join the table."""
+        out = () if d.is_ground else self._factorizations.get(d)
+        if out is None:
+            out, rest = [], d
+            for i, p in enumerate(self._irreducibles):
+                e = 0
+                while (q := _divide(rest, p)) is not None:
+                    rest, e = q, e + 1
+                out += [(i, e)] if e else []
+            for f, e in ([] if rest.is_ground else rest.factor_list()[1]):
+                out.append((len(self._irreducibles), e))
+                self._irreducibles.append(f.monic())
+            out = self._factorizations[d] = tuple(out)
+        return out
+
+    def _expand(self, exps: Mapping[int, int]):
+        """The monic prod irreducible_i^e over the items (i, e) of ``exps``."""
+        return math.prod((self._irreducibles[i] ** e for i, e in exps.items() if e),
+                         start=self._ring.one)
+
+    def _cancel(self, n, d):
+        """(n, d) divided by gcd(n, d) and by LC(d): n is divided by each
+        irreducible p^e of d (:meth:`_factor`) for as long as the remainder
+        is zero, up to e times.  A ground d returns at once, unfactored."""
+        if not d.is_ground:
+            g = self._ring.one
+            for i, e in self._factor(d):
+                p = self._irreducibles[i]
+                for _ in range(e):
+                    if (q := _divide(n, p)) is None:
+                        break
+                    n, g = q, g * p
+            if not g.is_one:
+                d = _exquo(d, g)
+        return n.quo_ground(d.LC), d.quo_ground(d.LC)
+
+    def _lcm(self, polys: Sequence) -> Tuple[object, List]:
+        """(l, [l / p for p in polys]) for the monic lcm l of ``polys``: l
+        takes each irreducible's largest exponent (:meth:`_factor`), so l / p
+        = prod irreducible_i^(max_i - e_i) / LC(p).  l's factorization is cached."""
+        facs = [dict(self._factor(p)) for p in polys]
+        top = {i: max(f.get(i, 0) for f in facs) for i in sorted({i for f in facs for i in f})}
+        lcm = self._expand(top)
+        if top:
+            self._factorizations[lcm] = tuple(top.items())
+        return lcm, [self._expand({i: e - f.get(i, 0) for i, e in top.items()})
+                     .quo_ground(p.LC) for p, f in zip(polys, facs)]
 
     # -- reduction modulo the relation ideal ------------------------------
 
@@ -570,17 +630,29 @@ class Expr:
     reduced modulo the relation ideal, the denominator is cleared of
     quadratic generators, the gcd is cancelled and the denominator made
     monic.  Field-equal expressions therefore share a representation,
-    and an element is zero exactly when its numerator is.  Build a sum
-    of products with :meth:`Chart.sum_products`, which normalizes once
-    (products grouped by denominator, groups combined over the lcm of
-    their denominators) and, the form being canonical, gives the same
-    ``_num`` and ``_den`` as the fold of ``+`` and ``*``.
+    and an element is zero exactly when its numerator is.  The gcd is
+    cancelled by trial division against the chart's table of
+    irreducibles (:meth:`Chart._cancel`); factorizations are only a cache
+    on the chart, and the expanded monic ``_den`` is the normal form.
+    Build a sum of products with :meth:`Chart.sum_products`, which
+    normalizes once (products grouped by denominator, groups combined
+    over the lcm of their denominators) and, the form being canonical,
+    gives the same ``_num`` and ``_den`` as the fold of ``+`` and ``*``.
     """
 
     __slots__ = ("chart", "_num", "_den")
 
     def __init__(self, chart: Chart, num, den):
         """Normalize num/den.
+
+        Cancelling the gcd (:meth:`Chart._cancel`) is sound: QQ[vars] is a
+        UFD, so for d = c * prod p_i^e_i, p_i irreducible (as ``factor_list``
+        over QQ returns them), gcd(n, d) = prod p_i^min(e_i, v_p_i(n)); a
+        division by one p leaves remainder zero exactly when p divides, {p}
+        being a Groebner basis of (p).  d is free of quadratic generators,
+        so every p_i is too and quotients of the reduced n stay reduced.
+        The normal form (coprime, monic denominator) is unique, so ``_num``
+        and ``_den`` are those sympy's gcd gives.
 
         A numerator that is not the zero polynomial but reduces to zero is
         cross-checked here, once: the unreduced pair must vanish at the
@@ -601,10 +673,7 @@ class Expr:
         if not d:
             raise DivisionByZero("division by an expression that reduces to zero")
         if n:
-            n, d = chart._derationalize(n, d)
-            g, cn, cd = n.cofactors(d)
-            if not g.is_one:  # the quotients come from ``div``: copy them, see _exquo
-                n, d = cn.copy(), cd.copy()
+            n, d = chart._cancel(*chart._derationalize(n, d))
         else:
             d = chart._ring.one
             checked = 0
@@ -622,11 +691,6 @@ class Expr:
                 checked += 1
                 if checked >= 2:
                     break
-        lc = d.LC
-        if lc != 1:
-            inv = _qq(Fraction(1) / _fr(lc))
-            n = n.mul_ground(inv)
-            d = d.mul_ground(inv)
         self._num = n
         self._den = d
 
@@ -807,14 +871,21 @@ def _exquo(p, q):
     return p.exquo(q).copy()
 
 
-def _lcm(ring, polys):
-    """Least common multiple of the polynomials, up to a constant factor
-    (ring.one if none)."""
-    out = ring.one
-    for p in polys:
-        if not p.is_one:
-            out = out * out.cofactors(p)[2]
-    return out
+def _divide(p, f):
+    """p / f as a fresh polynomial when f divides p, else None: the
+    division stops at the first leading term of the running remainder
+    that LT(f) does not divide, as that term stays in the remainder."""
+    q, rest = {}, p.copy()
+    lm, lc = f.leading_expv(), f.LC
+    term_div = p._term_div()
+    while rest:
+        m = rest.leading_expv()
+        t = term_div((m, rest[m]), (lm, lc))
+        if t is None:
+            return None
+        q[t[0]] = t[1]
+        rest = rest._iadd_poly_monom(f, (t[0], -t[1]))
+    return p.ring.from_dict(q)
 
 
 def _derivation_rules(chart: Chart, coordinate: str, polys):
@@ -830,9 +901,9 @@ def _derivation_rules(chart: Chart, coordinate: str, polys):
         rule = _var_derivative(chart, chart.var_names[i], coordinate)
         if rule is not None:
             rules[i] = chart._current(rule)
-    s = _lcm(chart._ring, [den for _, den in rules.values()])
+    s, quotients = chart._lcm([den for _, den in rules.values()])
     # denominators are free of quadratic generators, so r stays reduced
-    return s, {i: num * _exquo(s, den) for i, (num, den) in rules.items()}
+    return s, {i: num * q for (i, (num, _)), q in zip(rules.items(), quotients)}
 
 
 def _poly_total_derivative(chart: Chart, p, rules):

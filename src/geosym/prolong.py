@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from sympy.polys.rings import PolyElement
 
 from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, PoleError, TaylorMap,
-                        _derivation_rules, _exquo, _lcm, _poly_total_derivative)
+                        _derivation_rules, _exquo, _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
 
@@ -370,10 +370,9 @@ def _clear_denominators(chart: Chart, pairs: Dict[JetKey, Tuple]) -> Dict[JetKey
     polynomial content.  The solution set and symbol spaces are
     unchanged, and polynomial coefficients go through
     :class:`~geosym.exprfield.TaylorMap` as they are."""
-    lcd = _lcm(chart._ring, [den for _, den in pairs.values()])
+    _, quotients = chart._lcm([den for _, den in pairs.values()])
     nums = {}
-    for k, (num, den) in pairs.items():
-        f = lcd if den.is_one else _exquo(lcd, den)
+    for (k, (num, _)), f in zip(pairs.items(), quotients):
         nums[k] = chart._reduce_poly(num * f) if not f.is_one else num
     content = None
     for p in nums.values():

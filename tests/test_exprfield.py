@@ -1,8 +1,12 @@
 """Kernel laws for the exact expression field: normal forms, arithmetic,
 derivations, relation handling, and evaluation."""
 
+import importlib
 import itertools
+import sys
 from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 import sympy
@@ -23,12 +27,17 @@ from geosym.exprfield import (
     _poly_mod,
     _poly_total_derivative,
     _prime,
+    _qq,
     _sqrt_mod,
     exact_sqrt,
     parse_expr,
 )
+from geosym.cli import _symmetry_system
+from geosym.modelfile import parse_model
 
 from conftest import build_eh_chart, nested_root_chart
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _make_chart():
@@ -407,3 +416,140 @@ def test_sum_products_edge_cases(chart):
         == 2 * a + b / 3 + Fraction(3, 4)
     with pytest.raises(ExprError):
         chart.sum_products([(a, _root_chart().var("x"))])
+
+
+# -- factored denominators --------------------------------------------------
+
+
+def _poly(chart, source):
+    e = parse_expr(chart, source)
+    assert e._den.is_one
+    return e._num
+
+
+def _gcd_oracle(chart, num, den):
+    """The normal form by sympy's gcd: reduce, clear quadratic generators
+    from the denominator, cancel the gcd, make the denominator monic."""
+    n, d = chart._derationalize(chart._reduce_poly(num), chart._reduce_poly(den))
+    if not n:
+        return n, chart._ring.one
+    _, n, d = n.cofactors(d)
+    return n.quo_ground(d.LC), d.monic()
+
+
+def _same_as_oracle(e, num, den):
+    n, d = _gcd_oracle(e.chart, num, den)
+    return e._num == n and e._den == d
+
+
+# (chart, irreducible denominator factors, numerator atoms): non-monic
+# factors, a root in a denominator, and the Eguchi-Hanson table
+_CANCEL_CHARTS = {
+    "trig": (_make_chart(), ["x", "y", "x + 1", "x^2 - y", "cos(t) + 1", "cos(t) - 1",
+                             "x*cos(t) + y", "2*x + 3"],
+             ["1", "sin(t)", "x - y", "sin(t)*y + 2", "1/3"]),
+    "root": (_root_chart(), ["x", "y", "z", "x + y", "y*z + 1", "x^2 + 1", "3*z - 1",
+                             "W + 1"],
+             ["W", "W*x - 1", "z", "2"]),
+    "eguchi-hanson": (build_eh_chart(), [
+        "rho", "rho - 1", "rho + 1", "cos(phi) + 1", "cos(phi) - 1", "cos(psi) + 1",
+        "cos(psi) - 1", "rho^2 + cos(psi)^2 - 1",
+        "rho^2 - cos(phi)^2*cos(psi)^2 + cos(phi)^2 + cos(psi)^2 - 1"],
+        ["sin(phi)", "sin(psi)*cos(theta)", "rho^3 - 2", "1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CANCEL_CHARTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cancellation_matches_the_gcd_oracle(name, data):
+    chart, irreducibles, atoms = _CANCEL_CHARTS[name]
+
+    def power_product():
+        powers = data.draw(st.lists(st.tuples(st.sampled_from(irreducibles),
+                                              st.integers(1, 3)), max_size=4))
+        return prod((_poly(chart, p) ** e for p, e in powers), start=chart._ring.one)
+
+    atoms = data.draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3))
+    num = sum((_poly(chart, a) for a in atoms), chart._ring.zero) * power_product()
+    c = data.draw(st.sampled_from([1, -2, Fraction(3, 5)]))
+    den = power_product().mul_ground(_qq(c))
+    assert _same_as_oracle(Expr(chart, num, den), num, den)
+    _assert_table_invariants(chart)
+
+
+def _assert_table_invariants(chart):
+    assert len(set(chart._irreducibles)) == len(chart._irreducibles)
+    for p in chart._irreducibles:
+        assert p.ring is chart._ring and p.LC == 1
+        _, factors = p.factor_list()
+        assert len(factors) == 1 and factors[0][1] == 1
+    for d, exps in chart._factorizations.items():
+        assert d == chart._expand(dict(exps)).mul_ground(d.LC)
+
+
+def test_eguchi_hanson_denominators_factor_over_the_table(eh_metric, eh_quaternionic_system):
+    chart = eh_metric.chart
+    _assert_table_invariants(chart)
+    named = {str(_poly(chart, s)) for s in _CANCEL_CHARTS["eguchi-hanson"][1]}
+    assert named <= {str(p) for p in chart._irreducibles}
+
+
+def test_lcm_quotients_come_from_the_exponents():
+    ch = Chart(["x", "y"])
+    x, y = (_poly(ch, v) for v in "xy")
+    lcm, quotients = ch._lcm([2 * x + 2, x ** 2 - 1, ch._ring.one, x * y])
+    assert lcm == (x ** 2 - 1) * x * y
+    assert quotients == [(x - 1) * x * y / 2, x * y, lcm, x ** 2 - 1]
+    assert ch._lcm([]) == (ch._ring.one, [])
+    _assert_table_invariants(ch)
+
+
+def test_declaring_a_root_resets_the_table():
+    ch = Chart(["x", "y"])
+    old = [parse_expr(ch, s) for s in ("1/(x^2 - 1)", "(x + y)/(x*y + x)", "y/(x + 1)^2")]
+    assert ch._irreducibles and ch._factorizations
+    W = ch.add_square_root("W", parse_expr(ch, "x^2 + y^2 + 1"))
+    assert not ch._irreducibles and not ch._factorizations
+    new = [W / (ch.var("x") + 1), (ch.var("x") - 1) / (W + ch.var("y"))]
+    for a in old:
+        n, d = ch._current(a)
+        assert _same_as_oracle(ch.expr(a), n, d)
+        for b in new:
+            (n1, d1), (n2, d2) = ch._current(a), ch._current(b)
+            assert _same_as_oracle(a * b, n1 * n2, d1 * d2)
+            assert _same_as_oracle(a + b, n1 * d2 + n2 * d1, d1 * d2)
+    _assert_table_invariants(ch)
+
+
+def test_quotients_of_a_shared_factor_hash_like_fresh_polynomials():
+    ch = Chart(["x", "y"])
+    x, y = (_poly(ch, v) for v in "xy")
+    ch.one() / ch.expr("x + 1")  # puts x + 1 in the table
+    for c in (1, 2):  # a monic denominator keeps the quotients themselves
+        e = Expr(ch, (x + 1) ** 2 * (x + y), c * (x + 1) * y)
+        assert e._den == y and e._num == (x + 1) * (x + y) / c
+        for p in (e._num, e._den):
+            assert hash(p) == hash(p.copy())
+
+
+def _flat8_model():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return parse_model(workloads.flat_quaternionic_model(2), "flat8-quaternionic")
+
+
+def test_constant_coefficient_systems_pay_no_factorization(monkeypatch):
+    factor = Chart._factor
+
+    def ground_only(self, d):
+        assert d.is_ground, f"factored {d}"
+        return factor(self, d)
+
+    monkeypatch.setattr(Chart, "_factor", ground_only)
+    model = _flat8_model()
+    _symmetry_system(model, model.tasks["bound"].params)
+    assert not model.chart._irreducibles and not model.chart._factorizations
