@@ -8,9 +8,20 @@ ds = c, dc = -s on the pair's own angle) and square roots
 (relation W^2 - q, derivation dW = dq / (2W)).
 
 Arithmetic in the field is exact rational; no floating point anywhere.
-Each ``+``, ``*`` or ``/`` builds a normalized :class:`Expr`; gcds and
-lcms of denominators are trial divisions against a per-chart table of
-irreducibles (only a cofactor that no entry divides is factored anew).
+Each ``+``, ``*`` or ``/`` builds a normalized :class:`Expr`.  The two
+hot primitives of normalization work on the polynomials' dicts from
+exponent tuples to coefficients:
+
+- reduction (:meth:`Chart._reduce_poly`) applies each rule g^2 -> rhs
+  once, latest-declared generator first, with the powers of rhs cached
+  per chart; a rule's rhs holds only earlier generators and rule-free
+  cos, so the one pass reaches the canonical normal form;
+- trial division (:func:`_divide`) by a monic irreducible of the
+  chart's table, in the lex order every chart's ring is built with, so
+  each quotient term is the remainder's leading term shifted by LM(f).
+
+gcds and lcms of denominators are those trial divisions (only a
+cofactor that no table entry divides is factored anew).
 A sum of products is built with :meth:`Chart.sum_products`: the
 products are grouped by denominator, the groups combined over the lcm
 of their denominators, and the sum normalized once; the normal form is
@@ -35,6 +46,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from sympy import QQ, prevprime
 from sympy.ntheory import sqrt_mod
+from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing, ring as _make_ring
 
 Rational = Union[int, Fraction]
@@ -126,17 +138,19 @@ class Chart:
         return len(self.coordinates)
 
     def _rebuild_ring(self):
-        self._ring = _make_ring(",".join(self.var_names), QQ)[0]
+        # lex: :func:`_divide` takes the leading monomial as the max exponent tuple
+        self._ring = _make_ring(",".join(self.var_names), QQ, lex)[0]
         self._index = {n: i for i, n in enumerate(self.var_names)}
         self._sample_pool = []
+        self._relations: Optional[List] = None  # see :meth:`_relation_powers`
         self._irreducibles: List = []  # monic irreducible factors of denominators met
         self._factorizations: Dict = {}  # denominator -> ((irreducible index, exponent), ...)
 
     def _lift(self, poly, old_nvars: int):
         """Re-embed a polynomial from a ring with fewer variables."""
-        pad = len(self.var_names) - old_nvars
-        if pad == 0 and poly.ring is self._ring:
+        if poly.ring is self._ring:
             return poly
+        pad = len(self._index) - old_nvars
         return self._ring.from_dict(
             {m + (0,) * pad: c for m, c in poly.to_dict().items()}
         )
@@ -161,7 +175,7 @@ class Chart:
         self._declare(s)
         self._declare(c)
         # relation sin^2 -> 1 - cos^2, stored after both vars exist
-        s.square_rhs = 1 - self.var(c_name) ** 2
+        self._relate(s, 1 - self.var(c_name) ** 2)
         self._trig_pairs[angle] = (s_name, c_name)
         return self.var(s_name), self.var(c_name)
 
@@ -182,7 +196,7 @@ class Chart:
             )
         g = GeneratorSpec(name, "root")
         self._declare(g)
-        g.square_rhs = self.expr(radicand)  # lift into the enlarged ring
+        self._relate(g, self.expr(radicand))  # lift into the enlarged ring
         return self.var(name)
 
     def _declare(self, g: GeneratorSpec):
@@ -193,6 +207,12 @@ class Chart:
         self.generators.append(g)
         self._gens_by_name[g.name] = g
         self._rebuild_ring()
+
+    def _relate(self, g: GeneratorSpec, rhs: "Expr"):
+        """Give g the rule g^2 -> rhs.  Expressions built since g was
+        declared cached the rules without it, so the cache is dropped."""
+        g.square_rhs = rhs
+        self._relations = None
 
     def trig_pair(self, angle: str) -> Tuple["Expr", "Expr"]:
         if angle not in self._trig_pairs:
@@ -307,7 +327,9 @@ class Chart:
     def _cancel(self, n, d):
         """(n, d) divided by gcd(n, d) and by LC(d): n is divided by each
         irreducible p^e of d (:meth:`_factor`) for as long as the remainder
-        is zero, up to e times.  A ground d returns at once, unfactored."""
+        is zero, up to e times, and d by the monic product g of the p that
+        divided (:func:`_divide` throughout).  A ground d returns at once,
+        unfactored."""
         if not d.is_ground:
             g = self._ring.one
             for i, e in self._factor(d):
@@ -317,7 +339,7 @@ class Chart:
                         break
                     n, g = q, g * p
             if not g.is_one:
-                d = _exquo(d, g)
+                d = _divide(d, g)  # g is monic and divides d
         return n.quo_ground(d.LC), d.quo_ground(d.LC)
 
     def _lcm(self, polys: Sequence) -> Tuple[object, List]:
@@ -334,35 +356,58 @@ class Chart:
 
     # -- reduction modulo the relation ideal ------------------------------
 
-    def _reduce_poly(self, p):
-        """Rewrite g^k -> g^(k mod 2) * rhs^(k//2) to fixpoint.
+    def _relation_powers(self) -> List[Tuple[int, List]]:
+        """(variable index of g, [1, rhs, rhs^2, ...]) for each rule
+        g^2 -> rhs, latest-declared g first.  The rules are lifted into the
+        current ring once; :meth:`_reduce_poly` extends each list of powers
+        as it needs them.  Rebuilding the ring and :meth:`_relate` drop the
+        cache."""
+        if self._relations is None:
+            self._relations = [
+                (self._index[g.name], [self._ring.one, self._current(g.square_rhs)[0]])
+                for g in reversed(self.generators) if g.square_rhs is not None]
+        return self._relations
 
-        The rules' leading monomials are pairwise coprime, so this is
-        reduction by a Groebner basis and the normal form is canonical.
+    def _reduce_poly(self, p):
+        """Normal form of p modulo the relation ideal, in one pass over the
+        rules, latest-declared generator first: each term c * m * g^e with
+        e >= 2 becomes c * m * g^(e mod 2) * rhs^(e // 2), the power taken
+        from :meth:`_relation_powers`.  p itself is returned when no term
+        has a rewritable power.
+
+        Soundness.  A rule's rhs holds only coordinates, generators
+        declared before g, and cos generators, which have no rule (sin's
+        rhs is 1 - cos^2).  So rewriting by g's rule raises only exponents
+        of generators whose rules come later in the pass, and no later
+        rewrite raises g's: after the pass every ruled generator has
+        degree < 2 in every term, the fixpoint of repeated rewriting.  In
+        the lex order that ranks generators above coordinates, later ones
+        above earlier and each sin above its cos, the rules' leading
+        monomials are the g^2, pairwise coprime, so the rules are a
+        Groebner basis and that normal form is canonical: rewriting in any
+        order gives the same polynomial.
         """
-        rules = []
-        for g in self.generators:
-            if g.square_rhs is not None:
-                rules.append((self._index[g.name], self._current(g.square_rhs)[0]))
-        changed = True
-        while changed:
-            changed = False
-            for idx, rhs in rules:
-                if p.degree(idx) < 2:
+        terms = p
+        for idx, powers in self._relation_powers():
+            if all(m[idx] < 2 for m in terms):
+                continue
+            zero, mul = p.ring.domain.zero, p.ring.monomial_mul
+            out: Dict = {}
+            get = out.get
+            for m, c in terms.items():
+                e = m[idx]
+                if e < 2:
+                    out[m] = get(m, zero) + c
                     continue
-                out = p.ring.zero
-                for monom, coeff in p.terms():
-                    e = monom[idx]
-                    if e >= 2:
-                        m = list(monom)
-                        m[idx] = e % 2
-                        term = p.ring.from_dict({tuple(m): coeff})
-                        out += term * rhs ** (e // 2)
-                        changed = True
-                    else:
-                        out += p.ring.from_dict({monom: coeff})
-                p = out
-        return p
+                k = e // 2
+                while len(powers) <= k:
+                    powers.append(powers[-1] * powers[1])
+                base = m[:idx] + (e % 2,) + m[idx + 1:]
+                for pm, pc in powers[k].items():
+                    mm = mul(base, pm)
+                    out[mm] = get(mm, zero) + c * pc
+            terms = {m: c for m, c in out.items() if c}
+        return p if terms is p else p.ring.dtype(terms)
 
     def _derationalize(self, num, den):
         """Multiply by conjugates until den is free of quadratic generators.
@@ -872,20 +917,33 @@ def _exquo(p, q):
 
 
 def _divide(p, f):
-    """p / f as a fresh polynomial when f divides p, else None: the
-    division stops at the first leading term of the running remainder
-    that LT(f) does not divide, as that term stays in the remainder."""
-    q, rest = {}, p.copy()
-    lm, lc = f.leading_expv(), f.LC
-    term_div = p._term_div()
+    """p / f as a fresh polynomial when f divides p, else None.
+
+    Preconditions: f is monic and the ring's order is lex (pinned in
+    ``Chart._rebuild_ring``), so a polynomial's leading monomial is the
+    max of its exponent tuples.  Each quotient term is then (LM(rest) -
+    LM(f), LC(rest)), with no division of coefficients.  The division
+    stops at the first LM(rest) that LM(f) does not divide: that term
+    stays in the remainder, so the remainder is nonzero and, {f} being a
+    Groebner basis of (f), f does not divide p."""
+    ring = p.ring
+    zero, div, mul = ring.domain.zero, ring.monomial_div, ring.monomial_mul
+    lm = max(f)
+    tail = [(m, c) for m, c in f.items() if m != lm]
+    rest, q = dict(p), {}
     while rest:
-        m = rest.leading_expv()
-        t = term_div((m, rest[m]), (lm, lc))
+        m = max(rest)
+        t = div(m, lm)
         if t is None:
             return None
-        q[t[0]] = t[1]
-        rest = rest._iadd_poly_monom(f, (t[0], -t[1]))
-    return p.ring.from_dict(q)
+        c = q[t] = rest.pop(m)
+        for fm, fc in tail:
+            mm = mul(t, fm)
+            if v := rest.get(mm, zero) - c * fc:
+                rest[mm] = v
+            else:
+                del rest[mm]
+    return ring.dtype(q)
 
 
 def _derivation_rules(chart: Chart, coordinate: str, polys):

@@ -2,6 +2,7 @@
 execution on small models."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,8 @@ import pytest
 
 from geosym.cli import main
 
-MODELS = Path(__file__).resolve().parent.parent / "src" / "geosym" / "models"
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODELS = SRC / "geosym" / "models"
 
 FAILING_MODEL = """
 [chart]
@@ -123,6 +125,16 @@ def test_console_script_entry_point():
          str(MODELS / "flat2.model")],
         capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+def test_module_entry_point_runs_from_the_source_tree():
+    """``python -m geosym`` with only ``src`` on the path, no install."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "geosym", "run", str(MODELS / "flat2.model"),
+         "--task", "bound"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert "bound: 3" in proc.stdout
 
 
 def test_blocks_model_runs(capsys):

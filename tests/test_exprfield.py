@@ -23,6 +23,7 @@ from geosym.exprfield import (
     PoleError,
     TaylorMap,
     _derivation_rules,
+    _divide,
     _mod,
     _poly_mod,
     _poly_total_derivative,
@@ -553,3 +554,164 @@ def test_constant_coefficient_systems_pay_no_factorization(monkeypatch):
     model = _flat8_model()
     _symmetry_system(model, model.tasks["bound"].params)
     assert not model.chart._irreducibles and not model.chart._factorizations
+
+
+# -- one-pass reduction and monic division ------------------------------------
+
+
+def _fixpoint_reduce(chart, p):
+    """Rewrite g^k -> g^(k mod 2) * rhs^(k//2), one monomial at a time, in
+    declaration order until nothing changes: the reduction that the
+    one-pass ``Chart._reduce_poly`` replaces."""
+    rules = [(chart._index[g.name], chart._current(g.square_rhs)[0])
+             for g in chart.generators if g.square_rhs is not None]
+    changed = True
+    while changed:
+        changed = False
+        for idx, rhs in rules:
+            if p.degree(idx) < 2:
+                continue
+            out = p.ring.zero
+            for monom, coeff in p.terms():
+                e = monom[idx]
+                if e >= 2:
+                    m = list(monom)
+                    m[idx] = e % 2
+                    out += p.ring.from_dict({tuple(m): coeff}) * rhs ** (e // 2)
+                    changed = True
+                else:
+                    out += p.ring.from_dict({monom: coeff})
+            p = out
+    return p
+
+
+def _trig_root_chart():
+    """A root declared after a trig pair, over sin: W^2 = sin(t) + x + 2."""
+    ch = Chart(["x", "t"])
+    ch.add_trig_pair("t")
+    ch.add_square_root("W", parse_expr(ch, "sin(t) + x + 2"))
+    return ch
+
+
+_REDUCE_CHARTS = {
+    "trig": _make_chart(),
+    "root": _root_chart(),
+    "nested-root": nested_root_chart(),
+    "eguchi-hanson": build_eh_chart(),
+    "trig-then-root": _trig_root_chart(),
+}
+
+
+def _same_poly(a, b):
+    return a == b and str(a) == str(b) and hash(a) == hash(b.copy())
+
+
+@pytest.mark.parametrize("name", sorted(_REDUCE_CHARTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_pass_reduction_matches_the_fixpoint(name, data):
+    """Exponents up to 6, so rhs^2 and rhs^3 are taken from the powers."""
+    chart = _REDUCE_CHARTS[name]
+    n = len(chart.var_names)
+    monom = st.tuples(*[st.integers(0, 6)] * n)
+    coeff = st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-7, 5)]).map(_qq)
+    terms = data.draw(st.dictionaries(monom, coeff, max_size=5))
+    p = chart._ring.from_dict(terms)
+    assert _same_poly(chart._reduce_poly(p), _fixpoint_reduce(chart, p))
+
+
+def test_reduction_uses_cached_powers_of_each_rule():
+    ch = nested_root_chart()
+    W, V = (ch._ring.gens[ch._index[g]] for g in "WV")
+    p = W ** 5 * V ** 7 + V ** 6
+    assert _same_poly(ch._reduce_poly(p), _fixpoint_reduce(ch, p))
+    # V (latest first) up to rhs^3 for V^6, V^7; W up to rhs^4 for the
+    # W^5 * W^3 that V's rhs^3 = (W + y^2 + 3)^3 leaves
+    assert [len(powers) for _, powers in ch._relation_powers()] == [4, 5]
+    p = W * V + ch._ring.one
+    assert ch._reduce_poly(p) is p  # nothing to rewrite
+
+
+def test_a_root_declared_after_a_trig_pair_is_reduced_by_both_rules():
+    ch = _trig_root_chart()
+    W = ch._ring.gens[ch._index["W"]]
+    # W^4 = (sin + x + 2)^2 and sin^2 = 1 - cos^2
+    want = _poly(ch, "2*sin(t)*(x + 2) + (x + 2)^2 + 1 - cos(t)^2")
+    assert _same_poly(ch._reduce_poly(W ** 4), want)
+    assert _same_poly(ch._reduce_poly(W ** 4), _fixpoint_reduce(ch, W ** 4))
+    assert ch.var("W") ** 4 == ch.expr("2*sin(t)*(x + 2) + (x + 2)^2 + 1 - cos(t)^2")
+
+
+def test_relations_are_lifted_once_per_rule_set(monkeypatch):
+    """A rule's rhs is lifted into the current ring when the rules are
+    cached, once per ring and set of rules, and not again by the
+    ``_reduce_poly`` calls that find them cached."""
+    lifted, reductions, inside = [], [], []
+    lift, reduce_poly = Chart._lift, Chart._reduce_poly
+
+    def counting_lift(self, poly, old_nvars):
+        if inside and any(g.square_rhs is not None and poly is g.square_rhs._num
+                          for g in self.generators):
+            lifted.append(poly)
+        return lift(self, poly, old_nvars)
+
+    def counting_reduce(self, p):
+        reductions.append(p)
+        inside.append(p)
+        try:
+            return reduce_poly(self, p)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Chart, "_lift", counting_lift)
+    monkeypatch.setattr(Chart, "_reduce_poly", counting_reduce)
+    ch = nested_root_chart()
+    # W's Expr caches {W}; V's radicand in the new ring caches {W}, V's Expr {W, V}
+    assert len(lifted) == 1 + 1 + 2
+
+    def build():
+        lifted.clear()
+        reductions.clear()
+        for k in range(1, 6):
+            parse_expr(ch, f"(W + V*x)^{k} / (x + y^{k}) + V^{k + 1}*W")
+        return len(lifted), len(reductions)
+
+    assert build()[0] == 0 and len(reductions) > 20
+    lifted.clear()
+    ch.add_square_root("U", parse_expr(ch, "V + x"))
+    assert len(lifted) == 2 + 3
+    assert build()[0] == 0 and len(reductions) > 20
+
+
+@pytest.mark.parametrize("name", sorted(_CANCEL_CHARTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_monic_division_matches_sympy_div(name, data):
+    """_divide returns the quotient, hashing like a fresh polynomial,
+    exactly when sympy's remainder is 0, for table irreducibles, random
+    monic divisors and their products."""
+    chart, irreducibles, _ = _CANCEL_CHARTS[name]
+    n = len(chart.var_names)
+
+    def poly(max_size):
+        monom = st.tuples(*[st.integers(0, 2)] * n)
+        coeff = st.sampled_from([1, -1, 3, Fraction(1, 2), Fraction(-2, 7)]).map(_qq)
+        return chart._ring.from_dict(data.draw(st.dictionaries(monom, coeff,
+                                                               max_size=max_size)))
+
+    f = _poly(chart, data.draw(st.sampled_from(irreducibles))).monic()
+    g = poly(3)
+    if g and data.draw(st.booleans()):
+        f = g.monic() * (f if data.draw(st.booleans()) else 1)
+    p = f * poly(4) + (poly(2) if data.draw(st.booleans()) else chart._ring.zero)
+    quotient, remainder = p.div(f)
+    got = _divide(p, f)
+    if remainder:
+        assert got is None
+    else:
+        assert got is not None and _same_poly(got, quotient)
+
+
+def test_charts_order_monomials_by_lex():
+    for chart in _REDUCE_CHARTS.values():
+        assert chart._ring.order == sympy.polys.orderings.lex
