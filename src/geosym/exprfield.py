@@ -145,6 +145,7 @@ class Chart:
         self._relations: Optional[List] = None  # see :meth:`_relation_powers`
         self._irreducibles: List = []  # monic irreducible factors of denominators met
         self._factorizations: Dict = {}  # denominator -> ((irreducible index, exponent), ...)
+        self._products: Dict = {}  # ((irreducible index, exponent), ...) -> product, see _expand
 
     def _lift(self, poly, old_nvars: int):
         """Re-embed a polynomial from a ring with fewer variables."""
@@ -320,9 +321,15 @@ class Chart:
         return out
 
     def _expand(self, exps: Mapping[int, int]):
-        """The monic prod irreducible_i^e over the items (i, e) of ``exps``."""
-        return math.prod((self._irreducibles[i] ** e for i, e in exps.items() if e),
-                         start=self._ring.one)
+        """The monic prod irreducible_i^e over the items (i, e) of ``exps``,
+        cached by the items with e > 0: the result is shared, so no caller
+        may change it in place."""
+        key = tuple((i, e) for i, e in exps.items() if e)
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = math.prod(
+                (self._irreducibles[i] ** e for i, e in key), start=self._ring.one)
+        return out
 
     def _cancel(self, n, d):
         """(n, d) divided by gcd(n, d) and by LC(d): n is divided by each

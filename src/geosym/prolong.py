@@ -18,12 +18,16 @@ Rows are sparse dicts from integer column codes to residues
 unknowns and B above every jet order met, so codes sort like the graded
 keys (-|alpha|, a, alpha) and the column of X^a_(alpha+beta-gamma) is
 that of X^a_alpha plus a shift fixed by beta - gamma.  The elimination
-(:class:`_GradedElimination`) takes each row's next pivot from a heap of
-its codes and reduces an entry mod p only when it is tested as a pivot
-or stored.  Relabelling the columns in the same order and reducing
-later change no row space and no pivot choice, so pivots, ranks and
-tables are those of elimination on the graded keys with every step
-reduced.
+(:class:`_GradedElimination`) keeps its stored rows in reduced row
+echelon form (RREF): no stored tail holds a pivot column.  A new row is
+reduced in one pass over its own keys, and its pivot is then cleared
+from the stored tails that hold it, found through an index from each
+non-pivot column to the stored rows that hold it.  Tail entries stay integers congruent to
+their residues until they are read as a multiplier.  The RREF of a row
+space is unique and its pivot set is the column rank profile; an
+order-preserving relabelling of the columns and a later reduction mod p
+change neither, so pivots, ranks and tables are those of elimination on
+the graded keys with every step reduced.
 
 Soundness of the elimination mod p.  The Taylor map at a point, to
 order K and mod its prime p, is a ring homomorphism from the coordinate
@@ -44,7 +48,6 @@ tables are taken at several points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
 from itertools import product
 from math import comb, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -262,22 +265,31 @@ class SymbolTable:
 
 
 class _GradedElimination:
-    """Incremental echelon form over sparse GF(prime) rows keyed by the
-    integer column codes of :class:`_Columns`, smallest code (highest
-    jet order) eliminated first.
+    """Incremental reduced row echelon form (RREF) over sparse GF(prime)
+    rows keyed by the integer column codes of :class:`_Columns`,
+    smallest code (highest jet order) eliminated first.
 
-    Whatever order rows arrive in, the resulting pivot-key set is the
-    canonical one: a column is a pivot exactly when it enlarges the rank
-    of the leading column block, which depends only on the row space.
-    ``rows`` maps each pivot to the rest of its stored row as a tuple of
-    keys and a tuple of their entries, reduced mod the prime; the pivot
-    entry is 1.
+    ``rows`` maps each pivot to the rest of its stored row, a dict from
+    key to entry; the pivot entry is 1.  The invariant is that no stored
+    tail holds a pivot key, so a new row is reduced by one pass over its
+    own keys, and a new pivot is cleared from the stored tails that hold
+    it (back-substitution).  ``_holders`` names those tails: for each
+    column that is not a pivot, the pivots whose tails hold it, appended
+    to as tails gain the column and dropped when it becomes a pivot.
+    Tail entries are integers congruent to their residues, reduced when
+    read as a multiplier, so an entry may read 0.
+
+    The RREF of a row space is unique and its pivot set is the column
+    rank profile: a column is a pivot exactly when it enlarges the rank
+    of the leading column block.  So the pivots, rank and tables depend
+    only on the row space, not on the order the rows arrive in.
     """
 
     def __init__(self, prime: int, columns: _Columns):
         self.prime = prime
         self.columns = columns
-        self.rows: Dict[int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+        self.rows: Dict[int, Dict[int, int]] = {}
+        self._holders: Dict[int, List[int]] = {}
 
     @property
     def rank(self) -> int:
@@ -288,33 +300,43 @@ class _GradedElimination:
         entry 1) and return its pivot key, or return None if it is
         dependent on the rows seen so far.
 
-        The next pivot candidate is the least key on a heap of the row's
-        keys.  Entries stay integers congruent to their residues until
-        that key is popped: each is reduced before it is tested as a
-        pivot or stored, so the result is that of reducing every step."""
-        prime, rows = self.prime, self.rows
-        row = dict(row)
-        heap = list(row)
-        heapify(heap)
-        while heap:
-            p = heappop(heap)
-            f = row.pop(p) % prime
+        Each key of the row that is a pivot contributes its entry times
+        that pivot's tail, every other key is copied, and the sum is
+        reduced mod the prime once: stored tails hold no pivot key, so
+        the result is zero on every pivot and its least key is the new
+        pivot.  The new row, scaled to pivot entry 1, is then subtracted
+        from each stored tail that holds its pivot."""
+        prime, rows, holders = self.prime, self.rows, self._holders
+        out: Dict[int, int] = {}
+        for k, v in row.items():
+            tail = rows.get(k)
+            if tail is None:
+                out[k] = out.get(k, 0) + v
+            elif f := v % prime:
+                for j, t in tail.items():
+                    out[j] = out.get(j, 0) - f * t
+        out = {k: r for k, v in out.items() if (r := v % prime)}
+        if not out:
+            return None
+        p = min(out)
+        inv = pow(out.pop(p), prime - 2, prime)
+        new = {k: v * inv % prime for k, v in out.items()}
+        for q in holders.pop(p, ()):
+            tail = rows[q]
+            f = tail.pop(p) % prime
             if not f:
                 continue
-            tail = rows.get(p)
-            if tail is None:
-                inv = pow(f, prime - 2, prime)
-                kept = [(k, r) for k, v in row.items() if (r := v * inv % prime)]
-                rows[p] = (tuple(k for k, _ in kept), tuple(r for _, r in kept))
-                return p
-            for k, v in zip(*tail):
-                old = row.get(k)
+            for k, t in new.items():
+                old = tail.get(k)
                 if old is None:
-                    row[k] = -f * v
-                    heappush(heap, k)
+                    tail[k] = -f * t
+                    holders.setdefault(k, []).append(q)
                 else:
-                    row[k] = old - f * v
-        return None
+                    tail[k] = old - f * t
+        rows[p] = new
+        for k in new:
+            holders.setdefault(k, []).append(p)
+        return p
 
     def pivots_per_order(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
@@ -366,21 +388,28 @@ class BoundResult:
 
 def _clear_denominators(chart: Chart, pairs: Dict[JetKey, Tuple]) -> Dict[JetKey, PolyElement]:
     """Polynomial coefficients of an equation given by (num, den) pairs:
-    scaled by the least common denominator and divided by the common
-    polynomial content.  The solution set and symbol spaces are
+    scaled by the least common denominator and divided by the monic
+    common polynomial content.  The solution set and symbol spaces are
     unchanged, and polynomial coefficients go through
-    :class:`~geosym.exprfield.TaylorMap` as they are."""
+    :class:`~geosym.exprfield.TaylorMap` as they are.
+
+    The content is folded over the numerators with the fewest terms
+    first, where a gcd is cheapest (a monomial content is found without
+    a heuristic gcd); the fold's constant factor depends on that order,
+    and dividing by the monic content makes the result independent of
+    it."""
     _, quotients = chart._lcm([den for _, den in pairs.values()])
     nums = {}
     for (k, (num, _)), f in zip(pairs.items(), quotients):
         nums[k] = chart._reduce_poly(num * f) if not f.is_one else num
     content = None
-    for p in nums.values():
+    for p in sorted(nums.values(), key=len):
         content = p if content is None else content.gcd(p)
         if content.is_ground:
-            break
-    if content is None or content.is_ground:
+            return nums
+    if content is None:
         return nums
+    content = content.monic()
     return {k: _exquo(p, content) for k, p in nums.items()}
 
 

@@ -487,6 +487,11 @@ def _assert_table_invariants(chart):
         assert len(factors) == 1 and factors[0][1] == 1
     for d, exps in chart._factorizations.items():
         assert d == chart._expand(dict(exps)).mul_ground(d.LC)
+    for key, product in chart._products.items():  # the cache of _expand
+        assert all(e > 0 for _, e in key)
+        assert product == prod((chart._irreducibles[i] ** e for i, e in key),
+                               start=chart._ring.one)
+        assert hash(product) == hash(product.copy())
 
 
 def test_eguchi_hanson_denominators_factor_over_the_table(eh_metric, eh_quaternionic_system):
@@ -509,9 +514,11 @@ def test_lcm_quotients_come_from_the_exponents():
 def test_declaring_a_root_resets_the_table():
     ch = Chart(["x", "y"])
     old = [parse_expr(ch, s) for s in ("1/(x^2 - 1)", "(x + y)/(x*y + x)", "y/(x + 1)^2")]
-    assert ch._irreducibles and ch._factorizations
+    old.append(ch.sum_products([(old[0],), (old[2],)]))  # an lcm: products cached
+    assert ch._irreducibles and ch._factorizations and ch._products
+    _assert_table_invariants(ch)
     W = ch.add_square_root("W", parse_expr(ch, "x^2 + y^2 + 1"))
-    assert not ch._irreducibles and not ch._factorizations
+    assert not ch._irreducibles and not ch._factorizations and not ch._products
     new = [W / (ch.var("x") + 1), (ch.var("x") - 1) / (W + ch.var("y"))]
     for a in old:
         n, d = ch._current(a)

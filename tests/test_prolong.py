@@ -389,7 +389,9 @@ def test_column_codes_and_shifts_for_any_size(data):
 
 def _dense_pivots(rows, columns, prime):
     """Pivot columns of the reduced row echelon form mod prime of the
-    dense matrix whose columns are ``columns`` in ascending order."""
+    dense matrix whose columns are ``columns`` in ascending order, and
+    that form's rows: a map from each pivot to the nonzero entries of
+    its row other than the pivot entry 1."""
     mat = [[r.get(c, 0) % prime for c in columns] for r in rows]
     pivots = []
     for j, c in enumerate(columns):
@@ -404,7 +406,8 @@ def _dense_pivots(rows, columns, prime):
             if i != rank and r[j]:
                 mat[i] = [(x - r[j] * y) % prime for x, y in zip(r, mat[rank])]
         pivots.append(c)
-    return pivots
+    return pivots, {p: {c: v for c, v in zip(columns, r) if v and c != p}
+                    for p, r in zip(pivots, mat)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -414,7 +417,8 @@ def test_graded_elimination_matches_dense_reference(data):
     unreduced or multiples of p), some of them combinations of earlier
     rows that cancel to 0 mod p: the pivot keys, per-order counts and
     rank equal those of dense elimination mod p, whatever order the
-    rows are added in, and every stored row is reduced with pivot 1."""
+    rows are added in, and every stored row, read mod p with zeros
+    dropped, is the row of the reduced row echelon form with its pivot."""
     prime = data.draw(st.sampled_from([7, P.PRIME]))
     n, m, top = (data.draw(st.integers(1, 3)) for _ in range(3))
     cols = P._Columns(n, m, top)
@@ -430,7 +434,7 @@ def test_graded_elimination_matches_dense_reference(data):
         else:
             row = data.draw(st.dictionaries(st.sampled_from(pool), entry, min_size=1))
         rows.append({k: v for k, v in row.items() if v})
-    ref = _dense_pivots(rows, sorted({k for r in rows for k in r}), prime)
+    ref, ref_rows = _dense_pivots(rows, sorted({k for r in rows for k in r}), prime)
     ref_orders = {}
     for c in ref:
         ref_orders[cols.order(c)] = ref_orders.get(cols.order(c), 0) + 1
@@ -441,4 +445,23 @@ def test_graded_elimination_matches_dense_reference(data):
         assert elim.rank == len(ref)
         assert elim.pivots_per_order() == ref_orders
         for p, tail in elim.rows.items():
-            assert all(k > p and 0 < v < prime for k, v in zip(*tail))
+            assert {k: r for k, v in tail.items() if (r := v % prime)} == ref_rows[p]
+
+
+def test_graded_elimination_back_substitutes_new_pivots():
+    """A new pivot held in earlier stored tails is cleared from them,
+    also when the back-substituted entry is left a nonzero multiple of
+    p; such an entry reads as 0 and is skipped when its column becomes
+    a pivot."""
+    prime = 7
+    elim = P._GradedElimination(prime, P._Columns(1, 1, 3))
+    rows = [{0: 1, 1: 2, 3: 1}, {1: 1, 3: 4}, {3: 1, 5: 1}]
+    assert [elim.add(r) for r in rows] == [0, 1, 3]
+    # {1: 1, 3: 4} cleared column 1 from row 0: 1 - 2 * 4 = -7 at column 3
+    assert elim.rows[0] == {}
+    assert elim.rows[1] == {5: -4} and elim.rows[3] == {5: 1}
+    _, ref_rows = _dense_pivots(rows, [0, 1, 3, 5], prime)
+    assert {p: {k: v % prime for k, v in t.items()} for p, t in elim.rows.items()} == ref_rows
+    assert elim.add({0: 8, 1: -1}) == 5  # 8 e0 - e1 = row 0 - row 1 - 4 e5 mod 7
+    assert elim.rows == {0: {}, 1: {}, 3: {}, 5: {}}
+    assert elim.add({0: 3, 3: 9, 5: 7}) is None and elim.rank == 4
