@@ -1,27 +1,32 @@
 """Exact symbolic kernel.
 
 Scalars are elements of the fraction field of a polynomial ring
-QQ[coordinates, generators] reduced modulo a triangular ideal of
+ZZ[coordinates, generators] reduced modulo a triangular ideal of
 generator relations.  Generators come in two flavours used throughout
 the corpus: sine/cosine pairs (relation s^2 + c^2 - 1, derivations
 ds = c, dc = -s on the pair's own angle) and square roots
 (relation W^2 - q, derivation dW = dq / (2W)).
 
-Arithmetic in the field is exact rational; no floating point anywhere.
-Each ``+``, ``*`` or ``/`` builds a normalized :class:`Expr`.  The two
-hot primitives of normalization work on the polynomials' dicts from
-exponent tuples to coefficients:
+Arithmetic in the field is exact; no floating point anywhere.  An
+element is held as a pair of integer-coefficient polynomials, coprime,
+whose integer coefficients have gcd 1 all together, with the
+denominator's leading coefficient positive: a rational constant is
+split into its numerator and denominator.  Each ``+``, ``*`` or ``/``
+builds a normalized :class:`Expr`.  The two hot primitives of
+normalization work on the polynomials' dicts from exponent tuples to
+integer coefficients:
 
 - reduction (:meth:`Chart._reduce_poly`) applies each rule g^2 -> rhs
   once, latest-declared generator first, with the powers of rhs cached
   per chart; a rule's rhs holds only earlier generators and rule-free
   cos, so the one pass reaches the canonical normal form;
-- trial division (:func:`_divide`) by a monic irreducible of the
+- trial division (:func:`_divide`) by a primitive irreducible of the
   chart's table, in the lex order every chart's ring is built with, so
-  each quotient term is the remainder's leading term shifted by LM(f).
+  each quotient term is the remainder's leading term shifted by LM(f),
+  its coefficient divided by LC(f) with ``divmod``.
 
-gcds and lcms of denominators are those trial divisions (only a
-cofactor that no table entry divides is factored anew).
+gcds and lcms of denominators are those trial divisions and one integer
+gcd (only a cofactor that no table entry divides is factored anew).
 A sum of products is built with :meth:`Chart.sum_products`: the
 products are grouped by denominator, the groups combined over the lcm
 of their denominators, and the sum normalized once; the normal form is
@@ -30,8 +35,9 @@ Generic-point checks (the cross-check of each zero normal form when it
 is built, and symbol ranks in :mod:`geosym.prolong`) evaluate at seeded
 :class:`GenericPoint` s, each reduced modulo its own prime: 2^61 - 1, or
 a prime below it where the chart's radicands are nonzero squares.
-Symbol ranks of prolonged rows use the truncated Taylor series at such a
-point (:class:`TaylorMap`).
+Integer coefficients reduce mod any prime, so these evaluations meet
+no pole but the sample values' own.  Symbol ranks of prolonged rows use
+the truncated Taylor series at such a point (:class:`TaylorMap`).
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from sympy import QQ, prevprime
+from sympy import ZZ, prevprime
 from sympy.ntheory import sqrt_mod
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing, ring as _make_ring
@@ -81,15 +87,6 @@ class ExprParseError(ExprError):
         self.col = col
 
 
-def _fr(x) -> Fraction:
-    """Domain element (mpq / PythonRational) to Fraction."""
-    return Fraction(int(x.numerator), int(x.denominator))
-
-
-def _qq(x: Rational):
-    return QQ.convert(Fraction(x))
-
-
 @dataclass
 class GeneratorSpec:
     """One adjoined algebraic generator.
@@ -105,7 +102,7 @@ class GeneratorSpec:
 
 
 class Chart:
-    """Ordered coordinates plus adjoined generators over QQ.
+    """Ordered coordinates plus adjoined generators over ZZ.
 
     The generator relations form a triangular system: each relation and
     each derivative rule involves only coordinates and generators
@@ -139,11 +136,11 @@ class Chart:
 
     def _rebuild_ring(self):
         # lex: :func:`_divide` takes the leading monomial as the max exponent tuple
-        self._ring = _make_ring(",".join(self.var_names), QQ, lex)[0]
+        self._ring = _make_ring(",".join(self.var_names), ZZ, lex)[0]
         self._index = {n: i for i, n in enumerate(self.var_names)}
         self._sample_pool = []
         self._relations: Optional[List] = None  # see :meth:`_relation_powers`
-        self._irreducibles: List = []  # monic irreducible factors of denominators met
+        self._irreducibles: List = []  # primitive irreducible factors (LC > 0) of denominators met
         self._factorizations: Dict = {}  # denominator -> ((irreducible index, exponent), ...)
         self._products: Dict = {}  # ((irreducible index, exponent), ...) -> product, see _expand
 
@@ -183,10 +180,20 @@ class Chart:
     def add_square_root(self, name: str, radicand: "Expr") -> "Expr":
         """Adjoin a generator W with W^2 = radicand.
 
-        The radicand must be a polynomial (denominator-free) expression in
-        previously declared variables; pull denominators out beforehand.
+        The radicand must be a polynomial with integer coefficients in
+        previously declared variables, so that the rule W^2 -> radicand
+        stays in the chart's ring.  A radicand n / k with an integer k > 1
+        (say x/2) is rejected with the fix: adjoin a root V of k * n and
+        use V / k, since sqrt(n / k) = sqrt(k * n) / k.  Pull polynomial
+        denominators out the same way.  A ``root`` declaration in a model
+        file, when the grammar gains one, inherits this rule.
         """
         radicand = self.expr(radicand)
+        if radicand._den.is_ground and not radicand._den.is_one:
+            k = radicand._den.LC
+            raise ExprError(
+                f"radicand of {name!r} has the rational content 1/{k}; adjoin a root "
+                f"of {k}*({radicand._num}) instead and divide it by {k}")
         if not radicand._den.is_one:
             raise ExprError("radicand must be denominator-free")
         if radicand.is_zero():
@@ -230,7 +237,9 @@ class Chart:
         return Expr(self, self._ring.one, self._ring.one)
 
     def const(self, x: Rational) -> "Expr":
-        return Expr(self, self._ring.ground_new(_qq(x)), self._ring.one)
+        x = Fraction(x)
+        return Expr(self, self._ring.ground_new(x.numerator),
+                    self._ring.ground_new(x.denominator))
 
     def var(self, name: str) -> "Expr":
         if name not in self._index:
@@ -263,9 +272,13 @@ class Chart:
         denominators, not their product, which would blow the numerator up
         before its one cancellation when many distinct denominators meet.
 
+        A ``Fraction`` factor multiplies the numerator by its numerator
+        and the denominator by its denominator.
+
         Soundness.  The :class:`Expr` normal form is canonical (numerator
         reduced by the relations' Groebner basis, denominator free of
-        quadratic generators, gcd cancelled, denominator monic), so any
+        quadratic generators, gcd and integer content cancelled,
+        denominator's leading coefficient positive), so any
         grouping of the same sum gives the same ``_num`` and ``_den`` as
         the left fold of ``+`` and ``*``; a sum that cancels to zero is
         cross-checked in ``Expr.__init__`` like every other zero.
@@ -290,8 +303,10 @@ class Chart:
                     n, d = self._current(f)
                     num, den = (n, d) if num is one else (num * n, den * d)
             else:
-                if c != 1:
-                    num = num.mul_ground(_qq(c))
+                if c.numerator != 1:
+                    num = num.mul_ground(c.numerator)
+                if c.denominator != 1:
+                    den = den.mul_ground(c.denominator)
                 groups[den] = groups[den] + num if den in groups else num
         if len(groups) < 2:  # one denominator or none: no lcm
             den, num = next(iter(groups.items()), (one, ring.zero))
@@ -303,9 +318,11 @@ class Chart:
     # -- factored denominators ---------------------------------------------
 
     def _factor(self, d) -> Tuple[Tuple[int, int], ...]:
-        """((i, e), ...), i ascending, with d = LC(d) * prod irreducible_i^e;
-        cached.  d is trial-divided by the table, and only a cofactor left
-        over goes to ``factor_list``, whose monic factors join the table."""
+        """((i, e), ...), i ascending, with d = c * prod irreducible_i^e for
+        the content c of d (:func:`_content`); cached.  d is trial-divided
+        by the table, and only a cofactor left over goes to
+        ``factor_list``, whose primitive factors, signed to a positive
+        leading coefficient, join the table."""
         out = () if d.is_ground else self._factorizations.get(d)
         if out is None:
             out, rest = [], d
@@ -316,14 +333,15 @@ class Chart:
                 out += [(i, e)] if e else []
             for f, e in ([] if rest.is_ground else rest.factor_list()[1]):
                 out.append((len(self._irreducibles), e))
-                self._irreducibles.append(f.monic())
+                self._irreducibles.append(f if f.LC > 0 else -f)
             out = self._factorizations[d] = tuple(out)
         return out
 
     def _expand(self, exps: Mapping[int, int]):
-        """The monic prod irreducible_i^e over the items (i, e) of ``exps``,
-        cached by the items with e > 0: the result is shared, so no caller
-        may change it in place."""
+        """The product of irreducible_i^e over the items (i, e) of ``exps``,
+        primitive with a positive leading coefficient like its factors
+        (Gauss's lemma), cached by the items with e > 0: the result is
+        shared, so no caller may change it in place."""
         key = tuple((i, e) for i, e in exps.items() if e)
         out = self._products.get(key)
         if out is None:
@@ -332,11 +350,12 @@ class Chart:
         return out
 
     def _cancel(self, n, d):
-        """(n, d) divided by gcd(n, d) and by LC(d): n is divided by each
-        irreducible p^e of d (:meth:`_factor`) for as long as the remainder
-        is zero, up to e times, and d by the monic product g of the p that
-        divided (:func:`_divide` throughout).  A ground d returns at once,
-        unfactored."""
+        """(n, d) divided by gcd(n, d) and by their common integer content,
+        signed so that d's leading coefficient is positive.  n is divided
+        by each irreducible p^e of d (:meth:`_factor`) for as long as the
+        division is exact, up to e times, and d by the product g of the p
+        that divided (:func:`_divide` throughout; g is primitive and
+        divides d).  A ground d skips the trial divisions."""
         if not d.is_ground:
             g = self._ring.one
             for i, e in self._factor(d):
@@ -346,20 +365,36 @@ class Chart:
                         break
                     n, g = q, g * p
             if not g.is_one:
-                d = _divide(d, g)  # g is monic and divides d
-        return n.quo_ground(d.LC), d.quo_ground(d.LC)
+                d = _divide(d, g)
+        c = math.gcd(*d.values())
+        if c != 1:
+            c = math.gcd(c, *n.values())
+        if d[max(d)] < 0:
+            c = -c
+        return (n, d) if c == 1 else (n.quo_ground(c), d.quo_ground(c))
 
     def _lcm(self, polys: Sequence) -> Tuple[object, List]:
-        """(l, [l / p for p in polys]) for the monic lcm l of ``polys``: l
-        takes each irreducible's largest exponent (:meth:`_factor`), so l / p
-        = prod irreducible_i^(max_i - e_i) / LC(p).  l's factorization is cached."""
+        """(l, [l / p for p in polys]) for the lcm l = C * prod
+        irreducible_i^max_i of ``polys``: the product takes each
+        irreducible's largest exponent (:meth:`_factor`), and C > 0 is the
+        lcm of the polys' contents.  For p = c * prod irreducible_i^e_i (c
+        its content, :func:`_content`) the quotient is (C / c) * prod
+        irreducible_i^(max_i - e_i), from the exponents.  l's factorization
+        is cached."""
         facs = [dict(self._factor(p)) for p in polys]
+        contents = [_content(p) for p in polys]
         top = {i: max(f.get(i, 0) for f in facs) for i in sorted({i for f in facs for i in f})}
+        scale = math.lcm(*contents)
         lcm = self._expand(top)
+        if scale != 1:
+            lcm = lcm.mul_ground(scale)
         if top:
             self._factorizations[lcm] = tuple(top.items())
-        return lcm, [self._expand({i: e - f.get(i, 0) for i, e in top.items()})
-                     .quo_ground(p.LC) for p, f in zip(polys, facs)]
+        quotients = []
+        for c, f in zip(contents, facs):
+            q = self._expand({i: e - f.get(i, 0) for i, e in top.items()})
+            quotients.append(q if c == scale else q.mul_ground(scale // c))
+        return lcm, quotients
 
     # -- reduction modulo the relation ideal ------------------------------
 
@@ -489,9 +524,9 @@ def _sqrt_mod(q: int, p: int) -> Optional[int]:
     return w if w * w % p == q else None
 
 
-def _mod(q, prime: int) -> int:
-    """Image in GF(prime) of a rational (Fraction or ground element);
-    PoleError when its denominator is divisible by the prime."""
+def _mod(q: Fraction, prime: int) -> int:
+    """Image in GF(prime) of a rational sample value; PoleError when its
+    denominator is divisible by the prime."""
     den = q.denominator % prime
     if not den:
         raise PoleError(f"denominator of {q} is divisible by the prime {prime}")
@@ -504,7 +539,7 @@ def _poly_mod(p, residues: Sequence[int], prime: int) -> int:
     ring over a prefix of its variables) at one residue per variable."""
     total = 0
     for monom, coeff in p.items():
-        term = _mod(coeff, prime)
+        term = coeff % prime
         for v, e in zip(residues, monom):
             if e:
                 term = term * pow(v, e, prime) % prime
@@ -596,14 +631,12 @@ class TaylorMap:
         return series
 
     def __call__(self, p) -> Dict[Tuple[int, ...], int]:
-        """Taylor coefficients of a polynomial of the chart's ring;
-        PoleError when a coefficient's denominator is divisible by the
-        prime."""
+        """Taylor coefficients of a polynomial of the chart's ring."""
         out = self._memo.get(p)
         if out is None:
             acc: Dict[Tuple[int, ...], int] = {}
             for monom, coeff in p.items():
-                c = _mod(coeff, self.prime)
+                c = coeff % self.prime
                 for g, v in self._monomial(monom).items():
                     acc[g] = acc.get(g, 0) + c * v
             out = self._memo[p] = {g: v % self.prime for g, v in acc.items()
@@ -642,12 +675,12 @@ class GenericPoint:
 
     Soundness.  The residues satisfy every generator relation mod the
     prime, so evaluating a polynomial at them is a ring homomorphism from
-    the coordinate ring (with coefficients whose denominators are units
-    mod the prime) to GF(prime); its kernel contains the relation ideal,
-    whose rules are monic.  A true zero therefore maps to zero: a check
-    that flags a nonzero image never flags a true zero, and misses a
-    nonzero element with probability at most deg/prime (Schwartz 1980;
-    Zippel 1979).  Ranks of evaluated matrices can only drop.
+    the coordinate ring, whose coefficients are integers, to GF(prime);
+    its kernel contains the relation ideal, whose rules are monic.  A
+    true zero therefore maps to zero: a check that flags a nonzero image
+    never flags a true zero, and misses a nonzero element with
+    probability at most deg/prime (Schwartz 1980; Zippel 1979).  Ranks of
+    evaluated matrices can only drop.
     """
 
     values: Dict[str, Fraction]
@@ -678,14 +711,16 @@ class GenericPoint:
 class Expr:
     """Normal-form element of the chart's differential field.
 
-    Immutable.  Construction always normalizes: both polynomials are
-    reduced modulo the relation ideal, the denominator is cleared of
-    quadratic generators, the gcd is cancelled and the denominator made
-    monic.  Field-equal expressions therefore share a representation,
-    and an element is zero exactly when its numerator is.  The gcd is
-    cancelled by trial division against the chart's table of
-    irreducibles (:meth:`Chart._cancel`); factorizations are only a cache
-    on the chart, and the expanded monic ``_den`` is the normal form.
+    Immutable.  Construction always normalizes: both polynomials, with
+    integer coefficients, are reduced modulo the relation ideal, the
+    denominator is cleared of quadratic generators, the gcd and the
+    common integer content are cancelled, and the sign is fixed so the
+    denominator's leading coefficient is positive.  Field-equal
+    expressions therefore share a representation, and an element is zero
+    exactly when its numerator is.  The gcd is cancelled by trial
+    division against the chart's table of primitive irreducibles
+    (:meth:`Chart._cancel`); factorizations are only a cache on the
+    chart, and the expanded ``_den`` is the normal form.
     Build a sum of products with :meth:`Chart.sum_products`, which
     normalizes once (products grouped by denominator, groups combined
     over the lcm of their denominators) and, the form being canonical,
@@ -697,23 +732,26 @@ class Expr:
     def __init__(self, chart: Chart, num, den):
         """Normalize num/den.
 
-        Cancelling the gcd (:meth:`Chart._cancel`) is sound: QQ[vars] is a
-        UFD, so for d = c * prod p_i^e_i, p_i irreducible (as ``factor_list``
-        over QQ returns them), gcd(n, d) = prod p_i^min(e_i, v_p_i(n)); a
-        division by one p leaves remainder zero exactly when p divides, {p}
-        being a Groebner basis of (p).  d is free of quadratic generators,
-        so every p_i is too and quotients of the reduced n stay reduced.
-        The normal form (coprime, monic denominator) is unique, so ``_num``
-        and ``_den`` are those sympy's gcd gives.
+        Cancelling the gcd (:meth:`Chart._cancel`) is sound: ZZ[vars] is a
+        UFD, so for d = c * prod p_i^e_i, with c the integer content and
+        p_i primitive irreducibles (as ``factor_list`` over ZZ returns
+        them), gcd(n, d) = gcd(c, content(n)) * prod p_i^min(e_i, v_p_i(n)).
+        A trial division by one primitive p is exact exactly when p
+        divides (:func:`_divide`, by Gauss's lemma), so the p_i are divided
+        out first and the integer gcd last.  d is free of quadratic
+        generators, so every p_i is too and quotients of the reduced n
+        stay reduced.  The normal form is unique: a coprime pair is
+        determined by its quotient up to a rational factor, integer
+        coefficients with content gcd 1 leave only the factor -1, and the
+        sign fix (positive leading coefficient of d) removes it.
 
         A numerator that is not the zero polynomial but reduces to zero is
         cross-checked here, once: the unreduced pair must vanish at the
         chart's pool of :class:`GenericPoint` s, mod each point's prime.
-        A point where the denominator or a coefficient's denominator is
-        0 mod the prime is skipped; the check stops after two checked
-        points of six.  A nonzero value raises
-        :class:`KernelInconsistency`.  A true zero maps to zero, so the
-        check never raises falsely.
+        A point where the denominator is 0 mod the prime is skipped; the
+        check stops after two checked points of six.  A nonzero value
+        raises :class:`KernelInconsistency`.  A true zero maps to zero, so
+        the check never raises falsely.
         """
         if num.ring is not chart._ring:
             num = chart._lift(num, len(num.ring.gens))
@@ -731,13 +769,9 @@ class Expr:
             checked = 0
             # the zero polynomial itself needs no check
             for point in (chart._check_pool(6) if num else ()):
-                try:
-                    if not _poly_mod(den, point.residues, point.prime):
-                        continue
-                    v = _poly_mod(num, point.residues, point.prime)
-                except PoleError:
+                if not _poly_mod(den, point.residues, point.prime):
                     continue
-                if v:
+                if _poly_mod(num, point.residues, point.prime):
                     raise KernelInconsistency(
                         "reduction reports zero but evaluation is nonzero; kernel bug")
                 checked += 1
@@ -760,14 +794,14 @@ class Expr:
         return self._num == self._den
 
     def is_constant(self) -> bool:
-        return self._den.is_one and (not self._num or self._num.is_ground)
+        return self._den.is_ground and (not self._num or self._num.is_ground)
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ExprError("expression is not a rational constant")
         if not self._num:
             return Fraction(0)
-        return _fr(self._num.LC)
+        return Fraction(self._num.LC, self._den.LC)
 
     def equals(self, other) -> bool:
         other = self.chart.expr(other)
@@ -908,7 +942,7 @@ def _eval_pair(pair, point: Mapping[str, Fraction]) -> Fraction:
 def _eval_poly(p, vals):
     total = Fraction(0)
     for monom, coeff in p.items():
-        term = _fr(coeff)
+        term = coeff
         for i, e in enumerate(monom):
             if e:
                 term = term * vals[i] ** e
@@ -923,19 +957,33 @@ def _exquo(p, q):
     return p.exquo(q).copy()
 
 
+def _content(p) -> int:
+    """The gcd of p's integer coefficients, signed like its leading
+    coefficient (lex: that of the max exponent tuple), so that p divided
+    by it is primitive with a positive leading coefficient."""
+    c = math.gcd(*p.values())
+    return c if p[max(p)] > 0 else -c
+
+
 def _divide(p, f):
     """p / f as a fresh polynomial when f divides p, else None.
 
-    Preconditions: f is monic and the ring's order is lex (pinned in
+    Preconditions: f is primitive and the ring's order is lex (pinned in
     ``Chart._rebuild_ring``), so a polynomial's leading monomial is the
-    max of its exponent tuples.  Each quotient term is then (LM(rest) -
-    LM(f), LC(rest)), with no division of coefficients.  The division
-    stops at the first LM(rest) that LM(f) does not divide: that term
-    stays in the remainder, so the remainder is nonzero and, {f} being a
-    Groebner basis of (f), f does not divide p."""
+    max of its exponent tuples.  Each quotient term is (LM(rest) - LM(f),
+    LC(rest) / LC(f)), the coefficient divided with ``divmod``.  The
+    division stops at the first LM(rest) that LM(f) does not divide: that
+    term stays in the remainder, so the remainder is nonzero and, {f}
+    being a Groebner basis of (f) over QQ, f does not divide p.  It also
+    stops at the first nonzero ``divmod`` remainder: by Gauss's lemma a
+    primitive f that divides p over QQ divides it over ZZ, so the
+    quotient, whose terms the division over QQ produces one by one, has
+    integer coefficients, and a non-integer one shows that f does not
+    divide p."""
     ring = p.ring
-    zero, div, mul = ring.domain.zero, ring.monomial_div, ring.monomial_mul
+    div, mul = ring.monomial_div, ring.monomial_mul
     lm = max(f)
+    lc = f[lm]
     tail = [(m, c) for m, c in f.items() if m != lm]
     rest, q = dict(p), {}
     while rest:
@@ -943,10 +991,15 @@ def _divide(p, f):
         t = div(m, lm)
         if t is None:
             return None
-        c = q[t] = rest.pop(m)
+        c = rest.pop(m)
+        if lc != 1:
+            c, r = divmod(c, lc)
+            if r:
+                return None
+        q[t] = c
         for fm, fc in tail:
             mm = mul(t, fm)
-            if v := rest.get(mm, zero) - c * fc:
+            if v := rest.get(mm, 0) - c * fc:
                 rest[mm] = v
             else:
                 del rest[mm]
@@ -1047,7 +1100,7 @@ def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
             if g.square_rhs is None or g.square_rhs.is_constant():
                 continue
             q = rem / g.square_rhs
-            if q._den.is_one and (q * g.square_rhs - rem).is_zero():
+            if q._den.is_ground and (q * g.square_rhs - rem).is_zero():
                 rem = q
                 root = root * ch.var(g.name)
                 progress = True

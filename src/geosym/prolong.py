@@ -31,15 +31,13 @@ the graded keys with every step reduced.
 
 Soundness of the elimination mod p.  The Taylor map at a point, to
 order K and mod its prime p, is a ring homomorphism from the coordinate
-ring (with coefficients whose denominators are units mod p) to
-GF(p)[[t]] / m^(K+1), and it commutes with each d/dx_i up to the
-truncation.  Its constant term is evaluation at the point.  So the row
-of D^beta E it gives, for |beta| <= K, is the image of the true
-prolonged row; a coefficient denominator that is not a unit mod p
-raises :class:`ProlongError` and is never reduced silently.  A
-homomorphic image of a matrix has rank at most the rank of the matrix,
-so each rank can only drop, each dim g_k can only grow, and the bound
-stays an upper bound.  Dropping an equation that is dependent mod p at
+ring, whose coefficients are integers, to GF(p)[[t]] / m^(K+1), and it
+commutes with each d/dx_i up to the truncation.  Its constant term is
+evaluation at the point.  So the row of D^beta E it gives, for
+|beta| <= K, is the image of the true prolonged row.  A homomorphic
+image of a matrix has rank at most the rank of the matrix, so each rank
+can only drop, each dim g_k can only grow, and the bound stays an upper
+bound.  Dropping an equation that is dependent mod p at
 every point can also only loosen the bound.  A point is non-generic
 with probability at most deg/p (Schwartz 1980; Zippel 1979), and the
 tables are taken at several points.
@@ -54,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from sympy.polys.rings import PolyElement
 
-from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, PoleError, TaylorMap,
+from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, TaylorMap,
                         _derivation_rules, _exquo, _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
@@ -106,17 +104,14 @@ class Equation:
             raise ProlongError("jet order beyond the column coding")
         shifts = columns.shifts(beta)
         row: Dict[int, int] = {}
-        try:
-            for (a, alpha), c in self.coeffs.items():
-                key = columns.code(a, alpha)
-                jet = taylor(c)
-                for gamma, weight, delta in shifts:
-                    t = jet.get(gamma)
-                    if t:
-                        k = key + delta
-                        row[k] = row.get(k, 0) + weight * t
-        except PoleError as ex:
-            raise ProlongError(str(ex)) from None
+        for (a, alpha), c in self.coeffs.items():
+            key = columns.code(a, alpha)
+            jet = taylor(c)
+            for gamma, weight, delta in shifts:
+                t = jet.get(gamma)
+                if t:
+                    k = key + delta
+                    row[k] = row.get(k, 0) + weight * t
         return {k: r for k, v in row.items() if (r := v % prime)}
 
 
@@ -387,17 +382,18 @@ class BoundResult:
 
 
 def _clear_denominators(chart: Chart, pairs: Dict[JetKey, Tuple]) -> Dict[JetKey, PolyElement]:
-    """Polynomial coefficients of an equation given by (num, den) pairs:
-    scaled by the least common denominator and divided by the monic
-    common polynomial content.  The solution set and symbol spaces are
-    unchanged, and polynomial coefficients go through
-    :class:`~geosym.exprfield.TaylorMap` as they are.
+    """Integer-coefficient polynomials of an equation given by
+    (num, den) pairs: scaled by the least common denominator and, when
+    the numerators share a polynomial factor, divided by their gcd over
+    ZZ with its leading coefficient made positive.  The solution set
+    and symbol spaces are unchanged, and integer coefficients go
+    through :class:`~geosym.exprfield.TaylorMap` as they are.
 
-    The content is folded over the numerators with the fewest terms
-    first, where a gcd is cheapest (a monomial content is found without
-    a heuristic gcd); the fold's constant factor depends on that order,
-    and dividing by the monic content makes the result independent of
-    it."""
+    The gcd is folded over the numerators with the fewest terms first,
+    where it is cheapest (a monomial gcd is found without a heuristic
+    gcd), and the fold stops once it is ground.  The gcd over ZZ is
+    unique up to sign, so the sign fix makes the result independent of
+    the order."""
     _, quotients = chart._lcm([den for _, den in pairs.values()])
     nums = {}
     for (k, (num, _)), f in zip(pairs.items(), quotients):
@@ -409,7 +405,8 @@ def _clear_denominators(chart: Chart, pairs: Dict[JetKey, Tuple]) -> Dict[JetKey
             return nums
     if content is None:
         return nums
-    content = content.monic()
+    if content.LC < 0:
+        content = -content
     return {k: _exquo(p, content) for k, p in nums.items()}
 
 

@@ -3,6 +3,7 @@ derivations, relation handling, and evaluation."""
 
 import importlib
 import itertools
+import math
 import sys
 from fractions import Fraction
 from math import prod
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy import QQ, ZZ
 
 from geosym.exprfield import (
     Chart,
@@ -28,7 +30,6 @@ from geosym.exprfield import (
     _poly_mod,
     _poly_total_derivative,
     _prime,
-    _qq,
     _sqrt_mod,
     exact_sqrt,
     parse_expr,
@@ -320,6 +321,62 @@ def test_exact_sqrt():
     assert exact_sqrt(parse_expr(ch, "x")) is None
 
 
+@pytest.mark.parametrize("source, k", [("1/2", 2), ("x/2", 2), ("(x^2 + 1)/6", 6)])
+def test_a_radicand_with_rational_content_is_rejected_with_the_fix(source, k):
+    """sqrt(n / k) = sqrt(k * n) / k: the error names that fix, and the
+    chart stays as it was."""
+    ch = Chart(["x"])
+    with pytest.raises(ExprError, match=f"adjoin a root of {k}\\*"):
+        ch.add_square_root("W", parse_expr(ch, source))
+    assert not ch.generators and "W" not in ch.var_names
+    radicand = parse_expr(ch, source)
+    V = ch.add_square_root("V", radicand * k * k)
+    assert (V / k) ** 2 == ch.expr(radicand)
+
+
+def test_exact_sqrt_divides_by_a_relation_with_integer_content():
+    """With W^2 = 2x, the odd part x of 8x over the relation's 2x is 1/2,
+    a quotient with a ground denominator, so sqrt(8x) = 2W."""
+    ch = Chart(["x"])
+    W = ch.add_square_root("W", parse_expr(ch, "2*x"))
+    assert exact_sqrt(parse_expr(ch, "8*x")) == 2 * W
+    assert exact_sqrt(parse_expr(ch, "2*x^3")) == W * ch.var("x")
+    assert exact_sqrt(parse_expr(ch, "x")) is None
+
+
+def _assert_integer_normal_form(e):
+    n, d = e._num, e._den
+    assert n.ring.domain == ZZ and d.ring.domain == ZZ
+    assert all(type(c) is int for c in list(n.values()) + list(d.values()))
+    assert math.gcd(*n.values(), *d.values()) == 1 and d.LC > 0
+
+
+def test_eguchi_hanson_expressions_are_in_integer_normal_form(monkeypatch):
+    """Every Expr built for the Eguchi-Hanson chart, metric, Killing
+    fields and quaternionic system has integer coefficients of gcd 1 and
+    a denominator with positive leading coefficient."""
+    from conftest import build_eh_fields, build_eh_metric
+    from geosym import geometry as G, symsys as S
+
+    built = []
+    init = Expr.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Expr, "__init__", recording_init)
+    chart = build_eh_chart()
+    metric = build_eh_metric(chart)
+    build_eh_fields(chart)
+    S.quaternionic_symmetry_system(G.asd_span(metric, orientation=1), metric)
+    assert chart._ring.domain == ZZ and len(built) > 1000
+    assert any(not e._den.is_ground for e in built)
+    assert any(e._den.is_ground and not e._den.is_one for e in built)
+    for e in built:
+        _assert_integer_normal_form(e)
+
+
 def test_sample_points_deterministic(chart):
     import random
     p1 = chart.sample_point(random.Random(42))
@@ -428,14 +485,25 @@ def _poly(chart, source):
     return e._num
 
 
+def _to_qq(p):
+    return p.set_ring(p.ring.clone(domain=QQ))
+
+
 def _gcd_oracle(chart, num, den):
-    """The normal form by sympy's gcd: reduce, clear quadratic generators
-    from the denominator, cancel the gcd, make the denominator monic."""
+    """The normal form by sympy's gcd over a QQ copy of the ring: reduce,
+    clear quadratic generators from the denominator, cancel the gcd over
+    QQ, then scale the pair to integer coefficients whose gcd is 1, with
+    the denominator's leading coefficient positive."""
     n, d = chart._derationalize(chart._reduce_poly(num), chart._reduce_poly(den))
     if not n:
         return n, chart._ring.one
-    _, n, d = n.cofactors(d)
-    return n.quo_ground(d.LC), d.monic()
+    _, n, d = _to_qq(n).cofactors(_to_qq(d))
+    coeffs = [Fraction(int(c.numerator), int(c.denominator))
+              for c in list(n.values()) + list(d.values())]
+    scale = Fraction(math.lcm(*(c.denominator for c in coeffs)),
+                     math.gcd(*(c.numerator for c in coeffs)))
+    scale = QQ.convert(scale if d.LC > 0 else -scale)
+    return tuple(p.mul_ground(scale).set_ring(chart._ring) for p in (n, d))
 
 
 def _same_as_oracle(e, num, den):
@@ -448,7 +516,7 @@ def _same_as_oracle(e, num, den):
 _CANCEL_CHARTS = {
     "trig": (_make_chart(), ["x", "y", "x + 1", "x^2 - y", "cos(t) + 1", "cos(t) - 1",
                              "x*cos(t) + y", "2*x + 3"],
-             ["1", "sin(t)", "x - y", "sin(t)*y + 2", "1/3"]),
+             ["1", "sin(t)", "x - y", "sin(t)*y + 2", "-3"]),
     "root": (_root_chart(), ["x", "y", "z", "x + y", "y*z + 1", "x^2 + 1", "3*z - 1",
                              "W + 1"],
              ["W", "W*x - 1", "z", "2"]),
@@ -473,20 +541,26 @@ def test_cancellation_matches_the_gcd_oracle(name, data):
 
     atoms = data.draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3))
     num = sum((_poly(chart, a) for a in atoms), chart._ring.zero) * power_product()
-    c = data.draw(st.sampled_from([1, -2, Fraction(3, 5)]))
-    den = power_product().mul_ground(_qq(c))
+    den = power_product()
+    # the pair scaled by a rational a / b: integer contents to cancel, a sign to fix
+    a, b = data.draw(st.sampled_from([(1, 1), (-2, 1), (3, 5), (6, -4), (1, 12)]))
+    num, den = num.mul_ground(a), den.mul_ground(b)
     assert _same_as_oracle(Expr(chart, num, den), num, den)
     _assert_table_invariants(chart)
 
 
+def _signed_content(p):
+    return math.gcd(*p.values()) * (1 if p.LC > 0 else -1)
+
+
 def _assert_table_invariants(chart):
     assert len(set(chart._irreducibles)) == len(chart._irreducibles)
-    for p in chart._irreducibles:
-        assert p.ring is chart._ring and p.LC == 1
-        _, factors = p.factor_list()
-        assert len(factors) == 1 and factors[0][1] == 1
+    for p in chart._irreducibles:  # primitive, irreducible, positive LC
+        assert p.ring is chart._ring and p.LC > 0 and math.gcd(*p.values()) == 1
+        content, factors = p.factor_list()
+        assert content == 1 and len(factors) == 1 and factors[0][1] == 1
     for d, exps in chart._factorizations.items():
-        assert d == chart._expand(dict(exps)).mul_ground(d.LC)
+        assert d == chart._expand(dict(exps)).mul_ground(_signed_content(d))
     for key, product in chart._products.items():  # the cache of _expand
         assert all(e > 0 for _, e in key)
         assert product == prod((chart._irreducibles[i] ** e for i, e in key),
@@ -505,8 +579,10 @@ def test_lcm_quotients_come_from_the_exponents():
     ch = Chart(["x", "y"])
     x, y = (_poly(ch, v) for v in "xy")
     lcm, quotients = ch._lcm([2 * x + 2, x ** 2 - 1, ch._ring.one, x * y])
-    assert lcm == (x ** 2 - 1) * x * y
-    assert quotients == [(x - 1) * x * y / 2, x * y, lcm, x ** 2 - 1]
+    assert lcm == 2 * (x ** 2 - 1) * x * y
+    assert quotients == [(x - 1) * x * y, 2 * x * y, lcm, 2 * (x ** 2 - 1)]
+    # the lcm of the contents -3 and 2 is 6; a negative content flips the quotient
+    assert ch._lcm([-3 * y, 2 * x * y]) == (6 * x * y, [-2 * x, ch._ring(3)])
     assert ch._lcm([]) == (ch._ring.one, [])
     _assert_table_invariants(ch)
 
@@ -534,9 +610,9 @@ def test_quotients_of_a_shared_factor_hash_like_fresh_polynomials():
     ch = Chart(["x", "y"])
     x, y = (_poly(ch, v) for v in "xy")
     ch.one() / ch.expr("x + 1")  # puts x + 1 in the table
-    for c in (1, 2):  # a monic denominator keeps the quotients themselves
+    for c in (1, 2, -2):  # contents 1 and 2 keep the quotients themselves
         e = Expr(ch, (x + 1) ** 2 * (x + y), c * (x + 1) * y)
-        assert e._den == y and e._num == (x + 1) * (x + y) / c
+        assert e._den == abs(c) * y and e._num == (x + 1) * (x + y) * (c // abs(c))
         for p in (e._num, e._den):
             assert hash(p) == hash(p.copy())
 
@@ -563,7 +639,7 @@ def test_constant_coefficient_systems_pay_no_factorization(monkeypatch):
     assert not model.chart._irreducibles and not model.chart._factorizations
 
 
-# -- one-pass reduction and monic division ------------------------------------
+# -- one-pass reduction and primitive division --------------------------------
 
 
 def _fixpoint_reduce(chart, p):
@@ -621,7 +697,7 @@ def test_one_pass_reduction_matches_the_fixpoint(name, data):
     chart = _REDUCE_CHARTS[name]
     n = len(chart.var_names)
     monom = st.tuples(*[st.integers(0, 6)] * n)
-    coeff = st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-7, 5)]).map(_qq)
+    coeff = st.sampled_from([1, -1, 2, 3, -7, 5 * 10 ** 20])
     terms = data.draw(st.dictionaries(monom, coeff, max_size=5))
     p = chart._ring.from_dict(terms)
     assert _same_poly(chart._reduce_poly(p), _fixpoint_reduce(chart, p))
@@ -694,29 +770,44 @@ def test_relations_are_lifted_once_per_rule_set(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_monic_division_matches_sympy_div(name, data):
-    """_divide returns the quotient, hashing like a fresh polynomial,
-    exactly when sympy's remainder is 0, for table irreducibles, random
-    monic divisors and their products."""
+    """_divide by a primitive divisor returns the quotient, hashing like a
+    fresh polynomial, exactly when sympy's remainder over QQ is 0, for
+    table irreducibles, random primitive divisors, their products and
+    non-monic multiples whose leading coefficient need not divide the
+    dividend's."""
     chart, irreducibles, _ = _CANCEL_CHARTS[name]
     n = len(chart.var_names)
 
     def poly(max_size):
         monom = st.tuples(*[st.integers(0, 2)] * n)
-        coeff = st.sampled_from([1, -1, 3, Fraction(1, 2), Fraction(-2, 7)]).map(_qq)
+        coeff = st.sampled_from([1, -1, 3, 2, -14])
         return chart._ring.from_dict(data.draw(st.dictionaries(monom, coeff,
                                                                max_size=max_size)))
 
-    f = _poly(chart, data.draw(st.sampled_from(irreducibles))).monic()
+    f = _poly(chart, data.draw(st.sampled_from(irreducibles)))
     g = poly(3)
     if g and data.draw(st.booleans()):
-        f = g.monic() * (f if data.draw(st.booleans()) else 1)
+        f = g.primitive()[1] * (f if data.draw(st.booleans()) else 1)
+    if data.draw(st.booleans()):  # a non-monic primitive divisor
+        f = f * (3 * chart._ring.gens[0] + 2)
     p = f * poly(4) + (poly(2) if data.draw(st.booleans()) else chart._ring.zero)
-    quotient, remainder = p.div(f)
+    assert f.primitive()[0] == 1
+    quotient, remainder = _to_qq(p).div(_to_qq(f))
     got = _divide(p, f)
     if remainder:
         assert got is None
     else:
-        assert got is not None and _same_poly(got, quotient)
+        assert got is not None and _same_poly(got, quotient.set_ring(chart._ring))
+
+
+def test_division_stops_at_a_coefficient_the_leading_one_does_not_divide():
+    ch = Chart(["x", "y"])
+    x, y = (_poly(ch, v) for v in "xy")
+    f = 2 * x + 3 * y
+    assert _same_poly(_divide(f * (x - 5 * y), f), x - 5 * y)
+    assert _divide(3 * x ** 2 + 2 * y, f) is None  # LC 3 is not a multiple of 2
+    assert _divide(x * f + y, f) is None  # exact leading steps, then a remainder
+    assert _divide(f * (x - 5 * y) + 2 * y ** 2, f) is None
 
 
 def test_charts_order_monomials_by_lex():

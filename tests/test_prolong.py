@@ -259,15 +259,24 @@ def test_symbol_tables_mod_p_match_rational_ranks(request, case, seed):
         system = P.prolong(system)
 
 
-def test_coefficient_denominator_divisible_by_prime_raises():
+def test_coefficient_denominator_divisible_by_prime_clears_to_integers():
+    """X' / PRIME + x X = 0 clears to X' + PRIME x X = 0, integer
+    coefficients that reduce mod 2^61 - 1 = PRIME without error.  Its
+    table there is no smaller than the rational one at the same point
+    (here the two are equal), so the bound stays an upper bound."""
     chart = Chart(["x"])
     system = P.LinearPDESystem.from_coefficient_maps(chart, 1, [{
         (0, (1,)): chart.const(Fraction(1, P.PRIME)),
         (0, (0,)): parse_expr(chart, "x")}])
-    with pytest.raises(P.ProlongError, match="divisible by the prime"):
-        P.symbol_dimensions(system, P.GenericPoint.sample(chart, 1))
-    with pytest.raises(P.ProlongError, match="divisible by the prime"):
-        P.solution_bound(system)
+    x = chart._ring.gens[0]
+    assert system.equations[0].coeffs == {(0, (1,)): chart._ring.one, (0, (0,)): P.PRIME * x}
+    point = P.GenericPoint.sample(chart, 1)
+    assert point.prime == P.PRIME
+    table = P.symbol_dimensions(system, point).dims
+    assert all(a >= b for a, b in zip(table, _rational_table(system, point)))
+    assert table == _rational_table(system, point) == (0, 1)
+    res = P.solution_bound(system)
+    assert res.conclusive and res.bound == 1
 
 
 def _root_chart_metric():
