@@ -12,7 +12,7 @@ Modules:
 - :mod:`geosym.prolong` — prolongation-projection engine producing
   symbol tables and solution-space bounds
 - :mod:`geosym.liealg` — exact Lie-algebra toolkit (closure of vector
-  fields, centralizers, equivariant tensors, vanishing loci)
+  fields, equivariant tensors, vanishing loci)
 - :mod:`geosym.modelfile` / :mod:`geosym.cli` — declarative model files
   and the ``geosym`` command-line front end
 """
@@ -35,7 +35,6 @@ from .geometry import (
     FrameReport,
     GeometryError,
     TensorField,
-    asd_frame,
     asd_span,
     bracket,
     check_hypercomplex_frame,
@@ -64,10 +63,8 @@ from .liealg import (
     Representation,
     VanishingLocus,
     block_parameter_search,
-    centralizer,
     closure_from_fields,
     equivariant_tensors,
-    normalizer_of_span,
     reductive_isotropy,
     vanishing_locus,
     zero_eigenspace,

@@ -1,11 +1,11 @@
 """Exact symbolic kernel.
 
 Scalars are elements of the fraction field of a polynomial ring
-ZZ[coordinates, generators] reduced modulo a triangular ideal of
-generator relations.  Generators come in two flavours used throughout
-the corpus: sine/cosine pairs (relation s^2 + c^2 - 1, derivations
-ds = c, dc = -s on the pair's own angle) and square roots
-(relation W^2 - q, derivation dW = dq / (2W)).
+ZZ[coordinates, generators], one ring per chart, reduced modulo a
+triangular ideal of generator relations.  Generators come in two
+flavours used throughout the corpus: sine/cosine pairs (relation
+s^2 + c^2 - 1, derivations ds = c, dc = -s on the pair's own angle) and
+square roots (relation W^2 - q, derivation dW = dq / (2W)).
 
 Arithmetic in the field is exact; no floating point anywhere.  An
 element is held as a pair of integer-coefficient polynomials, coprime,
@@ -98,18 +98,40 @@ class GeneratorSpec:
     name: str
     kind: str  # "sin" | "cos" | "root"
     partner: Optional[str] = None  # for trig pairs: the other generator
-    square_rhs: Optional["Expr"] = None  # None => no rewrite rule (cos)
+    square_rhs: Optional["Expr"] = None  # None: no rule (cos, a root while radicands are parsed)
+
+
+def trig_names(angle: str) -> Tuple[str, str]:
+    """The names of the sin and cos generators of the coordinate ``angle``."""
+    return f"sin_{angle}", f"cos_{angle}"
 
 
 class Chart:
     """Ordered coordinates plus adjoined generators over ZZ.
 
-    The generator relations form a triangular system: each relation and
-    each derivative rule involves only coordinates and generators
-    declared before it.
+    The constructor declares every variable, so a chart has one
+    polynomial ring for its whole life.  The order is: coordinates, sin
+    and cos of each angle of ``trig_pairs`` (a repeated angle counts
+    once), then each ``(name, radicand)`` of ``roots``.  A radicand is a
+    source string or a rational, parsed once all names are declared; it
+    may use only the coordinates, the trig generators and earlier roots.
+    So the relations form a triangular system: each relation and each
+    derivative rule involves only variables declared before it.
+
+    Soundness.  Each rule is set (:meth:`_relate`) in declaration order,
+    a root's once its radicand is parsed.  During a parse the roots
+    without a rule are free variables: reduction leaves them alone, and
+    the zero cross-check of :meth:`Expr.__init__`, on throughout, gives
+    them random values (:meth:`sample_point`), still a ring
+    homomorphism.  A radicand holds only variables whose rules are set,
+    so its normal form is final.  Setting a rule drops the cached rules
+    and the sample pool, since a root's residue depends on its radicand.
+    The table of irreducibles and its caches are kept: they are facts
+    about ZZ[vars].
     """
 
-    def __init__(self, coordinates: Sequence[str]):
+    def __init__(self, coordinates: Sequence[str], trig_pairs: Iterable[str] = (),
+                 roots: Iterable[Tuple[str, Union[str, Rational]]] = ()):
         names = list(coordinates)
         if len(set(names)) != len(names):
             raise ExprError(f"coordinate names not distinct: {names}")
@@ -118,11 +140,30 @@ class Chart:
                 raise ExprError(f"bad coordinate name: {n!r}")
         self.coordinates: List[str] = names
         self.generators: List[GeneratorSpec] = []
-        self._ring: Optional[PolyRing] = None
         self._gens_by_name: Dict[str, GeneratorSpec] = {}
         self._trig_pairs: Dict[str, Tuple[str, str]] = {}  # angle -> (sin, cos)
+        for angle in trig_pairs:
+            if angle not in names:
+                raise ExprError(f"{angle!r} is not a coordinate of this chart")
+            if angle not in self._trig_pairs:
+                s_name, c_name = self._trig_pairs[angle] = trig_names(angle)
+                self._declare(GeneratorSpec(s_name, "sin", partner=c_name))
+                self._declare(GeneratorSpec(c_name, "cos", partner=s_name))
+        roots = list(roots)
+        for name, _ in roots:
+            self._declare(GeneratorSpec(name, "root"))
+        # lex: :func:`_divide` takes the leading monomial as the max exponent tuple
+        self._ring: PolyRing = _make_ring(",".join(self.var_names), ZZ, lex)[0]
+        self._index = {n: i for i, n in enumerate(self.var_names)}
         self._sample_pool: List[GenericPoint] = []
-        self._rebuild_ring()
+        self._relations: Optional[List] = None  # see :meth:`_relation_powers`
+        self._irreducibles: List = []  # primitive irreducible factors (LC > 0) of denominators met
+        self._factorizations: Dict = {}  # denominator -> ((irreducible index, exponent), ...)
+        self._products: Dict = {}  # ((irreducible index, exponent), ...) -> product, see _expand
+        for s_name, c_name in self._trig_pairs.values():
+            self._relate(self._gens_by_name[s_name], 1 - self.var(c_name) ** 2)
+        for name, radicand in roots:
+            self._relate(self._gens_by_name[name], self._radicand(name, radicand))
 
     # -- ring bookkeeping -------------------------------------------------
 
@@ -134,61 +175,27 @@ class Chart:
     def dim(self) -> int:
         return len(self.coordinates)
 
-    def _rebuild_ring(self):
-        # lex: :func:`_divide` takes the leading monomial as the max exponent tuple
-        self._ring = _make_ring(",".join(self.var_names), ZZ, lex)[0]
-        self._index = {n: i for i, n in enumerate(self.var_names)}
-        self._sample_pool = []
-        self._relations: Optional[List] = None  # see :meth:`_relation_powers`
-        self._irreducibles: List = []  # primitive irreducible factors (LC > 0) of denominators met
-        self._factorizations: Dict = {}  # denominator -> ((irreducible index, exponent), ...)
-        self._products: Dict = {}  # ((irreducible index, exponent), ...) -> product, see _expand
-
-    def _lift(self, poly, old_nvars: int):
-        """Re-embed a polynomial from a ring with fewer variables."""
-        if poly.ring is self._ring:
-            return poly
-        pad = len(self._index) - old_nvars
-        return self._ring.from_dict(
-            {m + (0,) * pad: c for m, c in poly.to_dict().items()}
-        )
-
-    def _current(self, e: "Expr") -> Tuple:
-        """Return (num, den) of e lifted into the current ring."""
-        n = len(e._num.ring.gens)
-        return self._lift(e._num, n), self._lift(e._den, n)
-
     # -- generator declaration -------------------------------------------
 
-    def add_trig_pair(self, angle: str) -> Tuple["Expr", "Expr"]:
-        """Adjoin sin/cos generators for a coordinate ``angle``."""
-        if angle not in self.coordinates:
-            raise ExprError(f"{angle!r} is not a coordinate of this chart")
-        if angle in self._trig_pairs:
-            s, c = self._trig_pairs[angle]
-            return self.var(s), self.var(c)
-        s_name, c_name = f"sin_{angle}", f"cos_{angle}"
-        s = GeneratorSpec(s_name, "sin", partner=c_name)
-        c = GeneratorSpec(c_name, "cos", partner=s_name)
-        self._declare(s)
-        self._declare(c)
-        # relation sin^2 -> 1 - cos^2, stored after both vars exist
-        self._relate(s, 1 - self.var(c_name) ** 2)
-        self._trig_pairs[angle] = (s_name, c_name)
-        return self.var(s_name), self.var(c_name)
+    def _radicand(self, name: str, source) -> "Expr":
+        """The radicand of the root ``name``, parsed and checked.
 
-    def add_square_root(self, name: str, radicand: "Expr") -> "Expr":
-        """Adjoin a generator W with W^2 = radicand.
-
-        The radicand must be a polynomial with integer coefficients in
-        previously declared variables, so that the rule W^2 -> radicand
-        stays in the chart's ring.  A radicand n / k with an integer k > 1
-        (say x/2) is rejected with the fix: adjoin a root V of k * n and
-        use V / k, since sqrt(n / k) = sqrt(k * n) / k.  Pull polynomial
+        It must be a polynomial with integer coefficients in the variables
+        declared before ``name``, so that the rule W^2 -> radicand stays
+        in the chart's ring.  A radicand n / k with an integer k > 1 (say
+        x/2) is rejected with the fix: adjoin a root V of k * n and use
+        V / k, since sqrt(n / k) = sqrt(k * n) / k.  Pull polynomial
         denominators out the same way.  A ``root`` declaration in a model
         file, when the grammar gains one, inherits this rule.
         """
-        radicand = self.expr(radicand)
+        radicand = self.expr(source)
+        own = self._index[name]
+        for p in (radicand._num, radicand._den):
+            late = {self.var_names[i] for m in p.itermonoms()
+                    for i, e in enumerate(m) if e and i >= own}
+            if late:
+                raise ExprError(f"radicand of {name!r} names {sorted(late)}; it may "
+                                "use only the coordinates, trig generators and earlier roots")
         if radicand._den.is_ground and not radicand._den.is_one:
             k = radicand._den.LC
             raise ExprError(
@@ -202,25 +209,23 @@ class Chart:
             raise ExprError(
                 f"radicand of {name!r} is a perfect square; use the field element"
             )
-        g = GeneratorSpec(name, "root")
-        self._declare(g)
-        self._relate(g, self.expr(radicand))  # lift into the enlarged ring
-        return self.var(name)
+        return radicand
 
     def _declare(self, g: GeneratorSpec):
-        if g.name in self._index:
+        if g.name in self.coordinates or g.name in self._gens_by_name:
             raise ExprError(f"duplicate variable name: {g.name!r}")
         if not g.name.isidentifier():
             raise ExprError(f"bad generator name: {g.name!r}")
         self.generators.append(g)
         self._gens_by_name[g.name] = g
-        self._rebuild_ring()
 
     def _relate(self, g: GeneratorSpec, rhs: "Expr"):
-        """Give g the rule g^2 -> rhs.  Expressions built since g was
-        declared cached the rules without it, so the cache is dropped."""
+        """Give g the rule g^2 -> rhs.  The cached rules lack it, and the
+        residue of a root depends on its radicand, so the rules and the
+        sample pool are dropped; the table of irreducibles is kept."""
         g.square_rhs = rhs
         self._relations = None
+        self._sample_pool = []
 
     def trig_pair(self, angle: str) -> Tuple["Expr", "Expr"]:
         if angle not in self._trig_pairs:
@@ -251,10 +256,7 @@ class Chart:
         if isinstance(source, Expr):
             if source.chart is not self:
                 raise ExprError("expression belongs to a different chart")
-            if source._num.ring is self._ring:
-                return source
-            num, den = self._current(source)
-            return Expr(self, num, den)
+            return source
         if isinstance(source, (int, Fraction)):
             return self.const(source)
         if isinstance(source, str):
@@ -299,9 +301,10 @@ class Chart:
                     raise ExprError("expression belongs to a different chart")
                 elif not f._num:
                     break
+                elif num is one:
+                    num, den = f._num, f._den
                 else:
-                    n, d = self._current(f)
-                    num, den = (n, d) if num is one else (num * n, den * d)
+                    num, den = num * f._num, den * f._den
             else:
                 if c.numerator != 1:
                     num = num.mul_ground(c.numerator)
@@ -400,13 +403,12 @@ class Chart:
 
     def _relation_powers(self) -> List[Tuple[int, List]]:
         """(variable index of g, [1, rhs, rhs^2, ...]) for each rule
-        g^2 -> rhs, latest-declared g first.  The rules are lifted into the
-        current ring once; :meth:`_reduce_poly` extends each list of powers
-        as it needs them.  Rebuilding the ring and :meth:`_relate` drop the
-        cache."""
+        g^2 -> rhs, latest-declared g first, built once per set of rules;
+        :meth:`_reduce_poly` extends each list of powers as it needs them.
+        :meth:`_relate` drops the cache."""
         if self._relations is None:
             self._relations = [
-                (self._index[g.name], [self._ring.one, self._current(g.square_rhs)[0]])
+                (self._index[g.name], [self._ring.one, g.square_rhs._num])
                 for g in reversed(self.generators) if g.square_rhs is not None]
         return self._relations
 
@@ -486,7 +488,9 @@ class Chart:
         Trig pairs are sampled from rational circle points, so
         sin^2 + cos^2 = 1 holds exactly.  Root generators get no value
         here: :class:`GenericPoint` sends them to square roots modulo
-        its prime.
+        its prime.  A root without a rule yet (only while the chart's
+        radicands are parsed) is a free variable and gets a value like a
+        coordinate.
         """
         point = {x: Fraction(rng.randint(2, 19), rng.randint(1, 7))
                  for x in self.coordinates}
@@ -495,6 +499,8 @@ class Chart:
                 t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
                 point[g.name] = 2 * t / (1 + t * t)
                 point[g.partner] = (1 - t * t) / (1 + t * t)
+            elif g.kind == "root" and g.square_rhs is None:
+                point[g.name] = Fraction(rng.randint(2, 19), rng.randint(1, 7))
         return point
 
     def _check_pool(self, k: int) -> List["GenericPoint"]:
@@ -535,8 +541,8 @@ def _mod(q: Fraction, prime: int) -> int:
 
 
 def _poly_mod(p, residues: Sequence[int], prime: int) -> int:
-    """Value in GF(prime) of a polynomial of the chart's ring (or of a
-    ring over a prefix of its variables) at one residue per variable."""
+    """Value in GF(prime) of a polynomial of the chart's ring at one
+    residue per variable."""
     total = 0
     for monom, coeff in p.items():
         term = coeff % prime
@@ -593,7 +599,7 @@ class TaylorMap:
                 series = {self._unit(j, k): cycle[k % 4] * inv_fact[k]
                           for k in range(order + 1)}
             else:  # root: W^2 = q
-                q = self(chart._current(chart._gens_by_name[name].square_rhs)[0])
+                q = self(chart._gens_by_name[name].square_rhs._num)
                 q0_inv = pow(q.get(self._zero, 0), prime - 2, prime)
                 u = {g: v * q0_inv % prime for g, v in q.items() if any(g)}
                 series, power, binom = {}, {self._zero: 1}, 1
@@ -659,7 +665,7 @@ def _residues(chart: Chart, values: Mapping[str, Fraction],
             residues.append(_mod(values[name], prime))
             continue
         g = chart._gens_by_name[name]
-        q = _poly_mod(chart._current(g.square_rhs)[0], residues, prime)
+        q = _poly_mod(g.square_rhs._num, residues, prime)
         w = _sqrt_mod(q, prime) if q else None
         if w is None:
             return None
@@ -753,10 +759,6 @@ class Expr:
         raises :class:`KernelInconsistency`.  A true zero maps to zero, so
         the check never raises falsely.
         """
-        if num.ring is not chart._ring:
-            num = chart._lift(num, len(num.ring.gens))
-        if den.ring is not chart._ring:
-            den = chart._lift(den, len(den.ring.gens))
         self.chart = chart
         n = chart._reduce_poly(num)
         d = chart._reduce_poly(den)
@@ -820,15 +822,13 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n1, d1 = self.chart._current(self)
-        n2, d2 = self.chart._current(o)
+        n1, d1, n2, d2 = self._num, self._den, o._num, o._den
         return Expr(self.chart, n1 * d2 + n2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        n, d = self.chart._current(self)
-        return Expr(self.chart, -n, d)
+        return Expr(self.chart, -self._num, self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -843,9 +843,7 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        n1, d1 = self.chart._current(self)
-        n2, d2 = self.chart._current(o)
-        return Expr(self.chart, n1 * n2, d1 * d2)
+        return Expr(self.chart, self._num * o._num, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -855,9 +853,7 @@ class Expr:
             return NotImplemented
         if o.is_zero():
             raise DivisionByZero("division by an expression that reduces to zero")
-        n1, d1 = self.chart._current(self)
-        n2, d2 = self.chart._current(o)
-        return Expr(self.chart, n1 * d2, d1 * n2)
+        return Expr(self.chart, self._num * o._den, self._den * o._num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -867,8 +863,7 @@ class Expr:
             return NotImplemented
         if k < 0:
             return self.chart.one() / self ** (-k)
-        n, d = self.chart._current(self)
-        return Expr(self.chart, n ** k, d ** k)
+        return Expr(self.chart, self._num ** k, self._den ** k)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -889,7 +884,7 @@ class Expr:
         ch = self.chart
         if coordinate not in ch.coordinates:
             raise ExprError(f"{coordinate!r} is not a coordinate of this chart")
-        n, d = ch._current(self)
+        n, d = self._num, self._den
         s, rules = _derivation_rules(ch, coordinate, [n, d])
         dn, dd = (_poly_total_derivative(ch, p, rules) for p in (n, d))
         return Expr(ch, dn * d - n * dd, s * d * d)
@@ -950,13 +945,6 @@ def _eval_poly(p, vals):
     return total
 
 
-def _exquo(p, q):
-    """p / q for q dividing p, as a fresh polynomial: sympy's
-    ``PolyElement.exquo`` builds its quotient in place and keeps the
-    cached hash of the zero polynomial it started from."""
-    return p.exquo(q).copy()
-
-
 def _content(p) -> int:
     """The gcd of p's integer coefficients, signed like its leading
     coefficient (lex: that of the max exponent tuple), so that p divided
@@ -966,20 +954,23 @@ def _content(p) -> int:
 
 
 def _divide(p, f):
-    """p / f as a fresh polynomial when f divides p, else None.
+    """p / f as a fresh polynomial when f divides p over ZZ, else None
+    (a quotient built in place, like sympy's ``exquo``, keeps a stale
+    cached hash).
 
-    Preconditions: f is primitive and the ring's order is lex (pinned in
-    ``Chart._rebuild_ring``), so a polynomial's leading monomial is the
-    max of its exponent tuples.  Each quotient term is (LM(rest) - LM(f),
-    LC(rest) / LC(f)), the coefficient divided with ``divmod``.  The
-    division stops at the first LM(rest) that LM(f) does not divide: that
-    term stays in the remainder, so the remainder is nonzero and, {f}
-    being a Groebner basis of (f) over QQ, f does not divide p.  It also
-    stops at the first nonzero ``divmod`` remainder: by Gauss's lemma a
-    primitive f that divides p over QQ divides it over ZZ, so the
-    quotient, whose terms the division over QQ produces one by one, has
-    integer coefficients, and a non-integer one shows that f does not
-    divide p."""
+    Precondition: the ring's order is lex (pinned in the :class:`Chart`
+    constructor), so a polynomial's leading monomial is the max of its
+    exponent tuples.  Each quotient term is (LM(rest) - LM(f),
+    LC(rest) / LC(f)), the coefficient divided with ``divmod``; these are
+    the terms of the division over QQ, one by one.  The division stops at
+    the first LM(rest) that LM(f) does not divide: that term stays in the
+    remainder, so the remainder is nonzero and, {f} being a Groebner
+    basis of (f) over QQ, f does not divide p.  It also stops at the
+    first nonzero ``divmod`` remainder, a quotient term that is not an
+    integer: then f does not divide p over ZZ.  So the quotient is
+    returned exactly when f divides p over ZZ, for any f.  For a
+    primitive f that is exactly when f divides p over QQ (Gauss's
+    lemma)."""
     ring = p.ring
     div, mul = ring.monomial_div, ring.monomial_mul
     lm = max(f)
@@ -1018,7 +1009,7 @@ def _derivation_rules(chart: Chart, coordinate: str, polys):
     for i in occurring:
         rule = _var_derivative(chart, chart.var_names[i], coordinate)
         if rule is not None:
-            rules[i] = chart._current(rule)
+            rules[i] = rule._num, rule._den
     s, quotients = chart._lcm([den for _, den in rules.values()])
     # denominators are free of quadratic generators, so r stays reduced
     return s, {i: num * q for (i, (num, _)), q in zip(rules.items(), quotients)}
@@ -1056,13 +1047,15 @@ def exact_sqrt(e: Expr) -> Optional[Expr]:
 
     Handles rational-square content, even-multiplicity polynomial
     factors, and odd factors matching a quadratic generator's relation
-    right-hand side (e.g. 1 - cos^2 = sin^2).
+    right-hand side (e.g. 1 - cos^2 = sin^2).  Of the two roots, it is
+    the one whose polynomial factors have positive leading coefficients
+    in the chart's lex order, as ``factor_list`` returns them.
     """
     ch = e.chart
     if e.is_zero():
         return ch.zero()
     # sqrt(n/d) = sqrt(n*d)/d
-    n, d = ch._current(e)
+    n, d = e._num, e._den
     target = ch._reduce_poly(n * d)
     root = _poly_sqrt(ch, target)
     if root is None:
@@ -1071,20 +1064,14 @@ def exact_sqrt(e: Expr) -> Optional[Expr]:
 
 
 def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
-    from sympy import factor_list
-    from sympy import symbols as _symbols
-
     if not p:
         return ch.zero()
-    syms = _symbols(" ".join(ch.var_names)) if len(ch.var_names) > 1 else (_symbols(ch.var_names[0]),)
-    sp_expr = p.as_expr(*syms)
-    const, factors = factor_list(sp_expr)
+    c, factors = p.factor_list()  # the ring's own factoring, as in Chart._factor
+    c = Fraction(c)
     root = ch.one()
     odd = []
-    c = Fraction(const.p, const.q)
     for f, mult in factors:
-        fe = parse_expr(ch, str(f))
-        mult = int(mult)
+        fe = Expr(ch, f, ch._ring.one)
         if mult // 2:
             root = root * fe ** (mult // 2)
         if mult % 2:

@@ -565,38 +565,3 @@ def asd_span(g: TensorField, orientation: int = 1) -> List[TensorField]:
     ortho, ginv = _asd_orthogonal(g, orientation)
     return [_form_to_endo(ginv, f, g.chart) for f, _ in ortho]
 
-
-def asd_frame(g: TensorField, orientation: int = 1) -> List[TensorField]:
-    """Quaternionic triple spanning the (anti-)self-dual skew endomorphisms.
-
-    Returns A1, A2, A3 with A_i skew with respect to g, pairwise
-    anticommuting, A_i^2 = -Id and A1 A2 = A3.  Entries stay in the
-    chart's field whenever the norm normalizations are perfect squares
-    there; otherwise root generators are adjoined to the chart.
-    """
-    chart = g.chart
-    ortho, ginv = _asd_orthogonal(g, orientation)
-    # Normalize the first two elements; the third is their product,
-    # which is automatically unit and completes the quaternion triple.
-    # This needs at most two adjoined square roots instead of three.
-    frame = []
-    for k, (f, nrm) in enumerate(ortho[:2]):
-        lam = nrm / 2  # A^2 = -(|w|^2/2) Id for (anti-)self-dual w
-        mu = exact_sqrt(lam)
-        if mu is None:
-            # adjoin sqrt(num*den)/den as a generator
-            num, den = chart._current(lam)
-            from .exprfield import Expr as _E
-            rad = _E(chart, chart._reduce_poly(num * den), chart._ring.one)
-            name = f"asdnorm{k}"
-            suffix = 0
-            while name in chart._index:
-                suffix += 1
-                name = f"asdnorm{k}_{suffix}"
-            root = chart.add_square_root(name, rad)
-            mu = root / _E(chart, den, chart._ring.one)
-        A = _form_to_endo(ginv, f, chart).map(lambda e: e / mu)
-        frame.append(A)
-    frame.append(endo_mul(frame[0], frame[1]))
-    return frame
-

@@ -1,9 +1,9 @@
 """Exact finite-dimensional Lie-algebra toolkit.
 
 Closure of explicit vector fields into abstract algebras with rational
-structure constants, centralizers and normalizers, representation
-kernels, equivariant tensors (the Nomizu computation), and vanishing
-loci of affine-linear vector fields.  All arithmetic is over
+structure constants, representation kernels, equivariant tensors (the
+Nomizu computation), and vanishing loci of affine-linear vector
+fields.  All arithmetic is over
 :class:`fractions.Fraction`; no floating point, no algebraic-number
 extensions.
 """
@@ -26,8 +26,6 @@ __all__ = [
     "Representation",
     "VanishingLocus",
     "closure_from_fields",
-    "centralizer",
-    "normalizer_of_span",
     "reductive_isotropy",
     "zero_eigenspace",
     "equivariant_tensors",
@@ -347,54 +345,6 @@ def closure_from_fields(fields: Sequence[TensorField],
                 structure[j][i][k] = -c[k]
     return LieAlgebra.from_structure(
         structure, labels if labels is not None else None)
-
-
-# ---------------------------------------------------------------------------
-# Subalgebras
-# ---------------------------------------------------------------------------
-
-def _verify_subalgebra(A: LieAlgebra, basis: List[List[Fraction]]) -> None:
-    if not basis:
-        return
-    d = A.dimension
-    span_rows = [list(b) for b in basis]
-    for x, y in itertools.combinations_with_replacement(basis, 2):
-        br = A.bracket(x, y)
-        if _linalg.rank(span_rows + [br]) > len(
-                _linalg.rref(span_rows)[1]):
-            raise LieAlgError("returned subspace is not bracket-closed")
-
-
-def centralizer(A: LieAlgebra, x: Sequence) -> List[List[Fraction]]:
-    """Basis of the kernel of ad(x); verified bracket-closed."""
-    xv = [Fraction(v) for v in x]
-    basis = _linalg.nullspace(A.ad(xv), A.dimension)
-    _verify_subalgebra(A, basis)
-    return basis
-
-
-def normalizer_of_span(A: LieAlgebra,
-                       span: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Basis of {y : [y, S] subset of S} for S = span of the given vectors."""
-    d = A.dimension
-    s_rows = _frac_matrix(span)
-    s_basis, _ = _linalg.rref(s_rows)
-    # functionals annihilating span(S): vectors f with sum_k s_k f_k = 0
-    functionals = _linalg.nullspace(s_basis, d) if s_basis else [
-        _unit_vector(k, d) for k in range(d)]
-    conditions = []
-    for s in s_basis:
-        ad_s_cols = []  # coefficient of y_i in [y, s]^k
-        for i in range(d):
-            ad_s_cols.append(A.bracket(_unit_vector(i, d), s))
-        for f in functionals:
-            conditions.append(
-                [sum(f[k] * ad_s_cols[i][k] for k in range(d))
-                 for i in range(d)])
-    basis = _linalg.nullspace(conditions, d) if conditions else [
-        _unit_vector(k, d) for k in range(d)]
-    _verify_subalgebra(A, basis)
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .exprfield import Chart, Expr, ExprError, parse_expr
+from .exprfield import Chart, Expr, ExprError, parse_expr, trig_names
 from .geometry import Connection, TensorField
 
 __all__ = ["ModelError", "Task", "Model", "parse_model", "load_model",
@@ -222,21 +222,19 @@ def _parse_chart(entries) -> Chart:
             raise ModelError(f"unknown chart key {key!r}", num)
     if coords is None:
         raise ModelError("chart section lacks a coordinates entry")
-    try:
-        chart = Chart(coords)
-    except ExprError as ex:
-        raise ModelError(str(ex)) from ex
     for num, name in trig:
         if name not in coords:
             raise ModelError(
                 f"trig_pair {name!r} is not a coordinate; the relation "
                 f"sin({name})^2 + cos({name})^2 = 1 needs its coordinate",
                 num)
-        try:
-            chart.add_trig_pair(name)
-        except ExprError as ex:
-            raise ModelError(str(ex), num) from ex
-    return chart
+        for generator in trig_names(name):
+            if generator in coords:
+                raise ModelError(f"duplicate variable name: {generator!r}", num)
+    try:
+        return Chart(coords, trig_pairs=[name for _, name in trig])
+    except ExprError as ex:
+        raise ModelError(str(ex)) from ex
 
 
 def _component_key(name: str, key: str, num: int) -> List[str]:

@@ -53,7 +53,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from sympy.polys.rings import PolyElement
 
 from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, TaylorMap,
-                        _derivation_rules, _exquo, _poly_total_derivative)
+                        _derivation_rules, _divide, _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
 
@@ -177,8 +177,7 @@ class LinearPDESystem:
         zero_d = (0,) * chart.dim
         eqs = []
         for i, m in enumerate(maps):
-            pairs = {k: chart._current(v) for k, v in m.items()
-                     if not v.is_zero()}
+            pairs = {k: (v._num, v._den) for k, v in m.items() if not v.is_zero()}
             if pairs:
                 eqs.append(Equation(_clear_denominators(chart, pairs),
                                     base=i, deriv=zero_d))
@@ -393,7 +392,8 @@ def _clear_denominators(chart: Chart, pairs: Dict[JetKey, Tuple]) -> Dict[JetKey
     where it is cheapest (a monomial gcd is found without a heuristic
     gcd), and the fold stops once it is ground.  The gcd over ZZ is
     unique up to sign, so the sign fix makes the result independent of
-    the order."""
+    the order.  It divides every numerator over ZZ, so
+    :func:`~geosym.exprfield._divide` returns each quotient."""
     _, quotients = chart._lcm([den for _, den in pairs.values()])
     nums = {}
     for (k, (num, _)), f in zip(pairs.items(), quotients):
@@ -407,7 +407,7 @@ def _clear_denominators(chart: Chart, pairs: Dict[JetKey, Tuple]) -> Dict[JetKey
         return nums
     if content.LC < 0:
         content = -content
-    return {k: _exquo(p, content) for k, p in nums.items()}
+    return {k: _divide(p, content) for k, p in nums.items()}
 
 
 _DEFAULT_SEEDS = (101, 202, 303)

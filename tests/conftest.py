@@ -55,11 +55,7 @@ EH_KILLING_FIELDS = {
 
 
 def build_eh_chart() -> Chart:
-    chart = Chart(["rho", "phi", "psi", "theta"])
-    chart.add_trig_pair("phi")
-    chart.add_trig_pair("psi")
-    chart.add_trig_pair("theta")
-    return chart
+    return Chart(["rho", "phi", "psi", "theta"], trig_pairs=["phi", "psi", "theta"])
 
 
 def build_eh_metric(chart: Chart) -> G.TensorField:
@@ -107,8 +103,7 @@ def eh_quaternionic_system(eh_metric):
 
 @pytest.fixture(scope="session")
 def sphere():
-    chart = Chart(["th", "ph"])
-    chart.add_trig_pair("th")
+    chart = Chart(["th", "ph"], trig_pairs=["th"])
     g = G.TensorField(chart, ("d", "d"), {
         (0, 0): chart.one(),
         (1, 1): parse_expr(chart, "sin(th)^2"),
@@ -146,10 +141,7 @@ def standard_triple(chart: Chart):
 def nested_root_chart() -> Chart:
     """Chart (x, y) with W^2 = x^2 + 1 and V^2 = W + y^2 + 3: a root
     over a root."""
-    chart = Chart(["x", "y"])
-    chart.add_square_root("W", parse_expr(chart, "x^2 + 1"))
-    chart.add_square_root("V", parse_expr(chart, "W + y^2 + 3"))
-    return chart
+    return Chart(["x", "y"], roots=[("W", "x^2 + 1"), ("V", "W + y^2 + 3")])
 
 
 def flat_chart(dim: int):

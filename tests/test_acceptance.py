@@ -157,8 +157,7 @@ def test_criterion_7_property_suites(sphere, flat2):
     with criterion(7, "kernel laws, Leibniz, Bianchi, flow oracle, "
                       "symbol monotonicity, point independence"):
         # kernel algebra laws
-        ch = Chart(["x", "t"])
-        ch.add_trig_pair("t")
+        ch = Chart(["x", "t"], trig_pairs=["t"])
         a = parse_expr(ch, "(x + sin(t))^2")
         b = parse_expr(ch, "x - cos(t)")
         assert ((a + b) * (a - b) - (a * a - b * b)).is_zero()

@@ -43,9 +43,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _make_chart():
-    ch = Chart(["x", "y", "t"])
-    ch.add_trig_pair("t")
-    return ch
+    return Chart(["x", "y", "t"], trig_pairs=["t"])
 
 
 # a chart shared by the hypothesis tests (charts are immutable once built)
@@ -266,8 +264,7 @@ def test_points_with_a_vanishing_radicand_are_resampled():
     next one of its seed's stream, like a point with a nonsquare
     radicand, so W stays a unit of the Taylor series."""
     import random
-    ch = Chart(["x"])
-    ch.add_square_root("W", parse_expr(ch, "x - 2"))
+    ch = Chart(["x"], roots=[("W", "x - 2")])
     hit = [seed for seed in range(1, 100)
            if ch.sample_point(random.Random(seed))["x"] == 2]
     assert hit
@@ -284,9 +281,9 @@ def test_is_zero_cross_check_catches_a_planted_disagreement(radicand, monkeypatc
     cross-check when the zero normal form is built, also on charts with
     W^2 = 3, 15 or -1, none a square mod 2^61-1; a true zero there
     passes it."""
-    ch = Chart(["x", "y"])
+    ch = Chart(["x", "y"], roots=[] if radicand is None else [("W", radicand)])
     if radicand is not None:
-        W = ch.add_square_root("W", ch.const(radicand))
+        W = ch.var("W")
         assert (W * W - radicand).is_zero()
     ring = ch._ring
     x = ring.gens[0]
@@ -323,25 +320,66 @@ def test_exact_sqrt():
 
 @pytest.mark.parametrize("source, k", [("1/2", 2), ("x/2", 2), ("(x^2 + 1)/6", 6)])
 def test_a_radicand_with_rational_content_is_rejected_with_the_fix(source, k):
-    """sqrt(n / k) = sqrt(k * n) / k: the error names that fix, and the
-    chart stays as it was."""
-    ch = Chart(["x"])
+    """sqrt(n / k) = sqrt(k * n) / k: the error names that fix, which
+    then works."""
     with pytest.raises(ExprError, match=f"adjoin a root of {k}\\*"):
-        ch.add_square_root("W", parse_expr(ch, source))
-    assert not ch.generators and "W" not in ch.var_names
-    radicand = parse_expr(ch, source)
-    V = ch.add_square_root("V", radicand * k * k)
-    assert (V / k) ** 2 == ch.expr(radicand)
+        Chart(["x"], roots=[("W", source)])
+    ch = Chart(["x"], roots=[("V", f"{k}^2 * ({source})")])
+    assert (ch.var("V") / k) ** 2 == ch.expr(source)
 
 
 def test_exact_sqrt_divides_by_a_relation_with_integer_content():
     """With W^2 = 2x, the odd part x of 8x over the relation's 2x is 1/2,
     a quotient with a ground denominator, so sqrt(8x) = 2W."""
-    ch = Chart(["x"])
-    W = ch.add_square_root("W", parse_expr(ch, "2*x"))
+    ch = Chart(["x"], roots=[("W", "2*x")])
+    W = ch.var("W")
     assert exact_sqrt(parse_expr(ch, "8*x")) == 2 * W
     assert exact_sqrt(parse_expr(ch, "2*x^3")) == W * ch.var("x")
     assert exact_sqrt(parse_expr(ch, "x")) is None
+
+
+def test_equal_elements_through_a_root_compare_and_hash_equal():
+    """With every generator declared by the constructor, x/2 compares
+    and hashes the same however it was built, also through V^2 = 2x."""
+    ch = Chart(["x"], roots=[("V", "2*x")])
+    half = (ch.var("V") / 2) ** 2
+    assert half == ch.expr("x/2") == ch.var("x") / 2
+    assert hash(half) == hash(ch.expr("x/2"))
+    assert {ch.expr("x/2"): "found"}[half] == "found"
+
+
+@pytest.mark.parametrize("roots, named", [
+    ([("W", "W + x")], "W"),
+    ([("W", "x^2 + 1"), ("V", "V*W + 1")], "V"),
+    ([("W", "V + x"), ("V", "x^2 + 1")], "V"),
+    ([("W", "x + 1"), ("V", "x/(U + 1) + W"), ("U", "x")], "U"),
+])
+def test_a_radicand_naming_its_own_or_a_later_root_is_rejected(roots, named):
+    with pytest.raises(ExprError, match=f"names \\['{named}'\\]; it may use only"):
+        Chart(["x"], roots=roots)
+
+
+def test_the_zero_cross_check_runs_inside_a_radicand_parse(monkeypatch):
+    """With W^2 = 3 and V^2 = 12 the product (V - 2W)(V + 2W) is
+    V^2 - 4W^2 before reduction and 0 after, so it is cross-checked
+    while U's radicand is parsed, at points where U and T, still without
+    rules, are free variables; the radicand is then rejected as zero.
+    sin(x)^2 + cos(x)^2 - 1 is built as the zero polynomial, which needs
+    no cross-check, and is rejected as zero too."""
+    checked = []
+    check_pool = Chart._check_pool
+
+    def recording_pool(self, k):
+        points = check_pool(self, k)
+        checked.append({g.name for g in self.generators if g.name not in points[0].values})
+        return points
+
+    monkeypatch.setattr(Chart, "_check_pool", recording_pool)
+    with pytest.raises(ExprError, match="radicand reduces to zero"):
+        Chart(["x"], roots=[("W", 3), ("V", 12), ("U", "(V - 2*W)*(V + 2*W)"), ("T", "x")])
+    assert checked == [{"W", "V"}]
+    with pytest.raises(ExprError, match="radicand reduces to zero"):
+        Chart(["x"], trig_pairs=["x"], roots=[("W", "sin(x)^2 + cos(x)^2 - 1")])
 
 
 def _assert_integer_normal_form(e):
@@ -388,9 +426,7 @@ def test_sample_points_deterministic(chart):
 
 
 def _root_chart():
-    ch = Chart(["x", "y", "z"])
-    ch.add_square_root("W", parse_expr(ch, "x^2 + 1"))
-    return ch
+    return Chart(["x", "y", "z"], roots=[("W", "x^2 + 1")])
 
 
 # charts with atoms whose denominators are distinct, share factors, and
@@ -587,23 +623,38 @@ def test_lcm_quotients_come_from_the_exponents():
     _assert_table_invariants(ch)
 
 
-def test_declaring_a_root_resets_the_table():
-    ch = Chart(["x", "y"])
-    old = [parse_expr(ch, s) for s in ("1/(x^2 - 1)", "(x + y)/(x*y + x)", "y/(x + 1)^2")]
-    old.append(ch.sum_products([(old[0],), (old[2],)]))  # an lcm: products cached
-    assert ch._irreducibles and ch._factorizations and ch._products
+def test_setting_a_rule_drops_the_rules_and_the_pool_and_keeps_the_table(monkeypatch):
+    """Radicands are parsed in the chart's one ring.  Each rule drops the
+    cached rules and the sample pool, which depend on the radicands; the
+    table of irreducibles filled while parsing them is kept, and
+    expressions built afterwards still match the gcd oracle."""
+    relate = Chart._relate
+
+    def checked_relate(self, g, rhs):
+        self._check_pool(1)
+        self._relation_powers()
+        relate(self, g, rhs)
+        assert self._relations is None and not self._sample_pool
+
+    monkeypatch.setattr(Chart, "_relate", checked_relate)
+    ch = Chart(["x", "y"], roots=[("W", "(x^3 - x)/(x^2 - 1) + y^2 + 1"),
+                                  ("V", "W*(x + 1)^2/(x^2 + 2*x + 1) + 3")])
+    assert ch._irreducibles and ch._factorizations
     _assert_table_invariants(ch)
-    W = ch.add_square_root("W", parse_expr(ch, "x^2 + y^2 + 1"))
-    assert not ch._irreducibles and not ch._factorizations and not ch._products
-    new = [W / (ch.var("x") + 1), (ch.var("x") - 1) / (W + ch.var("y"))]
+    W, V, x, y = (ch.var(v) for v in "WVxy")
+    assert W ** 2 == x + y ** 2 + 1 and V ** 2 == W + 3
+    old = [ch.expr(s) for s in ("1/(x^2 - 1)", "(x + y)/(x*y + x)", "y/(x + 1)^2")]
+    old.append(ch.sum_products([(old[0],), (old[2],)]))
     for a in old:
-        n, d = ch._current(a)
-        assert _same_as_oracle(ch.expr(a), n, d)
-        for b in new:
-            (n1, d1), (n2, d2) = ch._current(a), ch._current(b)
+        for b in (W / (x + 1), (x - 1) / (W + y), V / (V + x)):
+            n1, d1, n2, d2 = a._num, a._den, b._num, b._den
             assert _same_as_oracle(a * b, n1 * n2, d1 * d2)
             assert _same_as_oracle(a + b, n1 * d2 + n2 * d1, d1 * d2)
     _assert_table_invariants(ch)
+    for point in ch._check_pool(2):
+        r, q = point.residues, point.prime
+        assert r[2] ** 2 % q == (r[0] + r[1] ** 2 + 1) % q
+        assert r[3] ** 2 % q == (r[2] + 3) % q
 
 
 def test_quotients_of_a_shared_factor_hash_like_fresh_polynomials():
@@ -646,7 +697,7 @@ def _fixpoint_reduce(chart, p):
     """Rewrite g^k -> g^(k mod 2) * rhs^(k//2), one monomial at a time, in
     declaration order until nothing changes: the reduction that the
     one-pass ``Chart._reduce_poly`` replaces."""
-    rules = [(chart._index[g.name], chart._current(g.square_rhs)[0])
+    rules = [(chart._index[g.name], g.square_rhs._num)
              for g in chart.generators if g.square_rhs is not None]
     changed = True
     while changed:
@@ -670,10 +721,7 @@ def _fixpoint_reduce(chart, p):
 
 def _trig_root_chart():
     """A root declared after a trig pair, over sin: W^2 = sin(t) + x + 2."""
-    ch = Chart(["x", "t"])
-    ch.add_trig_pair("t")
-    ch.add_square_root("W", parse_expr(ch, "sin(t) + x + 2"))
-    return ch
+    return Chart(["x", "t"], trig_pairs=["t"], roots=[("W", "sin(t) + x + 2")])
 
 
 _REDUCE_CHARTS = {
@@ -726,44 +774,29 @@ def test_a_root_declared_after_a_trig_pair_is_reduced_by_both_rules():
 
 
 def test_relations_are_lifted_once_per_rule_set(monkeypatch):
-    """A rule's rhs is lifted into the current ring when the rules are
-    cached, once per ring and set of rules, and not again by the
-    ``_reduce_poly`` calls that find them cached."""
-    lifted, reductions, inside = [], [], []
-    lift, reduce_poly = Chart._lift, Chart._reduce_poly
+    """The rules are built once per set of rules, by the first reduction
+    after a rule is set, and not again by the ``_reduce_poly`` calls
+    that find them cached."""
+    built, reductions = [], []
+    powers, reduce_poly = Chart._relation_powers, Chart._reduce_poly
 
-    def counting_lift(self, poly, old_nvars):
-        if inside and any(g.square_rhs is not None and poly is g.square_rhs._num
-                          for g in self.generators):
-            lifted.append(poly)
-        return lift(self, poly, old_nvars)
+    def counting_powers(self):
+        if self._relations is None:
+            built.append([g.name for g in self.generators if g.square_rhs is not None])
+        return powers(self)
 
     def counting_reduce(self, p):
         reductions.append(p)
-        inside.append(p)
-        try:
-            return reduce_poly(self, p)
-        finally:
-            inside.pop()
+        return reduce_poly(self, p)
 
-    monkeypatch.setattr(Chart, "_lift", counting_lift)
+    monkeypatch.setattr(Chart, "_relation_powers", counting_powers)
     monkeypatch.setattr(Chart, "_reduce_poly", counting_reduce)
     ch = nested_root_chart()
-    # W's Expr caches {W}; V's radicand in the new ring caches {W}, V's Expr {W, V}
-    assert len(lifted) == 1 + 1 + 2
-
-    def build():
-        lifted.clear()
-        reductions.clear()
-        for k in range(1, 6):
-            parse_expr(ch, f"(W + V*x)^{k} / (x + y^{k}) + V^{k + 1}*W")
-        return len(lifted), len(reductions)
-
-    assert build()[0] == 0 and len(reductions) > 20
-    lifted.clear()
-    ch.add_square_root("U", parse_expr(ch, "V + x"))
-    assert len(lifted) == 2 + 3
-    assert build()[0] == 0 and len(reductions) > 20
+    # W's radicand is parsed under no rule, V's under {W}
+    assert built == [[], ["W"]]
+    for k in range(1, 6):
+        parse_expr(ch, f"(W + V*x)^{k} / (x + y^{k}) + V^{k + 1}*W")
+    assert built == [[], ["W"], ["W", "V"]] and len(reductions) > 20
 
 
 @pytest.mark.parametrize("name", sorted(_CANCEL_CHARTS))

@@ -340,13 +340,6 @@ def test_asd_span_is_a_quaternion_like_triple_on_eguchi_hanson(eh_metric, eh_asd
             assert (pq[a][b] + qp[a][b]).is_zero()
 
 
-def test_asd_frame_flat_is_quaternionic(flat4):
-    chart, g = flat4
-    I, J, K = G.asd_frame(g)
-    rep = G.check_hypercomplex_frame(I, J, K)
-    assert rep.is_quaternionic_frame
-
-
 def test_volume_root_squares_to_det(sphere):
     chart, g = sphere
     w = G.volume_root(g)
@@ -356,8 +349,8 @@ def test_volume_root_squares_to_det(sphere):
 def test_volume_root_sign_needs_a_rational_value():
     # sqrt(det g) is the root W itself, which has no rational value at a
     # sample point, so its sign cannot be fixed
-    chart = Chart(["x", "y"])
-    W = chart.add_square_root("W", parse_expr(chart, "x^2 + 1"))
+    chart = Chart(["x", "y"], roots=[("W", "x^2 + 1")])
+    W = chart.var("W")
     g = G.TensorField(chart, ("d", "d"), {(0, 0): W, (1, 1): W})
     with pytest.raises(G.GeometryError, match="cannot be fixed"):
         G.volume_root(g)

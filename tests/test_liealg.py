@@ -93,27 +93,6 @@ def test_closure_gives_up_after_bounded_draws(monkeypatch):
         L.closure_from_fields(fields)
 
 
-def test_centralizer_so3():
-    basis = L.centralizer(SO3, [1, 0, 0])
-    assert len(basis) == 1
-    assert basis[0][1] == basis[0][2] == 0
-
-
-def test_centralizer_abelian_is_everything():
-    ab = L.LieAlgebra.from_structure(
-        [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
-    assert len(L.centralizer(ab, [1, 2])) == 2
-
-
-def test_normalizer_of_whole_algebra():
-    assert len(L.normalizer_of_span(
-        SO3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-
-
-def test_normalizer_of_heisenberg_center():
-    assert len(L.normalizer_of_span(HEIS, [[0, 0, 1]])) == 3
-
-
 def test_derived_algebra():
     assert len(SO3.derived_algebra()) == 3
     assert len(HEIS.derived_algebra()) == 1

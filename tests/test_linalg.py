@@ -71,8 +71,8 @@ def test_rref_pivots_are_the_greedy_independent_columns(m):
 def test_expr_matrix_dependent_through_a_relation():
     """Rows dependent only through sin^2 + cos^2 = 1: rank 1, and one
     kernel vector annihilating both rows."""
-    ch = Chart(["t"])
-    s, c = ch.add_trig_pair("t")
+    ch = Chart(["t"], trig_pairs=["t"])
+    s, c = ch.trig_pair("t")
     m = [[s, 1 + c], [1 - c, s]]
     assert _linalg.rank(m) == 1
     (v,) = _linalg.nullspace(m, 2, one=ch.one())

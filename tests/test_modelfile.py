@@ -59,6 +59,21 @@ def test_trig_pair_requires_coordinate():
         parse_model(text)
 
 
+def test_trig_generator_clashing_with_a_coordinate_keeps_its_line(tmp_path):
+    text = "[chart]\ncoordinates = x, sin_x\ntrig_pair = x\n"
+    with pytest.raises(ModelError, match="line 3: duplicate variable name: 'sin_x'") as exc:
+        parse_model(text)
+    assert exc.value.line == 3
+    path = tmp_path / "clash.model"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+
+
+def test_repeated_trig_pair_line_is_accepted():
+    model = parse_model("[chart]\ncoordinates = x, y\ntrig_pair = x\ntrig_pair = x\n")
+    assert model.chart.var_names == ["x", "y", "sin_x", "cos_x"]
+
+
 def test_metric_symmetrized_convention_warning():
     text = (MINIMAL + "\n[metric h]\n"
             "h[x,y] = x\nh[y,x] = x\nh[x,x] = 1\nh[y,y] = 1\n")

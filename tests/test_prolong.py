@@ -282,8 +282,8 @@ def test_coefficient_denominator_divisible_by_prime_clears_to_integers():
 def _root_chart_metric():
     """ds^2 + 2(t/W) ds dt + (t^2/W^2 + 1) dt^2 with W^2 = t^2 + 1: since
     dW = (t/W) dt this is d(s + W)^2 + dt^2, a flat metric."""
-    chart = Chart(["s", "t"])
-    W = chart.add_square_root("W", parse_expr(chart, "t^2 + 1"))
+    chart = Chart(["s", "t"], roots=[("W", "t^2 + 1")])
+    W = chart.var("W")
     t = chart.var("t")
     return chart, G.TensorField(chart, ("d", "d"), {
         (0, 0): chart.one(), (0, 1): t / W, (1, 0): t / W,
@@ -303,8 +303,8 @@ def test_killing_bound_on_a_root_generator_chart(seeds):
 def test_killing_bound_with_a_root_that_is_no_square_mod_the_first_prime(radicand):
     """W dx^2 + W dy^2 with a constant W^2 is flat; 3, 15 and -1 are not
     squares mod 2^61-1, so its points lie at another prime."""
-    chart = Chart(["x", "y"])
-    W = chart.add_square_root("W", chart.const(radicand))
+    chart = Chart(["x", "y"], roots=[("W", radicand)])
+    W = chart.var("W")
     g = G.TensorField(chart, ("d", "d"), {(0, 0): W, (1, 1): W})
     res = P.solution_bound(S.invariance_system(g))
     assert res.conclusive
@@ -330,8 +330,7 @@ def test_formal_roots_map_to_square_roots_mod_p():
     assert resampled
     # 3 is not a square mod 2^61-1: W^2 = 3 samples at the next prime
     # below it (which is 1 mod 4), and the relation holds there
-    chart = Chart(["x"])
-    chart.add_square_root("W", chart.const(3))
+    chart = Chart(["x"], roots=[("W", 3)])
     for seed in (1, 2):
         point = P.GenericPoint.sample(chart, seed)
         assert point.prime == _prime(1) != P.PRIME

@@ -1,6 +1,7 @@
 """Command-line parsing of the benchmark tools in ``tools/``."""
 
 import importlib
+import shutil
 import sys
 from pathlib import Path
 
@@ -9,13 +10,17 @@ import pytest
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def _bench_pairs():
+def _tool(name):
     saved = list(sys.path)
     sys.path.insert(0, str(TOOLS))
     try:
-        return importlib.import_module("bench_pairs")
+        return importlib.import_module(name)
     finally:
         sys.path[:] = saved
+
+
+def _bench_pairs():
+    return _tool("bench_pairs")
 
 
 def test_seed_lists_and_ranges():
@@ -34,3 +39,34 @@ def test_malformed_seeds_are_a_usage_error(seeds, monkeypatch, capsys):
         bench_pairs.main()
     assert exc.value.code == 2
     assert "no seeds in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--parent", "a", "--change", "b", "--seeds", "10-1"],
+    ["--parent", "a", "--change", "b", "--seeds", "x"],
+    ["--parent", "a", "--seeds", "1-2"],
+    ["--change", "b", "--seeds", "1-2"],
+])
+def test_report_diff_usage_errors(argv, monkeypatch, capsys):
+    report_diff = _tool("report_diff")
+    monkeypatch.setattr(sys, "argv", ["report_diff.py", *argv])
+    with pytest.raises(SystemExit) as exc:
+        report_diff.main()
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_report_diff_of_flat2_against_itself_and_a_changed_copy(tmp_path):
+    """A checkout agrees with itself; a copy whose flat2 model expects a
+    wrong bound differs in its report and its exit code."""
+    report_diff = _tool("report_diff")
+    repo = str(TOOLS.parent)
+    assert report_diff.differences(repo, repo, ["flat2"], [1]) == []
+    shutil.copytree(TOOLS.parent / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    model = tmp_path / "src" / "geosym" / "models" / "flat2.model"
+    model.write_text(model.read_text().replace("expect_bound = 3", "expect_bound = 4"))
+    found = report_diff.differences(repo, str(tmp_path), ["flat2"], [1])
+    assert len(found) == 2
+    assert found[0] == "flat2 seed 1: exit code 0 -> 1"
+    assert found[1].startswith("flat2 seed 1: reports differ\n")
