@@ -2,7 +2,8 @@
 
 One code path for any exact field whose elements support ``bool`` (false
 exactly for zero) and ``/``: :class:`fractions.Fraction` matrices (Lie
-algebra work and closure sampling; symbol ranks are taken mod p in
+algebra work, and the integer coefficient rows of closure, whose ``int``
+entries :func:`rref` makes ``Fraction``; symbol ranks are taken mod p in
 :mod:`geosym.prolong`) and matrices of kernel ``Expr`` values, whose
 zero test is their normal form.
 """

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -1046,8 +1047,11 @@ def exact_sqrt(e: Expr) -> Optional[Expr]:
     """Square root within the field, or None if not expressible.
 
     Handles rational-square content, even-multiplicity polynomial
-    factors, and odd factors matching a quadratic generator's relation
-    right-hand side (e.g. 1 - cos^2 = sin^2).  Of the two roots, it is
+    factors, odd factors matching a quadratic generator's relation
+    right-hand side (e.g. 1 - cos^2 = sin^2), and rational content that
+    is a square times the product of some roots' constant radicands
+    (12 = 4 * 3, so sqrt(12) = 2W for W^2 = 3; a root of 12 beside W
+    is then rejected as a perfect square).  Of the two roots, it is
     the one whose polynomial factors have positive leading coefficients
     in the chart's lex order, as ``factor_list`` returns them.
     """
@@ -1095,10 +1099,18 @@ def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
     if not rem.is_constant():
         return None
     c = c * rem.as_fraction()
-    rn, rd = math.isqrt(max(c.numerator, 0)), math.isqrt(c.denominator)
-    if rn * rn != c.numerator or rd * rd != c.denominator:
-        return None
-    return root * ch.const(Fraction(rn, rd))
+    # sqrt(c) = sqrt(c / prod r) * prod W over the first set of roots W
+    # with constant radicands r, smallest first, that leaves a square
+    consts = [g for g in ch.generators
+              if g.kind == "root" and g.square_rhs is not None and g.square_rhs.is_constant()]
+    for k in range(len(consts) + 1):
+        for roots in itertools.combinations(consts, k):
+            q = c / math.prod(g.square_rhs.as_fraction() for g in roots)
+            rn, rd = math.isqrt(max(q.numerator, 0)), math.isqrt(q.denominator)
+            if rn * rn == q.numerator and rd * rd == q.denominator:
+                return math.prod((ch.var(g.name) for g in roots), start=root) \
+                    * ch.const(Fraction(rn, rd))
+    return None
 
 
 # -- parsing ---------------------------------------------------------------

@@ -5,19 +5,20 @@ structure constants, representation kernels, equivariant tensors (the
 Nomizu computation), and vanishing loci of affine-linear vector
 fields.  All arithmetic is over
 :class:`fractions.Fraction`; no floating point, no algebraic-number
-extensions.
+extensions.  Closure and vanishing loci read their rational equations
+off the fields' normal forms and evaluate nothing at points, so they
+work on any chart, root generators included.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .exprfield import ExprError, PoleError
+from .exprfield import Chart, Expr, ExprError, KernelInconsistency
 from .geometry import TensorField, bracket
 
 __all__ = [
@@ -252,62 +253,36 @@ def _mat_sub(a, b):
 # Closure of explicit vector fields
 # ---------------------------------------------------------------------------
 
-_CLOSURE_SEEDS = (811, 822, 833, 844, 855)
+def _coefficient_rows(chart: Chart, columns: Sequence[Sequence[Expr]]) -> List[Tuple[int, ...]]:
+    """The integer rows of the Q-linear equations sum_k c_k e_k = 0 for
+    the columns e_k of ``columns[a]``, one list of ``Expr`` per
+    component a: one row per component and monomial of the numerators
+    over the component's lcm of denominators (:meth:`Chart._lcm`),
+    duplicates dropped.
 
-
-_POINT_TRIES = 200  # draws per seed before a closure gives up on its poles
-
-
-def _field_samples(fields: Sequence[TensorField], seeds) -> Tuple[List[List[Fraction]], list]:
-    """Evaluation matrix (rows: point x component, columns: field index).
-
-    Each seed gives the first point of its ``random.Random`` stream at
-    which no field component has a pole.  Bracket denominators divide
-    products of the fields' denominators, so no bracket has a pole there
-    either."""
-    chart = fields[0].chart
-    n = len(chart.coordinates)
-    rows: List[List[Fraction]] = []
-    points = []
-    for seed in seeds:
-        rng = random.Random(seed)
-        for _ in range(_POINT_TRIES):
-            pt = chart.sample_point(rng)
-            try:
-                values = [[f.comp(a).evaluate(pt) for f in fields] for a in range(n)]
-            except PoleError:
-                continue
-            break
-        else:
-            raise LieAlgError(f"no sample point for seed {seed} in {_POINT_TRIES} "
-                              "draws avoids the poles of the fields")
-        rows.extend(values)
-        points.append(pt)
-    return rows, points
-
-
-def _coordinates_in_span(fields: Sequence[TensorField], Y: TensorField,
-                         rows: List[List[Fraction]], points) -> Optional[List[Fraction]]:
-    """Exact rational c with Y = sum c_k fields[k], verified symbolically."""
-    chart = Y.chart
-    n = len(chart.coordinates)
-    rhs = [Y.comp(a).evaluate(pt) for pt in points for a in range(n)]
-    sol = _linalg.solve(rows, rhs)
-    if sol is None:
-        return None
-    if any(chart.sum_products([(Y.comp(a),)] + [(-c, f.comp(a)) for c, f in zip(sol, fields)])
-           for a in range(n)):
-        return None
-    return [Fraction(c) for c in sol]
+    Soundness.  Each column is num_k / den_k = N_k / L with N_k the
+    normal form of num_k * (L / den_k) (:meth:`Chart._reduce_poly`), and
+    L != 0.  The normal form modulo a Groebner basis is canonical and
+    Q-linear, so sum_k c_k N_k is the normal form of the combination's
+    numerator, zero exactly when the combination is: these rows are
+    exact, with no sample point and no pole."""
+    rows: List[Tuple[int, ...]] = []
+    for exprs in columns:
+        _, quotients = chart._lcm([e._den for e in exprs])
+        nums = [chart._reduce_poly(e._num * q) for e, q in zip(exprs, quotients)]
+        rows += (tuple(p.get(m, 0) for p in nums) for m in {m for p in nums for m in p})
+    return list(dict.fromkeys(rows))
 
 
 def closure_from_fields(fields: Sequence[TensorField],
                         labels: Optional[Sequence[str]] = None) -> LieAlgebra:
     """Abstract Lie algebra spanned by the given vector fields.
 
-    Succeeds iff each pairwise bracket is a rational-constant
-    combination of the inputs; the combination is solved exactly at
-    sampled generic points and re-verified symbolically.
+    Succeeds iff the fields are independent over Q and each pairwise
+    bracket is a rational-constant combination of them.  Both are read
+    off exactly, by comparing the coefficients of the components'
+    numerators (:func:`_coefficient_rows`); each solved combination is
+    re-verified symbolically as a certificate.
     """
     if not fields:
         raise LieAlgError("no fields given")
@@ -318,31 +293,25 @@ def closure_from_fields(fields: Sequence[TensorField],
         if f.chart is not chart:
             raise LieAlgError("fields live on different charts")
     d = len(fields)
-    rows, points = _field_samples(fields, _CLOSURE_SEEDS)
-    if _linalg.rank(rows) < d:
-        null = _linalg.nullspace(rows, d)
-        for c in null:
-            dep = None
-            for ck, f in zip(c, fields):
-                term = f.scale(chart.const(ck))
-                dep = term if dep is None else dep + term
-            if dep is not None and dep.is_zero():
-                raise LieAlgError(
-                    "input fields are linearly dependent over the rationals")
-        raise LieAlgError(
-            "field evaluations are rank-deficient at all sample points")
+    comps = [[f.comp(a) for f in fields] for a in range(chart.dim)]
+    if _linalg.rank(_coefficient_rows(chart, comps)) < d:
+        raise LieAlgError("input fields are linearly dependent over the rationals")
     structure = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
             br = bracket(fields[i], fields[j])
-            c = _coordinates_in_span(fields, br, rows, points)
+            rows = _coefficient_rows(chart, [cs + [br.comp(a)] for a, cs in enumerate(comps)])
+            c = _linalg.solve([r[:-1] for r in rows], [r[-1] for r in rows])
             if c is None:
                 raise LieAlgError(
                     f"not closed: [field {i}, field {j}] is not a "
                     "rational-constant combination of the inputs")
+            if any(chart.sum_products([(br.comp(a),)] + [(-ck, X) for ck, X in zip(c, cs)])
+                   for a, cs in enumerate(comps)):
+                raise KernelInconsistency(
+                    f"[field {i}, field {j}] fails its symbolic certificate; kernel bug")
             for k in range(d):
-                structure[i][j][k] = c[k]
-                structure[j][i][k] = -c[k]
+                structure[i][j][k], structure[j][i][k] = c[k], -c[k]
     return LieAlgebra.from_structure(
         structure, labels if labels is not None else None)
 
@@ -476,35 +445,31 @@ class VanishingLocus:
 
 
 def vanishing_locus(X: TensorField) -> VanishingLocus:
-    """Solve X = 0 exactly for a vector field with affine-linear components."""
+    """Solve X = 0 exactly for a vector field with affine-linear components.
+
+    Each component X^i must have rational-constant derivatives a_ij, and
+    X^i - sum_j a_ij x_j must be a rational constant; both are read off
+    the normal forms, so no point is evaluated."""
     if X.variance != ("u",):
         raise LieAlgError("vanishing_locus expects a vector field")
     chart = X.chart
     coords = chart.coordinates
     n = len(coords)
-    origin = {c: Fraction(0) for c in coords}
     A: List[List[Fraction]] = []
     b: List[Fraction] = []
     for i in range(n):
         comp = X.comp(i)
-        row = []
-        for c in coords:
-            deriv = comp.differentiate(c)
-            for c2 in coords:
-                if not deriv.differentiate(c2).is_zero():
-                    raise LieAlgError(
-                        f"component {i} is not affine-linear in the coordinates")
-            row.append(deriv.evaluate(origin))
-        const = comp.evaluate(origin)
-        # verify affine: comp - row.x - const == 0
-        residual = comp - chart.const(const)
-        for aij, c in zip(row, coords):
-            if aij:
-                residual = residual - chart.const(aij) * chart.expr(c)
-        if not residual.is_zero():
+        derivs = [comp.differentiate(c) for c in coords]
+        if not all(dv.is_constant() for dv in derivs):
+            raise LieAlgError(
+                f"component {i} is not affine-linear in the coordinates")
+        row = [dv.as_fraction() for dv in derivs]
+        const = chart.sum_products([(comp,)] + [(-aij, chart.var(c))
+                                                for aij, c in zip(row, coords) if aij])
+        if not const.is_constant():
             raise LieAlgError(f"component {i} is not affine-linear")
         A.append(row)
-        b.append(-const)
+        b.append(-const.as_fraction())
     sol = _linalg.solve(A, b)
     if sol is None:
         return VanishingLocus(True, -1, None, ())

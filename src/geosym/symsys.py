@@ -125,12 +125,9 @@ def quaternionic_symmetry_system(frame: Sequence[TensorField],
     """
     chart = g.chart
     n = chart.dim
-    # precondition: frame spans rank 3 at a generic point
-    flat = [[A.comp(a, b) for a, b in itertools.product(range(n), repeat=2)]
-            for A in frame]
-    if _linalg.rank(flat) != 3:
-        raise SymSysError("frame does not span a rank-3 bundle")
     ann = _endo_annihilator_full(frame, chart)
+    if len(ann) != n * n - 3:  # the frame's rank is n^2 minus the nullity
+        raise SymSysError("frame does not span a rank-3 bundle")
     # omega is indexed like the (b, a) product; jet maps are keyed (a, b)
     slots = [(a, b) for b, a in itertools.product(range(n), repeat=2)]
     maps: List[Dict[JetKey, Expr]] = []

@@ -171,8 +171,8 @@ def test_killing_bound_of_zero_metric_is_inconclusive(tmp_path, capsys):
 
 
 def test_closure_with_a_pole_at_the_first_sample_point(tmp_path, capsys):
-    """The first closure sample point has x = 2; a field with a pole
-    there is evaluated at the next point of the seed's stream."""
+    """A field with a pole on the line x = 2 closes like any other:
+    closure compares coefficients and evaluates at no point."""
     model = tmp_path / "pole.model"
     model.write_text("[chart]\ncoordinates = x, y\n\n[vector a]\na[y] = 1\n\n"
                      "[vector b]\nb[y] = 1/(x-2)\n\n"

@@ -338,6 +338,21 @@ def test_exact_sqrt_divides_by_a_relation_with_integer_content():
     assert exact_sqrt(parse_expr(ch, "x")) is None
 
 
+def test_a_constant_radicand_times_a_square_is_rejected_and_its_sqrt_parses():
+    """With W^2 = 3, 12 = (2W)^2: a root of 12 would make the relation
+    ideal non-prime ((V - 2W)(V + 2W) = 0), so it is rejected as a
+    perfect square, and sqrt(12) parses to 2W.  With W^2 = 2 and V^2 = 3,
+    sqrt(6) is W*V, and sqrt(5) stays outside the field."""
+    with pytest.raises(ExprError, match="perfect square"):
+        Chart(["x"], roots=[("W", 3), ("V", 12)])
+    ch = Chart(["x"], roots=[("W", 3)])
+    assert parse_expr(ch, "sqrt(12)") == 2 * ch.var("W")
+    assert exact_sqrt(parse_expr(ch, "-3")) is None
+    ch = Chart(["x"], roots=[("W", 2), ("V", 3)])
+    assert exact_sqrt(parse_expr(ch, "6*x^2")) == ch.var("W") * ch.var("V") * ch.var("x")
+    assert exact_sqrt(parse_expr(ch, "5")) is None
+
+
 def test_equal_elements_through_a_root_compare_and_hash_equal():
     """With every generator declared by the constructor, x/2 compares
     and hashes the same however it was built, also through V^2 = 2x."""
@@ -360,24 +375,34 @@ def test_a_radicand_naming_its_own_or_a_later_root_is_rejected(roots, named):
 
 
 def test_the_zero_cross_check_runs_inside_a_radicand_parse(monkeypatch):
-    """With W^2 = 3 and V^2 = 12 the product (V - 2W)(V + 2W) is
-    V^2 - 4W^2 before reduction and 0 after, so it is cross-checked
-    while U's radicand is parsed, at points where U and T, still without
-    rules, are free variables; the radicand is then rejected as zero.
-    sin(x)^2 + cos(x)^2 - 1 is built as the zero polynomial, which needs
-    no cross-check, and is rejected as zero too."""
+    """With W^2 = 3 the radicand (W - 1)*(W + 1) - 2 of U is zero.  The
+    relation ideal is prime, so a product of reduced nonzero polynomials
+    is nonzero and the parse builds that zero as the zero polynomial,
+    which needs no cross-check.  A sum of products that cancels only
+    after reduction, W*W - 3 from :meth:`Chart.sum_products`, built while
+    U's radicand is parsed, is cross-checked at points where U and T,
+    still without rules, are free variables.  sin(x)^2 + cos(x)^2 - 1 is
+    built as the zero polynomial too, and is rejected as zero."""
     checked = []
     check_pool = Chart._check_pool
+    radicand = Chart._radicand
 
     def recording_pool(self, k):
         points = check_pool(self, k)
         checked.append({g.name for g in self.generators if g.name not in points[0].values})
         return points
 
+    def radicand_with_a_cancelling_sum(self, name, source):
+        if name == "U":
+            W = self.var("W")
+            assert self.sum_products([(W, W), (-3,)]).is_zero()
+        return radicand(self, name, source)
+
     monkeypatch.setattr(Chart, "_check_pool", recording_pool)
+    monkeypatch.setattr(Chart, "_radicand", radicand_with_a_cancelling_sum)
     with pytest.raises(ExprError, match="radicand reduces to zero"):
-        Chart(["x"], roots=[("W", 3), ("V", 12), ("U", "(V - 2*W)*(V + 2*W)"), ("T", "x")])
-    assert checked == [{"W", "V"}]
+        Chart(["x"], roots=[("W", 3), ("U", "(W - 1)*(W + 1) - 2"), ("T", "x")])
+    assert checked == [{"W"}]
     with pytest.raises(ExprError, match="radicand reduces to zero"):
         Chart(["x"], trig_pairs=["x"], roots=[("W", "sin(x)^2 + cos(x)^2 - 1")])
 

@@ -1,12 +1,12 @@
 """Exact Lie-algebra toolkit: closures, subalgebras, representations,
 equivariant tensors, and vanishing loci."""
 
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from geosym import _linalg
 from geosym import geometry as G
 from geosym import liealg as L
 from geosym.exprfield import Chart, parse_expr
@@ -77,20 +77,76 @@ def _pole_fields(pole):
 
 
 @pytest.mark.parametrize("pole", [2, 3])
-def test_closure_skips_sample_points_at_a_pole(pole):
-    chart, fields = _pole_fields(pole)
-    first = chart.sample_point(random.Random(L._CLOSURE_SEEDS[0]))
-    assert first["x"] == 2  # so pole 2 sits at the first draw
+def test_closure_of_fields_with_a_pole(pole):
+    """b has a pole on the line x = pole; the coefficient comparison
+    evaluates nothing there, and a, b close to an abelian pair."""
+    _, fields = _pole_fields(pole)
     alg = L.closure_from_fields(fields)
     assert alg.dimension == 2
     assert len(alg.center()) == 2
 
 
-def test_closure_gives_up_after_bounded_draws(monkeypatch):
-    _, fields = _pole_fields(2)
-    monkeypatch.setattr(L, "_POINT_TRIES", 1)
-    with pytest.raises(L.LieAlgError, match="poles"):
-        L.closure_from_fields(fields)
+def test_closure_on_a_chart_with_a_root_generator():
+    """With W^2 = t^2 + 1, [s d/ds, W d/ds] = -W d/ds: a 2-dimensional
+    algebra whose derived algebra is spanned by W d/ds."""
+    chart = Chart(["s", "t"], roots=[("W", "t^2 + 1")])
+    s_ds = G.vector(chart, [chart.var("s"), chart.zero()])
+    w_ds = G.vector(chart, [chart.var("W"), chart.zero()])
+    alg = L.closure_from_fields([s_ds, w_ds])
+    assert alg.dimension == 2
+    assert alg.bracket_basis(0, 1) == [0, -1]
+    assert alg.derived_algebra() == [[0, 1]]
+
+
+def test_closure_of_fields_dependent_over_the_function_field():
+    """d/dx and x d/dx are independent over Q although x d/dx = x * d/dx:
+    [d/dx, x d/dx] = d/dx."""
+    chart = Chart(["x"])
+    alg = L.closure_from_fields([G.vector(chart, [chart.one()]),
+                                 G.vector(chart, [chart.var("x")])])
+    assert alg.bracket_basis(0, 1) == [1, 0]
+
+
+def _combine(fields, P):
+    chart = fields[0].chart
+    out = []
+    for row in P:
+        acc = fields[0].scale(chart.const(row[0]))
+        for c, f in zip(row[1:], fields[1:]):
+            acc = acc + f.scale(chart.const(c))
+        out.append(acc)
+    return out
+
+
+def _flat2_fields():
+    chart = Chart(["x", "y"])
+    x, y = chart.var("x"), chart.var("y")
+    return [G.vector(chart, [chart.one(), chart.zero()]),
+            G.vector(chart, [chart.zero(), chart.one()]),
+            G.vector(chart, [-y, x])]
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@pytest.mark.parametrize("case", ["flat2", "eguchi-hanson"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_structure_constants_transform_under_a_change_of_basis(eh_fields, case, data):
+    """For Y_i = sum_k P_ik X_k with P invertible, the constants c' of
+    the Y satisfy sum_n c'^n_ij P_nm = sum_kl P_ik P_jl c^m_kl."""
+    fields = _flat2_fields() if case == "flat2" else eh_fields
+    d = len(fields)
+    P = data.draw(st.lists(st.lists(_RATIONALS, min_size=d, max_size=d),
+                           min_size=d, max_size=d))
+    assume(_linalg.rank(P) == d)
+    c = L.closure_from_fields(fields).structure
+    c2 = L.closure_from_fields(_combine(fields, P)).structure
+    for i in range(d):
+        for j in range(i + 1, d):
+            for m in range(d):
+                assert sum(c2[i][j][n] * P[n][m] for n in range(d)) == sum(
+                    P[i][k] * P[j][l] * c[k][l][m] for k in range(d) for l in range(d))
 
 
 def test_derived_algebra():
@@ -190,6 +246,11 @@ def test_vanishing_locus_rejects_nonlinear():
     chart = Chart(["x"])
     with pytest.raises(L.LieAlgError):
         L.vanishing_locus(G.vector(chart, [parse_expr(chart, "x^2")]))
+    # d/dx (W x) = W with W^2 = 3, and d/dx sin(x) = cos(x): not rational constants
+    for chart, component in ((Chart(["x"], roots=[("W", 3)]), "W*x"),
+                             (Chart(["x"], trig_pairs=["x"]), "sin(x)")):
+        with pytest.raises(L.LieAlgError, match="not affine-linear"):
+            L.vanishing_locus(G.vector(chart, [parse_expr(chart, component)]))
 
 
 @settings(max_examples=25, deadline=None)

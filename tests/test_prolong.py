@@ -247,7 +247,8 @@ def _oracle_system(request, case):
 
 
 @pytest.mark.parametrize("seed", [3, 17, 101])
-@pytest.mark.parametrize("case", ["sphere", "flat2", "flat3", "flat-quaternionic"])
+@pytest.mark.parametrize("case", ["sphere", "flat2", "flat3",
+                                  pytest.param("flat-quaternionic", marks=pytest.mark.slow)])
 def test_symbol_tables_mod_p_match_rational_ranks(request, case, seed):
     """The GF(2^61-1) tables of the system and its prolongations equal
     the tables from exact rational elimination at the same point."""

@@ -50,6 +50,9 @@ def test_quaternionic_system_rejects_bad_frame(flat4):
     I, J, K = standard_triple(chart)
     with pytest.raises(S.SymSysError):
         S.quaternionic_symmetry_system([I, I, I], g)
+    # (I, J, I) spans rank 2: its annihilator in End(TM) has dimension 14, not 16 - 3
+    with pytest.raises(S.SymSysError, match="rank-3"):
+        S.quaternionic_symmetry_system([I, J, I], g)
 
 
 def test_cprojective_system_preconditions(flat4):
