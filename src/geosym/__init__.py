@@ -43,7 +43,6 @@ from .geometry import (
     curvature,
     curvature_type_split,
     endo_mul,
-    endo_trace,
     endomorphism,
     hodge_star_matrix,
     identity_endo,

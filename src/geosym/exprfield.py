@@ -26,7 +26,11 @@ integer coefficients:
   its coefficient divided by LC(f) with ``divmod``.
 
 gcds and lcms of denominators are those trial divisions and one integer
-gcd (only a cofactor that no table entry divides is factored anew).
+gcd (only a cofactor that no table entry divides is factored anew); no
+polynomial gcd is taken.  :func:`_clear_denominators` puts a list of
+elements over the lcm of their denominators, for the equations of
+:mod:`geosym.prolong`, the coefficient rows of closure and the
+derivation rules alike.
 A sum of products is built with :meth:`Chart.sum_products`: the
 products are grouped by denominator, the groups combined over the lcm
 of their denominators, and the sum normalized once; the normal form is
@@ -44,14 +48,13 @@ from __future__ import annotations
 
 import ast
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from sympy import ZZ, prevprime
+from sympy import ZZ, factorint, prevprime
 from sympy.ntheory import sqrt_mod
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing, ring as _make_ring
@@ -160,7 +163,6 @@ class Chart:
         self._relations: Optional[List] = None  # see :meth:`_relation_powers`
         self._irreducibles: List = []  # primitive irreducible factors (LC > 0) of denominators met
         self._factorizations: Dict = {}  # denominator -> ((irreducible index, exponent), ...)
-        self._products: Dict = {}  # ((irreducible index, exponent), ...) -> product, see _expand
         for s_name, c_name in self._trig_pairs.values():
             self._relate(self._gens_by_name[s_name], 1 - self.var(c_name) ** 2)
         for name, radicand in roots:
@@ -343,15 +345,10 @@ class Chart:
 
     def _expand(self, exps: Mapping[int, int]):
         """The product of irreducible_i^e over the items (i, e) of ``exps``,
-        primitive with a positive leading coefficient like its factors
-        (Gauss's lemma), cached by the items with e > 0: the result is
-        shared, so no caller may change it in place."""
-        key = tuple((i, e) for i, e in exps.items() if e)
-        out = self._products.get(key)
-        if out is None:
-            out = self._products[key] = math.prod(
-                (self._irreducibles[i] ** e for i, e in key), start=self._ring.one)
-        return out
+        a fresh polynomial, primitive with a positive leading coefficient
+        like its factors (Gauss's lemma)."""
+        return math.prod((self._irreducibles[i] ** e for i, e in exps.items() if e),
+                         start=self._ring.one)
 
     def _cancel(self, n, d):
         """(n, d) divided by gcd(n, d) and by their common integer content,
@@ -957,7 +954,9 @@ def _content(p) -> int:
 def _divide(p, f):
     """p / f as a fresh polynomial when f divides p over ZZ, else None
     (a quotient built in place, like sympy's ``exquo``, keeps a stale
-    cached hash).
+    cached hash).  The trial divisions of :meth:`Chart._factor` and
+    :meth:`Chart._cancel` call it with f a primitive irreducible of the
+    chart's table or a product of them.
 
     Precondition: the ring's order is lex (pinned in the :class:`Chart`
     constructor), so a polynomial's leading monomial is the max of its
@@ -998,22 +997,39 @@ def _divide(p, f):
     return ring.dtype(q)
 
 
+def _clear_denominators(chart: Chart, exprs: Sequence[Expr]) -> Tuple[object, List]:
+    """(L, [N_k]) with e_k = N_k / L for each e_k of ``exprs``: L is the
+    lcm of their denominators (:meth:`Chart._lcm`), and N_k is the
+    numerator of e_k times the quotient L / den_k, or the numerator
+    itself where the quotient is one.
+
+    Soundness.  Each N_k is reduced modulo the relations without a call
+    to :meth:`Chart._reduce_poly`.  A normal-form denominator holds no
+    generator with a rule (:meth:`Chart._derationalize` clears them), so
+    neither do its irreducible factors, nor the lcm and its quotients,
+    which are products of them.  A product of a reduced numerator and a
+    polynomial free of ruled generators raises no ruled generator's
+    degree in any term, so it stays reduced."""
+    lcm, quotients = chart._lcm([e._den for e in exprs])
+    return lcm, [e._num if q.is_one else e._num * q for e, q in zip(exprs, quotients)]
+
+
 def _derivation_rules(chart: Chart, coordinate: str, polys):
     """(s, {var index: r}) with s * d(var)/d(coordinate) = r for each
     variable occurring in ``polys`` (only those: a root's rule
     differentiates its radicand, so asking for every variable recurses
-    without end on nested roots).  s is 1 unless a root generator's
-    dq/(2W) leaves a denominator."""
+    without end on nested roots): the rules over their common
+    denominator s (:func:`_clear_denominators`), which is 1 unless a
+    root generator's dq/(2W) leaves a denominator."""
     occurring = sorted({i for p in polys for m in p.itermonoms()
                         for i, e in enumerate(m) if e})
     rules = {}
     for i in occurring:
         rule = _var_derivative(chart, chart.var_names[i], coordinate)
         if rule is not None:
-            rules[i] = rule._num, rule._den
-    s, quotients = chart._lcm([den for _, den in rules.values()])
-    # denominators are free of quadratic generators, so r stays reduced
-    return s, {i: num * q for (i, (num, _)), q in zip(rules.items(), quotients)}
+            rules[i] = rule
+    s, nums = _clear_denominators(chart, list(rules.values()))
+    return s, dict(zip(rules, nums))
 
 
 def _poly_total_derivative(chart: Chart, p, rules):
@@ -1046,71 +1062,87 @@ def _var_derivative(chart: Chart, var: str, coordinate: str) -> Optional[Expr]:
 def exact_sqrt(e: Expr) -> Optional[Expr]:
     """Square root within the field, or None if not expressible.
 
-    Handles rational-square content, even-multiplicity polynomial
-    factors, odd factors matching a quadratic generator's relation
-    right-hand side (e.g. 1 - cos^2 = sin^2), and rational content that
-    is a square times the product of some roots' constant radicands
-    (12 = 4 * 3, so sqrt(12) = 2W for W^2 = 3; a root of 12 beside W
-    is then rejected as a perfect square).  Of the two roots, it is
-    the one whose polynomial factors have positive leading coefficients
-    in the chart's lex order, as ``factor_list`` returns them.
+    sqrt(n/d) = sqrt(n*d)/d, and the reduced n*d is a square in the
+    field when its square class lies in the span of the ruled
+    generators' radicands (:func:`_poly_sqrt`): 1 - cos^2 = sin^2,
+    12 = 4 * 3 gives sqrt(12) = 2W for W^2 = 3, and a root of 12 beside
+    W is then rejected as a perfect square.  Of the two roots, it is the
+    one whose polynomial factors have positive leading coefficients in
+    the chart's lex order, as ``factor_list`` returns them.
     """
     ch = e.chart
     if e.is_zero():
         return ch.zero()
-    # sqrt(n/d) = sqrt(n*d)/d
     n, d = e._num, e._den
-    target = ch._reduce_poly(n * d)
-    root = _poly_sqrt(ch, target)
+    root = _poly_sqrt(ch, ch._reduce_poly(n * d))
     if root is None:
         return None
     return root / Expr(ch, d, ch._ring.one)
 
 
+def _factor_exponents(p) -> Dict[object, int]:
+    """{k: e} with p = prod k^e: each k is -1, a prime, or a primitive
+    irreducible polynomial with positive leading coefficient
+    (``factor_list`` of the ring, as in :meth:`Chart._factor`, and
+    ``factorint`` of its content)."""
+    c, factors = p.factor_list()
+    out: Dict[object, int] = {}
+    for f, e in factors:
+        if f.LC < 0:
+            f, c = -f, c * (-1) ** e
+        out[f] = e
+    out.update(factorint(c))
+    return out
+
+
 def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
-    if not p:
-        return ch.zero()
-    c, factors = p.factor_list()  # the ring's own factoring, as in Chart._factor
-    c = Fraction(c)
-    root = ch.one()
-    odd = []
-    for f, mult in factors:
-        fe = Expr(ch, f, ch._ring.one)
-        if mult // 2:
-            root = root * fe ** (mult // 2)
-        if mult % 2:
-            odd.append(fe)
-    # try to divide the odd product by generator relation right-hand sides
-    rem = ch.one()
-    for fe in odd:
-        rem = rem * fe
-    progress = True
-    while progress and not rem.is_constant():
-        progress = False
-        for g in ch.generators:
-            if g.square_rhs is None or g.square_rhs.is_constant():
-                continue
-            q = rem / g.square_rhs
-            if q._den.is_ground and (q * g.square_rhs - rem).is_zero():
-                rem = q
-                root = root * ch.var(g.name)
-                progress = True
-                break
-    if not rem.is_constant():
+    """Square root of the nonzero polynomial p in the chart's field, or
+    None.  Each factorization (:func:`_factor_exponents`) gives a vector
+    over GF(2), its exponents' parities.  p is a square times the product
+    of the radicands r_i of some ruled generators W_i (sin's is
+    1 - cos^2) exactly when its vector is the sum of theirs, found by
+    elimination over GF(2); then the root is prod W_i * sqrt(p / prod r_i),
+    every exponent of p / prod r_i being even.
+
+    Soundness.  A root found is one: p / prod r_i is a square of
+    rational functions.  For p and radicands in Q(coordinates, cos) a
+    root is always found, by Kummer theory: the square roots of some
+    classes of Q(coordinates, cos)* / squares make squares of exactly
+    the classes in their span.  A nested root's radicand is factored as
+    a polynomial in the earlier roots, so a square can then be missed.
+    """
+    rules = [g for g in ch.generators if g.square_rhs is not None]
+    radicands = [_factor_exponents(g.square_rhs._num) for g in rules]
+    target = _factor_exponents(p)
+    index: Dict[object, int] = {}  # factor -> its bit in the parity vectors
+    # echelon form: no row holds the lowest bit of a row stored before it
+    basis: List[Tuple[int, int]] = []  # (parity, bit mask of the rules summed into it)
+
+    def reduced(exps, used: int) -> Tuple[int, int]:
+        v = sum(1 << index.setdefault(k, len(index)) for k, e in exps.items() if e % 2)
+        for b, u in basis:
+            if v & b & -b:
+                v, used = v ^ b, used ^ u
+        return v, used
+
+    for i, r in enumerate(radicands):
+        basis.append(reduced(r, 1 << i))
+    v, used = reduced(target, 0)
+    if v:
         return None
-    c = c * rem.as_fraction()
-    # sqrt(c) = sqrt(c / prod r) * prod W over the first set of roots W
-    # with constant radicands r, smallest first, that leaves a square
-    consts = [g for g in ch.generators
-              if g.kind == "root" and g.square_rhs is not None and g.square_rhs.is_constant()]
-    for k in range(len(consts) + 1):
-        for roots in itertools.combinations(consts, k):
-            q = c / math.prod(g.square_rhs.as_fraction() for g in roots)
-            rn, rd = math.isqrt(max(q.numerator, 0)), math.isqrt(q.denominator)
-            if rn * rn == q.numerator and rd * rd == q.denominator:
-                return math.prod((ch.var(g.name) for g in roots), start=root) \
-                    * ch.const(Fraction(rn, rd))
-    return None
+    exps = dict(target)
+    root = ch.one()
+    for i, g in enumerate(rules):
+        if used >> i & 1:
+            root = root * ch.var(g.name)
+            for k, e in radicands[i].items():
+                exps[k] = exps.get(k, 0) - e
+    for k, e in exps.items():
+        if isinstance(k, int):
+            root = root * Fraction(abs(k)) ** (e // 2)  # -1 has an even exponent: 1
+        else:
+            root = root * Expr(ch, k, ch._ring.one) ** (e // 2)
+    return root
 
 
 # -- parsing ---------------------------------------------------------------

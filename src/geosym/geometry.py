@@ -132,10 +132,6 @@ def endo_mul(A: TensorField, B: TensorField) -> TensorField:
     return TensorField(A.chart, ("u", "d"), comps)
 
 
-def endo_trace(A: TensorField) -> Expr:
-    return A.chart.sum_products((A.comp(i, i),) for i in range(A.chart.dim))
-
-
 @dataclass
 class Connection:
     """Christoffel symbols Gamma^k_{ij} of an affine connection."""
@@ -149,13 +145,6 @@ class Connection:
 
     def comp(self, k: int, i: int, j: int) -> Expr:
         return self.gamma.get((k, i, j), self.chart.zero())
-
-    def torsion(self) -> TensorField:
-        n = self.chart.dim
-        comps = {}
-        for k, i, j in itertools.product(range(n), repeat=3):
-            comps[(k, i, j)] = self.comp(k, i, j) - self.comp(k, j, i)
-        return TensorField(self.chart, ("u", "d", "d"), comps)
 
     def is_torsion_free(self) -> bool:
         return all((self.comp(k, i, j) - self.comp(k, j, i)).is_zero()

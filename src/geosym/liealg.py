@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import _linalg
-from .exprfield import Chart, Expr, ExprError, KernelInconsistency
+from .exprfield import Chart, Expr, ExprError, KernelInconsistency, _clear_denominators
 from .geometry import TensorField, bracket
 
 __all__ = [
@@ -257,19 +257,18 @@ def _coefficient_rows(chart: Chart, columns: Sequence[Sequence[Expr]]) -> List[T
     """The integer rows of the Q-linear equations sum_k c_k e_k = 0 for
     the columns e_k of ``columns[a]``, one list of ``Expr`` per
     component a: one row per component and monomial of the numerators
-    over the component's lcm of denominators (:meth:`Chart._lcm`),
+    over the component's lcm of denominators (:func:`_clear_denominators`),
     duplicates dropped.
 
-    Soundness.  Each column is num_k / den_k = N_k / L with N_k the
-    normal form of num_k * (L / den_k) (:meth:`Chart._reduce_poly`), and
-    L != 0.  The normal form modulo a Groebner basis is canonical and
+    Soundness.  Each column is num_k / den_k = N_k / L with L != 0 and
+    N_k = num_k * (L / den_k) already reduced.  The normal form modulo a
+    Groebner basis is canonical and
     Q-linear, so sum_k c_k N_k is the normal form of the combination's
     numerator, zero exactly when the combination is: these rows are
     exact, with no sample point and no pole."""
     rows: List[Tuple[int, ...]] = []
     for exprs in columns:
-        _, quotients = chart._lcm([e._den for e in exprs])
-        nums = [chart._reduce_poly(e._num * q) for e, q in zip(exprs, quotients)]
+        _, nums = _clear_denominators(chart, exprs)
         rows += (tuple(p.get(m, 0) for p in nums) for m in {m for p in nums for m in p})
     return list(dict.fromkeys(rows))
 

@@ -1,7 +1,9 @@
 """Prolongation–projection engine for linear homogeneous PDE systems.
 
 Systems are linear in the jet coordinates X^a_alpha of the unknown
-vector-field components.  Prolongation appends total derivatives;
+vector-field components, with polynomial coefficients (each equation
+times the lcm of its denominators, a common factor of its coefficients
+kept).  Prolongation appends total derivatives;
 symbol dimensions are computed by elimination mod a prime of the system
 evaluated at seeded :class:`~geosym.exprfield.GenericPoint` s, graded by
 jet order with the highest order eliminated first.  Each point carries
@@ -40,7 +42,9 @@ can only drop, each dim g_k can only grow, and the bound stays an upper
 bound.  Dropping an equation that is dependent mod p at
 every point can also only loosen the bound.  A point is non-generic
 with probability at most deg/p (Schwartz 1980; Zippel 1979), and the
-tables are taken at several points.
+tables are taken at several points.  A common factor of an equation's
+coefficients is one more polynomial that vanishes at a point with that
+probability.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from sympy.polys.rings import PolyElement
 
 from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, TaylorMap,
-                        _derivation_rules, _divide, _poly_total_derivative)
+                        _clear_denominators, _derivation_rules, _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
 
@@ -67,11 +71,12 @@ class Equation:
     """One linear homogeneous equation sum c_{a,alpha} X^a_alpha = 0.
 
     Each coefficient c_{a,alpha} is a polynomial of ``chart._ring``,
-    reduced modulo the generator relations.  Equations are cleared of
-    denominators and of their common polynomial factor once, when built,
-    and stay polynomial under total derivatives; a derived row of
-    :func:`prolong` may carry a polynomial factor, which spans the same
-    space over the function field.
+    reduced modulo the generator relations.  An equation is multiplied by
+    the lcm of its coefficients' denominators once, when built, and stays
+    polynomial under total derivatives.  Its coefficients may share a
+    polynomial factor, and a derived row of :func:`prolong` may carry
+    one: multiplying an equation by a nonzero function changes neither
+    its solution space nor its symbol spaces over the function field.
 
     ``base`` and ``deriv`` record provenance: the originating equation
     and how often it has been differentiated per coordinate, so that a
@@ -173,14 +178,15 @@ class LinearPDESystem:
     @staticmethod
     def from_coefficient_maps(chart: Chart, n_unknowns: int,
                               maps: Sequence[Dict[JetKey, Expr]]) -> "LinearPDESystem":
-        """One equation per nonzero map, cleared of denominators."""
+        """One equation per nonzero map: its coefficients times the lcm
+        of their denominators (:func:`_clear_denominators`)."""
         zero_d = (0,) * chart.dim
         eqs = []
         for i, m in enumerate(maps):
-            pairs = {k: (v._num, v._den) for k, v in m.items() if not v.is_zero()}
-            if pairs:
-                eqs.append(Equation(_clear_denominators(chart, pairs),
-                                    base=i, deriv=zero_d))
+            nonzero = {k: v for k, v in m.items() if not v.is_zero()}
+            if nonzero:
+                _, nums = _clear_denominators(chart, list(nonzero.values()))
+                eqs.append(Equation(dict(zip(nonzero, nums)), base=i, deriv=zero_d))
         return LinearPDESystem(chart, n_unknowns, eqs)
 
 
@@ -380,36 +386,6 @@ class BoundResult:
         return self.tables[-1]
 
 
-def _clear_denominators(chart: Chart, pairs: Dict[JetKey, Tuple]) -> Dict[JetKey, PolyElement]:
-    """Integer-coefficient polynomials of an equation given by
-    (num, den) pairs: scaled by the least common denominator and, when
-    the numerators share a polynomial factor, divided by their gcd over
-    ZZ with its leading coefficient made positive.  The solution set
-    and symbol spaces are unchanged, and integer coefficients go
-    through :class:`~geosym.exprfield.TaylorMap` as they are.
-
-    The gcd is folded over the numerators with the fewest terms first,
-    where it is cheapest (a monomial gcd is found without a heuristic
-    gcd), and the fold stops once it is ground.  The gcd over ZZ is
-    unique up to sign, so the sign fix makes the result independent of
-    the order.  It divides every numerator over ZZ, so
-    :func:`~geosym.exprfield._divide` returns each quotient."""
-    _, quotients = chart._lcm([den for _, den in pairs.values()])
-    nums = {}
-    for (k, (num, _)), f in zip(pairs.items(), quotients):
-        nums[k] = chart._reduce_poly(num * f) if not f.is_one else num
-    content = None
-    for p in sorted(nums.values(), key=len):
-        content = p if content is None else content.gcd(p)
-        if content.is_ground:
-            return nums
-    if content is None:
-        return nums
-    if content.LC < 0:
-        content = -content
-    return {k: _divide(p, content) for k, p in nums.items()}
-
-
 _DEFAULT_SEEDS = (101, 202, 303)
 
 
@@ -488,7 +464,8 @@ def verify_solution(system: LinearPDESystem,
                     components: Sequence[Expr]) -> Tuple[bool, List[Expr]]:
     """Substitute a concrete field into every equation; returns
     (all zero, residuals).  Residuals are those of the cleared equations,
-    so each is the raw residual times its equation's clearing factor."""
+    so each is the raw residual times the lcm of its equation's
+    coefficient denominators, and zero exactly when the raw residual is."""
     chart = system.chart
     if len(components) != system.n_unknowns:
         raise ProlongError("component count does not match the system unknowns")

@@ -24,6 +24,7 @@ from geosym.exprfield import (
     KernelInconsistency,
     PoleError,
     TaylorMap,
+    _clear_denominators,
     _derivation_rules,
     _divide,
     _mod,
@@ -329,13 +330,26 @@ def test_a_radicand_with_rational_content_is_rejected_with_the_fix(source, k):
 
 
 def test_exact_sqrt_divides_by_a_relation_with_integer_content():
-    """With W^2 = 2x, the odd part x of 8x over the relation's 2x is 1/2,
-    a quotient with a ground denominator, so sqrt(8x) = 2W."""
+    """With W^2 = 2x, 8x is the radicand 2x times the square 4, so
+    sqrt(8x) = 2W."""
     ch = Chart(["x"], roots=[("W", "2*x")])
     W = ch.var("W")
     assert exact_sqrt(parse_expr(ch, "8*x")) == 2 * W
     assert exact_sqrt(parse_expr(ch, "2*x^3")) == W * ch.var("x")
     assert exact_sqrt(parse_expr(ch, "x")) is None
+
+
+def test_a_radicand_that_is_a_quotient_of_radicands_is_rejected():
+    """With W^2 = x and V^2 = x*y, y = (V*W/x)^2 is a square in the
+    field, so a root U of y would make the relation ideal non-prime; it
+    is rejected as a perfect square, and sqrt(y) is V*W/x."""
+    with pytest.raises(ExprError, match="perfect square"):
+        Chart(["x", "y"], roots=[("W", "x"), ("V", "x*y"), ("U", "y")])
+    ch = Chart(["x", "y"], roots=[("W", "x"), ("V", "x*y")])
+    W, V, x = ch.var("W"), ch.var("V"), ch.var("x")
+    assert exact_sqrt(parse_expr(ch, "y")) == V * W / x
+    assert exact_sqrt(parse_expr(ch, "4*y^3/x")) == 2 * ch.var("y") * V / x
+    assert exact_sqrt(parse_expr(ch, "-y")) is None
 
 
 def test_a_constant_radicand_times_a_square_is_rejected_and_its_sqrt_parses():
@@ -466,6 +480,30 @@ _SUM_CHARTS = {
         "1/(sin(phi)*sin(psi))", "(rho^2-cos(psi)^2)/rho",
         "sin(psi)*sin(phi)*cos(phi)/(cos(phi)^2-1)"]),
 }
+
+
+# the charts of sum_products and a root over a root
+_CLEAR_CHARTS = {**_SUM_CHARTS, "nested-root": (nested_root_chart(), [
+    "V", "W", "x", "1/V", "x/(W+y)", "(V-W)/(x*y+1)", "1/(V+1)", "y/(x^2+1)"])}
+
+
+@pytest.mark.parametrize("name", sorted(_CLEAR_CHARTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_clear_denominators_gives_reduced_numerators_over_the_lcm(name, data):
+    """_clear_denominators returns L and N_k with N_k / L = e_k and each
+    N_k already reduced, which is why it need not call _reduce_poly."""
+    chart, atoms = _CLEAR_CHARTS[name]
+    factor = st.one_of(st.sampled_from(atoms).map(lambda s: parse_expr(chart, s)),
+                       st.sampled_from([1, -2, Fraction(3, 4)]))
+    expr = st.lists(st.lists(factor, min_size=1, max_size=3).map(tuple),
+                    max_size=3).map(chart.sum_products)
+    exprs = data.draw(st.lists(expr, max_size=5))
+    lcm, nums = _clear_denominators(chart, exprs)
+    assert len(nums) == len(exprs)
+    for e, n in zip(exprs, nums):
+        assert chart._reduce_poly(n) == n
+        assert Expr(chart, n, lcm) == e
 
 
 def _fold(chart, terms):
@@ -622,11 +660,6 @@ def _assert_table_invariants(chart):
         assert content == 1 and len(factors) == 1 and factors[0][1] == 1
     for d, exps in chart._factorizations.items():
         assert d == chart._expand(dict(exps)).mul_ground(_signed_content(d))
-    for key, product in chart._products.items():  # the cache of _expand
-        assert all(e > 0 for _, e in key)
-        assert product == prod((chart._irreducibles[i] ** e for i, e in key),
-                               start=chart._ring.one)
-        assert hash(product) == hash(product.copy())
 
 
 def test_eguchi_hanson_denominators_factor_over_the_table(eh_metric, eh_quaternionic_system):

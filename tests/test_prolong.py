@@ -166,10 +166,49 @@ def test_clear_denominators_preserves_solutions():
     assert ok
 
 
+def test_a_common_factor_of_the_coefficients_is_kept():
+    """Clearing multiplies an equation by the lcm of its denominators and
+    divides by nothing: x^2 + x and x keep their common factor x, a
+    nonzero function, which leaves the bound as it is."""
+    chart = Chart(["x"])
+    x = chart.var("x")
+    system = P.LinearPDESystem.from_coefficient_maps(
+        chart, 1, [{(0, (1,)): x ** 2 + x, (0, (0,)): x}])
+    assert system.equations[0].coeffs == {(0, (1,)): (x ** 2 + x)._num, (0, (0,)): x._num}
+    divided = P.LinearPDESystem.from_coefficient_maps(
+        chart, 1, [{(0, (1,)): x + 1, (0, (0,)): chart.one()}])
+    assert P.solution_bound(system).bound == P.solution_bound(divided).bound == 1
+
+
+def test_the_eguchi_hanson_certificates_take_no_polynomial_gcd(monkeypatch):
+    """With sympy's polynomial gcd switched off, the Eguchi-Hanson
+    quaternionic system still builds, v1..v4 still solve it and close
+    into a 4-dimensional algebra: denominators are put over their lcm
+    and cancelled by trial division against the table of irreducibles."""
+    from sympy.polys.rings import PolyElement
+
+    from conftest import build_eh_chart, build_eh_fields, build_eh_metric
+    from geosym import liealg as L
+
+    def no_gcd(*args, **kwargs):
+        raise AssertionError("a polynomial gcd was taken")
+
+    monkeypatch.setattr(PolyElement, "gcd", no_gcd)
+    monkeypatch.setattr(PolyElement, "cofactors", no_gcd)
+    chart = build_eh_chart()
+    metric = build_eh_metric(chart)
+    system = S.quaternionic_symmetry_system(G.asd_span(metric, orientation=1), metric)
+    fields = build_eh_fields(chart)
+    for v in fields:
+        ok, _ = P.verify_solution(system, [v.comp(i) for i in range(4)])
+        assert ok
+    assert L.closure_from_fields(fields).dimension == 4
+
+
 def test_cleared_coefficients_hash_like_fresh_polynomials():
-    """Coefficients divided by a gcd (in ``Expr``) or by the content (in
-    clearing) carry the hash of their value, so memo lookups by
-    polynomial find them."""
+    """Coefficients divided by a gcd (in ``Expr``) or multiplied by a
+    quotient of the lcm of their denominators (in clearing) carry the
+    hash of their value, so memo lookups by polynomial find them."""
     chart = Chart(["x", "y"])
     maps = [{(0, (1, 0)): "(x^2-1)/(x-1)", (0, (0, 1)): "x"},
             {(0, (1, 0)): "x*y + y", (1, (0, 1)): "x^2 - 1"},

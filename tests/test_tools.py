@@ -70,3 +70,15 @@ def test_report_diff_of_flat2_against_itself_and_a_changed_copy(tmp_path):
     assert len(found) == 2
     assert found[0] == "flat2 seed 1: exit code 0 -> 1"
     assert found[1].startswith("flat2 seed 1: reports differ\n")
+
+
+def test_report_diff_compares_the_bundled_models_and_the_flat_r8_model(tmp_path):
+    """The bundled models, then the flat quaternionic model of R^8,
+    generated from the parent's perfbench and run by both sides."""
+    report_diff = _tool("report_diff")
+    repo = str(TOOLS.parent)
+    models = report_diff.compared_models(repo, repo)
+    assert models == report_diff.bundled_models(repo) + ["flat8-quaternionic"]
+    text = Path(report_diff.write_flat8(repo, str(tmp_path))).read_text()
+    assert "x7" in text and "structure = quaternionic" in text
+    assert report_diff.differences(repo, repo, ["flat8-quaternionic"], [1]) == []

@@ -6,11 +6,14 @@ For each model bundled in both checkouts (``src/geosym/models``) and
 each seed (``A-B`` is a range, ``A,B,...`` a list) it runs
 ``python -m geosym run <model> --seed s --json <file>`` in both
 checkouts, one run at a time, each on its own sources and its own copy
-of the model.  It prints every pair of reports that differ in a byte
-outside the ``model`` line (which holds the model file's path) and
-every pair of exit codes that differ.  Exit code 1 on any difference,
-0 when there is none.  The reports are written to a temporary
-directory that is removed afterwards.
+of the model.  It also compares the flat quaternionic model of R^8, a
+dimension-8 system that no model file bundles: its text is generated by
+``flat_quaternionic_model(2)`` of the parent's ``perfbench/workloads.py``,
+and both checkouts run that one file.  It prints every pair of reports
+that differ in a byte outside the ``model`` line (which holds the model
+file's path) and every pair of exit codes that differ.  Exit code 1 on
+any difference, 0 when there is none.  The generated model and the
+reports are written to a temporary directory that is removed afterwards.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from bench_pairs import parse_seeds
 
 RUN_TIMEOUT_S = 900
 MODEL_LINE = b'  "model": '  # a top-level key of the report, indented by json.dump
+FLAT8 = "flat8-quaternionic"  # the generated model, named as its benchmark workload
 
 
 def bundled_models(root: str) -> List[str]:
@@ -35,12 +39,31 @@ def bundled_models(root: str) -> List[str]:
                   if name.endswith(".model"))
 
 
+def compared_models(parent: str, change: str) -> List[str]:
+    """The models bundled in both checkouts, then the generated one."""
+    return sorted(set(bundled_models(parent)) & set(bundled_models(change))) + [FLAT8]
+
+
+def write_flat8(parent: str, folder: str) -> str:
+    """Write the text of ``flat_quaternionic_model(2)`` of the parent's
+    ``perfbench/workloads.py`` into ``folder``; return the file's path."""
+    text = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, workloads; sys.stdout.write(workloads.flat_quaternionic_model(2))"],
+        cwd=os.path.join(parent, "perfbench"), capture_output=True, check=True,
+        timeout=RUN_TIMEOUT_S).stdout
+    path = os.path.join(folder, f"{FLAT8}.model")
+    with open(path, "wb") as fh:
+        fh.write(text)
+    return path
+
+
 def report(root: str, model: str, seed: int, path: str) -> Tuple[int, List[bytes]]:
     """Exit code and report lines, the ``model`` line left out, of one
-    ``geosym run`` of the checkout at ``root``."""
+    ``geosym run`` of the checkout at ``root`` on the model file at
+    ``model``."""
     proc = subprocess.run(
-        [sys.executable, "-m", "geosym", "run",
-         os.path.join(root, "src", "geosym", "models", f"{model}.model"),
+        [sys.executable, "-m", "geosym", "run", model,
          "--seed", str(seed), "--json", path],
         cwd=root, env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
         capture_output=True, timeout=RUN_TIMEOUT_S)
@@ -54,14 +77,19 @@ def report(root: str, model: str, seed: int, path: str) -> Tuple[int, List[bytes
 
 def differences(parent: str, change: str, models: Sequence[str],
                 seeds: Sequence[int]) -> List[str]:
-    """One message per model and seed whose reports or exit codes differ."""
+    """One message per model and seed whose reports or exit codes differ;
+    the model named ``FLAT8`` is generated (:func:`write_flat8`)."""
     found = []
     with tempfile.TemporaryDirectory() as tmp:
+        flat8 = write_flat8(parent, tmp) if FLAT8 in models else None
         for model in models:
+            files = [flat8 if model == FLAT8 else
+                     os.path.join(root, "src", "geosym", "models", f"{model}.model")
+                     for root in (parent, change)]
             for seed in seeds:
                 (p_code, p_lines), (c_code, c_lines) = (
-                    report(root, model, seed, os.path.join(tmp, f"{side}.json"))
-                    for side, root in (("parent", parent), ("change", change)))
+                    report(root, file, seed, os.path.join(tmp, f"{side}.json"))
+                    for side, root, file in zip(("parent", "change"), (parent, change), files))
                 where = f"{model} seed {seed}"
                 if p_code != c_code:
                     found.append(f"{where}: exit code {p_code} -> {c_code}")
@@ -80,7 +108,7 @@ def main() -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B or A,B,...")
     args = parser.parse_args()
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
-    models = sorted(set(bundled_models(parent)) & set(bundled_models(change)))
+    models = compared_models(parent, change)
     print(f"models: {', '.join(models)}; seeds: {len(args.seeds)}", flush=True)
     found = differences(parent, change, models, args.seeds)
     for message in found:
