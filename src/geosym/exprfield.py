@@ -12,25 +12,29 @@ element is held as a pair of integer-coefficient polynomials, coprime,
 whose integer coefficients have gcd 1 all together, with the
 denominator's leading coefficient positive: a rational constant is
 split into its numerator and denominator.  Each ``+``, ``*`` or ``/``
-builds a normalized :class:`Expr`.  The two hot primitives of
-normalization work on the polynomials' dicts from exponent tuples to
-integer coefficients:
+builds a normalized :class:`Expr`.  A polynomial is a :class:`Poly`, a
+dict from a packed exponent integer to a nonzero int coefficient: each
+variable has a 16-bit exponent field and one guard bit above it, the
+first variable in the highest field, so the lex order is the integer
+order, a monomial product is one integer add and a divisibility test
+one mask test.  The two hot primitives of normalization work on these
+dicts:
 
 - reduction (:meth:`Chart._reduce_poly`) applies each rule g^2 -> rhs
   once, latest-declared generator first, with the powers of rhs cached
   per chart; a rule's rhs holds only earlier generators and rule-free
   cos, so the one pass reaches the canonical normal form;
 - trial division (:func:`_divide`) by a primitive irreducible of the
-  chart's table, in the lex order every chart's ring is built with, so
-  each quotient term is the remainder's leading term shifted by LM(f),
-  its coefficient divided by LC(f) with ``divmod``.
+  chart's table, in the lex order of the packed keys, so each quotient
+  term is the remainder's leading term shifted by LM(f), its
+  coefficient divided by LC(f) with ``divmod``.
 
 gcds and lcms of denominators are those trial divisions and one integer
-gcd (only a cofactor that no table entry divides is factored anew); no
-polynomial gcd is taken.  :func:`_clear_denominators` puts a list of
-elements over the lcm of their denominators, for the equations of
-:mod:`geosym.prolong`, the coefficient rows of closure and the
-derivation rules alike.
+gcd (only a cofactor that no table entry divides is factored anew, by
+sympy, which is imported for that alone); no polynomial gcd is taken.
+:func:`_clear_denominators` puts a list of elements over the lcm of
+their denominators, for the equations of :mod:`geosym.prolong`, the
+coefficient rows of closure and the derivation rules alike.
 A sum of products is built with :meth:`Chart.sum_products`: the
 products are grouped by denominator, the groups combined over the lcm
 of their denominators, and the sum normalized once; the normal form is
@@ -49,15 +53,11 @@ from __future__ import annotations
 import ast
 import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-from sympy import ZZ, factorint, prevprime
-from sympy.ntheory import sqrt_mod
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyRing, ring as _make_ring
 
 Rational = Union[int, Fraction]
 
@@ -91,6 +91,157 @@ class ExprParseError(ExprError):
         self.col = col
 
 
+_FIELD = 17  # bits per variable in a packed exponent: 16 for the exponent, one guard bit
+_EXP = (1 << 16) - 1  # the largest exponent a field holds
+_MAX_VARS = 256  # variables per chart: the fields that _GUARD covers
+_GUARD = sum(1 << (_FIELD * i + 16) for i in range(_MAX_VARS))
+
+
+class Poly(dict):
+    """A polynomial with integer coefficients: a dict from packed
+    exponent to nonzero int coefficient.
+
+    The exponent of the chart's i-th of n variables sits in bits
+    17 (n - 1 - i) to 17 (n - 1 - i) + 15 of the key, the bit above each
+    field being a guard bit that is clear in every key.  So the first
+    variable holds the highest field, lex order is integer order and the
+    leading monomial is ``max(p)``; the product of two monomials is the
+    sum of their keys.  A polynomial never changes once built: its hash
+    and the OR of its keys (:attr:`bits`) are cached.
+
+    Soundness of the packing.  Two fields below 2^16 sum to less than
+    2^17, so a key sum never carries from one field into the next, and a
+    field of the sum reaches 2^16 exactly when its guard bit is set.
+    Each product checks the guard bits of its keys and raises
+    :class:`KernelInconsistency` past exponent 2^16 - 1, so no exponent
+    wraps.  For keys m and l with clear guard bits, m - l has no guard
+    bit set exactly when every field of l is at most m's (a borrow sets
+    the guard bit of the field it leaves): that is the divisibility test
+    of :func:`_divide`.
+    """
+
+    __slots__ = ("_hash", "_bits")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash(frozenset(self.items()))
+            return h
+
+    @property
+    def bits(self) -> int:
+        """The OR of the keys: a variable's field is nonzero exactly when
+        the variable occurs, and holds a bit above its lowest exactly when
+        some exponent of it is at least 2."""
+        try:
+            return self._bits
+        except AttributeError:
+            b = self._bits = functools.reduce(operator.or_, self, 0)
+            return b
+
+    @property
+    def is_ground(self) -> bool:
+        return not self or (len(self) == 1 and 0 in self)
+
+    @property
+    def is_one(self) -> bool:
+        return len(self) == 1 and self.get(0) == 1
+
+    @property
+    def LC(self) -> int:
+        """The leading coefficient in lex order; 0 for the zero polynomial."""
+        return self[max(self)] if self else 0
+
+    def __add__(self, other: Union["Poly", int]) -> "Poly":
+        if not isinstance(other, Poly):
+            other = _ground(other)
+        if len(self) < len(other):
+            self, other = other, self
+        out = Poly(self)
+        get = out.get
+        for m, c in other.items():
+            if v := get(m, 0) + c:
+                out[m] = v
+            else:
+                del out[m]
+        return out
+
+    def __sub__(self, other: Union["Poly", int]) -> "Poly":
+        if not isinstance(other, Poly):
+            other = _ground(other)
+        out = Poly(self)
+        get = out.get
+        for m, c in other.items():
+            if v := get(m, 0) - c:
+                out[m] = v
+            else:
+                del out[m]
+        return out
+
+    def __neg__(self) -> "Poly":
+        return Poly({m: -c for m, c in self.items()})
+
+    def __mul__(self, other: Union["Poly", int]) -> "Poly":
+        if not isinstance(other, Poly):
+            return self.mul_ground(other)
+        a, b = (self, other) if len(self) <= len(other) else (other, self)
+        if not a:
+            return Poly()
+        if len(a) == 1:
+            [(ma, ca)] = a.items()
+            if not ma and ca == 1:
+                return b
+            out = Poly({ma + m: ca * c for m, c in b.items()})
+        else:
+            out = Poly()
+            get = out.get
+            terms = list(b.items())
+            for ma, ca in a.items():
+                for mb, cb in terms:
+                    m = ma + mb
+                    out[m] = get(m, 0) + ca * cb
+            if 0 in out.values():
+                out = Poly({m: c for m, c in out.items() if c})
+        bits = functools.reduce(operator.or_, out, 0)
+        if bits & _GUARD:
+            raise KernelInconsistency(f"an exponent of a product exceeds {_EXP}")
+        out._bits = bits
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "Poly":
+        """p^k for k >= 0, by squaring, each product checked like any other."""
+        if k < 0:
+            raise ValueError(f"negative exponent {k} of a polynomial")
+        if k == 1:
+            return self
+        out, base = _ONE, self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def mul_ground(self, c: int) -> "Poly":
+        return Poly({m: v * c for m, v in self.items()}) if c else Poly()
+
+    def quo_ground(self, c: int) -> "Poly":
+        """Each coefficient divided by c, which must divide it."""
+        return Poly({m: v // c for m, v in self.items()})
+
+
+def _ground(c: int) -> Poly:
+    """The constant polynomial c."""
+    return Poly({0: c}) if c else Poly()
+
+
+_ONE = Poly({0: 1})
+
+
 @dataclass
 class GeneratorSpec:
     """One adjoined algebraic generator.
@@ -114,7 +265,8 @@ class Chart:
     """Ordered coordinates plus adjoined generators over ZZ.
 
     The constructor declares every variable, so a chart has one
-    polynomial ring for its whole life.  The order is: coordinates, sin
+    polynomial ring, and one layout of the packed exponents of its
+    :class:`Poly` s, for its whole life.  The order is: coordinates, sin
     and cos of each angle of ``trig_pairs`` (a repeated angle counts
     once), then each ``(name, radicand)`` of ``roots``.  A radicand is a
     source string or a rational, parsed once all names are declared; it
@@ -156,11 +308,16 @@ class Chart:
         roots = list(roots)
         for name, _ in roots:
             self._declare(GeneratorSpec(name, "root"))
-        # lex: :func:`_divide` takes the leading monomial as the max exponent tuple
-        self._ring: PolyRing = _make_ring(",".join(self.var_names), ZZ, lex)[0]
-        self._index = {n: i for i, n in enumerate(self.var_names)}
+        n = len(self.var_names)
+        if n > _MAX_VARS:
+            raise ExprError(f"a chart has at most {_MAX_VARS} variables, got {n}")
+        self._index = {v: i for i, v in enumerate(self.var_names)}
+        # variable i's exponent field starts at bit _shift[i]; the first is highest
+        self._shift = [_FIELD * (n - 1 - i) for i in range(n)]
+        self._gens = [Poly({1 << s: 1}) for s in self._shift]
         self._sample_pool: List[GenericPoint] = []
         self._relations: Optional[List] = None  # see :meth:`_relation_powers`
+        self._rewritable = 0  # set with _relations
         self._irreducibles: List = []  # primitive irreducible factors (LC > 0) of denominators met
         self._factorizations: Dict = {}  # denominator -> ((irreducible index, exponent), ...)
         for s_name, c_name in self._trig_pairs.values():
@@ -178,6 +335,50 @@ class Chart:
     def dim(self) -> int:
         return len(self.coordinates)
 
+    def _pack(self, exps: Sequence[int]) -> int:
+        """The packed key of one exponent per variable."""
+        if not all(0 <= e <= _EXP for e in exps) or len(exps) != len(self._shift):
+            raise KernelInconsistency(f"exponents {tuple(exps)} do not fit the chart's packing")
+        return sum(e << s for e, s in zip(exps, self._shift))
+
+    def _unpack(self, m: int) -> Tuple[int, ...]:
+        """One exponent per variable of the packed key m."""
+        return tuple(m >> s & _EXP for s in self._shift)
+
+    def _field(self, i: int) -> int:
+        """The mask of variable i's exponent field."""
+        return _EXP << self._shift[i]
+
+    def _poly(self, terms: Mapping[Sequence[int], int]) -> Poly:
+        """The polynomial with the coefficient terms[e] at the exponents e."""
+        out: Dict[int, int] = {}
+        for exps, c in terms.items():
+            m = self._pack(exps)
+            out[m] = out.get(m, 0) + c
+        return Poly({m: c for m, c in out.items() if c})
+
+    def _poly_str(self, p: Poly) -> str:
+        """p in infix notation, terms in descending lex order, as in
+        ``3*x**2*y - x + 1``."""
+        if not p:
+            return "0"
+        parts = []
+        for m in sorted(p, reverse=True):
+            c = p[m]
+            factors = [v if e == 1 else f"{v}**{e}"
+                       for v, e in zip(self.var_names, self._unpack(m)) if e]
+            if not factors or abs(c) != 1:
+                factors.insert(0, str(abs(c)))
+            parts += [" - " if c < 0 else " + ", "*".join(factors)]
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
+
+    def _diff(self, p: Poly, i: int) -> Poly:
+        """The formal partial derivative of p by variable i."""
+        s = self._shift[i]
+        unit = 1 << s
+        return Poly({m - unit: c * (m >> s & _EXP) for m, c in p.items() if m >> s & _EXP})
+
     # -- generator declaration -------------------------------------------
 
     def _radicand(self, name: str, source) -> "Expr":
@@ -194,8 +395,8 @@ class Chart:
         radicand = self.expr(source)
         own = self._index[name]
         for p in (radicand._num, radicand._den):
-            late = {self.var_names[i] for m in p.itermonoms()
-                    for i, e in enumerate(m) if e and i >= own}
+            late = [v for i, v in enumerate(self.var_names)
+                    if i >= own and p.bits & self._field(i)]
             if late:
                 raise ExprError(f"radicand of {name!r} names {sorted(late)}; it may "
                                 "use only the coordinates, trig generators and earlier roots")
@@ -203,7 +404,7 @@ class Chart:
             k = radicand._den.LC
             raise ExprError(
                 f"radicand of {name!r} has the rational content 1/{k}; adjoin a root "
-                f"of {k}*({radicand._num}) instead and divide it by {k}")
+                f"of {k}*({self._poly_str(radicand._num)}) instead and divide it by {k}")
         if not radicand._den.is_one:
             raise ExprError("radicand must be denominator-free")
         if radicand.is_zero():
@@ -239,20 +440,19 @@ class Chart:
     # -- expression construction -----------------------------------------
 
     def zero(self) -> "Expr":
-        return Expr(self, self._ring.zero, self._ring.one)
+        return Expr(self, Poly(), _ONE)
 
     def one(self) -> "Expr":
-        return Expr(self, self._ring.one, self._ring.one)
+        return Expr(self, _ONE, _ONE)
 
     def const(self, x: Rational) -> "Expr":
         x = Fraction(x)
-        return Expr(self, self._ring.ground_new(x.numerator),
-                    self._ring.ground_new(x.denominator))
+        return Expr(self, _ground(x.numerator), _ground(x.denominator))
 
     def var(self, name: str) -> "Expr":
         if name not in self._index:
             raise ExprError(f"unknown variable {name!r}")
-        return Expr(self, self._ring.gens[self._index[name]], self._ring.one)
+        return Expr(self, self._gens[self._index[name]], _ONE)
 
     def expr(self, source) -> "Expr":
         """Coerce strings, numbers, or Exprs into this chart's field."""
@@ -291,10 +491,9 @@ class Chart:
         terms = list(terms)
         if len(terms) == 1 and len(terms[0]) == 1 and isinstance(terms[0][0], Expr):
             return self.expr(terms[0][0])  # already normal: keep the object
-        ring, one = self._ring, self._ring.one
         groups: Dict = {}  # denominator -> summed numerators
         for factors in terms:
-            num, den, c = one, one, 1
+            num, den, c = None, _ONE, 1
             for f in factors:
                 if not isinstance(f, Expr):
                     c *= f
@@ -304,30 +503,44 @@ class Chart:
                     raise ExprError("expression belongs to a different chart")
                 elif not f._num:
                     break
-                elif num is one:
+                elif num is None:
                     num, den = f._num, f._den
                 else:
                     num, den = num * f._num, den * f._den
             else:
+                num = _ONE if num is None else num
                 if c.numerator != 1:
                     num = num.mul_ground(c.numerator)
                 if c.denominator != 1:
                     den = den.mul_ground(c.denominator)
                 groups[den] = groups[den] + num if den in groups else num
         if len(groups) < 2:  # one denominator or none: no lcm
-            den, num = next(iter(groups.items()), (one, ring.zero))
+            den, num = next(iter(groups.items()), (_ONE, Poly()))
             return Expr(self, num, den)
         den, quotients = self._lcm(list(groups))
         return Expr(self, sum((n * q for n, q in zip(groups.values(), quotients)),
-                              ring.zero), den)
+                              Poly()), den)
 
     # -- factored denominators ---------------------------------------------
+
+    def _factor_list(self, p: Poly) -> Tuple[int, List[Tuple[Poly, int]]]:
+        """sympy's ``factor_list`` of p over ZZ: (content, [(factor,
+        exponent), ...]), the factors primitive and irreducible.  p goes to
+        a sympy ``Poly`` in the chart's variables, in their order, and the
+        factors come back; sympy is imported here, on the first call."""
+        from sympy import ZZ, Poly as SympyPoly, symbols
+
+        q = SympyPoly.from_dict({self._unpack(m): c for m, c in p.items()},
+                                *symbols(self.var_names), domain=ZZ)
+        c, factors = q.factor_list()
+        return int(c), [(self._poly({m: int(v) for m, v in f.as_dict(native=True).items()}), e)
+                        for f, e in factors]
 
     def _factor(self, d) -> Tuple[Tuple[int, int], ...]:
         """((i, e), ...), i ascending, with d = c * prod irreducible_i^e for
         the content c of d (:func:`_content`); cached.  d is trial-divided
         by the table, and only a cofactor left over goes to
-        ``factor_list``, whose primitive factors, signed to a positive
+        :meth:`_factor_list`, whose primitive factors, signed to a positive
         leading coefficient, join the table."""
         out = () if d.is_ground else self._factorizations.get(d)
         if out is None:
@@ -337,7 +550,7 @@ class Chart:
                 while (q := _divide(rest, p)) is not None:
                     rest, e = q, e + 1
                 out += [(i, e)] if e else []
-            for f, e in ([] if rest.is_ground else rest.factor_list()[1]):
+            for f, e in ([] if rest.is_ground else self._factor_list(rest)[1]):
                 out.append((len(self._irreducibles), e))
                 self._irreducibles.append(f if f.LC > 0 else -f)
             out = self._factorizations[d] = tuple(out)
@@ -347,8 +560,8 @@ class Chart:
         """The product of irreducible_i^e over the items (i, e) of ``exps``,
         a fresh polynomial, primitive with a positive leading coefficient
         like its factors (Gauss's lemma)."""
-        return math.prod((self._irreducibles[i] ** e for i, e in exps.items() if e),
-                         start=self._ring.one)
+        factors = [self._irreducibles[i] ** e for i, e in exps.items() if e]
+        return math.prod(factors[1:], start=factors[0]) if factors else _ONE
 
     def _cancel(self, n, d):
         """(n, d) divided by gcd(n, d) and by their common integer content,
@@ -358,7 +571,7 @@ class Chart:
         that divided (:func:`_divide` throughout; g is primitive and
         divides d).  A ground d skips the trial divisions."""
         if not d.is_ground:
-            g = self._ring.one
+            g = _ONE
             for i, e in self._factor(d):
                 p = self._irreducibles[i]
                 for _ in range(e):
@@ -401,13 +614,16 @@ class Chart:
 
     def _relation_powers(self) -> List[Tuple[int, List]]:
         """(variable index of g, [1, rhs, rhs^2, ...]) for each rule
-        g^2 -> rhs, latest-declared g first, built once per set of rules;
-        :meth:`_reduce_poly` extends each list of powers as it needs them.
-        :meth:`_relate` drops the cache."""
+        g^2 -> rhs, latest-declared g first, built once per set of rules
+        together with ``_rewritable``, the mask of the ruled generators'
+        exponent bits that stand for 2 and more; :meth:`_reduce_poly`
+        extends each list of powers as it needs them.  :meth:`_relate`
+        drops the cache."""
         if self._relations is None:
             self._relations = [
-                (self._index[g.name], [self._ring.one, g.square_rhs._num])
+                (self._index[g.name], [_ONE, g.square_rhs._num])
                 for g in reversed(self.generators) if g.square_rhs is not None]
+            self._rewritable = sum((_EXP - 1) << self._shift[i] for i, _ in self._relations)
         return self._relations
 
     def _reduce_poly(self, p):
@@ -429,27 +645,32 @@ class Chart:
         Groebner basis and that normal form is canonical: rewriting in any
         order gives the same polynomial.
         """
+        relations = self._relation_powers()
+        if not p.bits & self._rewritable:
+            return p
         terms = p
-        for idx, powers in self._relation_powers():
-            if all(m[idx] < 2 for m in terms):
+        for idx, powers in relations:
+            shift = self._shift[idx]
+            high = (_EXP - 1) << shift  # the bits of exponents of g of 2 and more
+            if not terms.bits & high:
                 continue
-            zero, mul = p.ring.domain.zero, p.ring.monomial_mul
-            out: Dict = {}
+            out: Dict[int, int] = {}
             get = out.get
             for m, c in terms.items():
-                e = m[idx]
-                if e < 2:
-                    out[m] = get(m, zero) + c
+                if not m & high:
+                    out[m] = get(m, 0) + c
                     continue
-                k = e // 2
+                k = (m >> shift & _EXP) >> 1
                 while len(powers) <= k:
                     powers.append(powers[-1] * powers[1])
-                base = m[:idx] + (e % 2,) + m[idx + 1:]
+                base = m - (k << shift + 1)  # g^e becomes g^(e mod 2)
                 for pm, pc in powers[k].items():
-                    mm = mul(base, pm)
-                    out[mm] = get(mm, zero) + c * pc
-            terms = {m: c for m, c in out.items() if c}
-        return p if terms is p else p.ring.dtype(terms)
+                    mm = base + pm
+                    out[mm] = get(mm, 0) + c * pc
+            terms = Poly({m: c for m, c in out.items() if c})
+            if terms.bits & _GUARD:
+                raise KernelInconsistency(f"an exponent of a reduction exceeds {_EXP}")
+        return terms
 
     def _derationalize(self, num, den):
         """Multiply by conjugates until den is free of quadratic generators.
@@ -461,14 +682,12 @@ class Chart:
         for g in reversed(self.generators):
             if g.square_rhs is None:
                 continue
-            idx = self._index[g.name]
-            if den.degree(idx) < 1:
+            unit = 1 << self._shift[self._index[g.name]]
+            if not den.bits & unit:
                 continue
-            gv = self._ring.gens[idx]
-            # den = a + b*g with a, b free of g
-            b = den.diff(gv)  # degree <= 1, so this is the coefficient of g
-            a = den - b * gv
-            conj = a - b * gv
+            # den = a + b*g with a, b free of g (den is reduced: degree <= 1
+            # in g), and its conjugate a - b*g
+            conj = Poly({m: -c if m & unit else c for m, c in den.items()})
             den = self._reduce_poly(den * conj)
             num = self._reduce_poly(num * conj)
             if not den:
@@ -513,19 +732,72 @@ _MAX_PRIMES = 64
 _POOL_SEED = 0x5EED  # seed of the first zero cross-check point
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as witnesses, a proof
+    of primality for every n below 3.1 * 10^23 (Sorenson and Webster
+    2015), so for every candidate below 2^61."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def _prime(i: int) -> int:
     """The i-th prime of the search: 2^61 - 1, then the primes below it."""
-    return PRIME if i == 0 else prevprime(_prime(i - 1))
+    if i == 0:
+        return PRIME
+    p = _prime(i - 1) - 2  # primes past 2 are odd
+    while not _is_prime(p):
+        p -= 2
+    return p
 
 
 def _sqrt_mod(q: int, p: int) -> Optional[int]:
     """A square root of q mod the odd prime p, or None when q is not a
-    square: q^((p+1)/4) when p = 3 mod 4, sympy's ``sqrt_mod`` otherwise."""
-    if p % 4 != 3:
-        return sqrt_mod(q, p)
-    w = pow(q, (p + 1) // 4, p)
-    return w if w * w % p == q else None
+    square: q^((p+1)/4) when p = 3 mod 4, otherwise the root at most
+    p // 2 that Tonelli-Shanks finds."""
+    q %= p
+    if p % 4 == 3:
+        w = pow(q, (p + 1) // 4, p)
+        return w if w * w % p == q else None
+    if q == 0:
+        return 0
+    if pow(q, (p - 1) // 2, p) != 1:
+        return None  # Euler's criterion: q is no square
+    s, e = p - 1, 0  # p - 1 = s * 2^e, s odd
+    while not s & 1:
+        s, e = s >> 1, e + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, w, t = pow(z, s, p), pow(q, (s + 1) // 2, p), pow(q, s, p)
+    while t != 1:  # t has order 2^i with i < e
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << e - i - 1, p)
+        e, c = i, b * b % p
+        w, t = w * b % p, t * c % p
+    return min(w, p - w)
 
 
 def _mod(q: Fraction, prime: int) -> int:
@@ -538,15 +810,21 @@ def _mod(q: Fraction, prime: int) -> int:
     return num if den == 1 else num * pow(den, prime - 2, prime) % prime
 
 
-def _poly_mod(p, residues: Sequence[int], prime: int) -> int:
+def _poly_mod(p: Poly, residues: Sequence[int], prime: int) -> int:
     """Value in GF(prime) of a polynomial of the chart's ring at one
     residue per variable."""
+    shifts = range(_FIELD * (len(residues) - 1), -1, -_FIELD)
+    fields = [(_EXP << s, s, r) for s, r in zip(shifts, residues)]
+    powers: Dict[int, int] = {}  # a field's bits, in place -> the power it stands for
     total = 0
-    for monom, coeff in p.items():
+    for m, coeff in p.items():
         term = coeff % prime
-        for v, e in zip(residues, monom):
-            if e:
-                term = term * pow(v, e, prime) % prime
+        for mask, s, r in fields:
+            if f := m & mask:
+                v = powers.get(f)
+                if v is None:
+                    v = powers[f] = pow(r, f >> s, prime)
+                term = term * v % prime
         total += term
     return total % prime
 
@@ -575,10 +853,10 @@ class TaylorMap:
         self.prime = prime = point.prime
         n = chart.dim
         self._zero: Tuple[int, ...] = (0,) * n
-        self._monos: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {
-            (0,) * len(chart.var_names): {self._zero: 1}}
-        self._memo: Dict = {}
-        self._vars: List[Dict[Tuple[int, ...], int]] = []
+        # packed monomial -> its series; key 0 is the monomial 1
+        self._monos: Dict[int, Dict[Tuple[int, ...], int]] = {0: {self._zero: 1}}
+        self._memo: Dict[Poly, Dict[Tuple[int, ...], int]] = {}
+        self._vars: Dict[int, Dict[Tuple[int, ...], int]] = {}  # field shift -> series
         inv_fact = [1]
         for k in range(1, order + 1):
             inv_fact.append(inv_fact[-1] * pow(k, prime - 2, prime) % prime)
@@ -607,7 +885,7 @@ class TaylorMap:
                     power = self._mul(power, u)
                     binom = binom * (1 - 2 * k) * pow(2 * k + 2, prime - 2, prime) % prime
                 series = {g: v * res[i] for g, v in series.items()}
-            self._vars.append({g: v % prime for g, v in series.items() if v % prime})
+            self._vars[chart._shift[i]] = {g: v % prime for g, v in series.items() if v % prime}
 
     def _unit(self, i: int, k: int) -> Tuple[int, ...]:
         g = list(self._zero)
@@ -617,34 +895,40 @@ class TaylorMap:
     def _mul(self, a, b):
         """Truncated product of two series."""
         out: Dict[Tuple[int, ...], int] = {}
+        get = out.get
+        terms = [(gb, vb, sum(gb)) for gb, vb in b.items()]
         for ga, va in a.items():
             room = self.order - sum(ga)
-            for gb, vb in b.items():
-                if sum(gb) <= room:
-                    g = tuple(x + y for x, y in zip(ga, gb))
-                    out[g] = out.get(g, 0) + va * vb
-        return {g: v % self.prime for g, v in out.items() if v % self.prime}
+            for gb, vb, degree in terms:
+                if degree <= room:
+                    g = tuple(map(operator.add, ga, gb))
+                    out[g] = get(g, 0) + va * vb
+        prime = self.prime
+        return {g: r for g, v in out.items() if (r := v % prime)}
 
-    def _monomial(self, m: Tuple[int, ...]):
+    def _monomial(self, m: int):
+        """The series of the monomial with packed key m: that of m divided
+        by its last variable (the lowest nonzero field), times the
+        variable's series."""
         series = self._monos.get(m)
         if series is None:
-            v = max(i for i, e in enumerate(m) if e)
-            series = self._mul(self._monomial(m[:v] + (m[v] - 1,) + m[v + 1:]),
-                               self._vars[v])
+            shift = ((m & -m).bit_length() - 1) // _FIELD * _FIELD
+            series = self._mul(self._monomial(m - (1 << shift)), self._vars[shift])
             self._monos[m] = series
         return series
 
-    def __call__(self, p) -> Dict[Tuple[int, ...], int]:
+    def __call__(self, p: Poly) -> Dict[Tuple[int, ...], int]:
         """Taylor coefficients of a polynomial of the chart's ring."""
         out = self._memo.get(p)
         if out is None:
+            prime = self.prime
             acc: Dict[Tuple[int, ...], int] = {}
+            get = acc.get
             for monom, coeff in p.items():
-                c = coeff % self.prime
+                c = coeff % prime
                 for g, v in self._monomial(monom).items():
-                    acc[g] = acc.get(g, 0) + c * v
-            out = self._memo[p] = {g: v % self.prime for g, v in acc.items()
-                                   if v % self.prime}
+                    acc[g] = get(g, 0) + c * v
+            out = self._memo[p] = {g: r for g, v in acc.items() if (r := v % prime)}
         return out
 
 
@@ -663,7 +947,9 @@ def _residues(chart: Chart, values: Mapping[str, Fraction],
             residues.append(_mod(values[name], prime))
             continue
         g = chart._gens_by_name[name]
-        q = _poly_mod(g.square_rhs._num, residues, prime)
+        # the radicand holds no later variable: those get the value 0
+        later = [0] * (len(chart.var_names) - len(residues))
+        q = _poly_mod(g.square_rhs._num, residues + later, prime)
         w = _sqrt_mod(q, prime) if q else None
         if w is None:
             return None
@@ -765,7 +1051,7 @@ class Expr:
         if n:
             n, d = chart._cancel(*chart._derationalize(n, d))
         else:
-            d = chart._ring.one
+            d = _ONE
             checked = 0
             # the zero polynomial itself needs no check
             for point in (chart._check_pool(6) if num else ()):
@@ -871,8 +1157,11 @@ class Expr:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash((id(self.chart), tuple(sorted(self._num.to_dict().items())),
-                     tuple(sorted(self._den.to_dict().items()))))
+        """A constant hashes as its ``Fraction``, which it equals; any
+        other element by the cached hashes of its two polynomials."""
+        if self.is_constant():
+            return hash(self.as_fraction())
+        return hash((self._num, self._den))
 
     # -- calculus ---------------------------------------------------------
 
@@ -896,91 +1185,94 @@ class Expr:
         """
         pt = {k: Fraction(v) for k, v in point.items()}
         _check_relations(self.chart, pt)
-        return _eval_pair((self._num, self._den), pt)
+        return _eval_pair(self.chart, self._num, self._den, pt)
 
     # -- display ----------------------------------------------------------
 
     def __repr__(self):
+        num = self.chart._poly_str(self._num)
         if self._den.is_one:
-            return str(self._num)
-        return f"({self._num})/({self._den})"
+            return num
+        return f"({num})/({self.chart._poly_str(self._den)})"
 
 
 def _check_relations(chart: Chart, point: Mapping[str, Fraction]):
     for g in chart.generators:
         if g.square_rhs is None or g.name not in point:
             continue
-        rhs = _eval_pair((g.square_rhs._num, g.square_rhs._den), point)
+        rhs = _eval_pair(chart, g.square_rhs._num, g.square_rhs._den, point)
         if point[g.name] ** 2 != rhs:
             raise RelationViolation(f"relation of generator {g.name!r} violated at the point")
 
 
-def _eval_pair(pair, point: Mapping[str, Fraction]) -> Fraction:
+def _eval_pair(chart: Chart, num: Poly, den: Poly, point: Mapping[str, Fraction]) -> Fraction:
     """Exact value of num/den at a rational point giving values to the
     variables that occur; raises PoleError where the denominator
     vanishes."""
-    num, den = pair
-    names = [str(s) for s in num.ring.symbols]
-    missing = [n for i, n in enumerate(names) if n not in point
-               and any(m[i] for p in pair for m in p.itermonoms())]
+    names = chart.var_names
+    occurring = num.bits | den.bits
+    missing = [v for i, v in enumerate(names)
+               if v not in point and occurring & chart._field(i)]
     if missing:
         raise ExprError(f"point missing values for {missing}")
-    vals = [point.get(n) for n in names]
-    dv = _eval_poly(den, vals)
+    vals = [point.get(v) for v in names]
+    dv = _eval_poly(chart, den, vals)
     if not dv:
         raise PoleError("denominator vanishes at the point")
-    return _eval_poly(num, vals) / dv
+    return _eval_poly(chart, num, vals) / dv
 
 
-def _eval_poly(p, vals):
+def _eval_poly(chart: Chart, p: Poly, vals) -> Fraction:
     total = Fraction(0)
-    for monom, coeff in p.items():
+    for m, coeff in p.items():
         term = coeff
-        for i, e in enumerate(monom):
+        for v, e in zip(vals, chart._unpack(m)):
             if e:
-                term = term * vals[i] ** e
+                term = term * v ** e
         total = total + term
     return total
 
 
-def _content(p) -> int:
+def _content(p: Poly) -> int:
     """The gcd of p's integer coefficients, signed like its leading
-    coefficient (lex: that of the max exponent tuple), so that p divided
-    by it is primitive with a positive leading coefficient."""
+    coefficient (lex: that of the max key), so that p divided by it is
+    primitive with a positive leading coefficient."""
     c = math.gcd(*p.values())
     return c if p[max(p)] > 0 else -c
 
 
-def _divide(p, f):
-    """p / f as a fresh polynomial when f divides p over ZZ, else None
-    (a quotient built in place, like sympy's ``exquo``, keeps a stale
-    cached hash).  The trial divisions of :meth:`Chart._factor` and
-    :meth:`Chart._cancel` call it with f a primitive irreducible of the
-    chart's table or a product of them.
+def _divide(p: Poly, f: Poly) -> Optional[Poly]:
+    """p / f as a fresh polynomial when f divides p over ZZ, else None.
+    The trial divisions of :meth:`Chart._factor` and :meth:`Chart._cancel`
+    call it with f a primitive irreducible of the chart's table or a
+    product of them.
 
-    Precondition: the ring's order is lex (pinned in the :class:`Chart`
-    constructor), so a polynomial's leading monomial is the max of its
-    exponent tuples.  Each quotient term is (LM(rest) - LM(f),
-    LC(rest) / LC(f)), the coefficient divided with ``divmod``; these are
-    the terms of the division over QQ, one by one.  The division stops at
-    the first LM(rest) that LM(f) does not divide: that term stays in the
-    remainder, so the remainder is nonzero and, {f} being a Groebner
-    basis of (f) over QQ, f does not divide p.  It also stops at the
-    first nonzero ``divmod`` remainder, a quotient term that is not an
-    integer: then f does not divide p over ZZ.  So the quotient is
-    returned exactly when f divides p over ZZ, for any f.  For a
-    primitive f that is exactly when f divides p over QQ (Gauss's
-    lemma)."""
-    ring = p.ring
-    div, mul = ring.monomial_div, ring.monomial_mul
+    The leading monomial of a :class:`Poly` is its max key (lex).  Each
+    quotient term is (LM(rest) - LM(f), LC(rest) / LC(f)), the
+    coefficient divided with ``divmod``; these are the terms of the
+    division over QQ, one by one.  The division stops at the first
+    LM(rest) that LM(f) does not divide (the difference of the keys has a
+    guard bit set): that term stays in the remainder, so the remainder is
+    nonzero and, {f} being a Groebner basis of (f) over QQ, f does not
+    divide p.  It also stops at the first nonzero ``divmod`` remainder, a
+    quotient term that is not an integer: then f does not divide p over
+    ZZ.  So the quotient is returned exactly when f divides p over ZZ, for
+    any f.  For a primitive f that is exactly when f divides p over QQ
+    (Gauss's lemma).
+
+    No exponent wraps.  A quotient term passed the guard test, so its
+    fields are below 2^16, and its sum with a key of f carries into no
+    other field: a remainder key whose field reached 2^16 (its guard bit
+    set) still stands for its true monomial, and the quotient terms taken
+    from it are exact, with fields below 2^16 again."""
     lm = max(f)
     lc = f[lm]
     tail = [(m, c) for m, c in f.items() if m != lm]
-    rest, q = dict(p), {}
+    rest, q = dict(p), Poly()
     while rest:
         m = max(rest)
-        t = div(m, lm)
-        if t is None:
+        t = m - lm
+        if t & _GUARD:
             return None
         c = rest.pop(m)
         if lc != 1:
@@ -989,12 +1281,12 @@ def _divide(p, f):
                 return None
         q[t] = c
         for fm, fc in tail:
-            mm = mul(t, fm)
+            mm = t + fm
             if v := rest.get(mm, 0) - c * fc:
                 rest[mm] = v
             else:
                 del rest[mm]
-    return ring.dtype(q)
+    return q
 
 
 def _clear_denominators(chart: Chart, exprs: Sequence[Expr]) -> Tuple[object, List]:
@@ -1021,8 +1313,8 @@ def _derivation_rules(chart: Chart, coordinate: str, polys):
     without end on nested roots): the rules over their common
     denominator s (:func:`_clear_denominators`), which is 1 unless a
     root generator's dq/(2W) leaves a denominator."""
-    occurring = sorted({i for p in polys for m in p.itermonoms()
-                        for i, e in enumerate(m) if e})
+    bits = functools.reduce(operator.or_, (p.bits for p in polys), 0)
+    occurring = [i for i in range(len(chart.var_names)) if bits & chart._field(i)]
     rules = {}
     for i in occurring:
         rule = _var_derivative(chart, chart.var_names[i], coordinate)
@@ -1032,13 +1324,12 @@ def _derivation_rules(chart: Chart, coordinate: str, polys):
     return s, dict(zip(rules, nums))
 
 
-def _poly_total_derivative(chart: Chart, p, rules):
+def _poly_total_derivative(chart: Chart, p: Poly, rules) -> Poly:
     """s * dp/dx, unreduced, for the rules (s, ``rules``) of
     :func:`_derivation_rules` on a set of polynomials containing p."""
-    gens = chart._ring.gens
-    out = chart._ring.zero
+    out = Poly()
     for i, r in rules.items():
-        out += p.diff(gens[i]) * r
+        out = out + chart._diff(p, i) * r
     return out
 
 
@@ -1068,24 +1359,34 @@ def exact_sqrt(e: Expr) -> Optional[Expr]:
     12 = 4 * 3 gives sqrt(12) = 2W for W^2 = 3, and a root of 12 beside
     W is then rejected as a perfect square.  Of the two roots, it is the
     one whose polynomial factors have positive leading coefficients in
-    the chart's lex order, as ``factor_list`` returns them.
+    the chart's lex order, as ``factor_list`` returns them.  A positive
+    integer n*d that is a perfect square, such as the determinant of a
+    constant metric, has the root ``math.isqrt`` gives, with no
+    factoring.
     """
     ch = e.chart
     if e.is_zero():
         return ch.zero()
     n, d = e._num, e._den
-    root = _poly_sqrt(ch, ch._reduce_poly(n * d))
+    p = ch._reduce_poly(n * d)
+    k = p.get(0, 0) if p.is_ground else 0
+    if k > 0 and math.isqrt(k) ** 2 == k:
+        root = ch.const(math.isqrt(k))
+    else:
+        root = _poly_sqrt(ch, p)
     if root is None:
         return None
-    return root / Expr(ch, d, ch._ring.one)
+    return root / Expr(ch, d, _ONE)
 
 
-def _factor_exponents(p) -> Dict[object, int]:
+def _factor_exponents(ch: Chart, p: Poly) -> Dict[object, int]:
     """{k: e} with p = prod k^e: each k is -1, a prime, or a primitive
     irreducible polynomial with positive leading coefficient
-    (``factor_list`` of the ring, as in :meth:`Chart._factor`, and
-    ``factorint`` of its content)."""
-    c, factors = p.factor_list()
+    (:meth:`Chart._factor_list`, as in :meth:`Chart._factor`, and
+    sympy's ``factorint`` of its content)."""
+    from sympy import factorint
+
+    c, factors = ch._factor_list(p)
     out: Dict[object, int] = {}
     for f, e in factors:
         if f.LC < 0:
@@ -1112,8 +1413,8 @@ def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
     a polynomial in the earlier roots, so a square can then be missed.
     """
     rules = [g for g in ch.generators if g.square_rhs is not None]
-    radicands = [_factor_exponents(g.square_rhs._num) for g in rules]
-    target = _factor_exponents(p)
+    radicands = [_factor_exponents(ch, g.square_rhs._num) for g in rules]
+    target = _factor_exponents(ch, p)
     index: Dict[object, int] = {}  # factor -> its bit in the parity vectors
     # echelon form: no row holds the lowest bit of a row stored before it
     basis: List[Tuple[int, int]] = []  # (parity, bit mask of the rules summed into it)
@@ -1141,7 +1442,7 @@ def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
         if isinstance(k, int):
             root = root * Fraction(abs(k)) ** (e // 2)  # -1 has an even exponent: 1
         else:
-            root = root * Expr(ch, k, ch._ring.one) ** (e // 2)
+            root = root * Expr(ch, k, _ONE) ** (e // 2)
     return root
 
 

@@ -54,9 +54,7 @@ from itertools import product
 from math import comb, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from sympy.polys.rings import PolyElement
-
-from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, TaylorMap,
+from .exprfield import (_ONE, PRIME, Chart, Expr, ExprError, GenericPoint, Poly, TaylorMap,
                         _clear_denominators, _derivation_rules, _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
@@ -70,20 +68,21 @@ class ProlongError(ExprError):
 class Equation:
     """One linear homogeneous equation sum c_{a,alpha} X^a_alpha = 0.
 
-    Each coefficient c_{a,alpha} is a polynomial of ``chart._ring``,
-    reduced modulo the generator relations.  An equation is multiplied by
-    the lcm of its coefficients' denominators once, when built, and stays
-    polynomial under total derivatives.  Its coefficients may share a
-    polynomial factor, and a derived row of :func:`prolong` may carry
-    one: multiplying an equation by a nonzero function changes neither
-    its solution space nor its symbol spaces over the function field.
+    Each coefficient c_{a,alpha} is a :class:`~geosym.exprfield.Poly` in
+    the chart's variables, reduced modulo the generator relations.  An
+    equation is multiplied by the lcm of its coefficients' denominators
+    once, when built, and stays polynomial under total derivatives.  Its
+    coefficients may share a polynomial factor, and a derived row of
+    :func:`prolong` may carry one: multiplying an equation by a nonzero
+    function changes neither its solution space nor its symbol spaces
+    over the function field.
 
     ``base`` and ``deriv`` record provenance: the originating equation
     and how often it has been differentiated per coordinate, so that a
     mixed partial is generated only once.
     """
 
-    coeffs: Dict[JetKey, PolyElement]
+    coeffs: Dict[JetKey, Poly]
     base: int
     deriv: Tuple[int, ...]
 
@@ -190,18 +189,17 @@ class LinearPDESystem:
         return LinearPDESystem(chart, n_unknowns, eqs)
 
 
-def _total_derivative(chart: Chart, eq: Equation, i: int) -> Dict[JetKey, PolyElement]:
+def _total_derivative(chart: Chart, eq: Equation, i: int) -> Dict[JetKey, Poly]:
     """Coefficients of s * D_i(eq), where s clears the denominators of
     the generator derivation rules (s = 1 without root generators)."""
-    ring = chart._ring
     s, rules = _derivation_rules(chart, chart.coordinates[i], eq.coeffs.values())
-    out: Dict[JetKey, PolyElement] = {}
+    out: Dict[JetKey, Poly] = {}
     for (a, alpha), c in eq.coeffs.items():
         dc = _poly_total_derivative(chart, c, rules)
-        out[(a, alpha)] = out.get((a, alpha), ring.zero) + dc
+        out[(a, alpha)] = out.get((a, alpha), Poly()) + dc
         up = list(alpha)
         up[i] += 1
-        out[(a, tuple(up))] = out.get((a, tuple(up)), ring.zero) + s * c
+        out[(a, tuple(up))] = out.get((a, tuple(up)), Poly()) + s * c
     out = {k: chart._reduce_poly(p) for k, p in out.items() if p}
     return {k: p for k, p in out.items() if p}
 
@@ -488,7 +486,7 @@ def verify_solution(system: LinearPDESystem,
     residuals = []
     ok = True
     for eq in system.equations:
-        r = chart.sum_products((Expr(chart, c, c.ring.one), jet_value(a, alpha))
+        r = chart.sum_products((Expr(chart, c, _ONE), jet_value(a, alpha))
                                for (a, alpha), c in eq.coeffs.items())
         residuals.append(r)
         if not r.is_zero():

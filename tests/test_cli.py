@@ -137,6 +137,19 @@ def test_module_entry_point_runs_from_the_source_tree():
     assert "bound: 3" in proc.stdout
 
 
+def test_running_flat2_does_not_import_sympy():
+    """sympy only factors, and flat2 never factors: a fresh interpreter
+    runs every task of it without importing sympy."""
+    code = ("import sys\n"
+            "from geosym.cli import main\n"
+            f"code = main(['run', {str(MODELS / 'flat2.model')!r}])\n"
+            "print(code, 'sympy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_blocks_model_runs(capsys):
     assert main(["run", str(MODELS / "blocks_v.model")]) == 0
     out = capsys.readouterr().out

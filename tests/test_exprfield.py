@@ -13,8 +13,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy import QQ, ZZ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import ring
 
 from geosym.exprfield import (
+    _ONE,
     Chart,
     DivisionByZero,
     Expr,
@@ -22,11 +25,14 @@ from geosym.exprfield import (
     ExprParseError,
     GenericPoint,
     KernelInconsistency,
+    _MAX_PRIMES,
     PoleError,
+    Poly,
     TaylorMap,
     _clear_denominators,
     _derivation_rules,
     _divide,
+    _is_prime,
     _mod,
     _poly_mod,
     _poly_total_derivative,
@@ -54,6 +60,22 @@ _CHART = _make_chart()
 @pytest.fixture()
 def chart():
     return _CHART
+
+
+# -- sympy as the oracle ----------------------------------------------------
+
+
+def _to_sympy(chart, p, domain=ZZ):
+    """p as an element of sympy's lex polynomial ring of the chart's
+    variables over ``domain``."""
+    R = ring(",".join(chart.var_names), domain, lex)[0]
+    return R.from_dict({chart._unpack(m): c for m, c in p.items()})
+
+
+def _from_sympy(chart, q):
+    """The Poly of a sympy ring element with integer coefficients."""
+    assert all(c == int(c) for c in q.values())
+    return chart._poly({m: int(c) for m, c in q.items()})
 
 
 ATOMS = ["0", "1", "2", "-3", "1/2", "x", "y", "sin(t)", "cos(t)",
@@ -240,7 +262,7 @@ def test_taylor_map_keeps_relations_and_derivations(seed):
         point = GenericPoint.sample(ch, seed)
         p = point.prime
         taylor = TaylorMap(ch, point, K)
-        v = dict(zip(ch.var_names, ch._ring.gens))  # unreduced ring elements
+        v = dict(zip(ch.var_names, ch._gens))  # unreduced ring elements
         zero = (0,) * ch.dim
         if "sin_t" in v:
             assert taylor(v["sin_t"] ** 2 + v["cos_t"] ** 2) == {zero: 1}
@@ -286,15 +308,49 @@ def test_is_zero_cross_check_catches_a_planted_disagreement(radicand, monkeypatc
     if radicand is not None:
         W = ch.var("W")
         assert (W * W - radicand).is_zero()
-    ring = ch._ring
-    x = ring.gens[0]
+    x = ch._gens[0]
     reduce_poly = ch._reduce_poly
     monkeypatch.setattr(ch, "_reduce_poly",
-                        lambda p: ring.zero if p == x else reduce_poly(p))
+                        lambda p: Poly() if p == x else reduce_poly(p))
     if radicand is not None:
         assert (W * W - radicand).is_zero()
     with pytest.raises(KernelInconsistency):
-        Expr(ch, x, ring.one)
+        Expr(ch, x, _ONE)
+
+
+def test_the_prime_chain_is_the_chain_of_previous_primes():
+    p = 2 ** 61 - 1
+    for i in range(_MAX_PRIMES):
+        assert _prime(i) == p
+        p = sympy.prevprime(p)
+
+
+def test_miller_rabin_matches_sympy_on_pseudoprimes():
+    """Small numbers, Carmichael numbers and strong pseudoprimes to many
+    of the first prime bases."""
+    spsp = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+            341550071728321, 3825123056546413051]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
+    for n in list(range(-2, 2000)) + spsp + carmichael + [2 ** 61 - 1, 2 ** 61 + 1]:
+        assert _is_prime(n) == sympy.isprime(n), n
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 97, 7681, 65537, 998244353, 2013265921,
+                               2305843009213693921])
+def test_tonelli_shanks_matches_sympy_sqrt_mod(p):
+    """Primes = 1 mod 4, some with a high power of 2 in p - 1: the root
+    is sympy's, the one at most p // 2, or None for a non-residue."""
+    from sympy.ntheory import sqrt_mod
+
+    assert sympy.isprime(p) and p % 4 == 1
+    rng = __import__("random").Random(p)
+    qs = list(range(min(p, 60))) + [rng.randrange(p) for _ in range(60)] + [p - 1, p + 3]
+    residues = nonresidues = 0
+    for q in qs:
+        w = _sqrt_mod(q, p)
+        assert w == sqrt_mod(q, p)
+        residues, nonresidues = residues + (w is not None), nonresidues + (w is None)
+    assert residues and nonresidues
 
 
 def test_square_roots_mod_the_searched_primes():
@@ -308,6 +364,47 @@ def test_square_roots_mod_the_searched_primes():
             square = pow(q, (p - 1) // 2, p) in (0, 1)
             assert (w is not None) == square
             assert w is None or w * w % p == q
+
+
+def test_constants_hash_like_the_rationals_they_equal():
+    ch = Chart(["x"])
+    for c in (3, -2, 0, 1, Fraction(1, 2), Fraction(-7, 3)):
+        e = ch.const(c)
+        assert e == c and hash(e) == hash(c)
+        assert e in {c} and c in {e}
+    x = ch.var("x")
+    assert x / 2 == ch.expr("x/2") and hash(x / 2) == hash(ch.expr("x/2"))
+    assert hash(x) == hash(ch.expr("(x^2 + x)/(x + 1)"))
+
+
+@pytest.mark.parametrize("source, text", [
+    ("0", "0"),
+    ("-3", "-3"),
+    ("1/2", "(1)/(2)"),
+    ("-x", "-x"),
+    ("x^2*y - 3*x + 1", "x**2*y - 3*x + 1"),
+    ("(x^2 - y)/(2*x + 3)", "(x**2 - y)/(2*x + 3)"),
+    ("sin(t)^3 - cos(t)/x", "(-x*sin_t*cos_t**2 + x*sin_t - cos_t)/(x)"),
+    ("-(x + 1)/(6*y^2)", "(-x - 1)/(6*y**2)"),
+    ("x^12 - 1/7", "(7*x**12 - 1)/(7)"),
+])
+def test_repr_of_fixed_expressions(chart, source, text):
+    assert repr(parse_expr(chart, source)) == text
+
+
+@pytest.mark.parametrize("radicand, text", [
+    ("(x^2 + 1)/6", "radicand of 'W' has the rational content 1/6; adjoin a root "
+                    "of 6*(x**2 + 1) instead and divide it by 6"),
+    ("-(x*y - 2)/4", "radicand of 'W' has the rational content 1/4; adjoin a root "
+                     "of 4*(-x*y + 2) instead and divide it by 4"),
+    ("x/(y + 1)", "radicand must be denominator-free"),
+    ("4*x^2", "radicand of 'W' is a perfect square; use the field element"),
+    ("x - x", "radicand reduces to zero"),
+])
+def test_radicand_errors_keep_their_text(radicand, text):
+    with pytest.raises(ExprError) as info:
+        Chart(["x", "y"], roots=[("W", radicand)])
+    assert str(info.value) == text
 
 
 def test_exact_sqrt():
@@ -423,7 +520,7 @@ def test_the_zero_cross_check_runs_inside_a_radicand_parse(monkeypatch):
 
 def _assert_integer_normal_form(e):
     n, d = e._num, e._den
-    assert n.ring.domain == ZZ and d.ring.domain == ZZ
+    assert type(n) is Poly and type(d) is Poly
     assert all(type(c) is int for c in list(n.values()) + list(d.values()))
     assert math.gcd(*n.values(), *d.values()) == 1 and d.LC > 0
 
@@ -447,7 +544,7 @@ def test_eguchi_hanson_expressions_are_in_integer_normal_form(monkeypatch):
     metric = build_eh_metric(chart)
     build_eh_fields(chart)
     S.quaternionic_symmetry_system(G.asd_span(metric, orientation=1), metric)
-    assert chart._ring.domain == ZZ and len(built) > 1000
+    assert len(built) > 1000
     assert any(not e._den.is_ground for e in built)
     assert any(e._den.is_ground and not e._den.is_one for e in built)
     for e in built:
@@ -584,25 +681,21 @@ def _poly(chart, source):
     return e._num
 
 
-def _to_qq(p):
-    return p.set_ring(p.ring.clone(domain=QQ))
-
-
 def _gcd_oracle(chart, num, den):
-    """The normal form by sympy's gcd over a QQ copy of the ring: reduce,
-    clear quadratic generators from the denominator, cancel the gcd over
-    QQ, then scale the pair to integer coefficients whose gcd is 1, with
-    the denominator's leading coefficient positive."""
+    """The normal form by sympy's gcd over QQ: reduce, clear quadratic
+    generators from the denominator, cancel the gcd over QQ, then scale
+    the pair to integer coefficients whose gcd is 1, with the
+    denominator's leading coefficient positive."""
     n, d = chart._derationalize(chart._reduce_poly(num), chart._reduce_poly(den))
     if not n:
-        return n, chart._ring.one
-    _, n, d = _to_qq(n).cofactors(_to_qq(d))
+        return n, _ONE
+    _, n, d = _to_sympy(chart, n, QQ).cofactors(_to_sympy(chart, d, QQ))
     coeffs = [Fraction(int(c.numerator), int(c.denominator))
               for c in list(n.values()) + list(d.values())]
     scale = Fraction(math.lcm(*(c.denominator for c in coeffs)),
                      math.gcd(*(c.numerator for c in coeffs)))
     scale = QQ.convert(scale if d.LC > 0 else -scale)
-    return tuple(p.mul_ground(scale).set_ring(chart._ring) for p in (n, d))
+    return tuple(_from_sympy(chart, p.mul_ground(scale)) for p in (n, d))
 
 
 def _same_as_oracle(e, num, den):
@@ -636,10 +729,10 @@ def test_cancellation_matches_the_gcd_oracle(name, data):
     def power_product():
         powers = data.draw(st.lists(st.tuples(st.sampled_from(irreducibles),
                                               st.integers(1, 3)), max_size=4))
-        return prod((_poly(chart, p) ** e for p, e in powers), start=chart._ring.one)
+        return prod((_poly(chart, p) ** e for p, e in powers), start=_ONE)
 
     atoms = data.draw(st.lists(st.sampled_from(atoms), min_size=1, max_size=3))
-    num = sum((_poly(chart, a) for a in atoms), chart._ring.zero) * power_product()
+    num = sum((_poly(chart, a) for a in atoms), Poly()) * power_product()
     den = power_product()
     # the pair scaled by a rational a / b: integer contents to cancel, a sign to fix
     a, b = data.draw(st.sampled_from([(1, 1), (-2, 1), (3, 5), (6, -4), (1, 12)]))
@@ -655,8 +748,8 @@ def _signed_content(p):
 def _assert_table_invariants(chart):
     assert len(set(chart._irreducibles)) == len(chart._irreducibles)
     for p in chart._irreducibles:  # primitive, irreducible, positive LC
-        assert p.ring is chart._ring and p.LC > 0 and math.gcd(*p.values()) == 1
-        content, factors = p.factor_list()
+        assert type(p) is Poly and p.LC > 0 and math.gcd(*p.values()) == 1
+        content, factors = _to_sympy(chart, p).factor_list()
         assert content == 1 and len(factors) == 1 and factors[0][1] == 1
     for d, exps in chart._factorizations.items():
         assert d == chart._expand(dict(exps)).mul_ground(_signed_content(d))
@@ -665,19 +758,19 @@ def _assert_table_invariants(chart):
 def test_eguchi_hanson_denominators_factor_over_the_table(eh_metric, eh_quaternionic_system):
     chart = eh_metric.chart
     _assert_table_invariants(chart)
-    named = {str(_poly(chart, s)) for s in _CANCEL_CHARTS["eguchi-hanson"][1]}
-    assert named <= {str(p) for p in chart._irreducibles}
+    named = {chart._poly_str(_poly(chart, s)) for s in _CANCEL_CHARTS["eguchi-hanson"][1]}
+    assert named <= {chart._poly_str(p) for p in chart._irreducibles}
 
 
 def test_lcm_quotients_come_from_the_exponents():
     ch = Chart(["x", "y"])
     x, y = (_poly(ch, v) for v in "xy")
-    lcm, quotients = ch._lcm([2 * x + 2, x ** 2 - 1, ch._ring.one, x * y])
+    lcm, quotients = ch._lcm([2 * x + 2, x ** 2 - 1, _ONE, x * y])
     assert lcm == 2 * (x ** 2 - 1) * x * y
     assert quotients == [(x - 1) * x * y, 2 * x * y, lcm, 2 * (x ** 2 - 1)]
     # the lcm of the contents -3 and 2 is 6; a negative content flips the quotient
-    assert ch._lcm([-3 * y, 2 * x * y]) == (6 * x * y, [-2 * x, ch._ring(3)])
-    assert ch._lcm([]) == (ch._ring.one, [])
+    assert ch._lcm([-3 * y, 2 * x * y]) == (6 * x * y, [-2 * x, Poly({0: 3})])
+    assert ch._lcm([]) == (_ONE, [])
     _assert_table_invariants(ch)
 
 
@@ -723,7 +816,7 @@ def test_quotients_of_a_shared_factor_hash_like_fresh_polynomials():
         e = Expr(ch, (x + 1) ** 2 * (x + y), c * (x + 1) * y)
         assert e._den == abs(c) * y and e._num == (x + 1) * (x + y) * (c // abs(c))
         for p in (e._num, e._den):
-            assert hash(p) == hash(p.copy())
+            assert hash(p) == hash(Poly(p))
 
 
 def _flat8_model():
@@ -753,9 +846,10 @@ def test_constant_coefficient_systems_pay_no_factorization(monkeypatch):
 
 def _fixpoint_reduce(chart, p):
     """Rewrite g^k -> g^(k mod 2) * rhs^(k//2), one monomial at a time, in
-    declaration order until nothing changes: the reduction that the
-    one-pass ``Chart._reduce_poly`` replaces."""
-    rules = [(chart._index[g.name], g.square_rhs._num)
+    declaration order until nothing changes, in sympy's polynomial ring:
+    the reduction that the one-pass ``Chart._reduce_poly`` replaces."""
+    p = _to_sympy(chart, p)
+    rules = [(chart._index[g.name], _to_sympy(chart, g.square_rhs._num))
              for g in chart.generators if g.square_rhs is not None]
     changed = True
     while changed:
@@ -774,7 +868,7 @@ def _fixpoint_reduce(chart, p):
                 else:
                     out += p.ring.from_dict({monom: coeff})
             p = out
-    return p
+    return _from_sympy(chart, p)
 
 
 def _trig_root_chart():
@@ -792,7 +886,7 @@ _REDUCE_CHARTS = {
 
 
 def _same_poly(a, b):
-    return a == b and str(a) == str(b) and hash(a) == hash(b.copy())
+    return type(a) is Poly and a == b and hash(a) == hash(Poly(b))
 
 
 @pytest.mark.parametrize("name", sorted(_REDUCE_CHARTS))
@@ -805,25 +899,25 @@ def test_one_pass_reduction_matches_the_fixpoint(name, data):
     monom = st.tuples(*[st.integers(0, 6)] * n)
     coeff = st.sampled_from([1, -1, 2, 3, -7, 5 * 10 ** 20])
     terms = data.draw(st.dictionaries(monom, coeff, max_size=5))
-    p = chart._ring.from_dict(terms)
+    p = chart._poly(terms)
     assert _same_poly(chart._reduce_poly(p), _fixpoint_reduce(chart, p))
 
 
 def test_reduction_uses_cached_powers_of_each_rule():
     ch = nested_root_chart()
-    W, V = (ch._ring.gens[ch._index[g]] for g in "WV")
+    W, V = (ch._gens[ch._index[g]] for g in "WV")
     p = W ** 5 * V ** 7 + V ** 6
     assert _same_poly(ch._reduce_poly(p), _fixpoint_reduce(ch, p))
     # V (latest first) up to rhs^3 for V^6, V^7; W up to rhs^4 for the
     # W^5 * W^3 that V's rhs^3 = (W + y^2 + 3)^3 leaves
     assert [len(powers) for _, powers in ch._relation_powers()] == [4, 5]
-    p = W * V + ch._ring.one
+    p = W * V + _ONE
     assert ch._reduce_poly(p) is p  # nothing to rewrite
 
 
 def test_a_root_declared_after_a_trig_pair_is_reduced_by_both_rules():
     ch = _trig_root_chart()
-    W = ch._ring.gens[ch._index["W"]]
+    W = ch._gens[ch._index["W"]]
     # W^4 = (sin + x + 2)^2 and sin^2 = 1 - cos^2
     want = _poly(ch, "2*sin(t)*(x + 2) + (x + 2)^2 + 1 - cos(t)^2")
     assert _same_poly(ch._reduce_poly(W ** 4), want)
@@ -872,23 +966,23 @@ def test_monic_division_matches_sympy_div(name, data):
     def poly(max_size):
         monom = st.tuples(*[st.integers(0, 2)] * n)
         coeff = st.sampled_from([1, -1, 3, 2, -14])
-        return chart._ring.from_dict(data.draw(st.dictionaries(monom, coeff,
-                                                               max_size=max_size)))
+        return chart._poly(data.draw(st.dictionaries(monom, coeff, max_size=max_size)))
 
     f = _poly(chart, data.draw(st.sampled_from(irreducibles)))
     g = poly(3)
     if g and data.draw(st.booleans()):
-        f = g.primitive()[1] * (f if data.draw(st.booleans()) else 1)
+        g = _from_sympy(chart, _to_sympy(chart, g).primitive()[1])
+        f = g * (f if data.draw(st.booleans()) else 1)
     if data.draw(st.booleans()):  # a non-monic primitive divisor
-        f = f * (3 * chart._ring.gens[0] + 2)
-    p = f * poly(4) + (poly(2) if data.draw(st.booleans()) else chart._ring.zero)
-    assert f.primitive()[0] == 1
-    quotient, remainder = _to_qq(p).div(_to_qq(f))
+        f = f * (3 * chart._gens[0] + 2)
+    p = f * poly(4) + (poly(2) if data.draw(st.booleans()) else Poly())
+    assert _to_sympy(chart, f).primitive()[0] == 1
+    quotient, remainder = _to_sympy(chart, p, QQ).div(_to_sympy(chart, f, QQ))
     got = _divide(p, f)
     if remainder:
         assert got is None
     else:
-        assert got is not None and _same_poly(got, quotient.set_ring(chart._ring))
+        assert got is not None and _same_poly(got, _from_sympy(chart, quotient))
 
 
 def test_division_stops_at_a_coefficient_the_leading_one_does_not_divide():
@@ -901,6 +995,113 @@ def test_division_stops_at_a_coefficient_the_leading_one_does_not_divide():
     assert _divide(f * (x - 5 * y) + 2 * y ** 2, f) is None
 
 
-def test_charts_order_monomials_by_lex():
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_charts_order_monomials_by_lex(data):
+    """Packed keys compare like their exponent tuples, lex with the first
+    variable highest, and unpack to them."""
     for chart in _REDUCE_CHARTS.values():
-        assert chart._ring.order == sympy.polys.orderings.lex
+        exps = st.tuples(*[st.integers(0, 2 ** 16 - 1)] * len(chart.var_names))
+        a, b = data.draw(exps), data.draw(exps)
+        assert (chart._pack(a) < chart._pack(b)) == (a < b)
+        assert chart._unpack(chart._pack(a)) == a
+
+
+# -- the packed polynomial type against sympy ----------------------------------
+
+
+_PACKED_CHARTS = {k: Chart([f"x{i}" for i in range(k)]) for k in range(1, 11)}
+
+
+def _draw_poly(data, chart, max_size=6, max_exp=4):
+    n = len(chart.var_names)
+    monom = st.tuples(*[st.integers(0, max_exp)] * n)
+    coeff = st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([1, -1, 5 * 10 ** 20])
+    return chart._poly(data.draw(st.dictionaries(monom, coeff, max_size=max_size)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 10))
+def test_packed_arithmetic_matches_sympy(data, k):
+    """Sums, differences, products, powers and ground multiples, with
+    an int operand too, are sympy's."""
+    chart = _PACKED_CHARTS[k]
+    a, b = _draw_poly(data, chart), _draw_poly(data, chart)
+    A, B = _to_sympy(chart, a), _to_sympy(chart, b)
+    e = data.draw(st.integers(0 if a else 1, 3))  # sympy refuses 0**0
+    c = data.draw(st.integers(-7, 7))
+    pairs = [(a + b, A + B), (a - b, A - B), (-a, -A), (a * b, A * B), (a ** e, A ** e),
+             (a.mul_ground(c), A.mul_ground(c)), (c * a, c * A), (a * c, A * c),
+             (a + c, A + c), (a - c, A - c)]
+    for got, want in pairs:
+        assert _same_poly(got, _from_sympy(chart, want))
+    if c:
+        assert _same_poly(a.mul_ground(c).quo_ground(c), a)
+        assert _same_poly((a * c).quo_ground(-c), -a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 10))
+def test_packed_division_matches_sympy(data, k):
+    """_divide returns sympy's quotient over QQ exactly when the
+    remainder is zero and the quotient is integral."""
+    chart = _PACKED_CHARTS[k]
+    f = _draw_poly(data, chart, max_size=3, max_exp=2)
+    if not f:
+        return
+    p = f * _draw_poly(data, chart, max_size=4, max_exp=2)
+    if data.draw(st.booleans()):
+        p = p + _draw_poly(data, chart, max_size=2, max_exp=3)
+    quotient, remainder = _to_sympy(chart, p, QQ).div(_to_sympy(chart, f, QQ))
+    got = _divide(p, f)
+    if remainder or any(c != int(c) for c in quotient.values()):
+        assert got is None
+    else:
+        assert got is not None and _same_poly(got, _from_sympy(chart, quotient))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 10))
+def test_packed_leading_term_degrees_derivatives_values_and_text_match_sympy(data, k):
+    """The lex leading term is the max key; a variable's field of
+    ``bits`` is nonzero exactly for degree >= 1 and holds a higher bit
+    exactly for degree >= 2; the unpacked exponents give sympy's degree
+    per variable; ``_diff`` is sympy's derivative, ``_poly_mod`` its
+    value mod a prime and ``_poly_str`` its printed form."""
+    chart = _PACKED_CHARTS[k]
+    a = _draw_poly(data, chart)
+    A = _to_sympy(chart, a)
+    R = A.ring
+    assert chart._poly_str(a) == str(A)
+    if a:
+        assert chart._unpack(max(a)) == A.LM and a.LC == A.LC
+    for i in range(k):
+        degree = max((chart._unpack(m)[i] for m in a), default=-math.inf)
+        assert degree == A.degree(i)
+        field = a.bits >> chart._shift[i] & (2 ** 16 - 1)
+        assert (field != 0) == (degree >= 1) and (field > 1) == (degree >= 2)
+        assert _same_poly(chart._diff(a, i), _from_sympy(chart, A.diff(R.gens[i])))
+    prime = data.draw(st.sampled_from([_prime(0), _prime(1), 101]))
+    residues = data.draw(st.lists(st.integers(0, prime - 1), min_size=k, max_size=k))
+    assert _poly_mod(a, residues, prime) == int(A(*residues)) % prime
+
+
+def test_exponents_past_the_packing_raise():
+    """x^(2^16 - 1) fits its 16-bit field; x^(2^15) * x^(2^15), a power
+    past the field and a reduction that raises x past it are refused."""
+    ch = Chart(["x", "y"], roots=[("W", "x")])
+    x, W = ch._gens[0], ch._gens[2]
+    top = x ** (2 ** 16 - 1)
+    assert ch._unpack(max(top)) == (2 ** 16 - 1, 0, 0) and top.bits == max(top)
+    half = x ** (2 ** 15)
+    with pytest.raises(KernelInconsistency):
+        half * half
+    with pytest.raises(KernelInconsistency):
+        top * (x + 1)
+    with pytest.raises(KernelInconsistency):
+        ch.var("x") ** (2 ** 16)
+    with pytest.raises(KernelInconsistency):
+        ch._reduce_poly(top * W ** 2)
+    with pytest.raises(KernelInconsistency):
+        ch._pack((2 ** 16, 0, 0))
+    assert _divide(top, x) == x ** (2 ** 16 - 2)
