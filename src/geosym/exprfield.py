@@ -30,8 +30,8 @@ dicts:
   coefficient divided by LC(f) with ``divmod``.
 
 gcds and lcms of denominators are those trial divisions and one integer
-gcd (only a cofactor that no table entry divides is factored anew, by
-sympy, which is imported for that alone); no polynomial gcd is taken.
+gcd (only a cofactor that no table entry divides is factored anew, over
+ZZ by :mod:`geosym._factor`); no polynomial gcd is taken.
 :func:`_clear_denominators` puts a list of elements over the lcm of
 their denominators, for the equations of :mod:`geosym.prolong`, the
 coefficient rows of closure and the derivation rules alike.
@@ -58,6 +58,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+
+from geosym._factor import _is_prime, factor_integer, factor_list
 
 Rational = Union[int, Fraction]
 
@@ -524,24 +526,20 @@ class Chart:
     # -- factored denominators ---------------------------------------------
 
     def _factor_list(self, p: Poly) -> Tuple[int, List[Tuple[Poly, int]]]:
-        """sympy's ``factor_list`` of p over ZZ: (content, [(factor,
-        exponent), ...]), the factors primitive and irreducible.  p goes to
-        a sympy ``Poly`` in the chart's variables, in their order, and the
-        factors come back; sympy is imported here, on the first call."""
-        from sympy import ZZ, Poly as SympyPoly, symbols
-
-        q = SympyPoly.from_dict({self._unpack(m): c for m, c in p.items()},
-                                *symbols(self.var_names), domain=ZZ)
-        c, factors = q.factor_list()
-        return int(c), [(self._poly({m: int(v) for m, v in f.as_dict(native=True).items()}), e)
-                        for f, e in factors]
+        """The factorization of p over ZZ (:func:`geosym._factor.factor_list`):
+        (content, [(factor, exponent), ...]), the factors primitive and
+        irreducible with positive leading coefficients in the chart's lex
+        order.  p goes to the factorizer as exponent tuples in the chart's
+        variable order, and the factors come back packed."""
+        c, factors = factor_list({self._unpack(m): v for m, v in p.items()})
+        return c, [(self._poly(f), e) for f, e in factors]
 
     def _factor(self, d) -> Tuple[Tuple[int, int], ...]:
         """((i, e), ...), i ascending, with d = c * prod irreducible_i^e for
         the content c of d (:func:`_content`); cached.  d is trial-divided
         by the table, and only a cofactor left over goes to
-        :meth:`_factor_list`, whose primitive factors, signed to a positive
-        leading coefficient, join the table."""
+        :meth:`_factor_list`, whose primitive factors with positive leading
+        coefficients join the table."""
         out = () if d.is_ground else self._factorizations.get(d)
         if out is None:
             out, rest = [], d
@@ -552,7 +550,7 @@ class Chart:
                 out += [(i, e)] if e else []
             for f, e in ([] if rest.is_ground else self._factor_list(rest)[1]):
                 out.append((len(self._irreducibles), e))
-                self._irreducibles.append(f if f.LC > 0 else -f)
+                self._irreducibles.append(f)
             out = self._factorizations[d] = tuple(out)
         return out
 
@@ -730,34 +728,6 @@ class Chart:
 PRIME = 2 ** 61 - 1  # the prime of every point of a chart without root generators
 _MAX_PRIMES = 64
 _POOL_SEED = 0x5EED  # seed of the first zero cross-check point
-
-
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve primes as witnesses, a proof
-    of primality for every n below 3.1 * 10^23 (Sorenson and Webster
-    2015), so for every candidate below 2^61."""
-    if n < 2:
-        return False
-    for a in _WITNESSES:
-        if n % a == 0:
-            return n == a
-    d, r = n - 1, 0
-    while not d & 1:
-        d, r = d >> 1, r + 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -1024,7 +994,7 @@ class Expr:
 
         Cancelling the gcd (:meth:`Chart._cancel`) is sound: ZZ[vars] is a
         UFD, so for d = c * prod p_i^e_i, with c the integer content and
-        p_i primitive irreducibles (as ``factor_list`` over ZZ returns
+        p_i primitive irreducibles (as :meth:`Chart._factor_list` returns
         them), gcd(n, d) = gcd(c, content(n)) * prod p_i^min(e_i, v_p_i(n)).
         A trial division by one primitive p is exact exactly when p
         divides (:func:`_divide`, by Gauss's lemma), so the p_i are divided
@@ -1359,10 +1329,10 @@ def exact_sqrt(e: Expr) -> Optional[Expr]:
     12 = 4 * 3 gives sqrt(12) = 2W for W^2 = 3, and a root of 12 beside
     W is then rejected as a perfect square.  Of the two roots, it is the
     one whose polynomial factors have positive leading coefficients in
-    the chart's lex order, as ``factor_list`` returns them.  A positive
-    integer n*d that is a perfect square, such as the determinant of a
-    constant metric, has the root ``math.isqrt`` gives, with no
-    factoring.
+    the chart's lex order, as the chart's table of irreducibles holds
+    them.  A positive integer n*d that is a perfect square, such as the
+    determinant of a constant metric, has the root ``math.isqrt`` gives,
+    with no factoring.
     """
     ch = e.chart
     if e.is_zero():
@@ -1381,18 +1351,12 @@ def exact_sqrt(e: Expr) -> Optional[Expr]:
 
 def _factor_exponents(ch: Chart, p: Poly) -> Dict[object, int]:
     """{k: e} with p = prod k^e: each k is -1, a prime, or a primitive
-    irreducible polynomial with positive leading coefficient
-    (:meth:`Chart._factor_list`, as in :meth:`Chart._factor`, and
-    sympy's ``factorint`` of its content)."""
-    from sympy import factorint
-
-    c, factors = ch._factor_list(p)
-    out: Dict[object, int] = {}
-    for f, e in factors:
-        if f.LC < 0:
-            f, c = -f, c * (-1) ** e
-        out[f] = e
-    out.update(factorint(c))
+    irreducible polynomial with positive leading coefficient, an entry of
+    the chart's table.  The polynomials come from the cached
+    :meth:`Chart._factor` and the integers from
+    :func:`geosym._factor.factor_integer` of p's signed content."""
+    out: Dict[object, int] = {ch._irreducibles[i]: e for i, e in ch._factor(p)}
+    out.update(factor_integer(_content(p)))
     return out
 
 

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from sympy import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import ring
 
+from geosym import _factor
 from geosym.exprfield import (
     _ONE,
     Chart,
@@ -32,6 +33,7 @@ from geosym.exprfield import (
     _clear_denominators,
     _derivation_rules,
     _divide,
+    _ground,
     _is_prime,
     _mod,
     _poly_mod,
@@ -839,6 +841,142 @@ def test_constant_coefficient_systems_pay_no_factorization(monkeypatch):
     model = _flat8_model()
     _symmetry_system(model, model.tasks["bound"].params)
     assert not model.chart._irreducibles and not model.chart._factorizations
+
+
+def test_a_second_exact_sqrt_factors_nothing(monkeypatch):
+    """exact_sqrt factors the radicands and the target through the
+    chart's cached table: on the Eguchi-Hanson chart the first call
+    factors, a second call of the same target calls the factorizer zero
+    times."""
+    ch = build_eh_chart()
+    calls = []
+    factor_list = Chart._factor_list
+    monkeypatch.setattr(Chart, "_factor_list",
+                        lambda self, p: calls.append(p) or factor_list(self, p))
+    target = ch.expr("4*(1 - cos(phi)^2)^3*(1 - cos(psi)^2)/(rho^2 - 1)^2")
+    first = exact_sqrt(target)
+    assert calls and first ** 2 == target
+    calls.clear()
+    assert exact_sqrt(target) == first and not calls
+    assert exact_sqrt(ch.expr("1 - cos(theta)^2")) == ch.var("sin_theta") and not calls
+
+
+# -- factoring over ZZ, with sympy as the oracle --------------------------------
+
+
+def _oracle_factor_list(chart, p):
+    """sympy's ``factor_list`` of p: (content, {factor: exponent}), each
+    factor signed to a positive leading coefficient in the chart's lex
+    order and the sign moved into the content."""
+    content, factors = _to_sympy(chart, p).factor_list()
+    out = {}
+    for f, e in factors:
+        f = _from_sympy(chart, f)
+        if f.LC < 0:
+            f, content = -f, content * (-1) ** e
+        out[f] = e
+    return int(content), out
+
+
+def _assert_factor_list_matches_sympy(chart, p):
+    content, factors = chart._factor_list(p)
+    assert (content, dict(factors)) == _oracle_factor_list(chart, p)
+    assert len(dict(factors)) == len(factors)
+    assert all(type(f) is Poly and f.LC > 0 for f, _ in factors)
+
+
+_FACTOR_CHARTS = [Chart(["x"]), Chart(["x", "y"]), Chart(["x", "y", "z"]), _CHART]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_factor_list_matches_sympy(data):
+    """Products of 1-4 random factors in 1-3 variables, some repeated,
+    times a signed integer content, on plain charts and on a trig chart
+    (whose sin and cos are free variables of ZZ[vars] here)."""
+    chart = data.draw(st.sampled_from(_FACTOR_CHARTS))
+    names = chart.var_names if len(chart.var_names) < 4 else ["x", "y", "sin_t", "cos_t"]
+    used = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    shifts = [chart._shift[chart._index[v]] for v in used]
+    monomial = st.lists(st.integers(0, 2), min_size=len(used), max_size=len(used)).map(
+        lambda exps: sum(e << s for e, s in zip(exps, shifts)))
+    factor = st.dictionaries(monomial, st.integers(-4, 4).filter(bool),
+                             min_size=1, max_size=4).map(Poly)
+    powers = data.draw(st.lists(st.tuples(factor, st.integers(1, 3)), min_size=1, max_size=4))
+    p = _ground(data.draw(st.sampled_from([1, -1, 2, -6, 12])))
+    for f, e in powers:
+        p = p * f ** e
+    # a Kronecker image of degree prod(deg + 1) - 1 below 125 keeps each case fast
+    assume(all(max(chart._unpack(m)[chart._index[v]] for m in p) <= 4 for v in used))
+    _assert_factor_list_matches_sympy(chart, p)
+
+
+_EH_POLYNOMIALS = [
+    "4*rho^2 - 4", "cos(phi)^2 - 1", "-cos(theta)^2 + 1", "2*rho^2 + 2*cos(psi)^2 - 2",
+    "-2*rho^2 + 2*cos(phi)^2*cos(psi)^2 - 2*cos(phi)^2 - 2*cos(psi)^2 + 2",
+    "-4*rho^2*(cos(phi)^2 - 1)^2*(cos(psi)^2 - 1)",
+]
+
+
+@pytest.mark.parametrize("source", _EH_POLYNOMIALS)
+def test_eguchi_hanson_polynomials_factor_like_sympy(source):
+    """The polynomials the Eguchi-Hanson load and its certificates
+    factor: denominators, sin radicands and an exact_sqrt target."""
+    chart = build_eh_chart()
+    _assert_factor_list_matches_sympy(chart, _poly(chart, source))
+
+
+def test_hard_univariate_and_bivariate_cases_factor_like_sympy():
+    """x^48 - 1 (ten cyclotomic factors, more mod every prime), the
+    Swinnerton-Dyer polynomial of 2, 3, 5 (irreducible, eight linear
+    factors mod every prime) and an irreducible of bidegree (6, 6)."""
+    chart = Chart(["x", "y"])
+    x, y = (_poly(chart, v) for v in "xy")
+    _assert_factor_list_matches_sympy(chart, x ** 48 - 1)
+    _assert_factor_list_matches_sympy(chart, _poly(chart, "x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576"))
+    rng = __import__("random").Random(6)
+    p = sum((x ** i * y ** j * rng.randint(-9, 9) for i in range(7) for j in range(7)), Poly())
+    p = p + x ** 6 * y ** 6
+    content, factors = chart._factor_list(p)
+    assert (content, [e for _, e in factors]) == (1, [1]) and factors[0][0] == p
+    _assert_factor_list_matches_sympy(chart, p * (x * y - 2) ** 2)
+
+
+def test_gcd_by_the_remainder_sequence_matches_the_heuristic(monkeypatch):
+    """With every heuristic point failing, the primitive remainder
+    sequence gives the same gcd."""
+    a = _factor._mul(_factor._mul([1, 2, 3], [-5, 0, 1]), [7, 1])
+    b = _factor._mul(_factor._mul([1, 2, 3], [-5, 0, 1]), [2, -3, 0, 4])
+    want = _factor._gcd(a, b)
+    assert want == [-5, -10, -14, 2, 3]
+    monkeypatch.setattr(_factor, "_value", lambda poly, x: 0)
+    assert _factor._gcd(a, b) == want
+    assert _factor._gcd([3, 6], [5]) == [1]
+
+
+_INTEGERS = [1, -1, 2, -2, 12, -360, 2 ** 32 + 15, -(2 ** 61 - 1), 2 ** 64, 3 ** 40,
+             (2 ** 31 - 1) * 1073741789, -(1073741789 ** 2) * 6, 999983 * 1000003,
+             600851475143, 2 ** 89 - 1]
+
+
+@pytest.mark.parametrize("n", _INTEGERS)
+def test_factor_integer_matches_factorint(n):
+    """Signs, units, primes above 2^32, and products of two primes of
+    about 30 bits, squared or not."""
+    assert _factor.factor_integer(n) == sympy.factorint(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(-(10 ** 12), 10 ** 12).filter(bool))
+def test_factor_integer_matches_factorint_on_random_integers(n):
+    assert _factor.factor_integer(n) == sympy.factorint(n)
+
+
+def test_factoring_zero_is_an_error():
+    with pytest.raises(ValueError):
+        _factor.factor_integer(0)
+    with pytest.raises(ValueError):
+        _factor.factor_list({})
 
 
 # -- one-pass reduction and primitive division --------------------------------
