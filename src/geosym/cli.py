@@ -29,7 +29,7 @@ from . import liealg as L
 from . import prolong as P
 from . import symsys as S
 from .exprfield import ExprError
-from .modelfile import Model, ModelError, Task, load_model, _name_list
+from .modelfile import Model, ModelError, Task, load_model
 
 SCHEMA_VERSION = 2
 
@@ -50,15 +50,12 @@ def _jsonable(x):
     return x
 
 
-def _expect(checks: List[str], label: str, got, want_str: Optional[str]) -> None:
-    if want_str is None:
-        return
-    want = int(want_str)
-    if got != want:
+def _expect(checks: List[str], label: str, got, want) -> None:
+    if want is not None and got != want:
         checks.append(f"{label}: expected {want}, got {got}")
 
 
-def _symmetry_system(model: Model, params: Dict[str, str]):
+def _symmetry_system(model: Model, params: Dict[str, object]):
     # the structure and the parameters it needs are checked at parse time
     structure = params["structure"]
     if structure == "killing":
@@ -66,12 +63,11 @@ def _symmetry_system(model: Model, params: Dict[str, str]):
         return S.invariance_system(g)
     if structure == "quaternionic":
         g = model.metrics[params["metric"]]
-        if "frame" in params:
+        if params["frame"] is not None:
             frame = [model.endomorphisms[m]
                      for m in model.frames[params["frame"]]]
         else:
-            orientation = int(params.get("orientation", "1"))
-            frame = G.asd_span(g, orientation=orientation)
+            frame = G.asd_span(g, orientation=params["orientation"])
         return S.quaternionic_symmetry_system(frame, g)
     J = model.endomorphisms[params["complex_structure"]]
     D = model.connections[params["connection"]]
@@ -81,7 +77,7 @@ def _symmetry_system(model: Model, params: Dict[str, str]):
 def _run_symmetry_bound(model: Model, task: Task, seeds, max_stage):
     system = _symmetry_system(model, task.params)
     if max_stage is None:
-        max_stage = int(task.params.get("max_stage", "6"))
+        max_stage = task.params["max_stage"]
     res = P.solution_bound(system, max_stage=max_stage, seeds=seeds)
     data = {
         "bound": res.bound,
@@ -99,13 +95,13 @@ def _run_symmetry_bound(model: Model, task: Task, seeds, max_stage):
     elif not res.conclusive:
         checks.append("bound search inconclusive at max_stage "
                       f"{max_stage}")
-    _expect(checks, "bound", res.bound, task.params.get("expect_bound"))
+    _expect(checks, "bound", res.bound, task.params["expect_bound"])
     return data, checks
 
 
 def _run_verify_fields(model: Model, task: Task, seeds, max_stage):
     system = _symmetry_system(model, task.params)
-    names = _name_list(task.params["fields"])
+    names = task.params["fields"]
     n = model.chart.dim
     results = {}
     checks: List[str] = []
@@ -124,7 +120,7 @@ def _closure(model: Model, names: Sequence[str]) -> L.LieAlgebra:
 
 
 def _run_closure(model: Model, task: Task, seeds, max_stage):
-    names = _name_list(task.params["fields"])
+    names = task.params["fields"]
     alg = _closure(model, names)
     center = alg.center()
     derived = alg.derived_algebra()
@@ -137,27 +133,19 @@ def _run_closure(model: Model, task: Task, seeds, max_stage):
     }
     checks: List[str] = []
     _expect(checks, "dimension", alg.dimension,
-            task.params.get("expect_dimension"))
+            task.params["expect_dimension"])
     _expect(checks, "center dimension", len(center),
-            task.params.get("expect_center_dimension"))
+            task.params["expect_center_dimension"])
     _expect(checks, "derived-algebra dimension", len(derived),
-            task.params.get("expect_derived_dimension"))
+            task.params["expect_derived_dimension"])
     return data, checks
 
 
-def _point_from_param(model: Model, value: Optional[str]):
-    coords = model.chart.coordinates
-    if value is None:
-        return {c: Fraction(0) for c in coords}
-    # one rational per coordinate (parse-time check)
-    return dict(zip(coords, (Fraction(p.strip()) for p in value.split(","))))
-
-
 def _run_invariant_connections(model: Model, task: Task, seeds, max_stage):
-    isotropy = _name_list(task.params["isotropy"])
-    complement = _name_list(task.params["complement"])
+    isotropy = task.params["isotropy"]
+    complement = task.params["complement"]
     names = complement + isotropy
-    point = _point_from_param(model, task.params.get("point"))
+    point = dict(zip(model.chart.coordinates, task.params["point"]))
     checks: List[str] = []
     for name in isotropy:
         v = model.vectors[name]
@@ -172,7 +160,7 @@ def _run_invariant_connections(model: Model, task: Task, seeds, max_stage):
         alg,
         [unit(len(complement) + i) for i in range(len(isotropy))],
         [unit(i) for i in range(len(complement))])
-    r, s = (int(p) for p in task.params.get("tensor_type", "2,1").split(","))
+    r, s = task.params["tensor_type"]
     basis = L.equivariant_tensors(rep, (r, s))
     data = {
         "algebra_dimension": d,
@@ -181,7 +169,7 @@ def _run_invariant_connections(model: Model, task: Task, seeds, max_stage):
         "equivariant_dimension": len(basis),
     }
     _expect(checks, "equivariant dimension", len(basis),
-            task.params.get("expect_dimension"))
+            task.params["expect_dimension"])
     return data, checks
 
 
@@ -192,9 +180,9 @@ def _run_curvature_type(model: Model, task: Task, seeds, max_stage):
     zero = {"20": split.r20.is_zero(), "11": split.r11.is_zero(),
             "02": split.r02.is_zero()}
     checks: List[str] = []
-    want = task.params.get("expect_vanishing")
+    want = task.params["expect_vanishing"]
     if want is not None:
-        for part in _name_list(want):  # a subset of 20, 11, 02 (parse-time check)
+        for part in want:  # a subset of 20, 11, 02 (parse-time check)
             if not zero[part]:
                 checks.append(f"curvature part ({part[0]},{part[1]}) "
                               "does not vanish")
@@ -212,12 +200,9 @@ def _run_vanishing_locus(model: Model, task: Task, seeds, max_stage):
     }
     checks: List[str] = []
     _expect(checks, "locus dimension", loc.dimension,
-            task.params.get("expect_dimension"))
-    want = task.params.get("expect_zero_coordinates")
-    if want is not None and _name_list(want) != list(loc.zero_coordinates):
-        checks.append(
-            f"zero coordinates: expected {_name_list(want)}, got "
-            f"{list(loc.zero_coordinates)}")
+            task.params["expect_dimension"])
+    _expect(checks, "zero coordinates", list(loc.zero_coordinates),
+            task.params["expect_zero_coordinates"])
     return data, checks
 
 
@@ -228,9 +213,7 @@ def _run_obata(model: Model, task: Task, seeds, max_stage):
     flat = G.curvature(D).is_zero()
     data = {"nonzero_christoffels": len(D.gamma), "flat": flat}
     checks: List[str] = []
-    want = task.params.get("expect_flat")
-    if want is not None and flat != (want.lower() == "true"):
-        checks.append(f"flatness: expected {want}, got {flat}")
+    _expect(checks, "flatness", flat, task.params["expect_flat"])
     return data, checks
 
 
@@ -238,29 +221,27 @@ def _run_check_structure(model: Model, task: Task, seeds, max_stage):
     p = task.params
     data: Dict[str, object] = {}
     checks: List[str] = []
-    if "metric" in p:
+    if p["metric"] is not None:
         g = model.metrics[p["metric"]]
         G.metric_inverse(g)  # raises if degenerate
         data["metric_nondegenerate"] = True
-        if p.get("expect_ricci_flat", "").lower() == "true":
+        if p["expect_ricci_flat"] is not None:
             D = G.levi_civita(g)
-            ric = G.ricci(G.curvature(D))
-            data["ricci_flat"] = ric.is_zero()
-            if not data["ricci_flat"]:
-                checks.append("Ricci tensor of the Levi-Civita connection "
-                              "does not vanish")
-    if "frame" in p:
+            data["ricci_flat"] = G.ricci(G.curvature(D)).is_zero()
+            _expect(checks, "Ricci-flatness of the Levi-Civita connection",
+                    data["ricci_flat"], p["expect_ricci_flat"])
+    if p["frame"] is not None:
         frame = [model.endomorphisms[m] for m in model.frames[p["frame"]]]
         rep = G.check_hypercomplex_frame(*frame)
         data["hypercomplex"] = rep.is_hypercomplex
         if not rep.is_hypercomplex:
             checks.append(f"frame is not hypercomplex: {rep}")
-    if "connection" in p:
+    if p["connection"] is not None:
         D = model.connections[p["connection"]]
         data["torsion_free"] = D.is_torsion_free()
         if not data["torsion_free"]:
             checks.append("connection has torsion")
-        if "complex_structure" in p:
+        if p["complex_structure"] is not None:
             J = model.endomorphisms[p["complex_structure"]]
             data["parallel_complex_structure"] = \
                 G.covariant_derivative(D, J).is_zero()
@@ -269,8 +250,8 @@ def _run_check_structure(model: Model, task: Task, seeds, max_stage):
                 checks.append("DJ != 0")
             if not data["integrable"]:
                 checks.append("Nijenhuis tensor of J does not vanish")
-    if "blocks" in p:
-        mats = [model.matrices[m] for m in _name_list(p["blocks"])]
+    if p["blocks"] is not None:
+        mats = [model.matrices[m] for m in p["blocks"]]
         n = len(mats[0])
         total = [[sum(Fraction(m[i][j]) for m in mats) for j in range(n)]
                  for i in range(n)]
@@ -282,7 +263,7 @@ def _run_check_structure(model: Model, task: Task, seeds, max_stage):
             hits = L.block_parameter_search(mats[0], mats[1], len(kernel))
             data["parameter_hits"] = [h for h in hits]
         _expect(checks, "block kernel dimension", len(kernel),
-                p.get("expect_block_kernel_dimension"))
+                p["expect_block_kernel_dimension"])
     if not data:
         raise TaskFailure("check-structure task has nothing to check")
     return data, checks

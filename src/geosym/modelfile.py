@@ -3,24 +3,30 @@
 Plain-text format with bracketed section headers and ``key = value``
 entries.  The first section must be ``[chart]``; every later section
 declares one named object or task over that chart.  Parsing is
-deterministic, unknown keys are rejected, and every error carries the
-line number it came from.
+deterministic, unknown keys are rejected, and every error is a
+:class:`ModelError` carrying the line it came from.
 
 Section kinds::
 
     [chart]                 coordinates = x, y / trig_pair = phi
-    [metric g]              g[i,j] = expr       (symmetrized convention)
+    [metric g]              g[i,j] = expr       (symmetric)
     [endomorphism J]        J[a,b] = expr       (value index first: J^a_b)
-    [connection D]          D[k; i,j] = expr    (Gamma^k_{ij}, symmetrized)
+    [connection D]          D[k; i,j] = expr    (Gamma^k_{ij}, symmetric in i, j)
     [vector v]              v[i] = expr
     [frame F]               members = I, J, K   (three endomorphism names)
     [matrix M]              row = 0, -1, 0, 0   (repeatable, exact rationals)
     [task name]             kind = symmetry-bound / further task parameters
 
-Metric and Christoffel entries follow the symmetrized-product
-convention: one entry per unordered index pair, mirrored automatically.
-Giving both orders is tolerated when consistent (with a warning) and
-rejected when conflicting.
+The four tensor sections share one grammar (:func:`_parse_components`).
+A component given twice is an error.  In a symmetric section one entry
+per unordered index pair suffices and is mirrored; giving the mirrored
+order too is tolerated with a warning when the values agree and is an
+error when they conflict.
+
+Tasks are declared by one table, ``_TASKS``: each kind's parameters with
+their defaults (``REQUIRED`` for none).  Each value is converted once,
+here, by ``_PARAM_FORMS``, so ``Task.params`` holds every allowed key
+with a typed value (``None`` for an optional parameter left out).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .exprfield import Chart, Expr, ExprError, parse_expr, trig_names
 from .geometry import Connection, TensorField
@@ -36,77 +42,86 @@ from .geometry import Connection, TensorField
 __all__ = ["ModelError", "Task", "Model", "parse_model", "load_model",
            "TASK_KINDS"]
 
-TASK_KINDS = (
-    "check-structure",
-    "symmetry-bound",
-    "verify-fields",
-    "closure",
-    "invariant-connections",
-    "curvature-type",
-    "vanishing-locus",
-    "obata",
-)
+REQUIRED = object()  # a task parameter without a default
 
-_TASK_PARAMS = {
+_STRUCTURE_PARAMS = {
+    "structure": REQUIRED, "metric": None, "frame": None, "connection": None,
+    "complex_structure": None, "orientation": 1,
+}
+# task kind -> {parameter: default}; point defaults to the chart's origin
+_TASKS = {
     "check-structure": {
-        "metric", "frame", "connection", "complex_structure", "blocks",
-        "expect_ricci_flat", "expect_block_kernel_dimension",
+        "metric": None, "frame": None, "connection": None,
+        "complex_structure": None, "blocks": None, "expect_ricci_flat": None,
+        "expect_block_kernel_dimension": None,
     },
-    "symmetry-bound": {
-        "structure", "metric", "frame", "connection", "complex_structure",
-        "orientation", "expect_bound", "max_stage",
-    },
-    "verify-fields": {
-        "structure", "metric", "frame", "connection", "complex_structure",
-        "orientation", "fields",
-    },
+    "symmetry-bound": {**_STRUCTURE_PARAMS, "expect_bound": None, "max_stage": 6},
+    "verify-fields": {**_STRUCTURE_PARAMS, "fields": REQUIRED},
     "closure": {
-        "fields", "expect_dimension", "expect_center_dimension",
-        "expect_derived_dimension",
+        "fields": REQUIRED, "expect_dimension": None,
+        "expect_center_dimension": None, "expect_derived_dimension": None,
     },
     "invariant-connections": {
-        "fields", "isotropy", "complement", "point", "tensor_type",
-        "expect_dimension",
+        "fields": None, "isotropy": REQUIRED, "complement": REQUIRED,
+        "point": lambda chart: (Fraction(0),) * chart.dim,
+        "tensor_type": (2, 1), "expect_dimension": None,
     },
     "curvature-type": {
-        "connection", "complex_structure", "expect_vanishing",
+        "connection": REQUIRED, "complex_structure": REQUIRED,
+        "expect_vanishing": None,
     },
     "vanishing-locus": {
-        "vector", "expect_dimension", "expect_zero_coordinates",
+        "vector": REQUIRED, "expect_dimension": None,
+        "expect_zero_coordinates": None,
     },
-    "obata": {
-        "frame", "expect_flat",
-    },
+    "obata": {"frame": REQUIRED, "expect_flat": None},
 }
+TASK_KINDS = tuple(_TASKS)
 
-# Parameters a task cannot run without; a symmetry structure adds its own.
-_REQUIRED_PARAMS = {
-    "symmetry-bound": ("structure",),
-    "verify-fields": ("structure", "fields"),
-    "closure": ("fields",),
-    "invariant-connections": ("isotropy", "complement"),
-    "curvature-type": ("connection", "complex_structure"),
-    "vanishing-locus": ("vector",),
-    "obata": ("frame",),
-}
+# The parameters a symmetry structure needs.
 _STRUCTURES = {
     "killing": ("metric",),
     "quaternionic": ("metric",),
     "cprojective": ("connection", "complex_structure"),
 }
+# Parameters of a kind that act only together with another parameter.
+_NEEDS = {
+    "check-structure": {
+        "expect_ricci_flat": "metric",
+        "expect_block_kernel_dimension": "blocks",
+        "complex_structure": "connection",
+    },
+}
 
-# Task parameters whose values are interpreted when the task runs:
-# (the form the value must take, a check that raises or returns False
-# for a malformed value given the chart).
-_COUNT = ("a non-negative integer", lambda v, ch: int(v) >= 0)
-_FLAG = ("true or false", lambda v, ch: v.lower() in ("true", "false"))
+
+def _names(text: str) -> List[str]:
+    return [p.strip() for p in text.split(",") if p.strip()]
+
+
+def _flag(text: str) -> bool:
+    return {"true": True, "false": False}[text.lower()]
+
+
+def _any(value, chart: Chart) -> bool:
+    return True
+
+
+# Task parameters whose values are not a single name: parameter ->
+# (the form the value must take, its conversion from the entry's text,
+# which raises on a malformed value, and a check of the converted value
+# against the chart).
+_COUNT = ("a non-negative integer", int, lambda n, chart: n >= 0)
+_FLAG = ("true or false", _flag, _any)
+_NAMES = ("a list of names", _names, _any)
 _PARAM_FORMS = {
-    "max_stage": ("an integer of at least 1", lambda v, ch: int(v) >= 1),
-    "orientation": ("1 or -1", lambda v, ch: int(v) in (1, -1)),
+    "max_stage": ("an integer of at least 1", int, lambda n, chart: n >= 1),
+    "orientation": ("1 or -1", int, lambda n, chart: n in (1, -1)),
     "point": ("one rational per coordinate",
-              lambda v, ch: len([Fraction(p) for p in v.split(",")]) == ch.dim),
+              lambda text: tuple(Fraction(p) for p in text.split(",")),
+              lambda p, chart: len(p) == chart.dim),
     "tensor_type": ("two non-negative integers r, s",
-                    lambda v, ch: [int(p) >= 0 for p in v.split(",")] == [True, True]),
+                    lambda text: tuple(int(p) for p in text.split(",")),
+                    lambda rs, chart: len(rs) == 2 and min(rs) >= 0),
     "expect_bound": _COUNT,
     "expect_dimension": _COUNT,
     "expect_center_dimension": _COUNT,
@@ -114,12 +129,30 @@ _PARAM_FORMS = {
     "expect_block_kernel_dimension": _COUNT,
     "expect_ricci_flat": _FLAG,
     "expect_flat": _FLAG,
-    "expect_vanishing": ("a subset of 20, 11, 02",
-                         lambda v, ch: set(_name_list(v)) <= {"20", "11", "02"}),
-    "expect_zero_coordinates": ("coordinates of the chart",
-                                lambda v, ch: set(_name_list(v)) <= set(ch.coordinates)),
-    "structure": ("one of " + ", ".join(_STRUCTURES),
-                  lambda v, ch: v in _STRUCTURES),
+    "expect_vanishing": ("a subset of 20, 11, 02", _names,
+                         lambda v, chart: set(v) <= {"20", "11", "02"}),
+    "expect_zero_coordinates": ("coordinates of the chart", _names,
+                                lambda v, chart: set(v) <= set(chart.coordinates)),
+    "structure": ("one of " + ", ".join(_STRUCTURES), str,
+                  lambda v, chart: v in _STRUCTURES),
+    "fields": _NAMES,
+    "isotropy": _NAMES,
+    "complement": _NAMES,
+    "blocks": _NAMES,
+}
+
+# Entries that name other sections: key -> the section kind they name.
+_REFERENCES = {
+    "members": "endomorphism",
+    "metric": "metric",
+    "connection": "connection",
+    "complex_structure": "endomorphism",
+    "frame": "frame",
+    "vector": "vector",
+    "fields": "vector",
+    "isotropy": "vector",
+    "complement": "vector",
+    "blocks": "matrix",
 }
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
@@ -128,18 +161,16 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 class ModelError(ExprError):
     """Parse or validation failure, carrying a line number."""
 
-    def __init__(self, message: str, line: Optional[int] = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}")
 
 
 @dataclass
 class Task:
     name: str
     kind: str
-    params: Dict[str, str]
+    params: Dict[str, object]
     line: int
 
 
@@ -155,6 +186,9 @@ class Model:
     matrices: Dict[str, List[List[Fraction]]] = field(default_factory=dict)
     tasks: Dict[str, Task] = field(default_factory=dict)
     warnings: List[str] = field(default_factory=list)
+    # (owner, key, names, line) of each entry naming other sections,
+    # checked once the whole file is read
+    references: List[Tuple[str, str, List[str], int]] = field(default_factory=list)
 
     def object_names(self) -> List[str]:
         out: List[str] = []
@@ -205,7 +239,7 @@ def _coord_index(chart: Chart, name: str, num: int) -> int:
         raise ModelError(f"{name!r} is not a coordinate of the chart", num)
 
 
-def _parse_chart(entries) -> Chart:
+def _parse_chart(entries, num0: int) -> Chart:
     coords = None
     trig: List[Tuple[int, str]] = []
     for num, line in entries:
@@ -213,7 +247,7 @@ def _parse_chart(entries) -> Chart:
         if key == "coordinates":
             if coords is not None:
                 raise ModelError("coordinates given twice", num)
-            coords = [c.strip() for c in value.split(",") if c.strip()]
+            coords, coords_line = _names(value), num
             if not coords:
                 raise ModelError("empty coordinate list", num)
         elif key == "trig_pair":
@@ -221,7 +255,7 @@ def _parse_chart(entries) -> Chart:
         else:
             raise ModelError(f"unknown chart key {key!r}", num)
     if coords is None:
-        raise ModelError("chart section lacks a coordinates entry")
+        raise ModelError("chart section lacks a coordinates entry", num0)
     for num, name in trig:
         if name not in coords:
             raise ModelError(
@@ -234,106 +268,58 @@ def _parse_chart(entries) -> Chart:
     try:
         return Chart(coords, trig_pairs=[name for _, name in trig])
     except ExprError as ex:
-        raise ModelError(str(ex)) from ex
+        raise ModelError(str(ex), coords_line) from ex
 
 
-def _component_key(name: str, key: str, num: int) -> List[str]:
-    """Parse ``name[i,j,...]`` (';' treated like ',') into index names."""
-    m = re.fullmatch(re.escape(name) + r"\[([^\]]*)\]", key)
-    if m is None:
-        raise ModelError(
-            f"expected component key {name}[...], got {key!r}", num)
-    parts = [p.strip() for p in re.split(r"[;,]", m.group(1))]
-    if any(not p for p in parts):
-        raise ModelError(f"empty index in {key!r}", num)
-    return parts
-
-
-def _parse_metric(model: Model, name: str, entries) -> TensorField:
+def _parse_components(model: Model, name: str, entries, rank: int,
+                      symmetric: bool) -> Dict[Tuple[int, ...], Expr]:
+    """{index tuple: Expr} of the entries ``name[i, ...] = expr`` of a
+    tensor section (';' reads like ','); ``symmetric`` makes the last two
+    slots symmetric, each entry standing for both of their orders."""
     chart = model.chart
-    comps: Dict[Tuple[int, int], Expr] = {}
-    explicit = set()
+    comps: Dict[Tuple[int, ...], Expr] = {}
+    given = set()
     for num, line in entries:
         key, value = _entry(line, num)
-        idx = _component_key(name, key, num)
-        if len(idx) != 2:
-            raise ModelError("metric components need two indices", num)
-        i = _coord_index(chart, idx[0], num)
-        j = _coord_index(chart, idx[1], num)
-        e = _parse(chart, value, num)
-        pair = (min(i, j), max(i, j))
-        if pair in comps:
-            if not (comps[pair] - e).is_zero():
-                raise ModelError(
-                    f"conflicting values for the symmetric pair "
-                    f"{name}[{idx[0]},{idx[1]}]", num)
-            if (i, j) not in explicit:
-                model.warnings.append(
-                    f"line {num}: both index orders of {name}[{idx[0]},"
-                    f"{idx[1]}] given; metric entries follow the "
-                    "symmetrized convention, one order suffices")
-        comps[pair] = e
-        explicit.add((i, j))
-    full = {}
-    for (i, j), e in comps.items():
-        full[(i, j)] = e
-        full[(j, i)] = e
-    return TensorField(chart, ("d", "d"), full)
-
-
-def _parse_endomorphism(model: Model, name: str, entries) -> TensorField:
-    chart = model.chart
-    comps = {}
-    for num, line in entries:
-        key, value = _entry(line, num)
-        idx = _component_key(name, key, num)
-        if len(idx) != 2:
-            raise ModelError("endomorphism components need two indices", num)
-        a = _coord_index(chart, idx[0], num)
-        b = _coord_index(chart, idx[1], num)
-        if (a, b) in comps:
-            raise ModelError(f"duplicate component {key!r}", num)
-        comps[(a, b)] = _parse(chart, value, num)
-    return TensorField(chart, ("u", "d"), comps)
-
-
-def _parse_connection(model: Model, name: str, entries) -> Connection:
-    chart = model.chart
-    gamma: Dict[Tuple[int, int, int], Expr] = {}
-    for num, line in entries:
-        key, value = _entry(line, num)
-        idx = _component_key(name, key, num)
-        if len(idx) != 3:
+        m = re.fullmatch(re.escape(name) + r"\[([^\]]*)\]", key)
+        if m is None:
             raise ModelError(
-                "Christoffel components need three indices k; i, j", num)
-        k = _coord_index(chart, idx[0], num)
-        i = _coord_index(chart, idx[1], num)
-        j = _coord_index(chart, idx[2], num)
-        e = _parse(chart, value, num)
-        for pair in {(k, i, j), (k, j, i)}:
-            if pair in gamma and not (gamma[pair] - e).is_zero():
-                raise ModelError(
-                    f"conflicting values for the symmetric pair {key!r}", num)
-            gamma[pair] = e
-    return Connection(chart, gamma)
-
-
-def _parse_vector(model: Model, name: str, entries) -> TensorField:
-    chart = model.chart
-    comps = {}
-    for num, line in entries:
-        key, value = _entry(line, num)
-        idx = _component_key(name, key, num)
-        if len(idx) != 1:
-            raise ModelError("vector components need one index", num)
-        i = _coord_index(chart, idx[0], num)
-        if (i,) in comps:
+                f"expected component key {name}[...], got {key!r}", num)
+        parts = [p.strip() for p in re.split(r"[;,]", m.group(1))]
+        if any(not p for p in parts):
+            raise ModelError(f"empty index in {key!r}", num)
+        if len(parts) != rank:
+            raise ModelError(
+                f"components of {name} need {rank} indices, got {key!r}", num)
+        idx = tuple(_coord_index(chart, p, num) for p in parts)
+        if idx in given:
             raise ModelError(f"duplicate component {key!r}", num)
-        comps[(i,)] = _parse(chart, value, num)
-    return TensorField(chart, ("u",), comps)
+        e = _parse(chart, value, num)
+        keys = [idx]
+        if symmetric:
+            mirror = idx[:-2] + (idx[-1], idx[-2])
+            if mirror in given:
+                if not (comps[mirror] - e).is_zero():
+                    raise ModelError(
+                        f"conflicting values for the symmetric pair {key!r}", num)
+                model.warnings.append(
+                    f"line {num}: both index orders of {key} given; symmetric "
+                    "entries follow the symmetrized convention, one order "
+                    "suffices")
+            keys = sorted({idx, mirror})
+        for k in keys:
+            comps[k] = e
+        given.add(idx)
+    return comps
 
 
-def _parse_frame(entries, num0: int) -> List[str]:
+def _tensor(rank: int, symmetric: bool, build):
+    """Parser of a tensor section: ``build(chart, components)``."""
+    return lambda model, name, entries, num0: build(
+        model.chart, _parse_components(model, name, entries, rank, symmetric))
+
+
+def _parse_frame(model: Model, name: str, entries, num0: int) -> List[str]:
     members = None
     for num, line in entries:
         key, value = _entry(line, num)
@@ -341,23 +327,23 @@ def _parse_frame(entries, num0: int) -> List[str]:
             raise ModelError(f"unknown frame key {key!r}", num)
         if members is not None:
             raise ModelError("members given twice", num)
-        members = [m.strip() for m in value.split(",") if m.strip()]
+        members = _names(value)
         if len(members) != 3:
             raise ModelError("a frame needs exactly three members I, J, K", num)
+        model.references.append((f"frame {name!r}", key, members, num))
     if not members:
         raise ModelError("frame section lacks a members entry", num0)
     return members
 
 
-def _parse_matrix(entries, num0: int) -> List[List[Fraction]]:
+def _parse_matrix(model: Model, name: str, entries, num0: int) -> List[List[Fraction]]:
     rows = []
     for num, line in entries:
         key, value = _entry(line, num)
         if key != "row":
             raise ModelError(f"unknown matrix key {key!r}", num)
         try:
-            rows.append([Fraction(p.strip())
-                         for p in value.split(",") if p.strip()])
+            rows.append([Fraction(p) for p in _names(value)])
         except (ValueError, ZeroDivisionError) as ex:
             raise ModelError(f"bad rational entry: {ex}", num) from ex
     if not rows:
@@ -367,60 +353,77 @@ def _parse_matrix(entries, num0: int) -> List[List[Fraction]]:
     return rows
 
 
-def _parse_task(name: str, entries, num0: int, chart: Chart) -> Task:
+def _parse_task(model: Model, name: str, entries, num0: int) -> Task:
     kind = None
-    params: Dict[str, str] = {}
-    lines: Dict[str, int] = {}
+    given: Dict[str, Tuple[str, int]] = {}  # parameter -> (text, line)
     for num, line in entries:
         key, value = _entry(line, num)
         if key == "kind":
             if kind is not None:
                 raise ModelError("kind given twice", num)
             kind = value
-            if kind not in TASK_KINDS:
+            if kind not in _TASKS:
                 raise ModelError(
                     f"unknown task kind {kind!r}; expected one of "
                     + ", ".join(TASK_KINDS), num)
         else:
-            if key in params:
+            if key in given:
                 raise ModelError(f"duplicate parameter {key!r}", num)
-            params[key] = value
-            lines[key] = num
+            given[key] = (value, num)
     if kind is None:
         raise ModelError(f"task {name!r} lacks a kind entry", num0)
-    for key, value in params.items():
-        if key not in _TASK_PARAMS[kind]:
+    allowed = _TASKS[kind]
+    params = {key: default(model.chart) if callable(default) else default
+              for key, default in allowed.items()}
+    for key, (text, num) in given.items():
+        if key not in allowed:
             raise ModelError(
-                f"parameter {key!r} is not valid for task kind {kind!r}",
-                lines[key])
-        if key in _PARAM_FORMS:
-            want, valid = _PARAM_FORMS[key]
-            try:
-                ok = valid(value, chart)
-            except (ValueError, ZeroDivisionError):
-                ok = False
-            if not ok:
-                raise ModelError(
-                    f"parameter {key!r} must be {want}, got {value!r}",
-                    lines[key])
-    required = (_REQUIRED_PARAMS.get(kind, ())
-                + _STRUCTURES.get(params.get("structure"), ()))
-    missing = [key for key in required if key not in params]
+                f"parameter {key!r} is not valid for task kind {kind!r}", num)
+        want, convert, valid = _PARAM_FORMS.get(key, (None, str, _any))
+        try:
+            params[key] = convert(text)
+            ok = valid(params[key], model.chart)
+        except (ValueError, ZeroDivisionError, KeyError):
+            ok = False
+        if not ok:
+            raise ModelError(f"parameter {key!r} must be {want}, got {text!r}", num)
+        if key in _REFERENCES:
+            names = params[key] if isinstance(params[key], list) else [params[key]]
+            model.references.append((f"task {name!r}", key, names, num))
+    required = ([key for key, default in allowed.items() if default is REQUIRED]
+                + list(_STRUCTURES.get(params.get("structure"), ())))
+    missing = [key for key in required if key not in given]
     if missing:
         raise ModelError(f"task {name!r} of kind {kind!r} needs the parameter(s) "
                          + ", ".join(missing), num0)
+    for key, needed in _NEEDS.get(kind, {}).items():
+        if key in given and needed not in given:
+            raise ModelError(f"parameter {key!r} needs the parameter {needed!r}",
+                             given[key][1])
     return Task(name, kind, params, num0)
+
+
+# section kind -> (Model attribute, parser(model, name, entries, header line))
+_SECTIONS = {
+    "metric": ("metrics", _tensor(2, True, lambda chart, c: TensorField(chart, ("d", "d"), c))),
+    "endomorphism": ("endomorphisms",
+                     _tensor(2, False, lambda chart, c: TensorField(chart, ("u", "d"), c))),
+    "connection": ("connections", _tensor(3, True, Connection)),
+    "vector": ("vectors", _tensor(1, False, lambda chart, c: TensorField(chart, ("u",), c))),
+    "frame": ("frames", _parse_frame),
+    "matrix": ("matrices", _parse_matrix),
+    "task": ("tasks", _parse_task),
+}
 
 
 def parse_model(text: str, path: str = "<string>") -> Model:
     sections = _split_sections(text)
     if not sections:
-        raise ModelError("empty model file")
+        raise ModelError("empty model file; it must start with a [chart] section", 1)
     num0, header, entries = sections[0]
     if header != "chart":
         raise ModelError("the first section must be [chart]", num0)
-    chart = _parse_chart(entries)
-    model = Model(path=path, chart=chart)
+    model = Model(path=path, chart=_parse_chart(entries, num0))
     for num0, header, entries in sections[1:]:
         parts = header.split(None, 1)
         kind = parts[0]
@@ -433,67 +436,26 @@ def parse_model(text: str, path: str = "<string>") -> Model:
             raise ModelError(f"bad section name {name!r}", num0)
         if name in model.object_names() or name in model.tasks:
             raise ModelError(f"duplicate name {name!r}", num0)
-        if kind == "metric":
-            model.metrics[name] = _parse_metric(model, name, entries)
-        elif kind == "endomorphism":
-            model.endomorphisms[name] = _parse_endomorphism(
-                model, name, entries)
-        elif kind == "connection":
-            model.connections[name] = _parse_connection(model, name, entries)
-        elif kind == "vector":
-            model.vectors[name] = _parse_vector(model, name, entries)
-        elif kind == "frame":
-            model.frames[name] = _parse_frame(entries, num0)
-        elif kind == "matrix":
-            model.matrices[name] = _parse_matrix(entries, num0)
-        elif kind == "task":
-            model.tasks[name] = _parse_task(name, entries, num0, chart)
-        else:
+        if kind not in _SECTIONS:
             raise ModelError(f"unknown section kind {kind!r}", num0)
+        attribute, parse = _SECTIONS[kind]
+        getattr(model, attribute)[name] = parse(model, name, entries, num0)
     _validate_references(model)
     return model
 
 
 def _validate_references(model: Model) -> None:
-    for fname, members in model.frames.items():
-        for m in members:
-            if m not in model.endomorphisms:
-                raise ModelError(
-                    f"frame {fname!r} references unknown endomorphism {m!r}")
-    for task in model.tasks.values():
-        p = task.params
-        for key, pool in (("metric", model.metrics),
-                          ("connection", model.connections),
-                          ("complex_structure", model.endomorphisms),
-                          ("vector", model.vectors),
-                          ("frame", model.frames)):
-            if key in p and p[key] not in pool:
-                raise ModelError(
-                    f"task {task.name!r}: {key} {p[key]!r} is not declared",
-                    task.line)
-        for key in ("fields", "isotropy", "complement"):
-            if key in p:
-                for v in _name_list(p[key]):
-                    if v not in model.vectors:
-                        raise ModelError(
-                            f"task {task.name!r}: vector {v!r} is not declared",
-                            task.line)
-        if "blocks" in p:
-            for v in _name_list(p["blocks"]):
-                if v not in model.matrices:
-                    raise ModelError(
-                        f"task {task.name!r}: matrix {v!r} is not declared",
-                        task.line)
-            shapes = {(len(model.matrices[v]), len(model.matrices[v][0]))
-                      for v in _name_list(p["blocks"])}
+    for owner, key, names, num in model.references:
+        kind = _REFERENCES[key]
+        pool = getattr(model, _SECTIONS[kind][0])
+        for ref in names:
+            if ref not in pool:
+                raise ModelError(f"{owner}: {kind} {ref!r} is not declared", num)
+        if key == "blocks":
+            shapes = {(len(pool[m]), len(pool[m][0])) for m in names}
             if len(shapes) != 1 or any(r != c for r, c in shapes):
                 raise ModelError(
-                    f"task {task.name!r}: blocks must be square matrices of "
-                    "one size", task.line)
-
-
-def _name_list(value: str) -> List[str]:
-    return [v.strip() for v in value.split(",") if v.strip()]
+                    f"{owner}: blocks must be square matrices of one size", num)
 
 
 def load_model(path: str) -> Model:

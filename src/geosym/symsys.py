@@ -10,13 +10,12 @@ used by the tests as an independent cross-check.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import _linalg
 from .exprfield import Chart, Expr, ExprError
-from .geometry import (Connection, TensorField, covariant_derivative,
-                       check_hypercomplex_frame)
+from .geometry import (Connection, TensorField, check_hypercomplex_frame,
+                       connection_shift, covariant_derivative)
 from .prolong import JetKey, LinearPDESystem
 
 
@@ -137,29 +136,6 @@ def quaternionic_symmetry_system(frame: Sequence[TensorField],
     return LinearPDESystem.from_coefficient_maps(chart, n, maps)
 
 
-def _cprojective_shift_patterns(J: TensorField) -> List[Dict[Tuple[int, int, int], Expr]]:
-    """The shift tensors for gamma = dx^k: (1/2)(gamma_i delta^a_j +
-    gamma_j delta^a_i - (gamma J)_i J^a_j - (gamma J)_j J^a_i), stored on
-    i <= j only."""
-    chart = J.chart
-    n = chart.dim
-    half = Fraction(1, 2)
-    out = []
-    for k in range(n):
-        pat: Dict[Tuple[int, int, int], Expr] = {}
-        for a, i, j in itertools.product(range(n), repeat=3):
-            if i > j:
-                continue
-            # the delta terms: 1/2 for i == k and a == j, 1/2 for j == k and a == i
-            term = chart.sum_products([(half * (((i, a) == (k, j)) + ((j, a) == (k, i))),),
-                                       (-half, J.comp(k, i), J.comp(a, j)),
-                                       (-half, J.comp(k, j), J.comp(a, i))])
-            if term:
-                pat[(a, i, j)] = term
-        out.append(pat)
-    return out
-
-
 def cprojective_symmetry_system(J: TensorField, D: Connection) -> LinearPDESystem:
     """L_X J = 0 plus: L_X D lies pointwise in the c-projective shift
     subspace.  The latter is imposed through an exact annihilator basis
@@ -173,9 +149,13 @@ def cprojective_symmetry_system(J: TensorField, D: Connection) -> LinearPDESyste
 
     maps: List[Dict[JetKey, Expr]] = list(lie_derivative_jet(J).values())
 
+    # the shift subspace is spanned by the c-projective shifts of the zero
+    # connection by gamma = dx^k, read on i <= j
     slots = [(a, i, j) for a, i, j in itertools.product(range(n), repeat=3) if i <= j]
-    patterns = _cprojective_shift_patterns(J)
-    rows = [[pat.get(s, chart.zero()) for s in slots] for pat in patterns]
+    flat = Connection(chart, {})
+    shifts = [connection_shift(flat, TensorField(chart, ("d",), {(k,): chart.one()}),
+                               "cprojective", J=J) for k in range(n)]
+    rows = [[shift.comp(*s) for s in slots] for shift in shifts]
     ann = _linalg.nullspace(rows, len(slots), one=chart.one())
     ld = lie_derivative_connection_jet(D)
     maps += [_contract(chart, omega, slots, ld) for omega in ann]

@@ -66,6 +66,18 @@ def test_missing_task_parameter_is_a_usage_error(tmp_path, capsys):
     assert "line 9" in capsys.readouterr().err
 
 
+def test_false_ricci_flat_expectation_is_checked(tmp_path, capsys):
+    """expect_ricci_flat = false computes Ricci like true does: on a flat
+    metric the expectation fails."""
+    model = tmp_path / "flat.model"
+    model.write_text(FAILING_MODEL.split("[task")[0] + "[task structure]\n"
+                     "kind = check-structure\nmetric = g\nexpect_ricci_flat = false\n")
+    assert main(["run", str(model)]) == 1
+    out = capsys.readouterr().out
+    assert "ricci_flat: True" in out
+    assert "expected False, got True" in out
+
+
 def test_run_unknown_task():
     assert main(["run", str(MODELS / "flat2.model"),
                  "--task", "nonsense"]) == 2

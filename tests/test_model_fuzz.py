@@ -85,7 +85,8 @@ def model_texts(draw):
 def test_fuzzed_models_fail_only_by_model_error_or_report(text):
     try:
         model = parse_model(text)
-    except ModelError:
+    except ModelError as exc:
+        assert exc.line is not None
         return
     for task in model.tasks.values():
         for max_stage in (1, 2):

@@ -2,6 +2,7 @@
 symmetrized-entry conventions."""
 
 import importlib.resources
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +83,34 @@ def test_metric_symmetrized_convention_warning():
     assert (model.metrics["h"].comp(0, 1) - model.metrics["h"].comp(1, 0)).is_zero()
 
 
+@pytest.mark.parametrize("section, first, repeat", [
+    ("metric h", "h[x,y] = x", "h[x,y] = x"),
+    ("metric h", "h[x,x] = 1", "h[x,x] = 1"),
+    ("endomorphism h", "h[x,y] = 1", "h[x,y] = 1"),
+    ("connection h", "h[x; x, y] = x", "h[x; x,y] = x"),
+    ("vector h", "h[y] = 1", "h[y] = 1"),
+])
+def test_exact_repeat_is_a_duplicate_component_in_every_section(section, first, repeat):
+    text = MINIMAL + f"\n[{section}]\n{first}\n{repeat}\n"
+    with pytest.raises(ModelError, match="duplicate component") as exc:
+        parse_model(text)
+    assert exc.value.line == len(text.splitlines())
+
+
+def test_connection_symmetrized_convention_warning():
+    text = MINIMAL + "\n[connection D]\nD[x; x, y] = x\nD[x; y, x] = x\n"
+    model = parse_model(text)
+    assert any("symmetrized convention" in w for w in model.warnings)
+    assert model.warnings[0].startswith(f"line {len(text.splitlines())}:")
+
+
+def test_connection_conflicting_entries_rejected():
+    text = MINIMAL + "\n[connection D]\nD[x; x, y] = x\nD[x; y, x] = y\n"
+    with pytest.raises(ModelError, match="conflicting") as exc:
+        parse_model(text)
+    assert exc.value.line == len(text.splitlines())
+
+
 def test_metric_conflicting_entries_rejected():
     text = (MINIMAL + "\n[metric h]\n" "h[x,y] = x\nh[y,x] = y\n")
     with pytest.raises(ModelError, match="conflicting"):
@@ -122,8 +151,25 @@ def test_task_unknown_parameter_rejected():
 
 def test_task_reference_validation():
     text = MINIMAL + "\n[task t]\nkind = symmetry-bound\nstructure = killing\nmetric = missing\n"
-    with pytest.raises(ModelError, match="not declared"):
+    with pytest.raises(ModelError, match="not declared") as exc:
         parse_model(text)
+    assert exc.value.line == len(text.splitlines())
+
+
+@pytest.mark.parametrize("params", [
+    "kind = closure\nfields = v, w",
+    "kind = invariant-connections\nisotropy = v\ncomplement = w",
+    "kind = check-structure\nblocks = M, N",
+    "kind = check-structure\nblocks = M, R",
+])
+def test_reference_errors_are_raised_at_the_parameter_line(params):
+    """An undeclared name, or blocks of unequal sizes, is an error at the
+    line of the parameter that names it, not at the task header."""
+    text = (MINIMAL + "\n[vector v]\nv[x] = 1\n\n[matrix M]\nrow = 1\n\n"
+            "[matrix R]\nrow = 1, 0\nrow = 0, 1\n\n[task t]\n" + params + "\n")
+    with pytest.raises(ModelError) as exc:
+        parse_model(text)
+    assert exc.value.line == len(text.splitlines())
 
 
 def test_matrix_rows():
@@ -225,3 +271,82 @@ def test_frame_needs_three_members(members):
     with pytest.raises(ModelError, match="three members") as exc:
         parse_model(text)
     assert exc.value.line == members_line
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[chart]\ncoordinates = x, 1y\n", 2),
+    ("[chart]\ncoordinates = x, x\n", 2),
+    ("# no coordinates\n[chart]\ntrig_pair = x\n", 2),
+    ("[chart]\n", 1),
+    (MINIMAL + "\n[frame F]\nmembers = I, J, K\n", len(MINIMAL.splitlines()) + 3),
+])
+def test_every_model_error_carries_its_line(tmp_path, text, line):
+    with pytest.raises(ModelError) as exc:
+        parse_model(text)
+    assert exc.value.line == line
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("params", [
+    "metric = g\nexpect_ricci_flat = true",
+    "blocks = M\nexpect_block_kernel_dimension = 1",
+    "connection = D\ncomplex_structure = J",
+])
+def test_check_structure_expectation_without_its_object_is_rejected(tmp_path, params):
+    """Each check-structure parameter that acts on another object is a
+    parse error at its line when that object is not given."""
+    needed, key = params.split("\n")
+    text = (FRAMED + "\n[connection D]\n\n[matrix M]\nrow = 1\n\n"
+            "[task t]\nkind = check-structure\n" + key + "\n")
+    parse_model(text.replace("kind = check-structure\n",
+                             "kind = check-structure\n" + needed + "\n"))
+    with pytest.raises(ModelError, match="needs the parameter") as exc:
+        parse_model(text)
+    assert exc.value.line == len(text.splitlines())
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+
+
+def test_task_params_hold_typed_values_with_defaults():
+    text = FRAMED + """
+[vector v]
+v[x] = 1
+
+[task bound]
+kind = symmetry-bound
+structure = killing
+metric = g
+expect_bound = 3
+
+[task inv]
+kind = invariant-connections
+isotropy = v
+complement = v
+
+[task inv2]
+kind = invariant-connections
+isotropy = v
+complement = v
+point = 1/2, -3
+tensor_type = 1, 1
+
+[task check]
+kind = check-structure
+metric = g
+expect_ricci_flat = False
+"""
+    tasks = parse_model(text).tasks
+    assert tasks["bound"].params == {
+        "structure": "killing", "metric": "g", "frame": None, "connection": None,
+        "complex_structure": None, "orientation": 1, "expect_bound": 3,
+        "max_stage": 6}
+    assert tasks["inv"].params["point"] == (0, 0)
+    assert tasks["inv"].params["tensor_type"] == (2, 1)
+    assert tasks["inv"].params["isotropy"] == ["v"]
+    assert tasks["inv2"].params["point"] == (Fraction(1, 2), -3)
+    assert tasks["inv2"].params["tensor_type"] == (1, 1)
+    assert tasks["check"].params["expect_ricci_flat"] is False
+    assert tasks["check"].params["blocks"] is None

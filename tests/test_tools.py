@@ -82,3 +82,28 @@ def test_report_diff_compares_the_bundled_models_and_the_flat_r8_model(tmp_path)
     text = Path(report_diff.write_flat8(repo, str(tmp_path))).read_text()
     assert "x7" in text and "structure = quaternionic" in text
     assert report_diff.differences(repo, repo, ["flat8-quaternionic"], [1]) == []
+
+
+def test_bench_record_reads_the_environment_after_the_last_run(tmp_path, monkeypatch):
+    """The environment probe imports sympy; called first, it would raise
+    the recorder's resident size, which every forked run then inherits as
+    its peak RSS."""
+    bench_record = _tool("bench_record")
+    calls = []
+
+    def run(root, workload, seed, seconds, trace):
+        calls.append("run")
+        return {"correct": True, "metrics": {"solve_s": {"value": 1.0},
+                                             "trace.solve_s": {"value": 1.0}}}
+
+    def environment():
+        calls.append("environment")
+        return {}
+
+    monkeypatch.setattr(bench_record, "run", run)
+    monkeypatch.setattr(bench_record, "environment", environment)
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--out-dir", str(tmp_path)])
+    assert bench_record.main() == 0
+    runs = 2 * len(bench_record.WORKLOADS) * len(bench_record.SEEDS)
+    assert calls == ["run"] * runs + ["environment"]
+    assert len(list(tmp_path.glob("BENCH_*.json"))) == 1

@@ -65,7 +65,6 @@ def main() -> int:
         "date": datetime.date.today().isoformat(),
         "revision": revision,
         "changed_files": [line[3:] for line in changed.splitlines()],
-        "environment": environment(),
         "run_seconds": seconds,
         "runs": [],
     }
@@ -80,6 +79,9 @@ def main() -> int:
                 print(f"{workload} seed {seed} trace {trace}: "
                       f"correct {result['correct']}, solve_s {solve:.2f}",
                       flush=True)
+    # after the runs: the probe imports sympy, and each forked run would
+    # inherit the recorder's larger resident size as its peak RSS
+    doc["environment"] = environment()
     suffix = "-modified" if changed else ""
     path = os.path.join(args.out_dir,
                         f"BENCH_{doc['date']}_{revision[:7]}{suffix}.json")
