@@ -264,8 +264,6 @@ def _run_check_structure(model: Model, task: Task, seeds, max_stage):
             data["parameter_hits"] = [h for h in hits]
         _expect(checks, "block kernel dimension", len(kernel),
                 p["expect_block_kernel_dimension"])
-    if not data:
-        raise TaskFailure("check-structure task has nothing to check")
     return data, checks
 
 

@@ -26,7 +26,11 @@ error when they conflict.
 Tasks are declared by one table, ``_TASKS``: each kind's parameters with
 their defaults (``REQUIRED`` for none).  Each value is converted once,
 here, by ``_PARAM_FORMS``, so ``Task.params`` holds every allowed key
-with a typed value (``None`` for an optional parameter left out).
+with a typed value (``None`` for an optional parameter left out).  A
+parameter the task would ignore is an error at its line: a structure
+parameter that the task's ``structure`` does not read (``_STRUCTURES``),
+and ``orientation`` next to ``frame``.  A ``check-structure`` task needs
+something to check.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ _TASKS = {
         "expect_center_dimension": None, "expect_derived_dimension": None,
     },
     "invariant-connections": {
-        "fields": None, "isotropy": REQUIRED, "complement": REQUIRED,
+        "isotropy": REQUIRED, "complement": REQUIRED,
         "point": lambda chart: (Fraction(0),) * chart.dim,
         "tensor_type": (2, 1), "expect_dimension": None,
     },
@@ -78,11 +82,12 @@ _TASKS = {
 }
 TASK_KINDS = tuple(_TASKS)
 
-# The parameters a symmetry structure needs.
+# Each symmetry structure's parameters: those it needs, then those it
+# also reads.  Any other parameter of _STRUCTURE_PARAMS is an error.
 _STRUCTURES = {
-    "killing": ("metric",),
-    "quaternionic": ("metric",),
-    "cprojective": ("connection", "complex_structure"),
+    "killing": (("metric",), ()),
+    "quaternionic": (("metric",), ("frame", "orientation")),
+    "cprojective": (("connection", "complex_structure"), ()),
 }
 # Parameters of a kind that act only together with another parameter.
 _NEEDS = {
@@ -92,6 +97,10 @@ _NEEDS = {
         "complex_structure": "connection",
     },
 }
+# Kinds that need at least one of some parameters.
+_ANY_OF = {"check-structure": ("metric", "frame", "connection", "blocks")}
+# Parameters that another parameter overrides: giving both is an error.
+_OVERRIDDEN_BY = {"orientation": "frame"}  # a frame replaces the ASD span
 
 
 def _names(text: str) -> List[str]:
@@ -390,16 +399,28 @@ def _parse_task(model: Model, name: str, entries, num0: int) -> Task:
         if key in _REFERENCES:
             names = params[key] if isinstance(params[key], list) else [params[key]]
             model.references.append((f"task {name!r}", key, names, num))
-    required = ([key for key, default in allowed.items() if default is REQUIRED]
-                + list(_STRUCTURES.get(params.get("structure"), ())))
+    needs, reads = _STRUCTURES.get(params.get("structure"), ((), ()))
+    required = [key for key, default in allowed.items() if default is REQUIRED] + list(needs)
     missing = [key for key in required if key not in given]
     if missing:
         raise ModelError(f"task {name!r} of kind {kind!r} needs the parameter(s) "
                          + ", ".join(missing), num0)
-    for key, needed in _NEEDS.get(kind, {}).items():
-        if key in given and needed not in given:
-            raise ModelError(f"parameter {key!r} needs the parameter {needed!r}",
-                             given[key][1])
+    unused = (set(_STRUCTURE_PARAMS) - {"structure", *needs, *reads}
+              if "structure" in allowed else set())
+    for key, (_, num) in given.items():
+        if key in unused:
+            raise ModelError(f"parameter {key!r} is not used by structure "
+                             f"{params['structure']!r}", num)
+        needed = _NEEDS.get(kind, {}).get(key)
+        if needed is not None and needed not in given:
+            raise ModelError(f"parameter {key!r} needs the parameter {needed!r}", num)
+        if _OVERRIDDEN_BY.get(key) in given:
+            raise ModelError(f"parameter {key!r} is ignored next to the parameter "
+                             f"{_OVERRIDDEN_BY[key]!r}", num)
+    any_of = _ANY_OF.get(kind, ())
+    if any_of and not any(key in given for key in any_of):
+        raise ModelError(f"task {name!r} of kind {kind!r} needs at least one of "
+                         + ", ".join(any_of), num0)
     return Task(name, kind, params, num0)
 
 

@@ -31,6 +31,18 @@ order-preserving relabelling of the columns and a later reduction mod p
 change neither, so pivots, ranks and tables are those of elimination on
 the graded keys with every step reduced.
 
+:func:`solution_bound` adds each batch of rows lowest jet order first:
+in descending order of the leading code read from each row's provenance
+(the least code of E's coefficients plus that of beta).  New pivots
+then appear from the largest code down, so a stored tail, which holds
+only codes above its own pivot, seldom holds a new pivot, and little
+back-substitution is left.  The order changes no pivot at one point,
+since the RREF is unique.  It does change which dependent rows are
+dropped, and so which rows the next stage differentiates; but any
+retained set has the same prolonged span over the function field, so
+the tables at a generic point do not change, and at any point the bound
+stays an upper bound by the argument below.
+
 Soundness of the elimination mod p.  The Taylor map at a point, to
 order K and mod its prime p, is a ring homomorphism from the coordinate
 ring, whose coefficients are integers, to GF(p)[[t]] / m^(K+1), and it
@@ -102,14 +114,15 @@ class Equation:
         the point's :class:`~geosym.exprfield.TaylorMap` of order |beta|
         at least, supplies it.  With beta = 0 this is c(point) X^a_alpha.
         The code of X^a_(alpha+beta-gamma) is the code of X^a_alpha plus a
-        shift that depends on beta - gamma only."""
+        shift that depends on beta - gamma only; the codes of X^a_alpha
+        are those of :meth:`_Columns.coded`, taken once per equation."""
         prime = taylor.prime
-        if self.order + sum(beta) >= columns.base:
+        order, _, terms = columns.coded(self)
+        if order + sum(beta) >= columns.base:
             raise ProlongError("jet order beyond the column coding")
         shifts = columns.shifts(beta)
         row: Dict[int, int] = {}
-        for (a, alpha), c in self.coeffs.items():
-            key = columns.code(a, alpha)
+        for key, c in terms:
             jet = taylor(c)
             for gamma, weight, delta in shifts:
                 t = jet.get(gamma)
@@ -138,10 +151,33 @@ class _Columns:
         self._block = self.base ** n
         self._unit = m * self._block
         self._shifts: Dict[Tuple[int, ...], Tuple[Tuple[Tuple[int, ...], int, int], ...]] = {}
+        # id(equation) -> (equation, order, leading code, coded terms); the
+        # equation is held so that its id is not reused meanwhile.
+        self._coded: Dict[int, Tuple[Equation, int, int, Tuple[Tuple[int, Poly], ...]]] = {}
 
     def code(self, a: int, alpha: Sequence[int]) -> int:
         return (-sum(alpha) * self._unit + a * self._block
                 + sum(x * r for x, r in zip(alpha, self._radix)))
+
+    def coded(self, eq: Equation) -> Tuple[int, int, Tuple[Tuple[int, Poly], ...]]:
+        """(order, leading code, ((code(a, alpha), c_{a,alpha}), ...)) of
+        ``eq``, computed once per equation.  The leading code is the least
+        code of its coefficients (0 for an equation without any)."""
+        entry = self._coded.get(id(eq))
+        if entry is None:
+            terms = tuple((self.code(a, alpha), c) for (a, alpha), c in eq.coeffs.items())
+            lead = min((k for k, _ in terms), default=0)
+            entry = self._coded[id(eq)] = (eq, eq.order, lead, terms)
+        return entry[1:]
+
+    def lead(self, row: Row) -> int:
+        """Leading column code of the row of D^beta E, read from its
+        provenance (E, beta): E's leading code plus code(0, beta), the
+        code of X^a_(alpha+beta) for E's leading X^a_alpha.  At a point
+        where E's leading coefficient vanishes the row's actual leading
+        code is larger."""
+        eq, beta = row
+        return self.coded(eq)[1] + self.code(0, beta)
 
     def order(self, code: int) -> int:
         return -(code // self._unit)
@@ -280,7 +316,12 @@ class _GradedElimination:
     The RREF of a row space is unique and its pivot set is the column
     rank profile: a column is a pivot exactly when it enlarges the rank
     of the leading column block.  So the pivots, rank and tables depend
-    only on the row space, not on the order the rows arrive in.
+    only on the row space, not on the order the rows arrive in.  The
+    cost does depend on it: back-substitution touches the stored tails
+    that hold the new pivot, and those hold only codes above their own
+    pivots.  Rows that arrive largest leading code first (lowest jet
+    order first, as :func:`solution_bound` adds them) mostly find new
+    pivots below the stored ones, which no stored tail holds.
     """
 
     def __init__(self, prime: int, columns: _Columns):
@@ -403,7 +444,18 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     symbolically.  Only the rows independent at some sample point are
     carried forward: derivatives of a dependent row are spanned by
     derivatives of the retained ones plus the retained lower-order rows,
-    so the symbol tables are unchanged.  A system with no equation left
+    so the symbol tables are unchanged.
+
+    Each batch (the system, then each stage's new derivatives) is added
+    lowest jet order first, in descending order of the leading codes
+    read from the rows' provenance; the equations' column codes and
+    orders are taken once per call (:meth:`_Columns.coded`).  At one
+    point the order of the rows changes no pivot, because the RREF is
+    unique.  It does change which dependent rows are dropped, and so
+    which rows the next stage differentiates; but every retained set
+    has the same prolonged span over the function field, so the tables
+    at a generic point do not change, and at any point the bound stays
+    an upper bound by the argument above.  A system with no equation left
     (say, of an all-zero metric) is not of finite type: the search stops
     with the stage-1 table and is inconclusive.
     """
@@ -416,13 +468,15 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
 
     def admit(rows: Sequence[Row]) -> List[Row]:
         """Add the rows at all points, through Taylor maps of the rows'
-        order; keep the rows independent at some point (one dependent at
-        every point adds nothing to any symbol table: its derivatives
-        stay in the prolonged span of the retained ones)."""
+        order, lowest jet order first: in descending order of their
+        leading codes (:meth:`_Columns.lead`), ties in the given order.
+        Keep the rows independent at some point (one dependent at every
+        point adds nothing to any symbol table: its derivatives stay in
+        the prolonged span of the retained ones)."""
         order = max((sum(beta) for _, beta in rows), default=0)
         taylors = [TaylorMap(chart, p, order) for p in points]
         kept = []
-        for eq, beta in rows:
+        for eq, beta in sorted(rows, key=columns.lead, reverse=True):
             pivots = [el.add(eq.evaluate_sparse(beta, tm, columns))
                       for el, tm in zip(elims, taylors)]
             if any(pv is not None for pv in pivots):
@@ -439,7 +493,7 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     active = admit([(e, zero) for e in system.equations])
     frontier = list(active)
     for stage in range(1, max_stage + 1):
-        max_order = max((eq.order + sum(beta) for eq, beta in active), default=0)
+        max_order = max((columns.coded(eq)[0] + sum(beta) for eq, beta in active), default=0)
         stage_tables = [_symbol_table(el, system, stage, max_order) for el in elims]
         best = min(stage_tables, key=lambda t: t.total())  # min dims = max rank
         if any(t.dims != best.dims for t in stage_tables):

@@ -206,6 +206,7 @@ def test_bundled_models_parse(name):
     ("invariant-connections", "tensor_type", "2, -1"),
     ("invariant-connections", "tensor_type", "1, 2, 3"),
     ("closure", "point", "0, 0"),  # valid form, wrong task kind
+    ("invariant-connections", "fields", "v"),  # the task reads no fields
     ("symmetry-bound", "expect_bound", "abc"),
     ("symmetry-bound", "expect_bound", "-1"),
     ("closure", "expect_dimension", "2.5"),
@@ -350,3 +351,63 @@ expect_ricci_flat = False
     assert tasks["inv2"].params["tensor_type"] == (1, 1)
     assert tasks["check"].params["expect_ricci_flat"] is False
     assert tasks["check"].params["blocks"] is None
+
+
+def test_check_structure_with_nothing_to_check_is_rejected_at_its_header(tmp_path):
+    text = MINIMAL + "\n[task t]\nkind = check-structure\n"
+    with pytest.raises(ModelError, match="needs at least one of") as exc:
+        parse_model(text)
+    assert exc.value.line == len(MINIMAL.splitlines()) + 2
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path)]) == 2
+    parse_model(text + "metric = g\n")
+
+
+STRUCTURED = FRAMED + """
+[connection D]
+D[x; y, y] = x
+
+[frame F]
+members = J, J, J
+
+[task t]
+kind = symmetry-bound
+"""
+
+
+@pytest.mark.parametrize("kind", ["symmetry-bound", "verify-fields"])
+@pytest.mark.parametrize("structure, extra, bad", [
+    ("killing\nmetric = g", "frame = F", "frame"),
+    ("killing\nmetric = g", "orientation = -1", "orientation"),
+    ("killing\nmetric = g", "connection = D", "connection"),
+    ("killing\nmetric = g", "complex_structure = J", "complex_structure"),
+    ("quaternionic\nmetric = g", "connection = D", "connection"),
+    ("quaternionic\nmetric = g", "complex_structure = J", "complex_structure"),
+    ("quaternionic\nmetric = g\nframe = F", "orientation = -1", "orientation"),
+    ("quaternionic\nmetric = g\norientation = -1", "frame = F", "orientation"),
+    ("cprojective\nconnection = D\ncomplex_structure = J", "metric = g", "metric"),
+    ("cprojective\nconnection = D\ncomplex_structure = J", "frame = F", "frame"),
+    ("cprojective\nconnection = D\ncomplex_structure = J", "orientation = -1",
+     "orientation"),
+])
+def test_structure_parameter_the_structure_ignores_is_rejected_at_its_line(
+        tmp_path, kind, structure, extra, bad):
+    """Each structure reads only its own parameters, and a frame replaces
+    the orientation of the ASD span; any other given parameter would be
+    ignored, so it is a parse error at its line."""
+    fields = "\nfields = v" if kind == "verify-fields" else ""
+    head = (STRUCTURED.replace("kind = symmetry-bound", f"kind = {kind}")
+            + f"structure = {structure}{fields}\n")
+    vector = "\n[vector v]\nv[x] = 1\n"
+    parse_model(head + vector)
+    text = head + extra + "\n" + vector
+    bad_line = next(i for i, line in enumerate(text.splitlines(), 1)
+                    if line.startswith(bad + " ="))
+    with pytest.raises(ModelError, match="not used by structure|ignored next to") as exc:
+        parse_model(text)
+    assert exc.value.line == bad_line
+    path = tmp_path / "bad.model"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2

@@ -517,3 +517,112 @@ def test_graded_elimination_back_substitutes_new_pivots():
     assert elim.add({0: 8, 1: -1}) == 5  # 8 e0 - e1 = row 0 - row 1 - 4 e5 mod 7
     assert elim.rows == {0: {}, 1: {}, 3: {}, 5: {}}
     assert elim.add({0: 3, 3: 9, 5: 7}) is None and elim.rank == 4
+
+
+def test_columns_code_each_equation_once_and_lead_its_derivatives():
+    """coded gives an equation's order, least code and coded terms, the
+    same object on a second call; lead of (E, beta) is the least code of
+    the row of D^beta E, that of X^a_(alpha+beta) for E's leading
+    X^a_alpha."""
+    chart = Chart(["x", "y"])
+    x = parse_expr(chart, "x")
+    eq = P.LinearPDESystem.from_coefficient_maps(chart, 2, [
+        {(1, (0, 1)): x, (0, (0, 0)): chart.one(), (0, (1, 0)): x * x}]).equations[0]
+    cols = P._Columns(2, 2, 4)
+    order, lead, terms = cols.coded(eq)
+    assert cols.coded(eq)[2] is terms
+    assert order == eq.order == 1
+    assert [k for k, _ in terms] == [cols.code(a, alpha) for a, alpha in eq.coeffs]
+    assert lead == min(k for k, _ in terms) == cols.code(0, (1, 0))
+    taylor = P.TaylorMap(chart, P.GenericPoint.sample(chart, 3), 2)
+    for beta in [(0, 0), (1, 0), (0, 2), (1, 1)]:
+        assert cols.lead((eq, beta)) == min(eq.evaluate_sparse(beta, taylor, cols))
+        assert cols.order(cols.lead((eq, beta))) == eq.order + sum(beta)
+
+
+def test_solution_bound_adds_each_batch_lowest_jet_order_first(monkeypatch, sphere):
+    """Within each batch (the rows of one total derivative order |beta|)
+    the rows reach the elimination in descending order of leading code,
+    so the lowest jet order comes first."""
+    seen = {}
+    evaluate = P.Equation.evaluate_sparse
+
+    def record(self, beta, taylor, columns):
+        seen.setdefault(sum(beta), []).append(columns.lead((self, beta)))
+        return evaluate(self, beta, taylor, columns)
+
+    monkeypatch.setattr(P.Equation, "evaluate_sparse", record)
+    res = P.solution_bound(S.invariance_system(sphere[1]))
+    assert res.bound == 3 and len(seen) == len(res.tables)
+    for leads in seen.values():
+        assert leads == sorted(leads, reverse=True)
+        assert len(set(leads)) > 1
+
+
+@pytest.mark.parametrize("seed", [1, 7, 101])
+@pytest.mark.parametrize("case", ["flat2", "sphere", "root-chart", "flat-quaternionic"])
+def test_tables_do_not_depend_on_the_order_of_the_equations(request, case, seed):
+    """The system's equations reversed, or shuffled, give the same
+    tables, bound and point independence: each batch is sorted by
+    leading code, ties keep the given order, and any order of the rows
+    gives the same pivots at a point and the same prolonged span."""
+    if case == "root-chart":
+        system = S.invariance_system(_root_chart_metric()[1])
+    else:
+        system = _oracle_system(request, case)
+    seeds = (seed, seed + 101, seed + 202)
+    ref = P.solution_bound(system, seeds=seeds)
+    shuffled = list(system.equations)
+    random.Random(seed).shuffle(shuffled)
+    for equations in (system.equations[::-1], shuffled):
+        res = P.solution_bound(P.LinearPDESystem(system.chart, system.n_unknowns, equations),
+                               seeds=seeds)
+        assert [t.dims for t in res.tables] == [t.dims for t in ref.tables]
+        assert (res.bound, res.point_independent) == (ref.bound, ref.point_independent)
+
+
+def _sheared_flat_quaternionic(n):
+    """The flat quaternionic structure on R^(4n) (Euclidean metric,
+    standard triple) pulled back by the shear phi_i = x_i + x_(i+1)^2,
+    the last coordinate kept: g = Jac^T Jac and A -> Jac^-1 A Jac.  The
+    Jacobian is upper bidiagonal with 2 x_(i+1) above the diagonal, and
+    (Jac^-1)_ij = prod over l = i+1..j of (-2 x_l) for j >= i."""
+    chart, flat_g = flat_chart(4 * n)
+    dim, zero = chart.dim, chart.zero()
+    x = [chart.var(c) for c in chart.coordinates]
+    jac = [[chart.one() if j == i else 2 * x[j] if j == i + 1 else zero
+            for j in range(dim)] for i in range(dim)]
+    inv = [[prod((-2 * x[l] for l in range(i + 1, j + 1)), start=chart.one()) if j >= i
+            else zero for j in range(dim)] for i in range(dim)]
+    g = G.TensorField(chart, ("d", "d"), {
+        (i, j): chart.sum_products((jac[k][i], jac[k][j]) for k in range(dim))
+        for i in range(dim) for j in range(dim)})
+    triple = [G.endomorphism(chart, [[chart.sum_products(
+        (inv[i][k], A.comp(k, l), jac[l][j]) for k in range(dim) for l in range(dim)
+        if not A.comp(k, l).is_zero()) for j in range(dim)] for i in range(dim)])
+        for A in standard_triple(chart)]
+    return S.quaternionic_symmetry_system(triple, g), S.quaternionic_symmetry_system(
+        list(standard_triple(chart)), flat_g)
+
+
+def test_sheared_flat_r4_has_the_flat_quaternionic_bound_and_tables():
+    """A coordinate change leaves the bound and the symbol tables at a
+    generic point unchanged: the sheared R^4 gives the flat 15 =
+    dim sl(2, H) and the flat tables, from coefficients it shares with no
+    flat row."""
+    sheared, flat = _sheared_flat_quaternionic(1)
+    assert any(not c.is_ground for eq in sheared.equations for c in eq.coeffs.values())
+    res, ref = P.solution_bound(sheared), P.solution_bound(flat)
+    assert res.conclusive and res.bound == ref.bound == 15
+    assert [t.dims for t in res.tables] == [t.dims for t in ref.tables]
+    assert res.point_independent
+
+
+@pytest.mark.slow
+def test_sheared_flat_r8_has_the_flat_quaternionic_bound():
+    """The sheared R^8: bound 35 = dim sl(3, H), final table (0,0,8,19,8)."""
+    sheared, _ = _sheared_flat_quaternionic(2)
+    res = P.solution_bound(sheared)
+    assert res.conclusive and res.bound == 35
+    assert res.final_table.dims == (0, 0, 8, 19, 8)
+    assert res.point_independent
