@@ -24,6 +24,7 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
+from . import _linalg
 from . import geometry as G
 from . import liealg as L
 from . import prolong as P
@@ -255,9 +256,7 @@ def _run_check_structure(model: Model, task: Task, seeds, max_stage):
         n = len(mats[0])
         total = [[sum(Fraction(m[i][j]) for m in mats) for j in range(n)]
                  for i in range(n)]
-        triv = L.LieAlgebra.from_structure([[[0]]])
-        rep = L.Representation.from_matrices(triv, [total])
-        kernel = L.zero_eigenspace(rep, [Fraction(1)])
+        kernel = _linalg.nullspace(total, n)
         data["block_kernel_dimension"] = len(kernel)
         if len(mats) == 2:
             hits = L.block_parameter_search(mats[0], mats[1], len(kernel))

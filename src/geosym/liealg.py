@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LieAlgError(ExprError):
@@ -109,16 +108,6 @@ class LieAlgebra:
                         out[k] += f * self.structure[i][j][k]
         return out
 
-    def ad(self, x: Sequence[Fraction]) -> List[List[Fraction]]:
-        """Matrix of ad(x): y -> [x, y] acting on column vectors."""
-        d = self.dimension
-        m = [[_ZERO] * d for _ in range(d)]
-        for j in range(d):
-            col = self.bracket(x, _unit_vector(j, d))
-            for k in range(d):
-                m[k][j] = col[k]
-        return m
-
     def center(self) -> List[List[Fraction]]:
         d = self.dimension
         rows = []
@@ -136,12 +125,6 @@ class LieAlgebra:
 
     def is_abelian(self) -> bool:
         return not self.derived_algebra()
-
-
-def _unit_vector(i: int, d: int) -> List[Fraction]:
-    v = [_ZERO] * d
-    v[i] = _ONE
-    return v
 
 
 @dataclass(frozen=True)
@@ -367,26 +350,10 @@ def equivariant_tensors(R: Representation,
                         row[col[tuple(src)]] += coeff
             rows.append(row)
     basis_vecs = _linalg.nullspace(rows, total)
-    basis = []
-    for v in basis_vecs:
-        tensor = {idx: v[col[idx]] for idx in indices if v[col[idx]]}
-        basis.append(tensor)
-    # re-check: every basis element annihilated by every generator
-    for tensor in basis:
-        for mat in R.matrices:
-            for idx in indices:
-                acc = _ZERO
-                for pos in range(slots):
-                    upper = pos < s
-                    for b in range(n):
-                        src = list(idx)
-                        src[pos] = b
-                        coeff = mat[idx[pos]][b] if upper else -mat[b][idx[pos]]
-                        if coeff:
-                            acc += coeff * tensor.get(tuple(src), _ZERO)
-                if acc:
-                    raise LieAlgError("invariance re-check failed")
-    return basis
+    # re-check: every basis element annihilated by every invariance row
+    if any(sum(a * b for a, b in zip(row, v) if a) for v in basis_vecs for row in rows):
+        raise LieAlgError("invariance re-check failed")
+    return [{idx: v[col[idx]] for idx in indices if v[col[idx]]} for v in basis_vecs]
 
 
 def block_parameter_search(block_a: Sequence[Sequence],

@@ -10,10 +10,11 @@ used by the tests as an independent cross-check.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import _linalg
-from .exprfield import Chart, Expr, ExprError
+from .exprfield import Chart, Expr, ExprError, KernelInconsistency
 from .geometry import (Connection, TensorField, check_hypercomplex_frame,
                        connection_shift, covariant_derivative)
 from .prolong import JetKey, LinearPDESystem
@@ -163,51 +164,41 @@ def cprojective_symmetry_system(J: TensorField, D: Connection) -> LinearPDESyste
 
 
 def obata_solve(I: TensorField, J: TensorField, K: TensorField) -> Connection:
-    """The unique torsion-free connection with DI = DJ = DK = 0.
+    """The Obata connection, the unique torsion-free connection with
+    DI = DJ = DK = 0, by its closed form
+    D_X Y = ([X, Y] + I[IX, Y] - J[X, JY] + K[IX, JY]) / 2, which on
+    coordinate fields reads Gamma^k_ij = (-I^k_a d_j I^a_i - J^k_a d_i J^a_j
+    + K^k_c (I^a_i d_a J^c_j - J^a_j d_a I^c_i)) / 2.  Raises
+    :class:`SymSysError` if the frame is not hypercomplex.
 
-    Solves the pointwise linear system for the Christoffel symbols;
-    raises if the frame is not hypercomplex (inconsistent system) or the
-    solution is not unique.
+    Soundness.  The result is certified torsion-free with DI = DJ = DK = 0,
+    else :class:`KernelInconsistency` is raised.  Two such connections
+    differ by a tensor S with S_X Y = S_Y X and each S_X commuting with
+    I, J and K; S is zero because the first prolongation of gl(n, H)
+    vanishes.  So the certified connection is the Obata connection.
     """
     report = check_hypercomplex_frame(I, J, K)
     if not report.is_hypercomplex:
         raise SymSysError(f"frame is not hypercomplex: {report}")
     chart = I.chart
     n = chart.dim
-    unknowns = [(k, i, j) for k in range(n) for i in range(n) for j in range(i, n)]
-    col = {u: c for c, u in enumerate(unknowns)}
-    rows: List[List[Expr]] = []
-
-    def gamma_col(k: int, i: int, j: int) -> int:
-        return col[(k, i, j)] if i <= j else col[(k, j, i)]
-
-    for A in (I, J, K):
-        for a, b, mm in itertools.product(range(n), repeat=3):
-            # d_m A^a_b + G^a_{mc} A^c_b - G^c_{mb} A^a_c = 0
-            row = [chart.zero()] * len(unknowns)
-            for c in range(n):
-                t = A.comp(c, b)
-                if not t.is_zero():
-                    cc = gamma_col(a, mm, c)
-                    row[cc] = row[cc] + t
-                t = A.comp(a, c)
-                if not t.is_zero():
-                    cc = gamma_col(c, mm, b)
-                    row[cc] = row[cc] - t
-            row.append(-A.comp(a, b).differentiate(chart.coordinates[mm]))
-            rows.append(row)
-    # one reduction of the augmented matrix [A | b]: the pivots left of
-    # the last column give the nullity, a pivot on it inconsistency
-    ncols = len(unknowns)
-    red, pivots = _linalg.rref(rows)
-    defect = ncols - len([p for p in pivots if p < ncols])
-    if defect:
-        raise SymSysError(
-            f"parallelism system underdetermined: {defect}-dimensional defect")
-    if ncols in pivots:
-        raise SymSysError("parallelism system inconsistent; frame not hypercomplex")
+    coords = chart.coordinates
+    # dI[(a, b, m)] = d_m I^a_b, and likewise dJ
+    dI, dJ = ({(a, b, m): e.differentiate(coords[m]) for (a, b), e in A.items()
+               for m in range(n)} for A in (I, J))
+    half = Fraction(1, 2)
     gamma = {}
-    for (k, i, j), c in col.items():
-        gamma[(k, i, j)] = red[c][ncols]
-        gamma[(k, j, i)] = red[c][ncols]
-    return Connection(chart, gamma)
+    for k, i, j in itertools.product(range(n), repeat=3):
+        terms = []
+        for a in range(n):
+            terms += [(-half, I.comp(k, a), dI.get((a, i, j), 0)),
+                      (-half, J.comp(k, a), dJ.get((a, j, i), 0))]
+            for c in range(n):
+                terms += [(half, K.comp(k, c), I.comp(a, i), dJ.get((c, j, a), 0)),
+                          (-half, K.comp(k, c), J.comp(a, j), dI.get((c, i, a), 0))]
+        gamma[(k, i, j)] = chart.sum_products(terms)
+    D = Connection(chart, gamma)
+    if not (D.is_torsion_free()
+            and all(covariant_derivative(D, A).is_zero() for A in (I, J, K))):
+        raise KernelInconsistency("Obata connection fails its certificate; kernel bug")
+    return D

@@ -6,6 +6,7 @@ symmetry systems is the expensive part of the suite.
 
 import pytest
 
+from geosym import _linalg
 from geosym import geometry as G
 from geosym import symsys as S
 from geosym.exprfield import Chart, parse_expr
@@ -155,3 +156,34 @@ def flat_chart(dim: int):
 @pytest.fixture()
 def flat4():
     return flat_chart(4)
+
+
+def shear_map(dim: int):
+    """The shear phi_i = x_i + x_(i+1)^2 of R^dim, the last coordinate
+    kept, as component strings."""
+    return [f"x{i} + x{i + 1}^2" for i in range(dim - 1)] + [f"x{dim - 1}"]
+
+
+def flat_quaternionic_pullback(phi):
+    """The flat quaternionic structure on R^(4n) (Euclidean metric,
+    standard triple) pulled back by the polynomial map ``phi``, one
+    component string per coordinate x0, x1, ...: g = Jac^T Jac and
+    A -> Jac^-1 A Jac, with Jac^l_j = d_j phi^l.  Returns
+    ``(chart, jac, inv, g, triple)``; ``jac`` and its inverse ``inv``
+    are lists of rows."""
+    chart, _ = flat_chart(len(phi))
+    dim = chart.dim
+    comps = [parse_expr(chart, p) for p in phi]
+    jac = [[f.differentiate(c) for c in chart.coordinates] for f in comps]
+    red, pivots = _linalg.rref([row + [chart.one() if j == i else chart.zero()
+                                       for j in range(dim)] for i, row in enumerate(jac)])
+    assert pivots == list(range(dim)), "phi is not a local diffeomorphism"
+    inv = [row[dim:] for row in red]
+    g = G.TensorField(chart, ("d", "d"), {
+        (i, j): chart.sum_products((jac[k][i], jac[k][j]) for k in range(dim))
+        for i in range(dim) for j in range(dim)})
+    triple = [G.endomorphism(chart, [[chart.sum_products(
+        (inv[i][k], A.comp(k, l), jac[l][j]) for k in range(dim) for l in range(dim)
+        if not A.comp(k, l).is_zero()) for j in range(dim)] for i in range(dim)])
+        for A in standard_triple(chart)]
+    return chart, jac, inv, g, triple

@@ -370,3 +370,32 @@ def test_connection_shift_projective():
         if k == i:
             want = want + gamma.comp(j)
         assert (D2.comp(k, i, j) - want).is_zero()
+
+
+@pytest.mark.parametrize("gamma", [
+    ["1", "0", "0", "0"],
+    ["x1", "x0", "0", "0"],
+    ["x2*x3", "0", "x0", "1"],
+])
+def test_connection_shift_quaternionic_preserves_the_quaternionic_bundle(gamma):
+    """Shifting the flat connection of R^4 by a quaternionic shift keeps
+    it torsion-free and keeps span(I, J, K) parallel, but not I itself."""
+    chart = Chart([f"x{i}" for i in range(4)])
+    frame = standard_triple(chart)
+    D = G.connection_shift(G.Connection(chart, {}),
+                           G.one_form(chart, [parse_expr(chart, c) for c in gamma]),
+                           "quaternionic", frame=frame)
+    assert D.is_torsion_free()
+    for A in frame:
+        DA = G.covariant_derivative(D, A)
+        for i in range(4):
+            X = G.TensorField(chart, ("u", "d"),
+                              {(a, b): DA.comp(a, b, i) for a, b in itertools.product(range(4), repeat=2)})
+            # the frame is orthonormal for the trace pairing: tr(AB) = -4 delta
+            residual = X
+            for B in frame:
+                c = chart.sum_products((Fraction(1, 4), X.comp(a, b), B.comp(b, a))
+                                       for a, b in itertools.product(range(4), repeat=2))
+                residual = residual + B.scale(c)
+            assert residual.is_zero()
+    assert not G.covariant_derivative(D, frame[0]).is_zero()

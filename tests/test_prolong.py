@@ -14,7 +14,8 @@ from geosym import prolong as P
 from geosym import symsys as S
 from geosym.exprfield import _ONE, Chart, Expr, Poly, _derivation_rules, _prime, parse_expr
 
-from conftest import flat_chart, nested_root_chart, standard_triple
+from conftest import (flat_chart, flat_quaternionic_pullback, nested_root_chart, shear_map,
+                      standard_triple)
 
 
 def _monotone_tables(tables):
@@ -582,25 +583,10 @@ def test_tables_do_not_depend_on_the_order_of_the_equations(request, case, seed)
 
 
 def _sheared_flat_quaternionic(n):
-    """The flat quaternionic structure on R^(4n) (Euclidean metric,
-    standard triple) pulled back by the shear phi_i = x_i + x_(i+1)^2,
-    the last coordinate kept: g = Jac^T Jac and A -> Jac^-1 A Jac.  The
-    Jacobian is upper bidiagonal with 2 x_(i+1) above the diagonal, and
-    (Jac^-1)_ij = prod over l = i+1..j of (-2 x_l) for j >= i."""
-    chart, flat_g = flat_chart(4 * n)
-    dim, zero = chart.dim, chart.zero()
-    x = [chart.var(c) for c in chart.coordinates]
-    jac = [[chart.one() if j == i else 2 * x[j] if j == i + 1 else zero
-            for j in range(dim)] for i in range(dim)]
-    inv = [[prod((-2 * x[l] for l in range(i + 1, j + 1)), start=chart.one()) if j >= i
-            else zero for j in range(dim)] for i in range(dim)]
-    g = G.TensorField(chart, ("d", "d"), {
-        (i, j): chart.sum_products((jac[k][i], jac[k][j]) for k in range(dim))
-        for i in range(dim) for j in range(dim)})
-    triple = [G.endomorphism(chart, [[chart.sum_products(
-        (inv[i][k], A.comp(k, l), jac[l][j]) for k in range(dim) for l in range(dim)
-        if not A.comp(k, l).is_zero()) for j in range(dim)] for i in range(dim)])
-        for A in standard_triple(chart)]
+    """The quaternionic systems of the flat structure on R^(4n) pulled
+    back by the shear phi_i = x_i + x_(i+1)^2, and of the flat one."""
+    chart, _, _, g, triple = flat_quaternionic_pullback(shear_map(4 * n))
+    flat_g = G.TensorField(chart, ("d", "d"), {(i, i): chart.one() for i in range(chart.dim)})
     return S.quaternionic_symmetry_system(triple, g), S.quaternionic_symmetry_system(
         list(standard_triple(chart)), flat_g)
 

@@ -1,6 +1,8 @@
 """Symmetry PDE generators: invariance systems, quaternionic and
 c-projective systems, and the Obata connection."""
 
+import itertools
+
 import pytest
 
 from geosym import geometry as G
@@ -8,7 +10,8 @@ from geosym import prolong as P
 from geosym import symsys as S
 from geosym.exprfield import Chart, parse_expr
 
-from conftest import block_endomorphism, flat_chart, standard_triple
+from conftest import (block_endomorphism, flat_chart, flat_quaternionic_pullback, shear_map,
+                      standard_triple)
 
 
 def test_invariance_system_counts(flat2):
@@ -138,4 +141,24 @@ def test_obata_of_a_non_constant_triple(flat4):
     assert D.comp(0, 1, 1).equals(chart.const(-2))
     for A in (I, J, K):
         assert G.covariant_derivative(D, A).is_zero()
+    assert G.curvature(D).is_zero()
+
+
+@pytest.mark.parametrize("phi", [
+    shear_map(4),
+    ["x0 + x1^2", "x1 + x2*x3", "x2 + x3^2", "x3"],
+    pytest.param(shear_map(8), marks=pytest.mark.slow),
+], ids=["sheared-r4", "coupled-r4", "sheared-r8"])
+def test_obata_of_a_pulled_back_frame_is_the_pulled_back_flat_connection(phi):
+    """The Obata connection of a pulled-back flat triple is the pullback
+    of the flat connection, Gamma^k_ij = (Jac^-1)^k_l d_i Jac^l_j: an
+    oracle that shares no code with the closed form."""
+    chart, jac, inv, _, triple = flat_quaternionic_pullback(phi)
+    n = chart.dim
+    D = S.obata_solve(*triple)
+    assert D.gamma
+    for k, i, j in itertools.product(range(n), repeat=3):
+        oracle = chart.sum_products((inv[k][l], jac[l][j].differentiate(chart.coordinates[i]))
+                                    for l in range(n))
+        assert D.comp(k, i, j).equals(oracle), (k, i, j)
     assert G.curvature(D).is_zero()
