@@ -1,17 +1,23 @@
-"""Exact linear algebra helpers shared across modules.
+"""Exact linear algebra: one elimination, :func:`rref`, and what is read
+off it.
 
 One code path for any exact field whose elements support ``bool`` (false
 exactly for zero) and ``/``: :class:`fractions.Fraction` matrices (Lie
 algebra work, and the integer coefficient rows of closure, whose ``int``
 entries :func:`rref` makes ``Fraction``; symbol ranks are taken mod p in
 :mod:`geosym.prolong`) and matrices of kernel ``Expr`` values, whose
-zero test is their normal form.
+zero test is their normal form.  :func:`rank` counts the pivots and
+:func:`nullspace` reads a kernel basis off the reduced rows.  There is
+no separate solver: A x = b is asked as the kernel of [A | -b], whose
+vector with last entry 1 is a solution (:func:`geosym.liealg.vanishing_locus`),
+and coordinates in a basis are the non-pivot columns of one reduced
+matrix (:func:`geosym.liealg.closure_from_fields`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
@@ -49,32 +55,16 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int, one=Fraction(1)) -> List[List]:
-    """Basis of the right kernel of the matrix."""
+def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List]:
+    """Basis of the right kernel of the matrix, one vector per free
+    column in column order; free entries are ``Fraction`` 1 and 0."""
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    zero = one - one
     for f in free:
-        v = [zero] * ncols
-        v[f] = one
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
         for r, p in enumerate(pivots):
             v[p] = -red[r][f]
         basis.append(v)
     return basis
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[List]:
-    """One solution of A x = b, or None if inconsistent."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    zero = rhs[0] - rhs[0] if len(rhs) else Fraction(0)
-    x = [zero] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
-    return x

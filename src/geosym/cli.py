@@ -117,7 +117,7 @@ def _run_verify_fields(model: Model, task: Task, seeds, max_stage):
 
 def _closure(model: Model, names: Sequence[str]) -> L.LieAlgebra:
     fields = [model.vectors[name] for name in names]
-    return L.closure_from_fields(fields, labels=list(names))
+    return L.closure_from_fields(fields)
 
 
 def _run_closure(model: Model, task: Task, seeds, max_stage):

@@ -1006,12 +1006,14 @@ class Expr:
         sign fix (positive leading coefficient of d) removes it.
 
         A numerator that is not the zero polynomial but reduces to zero is
-        cross-checked here, once: the unreduced pair must vanish at the
-        chart's pool of :class:`GenericPoint` s, mod each point's prime.
-        A point where the denominator is 0 mod the prime is skipped; the
-        check stops after two checked points of six.  A nonzero value
-        raises :class:`KernelInconsistency`.  A true zero maps to zero, so
-        the check never raises falsely.
+        cross-checked here, once: the unreduced numerator must vanish at
+        the first two points of the chart's pool of :class:`GenericPoint` s,
+        mod each point's prime.  Such a numerator lies in the relation
+        ideal, which vanishes at every pool point whatever the
+        denominator's value there, so the denominator is not evaluated
+        and no point is skipped.  A nonzero value raises
+        :class:`KernelInconsistency`; a true zero maps to zero, so the
+        check never raises falsely.
         """
         self.chart = chart
         n = chart._reduce_poly(num)
@@ -1022,17 +1024,11 @@ class Expr:
             n, d = chart._cancel(*chart._derationalize(n, d))
         else:
             d = _ONE
-            checked = 0
             # the zero polynomial itself needs no check
-            for point in (chart._check_pool(6) if num else ()):
-                if not _poly_mod(den, point.residues, point.prime):
-                    continue
+            for point in (chart._check_pool(2) if num else ()):
                 if _poly_mod(num, point.residues, point.prime):
                     raise KernelInconsistency(
                         "reduction reports zero but evaluation is nonzero; kernel bug")
-                checked += 1
-                if checked >= 2:
-                    break
         self._num = n
         self._den = d
 
@@ -1432,7 +1428,7 @@ def parse_expr(chart: Chart, source: str) -> Expr:
         if isinstance(node, ast.Expression):
             return conv(node.body)
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, int):
+            if type(node.value) is int:  # not bool
                 return chart.const(node.value)
             raise ExprParseError(
                 f"only integer literals allowed, got {node.value!r}",
@@ -1449,17 +1445,13 @@ def parse_expr(chart: Chart, source: str) -> Expr:
             raise ExprParseError("unsupported unary operator", node.lineno, node.col_offset)
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Pow):
-                if not (isinstance(node.right, ast.Constant) and isinstance(node.right.value, int)) \
-                        and not (isinstance(node.right, ast.UnaryOp)
-                                 and isinstance(node.right.operand, ast.Constant)):
+                exp, sign = node.right, 1
+                if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
+                    exp, sign = exp.operand, -1
+                if not (isinstance(exp, ast.Constant) and type(exp.value) is int):
                     raise ExprParseError("exponent must be an integer literal",
                                          node.lineno, node.col_offset)
-                exp_node = node.right
-                if isinstance(exp_node, ast.UnaryOp):
-                    k = -exp_node.operand.value
-                else:
-                    k = exp_node.value
-                return conv(node.left) ** k
+                return conv(node.left) ** (sign * exp.value)
             left, right = conv(node.left), conv(node.right)
             if isinstance(node.op, ast.Add):
                 return left + right

@@ -275,15 +275,8 @@ def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
 
 
 def bracket(X: TensorField, Y: TensorField) -> TensorField:
-    """Lie bracket of vector fields."""
-    n = X.chart.dim
-    coords = X.chart.coordinates
-    comps = {(a,): X.chart.sum_products(
-        t for m in range(n) for t in (
-            (X.comp(m), Y.comp(a).differentiate(coords[m])),
-            (-1, Y.comp(m), X.comp(a).differentiate(coords[m]))))
-        for a in range(n)}
-    return TensorField(X.chart, ("u",), comps)
+    """Lie bracket [X, Y] = L_X Y of vector fields."""
+    return lie_derivative(Y, X)
 
 
 def nijenhuis(J: TensorField) -> TensorField:

@@ -54,7 +54,6 @@ class LieAlgebra:
 
     dimension: int
     structure: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
-    labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         d = self.dimension
@@ -63,8 +62,6 @@ class LieAlgebra:
             len(cij) != d for ci in c for cij in ci
         ):
             raise LieAlgError("structure constants have wrong shape")
-        if self.labels is not None and len(self.labels) != d:
-            raise LieAlgError("label count does not match dimension")
         for i in range(d):
             for j in range(d):
                 for k in range(d):
@@ -83,11 +80,10 @@ class LieAlgebra:
                 raise LieAlgError(f"Jacobi identity fails on ({i},{j},{k})")
 
     @classmethod
-    def from_structure(cls, structure: Sequence[Sequence[Sequence]],
-                       labels: Optional[Sequence[str]] = None) -> "LieAlgebra":
+    def from_structure(cls, structure: Sequence[Sequence[Sequence]]) -> "LieAlgebra":
         c = tuple(tuple(tuple(Fraction(x) for x in cij) for cij in ci)
                   for ci in structure)
-        return cls(len(c), c, tuple(labels) if labels is not None else None)
+        return cls(len(c), c)
 
     def bracket_basis(self, i: int, j: int) -> List[Fraction]:
         return list(self.structure[i][j])
@@ -181,37 +177,34 @@ def reductive_isotropy(A: LieAlgebra, h_basis: Sequence[Sequence],
 
     Requires the reductive condition [h, m] subset of m; the matrices
     are ad(h) restricted to m in the given m basis.
+
+    One elimination answers every question: the columns are the basis
+    b = (h, m), then [h_i, b_j] for each i and j.  h + m is a direct sum
+    iff the first d columns are pivots; the reduced rows then hold the
+    unique coordinates of each bracket in b, the first dim h of them on
+    h.  h is a subalgebra iff every [h_i, h_j] has zero m-coordinates,
+    whose h-coordinates are h's structure constants, and the pair is
+    reductive iff every [h_i, m_k] has zero h-coordinates.
     """
     d = A.dimension
     h = _frac_matrix(h_basis)
-    m = _frac_matrix(m_basis)
-    if len(h) + len(m) != d or _linalg.rank(h + m) != d:
+    basis = h + _frac_matrix(m_basis)
+    cols = basis + [A.bracket(x, y) for x in h for y in basis]
+    red, pivots = _linalg.rref(list(zip(*cols)))
+    if len(basis) != d or pivots[:d] != list(range(d)):
         raise LieAlgError("h and m do not form a direct-sum decomposition")
-    # structure constants of h in its own basis (needed for the check in
-    # Representation): brackets of h elements expressed in the h basis
-    h_struct = [[[_ZERO] * len(h) for _ in range(len(h))]
-                for _ in range(len(h))]
-    for i in range(len(h)):
-        for j in range(len(h)):
-            br = A.bracket(h[i], h[j])
-            sol = _linalg.solve([list(col) for col in zip(*h)], br)
-            if sol is None:
-                raise LieAlgError("h is not a subalgebra")
-            h_struct[i][j] = [Fraction(x) for x in sol]
-    h_alg = LieAlgebra.from_structure(h_struct)
-    m_cols = [list(col) for col in zip(*m)]
-    mats = []
-    for x in h:
-        cols = []
-        for y in m:
-            br = A.bracket(x, y)
-            sol = _linalg.solve(m_cols, br)
-            if sol is None:
-                raise LieAlgError("[h, m] is not contained in m")
-            cols.append([Fraction(v) for v in sol])
-        mats.append(tuple(tuple(cols[j][a] for j in range(len(m)))
-                          for a in range(len(m))))
-    return Representation(h_alg, len(m), tuple(mats))
+    nh = len(h)
+    # coords[i][j]: the coordinates of [h_i, b_j] in b
+    coords = [[[row[d + i * d + j] for row in red] for j in range(d)] for i in range(nh)]
+    if any(x for i in range(nh) for j in range(nh) for x in coords[i][j][nh:]):
+        raise LieAlgError("h is not a subalgebra")
+    h_alg = LieAlgebra.from_structure(
+        [[coords[i][j][:nh] for j in range(nh)] for i in range(nh)])
+    if any(x for i in range(nh) for j in range(nh, d) for x in coords[i][j][:nh]):
+        raise LieAlgError("[h, m] is not contained in m")
+    mats = tuple(tuple(tuple(coords[i][j][a] for j in range(nh, d)) for a in range(nh, d))
+                 for i in range(nh))
+    return Representation(h_alg, d - nh, mats)
 
 
 def _mat_mul(a, b):
@@ -256,14 +249,18 @@ def _coefficient_rows(chart: Chart, columns: Sequence[Sequence[Expr]]) -> List[T
     return list(dict.fromkeys(rows))
 
 
-def closure_from_fields(fields: Sequence[TensorField],
-                        labels: Optional[Sequence[str]] = None) -> LieAlgebra:
+def closure_from_fields(fields: Sequence[TensorField]) -> LieAlgebra:
     """Abstract Lie algebra spanned by the given vector fields.
 
     Succeeds iff the fields are independent over Q and each pairwise
     bracket is a rational-constant combination of them.  Both are read
-    off exactly, by comparing the coefficients of the components'
-    numerators (:func:`_coefficient_rows`); each solved combination is
+    off one exact elimination over the columns (fields, brackets), whose
+    rows compare the coefficients of the components' numerators
+    (:func:`_coefficient_rows`).  A column is a pivot iff it is outside
+    the span of the columns before it, so the fields are independent iff
+    the first d columns are pivots, and closed iff no later column is;
+    the first such pivot is the first bracket outside the span.  The
+    reduced rows then hold each bracket's structure constants, which are
     re-verified symbolically as a certificate.
     """
     if not fields:
@@ -275,27 +272,28 @@ def closure_from_fields(fields: Sequence[TensorField],
         if f.chart is not chart:
             raise LieAlgError("fields live on different charts")
     d = len(fields)
+    pairs = list(itertools.combinations(range(d), 2))
+    brackets = [bracket(fields[i], fields[j]) for i, j in pairs]
     comps = [[f.comp(a) for f in fields] for a in range(chart.dim)]
-    if _linalg.rank(_coefficient_rows(chart, comps)) < d:
+    red, pivots = _linalg.rref(_coefficient_rows(
+        chart, [cs + [br.comp(a) for br in brackets] for a, cs in enumerate(comps)]))
+    if pivots[:d] != list(range(d)):
         raise LieAlgError("input fields are linearly dependent over the rationals")
+    if len(pivots) > d:
+        i, j = pairs[pivots[d] - d]
+        raise LieAlgError(
+            f"not closed: [field {i}, field {j}] is not a "
+            "rational-constant combination of the inputs")
     structure = [[[_ZERO] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            br = bracket(fields[i], fields[j])
-            rows = _coefficient_rows(chart, [cs + [br.comp(a)] for a, cs in enumerate(comps)])
-            c = _linalg.solve([r[:-1] for r in rows], [r[-1] for r in rows])
-            if c is None:
-                raise LieAlgError(
-                    f"not closed: [field {i}, field {j}] is not a "
-                    "rational-constant combination of the inputs")
-            if any(chart.sum_products([(br.comp(a),)] + [(-ck, X) for ck, X in zip(c, cs)])
-                   for a, cs in enumerate(comps)):
-                raise KernelInconsistency(
-                    f"[field {i}, field {j}] fails its symbolic certificate; kernel bug")
-            for k in range(d):
-                structure[i][j][k], structure[j][i][k] = c[k], -c[k]
-    return LieAlgebra.from_structure(
-        structure, labels if labels is not None else None)
+    for col, ((i, j), br) in enumerate(zip(pairs, brackets), d):
+        c = [row[col] for row in red]
+        if any(chart.sum_products([(br.comp(a),)] + [(-ck, X) for ck, X in zip(c, cs)])
+               for a, cs in enumerate(comps)):
+            raise KernelInconsistency(
+                f"[field {i}, field {j}] fails its symbolic certificate; kernel bug")
+        for k in range(d):
+            structure[i][j][k], structure[j][i][k] = c[k], -c[k]
+    return LieAlgebra.from_structure(structure)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +304,7 @@ def zero_eigenspace(R: Representation, x: Sequence) -> List[List[Fraction]]:
     """Exact kernel of rho(x) in the module."""
     xv = [Fraction(v) for v in x]
     mat = R.rho(xv)
-    basis = _linalg.nullspace(mat, R.module_dimension)
-    if len(basis) + _linalg.rank(mat) != R.module_dimension:
-        raise LieAlgError("rank-nullity check failed")
-    return basis
+    return _linalg.nullspace(mat, R.module_dimension)
 
 
 _TENSOR_SIZE_GUARD = 20000
@@ -356,26 +351,24 @@ def equivariant_tensors(R: Representation,
     return [{idx: v[col[idx]] for idx in indices if v[col[idx]]} for v in basis_vecs]
 
 
+# the nonzero rationals p/q with |p|, q in 1..4, in increasing order
+_CANDIDATES = sorted({s * Fraction(p, q)
+                      for s in (1, -1) for p in range(1, 5) for q in range(1, 5)})
+
+
 def block_parameter_search(block_a: Sequence[Sequence],
                            block_b: Sequence[Sequence],
-                           target_kernel_dim: int,
-                           candidates: Optional[Sequence] = None) -> List[Fraction]:
+                           target_kernel_dim: int) -> List[Fraction]:
     """Rational a with dim ker(block_a + a*block_b) == target, a != 0.
 
-    Searches the candidate list (default: small rationals) and reports
-    every hit; nothing is asserted about uniqueness.
+    Searches the small rationals of ``_CANDIDATES`` and reports every
+    hit; nothing is asserted about uniqueness.
     """
     A = _frac_matrix(block_a)
     B = _frac_matrix(block_b)
     n = len(A)
-    if candidates is None:
-        base = [Fraction(p, q) for p in range(1, 5) for q in range(1, 5)]
-        candidates = sorted(set(base + [-c for c in base]))
     hits = []
-    for a in candidates:
-        a = Fraction(a)
-        if not a:
-            continue
+    for a in _CANDIDATES:
         m = [[A[i][j] + a * B[i][j] for j in range(n)] for i in range(n)]
         if n - _linalg.rank(m) == target_kernel_dim:
             hits.append(a)
@@ -414,15 +407,20 @@ def vanishing_locus(X: TensorField) -> VanishingLocus:
     """Solve X = 0 exactly for a vector field with affine-linear components.
 
     Each component X^i must have rational-constant derivatives a_ij, and
-    X^i - sum_j a_ij x_j must be a rational constant; both are read off
-    the normal forms, so no point is evaluated."""
+    c_i = X^i - sum_j a_ij x_j must be a rational constant; both are read
+    off the normal forms, so no point is evaluated.  X(x) = 0 iff (x, 1)
+    lies in the kernel of [A | c], so one kernel basis answers everything:
+    the locus is empty iff no kernel vector has last entry 1 (the last
+    column is a pivot), that vector is the offset, and the others are the
+    directions.  The locus is {x_k = 0} for the coordinates outside every
+    direction exactly when the offset is 0 and each direction is a unit
+    vector, that is when the reduced rows are coordinate functionals."""
     if X.variance != ("u",):
         raise LieAlgError("vanishing_locus expects a vector field")
     chart = X.chart
     coords = chart.coordinates
     n = len(coords)
-    A: List[List[Fraction]] = []
-    b: List[Fraction] = []
+    rows: List[List[Fraction]] = []
     for i in range(n):
         comp = X.comp(i)
         derivs = [comp.differentiate(c) for c in coords]
@@ -434,32 +432,13 @@ def vanishing_locus(X: TensorField) -> VanishingLocus:
                                                 for aij, c in zip(row, coords) if aij])
         if not const.is_constant():
             raise LieAlgError(f"component {i} is not affine-linear")
-        A.append(row)
-        b.append(-const.as_fraction())
-    sol = _linalg.solve(A, b)
-    if sol is None:
+        rows.append(row + [const.as_fraction()])
+    kernel = _linalg.nullspace(rows, n + 1)
+    if not kernel or not kernel[-1][n]:
         return VanishingLocus(True, -1, None, ())
-    directions = _linalg.nullspace(A, n)
+    offset = tuple(kernel[-1][:n])
+    directions = tuple(tuple(v[:n]) for v in kernel[:-1])
     zero_coords: Tuple[str, ...] = ()
-    if all(x == 0 for x in sol):
-        forced = []
-        free = set()
-        for v in directions:
-            for k in range(n):
-                if v[k]:
-                    free.add(k)
-        for k in range(n):
-            if k not in free:
-                forced.append(k)
-        # the locus is {x_k = 0 for forced k} iff the constraint rows span
-        # exactly the forced coordinate functionals
-        red, pivots = _linalg.rref(A)
-        if pivots == forced and all(
-            red[r][c] == (1 if c == p else 0)
-            for r, p in enumerate(pivots) for c in range(n)
-        ):
-            zero_coords = tuple(coords[k] for k in forced)
-    return VanishingLocus(
-        False, len(directions), tuple(Fraction(x) for x in sol),
-        tuple(tuple(Fraction(x) for x in v) for v in directions),
-        zero_coords)
+    if not any(offset) and all(sum(map(bool, v)) == 1 for v in directions):
+        zero_coords = tuple(c for k, c in enumerate(coords) if not any(v[k] for v in directions))
+    return VanishingLocus(False, len(directions), offset, directions, zero_coords)

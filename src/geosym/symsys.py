@@ -102,7 +102,7 @@ def lie_derivative_connection_jet(D: Connection) -> Dict[Tuple[int, int, int], D
     return out
 
 
-def _endo_annihilator_full(frame: Sequence[TensorField], chart: Chart) -> List[List[Expr]]:
+def _endo_annihilator_full(frame: Sequence[TensorField], chart: Chart) -> List[List]:
     """Basis of functionals on End(TM) vanishing on span(frame), via the
     trace pairing; each returned row is omega flattened as omega[b][a]
     pairing with A^a_b (tr(omega A) = sum omega_{ba} A^a_b)."""
@@ -111,7 +111,7 @@ def _endo_annihilator_full(frame: Sequence[TensorField], chart: Chart) -> List[L
     for A in frame:
         # <omega, A> = sum_{a,b} omega_flat[(b,a)] A^a_b; unknowns omega_flat
         rows.append([A.comp(a, b) for (b, a) in itertools.product(range(n), repeat=2)])
-    return _linalg.nullspace(rows, n * n, one=chart.one())  # entries in (b, a) order
+    return _linalg.nullspace(rows, n * n)  # entries in (b, a) order
 
 
 def quaternionic_symmetry_system(frame: Sequence[TensorField],
@@ -157,7 +157,7 @@ def cprojective_symmetry_system(J: TensorField, D: Connection) -> LinearPDESyste
     shifts = [connection_shift(flat, TensorField(chart, ("d",), {(k,): chart.one()}),
                                "cprojective", J=J) for k in range(n)]
     rows = [[shift.comp(*s) for s in slots] for shift in shifts]
-    ann = _linalg.nullspace(rows, len(slots), one=chart.one())
+    ann = _linalg.nullspace(rows, len(slots))
     ld = lie_derivative_connection_jet(D)
     maps += [_contract(chart, omega, slots, ld) for omega in ann]
     return LinearPDESystem.from_coefficient_maps(chart, n, maps)

@@ -77,8 +77,7 @@ def test_criterion_2_eguchi_hanson_isometries(
             assert ok
             ok, _ = P.verify_solution(eh_quaternionic_system, comps)
             assert ok
-        alg = L.closure_from_fields(
-            eh_fields, labels=["v1", "v2", "v3", "v4"])
+        alg = L.closure_from_fields(eh_fields)
         assert alg.dimension == 4
         center = alg.center()
         assert len(center) == 1
@@ -111,7 +110,7 @@ def test_criterion_4_submaximal_cprojective_model():
         for v in fields:
             ok, _ = P.verify_solution(system, [v.comp(i) for i in range(4)])
             assert ok
-        alg = L.closure_from_fields(fields, labels=names)
+        alg = L.closure_from_fields(fields)
         assert alg.dimension == 8
         unit = lambda i: [Fraction(int(i == k)) for k in range(8)]
         rep = L.reductive_isotropy(

@@ -39,11 +39,16 @@ def test_validate_missing_file():
     assert main(["validate", "/nonexistent/path.model"]) == 2
 
 
-def test_validate_parse_error(tmp_path, capsys):
+@pytest.mark.parametrize("text, line", [
+    pytest.param("[chart]\ncoordinates = x\nbogus = 1\n", 3, id="unknown-key"),
+    # an exponent other than an int literal or its negative
+    *(pytest.param(f"[chart]\ncoordinates = x\n[metric g]\ng[x,x] = {exponent}\n", 4,
+                   id=exponent) for exponent in ("x^+2", "x**~2", "x^-(1.5)", "x^-True"))])
+def test_validate_parse_error(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.model"
-    bad.write_text("[chart]\ncoordinates = x\nbogus = 1\n")
+    bad.write_text(text)
     assert main(["validate", str(bad)]) == 2
-    assert "line 3" in capsys.readouterr().err
+    assert f"line {line}" in capsys.readouterr().err
 
 
 def test_run_all_tasks_pass(capsys):

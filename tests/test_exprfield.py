@@ -208,6 +208,12 @@ def test_parse_rejects_bad_syntax(chart):
         parse_expr(chart, "x +")
     with pytest.raises(ExprParseError):
         parse_expr(chart, "__import__('os')")
+    # an exponent is k or -k for an int literal k: no other unary
+    # operator, no float and no bool (True is an int to isinstance)
+    for source in ("x^+2", "x**~2", "x^-(1.5)", "x^-True", "x^True", "True * x"):
+        with pytest.raises(ExprParseError):
+            parse_expr(chart, source)
+    assert parse_expr(chart, "x^-(2)") == 1 / parse_expr(chart, "x^2")
 
 
 def test_root_generator_derivatives():
@@ -318,6 +324,23 @@ def test_is_zero_cross_check_catches_a_planted_disagreement(radicand, monkeypatc
         assert (W * W - radicand).is_zero()
     with pytest.raises(KernelInconsistency):
         Expr(ch, x, _ONE)
+
+
+def test_a_zero_numerator_is_checked_at_two_points_whatever_its_denominator(monkeypatch):
+    """With W^2 = 3, W*W - 3 over x reduces to zero: the numerator alone
+    is evaluated, at the first two pool points, and x never is."""
+    import geosym.exprfield as exprfield
+
+    ch = Chart(["x"], roots=[("W", 3)])
+    x, W = ch._gens
+    pool = ch._check_pool(2)
+    evaluated = []
+    poly_mod = exprfield._poly_mod
+    monkeypatch.setattr(exprfield, "_poly_mod",
+                        lambda p, residues, prime: evaluated.append((p, prime))
+                        or poly_mod(p, residues, prime))
+    assert Expr(ch, W * W - 3, x).is_zero()
+    assert evaluated == [(W * W - 3, point.prime) for point in pool]
 
 
 def test_the_prime_chain_is_the_chain_of_previous_primes():

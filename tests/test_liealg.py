@@ -54,10 +54,11 @@ def test_closure_heisenberg():
 
 
 def test_closure_rejects_dependent_fields():
-    chart = Chart(["x"])
-    f = G.vector(chart, [chart.one()])
-    with pytest.raises(L.LieAlgError, match="dependent"):
-        L.closure_from_fields([f, f])
+    chart = Chart(["x", "y"])
+    X = G.vector(chart, [chart.var("y"), chart.one()])
+    for fields in ([X, X], [X, X.scale(chart.const(2))]):
+        with pytest.raises(L.LieAlgError, match="linearly dependent over the rationals"):
+            L.closure_from_fields(fields)
 
 
 def test_closure_rejects_non_closed_span():
@@ -66,6 +67,15 @@ def test_closure_rejects_non_closed_span():
     f2 = G.vector(chart, [parse_expr(chart, "x^2")])
     with pytest.raises(L.LieAlgError, match="not closed"):
         L.closure_from_fields([f1, f2])
+
+
+def test_closure_names_the_first_pair_outside_the_span():
+    """x^k d/dx for k = 0..3: every bracket but [x^2 d/dx, x^3 d/dx] =
+    x^4 d/dx lies in the span."""
+    chart = Chart(["x"])
+    fields = [G.vector(chart, [parse_expr(chart, f"x^{k}")]) for k in range(4)]
+    with pytest.raises(L.LieAlgError, match=r"not closed: \[field 2, field 3\]"):
+        L.closure_from_fields(fields)
 
 
 def _pole_fields(pole):
@@ -219,6 +229,35 @@ def test_reductive_isotropy_so3_on_itself():
     assert len(L.zero_eigenspace(rep, [Fraction(1)])) == 0
 
 
+AFF = L.LieAlgebra.from_structure([[[0, 0], [0, 1]], [[0, -1], [0, 0]]])  # [e0, e1] = e1
+
+
+@pytest.mark.parametrize("algebra, h, m, message", [
+    (SO3, [[1, 0, 0]], [[0, 1, 0]], "do not form a direct-sum decomposition"),
+    (SO3, [[1, 0, 0]], [[1, 1, 0], [0, 1, 0]], "do not form a direct-sum decomposition"),
+    (SO3, [[1, 0, 0], [0, 1, 0]], [[0, 0, 1]], "h is not a subalgebra"),
+    (AFF, [[0, 1]], [[1, 0]], r"\[h, m\] is not contained in m"),
+])
+def test_reductive_isotropy_rejects(algebra, h, m, message):
+    with pytest.raises(L.LieAlgError, match=message):
+        L.reductive_isotropy(algebra, h, m)
+
+
+def test_each_question_is_one_elimination(monkeypatch, eh_fields):
+    """Closure, isotropy and a vanishing locus each reduce one matrix."""
+    calls = []
+    rref = _linalg.rref
+    monkeypatch.setattr(_linalg, "rref", lambda rows: calls.append(rows) or rref(rows))
+    chart = Chart(["x", "y"])
+    line = G.vector(chart, [parse_expr(chart, "x + y")] * 2)
+    for question in (lambda: L.closure_from_fields(eh_fields),
+                     lambda: L.reductive_isotropy(SO3, [[1, 0, 0]], [[0, 1, 0], [0, 0, 1]]),
+                     lambda: L.vanishing_locus(line)):
+        calls.clear()
+        question()
+        assert len(calls) == 1
+
+
 def test_vanishing_locus_cases():
     chart = Chart(["x", "y"])
     empty = L.vanishing_locus(G.vector(chart, [chart.one(), chart.zero()]))
@@ -240,6 +279,44 @@ def test_vanishing_locus_cases():
     assert shifted.dimension == 0
     assert shifted.offset == (1, -2)
     assert shifted.zero_coordinates == ()
+
+    line = L.vanishing_locus(G.vector(chart, [parse_expr(chart, "x + y")] * 2))
+    assert not line.is_empty and line.dimension == 1
+    assert line.offset == (0, 0) and line.directions == ((-1, 1),)
+    assert line.zero_coordinates == ()
+    assert line.describe() == "affine subspace of dimension 1"
+
+    # z = 0 on the line x + y = z = 0 in R^3, but x + y = 0 is no coordinate
+    chart3 = Chart(["x", "y", "z"])
+    line3 = L.vanishing_locus(G.vector(
+        chart3, [parse_expr(chart3, "x + y"), chart3.var("z"), chart3.zero()]))
+    assert line3.dimension == 1 and line3.zero_coordinates == ()
+
+    parallel = L.vanishing_locus(G.vector(
+        chart, [parse_expr(chart, "x + y"), parse_expr(chart, "x + y + 1")]))
+    assert parallel.is_empty and parallel.dimension == -1
+    assert parallel.describe() == "empty"
+
+
+_SMALL_ROWS = st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                       min_size=3, max_size=3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=_SMALL_ROWS, x0=st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_vanishing_locus_of_a_field_with_a_chosen_zero(A, x0):
+    """X = A (x - x0) vanishes on x0 + ker A: the offset and the offset
+    plus each direction are zeros, and the dimension is 3 - rank A."""
+    chart = Chart(["x", "y", "z"])
+    b = [sum(a * v for a, v in zip(row, x0)) for row in A]
+    X = G.vector(chart, [chart.sum_products(
+        [(a, chart.var(c)) for a, c in zip(row, chart.coordinates)] + [(-bi,)])
+        for row, bi in zip(A, b)])
+    loc = L.vanishing_locus(X)
+    assert not loc.is_empty and loc.dimension == 3 - _linalg.rank(A)
+    for v in ((0, 0, 0),) + loc.directions:
+        point = [o + e for o, e in zip(loc.offset, v)]
+        assert [sum(a * p for a, p in zip(row, point)) for row in A] == b
 
 
 def test_vanishing_locus_rejects_nonlinear():

@@ -30,28 +30,13 @@ def test_nullspace_vectors_annihilate(m):
             assert sum(r * x for r, x in zip(row, v)) == 0
 
 
-@settings(max_examples=50, deadline=None)
-@given(m=matrix, data=st.data())
-def test_solve_roundtrip(m, data):
-    ncols = len(m[0])
-    x = data.draw(st.lists(frac, min_size=ncols, max_size=ncols))
-    rhs = [sum(r * v for r, v in zip(row, x)) for row in m]
-    sol = _linalg.solve(m, rhs)
-    assert sol is not None
-    for row, b in zip(m, rhs):
-        assert sum(r * v for r, v in zip(row, sol)) == b
-
-
-def test_solve_inconsistent():
-    assert _linalg.solve([[1, 1], [1, 1]], [1, 2]) is None
-
-
 def test_int_matrices_are_reduced_exactly():
     # float division would merge the two rows (10**17 + 1 == 10**17 as floats)
     assert _linalg.rank([[10 ** 17, 1], [10 ** 17 + 1, 1]]) == 2
-    sol = _linalg.solve([[3, 1], [1, 2]], [1, 1])
-    assert sol == [Fraction(1, 5), Fraction(2, 5)]
-    assert all(isinstance(x, Fraction) for x in sol)
+    # 3x + y = 1, x + 2y = 1 as the kernel of [A | -b]: (1/5, 2/5, 1)
+    (v,) = _linalg.nullspace([[3, 1, -1], [1, 2, -1]], 3)
+    assert v == [Fraction(1, 5), Fraction(2, 5), 1]
+    assert all(type(x) is Fraction for x in v)
 
 
 @settings(max_examples=50, deadline=None)
@@ -75,7 +60,8 @@ def test_expr_matrix_dependent_through_a_relation():
     s, c = ch.trig_pair("t")
     m = [[s, 1 + c], [1 - c, s]]
     assert _linalg.rank(m) == 1
-    (v,) = _linalg.nullspace(m, 2, one=ch.one())
+    (v,) = _linalg.nullspace(m, 2)
+    assert v[1] == Fraction(1) and type(v[1]) is Fraction  # the free entry
     for row in m:
         assert (row[0] * v[0] + row[1] * v[1]).is_zero()
 

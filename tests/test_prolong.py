@@ -265,19 +265,19 @@ def test_dropping_dependent_equations_keeps_tables(request, case, seed):
 def _rational_table(system, point):
     """Reference dim g_k from exact rational ranks at the point: the
     order-k pivots of the graded elimination number
-    rank(columns of order >= k) - rank(columns of order > k)."""
+    rank(columns of order >= k) - rank(columns of order > k).  With the
+    columns sorted highest jet order first, the pivots of one exact
+    reduced row echelon form are the column rank profile, so that count
+    is the number of its pivots in columns of order k."""
     chart = system.chart
-    cols = sorted({key for eq in system.equations for key in eq.coeffs})
+    cols = sorted({key for eq in system.equations for key in eq.coeffs},
+                  key=lambda key: (-sum(key[1]), key))
     rows = [[Expr(chart, eq.coeffs[key], _ONE).evaluate(point.values)
              if key in eq.coeffs else Fraction(0) for key in cols]
             for eq in system.equations]
-
-    def rank_from(k):
-        idx = [j for j, (_, alpha) in enumerate(cols) if sum(alpha) >= k]
-        return _linalg.rank([[r[j] for j in idx] for r in rows]) if idx else 0
-
+    orders = [sum(cols[p][1]) for p in _linalg.rref(rows)[1]]
     n, m = chart.dim, system.n_unknowns
-    return tuple(m * comb(n + k - 1, k) - (rank_from(k) - rank_from(k + 1))
+    return tuple(m * comb(n + k - 1, k) - orders.count(k)
                  for k in range(system.order, -1, -1))
 
 
