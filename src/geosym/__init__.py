@@ -66,7 +66,6 @@ from .liealg import (
     equivariant_tensors,
     reductive_isotropy,
     vanishing_locus,
-    zero_eigenspace,
 )
 from .modelfile import Model, ModelError, Task, load_model, parse_model
 from .prolong import (

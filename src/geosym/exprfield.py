@@ -938,9 +938,23 @@ class GenericPoint:
     the coordinate ring, whose coefficients are integers, to GF(prime);
     its kernel contains the relation ideal, whose rules are monic.  A
     true zero therefore maps to zero: a check that flags a nonzero image
-    never flags a true zero, and misses a nonzero element with
-    probability at most deg/prime (Schwartz 1980; Zippel 1979).  Ranks of
-    evaluated matrices can only drop.
+    never flags a true zero.  Ranks of evaluated matrices can only drop.
+
+    A nonzero element maps to zero far more often than deg/prime, since
+    the values come from small sets.  A coordinate is a/b with
+    2 <= a <= 19 and 1 <= b <= 7, no value more likely than 2 (1/18);
+    a trig pair is (2t, 1 - t^2)/(1 + t^2) with t = a/b, 1 <= a, b <= 9,
+    no t more likely than 1 (1/9), and sin and cos have degree 2 in t.
+    Such fractions stay distinct mod the prime, so a polynomial with a
+    coefficient the prime does not divide vanishes with probability at
+    most sum_x deg_x / 18 + sum_pairs 2 deg_pair / 9 (Schwartz 1980;
+    Zippel 1979, with these probabilities for 1/|S|); with root
+    generators the same holds for its norm, the product of its
+    conjugates under W -> -W.  The upper bounds of
+    :func:`~geosym.prolong.solution_bound` never depend on this, only
+    their tightness does, and so does the chance that the zero
+    cross-check of :meth:`Expr.__init__` misses a kernel fault.  Values
+    drawn uniformly in GF(prime) would make the bound deg/prime.
     """
 
     values: Dict[str, Fraction]
@@ -1416,7 +1430,9 @@ def parse_expr(chart: Chart, source: str) -> Expr:
 
     Supports integers, rationals via '/', the chart's variable names,
     ``sin(angle)``/``cos(angle)`` for declared trig pairs, ``sqrt`` of
-    perfect squares, '^' or '**' for integer powers.
+    perfect squares, '^' or '**' for integer powers of at most 65535
+    (the largest exponent a polynomial holds) in absolute value, refused
+    before any power is taken.
     """
     text = source.replace("^", "**")
     try:
@@ -1451,6 +1467,10 @@ def parse_expr(chart: Chart, source: str) -> Expr:
                 if not (isinstance(exp, ast.Constant) and type(exp.value) is int):
                     raise ExprParseError("exponent must be an integer literal",
                                          node.lineno, node.col_offset)
+                if exp.value > _EXP:
+                    raise ExprParseError(
+                        f"exponent {sign * exp.value} exceeds {_EXP} in absolute value",
+                        node.lineno, node.col_offset)
                 return conv(node.left) ** (sign * exp.value)
             left, right = conv(node.left), conv(node.right)
             if isinstance(node.op, ast.Add):

@@ -1,8 +1,11 @@
 """Tensor calculus over a chart.
 
-Components are kernel expressions stored sparsely by index tuple; the
-corpus charts have at most 4 coordinates and 4 slots, so dense loops
-over ``itertools.product`` are used without further ado.
+Components are kernel expressions stored sparsely by index tuple, and
+loops run densely over ``itertools.product`` of the index ranges: n^r
+steps for r slots on n coordinates (flat R^8 with 3 slots is 512).  The
+determinant of :func:`_det` is a cofactor expansion of up to n! terms
+(zero entries are skipped), the cost that limits the chart size of a
+dense metric.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from . import _linalg
 from .exprfield import Chart, Expr, ExprError, exact_sqrt
@@ -331,33 +334,20 @@ def check_hypercomplex_frame(I: TensorField, J: TensorField, K: TensorField) -> 
     return FrameReport(squares, anticommute, quat, nij)
 
 
-def connection_shift(D: Connection, gamma_form: TensorField, kind: str,
-                     J: Optional[TensorField] = None,
-                     frame: Optional[Sequence[TensorField]] = None) -> Connection:
-    """Change of connection within a projective-type class.
+def connection_shift(D: Connection, gamma_form: TensorField,
+                     structures: Sequence[TensorField]) -> Connection:
+    """Change of connection within a projective-type class, its kind set
+    by the complex structures S_i passed:
 
-    kind 'projective':   D' = D + gm(Y)Z + gm(Z)Y
-    kind 'cprojective':  D' = D + (gm(Y)Z + gm(Z)Y - gm(JY)JZ - gm(JZ)JY)/2
-    kind 'quaternionic': D' = D + (gm(Y)Z + gm(Z)Y
-                              - sum_i gm(I_iY)I_iZ + gm(I_iZ)I_iY)/2
+    none (projective):        D' = D + gm(Y)Z + gm(Z)Y
+    [J] (c-projective) or a
+    frame (quaternionic):     D' = D + (gm(Y)Z + gm(Z)Y
+                                       - sum_i gm(S_iY)S_iZ + gm(S_iZ)S_iY)/2
     """
     chart = D.chart
     n = chart.dim
-    if kind == "cprojective":
-        if J is None:
-            raise GeometryError("cprojective shift needs the complex structure")
-        structures: List[TensorField] = [J]
-    elif kind == "quaternionic":
-        if frame is None:
-            raise GeometryError("quaternionic shift needs a frame")
-        structures = list(frame)
-    elif kind == "projective":
-        structures = []
-    else:
-        raise GeometryError(f"unknown shift kind {kind!r}")
-
     new = {}
-    h = Fraction(1) if kind == "projective" else Fraction(1, 2)
+    h = Fraction(1, 2) if structures else Fraction(1)
     gm = [gamma_form.comp(i) for i in range(n)]
     for k, i, j in itertools.product(range(n), repeat=3):
         # gm(Y)Z + gm(Z)Y with Y = e_i, Z = e_j, output slot k
@@ -381,9 +371,6 @@ class CurvatureSplit:
     r20: TensorField
     r11: TensorField
     r02: TensorField
-
-    def total(self) -> TensorField:
-        return self.r20 + self.r11 + self.r02
 
 
 def curvature_type_split(R: TensorField, J: TensorField) -> CurvatureSplit:

@@ -28,7 +28,6 @@ __all__ = [
     "VanishingLocus",
     "closure_from_fields",
     "reductive_isotropy",
-    "zero_eigenspace",
     "equivariant_tensors",
     "vanishing_locus",
     "block_parameter_search",
@@ -297,15 +296,8 @@ def closure_from_fields(fields: Sequence[TensorField]) -> LieAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Representation kernels and equivariant tensors
+# Equivariant tensors
 # ---------------------------------------------------------------------------
-
-def zero_eigenspace(R: Representation, x: Sequence) -> List[List[Fraction]]:
-    """Exact kernel of rho(x) in the module."""
-    xv = [Fraction(v) for v in x]
-    mat = R.rho(xv)
-    return _linalg.nullspace(mat, R.module_dimension)
-
 
 _TENSOR_SIZE_GUARD = 20000
 

@@ -10,9 +10,12 @@ jet order with the highest order eliminated first.  Each point carries
 its prime: 2^61 - 1, or the first prime below it at which the seed's
 stream has a point whose root radicands are nonzero squares.
 :func:`prolong` differentiates symbolically; :func:`solution_bound`
-never does: it tracks each prolonged row by its provenance (E, beta)
-and takes the row of D^beta E at a point from the Taylor coefficients
-of E's coefficients there (:class:`~geosym.exprfield.TaylorMap`).
+never does: a prolonged row is the pair (E, beta) of an equation and a
+multi-index, and the row of D^beta E at a point comes from the Taylor
+coefficients of E's coefficients there
+(:class:`~geosym.exprfield.TaylorMap`).  Equations compare by
+identity, so any list of equations is a system, a concatenation of two
+systems included.
 
 Rows are sparse dicts from integer column codes to residues
 (:class:`_Columns`): the code of X^a_alpha is
@@ -32,7 +35,7 @@ change neither, so pivots, ranks and tables are those of elimination on
 the graded keys with every step reduced.
 
 :func:`solution_bound` adds each batch of rows lowest jet order first:
-in descending order of the leading code read from each row's provenance
+in descending order of the leading code read from each row (E, beta)
 (the least code of E's coefficients plus that of beta).  New pivots
 then appear from the largest code down, so a stored tail, which holds
 only codes above its own pivot, seldom holds a new pivot, and little
@@ -52,11 +55,14 @@ evaluation at the point.  So the row of D^beta E it gives, for
 image of a matrix has rank at most the rank of the matrix, so each rank
 can only drop, each dim g_k can only grow, and the bound stays an upper
 bound.  Dropping an equation that is dependent mod p at
-every point can also only loosen the bound.  A point is non-generic
-with probability at most deg/p (Schwartz 1980; Zippel 1979), and the
-tables are taken at several points.  A common factor of an equation's
-coefficients is one more polynomial that vanishes at a point with that
-probability.
+every point can also only loosen the bound.  None of this depends on
+how likely a point is to be generic; only the tightness of the bound
+does.  The sample values come from small sets, so a nonzero polynomial
+vanishes at a point with probability up to
+sum_x deg_x / 18 + sum_pairs 2 deg_pair / 9, not deg/p
+(:class:`~geosym.exprfield.GenericPoint`); the tables are taken at
+several points.  A common factor of an equation's coefficients is one
+more polynomial that may vanish at a point.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ class ProlongError(ExprError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class Equation:
     """One linear homogeneous equation sum c_{a,alpha} X^a_alpha = 0.
 
@@ -89,14 +95,12 @@ class Equation:
     function changes neither its solution space nor its symbol spaces
     over the function field.
 
-    ``base`` and ``deriv`` record provenance: the originating equation
-    and how often it has been differentiated per coordinate, so that a
-    mixed partial is generated only once.
+    Equations compare and hash by identity, so the row of D^beta E is
+    the pair (E, beta) itself, and two systems over one chart join by
+    concatenating their lists of equations.
     """
 
     coeffs: Dict[JetKey, Poly]
-    base: int
-    deriv: Tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -151,9 +155,7 @@ class _Columns:
         self._block = self.base ** n
         self._unit = m * self._block
         self._shifts: Dict[Tuple[int, ...], Tuple[Tuple[Tuple[int, ...], int, int], ...]] = {}
-        # id(equation) -> (equation, order, leading code, coded terms); the
-        # equation is held so that its id is not reused meanwhile.
-        self._coded: Dict[int, Tuple[Equation, int, int, Tuple[Tuple[int, Poly], ...]]] = {}
+        self._coded: Dict[Equation, Tuple[int, int, Tuple[Tuple[int, Poly], ...]]] = {}
 
     def code(self, a: int, alpha: Sequence[int]) -> int:
         return (-sum(alpha) * self._unit + a * self._block
@@ -163,19 +165,18 @@ class _Columns:
         """(order, leading code, ((code(a, alpha), c_{a,alpha}), ...)) of
         ``eq``, computed once per equation.  The leading code is the least
         code of its coefficients (0 for an equation without any)."""
-        entry = self._coded.get(id(eq))
+        entry = self._coded.get(eq)
         if entry is None:
             terms = tuple((self.code(a, alpha), c) for (a, alpha), c in eq.coeffs.items())
             lead = min((k for k, _ in terms), default=0)
-            entry = self._coded[id(eq)] = (eq, eq.order, lead, terms)
-        return entry[1:]
+            entry = self._coded[eq] = (eq.order, lead, terms)
+        return entry
 
     def lead(self, row: Row) -> int:
-        """Leading column code of the row of D^beta E, read from its
-        provenance (E, beta): E's leading code plus code(0, beta), the
-        code of X^a_(alpha+beta) for E's leading X^a_alpha.  At a point
-        where E's leading coefficient vanishes the row's actual leading
-        code is larger."""
+        """Leading column code of the row (E, beta) of D^beta E: E's
+        leading code plus code(0, beta), the code of X^a_(alpha+beta)
+        for E's leading X^a_alpha.  At a point where E's leading
+        coefficient vanishes the row's actual leading code is larger."""
         eq, beta = row
         return self.coded(eq)[1] + self.code(0, beta)
 
@@ -215,13 +216,12 @@ class LinearPDESystem:
                               maps: Sequence[Dict[JetKey, Expr]]) -> "LinearPDESystem":
         """One equation per nonzero map: its coefficients times the lcm
         of their denominators (:func:`_clear_denominators`)."""
-        zero_d = (0,) * chart.dim
         eqs = []
-        for i, m in enumerate(maps):
+        for m in maps:
             nonzero = {k: v for k, v in m.items() if not v.is_zero()}
             if nonzero:
                 _, nums = _clear_denominators(chart, list(nonzero.values()))
-                eqs.append(Equation(dict(zip(nonzero, nums)), base=i, deriv=zero_d))
+                eqs.append(Equation(dict(zip(nonzero, nums))))
         return LinearPDESystem(chart, n_unknowns, eqs)
 
 
@@ -243,38 +243,39 @@ def _total_derivative(chart: Chart, eq: Equation, i: int) -> Dict[JetKey, Poly]:
 Row = Tuple[Equation, Tuple[int, ...]]  # (equation, beta): the row of D^beta of it
 
 
-def _provenance(row: Row) -> Tuple[int, Tuple[int, ...]]:
-    eq, beta = row
-    return eq.base, tuple(x + y for x, y in zip(eq.deriv, beta))
-
-
-def _next_derivatives(known: Sequence[Row], frontier: Sequence[Row]) -> List[Row]:
-    """The first total derivatives of the frontier rows, deduplicated by
-    provenance (base, total derivative), so each mixed partial appears
-    once and none repeats a row of ``known``."""
-    seen = {_provenance(r) for r in known}
+def _next_derivatives(frontier: Sequence[Row]) -> List[Row]:
+    """The first total derivatives of the frontier rows, each once: a
+    mixed partial reached along two paths is one row (E, beta)."""
+    seen = set()
     out = []
     for eq, beta in frontier:
         for i in range(len(beta)):
             row = (eq, beta[:i] + (beta[i] + 1,) + beta[i + 1:])
-            key = _provenance(row)
-            if key not in seen:
-                seen.add(key)
+            if row not in seen:
+                seen.add(row)
                 out.append(row)
     return out
 
 
-def prolong(system: LinearPDESystem) -> LinearPDESystem:
-    """Append all first total derivatives of all equations (deduplicated
-    by provenance so each mixed partial appears once); originals
-    retained.  Each derivative is taken on the polynomial row, so it is
-    the true one times the polynomial s of :func:`_total_derivative`."""
+def prolong(system: LinearPDESystem, order: int) -> LinearPDESystem:
+    """The system's equations, then each total derivative D^beta E of
+    one of them with 1 <= |beta| <= order, once each, lowest |beta|
+    first.  D^beta E is D_i of D^(beta - e_i) E for the first i with
+    beta_i > 0, taken on the polynomial row, so it is the true one times
+    a product of the polynomials s of :func:`_total_derivative`."""
     chart, eqs = system.chart, system.equations
     zero = (0,) * chart.dim
-    rows = [(e, zero) for e in eqs]
-    return LinearPDESystem(chart, system.n_unknowns, eqs + [
-        Equation(_total_derivative(chart, eq, beta.index(1)), *_provenance((eq, beta)))
-        for eq, beta in _next_derivatives(rows, rows)])
+    derived = {(e, zero): e for e in eqs}
+    frontier = list(derived)
+    out = list(eqs)
+    for _ in range(order):
+        frontier = _next_derivatives(frontier)
+        for eq, beta in frontier:
+            i = next(j for j, b in enumerate(beta) if b)
+            parent = derived[eq, beta[:i] + (beta[i] - 1,) + beta[i + 1:]]
+            derived[eq, beta] = Equation(_total_derivative(chart, parent, i))
+            out.append(derived[eq, beta])
+    return LinearPDESystem(chart, system.n_unknowns, out)
 
 
 @dataclass
@@ -329,10 +330,6 @@ class _GradedElimination:
         self.columns = columns
         self.rows: Dict[int, Dict[int, int]] = {}
         self._holders: Dict[int, List[int]] = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
     def add(self, row: Dict[int, int]) -> Optional[int]:
         """Reduce the row (integers, read mod the prime); store it (pivot
@@ -438,7 +435,7 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
                    seeds: Sequence[int] = _DEFAULT_SEEDS) -> BoundResult:
     """Iterate prolongation and symbol projection until finite type.
 
-    Prolongation is tracked by provenance only: the row of D^beta E at a
+    A prolonged row is the pair (E, beta): the row of D^beta E at a
     point comes from the Taylor coefficients of E's own coefficients
     there (:meth:`Equation.evaluate_sparse`), so no derivative is taken
     symbolically.  Only the rows independent at some sample point are
@@ -448,7 +445,7 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
 
     Each batch (the system, then each stage's new derivatives) is added
     lowest jet order first, in descending order of the leading codes
-    read from the rows' provenance; the equations' column codes and
+    read from the rows (E, beta); the equations' column codes and
     orders are taken once per call (:meth:`_Columns.coded`).  At one
     point the order of the rows changes no pivot, because the RREF is
     unique.  It does change which dependent rows are dropped, and so
@@ -503,7 +500,7 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
             return result(best.total())
         if stage == max_stage:
             break
-        new_rows = _next_derivatives(active, frontier)
+        new_rows = _next_derivatives(frontier)
         if not new_rows:
             break
         kept = admit(new_rows)

@@ -155,7 +155,7 @@ def cprojective_symmetry_system(J: TensorField, D: Connection) -> LinearPDESyste
     slots = [(a, i, j) for a, i, j in itertools.product(range(n), repeat=3) if i <= j]
     flat = Connection(chart, {})
     shifts = [connection_shift(flat, TensorField(chart, ("d",), {(k,): chart.one()}),
-                               "cprojective", J=J) for k in range(n)]
+                               [J]) for k in range(n)]
     rows = [[shift.comp(*s) for s in slots] for shift in shifts]
     ann = _linalg.nullspace(rows, len(slots))
     ld = lie_derivative_connection_jet(D)

@@ -9,6 +9,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from geosym import _linalg
 from geosym import geometry as G
 from geosym import liealg as L
 from geosym import prolong as P
@@ -129,7 +130,7 @@ def test_criterion_5_block_operator_and_vanishing_locus():
         block = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
         triv = L.LieAlgebra.from_structure([[[0]]])
         rep = L.Representation.from_matrices(triv, [block])
-        assert len(L.zero_eigenspace(rep, [1])) == 2
+        assert len(_linalg.nullspace(rep.rho([1]), rep.module_dimension)) == 2
         # block-diagonal operator on the 8-dimensional module (n = 2):
         # kernel dimension 2 per block, 2n = 4 overall
         big = [[Fraction(0)] * 8 for _ in range(8)]
@@ -138,7 +139,7 @@ def test_criterion_5_block_operator_and_vanishing_locus():
                 for j in range(4):
                     big[off + i][off + j] = Fraction(block[i][j])
         rep8 = L.Representation.from_matrices(triv, [big])
-        assert len(L.zero_eigenspace(rep8, [1])) == 4
+        assert len(_linalg.nullspace(rep8.rho([1]), rep8.module_dimension)) == 4
         loc = L.vanishing_locus(model.vectors["v"])
         assert not loc.is_empty
         assert loc.dimension == 4

@@ -43,7 +43,9 @@ def test_validate_missing_file():
     pytest.param("[chart]\ncoordinates = x\nbogus = 1\n", 3, id="unknown-key"),
     # an exponent other than an int literal or its negative
     *(pytest.param(f"[chart]\ncoordinates = x\n[metric g]\ng[x,x] = {exponent}\n", 4,
-                   id=exponent) for exponent in ("x^+2", "x**~2", "x^-(1.5)", "x^-True"))])
+                   id=exponent) for exponent in ("x^+2", "x**~2", "x^-(1.5)", "x^-True",
+                                                 # beyond 65535, refused before any power is taken
+                                                 "(x+1)^70000", "3^1000000000000"))])
 def test_validate_parse_error(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.model"
     bad.write_text(text)

@@ -360,7 +360,7 @@ def test_connection_shift_projective():
     chart = Chart(["x", "y"])
     D = G.Connection(chart, {})
     gamma = G.one_form(chart, [parse_expr(chart, "x"), chart.one()])
-    D2 = G.connection_shift(D, gamma, "projective")
+    D2 = G.connection_shift(D, gamma, [])
     assert D2.is_torsion_free()
     # shifted symbols: Gamma^k_{ij} = gamma_i delta^k_j + gamma_j delta^k_i
     for k, i, j in itertools.product(range(2), repeat=3):
@@ -384,7 +384,7 @@ def test_connection_shift_quaternionic_preserves_the_quaternionic_bundle(gamma):
     frame = standard_triple(chart)
     D = G.connection_shift(G.Connection(chart, {}),
                            G.one_form(chart, [parse_expr(chart, c) for c in gamma]),
-                           "quaternionic", frame=frame)
+                           frame)
     assert D.is_torsion_free()
     for A in frame:
         DA = G.covariant_derivative(D, A)

@@ -57,7 +57,8 @@ BROKEN = [None, None, None, None, None, None,
           "g[x,x] = 1\n", "[vector t]\nt[t] = 1\n", "[task]\nkind = closure\n",
           "[task b]\nkind = closure\nbogus = 1\n",
           "[task s]\nkind = symmetry-bound\nstructure = bogus\n",
-          "[frame E]\nmembers = J\n", "[vector t]\nt[x] = x^-(1.5)\n", None]
+          "[frame E]\nmembers = J\n", "[vector t]\nt[x] = x^-(1.5)\n",
+          "g[x,x] = (x+1)^70000\n", None]
 
 
 def _key(line):

@@ -3,6 +3,7 @@ verification."""
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb, perm, prod
 
 import pytest
@@ -27,11 +28,14 @@ def _monotone_tables(tables):
 
 
 def test_prolong_adds_first_derivatives():
+    """prolong(S, k) holds S and one D^beta E per equation E and each
+    beta with 1 <= |beta| <= k: the mixed partial D_x D_y E once."""
     chart = Chart(["x", "y"])
     sys1 = P.LinearPDESystem.from_coefficient_maps(
         chart, 2, [{(0, (1, 0)): chart.one()}])
-    sys2 = P.prolong(sys1)
-    assert sorted(e.order for e in sys2.equations) == [1, 2, 2]
+    assert [e.order for e in P.prolong(sys1, 0).equations] == [1]
+    assert [e.order for e in P.prolong(sys1, 1).equations] == [1, 2, 2]
+    assert [e.order for e in P.prolong(sys1, 2).equations] == [1, 2, 2, 3, 3, 3]
 
 
 def test_prolonged_rows_are_scaled_total_derivatives():
@@ -44,13 +48,11 @@ def test_prolonged_rows_are_scaled_total_derivatives():
         {(0, (1, 0)): V, (0, (0, 0)): W * x, (1, (0, 1)): V / (x - W)},
         {(1, (1, 0)): W * V, (0, (0, 1)): parse_expr(ch, "y^2")}])
     as_expr = lambda p: Expr(ch, p, _ONE)
-    parents = {e.base: e for e in system.equations}
-    derived = [e for e in P.prolong(system).equations if any(e.deriv)]
+    derived = P.prolong(system, 1).equations[len(system):]
     assert len(derived) == 4
-    for eq in derived:
-        i = eq.deriv.index(1)
+    # each equation's derivatives follow it, one per coordinate in turn
+    for (parent, i), eq in zip(product(system.equations, range(2)), derived):
         coord = ch.coordinates[i]
-        parent = parents[eq.base]
         ref = {}
         for (a, alpha), c in parent.coeffs.items():
             up = list(alpha)
@@ -220,7 +222,7 @@ def test_cleared_coefficients_hash_like_fresh_polynomials():
             {(0, (0, 0)): "1/(x*y)", (1, (1, 0)): "(x+y)/(x^2*y+x*y^2)"}]
     system = P.LinearPDESystem.from_coefficient_maps(
         chart, 2, [{k: parse_expr(chart, v) for k, v in m.items()} for m in maps])
-    for eq in P.prolong(system).equations:
+    for eq in P.prolong(system, 1).equations:
         for c in eq.coeffs.values():
             assert hash(c) == hash(Poly(c))
 
@@ -257,9 +259,7 @@ def test_dropping_dependent_equations_keeps_tables(request, case, seed):
     res = P.solution_bound(system, max_stage=3, seeds=(seed,))
     point = P.GenericPoint.sample(system.chart, seed)
     for k, table in enumerate(res.tables):
-        if k:
-            system = P.prolong(system)
-        assert P.symbol_dimensions(system, point, stage=k + 1).dims == table.dims
+        assert P.symbol_dimensions(P.prolong(system, k), point, stage=k + 1).dims == table.dims
 
 
 def _rational_table(system, point):
@@ -299,9 +299,9 @@ def test_symbol_tables_mod_p_match_rational_ranks(request, case, seed):
     system = _oracle_system(request, case)
     point = P.GenericPoint.sample(system.chart, seed)
     for stage in (1, 2, 3):
-        assert (P.symbol_dimensions(system, point, stage).dims
-                == _rational_table(system, point))
-        system = P.prolong(system)
+        prolonged = P.prolong(system, stage - 1)
+        assert (P.symbol_dimensions(prolonged, point, stage).dims
+                == _rational_table(prolonged, point))
 
 
 def test_coefficient_denominator_divisible_by_prime_clears_to_integers():
@@ -495,7 +495,6 @@ def test_graded_elimination_matches_dense_reference(data):
         elim = P._GradedElimination(prime, cols)
         pivots = [elim.add(r) for r in ordered]
         assert sorted(p for p in pivots if p is not None) == sorted(elim.rows) == ref
-        assert elim.rank == len(ref)
         assert elim.pivots_per_order() == ref_orders
         for p, tail in elim.rows.items():
             assert {k: r for k, v in tail.items() if (r := v % prime)} == ref_rows[p]
@@ -517,7 +516,7 @@ def test_graded_elimination_back_substitutes_new_pivots():
     assert {p: {k: v % prime for k, v in t.items()} for p, t in elim.rows.items()} == ref_rows
     assert elim.add({0: 8, 1: -1}) == 5  # 8 e0 - e1 = row 0 - row 1 - 4 e5 mod 7
     assert elim.rows == {0: {}, 1: {}, 3: {}, 5: {}}
-    assert elim.add({0: 3, 3: 9, 5: 7}) is None and elim.rank == 4
+    assert elim.add({0: 3, 3: 9, 5: 7}) is None and len(elim.rows) == 4
 
 
 def test_columns_code_each_equation_once_and_lead_its_derivatives():
@@ -611,4 +610,46 @@ def test_sheared_flat_r8_has_the_flat_quaternionic_bound():
     res = P.solution_bound(sheared)
     assert res.conclusive and res.bound == 35
     assert res.final_table.dims == (0, 0, 8, 19, 8)
+    assert res.point_independent
+
+
+def _joined(*systems):
+    """The systems over one chart joined by concatenating their equations."""
+    chart, m = systems[0].chart, systems[0].n_unknowns
+    return P.LinearPDESystem(chart, m, [eq for s in systems for eq in s.equations])
+
+
+@pytest.mark.parametrize("field, bound, tables", [
+    (0, 4, [(3, 4), (0, 1, 3), (0, 0, 1, 3)]),
+    (1, 2, [(3, 4), (0, 1, 3), (0, 0, 0, 2)]),
+])
+def test_eguchi_hanson_symmetries_commuting_with_a_killing_field(
+        eh_quaternionic_system, eh_fields, field, bound, tables):
+    """The quaternionic system joined with L_X v = 0: each derivative of
+    either system's equations is its own row, so the join keeps them all
+    (v1 generates the centre of u(2), v2 does not)."""
+    res = P.solution_bound(_joined(eh_quaternionic_system,
+                                   S.invariance_system(eh_fields[field])))
+    assert res.conclusive and res.bound == bound
+    assert [t.dims for t in res.tables] == tables
+    assert res.point_independent
+
+
+@pytest.mark.parametrize("n, bound, tables", [
+    (1, 7, [(3, 4), (0, 3, 4), (0, 0, 3, 4)]),
+    (2, 17, [(11, 8), (0, 9, 8), (0, 0, 9, 8)]),
+])
+def test_flat_quaternionic_symmetries_commuting_with_a_rotation(n, bound, tables):
+    """Flat H^n with the standard triple, joined with L_X v = 0 for
+    v = x2 d3 - x3 d2 on each R^4 block, whose zero set is C^n: the
+    bound is 2(n+1)^2 - 1 = dim(sl(n+1, C) + u(1))."""
+    chart, g = flat_chart(4 * n)
+    comps = [chart.zero()] * chart.dim
+    for b in range(0, chart.dim, 4):
+        comps[b + 2], comps[b + 3] = -chart.var(f"x{b + 3}"), chart.var(f"x{b + 2}")
+    res = P.solution_bound(_joined(
+        S.quaternionic_symmetry_system(list(standard_triple(chart)), g),
+        S.invariance_system(G.vector(chart, comps))))
+    assert res.conclusive and res.bound == bound == 2 * (n + 1) ** 2 - 1
+    assert [t.dims for t in res.tables] == tables
     assert res.point_independent
