@@ -76,7 +76,6 @@ from .prolong import (
     ProlongError,
     SymbolTable,
     solution_bound,
-    symbol_dimensions,
     verify_solution,
 )
 from .symsys import (

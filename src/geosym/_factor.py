@@ -1,13 +1,13 @@
-"""Exact factoring over ZZ: polynomials in any number of variables, and integers.
+"""Exact factoring over ZZ of polynomials in any number of variables.
 
 A polynomial is a dict from an exponent tuple (one entry per variable,
 the first variable highest in lex order) to a nonzero ``int``; a
 univariate polynomial inside this module is a list of ``int``
 coefficients, lowest degree first, with no trailing zero (the zero
 polynomial is ``[]``).  :func:`factor_list` returns the integer content
-and the irreducible factors with their exponents; :func:`factor_integer`
-the prime factorization of an integer.  The algorithms are the textbook
-ones (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14-16):
+and the irreducible factors with their exponents.  The algorithms are
+the textbook ones (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, ch. 14-16):
 
 - univariate: Yun's squarefree decomposition, from gcds over QQ of f
   and f'; the factors of each part mod a small prime p by Berlekamp's
@@ -17,15 +17,14 @@ ones (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 14-16):
 - multivariate: Kronecker substitution of the occurring variables into
   one; the squarefree decomposition of the image splits f when it
   inverts, and each piece's image factors are recombined by exact
-  division;
-- integers: trial division, then Pollard-Brent rho over :func:`_is_prime`.
+  division.
 
 Every answer is exact: a factor is accepted only after an exact division
 over ZZ, and a polynomial is declared irreducible only when no product
 of its modular (or Kronecker image) factors of at most half their number
-divides it.  Randomness (the splitting mod p, the rho walks) comes from
-seeded ``random.Random`` streams, so the results, factor order included,
-are deterministic.
+divides it.  Randomness (the splitting mod p, the translations before a
+Kronecker image) comes from seeded ``random.Random`` streams, so the
+results, factor order included, are deterministic.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ Dense = List[int]
 
 _SEED = 0xFAC7  # seed of every random stream of this module
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# the primes below 1000: a composite below 41^2 has a prime factor below 41
-_SMALL_PRIMES = [p for p in range(2, 1000) if all(p % q for q in _WITNESSES if q < p)]
 _PRIMES_TRIED = 3  # good primes whose factor counts are compared before choosing one
 
 
@@ -69,71 +66,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-# -- integers ----------------------------------------------------------------
-
-
-def factor_integer(n: int) -> Dict[int, int]:
-    """{k: e} with n = prod k^e for a nonzero n, each k a prime or -1
-    (present exactly when n < 0), as sympy's ``factorint`` gives it.
-
-    Trial division by the primes below 1000, then Pollard-Brent rho on
-    the cofactor until every part passes :func:`_is_prime`.  Above
-    3.1 * 10^23, where that test is probabilistic, a composite taken for
-    a prime still leaves the product equal to n."""
-    if not n:
-        raise ValueError("0 has no factorization")
-    out: Dict[int, int] = {-1: 1} if n < 0 else {}
-    n = abs(n)
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            n //= p
-            out[p] = out.get(p, 0) + 1
-    rng = random.Random(_SEED)
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-        else:
-            d = _rho(m, rng)
-            stack += [d, m // d]
-    return dict(sorted(out.items()))
-
-
-def _rho(n: int, rng: random.Random) -> int:
-    """A proper divisor of the odd composite n: Brent's cycle search on
-    x -> x^2 + c mod n, the gcds batched 128 steps at a time, a fresh c
-    when a walk closes without one; a perfect square is caught first,
-    since a walk may meet both factors of q^2 at once."""
-    r = math.isqrt(n)
-    if r * r == n:
-        return r
-    while True:
-        c, y = rng.randrange(1, n), rng.randrange(n)
-        g = q = power = 1
-        while g == 1:
-            x = y
-            for _ in range(power):
-                y = (y * y + c) % n
-            k = 0
-            while k < power and g == 1:
-                ys = y
-                for _ in range(min(128, power - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g, k = math.gcd(q, n), k + 128
-            power *= 2
-        if g == n:  # the batch overshot: step back one square at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
 
 
 # -- dense univariate polynomials over ZZ --------------------------------------
@@ -483,12 +415,11 @@ def _recombine(f: Dense, lifted: List[Dense], m: int) -> List[Dense]:
 
 def _primes() -> Iterator[int]:
     """The odd primes in increasing order."""
-    yield from _SMALL_PRIMES[1:]
-    p = _SMALL_PRIMES[-1]
+    p = 3
     while True:
-        p += 2
         if _is_prime(p):
             yield p
+        p += 2
 
 
 def _factor_squarefree(f: Dense) -> List[Dense]:

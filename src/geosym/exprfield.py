@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from geosym._factor import _is_prime, factor_integer, factor_list
+from geosym._factor import _is_prime, factor_list
 
 Rational = Union[int, Fraction]
 
@@ -1339,56 +1339,61 @@ def exact_sqrt(e: Expr) -> Optional[Expr]:
     12 = 4 * 3 gives sqrt(12) = 2W for W^2 = 3, and a root of 12 beside
     W is then rejected as a perfect square.  Of the two roots, it is the
     one whose polynomial factors have positive leading coefficients in
-    the chart's lex order, as the chart's table of irreducibles holds
-    them.  A positive integer n*d that is a perfect square, such as the
-    determinant of a constant metric, has the root ``math.isqrt`` gives,
-    with no factoring.
+    the chart's lex order.  Only the radicands are factored: n*d is
+    trial-divided by their factors, and no integer is factored.
     """
     ch = e.chart
     if e.is_zero():
         return ch.zero()
-    n, d = e._num, e._den
-    p = ch._reduce_poly(n * d)
-    k = p.get(0, 0) if p.is_ground else 0
-    if k > 0 and math.isqrt(k) ** 2 == k:
-        root = ch.const(math.isqrt(k))
-    else:
-        root = _poly_sqrt(ch, p)
-    if root is None:
-        return None
-    return root / Expr(ch, d, _ONE)
-
-
-def _factor_exponents(ch: Chart, p: Poly) -> Dict[object, int]:
-    """{k: e} with p = prod k^e: each k is -1, a prime, or a primitive
-    irreducible polynomial with positive leading coefficient, an entry of
-    the chart's table.  The polynomials come from the cached
-    :meth:`Chart._factor` and the integers from
-    :func:`geosym._factor.factor_integer` of p's signed content."""
-    out: Dict[object, int] = {ch._irreducibles[i]: e for i, e in ch._factor(p)}
-    out.update(factor_integer(_content(p)))
-    return out
+    root = _poly_sqrt(ch, ch._reduce_poly(e._num * e._den))
+    return None if root is None else root / Expr(ch, e._den, _ONE)
 
 
 def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
     """Square root of the nonzero polynomial p in the chart's field, or
-    None.  Each factorization (:func:`_factor_exponents`) gives a vector
-    over GF(2), its exponents' parities.  p is a square times the product
-    of the radicands r_i of some ruled generators W_i (sin's is
-    1 - cos^2) exactly when its vector is the sum of theirs, found by
-    elimination over GF(2); then the root is prod W_i * sqrt(p / prod r_i),
-    every exponent of p / prod r_i being even.
+    None.  p is divided by the irreducible factors of the ruled
+    generators' radicands r_i (sin's is 1 - cos^2; :meth:`Chart._factor`,
+    cached) as often as they divide, then by its signed content c.  The
+    primitive rest q shares no factor with any r_i, so p is a square
+    times a product of r_i only if q is a square (:func:`_square_root`).
+    The exponents of the radicands' factors, of a coprime base of the
+    integer contents (:func:`_coprime_base`) and of -1 give vectors over
+    GF(2), their parities.  p is a square times the product of some r_i
+    exactly when its vector is the sum of theirs, found by elimination
+    over GF(2); then the root is prod W_i * sqrt(q) * sqrt(p / (q prod
+    r_i)), every exponent of p / (q prod r_i) being even.
 
     Soundness.  A root found is one: p / prod r_i is a square of
     rational functions.  For p and radicands in Q(coordinates, cos) a
     root is always found, by Kummer theory: the square roots of some
     classes of Q(coordinates, cos)* / squares make squares of exactly
-    the classes in their span.  A nested root's radicand is factored as
-    a polynomial in the earlier roots, so a square can then be missed.
+    the classes in their span.  Pairwise coprime integers that are not
+    squares have independent square classes, as primes do.  A nested
+    root's radicand is factored as a polynomial in the earlier roots, so
+    a square can then be missed.
     """
     rules = [g for g in ch.generators if g.square_rhs is not None]
-    radicands = [_factor_exponents(ch, g.square_rhs._num) for g in rules]
-    target = _factor_exponents(ch, p)
+    radicands = [(_content(g.square_rhs._num), ch._factor(g.square_rhs._num)) for g in rules]
+    exps: Dict[int, int] = {}  # table index -> its exponent in p
+    for i in sorted({i for _, factors in radicands for i, _ in factors}):
+        while (q := _divide(p, ch._irreducibles[i])) is not None:
+            p, exps[i] = q, exps.get(i, 0) + 1
+    c = _content(p)
+    s = _square_root(p.quo_ground(c))
+    if s is None:
+        return None
+    base = _coprime_base([c] + [k for k, _ in radicands])
+
+    def exponents(k: int, factors) -> Dict[object, int]:
+        """{-1, a base number or a table polynomial: its exponent in k * prod factors}."""
+        out: Dict[object, int] = {ch._irreducibles[i]: e for i, e in factors}
+        for b in base:
+            while k % b == 0:
+                k, out[b] = k // b, out.get(b, 0) + 1
+        return {**out, -1: 1} if k < 0 else out
+
+    vectors = [exponents(*r) for r in radicands]
+    target = exponents(c, exps.items())
     index: Dict[object, int] = {}  # factor -> its bit in the parity vectors
     # echelon form: no row holds the lowest bit of a row stored before it
     basis: List[Tuple[int, int]] = []  # (parity, bit mask of the rules summed into it)
@@ -1400,24 +1405,84 @@ def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
                 v, used = v ^ b, used ^ u
         return v, used
 
-    for i, r in enumerate(radicands):
+    for i, r in enumerate(vectors):
         basis.append(reduced(r, 1 << i))
     v, used = reduced(target, 0)
     if v:
         return None
-    exps = dict(target)
-    root = ch.one()
+    root = Expr(ch, s, _ONE)
     for i, g in enumerate(rules):
         if used >> i & 1:
             root = root * ch.var(g.name)
-            for k, e in radicands[i].items():
-                exps[k] = exps.get(k, 0) - e
-    for k, e in exps.items():
+            for k, e in vectors[i].items():
+                target[k] = target.get(k, 0) - e
+    for k, e in target.items():
         if isinstance(k, int):
             root = root * Fraction(abs(k)) ** (e // 2)  # -1 has an even exponent: 1
         else:
             root = root * Expr(ch, k, _ONE) ** (e // 2)
     return root
+
+
+def _coprime_base(numbers: Iterable[int]) -> List[int]:
+    """Pairwise coprime integers above 1, none a square, whose powers
+    give each nonzero n of ``numbers`` up to sign: factor refinement
+    (Bach, Driscoll and Shallit), with square roots taken.  Two numbers
+    with a common factor g > 1 become g and their cofactors, and a square
+    its root; each step lowers the product of the numbers, so the loop
+    ends.  A product of pairwise coprime numbers is a square only when
+    each is, so the parities of exponents over the base decide square
+    classes as the parities over the primes do."""
+    base: List[int] = []
+    work = [abs(n) for n in numbers]
+    while work:
+        n = work.pop()
+        r = math.isqrt(n)
+        if r * r == n:
+            work += [r] if r > 1 else []
+            continue
+        for i, b in enumerate(base):
+            if (g := math.gcd(b, n)) > 1:
+                del base[i]
+                work += [g, b // g, n // g]
+                break
+        else:
+            base.append(n)
+    return base
+
+
+def _square_root(f: Poly) -> Optional[Poly]:
+    """The square root of the nonzero f with a positive leading
+    coefficient, or None when f is not a square in ZZ[vars]; nothing is
+    factored.  LT(s) = sqrt(LT(f)), and each next term of s is
+    LT(f - s^2) / (2 LT(s)), so the terms fall in lex order.  f is not a
+    square at the first coefficient that is not an integer (or LT(f) not
+    a square), the first LM(f - s^2) that LM(s) does not divide (a
+    guard-bit borrow, as in :func:`_divide`), or the first term with an
+    exponent above half of f's in that variable, where no term of a root
+    lies.  Finitely many monomials pass that bound, so the loop ends, and
+    no product of two of them leaves a field."""
+    lm = max(f)
+    h, r = lm >> 1, math.isqrt(max(f[lm], 0))
+    if h + h != lm or h & _GUARD or r * r != f[lm]:
+        return None
+    box = 0  # half of f's largest exponent, field by field
+    for shift in range(0, f.bits.bit_length(), _FIELD):
+        box |= (max(m >> shift & _EXP for m in f) >> 1) << shift
+    s, rest = {h: r}, {m: c for m, c in f.items() if m != lm}
+    while rest:
+        m = max(rest)
+        t = m - h
+        c, rem = divmod(rest[m], 2 * r)
+        if t & _GUARD or (box - t) & _GUARD or rem:
+            return None
+        for mm, v in [(t + sm, 2 * c * sc) for sm, sc in s.items()] + [(t + t, c * c)]:
+            if w := rest.get(mm, 0) - v:
+                rest[mm] = w
+            else:
+                del rest[mm]
+        s[t] = c
+    return Poly(s)
 
 
 # -- parsing ---------------------------------------------------------------

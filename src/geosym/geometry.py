@@ -59,11 +59,6 @@ class TensorField:
     def comp(self, *idx: int) -> Expr:
         return self._comps.get(tuple(idx), self.chart.zero())
 
-    def __getitem__(self, idx) -> Expr:
-        if isinstance(idx, int):
-            idx = (idx,)
-        return self.comp(*idx)
-
     def items(self):
         return self._comps.items()
 

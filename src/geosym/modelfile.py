@@ -107,6 +107,15 @@ def _names(text: str) -> List[str]:
     return [p.strip() for p in text.split(",") if p.strip()]
 
 
+def _rational(text: str) -> Fraction:
+    """An integer, p/q or decimal as an exact rational.  Exponent
+    notation is refused before the number is built: ``Fraction`` would
+    expand 1e100000000 digit by digit."""
+    if "e" in text.lower():
+        raise ValueError(f"exponent notation in {text.strip()!r}")
+    return Fraction(text)
+
+
 def _flag(text: str) -> bool:
     return {"true": True, "false": False}[text.lower()]
 
@@ -126,7 +135,7 @@ _PARAM_FORMS = {
     "max_stage": ("an integer of at least 1", int, lambda n, chart: n >= 1),
     "orientation": ("1 or -1", int, lambda n, chart: n in (1, -1)),
     "point": ("one rational per coordinate",
-              lambda text: tuple(Fraction(p) for p in text.split(",")),
+              lambda text: tuple(_rational(p) for p in text.split(",")),
               lambda p, chart: len(p) == chart.dim),
     "tensor_type": ("two non-negative integers r, s",
                     lambda text: tuple(int(p) for p in text.split(",")),
@@ -352,7 +361,7 @@ def _parse_matrix(model: Model, name: str, entries, num0: int) -> List[List[Frac
         if key != "row":
             raise ModelError(f"unknown matrix key {key!r}", num)
         try:
-            rows.append([Fraction(p) for p in _names(value)])
+            rows.append([_rational(p) for p in _names(value)])
         except (ValueError, ZeroDivisionError) as ex:
             raise ModelError(f"bad rational entry: {ex}", num) from ex
     if not rows:

@@ -393,19 +393,6 @@ def _symbol_table(elim: _GradedElimination, system: LinearPDESystem,
                                     for k in range(max_order, -1, -1)))
 
 
-def symbol_dimensions(system: LinearPDESystem, point: GenericPoint,
-                      stage: int = 1) -> SymbolTable:
-    """dim g_k for k = 0..order: order-k jet freedom left after
-    elimination mod the point's prime of the evaluated system, higher
-    orders eliminated first."""
-    columns = _Columns(system.chart.dim, system.n_unknowns, system.order)
-    elim = _GradedElimination(point.prime, columns)
-    taylor, zero = TaylorMap(system.chart, point, 0), (0,) * system.chart.dim
-    for eq in system.equations:
-        elim.add(eq.evaluate_sparse(zero, taylor, columns))
-    return _symbol_table(elim, system, stage, system.order)
-
-
 @dataclass
 class BoundResult:
     """Outcome of iterated prolongation–projection."""

@@ -45,7 +45,20 @@ def test_validate_missing_file():
     *(pytest.param(f"[chart]\ncoordinates = x\n[metric g]\ng[x,x] = {exponent}\n", 4,
                    id=exponent) for exponent in ("x^+2", "x**~2", "x^-(1.5)", "x^-True",
                                                  # beyond 65535, refused before any power is taken
-                                                 "(x+1)^70000", "3^1000000000000"))])
+                                                 "(x+1)^70000", "3^1000000000000")),
+    # square roots of arguments that are slow to factor: a semiprime of two
+    # 25-digit primes, and a polynomial in six variables
+    pytest.param("[chart]\ncoordinates = x\n[metric g]\n"
+                 "g[x,x] = sqrt(3000000000000000000000028000000000000000000000049)\n", 4,
+                 id="sqrt-semiprime"),
+    pytest.param("[chart]\ncoordinates = a, b, c, d, e, f\n[metric g]\n"
+                 "g[a,a] = sqrt((a^3+b^3+c^3+d^3+e^3+f^3+a*b*c*d*e*f+2)*(a+1))\n", 4,
+                 id="sqrt-six-variables"),
+    # exponent notation, refused before the number is built
+    pytest.param("[chart]\ncoordinates = x, y\n[matrix M]\nrow = 1e100000000, 0\n", 4,
+                 id="matrix-exponent"),
+    pytest.param("[chart]\ncoordinates = x, y\n[task t]\nkind = invariant-connections\n"
+                 "point = 1e100000000, 0\n", 5, id="point-exponent")])
 def test_validate_parse_error(tmp_path, capsys, text, line):
     bad = tmp_path / "bad.model"
     bad.write_text(text)

@@ -31,6 +31,7 @@ from geosym.exprfield import (
     Poly,
     TaylorMap,
     _clear_denominators,
+    _coprime_base,
     _derivation_rules,
     _divide,
     _ground,
@@ -40,6 +41,7 @@ from geosym.exprfield import (
     _poly_total_derivative,
     _prime,
     _sqrt_mod,
+    _square_root,
     exact_sqrt,
     parse_expr,
 )
@@ -867,10 +869,10 @@ def test_constant_coefficient_systems_pay_no_factorization(monkeypatch):
 
 
 def test_a_second_exact_sqrt_factors_nothing(monkeypatch):
-    """exact_sqrt factors the radicands and the target through the
-    chart's cached table: on the Eguchi-Hanson chart the first call
-    factors, a second call of the same target calls the factorizer zero
-    times."""
+    """exact_sqrt factors only the radicands, and the target's
+    denominators are factored when it is built, all through the chart's
+    cached table: on the Eguchi-Hanson chart the first call factors, a
+    second call of the same target calls the factorizer zero times."""
     ch = build_eh_chart()
     calls = []
     factor_list = Chart._factor_list
@@ -882,6 +884,108 @@ def test_a_second_exact_sqrt_factors_nothing(monkeypatch):
     calls.clear()
     assert exact_sqrt(target) == first and not calls
     assert exact_sqrt(ch.expr("1 - cos(theta)^2")) == ch.var("sin_theta") and not calls
+
+
+def test_exact_sqrt_factors_no_target(monkeypatch):
+    """The target is trial-divided by the radicands' factors and its
+    cofactor square-rooted: on a fresh trig chart only the radicand
+    1 - cos(t)^2 reaches the factorizer, whatever the target."""
+    ch = _make_chart()
+    calls = []
+    factor_list = Chart._factor_list
+    monkeypatch.setattr(Chart, "_factor_list",
+                        lambda self, p: calls.append(p) or factor_list(self, p))
+    target = ch.expr("(x^2 + y^3 + 7)^2 * (1 - cos(t)^2)")
+    assert exact_sqrt(target) == ch.expr("(x^2 + y^3 + 7) * sin_t")
+    assert exact_sqrt(ch.expr("(x^2 + y^3 + 7) * (1 - cos(t)^2)")) is None
+    assert exact_sqrt(ch.const(_SEMIPRIME)) is None
+    assert calls == [ch.expr("1 - cos(t)^2")._num]
+
+
+_SQUARE_CHART = Chart(["x", "y", "z"])
+
+
+@st.composite
+def _polys(draw, max_terms=4, max_exp=3):
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, max_exp)] * 3), st.integers(-9, 9).filter(bool),
+        min_size=1, max_size=max_terms))
+    return _SQUARE_CHART._poly(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=_polys())
+def test_square_root_of_a_square_is_its_root_with_positive_leading_coefficient(s):
+    """_square_root(s^2) is +-s with a positive leading coefficient, and
+    s^2 + 1 and s^2 * x (s nonzero) are not squares."""
+    root = _square_root(s * s)
+    assert root == (s if s.LC > 0 else -s)
+    assert _square_root(s * s + 1) is None
+    assert _square_root(s * s * _SQUARE_CHART._gens[0]) is None
+
+
+def test_square_root_refuses_non_squares_at_each_test():
+    """A leading term that is not a square, a quotient coefficient that
+    is not an integer, a leading monomial that LM(s) does not divide, and
+    a term beyond half of f's degrees."""
+    ch = _SQUARE_CHART
+    for source in ("-x^2", "2*x^2", "x^3", "x^2 + 1", "x^2 + y", "x^2 + 2*x*y^3 + y",
+                   "4*x^2 + 2*x + 1", "x^2*y^2 + y^4"):
+        assert _square_root(_poly(ch, source)) is None, source
+    assert _square_root(_poly(ch, "9")) == _poly(ch, "3")
+    assert _square_root(_poly(ch, "x^2*y^2 - 2*x*y*z + z^2")) == _poly(ch, "x*y - z")
+
+
+# two 25-digit primes and their product, which factorint cannot split in useful time
+_BIG_PRIMES = (10 ** 24 + 7, 3 * 10 ** 24 + 7)
+_SEMIPRIME = 3000000000000000000000028000000000000000000000049
+
+
+def _squarefree_part(n):
+    """The product of n's primes of odd exponent: the big primes divided
+    out first, the rest by sympy's factorint."""
+    assert _BIG_PRIMES[0] * _BIG_PRIMES[1] == _SEMIPRIME and all(map(sympy.isprime, _BIG_PRIMES))
+    exponents = {}
+    for p in _BIG_PRIMES:
+        while n % p == 0:
+            n, exponents[p] = n // p, exponents.get(p, 0) + 1
+    for p, e in sympy.factorint(n).items():
+        exponents[p] = exponents.get(p, 0) + e
+    return prod(p for p, e in exponents.items() if e % 2)
+
+
+def _assert_coprime_base_decides_square_classes(numbers):
+    """With sympy's factorint as the oracle: the base is pairwise
+    coprime and holds no square, each number is +- a product of powers
+    of it, and equal parity vectors mean equal squarefree parts."""
+    base = _coprime_base(numbers)
+    assert all(b > 1 and math.isqrt(b) ** 2 != b for b in base)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+    parities = {}
+    for n in numbers:
+        rest, vector = abs(n), []
+        for b in base:
+            e = 0
+            while rest % b == 0:
+                rest, e = rest // b, e + 1
+            vector.append(e % 2)
+        assert rest == 1
+        parities.setdefault(tuple(vector), set()).add(_squarefree_part(abs(n)))
+    assert all(len(parts) == 1 for parts in parities.values())
+    assert len(set().union(*parities.values())) == len(parities)
+
+
+@pytest.mark.parametrize("numbers", [
+    [12], [18], [8 * 27], [-3], [_SEMIPRIME], [12, 18, 8 * 27, -3, _SEMIPRIME],
+    [2 * 3, 3 * 5, 5 * 2, 30], [2 ** 5 * 7 ** 3, 7 * 11, 121], [1, -1], [6, 10, 15, 4, 9]])
+def test_coprime_base_decides_square_classes_like_factorint(numbers):
+    _assert_coprime_base_decides_square_classes(numbers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(numbers=st.lists(st.integers(-(10 ** 6), 10 ** 6).filter(bool), min_size=1, max_size=5))
+def test_coprime_base_decides_square_classes_on_random_integers(numbers):
+    _assert_coprime_base_decides_square_classes(numbers)
 
 
 # -- factoring over ZZ, with sympy as the oracle --------------------------------
@@ -977,27 +1081,7 @@ def test_gcd_by_the_remainder_sequence_matches_the_heuristic(monkeypatch):
     assert _factor._gcd([3, 6], [5]) == [1]
 
 
-_INTEGERS = [1, -1, 2, -2, 12, -360, 2 ** 32 + 15, -(2 ** 61 - 1), 2 ** 64, 3 ** 40,
-             (2 ** 31 - 1) * 1073741789, -(1073741789 ** 2) * 6, 999983 * 1000003,
-             600851475143, 2 ** 89 - 1]
-
-
-@pytest.mark.parametrize("n", _INTEGERS)
-def test_factor_integer_matches_factorint(n):
-    """Signs, units, primes above 2^32, and products of two primes of
-    about 30 bits, squared or not."""
-    assert _factor.factor_integer(n) == sympy.factorint(n)
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(-(10 ** 12), 10 ** 12).filter(bool))
-def test_factor_integer_matches_factorint_on_random_integers(n):
-    assert _factor.factor_integer(n) == sympy.factorint(n)
-
-
 def test_factoring_zero_is_an_error():
-    with pytest.raises(ValueError):
-        _factor.factor_integer(0)
     with pytest.raises(ValueError):
         _factor.factor_list({})
 

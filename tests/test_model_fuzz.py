@@ -58,7 +58,7 @@ BROKEN = [None, None, None, None, None, None,
           "[task b]\nkind = closure\nbogus = 1\n",
           "[task s]\nkind = symmetry-bound\nstructure = bogus\n",
           "[frame E]\nmembers = J\n", "[vector t]\nt[x] = x^-(1.5)\n",
-          "g[x,x] = (x+1)^70000\n", None]
+          "g[x,x] = (x+1)^70000\n", "[matrix E]\nrow = 1e100000000, 0\n", None]
 
 
 def _key(line):

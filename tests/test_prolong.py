@@ -74,8 +74,7 @@ def test_symbol_dimensions_trivial():
     # u_x = 0 for a single scalar unknown: g_1 loses one of two slots
     system = P.LinearPDESystem.from_coefficient_maps(
         chart, 1, [{(0, (1, 0)): chart.one()}])
-    pt = P.GenericPoint.sample(chart, 17)
-    table = P.symbol_dimensions(system, pt)
+    table = P.solution_bound(system, max_stage=1, seeds=(17,)).tables[0]
     assert table.dims == (1, 1)  # (dim g_1, dim g_0)
 
 
@@ -257,9 +256,13 @@ def test_dropping_dependent_equations_keeps_tables(request, case, seed):
     else:
         system = _oracle_system(request, case)
     res = P.solution_bound(system, max_stage=3, seeds=(seed,))
-    point = P.GenericPoint.sample(system.chart, seed)
     for k, table in enumerate(res.tables):
-        assert P.symbol_dimensions(P.prolong(system, k), point, stage=k + 1).dims == table.dims
+        assert _stage_one_dims(P.prolong(system, k), seed) == table.dims
+
+
+def _stage_one_dims(system, seed):
+    """The stage-1 symbol table of ``system`` at the point of ``seed``."""
+    return P.solution_bound(system, max_stage=1, seeds=(seed,)).tables[0].dims
 
 
 def _rational_table(system, point):
@@ -300,8 +303,7 @@ def test_symbol_tables_mod_p_match_rational_ranks(request, case, seed):
     point = P.GenericPoint.sample(system.chart, seed)
     for stage in (1, 2, 3):
         prolonged = P.prolong(system, stage - 1)
-        assert (P.symbol_dimensions(prolonged, point, stage).dims
-                == _rational_table(prolonged, point))
+        assert _stage_one_dims(prolonged, seed) == _rational_table(prolonged, point)
 
 
 def test_coefficient_denominator_divisible_by_prime_clears_to_integers():
@@ -317,7 +319,7 @@ def test_coefficient_denominator_divisible_by_prime_clears_to_integers():
     assert system.equations[0].coeffs == {(0, (1,)): _ONE, (0, (0,)): P.PRIME * x}
     point = P.GenericPoint.sample(chart, 1)
     assert point.prime == P.PRIME
-    table = P.symbol_dimensions(system, point).dims
+    table = _stage_one_dims(system, 1)
     assert all(a >= b for a, b in zip(table, _rational_table(system, point)))
     assert table == _rational_table(system, point) == (0, 1)
     res = P.solution_bound(system)
