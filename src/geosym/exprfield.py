@@ -45,7 +45,9 @@ is built, and symbol ranks in :mod:`geosym.prolong`) evaluate at seeded
 a prime below it where the chart's radicands are nonzero squares.
 Integer coefficients reduce mod any prime, so these evaluations meet
 no pole but the sample values' own.  Symbol ranks of prolonged rows use
-the truncated Taylor series at such a point (:class:`TaylorMap`).
+the truncated Taylor series at such points (:class:`TaylorMap`): the
+points of one bound search carry distinct primes p_i, so by the Chinese
+remainder theorem one map mod their product serves all of them.
 """
 
 from __future__ import annotations
@@ -57,7 +59,9 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import count, islice
+from typing import (Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from geosym._factor import _is_prime, factor_list
 
@@ -725,7 +729,7 @@ class Chart:
         return self._sample_pool[:k]
 
 
-PRIME = 2 ** 61 - 1  # the prime of every point of a chart without root generators
+PRIME = 2 ** 61 - 1  # the first prime of the chain the sample points draw from
 _MAX_PRIMES = 64
 _POOL_SEED = 0x5EED  # seed of the first zero cross-check point
 
@@ -739,6 +743,17 @@ def _prime(i: int) -> int:
     while not _is_prime(p):
         p -= 2
     return p
+
+
+def _crt_basis(primes: Sequence[int]) -> Tuple[int, List[int]]:
+    """The modulus M = p_1 ... p_r of distinct primes and the idempotents
+    e_i of Z/M = GF(p_1) x ... x GF(p_r): e_i is 1 mod p_i and 0 mod every
+    other p_j (Chinese remainder theorem), so sum_i r_i e_i is the residue
+    mod M that reads r_i mod each p_i."""
+    if not primes or len(set(primes)) != len(primes):
+        raise ExprError(f"the Chinese remainder theorem needs distinct primes, got {primes}")
+    modulus = math.prod(primes)
+    return modulus, [modulus // p * pow(modulus // p, -1, p) for p in primes]
 
 
 def _sqrt_mod(q: int, p: int) -> Optional[int]:
@@ -800,27 +815,36 @@ def _poly_mod(p: Poly, residues: Sequence[int], prime: int) -> int:
 
 
 class TaylorMap:
-    """Truncated Taylor series at a :class:`GenericPoint`, mod its prime.
+    """Truncated Taylor series at :class:`GenericPoint` s of distinct
+    primes p_1, ..., p_r, all at once mod their product M (``modulus``).
 
     Sends a polynomial p of the chart's ring to its Taylor coefficients
     T_gamma(p) = d^gamma p(x0) / gamma! for |gamma| <= ``order``, as a
     dict from the multi-index gamma (one entry per coordinate) to a
-    nonzero residue.  The variables' series are: a coordinate x0 + t;
-    sin and cos in closed form, the k-th derivative cycling through
-    s0, c0, -s0, -c0; a root W = W0 * sum_k binom(1/2, k) u^k with
-    u = (q - q0) / q0 the radicand's relative increment (q0 is nonzero
-    mod the prime: :func:`_residues` resamples otherwise).
+    nonzero residue mod M.  Each variable's value x0 is the residue
+    mod M that reads, mod each p_i, point i's residue
+    (:func:`_crt_basis`).  The variables' series are: a coordinate
+    x0 + t; sin and cos in closed form, the k-th derivative cycling
+    through s0, c0, -s0, -c0; a root W = W0 * sum_k binom(1/2, k) u^k
+    with u = (q - q0) / q0 the radicand's relative increment (q0 is
+    nonzero mod each prime, :func:`_residues` resamples otherwise, so
+    it is a unit mod M; a non-unit raises).
 
-    Soundness.  The series satisfy every generator relation and every
-    derivation rule up to the truncation, so this is a ring homomorphism
-    from the coordinate ring to GF(prime)[[t]] / m^(order+1) that
-    commutes with each d/dx_i up to the truncation.  Its constant terms
-    are the point's residues, so order 0 is evaluation at the point.
+    Soundness.  At one point the series satisfy every generator relation
+    and every derivation rule up to the truncation, so the map is a ring
+    homomorphism from the coordinate ring to GF(p)[[t]] / m^(order+1)
+    that commutes with each d/dx_i up to the truncation.  Its constant
+    terms are the point's residues, so order 0 is evaluation at the
+    point.  Reduction mod p_i is a ring homomorphism from Z/M onto
+    GF(p_i), and each step here (sums, products, inverses of units)
+    commutes with it, so read mod p_i (lane i) this map is point i's own
+    map.
     """
 
-    def __init__(self, chart: Chart, point: "GenericPoint", order: int):
+    def __init__(self, chart: Chart, points: Sequence["GenericPoint"], order: int):
         self.order = order
-        self.prime = prime = point.prime
+        self.modulus, basis = _crt_basis([p.prime for p in points])
+        modulus = self.modulus
         n = chart.dim
         self._zero: Tuple[int, ...] = (0,) * n
         # packed monomial -> its series; key 0 is the monomial 1
@@ -829,8 +853,9 @@ class TaylorMap:
         self._vars: Dict[int, Dict[Tuple[int, ...], int]] = {}  # field shift -> series
         inv_fact = [1]
         for k in range(1, order + 1):
-            inv_fact.append(inv_fact[-1] * pow(k, prime - 2, prime) % prime)
-        res = point.residues
+            inv_fact.append(inv_fact[-1] * pow(k, -1, modulus) % modulus)
+        res = [sum(r * e for r, e in zip(lanes, basis)) % modulus
+               for lanes in zip(*(p.residues for p in points))]
         trig = {}  # generator -> (angle index, derivatives at the point mod 4)
         for angle, (s, c) in chart._trig_pairs.items():
             j = chart.coordinates.index(angle)
@@ -846,16 +871,16 @@ class TaylorMap:
                           for k in range(order + 1)}
             else:  # root: W^2 = q
                 q = self(chart._gens_by_name[name].square_rhs._num)
-                q0_inv = pow(q.get(self._zero, 0), prime - 2, prime)
-                u = {g: v * q0_inv % prime for g, v in q.items() if any(g)}
+                q0_inv = pow(q.get(self._zero, 0), -1, modulus)
+                u = {g: v * q0_inv % modulus for g, v in q.items() if any(g)}
                 series, power, binom = {}, {self._zero: 1}, 1
                 for k in range(order + 1):  # u^k vanishes beyond the order
                     for g, v in power.items():
-                        series[g] = (series.get(g, 0) + binom * v) % prime
+                        series[g] = (series.get(g, 0) + binom * v) % modulus
                     power = self._mul(power, u)
-                    binom = binom * (1 - 2 * k) * pow(2 * k + 2, prime - 2, prime) % prime
+                    binom = binom * (1 - 2 * k) * pow(2 * k + 2, -1, modulus) % modulus
                 series = {g: v * res[i] for g, v in series.items()}
-            self._vars[chart._shift[i]] = {g: v % prime for g, v in series.items() if v % prime}
+            self._vars[chart._shift[i]] = {g: r for g, v in series.items() if (r := v % modulus)}
 
     def _unit(self, i: int, k: int) -> Tuple[int, ...]:
         g = list(self._zero)
@@ -873,8 +898,8 @@ class TaylorMap:
                 if degree <= room:
                     g = tuple(map(operator.add, ga, gb))
                     out[g] = get(g, 0) + va * vb
-        prime = self.prime
-        return {g: r for g, v in out.items() if (r := v % prime)}
+        modulus = self.modulus
+        return {g: r for g, v in out.items() if (r := v % modulus)}
 
     def _monomial(self, m: int):
         """The series of the monomial with packed key m: that of m divided
@@ -891,14 +916,14 @@ class TaylorMap:
         """Taylor coefficients of a polynomial of the chart's ring."""
         out = self._memo.get(p)
         if out is None:
-            prime = self.prime
+            modulus = self.modulus
             acc: Dict[Tuple[int, ...], int] = {}
             get = acc.get
             for monom, coeff in p.items():
-                c = coeff % prime
+                c = coeff % modulus
                 for g, v in self._monomial(monom).items():
                     acc[g] = get(g, 0) + c * v
-            out = self._memo[p] = {g: r for g, v in acc.items() if (r := v % prime)}
+            out = self._memo[p] = {g: r for g, v in acc.items() if (r := v % modulus)}
         return out
 
 
@@ -955,6 +980,10 @@ class GenericPoint:
     their tightness does, and so does the chance that the zero
     cross-check of :meth:`Expr.__init__` misses a kernel fault.  Values
     drawn uniformly in GF(prime) would make the bound deg/prime.
+
+    The points of one bound search carry distinct primes (``taken``), so
+    one :class:`TaylorMap` mod the product of their primes holds all of
+    them; the zero cross-check points take the first prime they can.
     """
 
     values: Dict[str, Fraction]
@@ -963,15 +992,18 @@ class GenericPoint:
     prime: int
 
     @staticmethod
-    def sample(chart: Chart, seed: int) -> "GenericPoint":
+    def sample(chart: Chart, seed: int, taken: Collection[int] = ()) -> "GenericPoint":
         """The first point of the ``random.Random(seed)`` stream whose
-        roots have nonzero square radicands mod 2^61 - 1; the stream
-        moves to the next prime below only when it yields no such point
-        (a constant radicand, such as 3 or -1, that is not a square mod
-        the prime never does).  A nonsquare rational is a square mod half of all
+        roots have nonzero square radicands mod the first prime of the
+        chain 2^61 - 1, then the primes below it (:func:`_prime`), that is
+        not in ``taken``; the stream moves to the next such prime only
+        when it yields no such point (a constant radicand, such as 3 or
+        -1, that is not a square mod the prime never does).  On a chart
+        without roots that is the stream's first point at the first
+        untaken prime.  A nonsquare rational is a square mod half of all
         primes, so k such radicands need about 2^k primes."""
-        for i in range(_MAX_PRIMES):
-            prime = _prime(i)
+        untaken = (p for p in map(_prime, count()) if p not in taken)
+        for prime in islice(untaken, _MAX_PRIMES):
             rng = random.Random(seed)
             for _ in range(200):
                 values = chart.sample_point(rng)

@@ -7,8 +7,12 @@ kept).  Prolongation appends total derivatives;
 symbol dimensions are computed by elimination mod a prime of the system
 evaluated at seeded :class:`~geosym.exprfield.GenericPoint` s, graded by
 jet order with the highest order eliminated first.  Each point carries
-its prime: 2^61 - 1, or the first prime below it at which the seed's
-stream has a point whose root radicands are nonzero squares.
+its prime, one no earlier point of the search took: the first of 2^61 - 1
+and the primes below it at which the seed's stream has a point whose
+root radicands are nonzero squares.  By the Chinese remainder theorem
+Z/M = GF(p_1) x ... x GF(p_r) for M = p_1 ... p_r, so all points are
+evaluated and eliminated at once, mod M: lane i, the residue mod p_i,
+is point i.
 :func:`prolong` differentiates symbolically; :func:`solution_bound`
 never does: a prolonged row is the pair (E, beta) of an equation and a
 multi-index, and the row of D^beta E at a point comes from the Taylor
@@ -24,15 +28,19 @@ unknowns and B above every jet order met, so codes sort like the graded
 keys (-|alpha|, a, alpha) and the column of X^a_(alpha+beta-gamma) is
 that of X^a_alpha plus a shift fixed by beta - gamma.  The elimination
 (:class:`_GradedElimination`) keeps its stored rows in reduced row
-echelon form (RREF): no stored tail holds a pivot column.  A new row is
-reduced in one pass over its own keys, and its pivot is then cleared
-from the stored tails that hold it, found through an index from each
-non-pivot column to the stored rows that hold it.  Tail entries stay integers congruent to
-their residues until they are read as a multiplier.  The RREF of a row
-space is unique and its pivot set is the column rank profile; an
-order-preserving relabelling of the columns and a later reduction mod p
-change neither, so pivots, ranks and tables are those of elimination on
-the graded keys with every step reduced.
+echelon form (RREF) lane by lane: no stored tail holds a pivot column
+in a lane where it is a pivot.  A new row is reduced in one pass over
+its own keys, and its pivot is then cleared from the stored tails that
+hold it, found through an index from each column to the stored rows
+that hold it.  A pivot whose entry is a unit mod M is a pivot in every
+lane; where the entry vanishes mod some p_i, those lanes go on to
+their own next key, and the pivot records the lanes it serves.  Tail
+entries stay integers congruent to their residues until they are read
+as a multiplier.  The RREF of a row space is unique and its pivot set
+is the column rank profile; an order-preserving relabelling of the
+columns and a later reduction mod p change neither, so pivots, ranks
+and tables are those of elimination on the graded keys with every step
+reduced.
 
 :func:`solution_bound` adds each batch of rows lowest jet order first:
 in descending order of the leading code read from each row (E, beta)
@@ -54,10 +62,15 @@ evaluation at the point.  So the row of D^beta E it gives, for
 |beta| <= K, is the image of the true prolonged row.  A homomorphic
 image of a matrix has rank at most the rank of the matrix, so each rank
 can only drop, each dim g_k can only grow, and the bound stays an upper
-bound.  Dropping an equation that is dependent mod p at
-every point can also only loosen the bound.  None of this depends on
-how likely a point is to be generic; only the tightness of the bound
-does.  The sample values come from small sets, so a nonzero polynomial
+bound.  Reduction mod p_i is a ring homomorphism from Z/M onto GF(p_i)
+that commutes with every step of the Taylor map and of the elimination
+(sums, products, inverses of units), so lane i of the map mod M is the
+map of point i mod p_i, and lane i of the elimination is the RREF of
+point i's rows in the order they came: its pivots and tables are those
+of an elimination at point i alone.  Dropping an equation that is
+dependent mod p at every point can also only loosen the bound.  None
+of this depends on how likely a point is to be generic; only the
+tightness of the bound does.  The sample values come from small sets, so a nonzero polynomial
 vanishes at a point with probability up to
 sum_x deg_x / 18 + sum_pairs 2 deg_pair / 9, not deg/p
 (:class:`~geosym.exprfield.GenericPoint`); the tables are taken at
@@ -69,11 +82,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import comb, perm, prod
+from math import comb, gcd, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exprfield import (_ONE, PRIME, Chart, Expr, ExprError, GenericPoint, Poly, TaylorMap,
-                        _clear_denominators, _derivation_rules, _poly_total_derivative)
+                        _clear_denominators, _crt_basis, _derivation_rules,
+                        _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
 
@@ -108,19 +122,21 @@ class Equation:
 
     def evaluate_sparse(self, beta: Tuple[int, ...], taylor: TaylorMap,
                         columns: _Columns) -> Dict[int, int]:
-        """Row of the total derivative D^beta of this equation at the point
-        of ``taylor`` in GF(taylor.prime), keyed by the integer column code
+        """Row of the total derivative D^beta of this equation at the points
+        of ``taylor``, mod the product M of their primes (read mod the i-th
+        prime, it is the row at point i), keyed by the integer column code
         of ``columns``, whose order is the order of elimination.
 
         By Leibniz, D^beta (c X^a_alpha) is the sum over gamma <= beta of
         beta!/(beta-gamma)! T_gamma(c) X^a_(alpha+beta-gamma), where
-        T_gamma(c) is the Taylor coefficient of c at the point: ``taylor``,
-        the point's :class:`~geosym.exprfield.TaylorMap` of order |beta|
-        at least, supplies it.  With beta = 0 this is c(point) X^a_alpha.
+        T_gamma(c) is the Taylor coefficient of c at the points:
+        ``taylor``, the points' :class:`~geosym.exprfield.TaylorMap` of
+        order |beta| at least, supplies it.  With beta = 0 this is
+        c(point) X^a_alpha.
         The code of X^a_(alpha+beta-gamma) is the code of X^a_alpha plus a
         shift that depends on beta - gamma only; the codes of X^a_alpha
         are those of :meth:`_Columns.coded`, taken once per equation."""
-        prime = taylor.prime
+        modulus = taylor.modulus
         order, _, terms = columns.coded(self)
         if order + sum(beta) >= columns.base:
             raise ProlongError("jet order beyond the column coding")
@@ -133,7 +149,7 @@ class Equation:
                 if t:
                     k = key + delta
                     row[k] = row.get(k, 0) + weight * t
-        return {k: r for k, v in row.items() if (r := v % prime)}
+        return {k: r for k, v in row.items() if (r := v % modulus)}
 
 
 class _Columns:
@@ -300,95 +316,157 @@ class SymbolTable:
 
 
 class _GradedElimination:
-    """Incremental reduced row echelon form (RREF) over sparse GF(prime)
-    rows keyed by the integer column codes of :class:`_Columns`,
-    smallest code (highest jet order) eliminated first.
+    """Incremental reduced row echelon form (RREF) of sparse rows over
+    Z/M, M = p_1 ... p_r a product of distinct primes, keyed by the
+    integer column codes of :class:`_Columns`, smallest code (highest
+    jet order) eliminated first.
 
-    ``rows`` maps each pivot to the rest of its stored row, a dict from
-    key to entry; the pivot entry is 1.  The invariant is that no stored
-    tail holds a pivot key, so a new row is reduced by one pass over its
-    own keys, and a new pivot is cleared from the stored tails that hold
-    it (back-substitution).  ``_holders`` names those tails: for each
-    column that is not a pivot, the pivots whose tails hold it, appended
-    to as tails gain the column and dropped when it becomes a pivot.
+    By the Chinese remainder theorem Z/M = GF(p_1) x ... x GF(p_r); lane
+    i is the factor GF(p_i), read by reducing mod p_i, and e_i is its
+    idempotent (1 mod p_i, 0 mod the other primes).  Lane by lane the
+    elimination is the RREF over GF(p_i) of the rows' lane-i images in
+    the order they arrive; with one lane it is the RREF mod the prime.
+
+    ``rows`` maps each pivot key to the rest of its stored row, a dict
+    from key to entry.  A key is a pivot in a set S of lanes, its mask:
+    every lane, unless ``_partial`` names the key with the idempotent
+    e_S = sum of e_i over S.  The stored row is zero outside S, its
+    pivot entry is e_S (1 for every lane), and read in a lane of S it is
+    that lane's RREF row with this pivot.  The invariant is that a
+    stored tail's entry at a key vanishes in every lane where that key
+    is a pivot, so a new row is reduced by one pass over its own keys,
+    and a new pivot is cleared from the stored tails that hold it
+    (back-substitution).  ``_holders`` names those tails: for each
+    column, the pivots whose tails hold it in some lane, appended to as
+    tails gain the column and dropped when they no longer hold it.
     Tail entries are integers congruent to their residues, reduced when
     read as a multiplier, so an entry may read 0.
 
     The RREF of a row space is unique and its pivot set is the column
     rank profile: a column is a pivot exactly when it enlarges the rank
-    of the leading column block.  So the pivots, rank and tables depend
-    only on the row space, not on the order the rows arrive in.  The
-    cost does depend on it: back-substitution touches the stored tails
-    that hold the new pivot, and those hold only codes above their own
-    pivots.  Rows that arrive largest leading code first (lowest jet
-    order first, as :func:`solution_bound` adds them) mostly find new
-    pivots below the stored ones, which no stored tail holds.
+    of the leading column block.  So the pivots, rank and tables of
+    each lane depend only on the row space, not on the order the rows
+    arrive in.  The cost does depend on it: back-substitution touches
+    the stored tails that hold the new pivot, and those hold only codes
+    above their own pivots.  Rows that arrive largest leading code first
+    (lowest jet order first, as :func:`solution_bound` adds them) mostly
+    find new pivots below the stored ones, which no stored tail holds.
     """
 
-    def __init__(self, prime: int, columns: _Columns):
-        self.prime = prime
+    def __init__(self, primes: Sequence[int], columns: _Columns):
+        self.primes = tuple(primes)
+        self.modulus, self._basis = _crt_basis(self.primes)
         self.columns = columns
         self.rows: Dict[int, Dict[int, int]] = {}
+        self._partial: Dict[int, int] = {}  # pivot key -> e_S, for masks short of every lane
         self._holders: Dict[int, List[int]] = {}
 
     def add(self, row: Dict[int, int]) -> Optional[int]:
-        """Reduce the row (integers, read mod the prime); store it (pivot
-        entry 1) and return its pivot key, or return None if it is
-        dependent on the rows seen so far.
+        """Reduce the row (integers, read mod M); store it and return its
+        least new pivot key, or return None if it is dependent on the rows
+        seen so far in every lane.
 
-        Each key of the row that is a pivot contributes its entry times
-        that pivot's tail, every other key is copied, and the sum is
-        reduced mod the prime once: stored tails hold no pivot key, so
-        the result is zero on every pivot and its least key is the new
-        pivot.  The new row, scaled to pivot entry 1, is then subtracted
-        from each stored tail that holds its pivot."""
-        prime, rows, holders = self.prime, self.rows, self._holders
+        Each key of the row that is a pivot, with mask S, contributes its
+        entry times that pivot's tail and keeps its entry times 1 - e_S,
+        every other key is copied, and the sum is reduced mod M once:
+        stored tails vanish at each pivot key in its lanes, so the result
+        vanishes there too.  Its least key is the new pivot in every lane
+        when its entry there is a unit mod M.  Otherwise each lane takes
+        its own least key whose entry is nonzero mod its prime, and the
+        lanes L with pivot k take the row times the sum over L of
+        (entry mod p_i)^-1 e_i, which is zero outside L and has pivot
+        entry e_L.  Each new row is then stored (:meth:`_store`)."""
+        modulus, rows, partial = self.modulus, self.rows, self._partial
         out: Dict[int, int] = {}
         for k, v in row.items():
             tail = rows.get(k)
             if tail is None:
                 out[k] = out.get(k, 0) + v
-            elif f := v % prime:
+            elif f := v % modulus:
                 for j, t in tail.items():
                     out[j] = out.get(j, 0) - f * t
-        out = {k: r for k, v in out.items() if (r := v % prime)}
+                if partial and (e := partial.get(k)) is not None:
+                    out[k] = out.get(k, 0) + f * (1 - e)
+        out = {k: r for k, v in out.items() if (r := v % modulus)}
         if not out:
             return None
-        p = min(out)
-        inv = pow(out.pop(p), prime - 2, prime)
-        new = {k: v * inv % prime for k, v in out.items()}
+        least = min(out)
+        if gcd(out[least], modulus) == 1:
+            inv = pow(out.pop(least), -1, modulus)
+            self._store(least, {k: v * inv % modulus for k, v in out.items()}, 1)
+            return least
+        found: Dict[int, List[int]] = {}  # new pivot -> its lanes
+        for i, prime in enumerate(self.primes):
+            if out[least] % prime:
+                found.setdefault(least, []).append(i)
+            elif keys := [k for k, v in out.items() if v % prime]:
+                found.setdefault(min(keys), []).append(i)
+        for p, lanes in found.items():
+            inv = sum(pow(out[p], -1, self.primes[i]) * self._basis[i] for i in lanes)
+            self._store(p, {k: r for k, v in out.items() if k != p and (r := v * inv % modulus)},
+                        sum(self._basis[i] for i in lanes) % modulus)
+        return min(found)
+
+    def _store(self, p: int, new: Dict[int, int], e: int) -> None:
+        """Make p a pivot in the lanes of the idempotent e (1 for every
+        lane) with the tail ``new``, which is zero outside those lanes.
+        The new row is subtracted, times its entry there, from each stored
+        tail that holds p in those lanes, and it joins the stored row of p
+        when p is already a pivot in other lanes."""
+        modulus, rows, holders = self.modulus, self.rows, self._holders
+        kept = []
         for q in holders.pop(p, ()):
             tail = rows[q]
-            f = tail.pop(p) % prime
-            if not f:
+            f = tail.pop(p) % modulus
+            g = f * e % modulus  # the entry in the lanes of e
+            if f != g:  # the tail still holds p in its other lanes
+                tail[p] = f - g
+                kept.append(q)
+            if not g:
                 continue
             for k, t in new.items():
                 old = tail.get(k)
                 if old is None:
-                    tail[k] = -f * t
+                    tail[k] = -g * t
                     holders.setdefault(k, []).append(q)
                 else:
-                    tail[k] = old - f * t
-        rows[p] = new
-        for k in new:
-            holders.setdefault(k, []).append(p)
-        return p
+                    tail[k] = old - g * t
+        if kept:
+            holders[p] = kept
+        stored = rows.get(p)
+        if stored is None:
+            rows[p] = new
+            for k in new:
+                holders.setdefault(k, []).append(p)
+        else:
+            for k, t in new.items():
+                if k not in stored:
+                    holders.setdefault(k, []).append(p)
+                stored[k] = stored.get(k, 0) + t
+        mask = (self._partial.pop(p, 0) + e) % modulus  # masks of one key are disjoint
+        if mask != 1:
+            self._partial[p] = mask
 
-    def pivots_per_order(self) -> Dict[int, int]:
+    def pivots(self, lane: int = 0) -> List[int]:
+        """The pivot keys of one lane."""
+        prime = self.primes[lane]
+        return [p for p in self.rows if (e := self._partial.get(p)) is None or e % prime]
+
+    def pivots_per_order(self, lane: int = 0) -> Dict[int, int]:
         out: Dict[int, int] = {}
         order = self.columns.order
-        for p in self.rows:
+        for p in self.pivots(lane):
             k = order(p)
             out[k] = out.get(k, 0) + 1
         return out
 
 
-def _symbol_table(elim: _GradedElimination, system: LinearPDESystem,
+def _symbol_table(elim: _GradedElimination, lane: int, system: LinearPDESystem,
                   stage: int, max_order: int) -> SymbolTable:
-    """dim g_k = (order-k jet coordinates) - (pivots of order k), listed
-    from ``max_order`` down to 0."""
+    """dim g_k = (order-k jet coordinates) - (pivots of order k in the
+    lane), listed from ``max_order`` down to 0."""
     n, m = system.chart.dim, system.n_unknowns
-    per_order = elim.pivots_per_order()
+    per_order = elim.pivots_per_order(lane)
     return SymbolTable(stage, tuple(m * comb(n + k - 1, k) - per_order.get(k, 0)
                                     for k in range(max_order, -1, -1)))
 
@@ -442,30 +520,34 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     an upper bound by the argument above.  A system with no equation left
     (say, of an all-zero metric) is not of finite type: the search stops
     with the stage-1 table and is inconclusive.
+
+    Each point takes a prime that no earlier point took, so the rows at
+    all points come from one :class:`~geosym.exprfield.TaylorMap` mod the
+    product of the primes, and one :class:`_GradedElimination` reduces
+    them, point i in its lane i.
     """
     if max_stage < 1:
         raise ProlongError("max_stage must be at least 1")
+    if not seeds:
+        raise ProlongError("solution_bound needs at least one seed")
     chart = system.chart
-    points = [GenericPoint.sample(chart, s) for s in seeds]
+    points: List[GenericPoint] = []
+    for s in seeds:
+        points.append(GenericPoint.sample(chart, s, taken=[p.prime for p in points]))
     columns = _Columns(chart.dim, system.n_unknowns, system.order + max_stage)
-    elims = [_GradedElimination(p.prime, columns) for p in points]
+    elim = _GradedElimination([p.prime for p in points], columns)
 
     def admit(rows: Sequence[Row]) -> List[Row]:
-        """Add the rows at all points, through Taylor maps of the rows'
+        """Add the rows at all points, through a Taylor map of the rows'
         order, lowest jet order first: in descending order of their
         leading codes (:meth:`_Columns.lead`), ties in the given order.
         Keep the rows independent at some point (one dependent at every
         point adds nothing to any symbol table: its derivatives stay in
         the prolonged span of the retained ones)."""
         order = max((sum(beta) for _, beta in rows), default=0)
-        taylors = [TaylorMap(chart, p, order) for p in points]
-        kept = []
-        for eq, beta in sorted(rows, key=columns.lead, reverse=True):
-            pivots = [el.add(eq.evaluate_sparse(beta, tm, columns))
-                      for el, tm in zip(elims, taylors)]
-            if any(pv is not None for pv in pivots):
-                kept.append((eq, beta))
-        return kept
+        taylor = TaylorMap(chart, points, order)
+        return [(eq, beta) for eq, beta in sorted(rows, key=columns.lead, reverse=True)
+                if elim.add(eq.evaluate_sparse(beta, taylor, columns)) is not None]
 
     def result(bound: Optional[int]) -> BoundResult:
         return BoundResult(bound, bound is not None, tables, [p.seed for p in points],
@@ -478,7 +560,8 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     frontier = list(active)
     for stage in range(1, max_stage + 1):
         max_order = max((columns.coded(eq)[0] + sum(beta) for eq, beta in active), default=0)
-        stage_tables = [_symbol_table(el, system, stage, max_order) for el in elims]
+        stage_tables = [_symbol_table(elim, lane, system, stage, max_order)
+                        for lane in range(len(points))]
         best = min(stage_tables, key=lambda t: t.total())  # min dims = max rank
         if any(t.dims != best.dims for t in stage_tables):
             point_independent = False

@@ -271,7 +271,7 @@ def test_taylor_map_keeps_relations_and_derivations(seed):
     for ch in (_make_chart(), nested_root_chart()):
         point = GenericPoint.sample(ch, seed)
         p = point.prime
-        taylor = TaylorMap(ch, point, K)
+        taylor = TaylorMap(ch, [point], K)
         v = dict(zip(ch.var_names, ch._gens))  # unreduced ring elements
         zero = (0,) * ch.dim
         if "sin_t" in v:
@@ -281,7 +281,7 @@ def test_taylor_map_keeps_relations_and_derivations(seed):
             assert taylor(v["W"] ** 2 - v["x"] ** 2 - 1) == {}
             assert taylor(v["V"] ** 2 - v["W"] - v["y"] ** 2 - 3) == {}
             f = v["V"] ** 3 * v["x"] + v["W"] * v["y"] ** 2 + v["V"] * v["W"]
-        assert TaylorMap(ch, point, 0)(f) == {zero: _poly_mod(f, point.residues, p)}
+        assert TaylorMap(ch, [point], 0)(f) == {zero: _poly_mod(f, point.residues, p)}
         series = taylor(f)
         for i, coord in enumerate(ch.coordinates):
             s, rules = _derivation_rules(ch, coord, [f])
@@ -290,6 +290,33 @@ def test_taylor_map_keeps_relations_and_derivations(seed):
             expected = _truncated_product(taylor(s), d_series, K - 1, p)
             got = taylor(_poly_total_derivative(ch, f, rules))
             assert {g: c for g, c in got.items() if sum(g) < K} == expected
+
+
+
+@pytest.mark.parametrize("seed", [1, 101])
+def test_taylor_map_of_several_points_reads_each_point_mod_its_prime(seed):
+    """Points of distinct primes share one map mod the product of the
+    primes; read mod the i-th prime it is point i's own map (Chinese
+    remainder theorem).  Points that share a prime are refused."""
+    K = 3
+    for ch in (_make_chart(), nested_root_chart()):
+        points = []
+        for s in (seed, seed + 101, seed + 202):
+            points.append(GenericPoint.sample(ch, s, taken=[q.prime for q in points]))
+        primes = [q.prime for q in points]
+        assert len(set(primes)) == 3
+        taylor = TaylorMap(ch, points, K)
+        assert taylor.modulus == primes[0] * primes[1] * primes[2]
+        v = dict(zip(ch.var_names, ch._gens))
+        f = (v["x"] ** 2 * v["y"] + 3 * v["y"] ** 3
+             + (v["sin_t"] * v["cos_t"] ** 2 if "sin_t" in v else v["V"] * v["W"] * v["x"]))
+        series = taylor(f)
+        for point in points:
+            p = point.prime
+            own = TaylorMap(ch, [point], K)(f)
+            assert {g: r for g, c in series.items() if (r := c % p)} == own
+        with pytest.raises(ExprError):
+            TaylorMap(ch, [points[0], points[0]], K)
 
 
 def test_points_with_a_vanishing_radicand_are_resampled():

@@ -13,7 +13,8 @@ from geosym import _linalg
 from geosym import geometry as G
 from geosym import prolong as P
 from geosym import symsys as S
-from geosym.exprfield import _ONE, Chart, Expr, Poly, _derivation_rules, _prime, parse_expr
+from geosym.exprfield import (_ONE, Chart, Expr, Poly, _crt_basis, _derivation_rules, _prime,
+                              parse_expr)
 
 from conftest import (flat_chart, flat_quaternionic_pullback, nested_root_chart, shear_map,
                       standard_triple)
@@ -127,6 +128,8 @@ def test_max_stage_validation(flat2):
     chart, g = flat2
     with pytest.raises(P.ProlongError):
         P.solution_bound(S.invariance_system(g), max_stage=0)
+    with pytest.raises(P.ProlongError, match="at least one seed"):
+        P.solution_bound(S.invariance_system(g), seeds=())
 
 
 def test_verify_solution(flat2):
@@ -358,6 +361,7 @@ def test_killing_bound_with_a_root_that_is_no_square_mod_the_first_prime(radican
     assert res.bound == 3
     assert [t.dims for t in res.tables] == [(1, 2), (0, 1, 2), (0, 0, 1, 2)]
     assert P.GenericPoint.sample(chart, 101).prime != P.PRIME
+    assert P.PRIME not in res.primes and len(set(res.primes)) == 3
 
 
 def test_formal_roots_map_to_square_roots_mod_p():
@@ -375,8 +379,16 @@ def test_formal_roots_map_to_square_roots_mod_p():
         assert r[W] * r[W] % P.PRIME == (r[t] * r[t] + 1) % P.PRIME
         resampled += point.values != chart.sample_point(random.Random(seed))
     assert resampled
+    # a taken prime is skipped: the point takes the next prime of the
+    # chain at which its stream has square radicands
+    for seed in range(1, 6):
+        point = P.GenericPoint.sample(chart, seed, taken=(P.PRIME,))
+        assert point.prime == _prime(1)
+        r = point.residues
+        assert r[W] * r[W] % point.prime == (r[t] * r[t] + 1) % point.prime
     # 3 is not a square mod 2^61-1: W^2 = 3 samples at the next prime
-    # below it (which is 1 mod 4), and the relation holds there
+    # below it (which is 1 mod 4), and the relation holds there; with
+    # that prime taken too, at the next prime where 3 is a square
     chart = Chart(["x"], roots=[("W", 3)])
     for seed in (1, 2):
         point = P.GenericPoint.sample(chart, seed)
@@ -384,6 +396,9 @@ def test_formal_roots_map_to_square_roots_mod_p():
         assert point.prime % 4 == 1
         assert point.values == chart.sample_point(random.Random(seed))
         assert point.residues[1] ** 2 % point.prime == 3
+        other = P.GenericPoint.sample(chart, seed, taken=(point.prime,))
+        assert other.prime < point.prime and other.values == point.values
+        assert other.residues[1] ** 2 % other.prime == 3
 
 
 def _multi_indices(n, top):
@@ -494,7 +509,7 @@ def test_graded_elimination_matches_dense_reference(data):
     for c in ref:
         ref_orders[cols.order(c)] = ref_orders.get(cols.order(c), 0) + 1
     for ordered in (rows, data.draw(st.permutations(rows))):
-        elim = P._GradedElimination(prime, cols)
+        elim = P._GradedElimination((prime,), cols)
         pivots = [elim.add(r) for r in ordered]
         assert sorted(p for p in pivots if p is not None) == sorted(elim.rows) == ref
         assert elim.pivots_per_order() == ref_orders
@@ -508,7 +523,7 @@ def test_graded_elimination_back_substitutes_new_pivots():
     p; such an entry reads as 0 and is skipped when its column becomes
     a pivot."""
     prime = 7
-    elim = P._GradedElimination(prime, P._Columns(1, 1, 3))
+    elim = P._GradedElimination((prime,), P._Columns(1, 1, 3))
     rows = [{0: 1, 1: 2, 3: 1}, {1: 1, 3: 4}, {3: 1, 5: 1}]
     assert [elim.add(r) for r in rows] == [0, 1, 3]
     # {1: 1, 3: 4} cleared column 1 from row 0: 1 - 2 * 4 = -7 at column 3
@@ -520,6 +535,80 @@ def test_graded_elimination_back_substitutes_new_pivots():
     assert elim.rows == {0: {}, 1: {}, 3: {}, 5: {}}
     assert elim.add({0: 3, 3: 9, 5: 7}) is None and len(elim.rows) == 4
 
+
+
+_LANES = (7, 11, 13)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_graded_elimination_over_lanes_matches_dense_reference_per_lane(data):
+    """Rows over Z/(7 * 11 * 13), drawn lane by lane: a random sparse
+    integer row whose image in some lanes is zero or loses some entries,
+    or a combination of earlier rows.  Read in each lane, the pivots,
+    per-order counts and stored rows (read mod the lane's prime) are
+    those of dense elimination mod that prime, whatever order the rows
+    are added in, and add returns None exactly when the row is dependent
+    in every lane."""
+    modulus, basis = _crt_basis(_LANES)
+    n, m, top = (data.draw(st.integers(1, 3)) for _ in range(3))
+    cols = P._Columns(n, m, top)
+    keys = sorted(cols.code(a, alpha) for _, a, alpha in _graded_keys(n, m, top))
+    pool = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=8, unique=True))
+    entry = st.integers(-3 * modulus, 3 * modulus)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        if len(rows) >= 2 and data.draw(st.booleans()):
+            r1, r2 = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            f1, f2 = data.draw(entry), data.draw(entry)
+            row = {k: f1 * r1.get(k, 0) + f2 * r2.get(k, 0) for k in set(r1) | set(r2)}
+        else:
+            base = data.draw(st.dictionaries(st.sampled_from(pool), st.integers(-20, 20),
+                                             min_size=1))
+            row = {}
+            for e in basis:
+                kind = data.draw(st.sampled_from(["all", "zero", "some"]))
+                kept = (base if kind == "all" else {} if kind == "zero" else
+                        {k: v for k, v in base.items() if data.draw(st.booleans())})
+                for k, v in kept.items():
+                    row[k] = row.get(k, 0) + v * e
+        rows.append({k: v for k, v in row.items() if v % modulus})
+    columns = sorted({k for r in rows for k in r})
+    for ordered in (rows, data.draw(st.permutations(rows))):
+        elim = P._GradedElimination(_LANES, cols)
+        added = [elim.add(r) is not None for r in ordered]
+        grew = [False] * len(ordered)
+        for lane, prime in enumerate(_LANES):
+            ref, ref_rows = _dense_pivots(ordered, columns, prime)
+            ref_orders = {}
+            for c in ref:
+                ref_orders[cols.order(c)] = ref_orders.get(cols.order(c), 0) + 1
+            assert sorted(elim.pivots(lane)) == ref
+            assert elim.pivots_per_order(lane) == ref_orders
+            for p in ref:
+                assert {k: r for k, v in elim.rows[p].items() if (r := v % prime)} == \
+                    ref_rows[p]
+            # the rows that raise the rank of the rows before them: the
+            # column rank profile of the transpose
+            transposed = [{i: r.get(c, 0) for i, r in enumerate(ordered)} for c in columns]
+            for i in _dense_pivots(transposed, list(range(len(ordered))), prime)[0]:
+                grew[i] = True
+        assert added == grew
+
+
+def test_graded_elimination_splits_a_pivot_by_lanes_and_joins_it_again():
+    """Over the lanes GF(7) x GF(11), the row 7 e0 + e1 has pivot 1 mod 7
+    and pivot 0 mod 11.  Then e0 makes 0 a pivot mod 7 and 1 one mod 11:
+    each key's two lane rows join into one row, a pivot in every lane."""
+    elim = P._GradedElimination((7, 11), P._Columns(1, 1, 1))
+    assert elim.add({0: 7, 1: 1}) == 0
+    assert elim.pivots(0) == [1] and elim.pivots(1) == [0]
+    assert elim.pivots_per_order(0) == elim.pivots_per_order(1) == {0: 1}
+    assert elim.rows[0][1] % 11 == pow(7, -1, 11) and elim.rows[0][1] % 7 == 0
+    assert elim.add({0: 1}) == 0
+    assert sorted(elim.pivots(0)) == sorted(elim.pivots(1)) == [0, 1]
+    assert elim.rows == {0: {}, 1: {}}
+    assert elim.add({0: 5, 1: 3}) is None
 
 def test_columns_code_each_equation_once_and_lead_its_derivatives():
     """coded gives an equation's order, least code and coded terms, the
@@ -536,7 +625,7 @@ def test_columns_code_each_equation_once_and_lead_its_derivatives():
     assert order == eq.order == 1
     assert [k for k, _ in terms] == [cols.code(a, alpha) for a, alpha in eq.coeffs]
     assert lead == min(k for k, _ in terms) == cols.code(0, (1, 0))
-    taylor = P.TaylorMap(chart, P.GenericPoint.sample(chart, 3), 2)
+    taylor = P.TaylorMap(chart, [P.GenericPoint.sample(chart, 3)], 2)
     for beta in [(0, 0), (1, 0), (0, 2), (1, 1)]:
         assert cols.lead((eq, beta)) == min(eq.evaluate_sparse(beta, taylor, cols))
         assert cols.order(cols.lead((eq, beta))) == eq.order + sum(beta)
@@ -655,3 +744,18 @@ def test_flat_quaternionic_symmetries_commuting_with_a_rotation(n, bound, tables
     assert res.conclusive and res.bound == bound == 2 * (n + 1) ** 2 - 1
     assert [t.dims for t in res.tables] == tables
     assert res.point_independent
+
+
+@pytest.mark.parametrize("seed, independent", [(1, False), (7, False), (101, True),
+                                               (102, False)])
+def test_eguchi_hanson_bound_at_three_points_of_distinct_primes(
+        eh_quaternionic_system, seed, independent):
+    """The three points of a bound search carry distinct primes; the
+    Eguchi-Hanson bound, its tables and point independence are those each
+    point's own elimination gives."""
+    res = P.solution_bound(eh_quaternionic_system, max_stage=5,
+                           seeds=(seed, seed + 101, seed + 202))
+    assert res.primes == [P.PRIME, _prime(1), _prime(2)]
+    assert res.bound == 4
+    assert [t.dims for t in res.tables] == [(7, 4), (4, 7, 4), (0, 4, 4, 4), (0, 0, 0, 1, 3)]
+    assert res.point_independent is independent

@@ -58,7 +58,8 @@ def test_report_diff_usage_errors(argv, monkeypatch, capsys):
 
 def test_report_diff_of_flat2_against_itself_and_a_changed_copy(tmp_path):
     """A checkout agrees with itself; a copy whose flat2 model expects a
-    wrong bound differs in its report and its exit code."""
+    wrong bound differs in its report, at the dotted paths of the bound
+    task's failures and outcome, and in its exit code."""
     report_diff = _tool("report_diff")
     repo = str(TOOLS.parent)
     assert report_diff.differences(repo, repo, ["flat2"], [1]) == []
@@ -69,7 +70,8 @@ def test_report_diff_of_flat2_against_itself_and_a_changed_copy(tmp_path):
     found = report_diff.differences(repo, str(tmp_path), ["flat2"], [1])
     assert len(found) == 2
     assert found[0] == "flat2 seed 1: exit code 0 -> 1"
-    assert found[1].startswith("flat2 seed 1: reports differ\n")
+    assert found[1].startswith("flat2 seed 1: reports differ\n"
+                               "  at tasks.1.failures, tasks.1.outcome\n")
 
 
 def test_report_diff_compares_the_bundled_models_and_the_flat_r8_model(tmp_path):

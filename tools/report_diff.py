@@ -11,8 +11,11 @@ dimension-8 system that no model file bundles: its text is generated by
 ``flat_quaternionic_model(2)`` of the parent's ``perfbench/workloads.py``,
 and both checkouts run that one file.  It prints every pair of reports
 that differ in a byte outside the ``model`` line (which holds the model
-file's path) and every pair of exit codes that differ.  Exit code 1 on
-any difference, 0 when there is none.  The generated model and the
+file's path) and every pair of exit codes that differ; for reports it
+also names the dotted JSON paths whose values differ, such as
+``schema_version`` or ``tasks.1.data.primes`` (objects, and lists of
+objects, are compared entry by entry; any other value as a whole).
+Exit code 1 on any difference, 0 when there is none.  The generated model and the
 reports are written to a temporary directory that is removed afterwards.
 """
 
@@ -20,11 +23,12 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import subprocess
 import sys
 import tempfile
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from bench_pairs import parse_seeds
 
@@ -58,10 +62,12 @@ def write_flat8(parent: str, folder: str) -> str:
     return path
 
 
-def report(root: str, model: str, seed: int, path: str) -> Tuple[int, List[bytes]]:
-    """Exit code and report lines, the ``model`` line left out, of one
-    ``geosym run`` of the checkout at ``root`` on the model file at
-    ``model``."""
+def report(root: str, model: str, seed: int,
+           path: str) -> Tuple[int, List[bytes], Optional[dict]]:
+    """Exit code, report lines with the ``model`` line left out, and the
+    parsed report without its ``model`` key (None when there is no
+    valid report) of one ``geosym run`` of the checkout at ``root`` on
+    the model file at ``model``."""
     proc = subprocess.run(
         [sys.executable, "-m", "geosym", "run", model,
          "--seed", str(seed), "--json", path],
@@ -69,10 +75,37 @@ def report(root: str, model: str, seed: int, path: str) -> Tuple[int, List[bytes
         capture_output=True, timeout=RUN_TIMEOUT_S)
     try:
         with open(path, "rb") as fh:
-            lines = fh.read().splitlines(keepends=True)
+            text = fh.read()
     except FileNotFoundError:
-        lines = []
-    return proc.returncode, [line for line in lines if not line.startswith(MODEL_LINE)]
+        text = b""
+    try:
+        doc = json.loads(text)
+        doc.pop("model", None)
+    except (ValueError, AttributeError):  # no report, or not a JSON object
+        doc = None
+    lines = text.splitlines(keepends=True)
+    return (proc.returncode, [line for line in lines if not line.startswith(MODEL_LINE)],
+            doc)
+
+
+_MISSING = "(missing)"  # the value of a key that one report lacks
+
+
+def differing_paths(parent, change, path: str = "") -> List[str]:
+    """The dotted paths at which two parsed JSON values differ: objects
+    are compared key by key and lists of objects of equal length item
+    by item (the path takes the index); any other value is one leaf."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        pairs = [(str(k), parent.get(k, _MISSING), change.get(k, _MISSING))
+                 for k in dict.fromkeys([*parent, *change])]
+    elif (isinstance(parent, list) and isinstance(change, list)
+          and len(parent) == len(change)
+          and all(isinstance(x, dict) for x in parent + change)):
+        pairs = [(str(i), p, c) for i, (p, c) in enumerate(zip(parent, change))]
+    else:
+        return [] if json.dumps(parent) == json.dumps(change) else [path]
+    return [found for key, p, c in pairs
+            for found in differing_paths(p, c, f"{path}.{key}" if path else key)]
 
 
 def differences(parent: str, change: str, models: Sequence[str],
@@ -87,7 +120,7 @@ def differences(parent: str, change: str, models: Sequence[str],
                      os.path.join(root, "src", "geosym", "models", f"{model}.model")
                      for root in (parent, change)]
             for seed in seeds:
-                (p_code, p_lines), (c_code, c_lines) = (
+                (p_code, p_lines, p_doc), (c_code, c_lines, c_doc) = (
                     report(root, file, seed, os.path.join(tmp, f"{side}.json"))
                     for side, root, file in zip(("parent", "change"), (parent, change), files))
                 where = f"{model} seed {seed}"
@@ -96,7 +129,9 @@ def differences(parent: str, change: str, models: Sequence[str],
                 if p_lines != c_lines:
                     diff = difflib.diff_bytes(difflib.unified_diff, p_lines, c_lines,
                                               b"parent", b"change", n=0)
-                    found.append(f"{where}: reports differ\n"
+                    paths = (differing_paths(p_doc, c_doc) if None not in (p_doc, c_doc)
+                             else ["(no valid report on one side)"])
+                    found.append(f"{where}: reports differ\n  at {', '.join(paths)}\n"
                                  + b"".join(diff).decode(errors="replace"))
     return found
 
