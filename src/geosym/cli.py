@@ -224,11 +224,14 @@ def _run_check_structure(model: Model, task: Task, seeds, max_stage):
     checks: List[str] = []
     if p["metric"] is not None:
         g = model.metrics[p["metric"]]
-        G.metric_inverse(g)  # raises if degenerate
-        data["metric_nondegenerate"] = True
-        if p["expect_ricci_flat"] is not None:
+        # each raises GeometryError on a degenerate metric
+        if p["expect_ricci_flat"] is None:
+            G.metric_inverse(g)
+            data["metric_nondegenerate"] = True
+        else:
             D = G.levi_civita(g)
-            data["ricci_flat"] = G.ricci(G.curvature(D)).is_zero()
+            data["metric_nondegenerate"] = True
+            data["ricci_flat"] = G.ricci(D).is_zero()
             _expect(checks, "Ricci-flatness of the Levi-Civita connection",
                     data["ricci_flat"], p["expect_ricci_flat"])
     if p["frame"] is not None:

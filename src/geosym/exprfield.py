@@ -322,6 +322,7 @@ class Chart:
         self._shift = [_FIELD * (n - 1 - i) for i in range(n)]
         self._gens = [Poly({1 << s: 1}) for s in self._shift]
         self._sample_pool: List[GenericPoint] = []
+        self._check_residues: Optional[Tuple[List[int], int]] = None  # see _cross_check_point
         self._relations: Optional[List] = None  # see :meth:`_relation_powers`
         self._rewritable = 0  # set with _relations
         self._irreducibles: List = []  # primitive irreducible factors (LC > 0) of denominators met
@@ -432,10 +433,12 @@ class Chart:
     def _relate(self, g: GeneratorSpec, rhs: "Expr"):
         """Give g the rule g^2 -> rhs.  The cached rules lack it, and the
         residue of a root depends on its radicand, so the rules and the
-        sample pool are dropped; the table of irreducibles is kept."""
+        sample pool, with its combined residues, are dropped; the table of
+        irreducibles is kept."""
         g.square_rhs = rhs
         self._relations = None
         self._sample_pool = []
+        self._check_residues = None
 
     def trig_pair(self, angle: str) -> Tuple["Expr", "Expr"]:
         if angle not in self._trig_pairs:
@@ -723,10 +726,19 @@ class Chart:
         return point
 
     def _check_pool(self, k: int) -> List["GenericPoint"]:
+        """The first k pool points, of distinct primes."""
         while len(self._sample_pool) < k:
             seed = _POOL_SEED + len(self._sample_pool)
-            self._sample_pool.append(GenericPoint.sample(self, seed))
+            taken = [p.prime for p in self._sample_pool]
+            self._sample_pool.append(GenericPoint.sample(self, seed, taken))
         return self._sample_pool[:k]
+
+    def _cross_check_point(self) -> Tuple[List[int], int]:
+        """The residues mod M = p_1 p_2 of the first two pool points,
+        combined (:func:`_crt_residues`), and M; built once per pool."""
+        if self._check_residues is None:
+            self._check_residues = _crt_residues(self._check_pool(2))
+        return self._check_residues
 
 
 PRIME = 2 ** 61 - 1  # the first prime of the chain the sample points draw from
@@ -754,6 +766,14 @@ def _crt_basis(primes: Sequence[int]) -> Tuple[int, List[int]]:
         raise ExprError(f"the Chinese remainder theorem needs distinct primes, got {primes}")
     modulus = math.prod(primes)
     return modulus, [modulus // p * pow(modulus // p, -1, p) for p in primes]
+
+
+def _crt_residues(points: Sequence["GenericPoint"]) -> Tuple[List[int], int]:
+    """One residue mod M = p_1 ... p_r per chart variable, reading point
+    i's residue mod its prime p_i (the primes distinct), and M."""
+    modulus, basis = _crt_basis([p.prime for p in points])
+    return [sum(r * e for r, e in zip(lanes, basis)) % modulus
+            for lanes in zip(*(p.residues for p in points))], modulus
 
 
 def _sqrt_mod(q: int, p: int) -> Optional[int]:
@@ -795,23 +815,24 @@ def _mod(q: Fraction, prime: int) -> int:
     return num if den == 1 else num * pow(den, prime - 2, prime) % prime
 
 
-def _poly_mod(p: Poly, residues: Sequence[int], prime: int) -> int:
-    """Value in GF(prime) of a polynomial of the chart's ring at one
+def _poly_mod(p: Poly, residues: Sequence[int], modulus: int) -> int:
+    """Value mod ``modulus`` (a prime, or a product of primes as in
+    :func:`_crt_residues`) of a polynomial of the chart's ring at one
     residue per variable."""
     shifts = range(_FIELD * (len(residues) - 1), -1, -_FIELD)
     fields = [(_EXP << s, s, r) for s, r in zip(shifts, residues)]
     powers: Dict[int, int] = {}  # a field's bits, in place -> the power it stands for
     total = 0
     for m, coeff in p.items():
-        term = coeff % prime
+        term = coeff % modulus
         for mask, s, r in fields:
             if f := m & mask:
                 v = powers.get(f)
                 if v is None:
-                    v = powers[f] = pow(r, f >> s, prime)
-                term = term * v % prime
+                    v = powers[f] = pow(r, f >> s, modulus)
+                term = term * v % modulus
         total += term
-    return total % prime
+    return total % modulus
 
 
 class TaylorMap:
@@ -823,7 +844,7 @@ class TaylorMap:
     dict from the multi-index gamma (one entry per coordinate) to a
     nonzero residue mod M.  Each variable's value x0 is the residue
     mod M that reads, mod each p_i, point i's residue
-    (:func:`_crt_basis`).  The variables' series are: a coordinate
+    (:func:`_crt_residues`).  The variables' series are: a coordinate
     x0 + t; sin and cos in closed form, the k-th derivative cycling
     through s0, c0, -s0, -c0; a root W = W0 * sum_k binom(1/2, k) u^k
     with u = (q - q0) / q0 the radicand's relative increment (q0 is
@@ -843,8 +864,8 @@ class TaylorMap:
 
     def __init__(self, chart: Chart, points: Sequence["GenericPoint"], order: int):
         self.order = order
-        self.modulus, basis = _crt_basis([p.prime for p in points])
-        modulus = self.modulus
+        res, modulus = _crt_residues(points)
+        self.modulus = modulus
         n = chart.dim
         self._zero: Tuple[int, ...] = (0,) * n
         # packed monomial -> its series; key 0 is the monomial 1
@@ -854,8 +875,6 @@ class TaylorMap:
         inv_fact = [1]
         for k in range(1, order + 1):
             inv_fact.append(inv_fact[-1] * pow(k, -1, modulus) % modulus)
-        res = [sum(r * e for r, e in zip(lanes, basis)) % modulus
-               for lanes in zip(*(p.residues for p in points))]
         trig = {}  # generator -> (angle index, derivatives at the point mod 4)
         for angle, (s, c) in chart._trig_pairs.items():
             j = chart.coordinates.index(angle)
@@ -983,7 +1002,8 @@ class GenericPoint:
 
     The points of one bound search carry distinct primes (``taken``), so
     one :class:`TaylorMap` mod the product of their primes holds all of
-    them; the zero cross-check points take the first prime they can.
+    them; so do the two zero cross-check points, evaluated as one mod the
+    product of theirs (:meth:`Chart._cross_check_point`).
     """
 
     values: Dict[str, Fraction]
@@ -1054,10 +1074,14 @@ class Expr:
         A numerator that is not the zero polynomial but reduces to zero is
         cross-checked here, once: the unreduced numerator must vanish at
         the first two points of the chart's pool of :class:`GenericPoint` s,
-        mod each point's prime.  Such a numerator lies in the relation
-        ideal, which vanishes at every pool point whatever the
-        denominator's value there, so the denominator is not evaluated
-        and no point is skipped.  A nonzero value raises
+        whose primes p_1 and p_2 differ.  It is evaluated once, mod
+        p_1 p_2, at the residues that read each point's residues mod its
+        prime (:meth:`Chart._cross_check_point`); reduction mod p_i is a
+        ring homomorphism, so lane i of the value is the value at point i,
+        and the value is nonzero exactly when one lane is.  Such a
+        numerator lies in the relation ideal, which vanishes at every pool
+        point whatever the denominator's value there, so the denominator
+        is not evaluated and no point is skipped.  A nonzero value raises
         :class:`KernelInconsistency`; a true zero maps to zero, so the
         check never raises falsely.
         """
@@ -1071,10 +1095,9 @@ class Expr:
         else:
             d = _ONE
             # the zero polynomial itself needs no check
-            for point in (chart._check_pool(2) if num else ()):
-                if _poly_mod(num, point.residues, point.prime):
-                    raise KernelInconsistency(
-                        "reduction reports zero but evaluation is nonzero; kernel bug")
+            if num and _poly_mod(num, *chart._cross_check_point()):
+                raise KernelInconsistency(
+                    "reduction reports zero but evaluation is nonzero; kernel bug")
         self._num = n
         self._den = d
 

@@ -164,8 +164,12 @@ def _det(m: List[List[Expr]], chart: Chart) -> Expr:
 
 
 def metric_inverse(g: TensorField) -> TensorField:
+    return _inverse(g, metric_det(g))
+
+
+def _inverse(g: TensorField, det: Expr) -> TensorField:
+    """g^{-1} from the cofactors of g and its determinant ``det``."""
     n = g.chart.dim
-    det = metric_det(g)
     if det.is_zero():
         raise GeometryError("metric degenerate: determinant reduces to zero")
     comps = {}
@@ -246,11 +250,40 @@ def curvature(D: Connection) -> TensorField:
     return TensorField(D.chart, ("u", "d", "d", "d"), comps)
 
 
-def ricci(R: TensorField) -> TensorField:
-    n = R.chart.dim
-    comps = {(b, j): R.chart.sum_products((R.comp(a, b, a, j),) for a in range(n))
-             for b, j in itertools.product(range(n), repeat=2)}
-    return TensorField(R.chart, ("d", "d"), comps)
+def ricci(D: Connection) -> TensorField:
+    """Ric_{bj} = R^a_{b a j} of the connection, summed over a, as one
+    :meth:`Chart.sum_products` per entry straight from the Christoffel
+    symbols (the curvature tensor is never built):
+
+        Ric_bj = sum_{a != j} (d_a G^a_jb - d_j G^a_ab
+                               + sum_m (G^a_am G^m_jb - G^a_jm G^m_ab)).
+
+    The a = j term is R^j_{b j j} = 0, as R is antisymmetric in its form
+    slots.  Each derivative d_l G^k_ij that occurs is taken once."""
+    chart = D.chart
+    n = chart.dim
+    coords = chart.coordinates
+    dG: Dict[Index, Expr] = {}
+
+    def d(k: int, i: int, j: int, l: int):
+        key = (k, i, j, l)
+        if key not in dG:
+            e = D.gamma.get((k, i, j))
+            dG[key] = e.differentiate(coords[l]) if e else 0
+        return dG[key]
+
+    comps = {}
+    for b, j in itertools.product(range(n), repeat=2):
+        terms = []
+        for a in range(n):
+            if a == j:
+                continue
+            terms += [(d(a, j, b, a),), (-1, d(a, a, b, j))]
+            for m in range(n):
+                terms += [(D.comp(a, a, m), D.comp(m, j, b)),
+                          (-1, D.comp(a, j, m), D.comp(m, a, b))]
+        comps[(b, j)] = chart.sum_products(terms)
+    return TensorField(chart, ("d", "d"), comps)
 
 
 def lie_derivative(T: TensorField, X: TensorField) -> TensorField:
@@ -413,14 +446,18 @@ def volume_root(g: TensorField) -> Expr:
 
     The determinant must be a perfect square (possibly via a declared
     root generator whose relation matches it)."""
-    det = metric_det(g)
+    return _volume_root(metric_det(g))
+
+
+def _volume_root(det: Expr) -> Expr:
+    """:func:`volume_root` of a metric whose determinant is ``det``."""
     W = exact_sqrt(det)
     if W is None:
         raise GeometryError(
             "det(g) is not a perfect square in the field; "
             "declare a volume-root generator with relation W^2 = det(g)")
     try:
-        value = W.evaluate(g.chart._check_pool(1)[0].values)
+        value = W.evaluate(det.chart._check_pool(1)[0].values)
     except ExprError as ex:
         raise GeometryError(
             f"the sign of sqrt(det g) = {W} cannot be fixed at a rational "
@@ -430,13 +467,17 @@ def volume_root(g: TensorField) -> Expr:
 
 def hodge_star_matrix(g: TensorField) -> List[List[Expr]]:
     """Matrix of the Hodge star on 2-forms in the basis dx^a ^ dx^b, a<b."""
-    chart = g.chart
-    n = chart.dim
-    if n != 4:
+    if g.chart.dim != 4:
         raise GeometryError("Hodge-star machinery implemented for dimension 4")
-    W = volume_root(g)
-    ginv = metric_inverse(g)
-    basis = _two_form_basis(n)
+    det = metric_det(g)
+    return _hodge_star(_volume_root(det), _inverse(g, det))
+
+
+def _hodge_star(W: Expr, ginv: TensorField) -> List[List[Expr]]:
+    """:func:`hodge_star_matrix` of a 4-dimensional metric with volume
+    root ``W`` and inverse ``ginv``."""
+    chart = ginv.chart
+    basis = _two_form_basis(4)
     cols = []
     for (a, b) in basis:
         # omega = dx^a ^ dx^b: omega_{ab}=1, omega_{ba}=-1
@@ -486,7 +527,10 @@ def _asd_orthogonal(g: TensorField, orientation: int):
         raise GeometryError("ASD machinery requires a 4-dimensional chart")
     if orientation not in (1, -1):
         raise GeometryError("orientation must be +1 or -1")
-    star = hodge_star_matrix(g)
+    det = metric_det(g)
+    W = _volume_root(det)
+    ginv = _inverse(g, det)
+    star = _hodge_star(W, ginv)
     basis = _two_form_basis(4)
     # projector (Id - orientation * star)/2 maps onto the ASD forms
     proj = [[chart.sum_products([(Fraction(int(r == c), 2),),
@@ -496,7 +540,6 @@ def _asd_orthogonal(g: TensorField, orientation: int):
     if len(keep) != 3:
         raise GeometryError("ASD projector rank is not 3; metric degenerate?")
     forms = [{basis[r]: proj[r][c] for r in range(6)} for c in keep]
-    ginv = metric_inverse(g)
 
     def inner(f1, f2) -> Expr:
         # <w, e> = 1/2 w_{ij} e^{ij}

@@ -149,7 +149,7 @@ def test_criterion_5_block_operator_and_vanishing_locus():
 def test_criterion_6_ricci_flatness(eh_metric):
     with criterion(6, "Ricci of the EH Levi-Civita connection is zero"):
         D = G.levi_civita(eh_metric)
-        ric = G.ricci(G.curvature(D))
+        ric = G.ricci(D)
         assert ric.is_zero()
 
 

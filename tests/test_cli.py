@@ -98,6 +98,53 @@ def test_false_ricci_flat_expectation_is_checked(tmp_path, capsys):
     assert "expected False, got True" in out
 
 
+DEGENERATE_METRIC = """
+[chart]
+coordinates = x, y
+
+[metric g]
+g[x,x] = x^2
+g[x,y] = x*y
+g[y,y] = y^2
+
+[task structure]
+kind = check-structure
+metric = g
+"""
+
+
+@pytest.mark.parametrize("ricci", ["", "expect_ricci_flat = true\n"])
+def test_a_degenerate_metric_fails_check_structure_alike(tmp_path, capsys, ricci):
+    """With or without a Ricci expectation, a degenerate metric fails
+    the task with the same message and no data."""
+    model = tmp_path / "degenerate.model"
+    model.write_text(DEGENERATE_METRIC + ricci)
+    out_json = tmp_path / "report.json"
+    assert main(["run", str(model), "--json", str(out_json)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "    failure: metric degenerate: determinant reduces to zero"
+    (task,) = json.loads(out_json.read_text())["tasks"]
+    assert task["data"] == {} and task["failures"] == [
+        "metric degenerate: determinant reduces to zero"]
+
+
+def test_check_structure_with_ricci_inverts_the_metric_once(tmp_path, capsys, monkeypatch):
+    """The Levi-Civita connection's inverse is the nondegeneracy check,
+    and nondegeneracy is still reported before Ricci-flatness."""
+    from geosym import geometry as G
+
+    inverses = []
+    inverse = G._inverse
+    monkeypatch.setattr(G, "_inverse", lambda g, det: inverses.append(g) or inverse(g, det))
+    model = tmp_path / "flat.model"
+    model.write_text(FAILING_MODEL.split("[task")[0] + "[task structure]\n"
+                     "kind = check-structure\nmetric = g\nexpect_ricci_flat = true\n")
+    assert main(["run", str(model)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:3] == [
+        "    metric_nondegenerate: True", "    ricci_flat: True"]
+    assert len(inverses) == 1
+
+
 def test_run_unknown_task():
     assert main(["run", str(MODELS / "flat2.model"),
                  "--task", "nonsense"]) == 2

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from sympy import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import ring
@@ -357,19 +357,54 @@ def test_is_zero_cross_check_catches_a_planted_disagreement(radicand, monkeypatc
 
 def test_a_zero_numerator_is_checked_at_two_points_whatever_its_denominator(monkeypatch):
     """With W^2 = 3, W*W - 3 over x reduces to zero: the numerator alone
-    is evaluated, at the first two pool points, and x never is."""
+    is evaluated, once, mod p_1 p_2 for the first two pool points, whose
+    primes differ, and x never is."""
     import geosym.exprfield as exprfield
 
     ch = Chart(["x"], roots=[("W", 3)])
     x, W = ch._gens
-    pool = ch._check_pool(2)
+    p1, p2 = (point.prime for point in ch._check_pool(2))
+    assert p1 != p2
     evaluated = []
     poly_mod = exprfield._poly_mod
     monkeypatch.setattr(exprfield, "_poly_mod",
-                        lambda p, residues, prime: evaluated.append((p, prime))
-                        or poly_mod(p, residues, prime))
+                        lambda p, residues, modulus: evaluated.append((p, modulus))
+                        or poly_mod(p, residues, modulus))
     assert Expr(ch, W * W - 3, x).is_zero()
-    assert evaluated == [(W * W - 3, point.prime) for point in pool]
+    assert evaluated == [(W * W - 3, p1 * p2)]
+    assert Expr(ch, W * W - 3, _ONE).is_zero()  # the combined residues are kept
+    assert ch._check_residues is not None and len(evaluated) == 2
+
+
+def test_a_planted_reduction_fault_raises_through_arithmetic(monkeypatch):
+    """A _reduce_poly that sends the nonzero x*y + 1 to zero is caught
+    when the sum x*y + 1 is built."""
+    ch = Chart(["x", "y"])
+    x, y = ch.var("x"), ch.var("y")
+    target = _poly(ch, "x*y + 1")
+    reduce_poly = Chart._reduce_poly
+    monkeypatch.setattr(Chart, "_reduce_poly",
+                        lambda self, p: Poly() if p == target else reduce_poly(self, p))
+    with pytest.raises(KernelInconsistency):
+        x * y + 1
+
+
+@pytest.mark.parametrize("radicand", [None, 3])
+def test_a_numerator_vanishing_at_the_first_point_only_still_raises(radicand, monkeypatch):
+    """x - r, with r the first pool point's residue of x, vanishes in
+    lane 1 of the combined evaluation and not in lane 2; reported zero,
+    it must raise."""
+    ch = Chart(["x"], roots=[] if radicand is None else [("W", radicand)])
+    first, second = ch._check_pool(2)
+    r = first.residues[0]
+    fault = ch._gens[0] - r
+    assert _poly_mod(fault, first.residues, first.prime) == 0
+    assert _poly_mod(fault, second.residues, second.prime) != 0
+    reduce_poly = ch._reduce_poly
+    monkeypatch.setattr(ch, "_reduce_poly",
+                        lambda p: Poly() if p == fault else reduce_poly(p))
+    with pytest.raises(KernelInconsistency):
+        Expr(ch, fault, _ONE)
 
 
 def test_the_prime_chain_is_the_chain_of_previous_primes():
@@ -830,16 +865,18 @@ def test_lcm_quotients_come_from_the_exponents():
 
 def test_setting_a_rule_drops_the_rules_and_the_pool_and_keeps_the_table(monkeypatch):
     """Radicands are parsed in the chart's one ring.  Each rule drops the
-    cached rules and the sample pool, which depend on the radicands; the
-    table of irreducibles filled while parsing them is kept, and
-    expressions built afterwards still match the gcd oracle."""
+    cached rules and the sample pool with its combined residues, which
+    depend on the radicands; the table of irreducibles filled while
+    parsing them is kept, and expressions built afterwards still match
+    the gcd oracle."""
     relate = Chart._relate
 
     def checked_relate(self, g, rhs):
-        self._check_pool(1)
+        self._cross_check_point()
         self._relation_powers()
         relate(self, g, rhs)
         assert self._relations is None and not self._sample_pool
+        assert self._check_residues is None
 
     monkeypatch.setattr(Chart, "_relate", checked_relate)
     ch = Chart(["x", "y"], roots=[("W", "(x^3 - x)/(x^2 - 1) + y^2 + 1"),
@@ -1058,10 +1095,17 @@ def test_factor_list_matches_sympy(data):
                              min_size=1, max_size=4).map(Poly)
     powers = data.draw(st.lists(st.tuples(factor, st.integers(1, 3)), min_size=1, max_size=4))
     p = _ground(data.draw(st.sampled_from([1, -1, 2, -6, 12])))
+
+    def fits(q):
+        # a Kronecker image of degree prod(deg + 1) - 1 below 125 keeps each case fast
+        return all(max(chart._unpack(m)[chart._index[v]] for m in q) <= 4 for v in used)
+
+    # each power is lowered, or dropped, until the product fits; the first
+    # factor, of degree at most 2 in each variable, always fits
     for f, e in powers:
+        while e and not fits(p * f ** e):
+            e -= 1
         p = p * f ** e
-    # a Kronecker image of degree prod(deg + 1) - 1 below 125 keeps each case fast
-    assume(all(max(chart._unpack(m)[chart._index[v]] for m in p) <= 4 for v in used))
     _assert_factor_list_matches_sympy(chart, p)
 
 

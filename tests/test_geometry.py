@@ -5,6 +5,7 @@ identities."""
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -13,6 +14,8 @@ from geosym import geometry as G
 from geosym.exprfield import Chart, parse_expr
 
 from conftest import standard_triple
+
+MODELS = Path(__file__).resolve().parent.parent / "src" / "geosym" / "models"
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +81,99 @@ def test_levi_civita_properties(sphere):
 def test_sphere_is_einstein(sphere):
     # unit sphere: Ric = g exactly
     chart, g = sphere
-    ric = G.ricci(G.curvature(G.levi_civita(g)))
+    ric = G.ricci(G.levi_civita(g))
     assert ric.equals(g)
+
+
+def _conformally_flat(chart, factor):
+    n = chart.dim
+    return G.TensorField(chart, ("d", "d"),
+                         {(i, i): parse_expr(chart, factor) for i in range(n)})
+
+
+def test_round_sphere_in_stereographic_coordinates_has_ric_equal_to_g():
+    """g = 4 (dx^2 + dy^2) / (1 + x^2 + y^2)^2 is the unit sphere, whose
+    Gaussian curvature 1 gives Ric = g."""
+    chart = Chart(["x", "y"])
+    g = _conformally_flat(chart, "4/(1 + x^2 + y^2)^2")
+    assert G.ricci(G.levi_civita(g)).equals(g)
+
+
+def test_upper_half_space_has_ric_equal_to_minus_two_g():
+    """g = (dx^2 + dy^2 + dz^2) / z^2 is hyperbolic 3-space, of sectional
+    curvature -1, so Ric = (n - 1)(-1) g = -2 g."""
+    chart = Chart(["x", "y", "z"])
+    g = _conformally_flat(chart, "1/z^2")
+    assert G.ricci(G.levi_civita(g)).equals(g.scale(-2))
+
+
+def _contracted_curvature(D):
+    """Ric_bj = sum_a R^a_{b a j} read off the full curvature tensor."""
+    chart = D.chart
+    n = chart.dim
+    R = G.curvature(D)
+    return G.TensorField(chart, ("d", "d"), {
+        (b, j): sum((R.comp(a, b, a, j) for a in range(n)), chart.zero())
+        for b, j in itertools.product(range(n), repeat=2)})
+
+
+def _skew_connection():
+    """A connection on R^3 with torsion and a non-symmetric Ricci tensor:
+    Gamma^k_ij = x_k x_i + (i - j) x_j + k."""
+    chart = Chart(["x", "y", "z"])
+    xs = [chart.var(v) for v in chart.coordinates]
+    return G.Connection(chart, {
+        (k, i, j): xs[k] * xs[i] + (i - j) * xs[j] + k
+        for k, i, j in itertools.product(range(3), repeat=3)})
+
+
+def test_ricci_is_the_contraction_of_the_curvature(eh_metric):
+    """The sums straight from the Christoffel symbols equal the
+    contraction of curvature() on the Eguchi-Hanson Levi-Civita
+    connection (Ricci-flat, curved), on the submaximal c-projective
+    connection (Ricci-flat, curved) and on a connection with torsion
+    whose Ricci tensor is not symmetric."""
+    from geosym.modelfile import load_model
+
+    model = load_model(str(MODELS / "submax_cprojective_n2.model"))
+    skew = _skew_connection()
+    for D in (G.levi_civita(eh_metric), model.connections["D"], skew):
+        assert not G.curvature(D).is_zero()
+        assert G.ricci(D).equals(_contracted_curvature(D))
+    ric = G.ricci(skew)
+    assert not (ric.comp(0, 1) - ric.comp(1, 0)).is_zero()
+
+
+def test_ricci_builds_one_sum_per_entry(eh_metric, monkeypatch):
+    """A count, not a timing: Ricci of the Eguchi-Hanson connection is
+    n^2 = 16 calls of Chart.sum_products and builds no curvature tensor."""
+    D = G.levi_civita(eh_metric)
+    calls = []
+    sum_products = Chart.sum_products
+    monkeypatch.setattr(Chart, "sum_products",
+                        lambda self, terms: calls.append(1) or sum_products(self, terms))
+    monkeypatch.setattr(G, "curvature", None)
+    G.ricci(D)
+    assert len(calls) == 16
+
+
+def test_asd_span_takes_one_determinant_and_one_inverse(eh_metric, monkeypatch):
+    """asd_span builds det g once and g^-1 once, for the volume root, the
+    Hodge star, the inner product and the raised forms alike."""
+    counts = {"metric_det": 0, "_inverse": 0}
+
+    def counting(name):
+        f = getattr(G, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(G, name, counting(name))
+    G.asd_span(eh_metric, orientation=1)
+    assert counts == {"metric_det": 1, "_inverse": 1}
 
 
 # ---------------------------------------------------------------------------
