@@ -40,14 +40,15 @@ products are grouped by denominator, the groups combined over the lcm
 of their denominators, and the sum normalized once; the normal form is
 canonical, so the result is the one the ``+``/``*`` fold gives.
 Generic-point checks (the cross-check of each zero normal form when it
-is built, and symbol ranks in :mod:`geosym.prolong`) evaluate at seeded
-:class:`GenericPoint` s, each reduced modulo its own prime: 2^61 - 1, or
-a prime below it where the chart's radicands are nonzero squares.
-Integer coefficients reduce mod any prime, so these evaluations meet
-no pole but the sample values' own.  Symbol ranks of prolonged rows use
-the truncated Taylor series at such points (:class:`TaylorMap`): the
-points of one bound search carry distinct primes p_i, so by the Chinese
-remainder theorem one map mod their product serves all of them.
+is built, :meth:`Chart._reduce_checked`, and symbol ranks in
+:mod:`geosym.prolong`) evaluate at seeded :class:`GenericPoint` s, each
+reduced modulo its own prime: 2^61 - 1, or a prime below it where the
+chart's radicands are nonzero squares.  Integer coefficients reduce mod
+any prime, so these evaluations meet no pole but the sample values'
+own.  Symbol ranks of prolonged rows use the truncated Taylor series
+at such points (:class:`TaylorMap`): the points of one bound search
+carry distinct primes p_i, so by the Chinese remainder theorem one map
+mod their product serves all of them.
 """
 
 from __future__ import annotations
@@ -248,6 +249,29 @@ def _ground(c: int) -> Poly:
 _ONE = Poly({0: 1})
 
 
+def _poly_dot(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
+    """The sum of the products p * q over the pairs, each product's terms
+    added into one dict as they are multiplied out, with no product
+    built on its own.  Like a product it raises past exponent 2^16 - 1:
+    a key whose field overflowed keeps its guard bit (the packing's
+    soundness note in :class:`Poly`), and only a term that cancels out
+    can lose it, so the sum's keys are checked once."""
+    out: Dict[int, int] = {}
+    get = out.get
+    for p, q in pairs:
+        if len(p) > len(q):
+            p, q = q, p
+        terms = q.items()
+        for mp, cp in p.items():
+            for mq, cq in terms:
+                m = mp + mq
+                out[m] = get(m, 0) + cp * cq
+    out = Poly({m: c for m, c in out.items() if c})
+    if out.bits & _GUARD:
+        raise KernelInconsistency(f"an exponent of a product exceeds {_EXP}")
+    return out
+
+
 @dataclass
 class GeneratorSpec:
     """One adjoined algebraic generator.
@@ -283,7 +307,7 @@ class Chart:
     Soundness.  Each rule is set (:meth:`_relate`) in declaration order,
     a root's once its radicand is parsed.  During a parse the roots
     without a rule are free variables: reduction leaves them alone, and
-    the zero cross-check of :meth:`Expr.__init__`, on throughout, gives
+    the zero cross-check of :meth:`_reduce_checked`, on throughout, gives
     them random values (:meth:`sample_point`), still a ring
     homomorphism.  A radicand holds only variables whose rules are set,
     so its normal form is final.  Setting a rule drops the cached rules
@@ -495,7 +519,7 @@ class Chart:
         denominator's leading coefficient positive), so any
         grouping of the same sum gives the same ``_num`` and ``_den`` as
         the left fold of ``+`` and ``*``; a sum that cancels to zero is
-        cross-checked in ``Expr.__init__`` like every other zero.
+        cross-checked (:meth:`_reduce_checked`) like every other zero.
         """
         terms = list(terms)
         if len(terms) == 1 and len(terms[0]) == 1 and isinstance(terms[0][0], Expr):
@@ -676,6 +700,26 @@ class Chart:
             if terms.bits & _GUARD:
                 raise KernelInconsistency(f"an exponent of a reduction exceeds {_EXP}")
         return terms
+
+    def _reduce_checked(self, p):
+        """Normal form of p (:meth:`_reduce_poly`), with a nonzero p that
+        reduces to zero cross-checked: p must vanish at the first two
+        points of the chart's pool of :class:`GenericPoint` s, whose primes
+        p_1 and p_2 differ.  It is evaluated once, mod p_1 p_2, at the
+        residues that read each point's residues mod its prime
+        (:meth:`_cross_check_point`); reduction mod p_i is a ring
+        homomorphism, so lane i of the value is the value at point i, and
+        the value is nonzero exactly when one lane is.  A p that reduces to
+        zero lies in the relation ideal, which vanishes at every pool
+        point, so no point is skipped.  A nonzero value raises
+        :class:`KernelInconsistency`; a true zero maps to zero, so the
+        check never raises falsely.  The zero polynomial itself needs no
+        check."""
+        r = self._reduce_poly(p)
+        if not r and p and _poly_mod(p, *self._cross_check_point()):
+            raise KernelInconsistency(
+                "reduction reports zero but evaluation is nonzero; kernel bug")
+        return r
 
     def _derationalize(self, num, den):
         """Multiply by conjugates until den is free of quadratic generators.
@@ -997,8 +1041,8 @@ class GenericPoint:
     conjugates under W -> -W.  The upper bounds of
     :func:`~geosym.prolong.solution_bound` never depend on this, only
     their tightness does, and so does the chance that the zero
-    cross-check of :meth:`Expr.__init__` misses a kernel fault.  Values
-    drawn uniformly in GF(prime) would make the bound deg/prime.
+    cross-check of :meth:`Chart._reduce_checked` misses a kernel fault.
+    Values drawn uniformly in GF(prime) would make the bound deg/prime.
 
     The points of one bound search carry distinct primes (``taken``), so
     one :class:`TaylorMap` mod the product of their primes holds all of
@@ -1072,32 +1116,20 @@ class Expr:
         sign fix (positive leading coefficient of d) removes it.
 
         A numerator that is not the zero polynomial but reduces to zero is
-        cross-checked here, once: the unreduced numerator must vanish at
-        the first two points of the chart's pool of :class:`GenericPoint` s,
-        whose primes p_1 and p_2 differ.  It is evaluated once, mod
-        p_1 p_2, at the residues that read each point's residues mod its
-        prime (:meth:`Chart._cross_check_point`); reduction mod p_i is a
-        ring homomorphism, so lane i of the value is the value at point i,
-        and the value is nonzero exactly when one lane is.  Such a
+        cross-checked once, by :meth:`Chart._reduce_checked`.  Such a
         numerator lies in the relation ideal, which vanishes at every pool
         point whatever the denominator's value there, so the denominator
-        is not evaluated and no point is skipped.  A nonzero value raises
-        :class:`KernelInconsistency`; a true zero maps to zero, so the
-        check never raises falsely.
+        is not evaluated.
         """
         self.chart = chart
-        n = chart._reduce_poly(num)
         d = chart._reduce_poly(den)
         if not d:
             raise DivisionByZero("division by an expression that reduces to zero")
+        n = chart._reduce_checked(num)
         if n:
             n, d = chart._cancel(*chart._derationalize(n, d))
         else:
             d = _ONE
-            # the zero polynomial itself needs no check
-            if num and _poly_mod(num, *chart._cross_check_point()):
-                raise KernelInconsistency(
-                    "reduction reports zero but evaluation is nonzero; kernel bug")
         self._num = n
         self._den = d
 

@@ -2,8 +2,8 @@
 
 Systems are linear in the jet coordinates X^a_alpha of the unknown
 vector-field components, with polynomial coefficients (each equation
-times the lcm of its denominators, a common factor of its coefficients
-kept).  Prolongation appends total derivatives;
+times a nonzero function that clears its denominators, a common factor
+of its coefficients kept).  Prolongation appends total derivatives;
 symbol dimensions are computed by elimination mod a prime of the system
 evaluated at seeded :class:`~geosym.exprfield.GenericPoint` s, graded by
 jet order with the highest order eliminated first.  Each point carries
@@ -103,7 +103,9 @@ class Equation:
     Each coefficient c_{a,alpha} is a :class:`~geosym.exprfield.Poly` in
     the chart's variables, reduced modulo the generator relations.  An
     equation is multiplied by the lcm of its coefficients' denominators
-    once, when built, and stays polynomial under total derivatives.  Its
+    once, when built (:meth:`LinearPDESystem.from_coefficient_maps`; the
+    quaternionic rows of :mod:`geosym.symsys` are polynomial from their
+    cleared inputs), and stays polynomial under total derivatives.  Its
     coefficients may share a polynomial factor, and a derived row of
     :func:`prolong` may carry one: multiplying an equation by a nonzero
     function changes neither its solution space nor its symbol spaces

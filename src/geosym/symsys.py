@@ -3,8 +3,11 @@ infinitesimal symmetries of metrics, quaternionic bundles, and
 c-projective classes.
 
 Equations are produced directly in jet-coordinate form (coefficients of
-X^a_alpha); the substitution route through geometry.lie_derivative is
-used by the tests as an independent cross-check.
+X^a_alpha), the quaternionic ones in polynomial arithmetic; the
+substitution route through geometry.lie_derivative is used by the tests
+as an independent cross-check, and the jet maps of lie_derivative_jet
+contracted with an annihilator row (_contract) as the reference for the
+quaternionic rows.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from . import _linalg
-from .exprfield import Chart, Expr, ExprError, KernelInconsistency
+from .exprfield import (Chart, Expr, ExprError, KernelInconsistency, Poly, _clear_denominators,
+                        _derivation_rules, _poly_dot, _poly_total_derivative)
 from .geometry import (Connection, TensorField, check_hypercomplex_frame,
                        connection_shift, covariant_derivative)
-from .prolong import JetKey, LinearPDESystem
+from .prolong import Equation, JetKey, LinearPDESystem
 
 
 class SymSysError(ExprError):
@@ -114,27 +118,88 @@ def _endo_annihilator_full(frame: Sequence[TensorField], chart: Chart) -> List[L
     return _linalg.nullspace(rows, n * n)  # entries in (b, a) order
 
 
+def _cleared(chart: Chart, entries: Dict) -> Dict:
+    """{k: w_k} with entries[k] = w_k / l for one polynomial l, the lcm of
+    the denominators (:func:`_clear_denominators`)."""
+    return dict(zip(entries, _clear_denominators(chart, list(entries.values()))[1]))
+
+
 def quaternionic_symmetry_system(frame: Sequence[TensorField],
                                  g: TensorField) -> LinearPDESystem:
-    """omega(L_X I_j) = 0 for every annihilator element omega of span(frame)
-    in End(TM) and every frame element; first order in X.
+    """omega(L_X A) = 0 for every annihilator element omega of span(frame)
+    in End(TM) and every frame element A; first order in X.  Equations
+    are listed frame element by frame element, each in the order of the
+    annihilator rows; coefficients and rows that reduce to zero are
+    dropped.
 
     The annihilator is taken inside all endomorphisms (trace pairing),
     not only the skew ones: the skew-part conditions alone degenerate on
     conformally flat structures.
+
+    The rows are built in polynomial arithmetic.  Each frame element is
+    cleared once over its entries, A = A'/d (:func:`_clear_denominators`),
+    and each annihilator row likewise, omega = w/l.  Then
+    L_X A = L_X(A')/d - X(d) A'/d^2, and w(A') = l d omega(A) = 0, so
+    omega(L_X A) = w(L_X A') / (l d): with the coefficient of
+    d_b X^a at (a, e_b) and of X^m at (m, 0),
+    w(L_X A') = X^m w(d_m A') + d_b X^m w_ba A'^a_m - d_m X^a w_ba A'^m_b
+    (w_ba pairs with A'^a_b).  With root generators the derivation rules
+    of coordinate x_m carry a denominator s_m (:func:`_derivation_rules`),
+    so the row is taken times S = lcm(s_m): the X^m coefficient is
+    (S / s_m) w(s_m d_m A') and the first-order ones are times S.  Each
+    coefficient is reduced once, and one that reduces to zero is
+    cross-checked (:meth:`Chart._reduce_checked`).
+
+    Soundness.  Each equation is omega(L_X A) = 0 times the function
+    l d S, which is nonzero: a product of nonzero denominators.
+    Multiplying an equation by a nonzero function changes neither its
+    solution space nor its symbol spaces over the function field
+    (:class:`~geosym.prolong.Equation`), and it keeps each coefficient's
+    zeroness, so the same coefficients and rows are dropped.
     """
     chart = g.chart
     n = chart.dim
     ann = _endo_annihilator_full(frame, chart)
     if len(ann) != n * n - 3:  # the frame's rank is n^2 minus the nullity
         raise SymSysError("frame does not span a rank-3 bundle")
-    # omega is indexed like the (b, a) product; jet maps are keyed (a, b)
-    slots = [(a, b) for b, a in itertools.product(range(n), repeat=2)]
-    maps: List[Dict[JetKey, Expr]] = []
+    # omega is indexed like the (b, a) product; w[(a, b)] pairs with A^a_b
+    omegas = [_cleared(chart, {(a, b): chart.expr(x) for (b, a), x
+                               in zip(itertools.product(range(n), repeat=2), omega) if x})
+              for omega in ann]
+    zero = (0,) * n
+    units = [_unit(i, n) for i in range(n)]
+    eqs: List[Equation] = []
     for A in frame:
-        jets = lie_derivative_jet(A)
-        maps += [_contract(chart, omega, slots, jets) for omega in ann]
-    return LinearPDESystem.from_coefficient_maps(chart, n, maps)
+        hat = _cleared(chart, dict(A.items()))
+        rules = [_derivation_rules(chart, x, hat.values()) for x in chart.coordinates]
+        big_s, scales = chart._lcm([s for s, _ in rules])
+        # rows[a]: (m, A'^a_m); cols[b]: (m, -A'^m_b); d_hat[(a, b)]: (m, s_m d_m A'^a_b)
+        rows: Dict[int, list] = {}
+        cols: Dict[int, list] = {}
+        d_hat: Dict[Tuple[int, int], list] = {}
+        for (a, b), p in hat.items():
+            rows.setdefault(a, []).append((b, p))
+            cols.setdefault(b, []).append((a, -p))
+            for m, (_, r) in enumerate(rules):
+                if q := _poly_total_derivative(chart, p, r):
+                    d_hat.setdefault((a, b), []).append((m, q))
+        for w in omegas:
+            terms: Dict[JetKey, list] = {}  # key -> the (w_ba, polynomial) pairs of its sum
+            for (a, b), v in w.items():
+                for m, q in d_hat.get((a, b), ()):  # X^m w_ba s_m d_m A'^a_b
+                    terms.setdefault((m, zero), []).append((v, q))
+                for m, p in rows.get(a, ()):  # d_b X^m w_ba A'^a_m
+                    terms.setdefault((m, units[b]), []).append((v, p))
+                for m, p in cols.get(b, ()):  # -d_m X^a w_ba A'^m_b
+                    terms.setdefault((a, units[m]), []).append((v, p))
+            coeffs: Dict[JetKey, Poly] = {}
+            for key, pairs_of_key in terms.items():
+                p = chart._reduce_checked(_poly_dot(pairs_of_key))
+                if p:
+                    coeffs[key] = p * (scales[key[0]] if key[1] == zero else big_s)
+            if coeffs:
+                eqs.append(Equation(coeffs))
+    return LinearPDESystem(chart, n, eqs)
 
 
 def cprojective_symmetry_system(J: TensorField, D: Connection) -> LinearPDESystem:

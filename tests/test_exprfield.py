@@ -37,6 +37,7 @@ from geosym.exprfield import (
     _ground,
     _is_prime,
     _mod,
+    _poly_dot,
     _poly_mod,
     _poly_total_derivative,
     _prime,
@@ -1420,4 +1421,19 @@ def test_exponents_past_the_packing_raise():
         ch._reduce_poly(top * W ** 2)
     with pytest.raises(KernelInconsistency):
         ch._pack((2 ** 16, 0, 0))
+    with pytest.raises(KernelInconsistency):
+        _poly_dot([(x, x), (half, half)])
+    with pytest.raises(KernelInconsistency):
+        _poly_dot([(x + 1, top)])
+    assert _poly_dot([(top, _ONE)]) == top
     assert _divide(top, x) == x ** (2 ** 16 - 2)
+
+
+def test_poly_dot_is_the_sum_of_the_products():
+    """Terms multiplied out into one dict, cancellations dropped."""
+    ch = Chart(["x", "y"])
+    x, y = (_poly(ch, v) for v in "xy")
+    pairs = [(x + 1, y - 1), (_ONE, x * y), (-(x + 1), y - 1), (x * x - y, x + y * y),
+             (Poly(), x), (y * 3, _ground(-2))]
+    assert _poly_dot(pairs) == sum((p * q for p, q in pairs), Poly())
+    assert _poly_dot([(x, y), (-y, x)]) == Poly() and _poly_dot([]) == Poly()

@@ -8,10 +8,10 @@ import pytest
 from geosym import geometry as G
 from geosym import prolong as P
 from geosym import symsys as S
-from geosym.exprfield import Chart, parse_expr
+from geosym.exprfield import _ONE, Chart, Expr, KernelInconsistency, Poly, parse_expr
 
-from conftest import (block_endomorphism, flat_chart, flat_quaternionic_pullback, shear_map,
-                      standard_triple)
+from conftest import (block_endomorphism, build_eh_chart, build_eh_fields, build_eh_metric,
+                      flat_chart, flat_quaternionic_pullback, shear_map, standard_triple)
 
 
 def test_invariance_system_counts(flat2):
@@ -162,3 +162,154 @@ def test_obata_of_a_pulled_back_frame_is_the_pulled_back_flat_connection(phi):
                                     for l in range(n))
         assert D.comp(k, i, j).equals(oracle), (k, i, j)
     assert G.curvature(D).is_zero()
+
+
+# -- quaternionic rows in polynomial arithmetic -------------------------------
+
+
+def _root_r4():
+    """Flat R^4 over a chart with W^2 = x0^2 + 1, its frame rescaled by
+    W and 1/(x1^2 + 1): the derivation rule of x0 has a denominator."""
+    chart = Chart([f"x{i}" for i in range(4)], roots=[("W", "x0^2 + 1")])
+    g = G.TensorField(chart, ("d", "d"), {(i, i): chart.one() for i in range(4)})
+    I, J, K = standard_triple(chart)
+    return chart, g, [I.scale(chart.var("W")), J, K.scale(parse_expr(chart, "1/(x1^2 + 1)"))]
+
+
+def _root_pullback_r4():
+    """The standard triple of R^4 pulled back by (x0, x1 + W x2, x2, x3),
+    W^2 = x0^2 + 1: A -> Jac^-1 A Jac.  Its entries hold W, and their
+    derivatives by x0 leave the span."""
+    chart = Chart([f"x{i}" for i in range(4)], roots=[("W", "x0^2 + 1")])
+    g = G.TensorField(chart, ("d", "d"), {(i, i): chart.one() for i in range(4)})
+    jac, inv = (G.endomorphism(chart, [[1, 0, 0, 0], [f"{sign}x0*x2/W", 1, f"{sign}W", 0],
+                                       [0, 0, 1, 0], [0, 0, 0, 1]]) for sign in ("", "-"))
+    return chart, g, [G.endo_mul(G.endo_mul(inv, A), jac) for A in standard_triple(chart)]
+
+
+def _eh():
+    chart = build_eh_chart()
+    g = build_eh_metric(chart)
+    return chart, g, G.asd_span(g, orientation=1)
+
+
+def _flat_r4():
+    chart, g = flat_chart(4)
+    return chart, g, list(standard_triple(chart))
+
+
+def _sheared_r4():
+    chart, _, _, g, triple = flat_quaternionic_pullback(shear_map(4))
+    return chart, g, triple
+
+
+@pytest.mark.parametrize("build", [_eh, _flat_r4, _sheared_r4, _root_r4, _root_pullback_r4],
+                         ids=["eguchi-hanson", "flat-r4", "sheared-r4", "root-r4",
+                              "root-pullback-r4"])
+def test_quaternionic_rows_are_the_expr_rows_times_one_function(build):
+    """Each polynomial row is the Expr row omega(L_X A) of the jet maps
+    (the reference), frame element by frame element and annihilator row
+    by annihilator row, times one nonzero function: the key sets are
+    equal, and c_k r_l = c_l r_k for any two keys after reduction."""
+    chart, g, frame = build()
+    n = chart.dim
+    system = S.quaternionic_symmetry_system(frame, g)
+    slots = [(a, b) for b, a in itertools.product(range(n), repeat=2)]
+    ann = S._endo_annihilator_full(frame, chart)
+    reference = []
+    for A in frame:
+        jets = S.lie_derivative_jet(A)
+        for omega in ann:
+            row = {k: v for k, v in S._contract(chart, omega, slots, jets).items() if v}
+            reference += [row] if row else []
+    assert len(system) == len(reference)
+    for eq, ref in zip(system.equations, reference):
+        assert eq.coeffs.keys() == ref.keys()
+        c = {k: Expr(chart, p, _ONE) for k, p in eq.coeffs.items()}
+        first = next(iter(ref))
+        for k in ref:
+            assert c[k] * ref[first] == c[first] * ref[k], k
+
+
+@pytest.mark.parametrize("seed", [1, 101, 102])
+def test_eguchi_hanson_bound_does_not_see_a_rescaled_frame(seed):
+    """Rescaling frame elements by nonzero functions keeps their span, so
+    the system has the same equations, tables and bound, and v1..v4
+    still solve it."""
+    chart, g, (A1, A2, A3) = _eh()
+    rho = chart.var("rho")
+    system = S.quaternionic_symmetry_system([A1.scale(rho ** 2 + 1), A2.scale(1 / rho), A3], g)
+    assert len(system) == 37
+    res = P.solution_bound(system, max_stage=5, seeds=(seed, seed + 101, seed + 202))
+    assert [t.dims for t in res.tables] == [
+        (7, 4), (4, 7, 4), (0, 4, 4, 4), (0, 0, 0, 1, 3)]
+    assert res.conclusive and res.bound == 4
+    for v in build_eh_fields(chart):
+        ok, _ = P.verify_solution(system, [v.comp(i) for i in range(4)])
+        assert ok
+
+
+def test_root_chart_frame_has_the_flat_tables():
+    """On a chart with W^2 = x0^2 + 1, whose derivation rules carry a
+    denominator, the rescaled flat frame (W I, J, K / (x1^2 + 1)) has
+    the flat quaternionic bound and tables, and the translations and the
+    Euler field solve its system."""
+    chart, g, frame = _root_r4()
+    system = S.quaternionic_symmetry_system(frame, g)
+    res = P.solution_bound(system, max_stage=6)
+    _, flat_g, flat_frame = _flat_r4()
+    flat = P.solution_bound(S.quaternionic_symmetry_system(flat_frame, flat_g), max_stage=6)
+    assert res.conclusive and res.bound == 15
+    assert [t.dims for t in res.tables] == [t.dims for t in flat.tables]
+    fields = [[chart.one() if j == i else chart.zero() for j in range(4)] for i in range(4)]
+    fields.append([chart.var(f"x{i}") for i in range(4)])
+    for comps in fields:
+        ok, _ = P.verify_solution(system, comps)
+        assert ok
+
+
+def test_eguchi_hanson_quaternionic_rows_build_few_exprs(monkeypatch):
+    """Past the annihilator, the Eguchi-Hanson build makes few Exprs (the
+    derivation rules' and the annihilator rows' rational entries): no
+    coefficient is an Expr sum."""
+    chart, g, frame = _eh()
+    built = []
+    inside = []
+    init = Expr.__init__
+    annihilator = S._endo_annihilator_full
+
+    def recording_init(self, *args):
+        init(self, *args)
+        if not inside:
+            built.append(self)
+
+    def annihilator_uncounted(*args):
+        inside.append(True)
+        try:
+            return annihilator(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Expr, "__init__", recording_init)
+    monkeypatch.setattr(S, "_endo_annihilator_full", annihilator_uncounted)
+    S.quaternionic_symmetry_system(frame, g)
+    assert len(built) <= 50
+
+
+def test_a_quaternionic_coefficient_that_reduces_to_zero_is_cross_checked(monkeypatch):
+    """The build sends each coefficient through the chart's one zero
+    cross-check (:meth:`Chart._reduce_checked`): a planted reduction that
+    zeroes a nonzero coefficient raises there, called by the builder.
+    The sheared chart has no relations, so its coefficients are the
+    unreduced sums; the longest is no numerator of an Expr of the build."""
+    chart, g, frame = _sheared_r4()
+    system = S.quaternionic_symmetry_system(frame, g)
+    target = max((c for eq in system.equations for c in eq.coeffs.values()), key=len)
+    reduce_poly = Chart._reduce_poly
+    monkeypatch.setattr(Chart, "_reduce_poly",
+                        lambda self, p: Poly() if p == target else reduce_poly(self, p))
+    with pytest.raises(KernelInconsistency) as info:
+        S.quaternionic_symmetry_system(frame, g)
+    assert [e.name for e in info.traceback[-2:]] == ["quaternionic_symmetry_system",
+                                                       "_reduce_checked"]
+
