@@ -310,10 +310,11 @@ class Chart:
     the zero cross-check of :meth:`_reduce_checked`, on throughout, gives
     them random values (:meth:`sample_point`), still a ring
     homomorphism.  A radicand holds only variables whose rules are set,
-    so its normal form is final.  Setting a rule drops the cached rules
-    and the sample pool, since a root's residue depends on its radicand.
-    The table of irreducibles and its caches are kept: they are facts
-    about ZZ[vars].
+    so its normal form is final.  Setting a rule drops the cached
+    relation and derivation rules and the sample pool, since a root's
+    derivative and residue depend on its radicand.  The table of
+    irreducibles and its caches are kept: they are facts about ZZ[vars];
+    so is the shared zero of :meth:`zero`.
     """
 
     def __init__(self, coordinates: Sequence[str], trig_pairs: Iterable[str] = (),
@@ -328,6 +329,7 @@ class Chart:
         self.generators: List[GeneratorSpec] = []
         self._gens_by_name: Dict[str, GeneratorSpec] = {}
         self._trig_pairs: Dict[str, Tuple[str, str]] = {}  # angle -> (sin, cos)
+        self._derivation_cache: Dict = {}  # see :func:`_derivation_rules`
         for angle in trig_pairs:
             if angle not in names:
                 raise ExprError(f"{angle!r} is not a coordinate of this chart")
@@ -351,6 +353,7 @@ class Chart:
         self._rewritable = 0  # set with _relations
         self._irreducibles: List = []  # primitive irreducible factors (LC > 0) of denominators met
         self._factorizations: Dict = {}  # denominator -> ((irreducible index, exponent), ...)
+        self._zero: Optional[Expr] = None  # see :meth:`zero`
         for s_name, c_name in self._trig_pairs.values():
             self._relate(self._gens_by_name[s_name], 1 - self.var(c_name) ** 2)
         for name, radicand in roots:
@@ -453,14 +456,18 @@ class Chart:
             raise ExprError(f"bad generator name: {g.name!r}")
         self.generators.append(g)
         self._gens_by_name[g.name] = g
+        self._derivation_cache = {}
 
     def _relate(self, g: GeneratorSpec, rhs: "Expr"):
-        """Give g the rule g^2 -> rhs.  The cached rules lack it, and the
-        residue of a root depends on its radicand, so the rules and the
-        sample pool, with its combined residues, are dropped; the table of
-        irreducibles is kept."""
+        """Give g the rule g^2 -> rhs.  The cached rules lack it, a root's
+        derivative rule dW = d(rhs)/(2W) is new, and the residue of a root
+        depends on its radicand, so the relation rules, the derivation
+        rules (:func:`_derivation_rules`) and the sample pool, with its
+        combined residues, are dropped; the table of irreducibles and the
+        shared zero (:meth:`zero`) are kept."""
         g.square_rhs = rhs
         self._relations = None
+        self._derivation_cache = {}
         self._sample_pool = []
         self._check_residues = None
 
@@ -473,7 +480,12 @@ class Chart:
     # -- expression construction -----------------------------------------
 
     def zero(self) -> "Expr":
-        return Expr(self, Poly(), _ONE)
+        """The chart's zero, built on the first call and shared after it:
+        an ``Expr`` is immutable, and 0/1 is the normal form under any
+        set of relations."""
+        if self._zero is None:
+            self._zero = Expr(self, Poly(), _ONE)
+        return self._zero
 
     def one(self) -> "Expr":
         return Expr(self, _ONE, _ONE)
@@ -499,9 +511,9 @@ class Chart:
             return parse_expr(self, source)
         raise ExprError(f"cannot coerce {type(source).__name__} to Expr")
 
-    def sum_products(self, terms: Iterable[Sequence[Union["Expr", Rational]]]) -> "Expr":
+    def sum_products(self, terms: Iterable[Sequence[Union["Expr", Poly, Rational]]]) -> "Expr":
         """The sum over ``terms`` of the product of each term's factors
-        (``Expr``, int or ``Fraction``), normalized once.
+        (``Expr``, ``Poly``, int or ``Fraction``), normalized once.
 
         Each product's numerator and denominator are multiplied out
         unreduced, and a term with a zero factor is skipped.  The products
@@ -511,7 +523,13 @@ class Chart:
         before its one cancellation when many distinct denominators meet.
 
         A ``Fraction`` factor multiplies the numerator by its numerator
-        and the denominator by its denominator.
+        and the denominator by its denominator.  A ``Poly`` factor p is
+        the element p/1 of the chart's ring: it multiplies the numerator
+        only, so a coefficient row (as :class:`~geosym.prolong.Equation`
+        holds) enters the sum without an ``Expr`` of its own.  It need not
+        be reduced; the zero polynomial skips its term like a zero
+        ``Expr``, and a p in the relation ideal, being a numerator,
+        never divides.
 
         Soundness.  The :class:`Expr` normal form is canonical (numerator
         reduced by the relations' Groebner basis, denominator free of
@@ -528,7 +546,11 @@ class Chart:
         for factors in terms:
             num, den, c = None, _ONE, 1
             for f in factors:
-                if not isinstance(f, Expr):
+                if isinstance(f, Poly):
+                    if not f:
+                        break
+                    num = f if num is None else num * f
+                elif not isinstance(f, Expr):
                     c *= f
                     if not c:
                         break
@@ -547,8 +569,10 @@ class Chart:
                 if c.denominator != 1:
                     den = den.mul_ground(c.denominator)
                 groups[den] = groups[den] + num if den in groups else num
-        if len(groups) < 2:  # one denominator or none: no lcm
-            den, num = next(iter(groups.items()), (_ONE, Poly()))
+        if not groups:
+            return self.zero()
+        if len(groups) == 1:  # one denominator: no lcm
+            den, num = next(iter(groups.items()))
             return Expr(self, num, den)
         den, quotients = self._lcm(list(groups))
         return Expr(self, sum((n * q for n, q in zip(groups.values(), quotients)),
@@ -1379,16 +1403,30 @@ def _derivation_rules(chart: Chart, coordinate: str, polys):
     differentiates its radicand, so asking for every variable recurses
     without end on nested roots): the rules over their common
     denominator s (:func:`_clear_denominators`), which is 1 unless a
-    root generator's dq/(2W) leaves a denominator."""
+    root generator's dq/(2W) leaves a denominator.  The caller must not
+    change the returned dict.
+
+    The result is cached on the chart, keyed by ``coordinate`` and the
+    occurring variables, the only inputs besides the chart's rules.
+    Soundness of the cache: a variable's derivative depends only on its
+    kind and, for a root, on its radicand, so the rules change only when
+    a variable is declared or a radicand is set; :meth:`Chart._declare`
+    and :meth:`Chart._relate` drop the cache, and every later call
+    builds what it would have built uncached."""
     bits = functools.reduce(operator.or_, (p.bits for p in polys), 0)
+    # a list first: tuple() of a generator shrinks its guessed size in
+    # place, and the shrunk tuples pile up in the interpreter's free lists
     occurring = [i for i in range(len(chart.var_names)) if bits & chart._field(i)]
-    rules = {}
-    for i in occurring:
-        rule = _var_derivative(chart, chart.var_names[i], coordinate)
-        if rule is not None:
-            rules[i] = rule
-    s, nums = _clear_denominators(chart, list(rules.values()))
-    return s, dict(zip(rules, nums))
+    key = (coordinate, tuple(occurring))
+    if key not in chart._derivation_cache:
+        rules = {}
+        for i in occurring:
+            rule = _var_derivative(chart, chart.var_names[i], coordinate)
+            if rule is not None:
+                rules[i] = rule
+        s, nums = _clear_denominators(chart, list(rules.values()))
+        chart._derivation_cache[key] = s, dict(zip(rules, nums))
+    return chart._derivation_cache[key]
 
 
 def _poly_total_derivative(chart: Chart, p: Poly, rules) -> Poly:

@@ -19,6 +19,7 @@ from . import _linalg
 from .exprfield import Chart, Expr, ExprError, exact_sqrt
 
 Index = Tuple[int, ...]
+TwoFormMetric = Dict[Tuple[Tuple[int, int], Tuple[int, int]], Expr]  # see _two_form_metric
 
 
 class GeometryError(ExprError):
@@ -57,7 +58,10 @@ class TensorField:
         return len(self.variance)
 
     def comp(self, *idx: int) -> Expr:
-        return self._comps.get(tuple(idx), self.chart.zero())
+        """The entry at ``idx``; a missing entry is the chart's one
+        shared zero (:meth:`Chart.zero`), so asking builds no ``Expr``."""
+        e = self._comps.get(idx)
+        return self.chart.zero() if e is None else e
 
     def items(self):
         return self._comps.items()
@@ -142,7 +146,8 @@ class Connection:
                       if self.chart.expr(e)._num}
 
     def comp(self, k: int, i: int, j: int) -> Expr:
-        return self.gamma.get((k, i, j), self.chart.zero())
+        e = self.gamma.get((k, i, j))
+        return self.chart.zero() if e is None else e
 
     def is_torsion_free(self) -> bool:
         return all((self.comp(k, i, j) - self.comp(k, j, i)).is_zero()
@@ -470,26 +475,48 @@ def hodge_star_matrix(g: TensorField) -> List[List[Expr]]:
     if g.chart.dim != 4:
         raise GeometryError("Hodge-star machinery implemented for dimension 4")
     det = metric_det(g)
-    return _hodge_star(_volume_root(det), _inverse(g, det))
+    return _hodge_star(_volume_root(det), _two_form_metric(_inverse(g, det)))
 
 
-def _hodge_star(W: Expr, ginv: TensorField) -> List[List[Expr]]:
-    """:func:`hodge_star_matrix` of a 4-dimensional metric with volume
-    root ``W`` and inverse ``ginv``."""
+def _two_form_metric(ginv: TensorField) -> TwoFormMetric:
+    """The metric on 2-forms in the basis dx^k ^ dx^l, k<l:
+    lam[(k, l), (a, b)] = g^ka g^lb - g^kb g^la for the inverse metric
+    ``ginv``.  It is symmetric, so each of its distinct entries (21 in
+    dimension 4) is built once and stored under both keys."""
     chart = ginv.chart
+    basis = _two_form_basis(chart.dim)
+    lam: TwoFormMetric = {}
+    for r, (k, l) in enumerate(basis):
+        for (a, b) in basis[r:]:
+            lam[(k, l), (a, b)] = lam[(a, b), (k, l)] = chart.sum_products(
+                [(ginv.comp(k, a), ginv.comp(l, b)), (-1, ginv.comp(k, b), ginv.comp(l, a))])
+    return lam
+
+
+def _two_form_inner(chart: Chart, lam: TwoFormMetric, f1: Mapping[Tuple[int, int], Expr],
+                    f2: Mapping[Tuple[int, int], Expr]) -> Expr:
+    """<f1, f2> = 1/2 f1_{ij} f2^{ij} = sum of f1_{ab} f2_{cd} lam[(a, b), (c, d)]
+    for two 2-forms given by their entries at pairs a < b."""
+    return chart.sum_products(
+        (e1, e2, lam[p1, p2]) for (p1, e1), (p2, e2) in itertools.product(f1.items(), f2.items()))
+
+
+def _hodge_star(W: Expr, lam: TwoFormMetric) -> List[List[Expr]]:
+    """:func:`hodge_star_matrix` of a 4-dimensional metric with volume
+    root ``W`` and 2-form metric ``lam`` (:func:`_two_form_metric`).
+
+    The image of omega = dx^a ^ dx^b has the entries
+    (*omega)_{ij} = 1/2 W eps_{ijkl} omega^{kl} = W eps_{ijkl} omega^{kl},
+    for the one pair k < l besides i, j, and omega^{kl} is
+    lam[(k, l), (a, b)]; so each entry is +-W times one entry of lam."""
+    chart = W.chart
     basis = _two_form_basis(4)
     cols = []
-    for (a, b) in basis:
-        # omega = dx^a ^ dx^b: omega_{ab}=1, omega_{ba}=-1
-        # (*omega)_{ij} = 1/2 W eps_{ijkl} omega^{kl} = W eps_{ijkl} omega^{kl}
-        # for the one pair k < l besides i, j, and
-        # omega^{kl} = g^{ka} g^{lb} - g^{kb} g^{la}
+    for ab in basis:
         col = []
         for (i, j) in basis:
             k, l = (x for x in range(4) if x not in (i, j))
-            e = _perm_sign((i, j, k, l))
-            col.append(chart.sum_products([(e, W, ginv.comp(k, a), ginv.comp(l, b)),
-                                           (-e, W, ginv.comp(k, b), ginv.comp(l, a))]))
+            col.append(chart.sum_products([(_perm_sign((i, j, k, l)), W, lam[(k, l), ab])]))
         cols.append(col)
     # columns were computed; return matrix rows
     return [[cols[c][r] for c in range(6)] for r in range(6)]
@@ -530,7 +557,8 @@ def _asd_orthogonal(g: TensorField, orientation: int):
     det = metric_det(g)
     W = _volume_root(det)
     ginv = _inverse(g, det)
-    star = _hodge_star(W, ginv)
+    lam = _two_form_metric(ginv)
+    star = _hodge_star(W, lam)
     basis = _two_form_basis(4)
     # projector (Id - orientation * star)/2 maps onto the ASD forms
     proj = [[chart.sum_products([(Fraction(int(r == c), 2),),
@@ -541,24 +569,17 @@ def _asd_orthogonal(g: TensorField, orientation: int):
         raise GeometryError("ASD projector rank is not 3; metric degenerate?")
     forms = [{basis[r]: proj[r][c] for r in range(6)} for c in keep]
 
-    def inner(f1, f2) -> Expr:
-        # <w, e> = 1/2 w_{ij} e^{ij}
-        return chart.sum_products(
-            t for ((a, b), e1), ((c, d), e2) in itertools.product(f1.items(), f2.items())
-            for t in ((e1, e2, ginv.comp(a, c), ginv.comp(b, d)),
-                      (-1, e1, e2, ginv.comp(a, d), ginv.comp(b, c))))
-
     # Gram-Schmidt without normalization keeps everything rational
     ortho = []
     for f in forms:
         cur = dict(f)
         for prev, nrm in ortho:
-            c = inner(cur, prev) / nrm
+            c = _two_form_inner(chart, lam, cur, prev) / nrm
             if c.is_zero():
                 continue
             for key in set(cur) | set(prev):
                 cur[key] = chart.sum_products([(cur.get(key, 0),), (-1, c, prev.get(key, 0))])
-        nrm = inner(cur, cur)
+        nrm = _two_form_inner(chart, lam, cur, cur)
         if nrm.is_zero():
             raise GeometryError("degenerate inner product on ASD forms")
         ortho.append((cur, nrm))

@@ -85,7 +85,7 @@ from itertools import product
 from math import comb, gcd, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exprfield import (_ONE, PRIME, Chart, Expr, ExprError, GenericPoint, Poly, TaylorMap,
+from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, Poly, TaylorMap,
                         _clear_denominators, _crt_basis, _derivation_rules,
                         _poly_total_derivative)
 
@@ -590,26 +590,30 @@ def verify_solution(system: LinearPDESystem,
     chart = system.chart
     if len(components) != system.n_unknowns:
         raise ProlongError("component count does not match the system unknowns")
-    cache: Dict[JetKey, Expr] = {}
+    cache: Dict[JetKey, Expr] = {(a, (0,) * chart.dim): chart.expr(c)
+                                 for a, c in enumerate(components)}
 
     def jet_value(a: int, alpha: Tuple[int, ...]) -> Expr:
-        key = (a, alpha)
-        if key in cache:
-            return cache[key]
-        if sum(alpha) == 0:
-            val = chart.expr(components[a])
-        else:
+        """d^alpha of component a: down to the nearest cached jet, each
+        step lowering the first nonzero exponent, then differentiated
+        back up, caching each jet.  A loop, not a recursion: a closure
+        that calls itself is a reference cycle, which would keep the
+        cache's Exprs alive until the cyclic garbage collector ran."""
+        steps = []
+        while (a, alpha) not in cache:
             i = next(j for j, e in enumerate(alpha) if e)
-            down = list(alpha)
-            down[i] -= 1
-            val = jet_value(a, tuple(down)).differentiate(chart.coordinates[i])
-        cache[key] = val
+            steps.append(i)
+            alpha = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+        val = cache[a, alpha]
+        for i in reversed(steps):
+            alpha = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+            val = cache[a, alpha] = val.differentiate(chart.coordinates[i])
         return val
 
     residuals = []
     ok = True
     for eq in system.equations:
-        r = chart.sum_products((Expr(chart, c, _ONE), jet_value(a, alpha))
+        r = chart.sum_products((c, jet_value(a, alpha))
                                for (a, alpha), c in eq.coeffs.items())
         residuals.append(r)
         if not r.is_zero():

@@ -232,6 +232,42 @@ def test_root_generator_derivatives():
             (3 * V ** 2 * dV * (x - W) - V ** 3 * dD) / (x - W) ** 2
 
 
+def _w_chart():
+    """Chart (x0, x1) with W^2 = x0^2 + 1."""
+    return Chart(["x0", "x1"], roots=[("W", "x0^2 + 1")])
+
+
+def test_cached_derivation_rules_are_the_freshly_built_ones():
+    """Each (coordinate, occurring variables) builds its rules once; the
+    cached pair is the one built afresh, and differentiation through it
+    follows dW/dx0 = x0/W."""
+    ch = _w_chart()
+    x0, x1, w = (ch._gens[ch._index[v]] for v in ("x0", "x1", "W"))
+    for coord in ch.coordinates:
+        for polys in ([w], [x0], [w * x1], [x0 * x1, w + 1], [_ONE]):
+            got = _derivation_rules(ch, coord, polys)
+            assert _derivation_rules(ch, coord, polys) is got
+            ch._derivation_cache.clear()
+            fresh = _derivation_rules(ch, coord, polys)
+            assert fresh == got and fresh is not got
+    W, X0 = ch.var("W"), ch.var("x0")
+    assert W.differentiate("x0") == X0 / W and W.differentiate("x1").is_zero()
+
+
+def test_relate_drops_the_cached_derivation_rules():
+    """A new radicand changes a root's derivative: after _relate the cache
+    is empty, and dW/dx1 follows W^2 = x0^2 + x1, not the cached
+    dW/dx1 = 0 of W^2 = x0^2 + 1."""
+    ch = _w_chart()
+    assert ch.var("W").differentiate("x1").is_zero()
+    assert ch._derivation_cache
+    ch._relate(ch._gens_by_name["W"], parse_expr(ch, "x0^2 + x1"))
+    assert ch._derivation_cache == {}
+    W = ch.var("W")
+    assert W.differentiate("x1") == 1 / (2 * W)
+    assert 2 * W * W.differentiate("x0") == 2 * ch.var("x0")
+
+
 def test_evaluate_at_formal_roots():
     ch = nested_root_chart()
     W, V = ch.var("W"), ch.var("V")
@@ -617,10 +653,11 @@ def _assert_integer_normal_form(e):
 
 def test_eguchi_hanson_expressions_are_in_integer_normal_form(monkeypatch):
     """Every Expr built for the Eguchi-Hanson chart, metric, Killing
-    fields and quaternionic system has integer coefficients of gcd 1 and
-    a denominator with positive leading coefficient."""
+    fields, quaternionic system and the fields' certificates against it
+    has integer coefficients of gcd 1 and a denominator with positive
+    leading coefficient."""
     from conftest import build_eh_fields, build_eh_metric
-    from geosym import geometry as G, symsys as S
+    from geosym import geometry as G, prolong as P, symsys as S
 
     built = []
     init = Expr.__init__
@@ -632,8 +669,10 @@ def test_eguchi_hanson_expressions_are_in_integer_normal_form(monkeypatch):
     monkeypatch.setattr(Expr, "__init__", recording_init)
     chart = build_eh_chart()
     metric = build_eh_metric(chart)
-    build_eh_fields(chart)
-    S.quaternionic_symmetry_system(G.asd_span(metric, orientation=1), metric)
+    fields = build_eh_fields(chart)
+    system = S.quaternionic_symmetry_system(G.asd_span(metric, orientation=1), metric)
+    for X in fields:
+        assert P.verify_solution(system, [X.comp(i) for i in range(4)])[0]
     assert len(built) > 1000
     assert any(not e._den.is_ground for e in built)
     assert any(e._den.is_ground and not e._den.is_one for e in built)
@@ -760,6 +799,57 @@ def test_sum_products_edge_cases(chart):
         == 2 * a + b / 3 + Fraction(3, 4)
     with pytest.raises(ExprError):
         chart.sum_products([(a, _root_chart().var("x"))])
+
+
+def _relation_multiple(chart):
+    """A nonzero polynomial of the relation ideal: W^2 - (x^2 + 1) times x."""
+    x, w = (chart._gens[chart._index[v]] for v in ("x", "W"))
+    return (w * w - x * x - 1) * x
+
+
+@pytest.mark.parametrize("name", sorted(_SUM_CHARTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_sum_products_takes_a_poly_factor_as_the_polynomial_over_one(name, data):
+    """A Poly factor p stands for p/1: the sum equals the one with each
+    Poly replaced by Expr(chart, p, 1), the zero Poly included, and on the
+    root chart a Poly of the relation ideal, which is zero there."""
+    chart, atoms = _SUM_CHARTS[name]
+    polys = [parse_expr(chart, s)._num for s in atoms] + [Poly(), _ground(-3)]
+    if "W" in chart._index:
+        polys.append(_relation_multiple(chart))
+    factor = st.one_of(
+        st.sampled_from(atoms).map(lambda s: parse_expr(chart, s)),
+        st.sampled_from([0, 1, -2, Fraction(1, 3)]),
+        st.sampled_from(polys))
+    terms = data.draw(st.lists(st.lists(factor, max_size=3).map(tuple), max_size=5))
+    as_exprs = [tuple(Expr(chart, f, _ONE) if isinstance(f, Poly) else f for f in t)
+                for t in terms]
+    assert _same_normal_form(chart.sum_products(terms), chart.sum_products(as_exprs))
+
+
+def test_sum_products_poly_factor_edge_cases():
+    """A Poly is a numerator: a zero Poly or one of the relation ideal
+    makes its term zero and never divides, where the Expr of the latter is
+    zero and dividing by it raises DivisionByZero."""
+    chart, _ = _SUM_CHARTS["root"]
+    x, w = chart.var("x"), chart.var("W")
+    ideal = _relation_multiple(chart)
+    as_expr = Expr(chart, ideal, _ONE)
+    assert as_expr.is_zero()
+    with pytest.raises(DivisionByZero):
+        1 / as_expr
+    assert chart.sum_products([(ideal, 1 / x)]).is_zero()
+    assert chart.sum_products([(ideal, w), (Poly(), x), (x._num, 1 / w)]) == x / w
+    assert chart.sum_products([(Poly(),)]) is chart.zero()
+    assert chart.sum_products([(x._num,), (w._num, Fraction(1, 2))]) == x + w / 2
+
+
+def test_zero_is_built_once_per_chart():
+    chart = _make_chart()
+    assert chart.zero() is chart.zero() and chart.zero().is_zero()
+    assert chart.sum_products([]) is chart.zero()
+    assert _make_chart().zero() is not chart.zero()
 
 
 # -- factored denominators --------------------------------------------------

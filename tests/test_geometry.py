@@ -393,6 +393,82 @@ def test_hodge_star_squares_to_the_identity_on_eguchi_hanson(eh_metric):
     assert trace.is_zero()
 
 
+def test_comp_of_a_missing_entry_builds_no_expr(monkeypatch):
+    """A missing entry of a tensor or a connection is the chart's one
+    zero, not a new Expr."""
+    chart = Chart(["x", "y"])
+    T = G.TensorField(chart, ("u", "d"), {(0, 1): chart.var("x")})
+    D = G.Connection(chart, {(0, 0, 1): chart.var("y")})
+    zero = chart.zero()
+    built = []
+    init = G.Expr.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(G.Expr, "__init__", recording_init)
+    assert T.comp(1, 0) is zero and D.comp(1, 1, 0) is zero
+    assert T.comp(0, 1) == chart.var("x") and D.comp(0, 0, 1) == chart.var("y")
+    assert len(built) == 2  # the two var calls only
+
+
+def _four_factor_hodge_star(W, ginv):
+    """The Hodge star with each entry written out as
+    e W g^ka g^lb - e W g^kb g^la."""
+    chart = ginv.chart
+    basis = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    rows = [[None] * 6 for _ in range(6)]
+    for c, (a, b) in enumerate(basis):
+        for r, (i, j) in enumerate(basis):
+            k, l = (x for x in range(4) if x not in (i, j))
+            e = G._perm_sign((i, j, k, l))
+            rows[r][c] = chart.sum_products([(e, W, ginv.comp(k, a), ginv.comp(l, b)),
+                                             (-e, W, ginv.comp(k, b), ginv.comp(l, a))])
+    return rows
+
+
+def _four_factor_inner(ginv, f1, f2):
+    """<f1, f2> = 1/2 f1_ij f2^ij written out as
+    f1_ab f2_cd (g^ac g^bd - g^ad g^bc)."""
+    return ginv.chart.sum_products(
+        t for ((a, b), e1), ((c, d), e2) in itertools.product(f1.items(), f2.items())
+        for t in ((e1, e2, ginv.comp(a, c), ginv.comp(b, d)),
+                  (-1, e1, e2, ginv.comp(a, d), ginv.comp(b, c))))
+
+
+def _flat_r4_metric():
+    chart = Chart(["x0", "x1", "x2", "x3"])
+    return G.TensorField(chart, ("d", "d"), {(i, i): chart.one() for i in range(4)})
+
+
+@pytest.mark.parametrize("which", ["eguchi-hanson", "flat-r4"])
+def test_two_form_metric_gives_the_four_factor_star_and_inner_products(which, eh_metric):
+    """The Hodge star and the inner products of 2-forms, built from the
+    2-form metric lam, equal the four-factor formulas: on the star's
+    columns, on the ASD forms, and for the Gram-Schmidt triple, which is
+    orthogonal with the returned squared norms."""
+    g = eh_metric if which == "eguchi-hanson" else _flat_r4_metric()
+    chart = g.chart
+    det = G.metric_det(g)
+    W, ginv = G._volume_root(det), G.metric_inverse(g)
+    lam = G._two_form_metric(ginv)
+    assert len(lam) == 36 and all(lam[p, q] is lam[q, p] for p, q in lam)
+    star = G._hodge_star(W, lam)
+    assert star == _four_factor_hodge_star(W, ginv)
+    assert star == G.hodge_star_matrix(g)
+    basis = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    forms = [{basis[r]: star[r][c] for r in range(6)} for c in range(6)]
+    forms += [{basis[r]: chart.const(r + 2 * c - 3) for r in range(6)} for c in range(2)]
+    for f1, f2 in itertools.product(forms, repeat=2):
+        assert G._two_form_inner(chart, lam, f1, f2) == _four_factor_inner(ginv, f1, f2)
+    for orientation in (1, -1):
+        ortho, _ = G._asd_orthogonal(g, orientation)
+        for (f1, n1), (f2, _) in itertools.product(ortho, repeat=2):
+            expected = n1 if f1 is f2 else 0
+            assert _four_factor_inner(ginv, f1, f2) == expected
+
+
 @pytest.fixture(scope="module")
 def eh_asd_span(eh_metric):
     return G.asd_span(eh_metric, orientation=1)

@@ -8,7 +8,9 @@ import importlib.resources
 
 import pytest
 
-from geosym.cli import main
+from geosym import modelfile
+from geosym.cli import main, run_task
+from geosym.exprfield import Expr
 
 
 def _bundled(name):
@@ -43,3 +45,23 @@ def test_eguchi_hanson_model_runs_completely(capsys):
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 5
     assert "bound: 4" in out
+
+
+def test_eguchi_hanson_field_certificates_build_few_exprs(monkeypatch):
+    """The killing-fields and quaternionic-fields tasks share each
+    constant normal form (the chart's zero, the derivation rules) and
+    take the equations' polynomial coefficients as they are: together
+    they build at most 1,500 Exprs (1,071 at these seeds)."""
+    model = modelfile.load_model(_bundled("eguchi_hanson.model"))
+    built = []
+    init = Expr.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Expr, "__init__", recording_init)
+    for task in ("killing-fields", "quaternionic-fields"):
+        report, _ = run_task(model, model.tasks[task], (101, 202, 303))
+        assert report["outcome"] == "pass"
+    assert len(built) <= 1500

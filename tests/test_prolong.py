@@ -1,6 +1,7 @@
 """Prolongation-projection engine: symbol tables, bounds, and solution
 verification."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import product
@@ -148,6 +149,22 @@ def test_verify_solution_arity(flat2):
     ks = S.invariance_system(g)
     with pytest.raises(P.ProlongError):
         P.verify_solution(ks, [chart.one()])
+
+
+def test_verify_solution_leaves_no_reference_cycle(flat2):
+    """A certificate's jets are freed by reference counting when it
+    returns; it leaves nothing for the cyclic garbage collector."""
+    chart, g = flat2
+    ks = S.invariance_system(g)
+    field = [parse_expr(chart, "x^2*y - y"), parse_expr(chart, "x")]
+    gc.collect()
+    gc.disable()
+    try:
+        ok, _ = P.verify_solution(ks, field)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert not ok
 
 
 def test_solution_space_dimensions_match_known_algebras(flat4):

@@ -1,7 +1,10 @@
 """Command-line parsing of the benchmark tools in ``tools/``."""
 
 import importlib
+import importlib.util
+import json
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -109,3 +112,41 @@ def test_bench_record_reads_the_environment_after_the_last_run(tmp_path, monkeyp
     runs = 2 * len(bench_record.WORKLOADS) * len(bench_record.SEEDS)
     assert calls == ["run"] * runs + ["environment"]
     assert len(list(tmp_path.glob("BENCH_*.json"))) == 1
+
+
+@pytest.mark.parametrize("inside_other_repo", [False, True])
+def test_bench_record_outside_a_git_checkout_names_the_revision_unknown(
+        tmp_path, monkeypatch, inside_other_repo):
+    """A copy of the repository that is not the top of a git work tree (a
+    ``git archive`` copy; or one unpacked inside another checkout, whose
+    HEAD is not its revision) records the revision ``unknown``."""
+    if inside_other_repo:
+        subprocess.run(["git", "init", "-q", str(tmp_path)], check=True)
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        "commit", "-q", "--allow-empty", "-m", "outer"], check=True)
+    copy = tmp_path / "copy"
+    for name in ("tools", "perfbench"):
+        shutil.copytree(TOOLS.parent / name, copy / name,
+                        ignore=shutil.ignore_patterns("__pycache__", "out"))
+    shutil.copy(TOOLS.parent / "BENCHMARK.json", copy)
+    saved = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            "bench_record_copy", copy / "tools" / "bench_record.py")
+        bench_record = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_record)
+    finally:
+        sys.path[:] = saved
+    assert bench_record.HERE == str(copy)
+    monkeypatch.setattr(bench_record, "run", lambda *args: {
+        "correct": True, "metrics": {"solve_s": {"value": 1.0},
+                                     "trace.solve_s": {"value": 1.0}}})
+    monkeypatch.setattr(bench_record, "environment", dict)
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr(sys, "argv", ["bench_record.py", "--out-dir", str(out)])
+    assert bench_record.main() == 0
+    [path] = out.glob("BENCH_*.json")
+    assert path.name.endswith("_unknown.json")
+    doc = json.loads(path.read_text())
+    assert doc["revision"] == "unknown" and doc["changed_files"] == []

@@ -13,7 +13,9 @@ run's result line to ``BENCH_<date>_<rev>.json`` in ``--out-dir``
 (default: the repository holding this script).  The revision is part
 of the name, with ``-modified`` appended when tracked files differ from
 it, so a commit and uncommitted changes on top of it, measured on the
-same day, get a file each.
+same day, get a file each.  A checkout that is not the top of a git
+work tree (a ``git archive`` copy, say) has the revision ``unknown``
+and no changed files.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import json
 import os
 import subprocess
 import sys
+from typing import List, Tuple
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(HERE, "perfbench"))
@@ -37,6 +40,21 @@ RUN_TIMEOUT_S = 900
 def git(root: str, *args: str) -> str:
     return subprocess.run(["git", "-C", root, *args], capture_output=True,
                           text=True, check=True).stdout.rstrip()
+
+
+def revision(root: str) -> Tuple[str, List[str]]:
+    """(the revision of ``root``'s HEAD, its tracked files that differ
+    from it), or ("unknown", []) when ``root`` is not the top of a git
+    work tree or git cannot run."""
+    try:
+        top = git(root, "rev-parse", "--show-toplevel")
+        if os.path.realpath(top) != os.path.realpath(root):
+            return "unknown", []
+        head = git(root, "rev-parse", "HEAD")
+        changed = git(root, "status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown", []
+    return head, [line[3:] for line in changed.splitlines()]
 
 
 def run(root: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -59,12 +77,11 @@ def main() -> int:
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         seconds = json.load(fh)["run_seconds"]
-    revision = git(root, "rev-parse", "HEAD")
-    changed = git(root, "status", "--porcelain", "--untracked-files=no")
+    head, changed = revision(root)
     doc = {
         "date": datetime.date.today().isoformat(),
-        "revision": revision,
-        "changed_files": [line[3:] for line in changed.splitlines()],
+        "revision": head,
+        "changed_files": changed,
         "run_seconds": seconds,
         "runs": [],
     }
@@ -84,7 +101,7 @@ def main() -> int:
     doc["environment"] = environment()
     suffix = "-modified" if changed else ""
     path = os.path.join(args.out_dir,
-                        f"BENCH_{doc['date']}_{revision[:7]}{suffix}.json")
+                        f"BENCH_{doc['date']}_{head[:7]}{suffix}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
