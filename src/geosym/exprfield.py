@@ -886,20 +886,34 @@ def _mod(q: Fraction, prime: int) -> int:
 def _poly_mod(p: Poly, residues: Sequence[int], modulus: int) -> int:
     """Value mod ``modulus`` (a prime, or a product of primes as in
     :func:`_crt_residues`) of a polynomial of the chart's ring at one
-    residue per variable."""
-    shifts = range(_FIELD * (len(residues) - 1), -1, -_FIELD)
-    fields = [(_EXP << s, s, r) for s, r in zip(shifts, residues)]
-    powers: Dict[int, int] = {}  # a field's bits, in place -> the power it stands for
+    residue per variable.
+
+    The packed fields are read two at a time: variables 2j and 2j + 1
+    share one mask (the last variable is alone when their number is odd),
+    so a term costs one mask and one multiply per pair.  The value mod
+    ``modulus`` of a pair's bits, kept in place, is the product of its
+    two powers; it is memoized for this call only, in one dict for all
+    pairs, whose masks are disjoint, so distinct pairs' nonzero bits never
+    collide and no value outlives the residues it was computed from.  The
+    terms are summed as integers and reduced once, at the end."""
+    n = len(residues)
+    pairs = []
+    for i in range(0, n, 2):
+        fields = [(_FIELD * (n - 1 - j), residues[j]) for j in range(i, min(i + 2, n))]
+        pairs.append((sum(_EXP << s for s, _ in fields), fields))
+    values: Dict[int, int] = {}  # a pair's bits, in place -> the value they stand for
     total = 0
     for m, coeff in p.items():
-        term = coeff % modulus
-        for mask, s, r in fields:
+        for mask, fields in pairs:
             if f := m & mask:
-                v = powers.get(f)
+                v = values.get(f)
                 if v is None:
-                    v = powers[f] = pow(r, f >> s, modulus)
-                term = term * v % modulus
-        total += term
+                    v = 1
+                    for s, r in fields:
+                        v = v * pow(r, f >> s & _EXP, modulus)
+                    v = values[f] = v % modulus
+                coeff *= v
+        total += coeff
     return total % modulus
 
 
@@ -1209,10 +1223,14 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        n1, d1, n2, d2 = self._num, self._den, o._num, o._den
+        return Expr(self.chart, n1 * d2 - n2 * d1, d1 * d2)
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -1258,10 +1276,13 @@ class Expr:
 
     def differentiate(self, coordinate: str) -> "Expr":
         """Formal partial derivative using the generator derivative rules:
-        (n/d)' = (s n' d - n s d') / (s d^2)."""
+        (n/d)' = (s n' d - n s d') / (s d^2).  A constant's derivative is
+        the chart's shared zero, with no rules looked up."""
         ch = self.chart
         if coordinate not in ch.coordinates:
             raise ExprError(f"{coordinate!r} is not a coordinate of this chart")
+        if self.is_constant():
+            return ch.zero()
         n, d = self._num, self._den
         s, rules = _derivation_rules(ch, coordinate, [n, d])
         dn, dd = (_poly_total_derivative(ch, p, rules) for p in (n, d))

@@ -86,7 +86,7 @@ from math import comb, gcd, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, Poly, TaylorMap,
-                        _clear_denominators, _crt_basis, _derivation_rules,
+                        _clear_denominators, _crt_basis, _derivation_rules, _poly_dot,
                         _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
@@ -586,7 +586,25 @@ def verify_solution(system: LinearPDESystem,
     """Substitute a concrete field into every equation; returns
     (all zero, residuals).  Residuals are those of the cleared equations,
     so each is the raw residual times the lcm of its equation's
-    coefficient denominators, and zero exactly when the raw residual is."""
+    coefficient denominators, and zero exactly when the raw residual is.
+
+    The jets J_k of the field that the system's keys k name are built as
+    ``Expr`` s and put over one denominator at once, J_k = N_k / L
+    (:func:`~geosym.exprfield._clear_denominators`).  Each equation's
+    residual is then R = sum_k c_k J_k = R^ / L for the polynomial dot
+    product R^ = sum_k c_k N_k (:func:`~geosym.exprfield._poly_dot`),
+    reduced once by :meth:`~geosym.exprfield.Chart._reduce_checked`.
+    A residual that is not zero is returned as ``Expr(chart, R^, L)``,
+    the same normal form as the sum of the products c_k J_k.
+
+    Soundness.  L is a product of normal-form denominators, so it is
+    nonzero and free of generators with a rule; in the domain of the
+    chart it is no zero divisor, and R = R^ / L is zero exactly when R^
+    lies in the relation ideal.  Reduction modulo the ideal is canonical
+    (:meth:`~geosym.exprfield.Chart._reduce_poly`), so that is exactly
+    when the reduced R^ is the zero polynomial.  Every R^ that is not the
+    zero polynomial but reduces to zero is cross-checked at the chart's
+    two pool points by ``_reduce_checked``, like every other zero."""
     chart = system.chart
     if len(components) != system.n_unknowns:
         raise ProlongError("component count does not match the system unknowns")
@@ -610,12 +628,12 @@ def verify_solution(system: LinearPDESystem,
             val = cache[a, alpha] = val.differentiate(chart.coordinates[i])
         return val
 
+    keys = list(dict.fromkeys(k for eq in system.equations for k in eq.coeffs))
+    den, nums = _clear_denominators(chart, [jet_value(*k) for k in keys])
+    cleared = dict(zip(keys, nums))
     residuals = []
-    ok = True
     for eq in system.equations:
-        r = chart.sum_products((c, jet_value(a, alpha))
-                               for (a, alpha), c in eq.coeffs.items())
-        residuals.append(r)
-        if not r.is_zero():
-            ok = False
-    return ok, residuals
+        r = chart._reduce_checked(_poly_dot((c, cleared[k]) for k, c in eq.coeffs.items()
+                                            if cleared[k]))
+        residuals.append(Expr(chart, r, den) if r else chart.zero())
+    return all(not r for r in residuals), residuals

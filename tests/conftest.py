@@ -187,3 +187,23 @@ def flat_quaternionic_pullback(phi):
         if not A.comp(k, l).is_zero()) for j in range(dim)] for i in range(dim)])
         for A in standard_triple(chart)]
     return chart, jac, inv, g, triple
+
+
+def reference_residuals(system, components):
+    """The certificate residuals of ``prolong.verify_solution`` as they
+    were first built: each jet of the field an ``Expr`` (cached, each
+    one derivative of a lower jet), and each residual the
+    ``Chart.sum_products`` of the equation's coefficients times those
+    jets, one normalized sum per equation."""
+    chart = system.chart
+    jets = {(a, (0,) * chart.dim): chart.expr(c) for a, c in enumerate(components)}
+
+    def jet(a, alpha):
+        if (a, alpha) not in jets:
+            i = next(j for j, e in enumerate(alpha) if e)
+            lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            jets[a, alpha] = jet(a, lower).differentiate(chart.coordinates[i])
+        return jets[a, alpha]
+
+    return [chart.sum_products((c, jet(a, alpha)) for (a, alpha), c in eq.coeffs.items())
+            for eq in system.equations]

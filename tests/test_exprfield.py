@@ -653,9 +653,10 @@ def _assert_integer_normal_form(e):
 
 def test_eguchi_hanson_expressions_are_in_integer_normal_form(monkeypatch):
     """Every Expr built for the Eguchi-Hanson chart, metric, Killing
-    fields, quaternionic system and the fields' certificates against it
-    has integer coefficients of gcd 1 and a denominator with positive
-    leading coefficient."""
+    fields, quaternionic and Killing systems and the certificates against
+    them, of the fields and of fields that are no symmetry (whose
+    residuals are not zero), has integer coefficients of gcd 1 and a
+    denominator with positive leading coefficient."""
     from conftest import build_eh_fields, build_eh_metric
     from geosym import geometry as G, prolong as P, symsys as S
 
@@ -671,8 +672,15 @@ def test_eguchi_hanson_expressions_are_in_integer_normal_form(monkeypatch):
     metric = build_eh_metric(chart)
     fields = build_eh_fields(chart)
     system = S.quaternionic_symmetry_system(G.asd_span(metric, orientation=1), metric)
+    killing = S.invariance_system(metric)
+    rho = chart.var("rho")
     for X in fields:
-        assert P.verify_solution(system, [X.comp(i) for i in range(4)])[0]
+        comps = [X.comp(i) for i in range(4)]
+        assert P.verify_solution(system, comps)[0]
+        assert P.verify_solution(killing, comps)[0]
+        comps[0] = comps[0] + comps[1] / rho
+        assert not P.verify_solution(system, comps)[0]
+        assert not P.verify_solution(killing, comps)[0]
     assert len(built) > 1000
     assert any(not e._den.is_ground for e in built)
     assert any(e._den.is_ground and not e._den.is_one for e in built)
@@ -850,6 +858,38 @@ def test_zero_is_built_once_per_chart():
     assert chart.zero() is chart.zero() and chart.zero().is_zero()
     assert chart.sum_products([]) is chart.zero()
     assert _make_chart().zero() is not chart.zero()
+
+
+@pytest.mark.parametrize("name", ["trig", "root"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_subtraction_is_the_sum_with_the_negation_in_one_expr(name, data):
+    """a - b is the normal form of a + (-b), built as one Expr; c - a
+    for a rational c is (-a) + c."""
+    chart, atoms = _SUM_CHARTS[name]
+    factor = st.one_of(st.sampled_from(atoms).map(lambda s: parse_expr(chart, s)),
+                       st.sampled_from([0, 1, -2, Fraction(3, 4)]))
+    expr = st.lists(st.lists(factor, min_size=1, max_size=3).map(tuple),
+                    max_size=3).map(chart.sum_products)
+    a, b = data.draw(expr), data.draw(expr)
+    if data.draw(st.booleans()):
+        b = a  # a difference that cancels
+    c = data.draw(st.sampled_from([0, 2, Fraction(-5, 3)]))
+    assert _same_normal_form(a - b, a + (-b))
+    assert _same_normal_form(c - a, (-a) + c)
+    built = []
+    init = Expr.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    Expr.__init__ = recording_init
+    try:
+        diff = a - b
+    finally:
+        Expr.__init__ = init
+    assert built == [diff]
 
 
 # -- factored denominators --------------------------------------------------
@@ -1414,6 +1454,41 @@ def test_charts_order_monomials_by_lex(data):
         assert chart._unpack(chart._pack(a)) == a
 
 
+def test_a_constant_differentiates_to_the_shared_zero_building_no_expr(monkeypatch):
+    """A constant's derivative is the chart's zero, the quotient rule's
+    normal form, with no Expr built; a name that is no coordinate still
+    raises, for a constant too."""
+    for ch in (_make_chart(), _w_chart()):
+        consts = [ch.zero(), ch.one(), ch.const(Fraction(-3, 7)), ch.const(5)]
+        quotient_rule = {}
+        for c in consts:
+            for coord in ch.coordinates:
+                n, d = c._num, c._den
+                s, rules = _derivation_rules(ch, coord, [n, d])
+                dn, dd = (_poly_total_derivative(ch, p, rules) for p in (n, d))
+                quotient_rule[id(c), coord] = Expr(ch, dn * d - n * dd, s * d * d)
+        built = []
+        init = Expr.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            built.append(self)
+
+        monkeypatch.setattr(Expr, "__init__", recording_init)
+        for c in consts:
+            for coord in ch.coordinates:
+                got = c.differentiate(coord)
+                assert got is ch.zero()
+                old = quotient_rule[id(c), coord]
+                assert got._num == old._num and got._den == old._den
+            with pytest.raises(ExprError, match="not a coordinate"):
+                c.differentiate(ch.var_names[-1])
+            with pytest.raises(ExprError, match="not a coordinate"):
+                c.differentiate("nowhere")
+        assert built == []
+        monkeypatch.undo()
+
+
 # -- the packed polynomial type against sympy ----------------------------------
 
 
@@ -1527,3 +1602,48 @@ def test_poly_dot_is_the_sum_of_the_products():
              (Poly(), x), (y * 3, _ground(-2))]
     assert _poly_dot(pairs) == sum((p * q for p, q in pairs), Poly())
     assert _poly_dot([(x, y), (-y, x)]) == Poly() and _poly_dot([]) == Poly()
+
+
+def _poly_mod_one_variable_at_a_time(p, residues, modulus):
+    """The value mod ``modulus`` of p at ``residues``, each term's packed
+    fields read one variable at a time, each power memoized by its
+    field's bits for this call."""
+    shifts = range(17 * (len(residues) - 1), -1, -17)
+    fields = [((2 ** 16 - 1) << s, s, r) for s, r in zip(shifts, residues)]
+    powers = {}
+    total = 0
+    for m, coeff in p.items():
+        term = coeff % modulus
+        for mask, s, r in fields:
+            if f := m & mask:
+                v = powers.get(f)
+                if v is None:
+                    v = powers[f] = pow(r, f >> s, modulus)
+                term = term * v % modulus
+        total += term
+    return total % modulus
+
+
+@pytest.mark.parametrize("k", [1, 3, 10])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_poly_mod_reads_pairs_of_variables_like_one_at_a_time(k, data):
+    """_poly_mod, which reads the packed fields two at a time (the last
+    alone for an odd count), gives the one-variable evaluator's value,
+    at exponents up to 2^16 - 1, mod one prime and mod a product of two;
+    a second call at other residues memoizes nothing of the first."""
+    chart = _PACKED_CHARTS[k]
+    exponent = st.integers(0, 3) | st.integers(0, 2 ** 16 - 1)
+    monom = st.tuples(*[exponent] * k)
+    coeff = st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([1, -1, 5 * 10 ** 20])
+    terms = data.draw(st.dictionaries(monom, coeff, max_size=8))
+    # terms that share one pair's exponents but differ in the other's
+    base = data.draw(monom)
+    for i in data.draw(st.lists(st.integers(0, k - 1), max_size=4)):
+        terms[base[:i] + (data.draw(exponent),) + base[i + 1:]] = data.draw(coeff)
+    p = chart._poly(terms)
+    modulus = data.draw(st.sampled_from([_prime(0), _prime(1) * _prime(2), 101]))
+    for _ in range(2):
+        residues = data.draw(st.lists(st.integers(0, modulus - 1), min_size=k, max_size=k))
+        assert _poly_mod(p, residues, modulus) == \
+            _poly_mod_one_variable_at_a_time(p, residues, modulus)

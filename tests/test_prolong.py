@@ -14,11 +14,11 @@ from geosym import _linalg
 from geosym import geometry as G
 from geosym import prolong as P
 from geosym import symsys as S
-from geosym.exprfield import (_ONE, Chart, Expr, Poly, _crt_basis, _derivation_rules, _prime,
-                              parse_expr)
+from geosym.exprfield import (_ONE, Chart, Expr, KernelInconsistency, Poly, _crt_basis,
+                              _derivation_rules, _prime, parse_expr)
 
-from conftest import (flat_chart, flat_quaternionic_pullback, nested_root_chart, shear_map,
-                      standard_triple)
+from conftest import (flat_chart, flat_quaternionic_pullback, nested_root_chart,
+                      reference_residuals, shear_map, standard_triple)
 
 
 def _monotone_tables(tables):
@@ -165,6 +165,109 @@ def test_verify_solution_leaves_no_reference_cycle(flat2):
     finally:
         gc.enable()
     assert not ok
+
+
+def _residuals_match_the_reference(system, components):
+    """verify_solution's residuals equal, as normal forms, the
+    sum_products residuals of the Expr jets (conftest's reference);
+    returns its verdict."""
+    ok, residuals = P.verify_solution(system, components)
+    reference = reference_residuals(system, components)
+    assert len(residuals) == len(reference)
+    for r, ref in zip(residuals, reference):
+        assert r._num == ref._num and r._den == ref._den
+    assert ok == all(ref.is_zero() for ref in reference)
+    return ok
+
+
+def _eh_perturbed(chart, v):
+    """v plus cos(theta)/rho d_phi - rho sin(psi) d_rho: no symmetry."""
+    comps = [v.comp(i) for i in range(4)]
+    comps[1] = comps[1] + parse_expr(chart, "cos(theta)/rho")
+    comps[0] = comps[0] - parse_expr(chart, "rho*sin(psi)")
+    return comps
+
+
+@pytest.mark.parametrize("structure", ["killing", "quaternionic"])
+def test_eguchi_hanson_residuals_are_the_sum_products_residuals(
+        structure, eh_chart, eh_metric, eh_fields, eh_quaternionic_system):
+    """On Eguchi-Hanson, for v1..v4 (all zero) and two perturbed fields
+    (not all zero), each residual of the polynomial certificate is the
+    normal form of the sum of products over the Expr jets."""
+    system = (S.invariance_system(eh_metric) if structure == "killing"
+              else eh_quaternionic_system)
+    for v in eh_fields:
+        assert _residuals_match_the_reference(system, [v.comp(i) for i in range(4)])
+    for v in eh_fields[:2]:
+        assert not _residuals_match_the_reference(system, _eh_perturbed(eh_chart, v))
+
+
+def test_root_chart_residuals_are_the_sum_products_residuals():
+    """On a chart with W^2 = x0^2 + 1, whose jets carry W in their
+    denominators, the residuals of the Killing system of a warped metric
+    and of the quaternionic system of a rescaled frame equal the
+    sum_products residuals, for solutions and for fields that are none."""
+    chart = Chart([f"x{i}" for i in range(4)], roots=[("W", "x0^2 + 1")])
+    W = chart.var("W")
+    warped = G.TensorField(chart, ("d", "d"), {
+        (0, 0): chart.one(), (1, 1): W, (2, 2): chart.one(), (3, 3): W})
+    flat = G.TensorField(chart, ("d", "d"), {(i, i): chart.one() for i in range(4)})
+    I, J, K = standard_triple(chart)
+    frame = [I.scale(W), J, K.scale(parse_expr(chart, "1/(x1^2 + 1)"))]
+    fields = [[parse_expr(chart, s) for s in comps] for comps in (
+        ["0", "1", "0", "0"], ["0", "-x3", "0", "x1"], ["0", "0", "1", "0"],
+        ["W", "x1/(W + x2)", "0", "x3*W"], ["1/W", "0", "x0*x2", "x1^2/(W - x3)"])]
+    verdicts = {}
+    for name, system in (("killing", S.invariance_system(warped)),
+                         ("quaternionic", S.quaternionic_symmetry_system(frame, flat))):
+        verdicts[name] = [_residuals_match_the_reference(system, comps) for comps in fields]
+    assert verdicts == {"killing": [True, True, True, False, False],
+                        "quaternionic": [True, True, True, False, False]}
+
+
+def test_cprojective_residuals_are_the_sum_products_residuals():
+    """The second-order c-projective system of the submaximal model: its
+    8 fields and a perturbed one give the sum_products residuals."""
+    from pathlib import Path
+
+    from geosym.modelfile import load_model
+
+    model = load_model(str(Path(P.__file__).parent / "models" / "submax_cprojective_n2.model"))
+    system = S.cprojective_symmetry_system(model.endomorphisms["J"], model.connections["D"])
+    assert system.order == 2
+    chart = model.chart
+    assert len(model.vectors) == 8
+    for v in model.vectors.values():
+        assert _residuals_match_the_reference(system, [v.comp(i) for i in range(4)])
+    C = model.vectors["C"]
+    perturbed = [C.comp(0) * chart.var("x1"), C.comp(1), C.comp(2), C.comp(3) + chart.one()]
+    assert not _residuals_match_the_reference(system, perturbed)
+
+
+def test_a_residual_that_reduces_to_zero_falsely_is_cross_checked(monkeypatch,
+                                                                    eh_chart, eh_fields,
+                                                                    eh_quaternionic_system):
+    """Each residual polynomial goes through Chart._reduce_checked: a
+    planted reduction that zeroes the dot product of a nonzero residual
+    raises KernelInconsistency through verify_solution."""
+    comps = _eh_perturbed(eh_chart, eh_fields[0])
+    dots = []
+    poly_dot = P._poly_dot
+
+    def recording_dot(pairs):
+        dots.append(poly_dot(pairs))
+        return dots[-1]
+
+    monkeypatch.setattr(P, "_poly_dot", recording_dot)
+    ok, residuals = P.verify_solution(eh_quaternionic_system, comps)
+    assert not ok and len(dots) == len(residuals)
+    target = next(p for p, r in zip(dots, residuals) if not r.is_zero())
+    monkeypatch.undo()
+    reduce_poly = Chart._reduce_poly
+    monkeypatch.setattr(Chart, "_reduce_poly",
+                        lambda self, p: Poly() if p == target else reduce_poly(self, p))
+    with pytest.raises(KernelInconsistency):
+        P.verify_solution(eh_quaternionic_system, comps)
 
 
 def test_solution_space_dimensions_match_known_algebras(flat4):
