@@ -24,14 +24,16 @@ dicts:
   once, latest-declared generator first, with the powers of rhs cached
   per chart; a rule's rhs holds only earlier generators and rule-free
   cos, so the one pass reaches the canonical normal form;
-- trial division (:func:`_divide`) by a primitive irreducible of the
-  chart's table, in the lex order of the packed keys, so each quotient
-  term is the remainder's leading term shifted by LM(f), its
-  coefficient divided by LC(f) with ``divmod``.
+- exact division (:func:`_divide`), in the lex order of the packed
+  keys, so each quotient term is the remainder's leading term shifted
+  by LM(f), its coefficient divided by LC(f) with ``divmod``.
 
-gcds and lcms of denominators are those trial divisions and one integer
-gcd (only a cofactor that no table entry divides is factored anew, over
-ZZ by :mod:`geosym._factor`); no polynomial gcd is taken.
+A normal form needs gcd(n, d), and no polynomial is factored:
+:meth:`Chart._gcd` first tries whether one divides the other, then takes
+the heuristic gcd GCDHEU (integer gcds of values at a large integer,
+read back in its base and accepted only when they divide, which proves
+them), with Collins' subresultant remainder sequence as the fallback;
+gcds are memoized per chart, and lcms are built pairwise from them.
 :func:`_clear_denominators` puts a list of elements over the lcm of
 their denominators, for the equations of :mod:`geosym.prolong`, the
 coefficient rows of closure and the derivation rules alike.
@@ -63,8 +65,6 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import (Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
                     Union)
-
-from geosym._factor import _is_prime, factor_list
 
 Rational = Union[int, Fraction]
 
@@ -312,9 +312,9 @@ class Chart:
     homomorphism.  A radicand holds only variables whose rules are set,
     so its normal form is final.  Setting a rule drops the cached
     relation and derivation rules and the sample pool, since a root's
-    derivative and residue depend on its radicand.  The table of
-    irreducibles and its caches are kept: they are facts about ZZ[vars];
-    so is the shared zero of :meth:`zero`.
+    derivative and residue depend on its radicand.  The memo of gcds is
+    kept: gcds are facts about ZZ[vars]; so is the shared zero of
+    :meth:`zero`.
     """
 
     def __init__(self, coordinates: Sequence[str], trig_pairs: Iterable[str] = (),
@@ -351,8 +351,8 @@ class Chart:
         self._check_residues: Optional[Tuple[List[int], int]] = None  # see _cross_check_point
         self._relations: Optional[List] = None  # see :meth:`_relation_powers`
         self._rewritable = 0  # set with _relations
-        self._irreducibles: List = []  # primitive irreducible factors (LC > 0) of denominators met
-        self._factorizations: Dict = {}  # denominator -> ((irreducible index, exponent), ...)
+        self._gcds: Dict = {}  # (f, g) -> (gcd, f / gcd, g / gcd), see :meth:`_gcd`
+        self.gcd_fallbacks = 0  # gcds that the heuristic gave up on, see :meth:`_cofactors`
         self._zero: Optional[Expr] = None  # see :meth:`zero`
         for s_name, c_name in self._trig_pairs.values():
             self._relate(self._gens_by_name[s_name], 1 - self.var(c_name) ** 2)
@@ -463,8 +463,8 @@ class Chart:
         derivative rule dW = d(rhs)/(2W) is new, and the residue of a root
         depends on its radicand, so the relation rules, the derivation
         rules (:func:`_derivation_rules`) and the sample pool, with its
-        combined residues, are dropped; the table of irreducibles and the
-        shared zero (:meth:`zero`) are kept."""
+        combined residues, are dropped; the memo of gcds and the shared
+        zero (:meth:`zero`) are kept."""
         g.square_rhs = rhs
         self._relations = None
         self._derivation_cache = {}
@@ -578,90 +578,179 @@ class Chart:
         return Expr(self, sum((n * q for n, q in zip(groups.values(), quotients)),
                               Poly()), den)
 
-    # -- factored denominators ---------------------------------------------
+    # -- gcds and lcms -----------------------------------------------------
 
-    def _factor_list(self, p: Poly) -> Tuple[int, List[Tuple[Poly, int]]]:
-        """The factorization of p over ZZ (:func:`geosym._factor.factor_list`):
-        (content, [(factor, exponent), ...]), the factors primitive and
-        irreducible with positive leading coefficients in the chart's lex
-        order.  p goes to the factorizer as exponent tuples in the chart's
-        variable order, and the factors come back packed."""
-        c, factors = factor_list({self._unpack(m): v for m, v in p.items()})
-        return c, [(self._poly(f), e) for f, e in factors]
-
-    def _factor(self, d) -> Tuple[Tuple[int, int], ...]:
-        """((i, e), ...), i ascending, with d = c * prod irreducible_i^e for
-        the content c of d (:func:`_content`); cached.  d is trial-divided
-        by the table, and only a cofactor left over goes to
-        :meth:`_factor_list`, whose primitive factors with positive leading
-        coefficients join the table."""
-        out = () if d.is_ground else self._factorizations.get(d)
+    def _gcd(self, f: Poly, g: Poly) -> Tuple[Poly, Poly, Poly]:
+        """(h, f / h, g / h) for h = gcd(f, g) in ZZ[vars], integer content
+        included, with a positive leading coefficient; f and g are not
+        both zero.  Memoized per chart: a gcd is a fact about ZZ[vars], so
+        no rule change drops the memo.  See :meth:`_cofactors`."""
+        key = (f, g)
+        out = self._gcds.get(key)
         if out is None:
-            out, rest = [], d
-            for i, p in enumerate(self._irreducibles):
-                e = 0
-                while (q := _divide(rest, p)) is not None:
-                    rest, e = q, e + 1
-                out += [(i, e)] if e else []
-            for f, e in ([] if rest.is_ground else self._factor_list(rest)[1]):
-                out.append((len(self._irreducibles), e))
-                self._irreducibles.append(f)
-            out = self._factorizations[d] = tuple(out)
+            out = self._gcds[key] = self._cofactors(f, g)
         return out
 
-    def _expand(self, exps: Mapping[int, int]):
-        """The product of irreducible_i^e over the items (i, e) of ``exps``,
-        a fresh polynomial, primitive with a positive leading coefficient
-        like its factors (Gauss's lemma)."""
-        factors = [self._irreducibles[i] ** e for i, e in exps.items() if e]
-        return math.prod(factors[1:], start=factors[0]) if factors else _ONE
+    def _cofactors(self, f: Poly, g: Poly) -> Tuple[Poly, Poly, Poly]:
+        """:meth:`_gcd` without the memo.  When the shorter polynomial
+        divides the other (:func:`_divide`), it is the gcd; when one is
+        ground, the gcd is the integer gcd of all coefficients.  Otherwise
+        the contents are split off, c = gcd(content f, content g), and the
+        primitive parts go to :meth:`_heuristic_gcd`, or, when its
+        :data:`_HEU_TRIES` points all fail, to :meth:`_prs_gcd`, counted
+        in ``gcd_fallbacks``."""
+        if len(f) < len(g):
+            h, qg, qf = self._cofactors(g, f)
+            return h, qf, qg
+        if not g:
+            return (f, _ONE, g) if f.LC > 0 else (-f, _ground(-1), g)
+        if (q := _divide(f, g)) is not None:
+            return (g, q, _ONE) if g.LC > 0 else (-g, -q, _ground(-1))
+        if g.is_ground or f.is_ground:
+            c = math.gcd(*g.values(), *f.values())
+            return _ground(c), f.quo_ground(c), g.quo_ground(c)
+        cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
+        f1 = f if cf == 1 else f.quo_ground(cf)
+        g1 = g if cg == 1 else g.quo_ground(cg)
+        out = self._heuristic_gcd(f1, g1)
+        if out is None:
+            self.gcd_fallbacks += 1
+            out = self._prs_gcd(f1, g1)
+        h, qf, qg = out
+        c = math.gcd(cf, cg)
+        return (h if c == 1 else h.mul_ground(c), qf if cf == c else qf.mul_ground(cf // c),
+                qg if cg == c else qg.mul_ground(cg // c))
 
-    def _cancel(self, n, d):
-        """(n, d) divided by gcd(n, d) and by their common integer content,
-        signed so that d's leading coefficient is positive.  n is divided
-        by each irreducible p^e of d (:meth:`_factor`) for as long as the
-        division is exact, up to e times, and d by the product g of the p
-        that divided (:func:`_divide` throughout; g is primitive and
-        divides d).  A ground d skips the trial divisions."""
+    def _heuristic_gcd(self, f: Poly, g: Poly) -> Optional[Tuple[Poly, Poly, Poly]]:
+        """(h, f / h, g / h) for the primitive f and g, neither ground, and
+        their primitive gcd h with a positive leading coefficient, by
+        GCDHEU (B. Char, K. Geddes, G. Gonnet, JSC 1989), or None after
+        :data:`_HEU_TRIES` failed points.  The first occurring variable x
+        is set to an integer xi >= 2 min(|f|, |g|) + 2 (|.| the largest
+        absolute coefficient), the gcd gamma of the images in ZZ[y], y
+        the other variables, is taken by :meth:`_cofactors`, and its
+        coefficients are written in the symmetric base xi, digit e the
+        coefficient of x^e (:func:`_interpolate`): a G with G(xi) = gamma
+        and coefficients at most xi/2 in absolute value.  Its primitive
+        part C is accepted when it divides f and g (:func:`_divide`);
+        else xi grows.
+
+        Soundness: an accepted C is the gcd.  Let F be the one of f, g of
+        least |.|, so that |F| + 1 <= xi/2.  By Cauchy's bound every
+        complex root of a nonzero y-coefficient of F, a polynomial in x,
+        and so of any divisor u of one in ZZ[x], is below |F| + 1 in
+        absolute value; so |u(xi)| > (xi/2)^deg u over those roots, and
+        u(xi) is not zero.  So F's image is not zero (its lex-leading
+        y-coefficient is not), nor is gamma.  C divides f and g, so the
+        primitive gcd is h = C k for a primitive k with a positive leading
+        coefficient.  h(xi) divides both images, so C(xi) k(xi) divides
+        gamma = c C(xi), c the content of G, and k(xi) divides the integer
+        c: it is an integer K with 0 < |K| <= |c| <= xi/2.  The lex-leading
+        y-coefficient of k divides that of F, so it does not vanish at xi,
+        and since k(xi) is free of y, so is k.  Then k, in ZZ[x], divides
+        every y-coefficient of F, and deg k >= 1 would give |K| >
+        (xi/2)^deg k >= xi/2.  So k is a primitive integer: k = 1."""
+        bits = f.bits | g.bits
+        shift = (bits.bit_length() - 1) // _FIELD * _FIELD
+        top = min(_degree(f, shift), _degree(g, shift))  # deg_x of the gcd at most
+        xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+        for _ in range(_HEU_TRIES):
+            gamma = self._cofactors(_evaluate(f, shift, xi), _evaluate(g, shift, xi))[0]
+            h = _interpolate(gamma, shift, xi, top)
+            if h is not None:
+                h = h.quo_ground(_content(h))
+                if h.is_one:
+                    return h, f, g
+                if (qg := _divide(g, h)) is not None and (qf := _divide(f, h)) is not None:
+                    return h, qf, qg
+            xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011  # the GCDHEU paper's growth
+        return None
+
+    def _prs_gcd(self, f: Poly, g: Poly) -> Tuple[Poly, Poly, Poly]:
+        """(h, f / h, g / h) for the primitive f and g, neither ground, and
+        their primitive gcd h with a positive leading coefficient, by
+        Collins' subresultant remainder sequence (Knuth, *The Art of
+        Computer Programming* 2, 4.6.1, Algorithm C; von zur Gathen and
+        Gerhard, *Modern Computer Algebra*, ch. 6 and 11) in the variable
+        x of least degree in them, one that occurs in one of them only
+        first.  Their contents in x (gcds of their coefficients in ZZ[y],
+        y the other variables, by :meth:`_cofactors`) are split off; then
+        each pseudo-remainder of lc(b)^(d+1) a by b
+        (:func:`_pseudo_remainder`, d = deg a - deg b) is divided by
+        gam psi^d, exactly, by the subresultant theorem; gam and psi are 1
+        at the first step, then gam = lc(a) and psi = gam^d / psi^(d-1)
+        with the d of the step before.
+        Unlike the primitive sequence this takes no content per step, and
+        its coefficients still grow only polynomially.  Since lc(b)^(d+1) a
+        = q b + r, each pair has the gcd of the one before in Q(y)[x], so
+        the last nonzero element is that gcd times an element of Q(y): h is
+        the gcd of the contents times its primitive part in x, or the gcd
+        of the contents alone when the sequence reaches a polynomial free
+        of x."""
+        bits = f.bits | g.bits
+        shift = min((s for s in range(0, bits.bit_length(), _FIELD) if bits >> s & _EXP),
+                    key=lambda s: sorted((_degree(f, s), _degree(g, s))))
+        a, ca = self._primitive_in(f, shift)
+        b, cb = self._primitive_in(g, shift)
+        if _degree(a, shift) < _degree(b, shift):
+            a, b = b, a
+        gam = psi = _ONE
+        while b and _degree(b, shift):
+            d = _degree(a, shift) - _degree(b, shift)
+            r = _divide(_pseudo_remainder(a, b, shift), gam * psi ** d)
+            if r is None:
+                raise KernelInconsistency("a subresultant division is not exact; kernel bug")
+            a, b = b, r
+            gam = _leading_in(a, shift)
+            psi = psi if not d else gam if d == 1 else _divide(gam ** d, psi ** (d - 1))
+        h = self._cofactors(ca, cb)[0]
+        if not b:  # a is the gcd in x up to a factor free of x
+            h = h * self._primitive_in(a, shift)[0]
+            if h.LC < 0:
+                h = -h
+        return h, _divide(f, h), _divide(g, h)
+
+    def _primitive_in(self, p: Poly, shift: int) -> Tuple[Poly, Poly]:
+        """(p / c, c) for c the content of p in the variable at ``shift``:
+        the gcd of its coefficients in the other variables, with a positive
+        leading coefficient; (0, 0) for p = 0."""
+        mask = _EXP << shift
+        coeffs: Dict[int, Dict[int, int]] = {}
+        for m, c in p.items():
+            coeffs.setdefault(m & mask, {})[m & ~mask] = c
+        content = Poly()
+        for coeff in sorted(coeffs.values(), key=len):  # short gcds first
+            content = self._cofactors(content, Poly(coeff))[0]
+            if content.is_one:
+                return p, content
+        return (_divide(p, content) if p else p), content
+
+    def _lcm(self, polys: Sequence[Poly]) -> Tuple[Poly, List[Poly]]:
+        """(l, [l / p for p in polys]) for the lcm l of the nonzero
+        ``polys`` in ZZ[vars] with a positive leading coefficient, integer
+        contents included, built pairwise: l <- l * (p / gcd(l, p))
+        (:meth:`_gcd`).  The quotients are exact divisions
+        (:func:`_divide`)."""
+        lcm = _ONE
+        for p in polys:
+            lcm = lcm * (p if lcm.is_one else self._gcd(p, lcm)[1])
+        if lcm.LC < 0:
+            lcm = -lcm
+        return lcm, [_divide(lcm, p) for p in polys]
+
+    def _cancel(self, n: Poly, d: Poly) -> Tuple[Poly, Poly]:
+        """(n, d) divided by gcd(n, d) (:meth:`_gcd`, which first tries
+        whether d divides n) and by their common integer content, signed so
+        that d's leading coefficient is positive.  A ground d needs only
+        the integer content."""
         if not d.is_ground:
-            g = _ONE
-            for i, e in self._factor(d):
-                p = self._irreducibles[i]
-                for _ in range(e):
-                    if (q := _divide(n, p)) is None:
-                        break
-                    n, g = q, g * p
-            if not g.is_one:
-                d = _divide(d, g)
+            _, n, d = self._gcd(n, d)
         c = math.gcd(*d.values())
         if c != 1:
             c = math.gcd(c, *n.values())
         if d[max(d)] < 0:
             c = -c
         return (n, d) if c == 1 else (n.quo_ground(c), d.quo_ground(c))
-
-    def _lcm(self, polys: Sequence) -> Tuple[object, List]:
-        """(l, [l / p for p in polys]) for the lcm l = C * prod
-        irreducible_i^max_i of ``polys``: the product takes each
-        irreducible's largest exponent (:meth:`_factor`), and C > 0 is the
-        lcm of the polys' contents.  For p = c * prod irreducible_i^e_i (c
-        its content, :func:`_content`) the quotient is (C / c) * prod
-        irreducible_i^(max_i - e_i), from the exponents.  l's factorization
-        is cached."""
-        facs = [dict(self._factor(p)) for p in polys]
-        contents = [_content(p) for p in polys]
-        top = {i: max(f.get(i, 0) for f in facs) for i in sorted({i for f in facs for i in f})}
-        scale = math.lcm(*contents)
-        lcm = self._expand(top)
-        if scale != 1:
-            lcm = lcm.mul_ground(scale)
-        if top:
-            self._factorizations[lcm] = tuple(top.items())
-        quotients = []
-        for c, f in zip(contents, facs):
-            q = self._expand({i: e - f.get(i, 0) for i, e in top.items()})
-            quotients.append(q if c == scale else q.mul_ground(scale // c))
-        return lcm, quotients
 
     # -- reduction modulo the relation ideal ------------------------------
 
@@ -812,6 +901,33 @@ class Chart:
 PRIME = 2 ** 61 - 1  # the first prime of the chain the sample points draw from
 _MAX_PRIMES = 64
 _POOL_SEED = 0x5EED  # seed of the first zero cross-check point
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as witnesses, a proof
+    of primality for every n below 3.1 * 10^23 (Sorenson and Webster
+    2015), so for every candidate below 2^61; above that bound a strong
+    probable-prime test."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -1125,10 +1241,9 @@ class Expr:
     common integer content are cancelled, and the sign is fixed so the
     denominator's leading coefficient is positive.  Field-equal
     expressions therefore share a representation, and an element is zero
-    exactly when its numerator is.  The gcd is cancelled by trial
-    division against the chart's table of primitive irreducibles
-    (:meth:`Chart._cancel`); factorizations are only a cache on the
-    chart, and the expanded ``_den`` is the normal form.
+    exactly when its numerator is.  The gcd is taken by
+    :meth:`Chart._gcd` and cancelled by exact division
+    (:meth:`Chart._cancel`); nothing is factored.
     Build a sum of products with :meth:`Chart.sum_products`, which
     normalizes once (products grouped by denominator, groups combined
     over the lcm of their denominators) and, the form being canonical,
@@ -1141,17 +1256,15 @@ class Expr:
         """Normalize num/den.
 
         Cancelling the gcd (:meth:`Chart._cancel`) is sound: ZZ[vars] is a
-        UFD, so for d = c * prod p_i^e_i, with c the integer content and
-        p_i primitive irreducibles (as :meth:`Chart._factor_list` returns
-        them), gcd(n, d) = gcd(c, content(n)) * prod p_i^min(e_i, v_p_i(n)).
-        A trial division by one primitive p is exact exactly when p
-        divides (:func:`_divide`, by Gauss's lemma), so the p_i are divided
-        out first and the integer gcd last.  d is free of quadratic
-        generators, so every p_i is too and quotients of the reduced n
-        stay reduced.  The normal form is unique: a coprime pair is
-        determined by its quotient up to a rational factor, integer
-        coefficients with content gcd 1 leave only the factor -1, and the
-        sign fix (positive leading coefficient of d) removes it.
+        UFD, and :meth:`Chart._gcd` returns gcd(n, d), integer content
+        included, with n and d divided by it exactly (:func:`_divide`);
+        each answer of its heuristic is proved by those divisions, and
+        its fallback is a sure method.  The divisor g of d is free of
+        quadratic generators, as d is, so the quotient n / g of the
+        reduced n stays reduced.  The normal form is unique: a coprime
+        pair is determined by its quotient up to a rational factor,
+        integer coefficients with content gcd 1 leave only the factor -1,
+        and the sign fix (positive leading coefficient of d) removes it.
 
         A numerator that is not the zero polynomial but reduces to zero is
         cross-checked once, by :meth:`Chart._reduce_checked`.  Such a
@@ -1355,9 +1468,10 @@ def _content(p: Poly) -> int:
 
 def _divide(p: Poly, f: Poly) -> Optional[Poly]:
     """p / f as a fresh polynomial when f divides p over ZZ, else None.
-    The trial divisions of :meth:`Chart._factor` and :meth:`Chart._cancel`
-    call it with f a primitive irreducible of the chart's table or a
-    product of them.
+    Every exact quotient of the kernel is taken by it: the check of each
+    gcd candidate and its cofactors (:meth:`Chart._gcd`), the quotients of
+    an lcm (:meth:`Chart._lcm`), and the trial divisions by a squarefree
+    base in :func:`_poly_sqrt`.
 
     The leading monomial of a :class:`Poly` is its max key (lex).  Each
     quotient term is (LM(rest) - LM(f), LC(rest) / LC(f)), the
@@ -1401,6 +1515,74 @@ def _divide(p: Poly, f: Poly) -> Optional[Poly]:
     return q
 
 
+_HEU_TRIES = 6  # evaluation points of :meth:`Chart._heuristic_gcd` before the fallback
+
+
+def _degree(p: Poly, shift: int) -> int:
+    """The degree of the nonzero p in the variable at ``shift``."""
+    return max(m >> shift & _EXP for m in p)
+
+
+def _evaluate(p: Poly, shift: int, xi: int) -> Poly:
+    """p with the integer xi put for the variable at ``shift``."""
+    mask = _EXP << shift
+    powers = [1]
+    out: Dict[int, int] = {}
+    get = out.get
+    for m, c in p.items():
+        e = m >> shift & _EXP
+        while len(powers) <= e:
+            powers.append(powers[-1] * xi)
+        m &= ~mask
+        out[m] = get(m, 0) + c * powers[e]
+    return Poly({m: c for m, c in out.items() if c})
+
+
+def _interpolate(p: Poly, shift: int, xi: int, top: int) -> Optional[Poly]:
+    """The H with H = p at the integer xi >= 2 put for the variable at
+    ``shift`` (on which p does not depend) whose coefficients lie in
+    [-xi/2, xi/2]: each coefficient of p written in the symmetric base xi,
+    digit e the coefficient of that variable's e-th power; None when a
+    digit beyond the power ``top`` is needed."""
+    half = xi >> 1
+    out: Dict[int, int] = {}
+    for m, c in p.items():
+        e = 0
+        while c:
+            if e > top:
+                return None
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[m + (e << shift)] = d
+            c, e = (c - d) // xi, e + 1
+    return Poly(out)
+
+
+def _leading_in(p: Poly, shift: int) -> Poly:
+    """The leading coefficient of the nonzero p in the variable at
+    ``shift``, a polynomial in the other variables."""
+    mask, top = _EXP << shift, _degree(p, shift)
+    return Poly({m & ~mask: c for m, c in p.items() if m >> shift & _EXP == top})
+
+
+def _pseudo_remainder(a: Poly, b: Poly, shift: int) -> Poly:
+    """The remainder of lc(b)^(deg a - deg b + 1) a on division by b in
+    the variable x at ``shift`` (lc the leading coefficient in x;
+    deg_x a >= deg_x b >= 1): each step takes lc(b) r - lc(r) x^(deg r -
+    deg b) b, until deg_x r < deg_x b, and the steps not taken multiply
+    the remainder by lc(b)."""
+    db = _degree(b, shift)
+    lb = _leading_in(b, shift)
+    r, k = a, _degree(a, shift) - db + 1
+    while r and (dr := _degree(r, shift)) >= db:
+        unit = dr - db << shift
+        r = r * lb - _leading_in(r, shift) * Poly({m + unit: c for m, c in b.items()})
+        k -= 1
+    return r * lb ** k
+
+
 def _clear_denominators(chart: Chart, exprs: Sequence[Expr]) -> Tuple[object, List]:
     """(L, [N_k]) with e_k = N_k / L for each e_k of ``exprs``: L is the
     lcm of their denominators (:meth:`Chart._lcm`), and N_k is the
@@ -1410,8 +1592,8 @@ def _clear_denominators(chart: Chart, exprs: Sequence[Expr]) -> Tuple[object, Li
     Soundness.  Each N_k is reduced modulo the relations without a call
     to :meth:`Chart._reduce_poly`.  A normal-form denominator holds no
     generator with a rule (:meth:`Chart._derationalize` clears them), so
-    neither do its irreducible factors, nor the lcm and its quotients,
-    which are products of them.  A product of a reduced numerator and a
+    neither do its divisors, nor the lcm and its quotients, which are
+    products of them.  A product of a reduced numerator and a
     polynomial free of ruled generators raises no ruled generator's
     degree in any term, so it stays reduced."""
     lcm, quotients = chart._lcm([e._den for e in exprs])
@@ -1485,8 +1667,8 @@ def exact_sqrt(e: Expr) -> Optional[Expr]:
     12 = 4 * 3 gives sqrt(12) = 2W for W^2 = 3, and a root of 12 beside
     W is then rejected as a perfect square.  Of the two roots, it is the
     one whose polynomial factors have positive leading coefficients in
-    the chart's lex order.  Only the radicands are factored: n*d is
-    trial-divided by their factors, and no integer is factored.
+    the chart's lex order.  Nothing is factored: n*d is trial-divided by
+    a squarefree coprime base of the radicands, built by gcds.
     """
     ch = e.chart
     if e.is_zero():
@@ -1497,49 +1679,69 @@ def exact_sqrt(e: Expr) -> Optional[Expr]:
 
 def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
     """Square root of the nonzero polynomial p in the chart's field, or
-    None.  p is divided by the irreducible factors of the ruled
-    generators' radicands r_i (sin's is 1 - cos^2; :meth:`Chart._factor`,
-    cached) as often as they divide, then by its signed content c.  The
-    primitive rest q shares no factor with any r_i, so p is a square
-    times a product of r_i only if q is a square (:func:`_square_root`).
-    The exponents of the radicands' factors, of a coprime base of the
-    integer contents (:func:`_coprime_base`) and of -1 give vectors over
-    GF(2), their parities.  p is a square times the product of some r_i
-    exactly when its vector is the sum of theirs, found by elimination
-    over GF(2); then the root is prod W_i * sqrt(q) * sqrt(p / (q prod
-    r_i)), every exponent of p / (q prod r_i) being even.
+    None.  p is divided by each element b of a squarefree, pairwise
+    coprime base of the ruled generators' radicands r_i (sin's is
+    1 - cos^2; :func:`_squarefree_base`) as often as b divides, then by
+    its signed content c; each r_i is its content times a product of
+    powers of the base.  p is a square times a product of r_i only if the
+    primitive rest q is a square (:func:`_square_root`).  The exponents
+    of the base polynomials, of a coprime base of the integer contents
+    (:func:`_coprime_base`) and of -1 give vectors over GF(2), their
+    parities.  p is a square times the product of some r_i exactly when
+    its vector is the sum of theirs, found by elimination over GF(2);
+    then the root is prod W_i * sqrt(q) * sqrt(p / (q prod r_i)), every
+    exponent of p / (q prod r_i) being even.
 
     Soundness.  A root found is one: p / prod r_i is a square of
-    rational functions.  For p and radicands in Q(coordinates, cos) a
-    root is always found, by Kummer theory: the square roots of some
-    classes of Q(coordinates, cos)* / squares make squares of exactly
-    the classes in their span.  Pairwise coprime integers that are not
-    squares have independent square classes, as primes do.  A nested
-    root's radicand is factored as a polynomial in the earlier roots, so
-    a square can then be missed.
+    rational functions.  The parities decide square classes though the
+    base elements need not be irreducible.  Let p's class lie in the span
+    of the r_i's, so that every irreducible factor of a base element b
+    occurs in p to an exponent of one parity, that of b's exponent in
+    the span's element.  Each irreducible divides at most one b, once,
+    and q is divisible by no b: some factor of b is missing from q, so
+    b's exponent e in p has that parity, and so do e plus the exponent
+    in q of every factor of b.  So every irreducible occurs in q to an
+    even exponent, q is a square, and p's parity vector is the span's.
+    For b = uv, the rest can be a square only when u and v occur in p to
+    exponents of equal parity, which is exactly when p's class lies in
+    the span of b's: p = u^2 v is divided by b once, and the rest u is no
+    square.  For p and radicands in Q(coordinates, cos) a root is always
+    found, by Kummer theory: the square roots of some classes of
+    Q(coordinates, cos)* / squares make squares of exactly the classes in
+    their span.  Pairwise coprime integers that are not squares have
+    independent square classes, as primes do.  A nested root's radicand
+    is split as a polynomial in the earlier roots, so a square can then
+    be missed.
     """
     rules = [g for g in ch.generators if g.square_rhs is not None]
-    radicands = [(_content(g.square_rhs._num), ch._factor(g.square_rhs._num)) for g in rules]
-    exps: Dict[int, int] = {}  # table index -> its exponent in p
-    for i in sorted({i for _, factors in radicands for i, _ in factors}):
-        while (q := _divide(p, ch._irreducibles[i])) is not None:
-            p, exps[i] = q, exps.get(i, 0) + 1
+    base = _squarefree_base(ch, [g.square_rhs._num for g in rules])
+
+    def divided(p: Poly) -> Tuple[Poly, Dict[Poly, int]]:
+        """(p divided by each base element as often as it divides, {element: exponent})."""
+        exps: Dict[Poly, int] = {}
+        for b in base:
+            while (q := _divide(p, b)) is not None:
+                p, exps[b] = q, exps.get(b, 0) + 1
+        return p, exps
+
+    radicands = [divided(g.square_rhs._num) for g in rules]  # (signed content, exponents)
+    p, exps = divided(p)
     c = _content(p)
     s = _square_root(p.quo_ground(c))
     if s is None:
         return None
-    base = _coprime_base([c] + [k for k, _ in radicands])
+    numbers = _coprime_base([c] + [k.LC for k, _ in radicands])
 
-    def exponents(k: int, factors) -> Dict[object, int]:
-        """{-1, a base number or a table polynomial: its exponent in k * prod factors}."""
-        out: Dict[object, int] = {ch._irreducibles[i]: e for i, e in factors}
-        for b in base:
+    def exponents(k: int, factors: Dict[Poly, int]) -> Dict[object, int]:
+        """{-1, a base number or a base polynomial: its exponent in k * prod factors}."""
+        out: Dict[object, int] = dict(factors)
+        for b in numbers:
             while k % b == 0:
                 k, out[b] = k // b, out.get(b, 0) + 1
         return {**out, -1: 1} if k < 0 else out
 
-    vectors = [exponents(*r) for r in radicands]
-    target = exponents(c, exps.items())
+    vectors = [exponents(k.LC, f) for k, f in radicands]
+    target = exponents(c, exps)
     index: Dict[object, int] = {}  # factor -> its bit in the parity vectors
     # echelon form: no row holds the lowest bit of a row stored before it
     basis: List[Tuple[int, int]] = []  # (parity, bit mask of the rules summed into it)
@@ -1568,6 +1770,40 @@ def _poly_sqrt(ch: Chart, p) -> Optional[Expr]:
         else:
             root = root * Expr(ch, k, _ONE) ** (e // 2)
     return root
+
+
+def _squarefree_base(ch: Chart, polys: Iterable[Poly]) -> List[Poly]:
+    """Squarefree, pairwise coprime, primitive polynomials with positive
+    leading coefficients, none ground, whose powers give each of the
+    nonzero ``polys`` up to its integer content: the first step of Yun's
+    squarefree decomposition, then gcd refinement (:meth:`Chart._gcd`
+    throughout).  A polynomial n splits into a = gcd(n, dn/dx) and the
+    squarefree n / a, the product of the irreducible factors of n in
+    which its first variable x occurs; a is split in turn.  A squarefree
+    n with a common factor g with a base element b becomes g, b / g and
+    n / g, as :func:`_coprime_base` does for integers.  The later Yun
+    steps would split n / a at its factors of higher multiplicity, which
+    a shares, so the refinement splits them off.  Each step
+    replaces a polynomial by divisors with fewer irreducible factors, so
+    the loop ends."""
+    base: List[Poly] = []
+    work = [p.quo_ground(_content(p)) for p in polys]
+    while work:
+        n = work.pop()
+        if n.is_ground:
+            continue
+        x = len(ch._shift) - 1 - (n.bits.bit_length() - 1) // _FIELD  # n's first variable
+        a, n, _ = ch._gcd(n, ch._diff(n, x))
+        work.append(a)
+        for i, b in enumerate(base):
+            g, qb, qn = ch._gcd(b, n)
+            if not g.is_ground:
+                del base[i]
+                work += [g, qb, qn]
+                break
+        else:
+            base.append(n)
+    return base
 
 
 def _coprime_base(numbers: Iterable[int]) -> List[int]:

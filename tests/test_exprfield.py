@@ -16,7 +16,7 @@ from sympy import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import ring
 
-from geosym import _factor
+from geosym import cli, exprfield, modelfile
 from geosym.exprfield import (
     _ONE,
     Chart,
@@ -958,31 +958,9 @@ def test_cancellation_matches_the_gcd_oracle(name, data):
     a, b = data.draw(st.sampled_from([(1, 1), (-2, 1), (3, 5), (6, -4), (1, 12)]))
     num, den = num.mul_ground(a), den.mul_ground(b)
     assert _same_as_oracle(Expr(chart, num, den), num, den)
-    _assert_table_invariants(chart)
 
 
-def _signed_content(p):
-    return math.gcd(*p.values()) * (1 if p.LC > 0 else -1)
-
-
-def _assert_table_invariants(chart):
-    assert len(set(chart._irreducibles)) == len(chart._irreducibles)
-    for p in chart._irreducibles:  # primitive, irreducible, positive LC
-        assert type(p) is Poly and p.LC > 0 and math.gcd(*p.values()) == 1
-        content, factors = _to_sympy(chart, p).factor_list()
-        assert content == 1 and len(factors) == 1 and factors[0][1] == 1
-    for d, exps in chart._factorizations.items():
-        assert d == chart._expand(dict(exps)).mul_ground(_signed_content(d))
-
-
-def test_eguchi_hanson_denominators_factor_over_the_table(eh_metric, eh_quaternionic_system):
-    chart = eh_metric.chart
-    _assert_table_invariants(chart)
-    named = {chart._poly_str(_poly(chart, s)) for s in _CANCEL_CHARTS["eguchi-hanson"][1]}
-    assert named <= {chart._poly_str(p) for p in chart._irreducibles}
-
-
-def test_lcm_quotients_come_from_the_exponents():
+def test_lcm_is_built_pairwise_with_exact_quotients():
     ch = Chart(["x", "y"])
     x, y = (_poly(ch, v) for v in "xy")
     lcm, quotients = ch._lcm([2 * x + 2, x ** 2 - 1, _ONE, x * y])
@@ -991,15 +969,36 @@ def test_lcm_quotients_come_from_the_exponents():
     # the lcm of the contents -3 and 2 is 6; a negative content flips the quotient
     assert ch._lcm([-3 * y, 2 * x * y]) == (6 * x * y, [-2 * x, Poly({0: 3})])
     assert ch._lcm([]) == (_ONE, [])
-    _assert_table_invariants(ch)
+    # inputs whose leading coefficients are all negative still give a positive lcm
+    assert ch._lcm([-x - 1, -(x ** 2) + 1]) == (x ** 2 - 1, [-x + 1, _ground(-1)])
 
 
-def test_setting_a_rule_drops_the_rules_and_the_pool_and_keeps_the_table(monkeypatch):
+@pytest.mark.parametrize("name", sorted(_CANCEL_CHARTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_lcm_and_its_quotients_match_sympy(name, data):
+    """l <- l * p / gcd(l, p) over signed products of the chart's
+    irreducibles with integer contents is sympy's lcm with a positive
+    leading coefficient, and each quotient times its input is l."""
+    chart, irreducibles, _ = _CANCEL_CHARTS[name]
+    factor = st.tuples(st.sampled_from(irreducibles), st.integers(1, 3))
+    content = st.sampled_from([1, -1, 2, -6, 15])
+    drawn = data.draw(st.lists(st.tuples(content, st.lists(factor, max_size=3)), max_size=4))
+    polys = [prod((_poly(chart, f) ** e for f, e in fs), start=_ground(c)) for c, fs in drawn]
+    lcm, quotients = chart._lcm(polys)
+    want = _ONE
+    for p in polys:
+        want = _from_sympy(chart, _to_sympy(chart, want).lcm(_to_sympy(chart, p)))
+    assert lcm == (want if want.LC > 0 else -want)
+    assert [q * p for q, p in zip(quotients, polys)] == [lcm] * len(polys)
+
+
+def test_setting_a_rule_drops_the_rules_and_the_pool_and_keeps_the_gcd_memo(monkeypatch):
     """Radicands are parsed in the chart's one ring.  Each rule drops the
     cached rules and the sample pool with its combined residues, which
-    depend on the radicands; the table of irreducibles filled while
-    parsing them is kept, and expressions built afterwards still match
-    the gcd oracle."""
+    depend on the radicands; the memo of gcds filled while parsing them
+    is kept, and expressions built afterwards still match the gcd
+    oracle."""
     relate = Chart._relate
 
     def checked_relate(self, g, rhs):
@@ -1012,8 +1011,7 @@ def test_setting_a_rule_drops_the_rules_and_the_pool_and_keeps_the_table(monkeyp
     monkeypatch.setattr(Chart, "_relate", checked_relate)
     ch = Chart(["x", "y"], roots=[("W", "(x^3 - x)/(x^2 - 1) + y^2 + 1"),
                                   ("V", "W*(x + 1)^2/(x^2 + 2*x + 1) + 3")])
-    assert ch._irreducibles and ch._factorizations
-    _assert_table_invariants(ch)
+    assert ch._gcds
     W, V, x, y = (ch.var(v) for v in "WVxy")
     assert W ** 2 == x + y ** 2 + 1 and V ** 2 == W + 3
     old = [ch.expr(s) for s in ("1/(x^2 - 1)", "(x + y)/(x*y + x)", "y/(x + 1)^2")]
@@ -1023,7 +1021,6 @@ def test_setting_a_rule_drops_the_rules_and_the_pool_and_keeps_the_table(monkeyp
             n1, d1, n2, d2 = a._num, a._den, b._num, b._den
             assert _same_as_oracle(a * b, n1 * n2, d1 * d2)
             assert _same_as_oracle(a + b, n1 * d2 + n2 * d1, d1 * d2)
-    _assert_table_invariants(ch)
     for point in ch._check_pool(2):
         r, q = point.residues, point.prime
         assert r[2] ** 2 % q == (r[0] + r[1] ** 2 + 1) % q
@@ -1033,7 +1030,7 @@ def test_setting_a_rule_drops_the_rules_and_the_pool_and_keeps_the_table(monkeyp
 def test_quotients_of_a_shared_factor_hash_like_fresh_polynomials():
     ch = Chart(["x", "y"])
     x, y = (_poly(ch, v) for v in "xy")
-    ch.one() / ch.expr("x + 1")  # puts x + 1 in the table
+    ch.one() / ch.expr("x + 1")  # a first gcd in the chart's memo
     for c in (1, 2, -2):  # contents 1 and 2 keep the quotients themselves
         e = Expr(ch, (x + 1) ** 2 * (x + y), c * (x + 1) * y)
         assert e._den == abs(c) * y and e._num == (x + 1) * (x + y) * (c // abs(c))
@@ -1041,38 +1038,51 @@ def test_quotients_of_a_shared_factor_hash_like_fresh_polynomials():
             assert hash(p) == hash(Poly(p))
 
 
-def _flat8_model():
+def _workloads():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        workloads = importlib.import_module("workloads")
+        return importlib.import_module("workloads")
     finally:
         sys.path.remove(str(PERFBENCH))
-    return parse_model(workloads.flat_quaternionic_model(2), "flat8-quaternionic")
 
 
-def test_constant_coefficient_systems_pay_no_factorization(monkeypatch):
-    factor = Chart._factor
+def _flat8_model():
+    return parse_model(_workloads().flat_quaternionic_model(2), "flat8-quaternionic")
 
-    def ground_only(self, d):
-        assert d.is_ground, f"factored {d}"
-        return factor(self, d)
 
-    monkeypatch.setattr(Chart, "_factor", ground_only)
+def test_constant_coefficient_systems_take_no_polynomial_gcd(monkeypatch):
+    def refuse(self, f, g):
+        raise AssertionError(f"a polynomial gcd of {f} and {g}")
+
+    monkeypatch.setattr(Chart, "_heuristic_gcd", refuse)
+    monkeypatch.setattr(Chart, "_prs_gcd", refuse)
     model = _flat8_model()
     _symmetry_system(model, model.tasks["bound"].params)
-    assert not model.chart._irreducibles and not model.chart._factorizations
 
 
-def test_a_second_exact_sqrt_factors_nothing(monkeypatch):
-    """exact_sqrt factors only the radicands, and the target's
-    denominators are factored when it is built, all through the chart's
-    cached table: on the Eguchi-Hanson chart the first call factors, a
-    second call of the same target calls the factorizer zero times."""
+def test_an_eguchi_hanson_certify_job_never_falls_back():
+    """GCDHEU answers every gcd of one eh-certify job of the benchmark
+    (the structure check with Ricci-flatness, both certificate tasks and
+    the closure), and the job's answers are right."""
+    workloads = _workloads()
+    workload = workloads.WORKLOADS["eh-certify"]
+    model = workload.build(modelfile, str(PERFBENCH.parent))
+    for task in workload.tasks:
+        report, _ = cli.run_task(model, model.tasks[task], [101])
+        assert all(ok for _, ok in workloads.check(workload, task, report)), task
+    assert model.chart._gcds and model.chart.gcd_fallbacks == 0
+
+
+def test_a_second_exact_sqrt_takes_its_gcds_from_the_memo(monkeypatch):
+    """exact_sqrt splits the radicands by gcds, and the target's
+    denominators are cancelled when it is built, all through the chart's
+    memo of gcds: on the Eguchi-Hanson chart the first call computes
+    gcds, a second call of the same target computes none."""
     ch = build_eh_chart()
     calls = []
-    factor_list = Chart._factor_list
-    monkeypatch.setattr(Chart, "_factor_list",
-                        lambda self, p: calls.append(p) or factor_list(self, p))
+    cofactors = Chart._cofactors
+    monkeypatch.setattr(Chart, "_cofactors",
+                        lambda self, f, g: calls.append(f) or cofactors(self, f, g))
     target = ch.expr("4*(1 - cos(phi)^2)^3*(1 - cos(psi)^2)/(rho^2 - 1)^2")
     first = exact_sqrt(target)
     assert calls and first ** 2 == target
@@ -1081,20 +1091,20 @@ def test_a_second_exact_sqrt_factors_nothing(monkeypatch):
     assert exact_sqrt(ch.expr("1 - cos(theta)^2")) == ch.var("sin_theta") and not calls
 
 
-def test_exact_sqrt_factors_no_target(monkeypatch):
-    """The target is trial-divided by the radicands' factors and its
-    cofactor square-rooted: on a fresh trig chart only the radicand
-    1 - cos(t)^2 reaches the factorizer, whatever the target."""
+def test_exact_sqrt_splits_only_the_radicands(monkeypatch):
+    """The target is trial-divided by a squarefree base of the radicands
+    and its cofactor square-rooted: on a trig chart the base is built
+    from the radicand 1 - cos(t)^2 alone, whatever the target."""
     ch = _make_chart()
     calls = []
-    factor_list = Chart._factor_list
-    monkeypatch.setattr(Chart, "_factor_list",
-                        lambda self, p: calls.append(p) or factor_list(self, p))
+    base = exprfield._squarefree_base
+    monkeypatch.setattr(exprfield, "_squarefree_base",
+                        lambda chart, polys: calls.append(list(polys)) or base(chart, polys))
     target = ch.expr("(x^2 + y^3 + 7)^2 * (1 - cos(t)^2)")
     assert exact_sqrt(target) == ch.expr("(x^2 + y^3 + 7) * sin_t")
     assert exact_sqrt(ch.expr("(x^2 + y^3 + 7) * (1 - cos(t)^2)")) is None
     assert exact_sqrt(ch.const(_SEMIPRIME)) is None
-    assert calls == [ch.expr("1 - cos(t)^2")._num]
+    assert calls == [[ch.expr("1 - cos(t)^2")._num]] * 3
 
 
 _SQUARE_CHART = Chart(["x", "y", "z"])
@@ -1183,109 +1193,151 @@ def test_coprime_base_decides_square_classes_on_random_integers(numbers):
     _assert_coprime_base_decides_square_classes(numbers)
 
 
-# -- factoring over ZZ, with sympy as the oracle --------------------------------
+# -- gcds by GCDHEU and the subresultant sequence, with sympy as the oracle
 
 
-def _oracle_factor_list(chart, p):
-    """sympy's ``factor_list`` of p: (content, {factor: exponent}), each
-    factor signed to a positive leading coefficient in the chart's lex
-    order and the sign moved into the content."""
-    content, factors = _to_sympy(chart, p).factor_list()
-    out = {}
-    for f, e in factors:
-        f = _from_sympy(chart, f)
-        if f.LC < 0:
-            f, content = -f, content * (-1) ** e
-        out[f] = e
-    return int(content), out
+def _sympy_gcd(chart, f, g):
+    """sympy's gcd over ZZ, signed to a positive leading coefficient in
+    the chart's lex order."""
+    h = _from_sympy(chart, _to_sympy(chart, f).gcd(_to_sympy(chart, g)))
+    return h if h.LC > 0 else -h
 
 
-def _assert_factor_list_matches_sympy(chart, p):
-    content, factors = chart._factor_list(p)
-    assert (content, dict(factors)) == _oracle_factor_list(chart, p)
-    assert len(dict(factors)) == len(factors)
-    assert all(type(f) is Poly and f.LC > 0 for f, _ in factors)
+def _assert_gcd_matches_sympy(chart, f, g):
+    h, qf, qg = chart._gcd(f, g)
+    assert h == _sympy_gcd(chart, f, g)
+    assert h * qf == f and h * qg == g
 
 
-_FACTOR_CHARTS = [Chart(["x"]), Chart(["x", "y"]), Chart(["x", "y", "z"]), _CHART]
+_GCD_CHARTS = {k: [f"x{i}" for i in range(k)] for k in range(1, 5)}
 
 
-@settings(max_examples=60, deadline=None)
+def _gcd_inputs(data, k, max_size=4, max_exp=2):
+    """A fresh chart on k variables (an empty memo) and (f, g, c): f and
+    g random, nonzero, with coefficients of up to 20 digits, and c a
+    random nonzero factor to plant in both."""
+    chart = Chart(_GCD_CHARTS[k])
+    monom = st.tuples(*[st.integers(0, max_exp)] * k)
+    coeff = st.integers(-30, 30).filter(bool) | st.sampled_from([7 * 10 ** 19, -1])
+    poly = st.dictionaries(monom, coeff, min_size=1, max_size=max_size).map(chart._poly)
+    f, g, c = (data.draw(poly.filter(bool)) for _ in range(3))
+    return chart, f, g, c
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4))
+def test_gcd_matches_sympy(data, k):
+    """Random pairs in 1-4 variables, mostly coprime, and the same pairs
+    times a planted common factor, are sympy's gcd, with the cofactors;
+    GCDHEU never gives up on them."""
+    chart, f, g, c = _gcd_inputs(data, k)
+    _assert_gcd_matches_sympy(chart, f, g)
+    _assert_gcd_matches_sympy(chart, f * c, g * c)
+    _assert_gcd_matches_sympy(chart, f * c * c, g * c)
+    assert chart.gcd_fallbacks == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4))
+def test_gcd_by_the_remainder_sequence_matches_sympy(data, k):
+    """With GCDHEU given zero points, every polynomial gcd goes to the
+    subresultant remainder sequence, counted in gcd_fallbacks, and is
+    still sympy's gcd, on the random pairs of test_gcd_matches_sympy
+    with a planted common factor."""
+    chart, f, g, c = _gcd_inputs(data, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exprfield, "_HEU_TRIES", 0)
+        _assert_gcd_matches_sympy(chart, f, g)
+        _assert_gcd_matches_sympy(chart, f * c, g * c)
+    a, b = sorted((f * c, g * c), key=len, reverse=True)  # the order _cofactors takes
+    if not (a.is_ground or b.is_ground or _divide(a, b) is not None):
+        assert chart.gcd_fallbacks > 0
+
+
+def test_the_remainder_sequence_handles_contents_and_a_variable_in_one_input():
+    """Contents in the main variable (y^2 - 1 below), a variable that
+    occurs in one input only, coprime inputs, and Knuth's example of
+    degree drops by 2 after the first step (degrees 8, 6, 4, 2, 1, 0),
+    bare and times a common factor, with no heuristic."""
+    chart = Chart(["x", "y", "z"])
+    x, y, z = (_poly(chart, v) for v in "xyz")
+    u = _poly(chart, "x^8 + x^6 - 3*x^4 - 3*x^3 + 8*x^2 + 2*x - 5")
+    v = _poly(chart, "3*x^6 + 5*x^4 - 4*x^2 - 9*x + 21")
+    w = _poly(chart, "x^3 - 2*x + 7")
+    pairs = [((y ** 2 - 1) * (x + y) * (x * z - 2), (y + 1) * (x + y) ** 2 * z),
+             ((x + 1) * (y * z + 3), (y * z + 3) * 6), (x * x + y, x * y + z),
+             (6 * x * (y + z), 4 * (y + z) ** 2 * x ** 3), (u, v), (u * w, v * w)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exprfield, "_HEU_TRIES", 0)
+        for f, g in pairs:
+            _assert_gcd_matches_sympy(chart, f, g)
+    assert chart.gcd_fallbacks > 0
+
+
+@pytest.mark.parametrize("name", sorted(_CANCEL_CHARTS))
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_factor_list_matches_sympy(data):
-    """Products of 1-4 random factors in 1-3 variables, some repeated,
-    times a signed integer content, on plain charts and on a trig chart
-    (whose sin and cos are free variables of ZZ[vars] here)."""
-    chart = data.draw(st.sampled_from(_FACTOR_CHARTS))
-    names = chart.var_names if len(chart.var_names) < 4 else ["x", "y", "sin_t", "cos_t"]
-    used = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
-    shifts = [chart._shift[chart._index[v]] for v in used]
-    monomial = st.lists(st.integers(0, 2), min_size=len(used), max_size=len(used)).map(
-        lambda exps: sum(e << s for e, s in zip(exps, shifts)))
-    factor = st.dictionaries(monomial, st.integers(-4, 4).filter(bool),
-                             min_size=1, max_size=4).map(Poly)
-    powers = data.draw(st.lists(st.tuples(factor, st.integers(1, 3)), min_size=1, max_size=4))
-    p = _ground(data.draw(st.sampled_from([1, -1, 2, -6, 12])))
+def test_gcd_on_trig_and_root_charts_matches_sympy(name, data):
+    """Products of the chart's irreducibles (on Eguchi-Hanson, those of
+    its denominators; the generators are free variables of ZZ[vars]
+    here) times numerator atoms, with common powers planted, are sympy's
+    gcd."""
+    chart, irreducibles, atoms = _CANCEL_CHARTS[name]
 
-    def fits(q):
-        # a Kronecker image of degree prod(deg + 1) - 1 below 125 keeps each case fast
-        return all(max(chart._unpack(m)[chart._index[v]] for m in q) <= 4 for v in used)
+    def product():
+        powers = data.draw(st.lists(st.tuples(st.sampled_from(irreducibles),
+                                              st.integers(1, 3)), max_size=3))
+        atom = data.draw(st.sampled_from(atoms))
+        return prod((_poly(chart, p) ** e for p, e in powers), start=_poly(chart, atom))
 
-    # each power is lowered, or dropped, until the product fits; the first
-    # factor, of degree at most 2 in each variable, always fits
-    for f, e in powers:
-        while e and not fits(p * f ** e):
-            e -= 1
-        p = p * f ** e
-    _assert_factor_list_matches_sympy(chart, p)
+    common = product()
+    f, g = product() * common, product() * common
+    if f and g:
+        _assert_gcd_matches_sympy(chart, f, g)
 
 
-_EH_POLYNOMIALS = [
-    "4*rho^2 - 4", "cos(phi)^2 - 1", "-cos(theta)^2 + 1", "2*rho^2 + 2*cos(psi)^2 - 2",
-    "-2*rho^2 + 2*cos(phi)^2*cos(psi)^2 - 2*cos(phi)^2 - 2*cos(psi)^2 + 2",
-    "-4*rho^2*(cos(phi)^2 - 1)^2*(cos(psi)^2 - 1)",
-]
+@pytest.mark.parametrize("p, q", [("x^2 + y", "x*y + 1"), ("x + 1", "x - 1"),
+                                  ("3*x + y^2", "x^3 - 2*y")])
+def test_exact_sqrt_decides_parities_over_a_squarefree_base(p, q):
+    """With W^2 = p q the squarefree base is {p q}: p^3 q = p^2 (p q) and
+    p q^3 have the roots p W and q W, p^2 q^2 the root p q, and p^2 q and
+    p have none, as sympy's factorization decides.  A constant factor 4
+    or 3 goes along."""
+    ch = Chart(["x", "y"], roots=[("W", f"({p})*({q})")])
+    P, Q = ch.expr(p), ch.expr(q)
+    pq = _to_sympy(ch, (P * Q)._num)
+    for a, b in [(3, 1), (2, 1), (1, 3), (1, 0), (2, 2)]:
+        for c in (1, 4, 3):
+            target = P ** a * Q ** b * c
+            content, factors = _to_sympy(ch, target._num).factor_list()
+            odd = {f for f, e in factors if e % 2}
+            square = content > 0 and sympy.sqrt(content).is_Integer
+            root = exact_sqrt(target)
+            if not square or odd not in (set(), {f for f, _ in pq.factor_list()[1]}):
+                assert root is None, (a, b, c)
+                continue
+            s = _from_sympy(ch, prod((f ** (e // 2) for f, e in factors), start=pq.ring.one))
+            s = Expr(ch, s.mul_ground(math.isqrt(int(content))) * (1 if s.LC > 0 else -1), _ONE)
+            assert root == (s * ch.var("W") if odd else s), (a, b, c)
 
 
-@pytest.mark.parametrize("source", _EH_POLYNOMIALS)
-def test_eguchi_hanson_polynomials_factor_like_sympy(source):
-    """The polynomials the Eguchi-Hanson load and its certificates
-    factor: denominators, sin radicands and an exact_sqrt target."""
-    chart = build_eh_chart()
-    _assert_factor_list_matches_sympy(chart, _poly(chart, source))
+def test_exact_sqrt_splits_a_square_factor_off_a_radicand():
+    """W^2 = p^2 q: the base splits into p and q (gcd(n, dn/dx) = p), so
+    q, whose class is W's, has the root W / p, and p q has none."""
+    ch = Chart(["x", "y"], roots=[("W", "(x^2 + y)^2*(x*y + 1)")])
+    p, q, w = ch.expr("x^2 + y"), ch.expr("x*y + 1"), ch.var("W")
+    assert exact_sqrt(q) == w / p
+    assert exact_sqrt(4 * q * p ** 4) == 2 * w * p
+    assert exact_sqrt(p * q) is None
 
 
-def test_hard_univariate_and_bivariate_cases_factor_like_sympy():
-    """x^48 - 1 (ten cyclotomic factors, more mod every prime), the
-    Swinnerton-Dyer polynomial of 2, 3, 5 (irreducible, eight linear
-    factors mod every prime) and an irreducible of bidegree (6, 6)."""
-    chart = Chart(["x", "y"])
-    x, y = (_poly(chart, v) for v in "xy")
-    _assert_factor_list_matches_sympy(chart, x ** 48 - 1)
-    _assert_factor_list_matches_sympy(chart, _poly(chart, "x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576"))
-    rng = __import__("random").Random(6)
-    p = sum((x ** i * y ** j * rng.randint(-9, 9) for i in range(7) for j in range(7)), Poly())
-    p = p + x ** 6 * y ** 6
-    content, factors = chart._factor_list(p)
-    assert (content, [e for _, e in factors]) == (1, [1]) and factors[0][0] == p
-    _assert_factor_list_matches_sympy(chart, p * (x * y - 2) ** 2)
-
-
-def test_gcd_by_the_remainder_sequence_matches_the_heuristic(monkeypatch):
-    """With every heuristic point failing, the primitive remainder
-    sequence gives the same gcd."""
-    a = _factor._mul(_factor._mul([1, 2, 3], [-5, 0, 1]), [7, 1])
-    b = _factor._mul(_factor._mul([1, 2, 3], [-5, 0, 1]), [2, -3, 0, 4])
-    want = _factor._gcd(a, b)
-    assert want == [-5, -10, -14, 2, 3]
-    monkeypatch.setattr(_factor, "_value", lambda poly, x: 0)
-    assert _factor._gcd(a, b) == want
-    assert _factor._gcd([3, 6], [5]) == [1]
-
-
-def test_factoring_zero_is_an_error():
-    with pytest.raises(ValueError):
-        _factor.factor_list({})
+def test_exact_sqrt_refines_radicands_that_share_a_factor():
+    """W^2 = x (y + 1) and V^2 = x (y + 2) share x: the base is x, y + 1
+    and y + 2, so (y + 1)(y + 2), the class of W V, has the root W V / x."""
+    ch = Chart(["x", "y"], roots=[("W", "x*(y + 1)"), ("V", "x*(y + 2)")])
+    w, v, x = ch.var("W"), ch.var("V"), ch.var("x")
+    assert exact_sqrt(ch.expr("(y + 1)*(y + 2)")) == w * v / x
+    assert exact_sqrt(ch.expr("(y + 1)*(y + 2)*x")) is None
 
 
 # -- one-pass reduction and primitive division --------------------------------

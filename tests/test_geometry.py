@@ -3,7 +3,10 @@ symbols, finite-difference flows for the Lie derivative, and the Bianchi
 identities."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +18,8 @@ from geosym.exprfield import Chart, parse_expr
 
 from conftest import standard_triple
 
-MODELS = Path(__file__).resolve().parent.parent / "src" / "geosym" / "models"
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODELS = SRC / "geosym" / "models"
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +57,42 @@ def test_levi_civita_matches_sympy_polynomial_metric():
             ours = D.comp(*key).evaluate(pt)
             theirs = Fraction(str(sympy.nsimplify(expr_s.subs(subs))))
             assert ours == theirs, (key, ours, theirs)
+
+
+def _dense_metric(n):
+    """g = 2 Id + x x^T on n coordinates, whose determinant
+    2^(n-1) (x.x + 2) is irreducible."""
+    chart = Chart([f"x{i}" for i in range(n)])
+    xs = [chart.var(v) for v in chart.coordinates]
+    return chart, G.TensorField(chart, ("d", "d"), {
+        (i, j): xs[i] * xs[j] + (2 if i == j else 0) for i in range(n) for j in range(n)})
+
+
+def test_dense_metric_inverse_is_the_inverse():
+    """g g^-1 = Id for the dense metric on six coordinates, with every
+    gcd of the cofactors and the determinant answered by GCDHEU."""
+    n = 6
+    chart, g = _dense_metric(n)
+    ginv = G.metric_inverse(g)
+    for i, j in itertools.product(range(n), repeat=2):
+        entry = chart.sum_products((g.comp(i, k), ginv.comp(k, j)) for k in range(n))
+        assert entry == (1 if i == j else 0), (i, j)
+    assert chart.gcd_fallbacks == 0
+
+
+def test_dense_metric_inverse_in_dimension_seven_finishes_promptly():
+    """Factoring the determinant of the dense metric on seven coordinates
+    ran for minutes; by gcds its inverse takes well under a second, so a
+    fresh interpreter computes it well inside the timeout."""
+    code = ("from geosym import geometry as G\n"
+            "from geosym.exprfield import Chart\n"
+            "chart = Chart([f'x{i}' for i in range(7)])\n"
+            "xs = [chart.var(v) for v in chart.coordinates]\n"
+            "G.metric_inverse(G.TensorField(chart, ('d', 'd'), {\n"
+            "    (i, j): xs[i] * xs[j] + (2 if i == j else 0)\n"
+            "    for i in range(7) for j in range(7)}))\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
 def test_levi_civita_matches_sympy_sphere(sphere):
