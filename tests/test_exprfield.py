@@ -1332,12 +1332,13 @@ def test_exact_sqrt_splits_a_square_factor_off_a_radicand():
 
 
 def test_exact_sqrt_refines_radicands_that_share_a_factor():
-    """W^2 = x (y + 1) and V^2 = x (y + 2) share x: the base is x, y + 1
-    and y + 2, so (y + 1)(y + 2), the class of W V, has the root W V / x."""
-    ch = Chart(["x", "y"], roots=[("W", "x*(y + 1)"), ("V", "x*(y + 2)")])
-    w, v, x = ch.var("W"), ch.var("V"), ch.var("x")
-    assert exact_sqrt(ch.expr("(y + 1)*(y + 2)")) == w * v / x
-    assert exact_sqrt(ch.expr("(y + 1)*(y + 2)*x")) is None
+    """W^2 = (x + 1)(x + y) and V^2 = (x + 1)(x - y) are squarefree and
+    share x + 1: refined, the base is x + 1, x + y and x - y, so
+    x^2 - y^2, the class of W V, has the root W V / (x + 1)."""
+    ch = Chart(["x", "y"], roots=[("W", "(x + 1)*(x + y)"), ("V", "(x + 1)*(x - y)")])
+    w, v = ch.var("W"), ch.var("V")
+    assert exact_sqrt(ch.expr("x^2 - y^2")) == w * v / ch.expr("x + 1")
+    assert exact_sqrt(ch.expr("(x^2 - y^2)*(x + 1)")) is None
 
 
 # -- one-pass reduction and primitive division --------------------------------
