@@ -102,10 +102,9 @@ class Equation:
 
     Each coefficient c_{a,alpha} is a :class:`~geosym.exprfield.Poly` in
     the chart's variables, reduced modulo the generator relations.  An
-    equation is multiplied by the lcm of its coefficients' denominators
-    once, when built (:meth:`LinearPDESystem.from_coefficient_maps`; the
-    quaternionic rows of :mod:`geosym.symsys` are polynomial from their
-    cleared inputs), and stays polynomial under total derivatives.  Its
+    equation is polynomial as built (:mod:`geosym.symsys` clears its
+    inputs, :meth:`LinearPDESystem.from_coefficient_maps` a map of
+    ``Expr`` s) and stays polynomial under total derivatives.  Its
     coefficients may share a polynomial factor, and a derived row of
     :func:`prolong` may carry one: multiplying an equation by a nonzero
     function changes neither its solution space nor its symbol spaces
@@ -232,8 +231,8 @@ class LinearPDESystem:
     @staticmethod
     def from_coefficient_maps(chart: Chart, n_unknowns: int,
                               maps: Sequence[Dict[JetKey, Expr]]) -> "LinearPDESystem":
-        """One equation per nonzero map: its coefficients times the lcm
-        of their denominators (:func:`_clear_denominators`)."""
+        """One equation per nonzero map of ``Expr`` coefficients, times the
+        lcm of their denominators (:func:`_clear_denominators`)."""
         eqs = []
         for m in maps:
             nonzero = {k: v for k, v in m.items() if not v.is_zero()}
@@ -584,9 +583,9 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
 def verify_solution(system: LinearPDESystem,
                     components: Sequence[Expr]) -> Tuple[bool, List[Expr]]:
     """Substitute a concrete field into every equation; returns
-    (all zero, residuals).  Residuals are those of the cleared equations,
-    so each is the raw residual times the lcm of its equation's
-    coefficient denominators, and zero exactly when the raw residual is.
+    (all zero, residuals).  Residuals are those of the polynomial
+    equations, each the raw residual times the nonzero function that
+    cleared its equation, and zero exactly when the raw residual is.
 
     The jets J_k of the field that the system's keys k name are built as
     ``Expr`` s and put over one denominator at once, J_k = N_k / L

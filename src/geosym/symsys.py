@@ -2,24 +2,27 @@
 infinitesimal symmetries of metrics, quaternionic bundles, and
 c-projective classes.
 
-Equations are produced directly in jet-coordinate form (coefficients of
-X^a_alpha), the quaternionic ones in polynomial arithmetic; the
-substitution route through geometry.lie_derivative is used by the tests
-as an independent cross-check, and the jet maps of lie_derivative_jet
-contracted with an annihilator row (_contract) as the reference for the
-quaternionic rows.
+Every system is built by one routine in polynomial arithmetic: a tensor
+or connection is cleared once, T = T^/d, :func:`lie_derivative_jet`
+(:func:`lie_derivative_connection_jet`) gives the jet-linear maps of
+S L_X T^ and S X(d), and :func:`_rows` contracts them with cleared
+functionals: unit functionals for L_X g = 0 and L_X J = 0, and the
+annihilator rows of the frame's span or of the c-projective shifts.
+The tests keep the ``Expr`` jet maps as the reference, and
+geometry.lie_derivative as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 from . import _linalg
-from .exprfield import (Chart, Expr, ExprError, KernelInconsistency, Poly, _clear_denominators,
-                        _derivation_rules, _poly_dot, _poly_total_derivative)
-from .geometry import (Connection, TensorField, check_hypercomplex_frame,
+from .exprfield import (_ONE, Chart, Expr, ExprError, KernelInconsistency, Poly,
+                        _clear_denominators, _derivation_rules, _poly_dot,
+                        _poly_total_derivative)
+from .geometry import (Connection, Index, TensorField, check_hypercomplex_frame,
                        connection_shift, covariant_derivative)
 from .prolong import Equation, JetKey, LinearPDESystem
 
@@ -28,82 +31,135 @@ class SymSysError(ExprError):
     pass
 
 
-def _unit(i: int, n: int) -> Tuple[int, ...]:
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
+def _cleared(chart: Chart, entries: Mapping) -> Tuple[Poly, Dict]:
+    """(l, {k: w_k}) with entries[k] = w_k / l for one polynomial l, the
+    lcm of the denominators (:func:`_clear_denominators`)."""
+    lcm, nums = _clear_denominators(chart, list(entries.values()))
+    return lcm, dict(zip(entries, nums))
 
 
-def _collect(chart: Chart, keyed_terms: Iterable[Tuple[JetKey, tuple]]) -> Dict[JetKey, Expr]:
-    """Coefficient map {key: sum of the products of its terms} of
-    (key, factors) pairs, one :meth:`Chart.sum_products` per key; a term
-    with a zero factor adds no key."""
-    terms: Dict[JetKey, list] = {}
-    for key, factors in keyed_terms:
-        if all(factors):
-            terms.setdefault(key, []).append(factors)
-    return {key: chart.sum_products(t) for key, t in terms.items()}
+def _functionals(chart: Chart, slots: Sequence[Index], ann: Sequence[Sequence]) -> List[Dict]:
+    """Each row of ``ann`` as a cleared functional {slot: w}, w = l omega."""
+    return [_cleared(chart, {s: chart.expr(x) for s, x in zip(slots, omega) if x})[1]
+            for omega in ann]
 
 
-def _contract(chart: Chart, omega: Sequence[Expr], slots: Sequence,
-              jets: Dict[Tuple[int, ...], Dict[JetKey, Expr]]) -> Dict[JetKey, Expr]:
-    """Coefficient map of sum_s omega_s * (jet map of slot s): an
-    annihilator row applied to the per-slot jet maps."""
-    return _collect(chart, ((key, (c, w)) for w, s in zip(omega, slots) if w
-                            for key, c in jets[s].items()))
+class LieJets(NamedTuple):
+    """L_X T of a cleared tensor T = ``hat``/``d`` in jet-linear form:
+    ``maps[idx]`` = {(a, alpha): coefficient of X^a_alpha} of
+    S (L_X T^)_idx, and ``xd`` that of S X(d), S = ``s`` the lcm of the
+    derivation rules' denominators.  As L_X T = L_X(T^)/d - X(d) T^/d^2,
+
+        S d^2 (L_X T)_idx = d maps[idx] - hat[idx] xd,
+
+    also for a connection, whose ``maps`` hold d S d_i d_j X^a.
+    ``hat`` holds the nonzero components; coefficients are unreduced,
+    and one whose terms cancel stays as the zero polynomial."""
+
+    d: Poly
+    s: Poly
+    hat: Dict[Index, Poly]
+    maps: Dict[Index, Dict[JetKey, Poly]]
+    xd: Dict[JetKey, Poly]
 
 
-def lie_derivative_jet(T: TensorField) -> Dict[Tuple[int, ...], Dict[JetKey, Expr]]:
-    """Jet-linear coefficient maps of (L_X T)_idx, one per component."""
-    chart = T.chart
+def _lie_jets(chart: Chart, variance: Sequence[str], comps: Mapping[Index, Expr],
+              slots: Iterable[Index]) -> LieJets:
+    """:class:`LieJets` of a tensor of ``variance``, one map per slot:
+    S (L_X T^)_idx = X^m (S/s_m)(s_m d_m T^_idx), s_m the denominator of
+    x_m's rules (:func:`_derivation_rules`), plus for each place p of
+    idx, the last place first, S T^(..m..) at d_(idx_p) X^m (p
+    covariant) or its negative at d_m X^(idx_p) (p contravariant), with
+    m in place p."""
     n = chart.dim
-    zero_a = (0,) * n
-    out: Dict[Tuple[int, ...], Dict[JetKey, Expr]] = {}
-    for idx in T.indices():
-        base = T.comp(*idx)
-        terms = [((mm, zero_a), (base.differentiate(chart.coordinates[mm]),))
-                 for mm in range(n)]
-        for p, v in enumerate(T.variance):
-            for mm in range(n):
-                t = T.comp(*idx[:p], mm, *idx[p + 1:])
-                if v == "d":
-                    # + (d_{idx_p} X^m) T(..m..)
-                    terms.append(((mm, _unit(idx[p], n)), (t,)))
+    zero = (0,) * n
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    d, hat = _cleared(chart, comps)
+    rules = [_derivation_rules(chart, x, [*hat.values(), d]) for x in chart.coordinates]
+    big_s, scales = chart._lcm([s for s, _ in rules])
+    rest: List[Dict[Index, list]] = [{} for _ in variance]  # idx without p -> (idx_p, S T^_idx)
+    for idx, p in hat.items():
+        sp = p * big_s
+        for k, by_rest in enumerate(rest):
+            by_rest.setdefault(idx[:k] + idx[k + 1:], []).append((idx[k], sp))
+
+    def derivatives(p: Poly) -> Dict[JetKey, Poly]:
+        return {(m, zero): q * scales[m] for m, (_, r) in enumerate(rules)
+                if (q := _poly_total_derivative(chart, p, r))}
+
+    maps: Dict[Index, Dict[JetKey, Poly]] = {}
+    for idx in slots:
+        coeffs = maps[idx] = derivatives(hat[idx]) if idx in hat else {}
+        for k in reversed(range(len(variance))):
+            for m, t in rest[k].get(idx[:k] + idx[k + 1:], ()):
+                if variance[k] == "d":
+                    key = (m, units[idx[k]])
                 else:
-                    # - (d_m X^{idx_p}) T(..m..)
-                    terms.append(((idx[p], _unit(mm, n)), (-1, t)))
-        out[idx] = _collect(chart, terms)
-    return out
+                    key, t = (idx[k], units[m]), -t
+                coeffs[key] = coeffs[key] + t if key in coeffs else t
+    return LieJets(d, big_s, hat, maps, derivatives(d))
+
+
+def lie_derivative_jet(T: TensorField) -> LieJets:
+    """:class:`LieJets` of L_X T, a map for each index of T."""
+    return _lie_jets(T.chart, T.variance, dict(T.items()), T.indices())
+
+
+def lie_derivative_connection_jet(D: Connection) -> LieJets:
+    """:class:`LieJets` of (L_X D)^a_ij for i <= j (symmetric for
+    torsion-free D): L_X of Gamma as a (1,2) tensor, plus d S at
+    X^a_(e_i + e_j); second order in X."""
+    n = D.chart.dim
+    slots = [(a, i, j) for a, i, j in itertools.product(range(n), repeat=3) if i <= j]
+    jets = _lie_jets(D.chart, ("u", "d", "d"), D.gamma, slots)
+    ds = jets.d * jets.s
+    for a, i, j in slots:
+        jets.maps[(a, i, j)][(a, tuple((k == i) + (k == j) for k in range(n)))] = ds
+    return jets
+
+
+def _rows(chart: Chart, jets: LieJets, functionals: Iterable[Mapping[Index, Poly]]
+          ) -> List[Equation]:
+    """The equations omega(L_X T) = 0, in order, for cleared functionals
+    w = lambda omega given as {idx: w_idx}: the row
+    d w(S L_X T^) - w(T^) S X(d), or w(S L_X T^) when w(T^) reduces to
+    zero.  Each coefficient is one :func:`_poly_dot`, reduced once, a
+    zero cross-checked (:meth:`Chart._reduce_checked`); zero
+    coefficients and rows are dropped.
+
+    Soundness.  By the identity of :class:`LieJets` the row is
+    omega(L_X T) times lambda S d^2, or lambda S d without the factor d:
+    a product of nonzero denominators.  That changes neither the
+    solution space nor the symbol spaces over the function field
+    (:class:`~geosym.prolong.Equation`), nor any coefficient's zeroness."""
+    eqs = []
+    for w in functionals:
+        w_hat = chart._reduce_checked(_poly_dot((v, jets.hat[s]) for s, v in w.items()
+                                                if s in jets.hat))
+        terms: Dict[JetKey, list] = {}  # key -> the (factor, coefficient) pairs of its sum
+        for s, v in w.items():
+            v = v * jets.d if w_hat else v
+            for key, c in jets.maps[s].items():
+                terms.setdefault(key, []).append((v, c))
+        for key, c in jets.xd.items() if w_hat else ():
+            terms.setdefault(key, []).append((-w_hat, c))
+        coeffs: Dict[JetKey, Poly] = {}
+        for key, pairs in terms.items():
+            if p := chart._reduce_checked(_poly_dot(pairs)):
+                coeffs[key] = p
+        if coeffs:
+            eqs.append(Equation(coeffs))
+    return eqs
 
 
 def invariance_system(T: TensorField) -> LinearPDESystem:
-    """L_X T = 0 componentwise; first order in X."""
-    chart = T.chart
-    maps = list(lie_derivative_jet(T).values())
-    return LinearPDESystem.from_coefficient_maps(chart, chart.dim, maps)
-
-
-def lie_derivative_connection_jet(D: Connection) -> Dict[Tuple[int, int, int], Dict[JetKey, Expr]]:
-    """Jet-linear maps of (L_X D)^a_{ij}; second order in X."""
-    chart = D.chart
-    n = chart.dim
-    zero_a = (0,) * n
-    out: Dict[Tuple[int, int, int], Dict[JetKey, Expr]] = {}
-    for a, i, j in itertools.product(range(n), repeat=3):
-        if i > j:
-            continue  # symmetric in (i, j) for torsion-free D
-        terms = []
-        for mm in range(n):
-            terms += [((mm, zero_a), (D.comp(a, i, j).differentiate(chart.coordinates[mm]),)),
-                      ((a, _unit(mm, n)), (-1, D.comp(mm, i, j))),
-                      ((mm, _unit(i, n)), (D.comp(a, mm, j),)),
-                      ((mm, _unit(j, n)), (D.comp(a, i, mm),))]
-        ei = list(zero_a)
-        ei[i] += 1
-        ei[j] += 1
-        terms.append(((a, tuple(ei)), (1,)))
-        out[(a, i, j)] = _collect(chart, terms)
-    return out
+    """L_X T = 0 componentwise (:func:`_rows` with unit functionals);
+    first order in X.  A row equal to an earlier one is dropped, so a
+    symmetric T gives one per pair i <= j."""
+    unique: Dict[frozenset, Equation] = {}
+    for eq in _rows(T.chart, lie_derivative_jet(T), ({i: _ONE} for i in T.indices())):
+        unique.setdefault(frozenset(eq.coeffs.items()), eq)
+    return LinearPDESystem(T.chart, T.chart.dim, list(unique.values()))
 
 
 def _endo_annihilator_full(frame: Sequence[TensorField], chart: Chart) -> List[List]:
@@ -118,44 +174,20 @@ def _endo_annihilator_full(frame: Sequence[TensorField], chart: Chart) -> List[L
     return _linalg.nullspace(rows, n * n)  # entries in (b, a) order
 
 
-def _cleared(chart: Chart, entries: Dict) -> Dict:
-    """{k: w_k} with entries[k] = w_k / l for one polynomial l, the lcm of
-    the denominators (:func:`_clear_denominators`)."""
-    return dict(zip(entries, _clear_denominators(chart, list(entries.values()))[1]))
-
-
 def quaternionic_symmetry_system(frame: Sequence[TensorField],
                                  g: TensorField) -> LinearPDESystem:
     """omega(L_X A) = 0 for every annihilator element omega of span(frame)
     in End(TM) and every frame element A; first order in X.  Equations
     are listed frame element by frame element, each in the order of the
-    annihilator rows; coefficients and rows that reduce to zero are
-    dropped.
+    annihilator rows.
 
     The annihilator is taken inside all endomorphisms (trace pairing),
     not only the skew ones: the skew-part conditions alone degenerate on
     conformally flat structures.
 
-    The rows are built in polynomial arithmetic.  Each frame element is
-    cleared once over its entries, A = A'/d (:func:`_clear_denominators`),
-    and each annihilator row likewise, omega = w/l.  Then
-    L_X A = L_X(A')/d - X(d) A'/d^2, and w(A') = l d omega(A) = 0, so
-    omega(L_X A) = w(L_X A') / (l d): with the coefficient of
-    d_b X^a at (a, e_b) and of X^m at (m, 0),
-    w(L_X A') = X^m w(d_m A') + d_b X^m w_ba A'^a_m - d_m X^a w_ba A'^m_b
-    (w_ba pairs with A'^a_b).  With root generators the derivation rules
-    of coordinate x_m carry a denominator s_m (:func:`_derivation_rules`),
-    so the row is taken times S = lcm(s_m): the X^m coefficient is
-    (S / s_m) w(s_m d_m A') and the first-order ones are times S.  Each
-    coefficient is reduced once, and one that reduces to zero is
-    cross-checked (:meth:`Chart._reduce_checked`).
-
-    Soundness.  Each equation is omega(L_X A) = 0 times the function
-    l d S, which is nonzero: a product of nonzero denominators.
-    Multiplying an equation by a nonzero function changes neither its
-    solution space nor its symbol spaces over the function field
-    (:class:`~geosym.prolong.Equation`), and it keeps each coefficient's
-    zeroness, so the same coefficients and rows are dropped.
+    Each annihilator row is cleared, omega = w/l, and contracted with
+    each frame element's jet maps (:func:`_rows`); w(A^) = 0, so d
+    drops and the row is omega(L_X A) times l d S.
     """
     chart = g.chart
     n = chart.dim
@@ -163,69 +195,35 @@ def quaternionic_symmetry_system(frame: Sequence[TensorField],
     if len(ann) != n * n - 3:  # the frame's rank is n^2 minus the nullity
         raise SymSysError("frame does not span a rank-3 bundle")
     # omega is indexed like the (b, a) product; w[(a, b)] pairs with A^a_b
-    omegas = [_cleared(chart, {(a, b): chart.expr(x) for (b, a), x
-                               in zip(itertools.product(range(n), repeat=2), omega) if x})
-              for omega in ann]
-    zero = (0,) * n
-    units = [_unit(i, n) for i in range(n)]
+    omegas = _functionals(chart, [(a, b) for b, a in itertools.product(range(n), repeat=2)], ann)
     eqs: List[Equation] = []
     for A in frame:
-        hat = _cleared(chart, dict(A.items()))
-        rules = [_derivation_rules(chart, x, hat.values()) for x in chart.coordinates]
-        big_s, scales = chart._lcm([s for s, _ in rules])
-        # rows[a]: (m, A'^a_m); cols[b]: (m, -A'^m_b); d_hat[(a, b)]: (m, s_m d_m A'^a_b)
-        rows: Dict[int, list] = {}
-        cols: Dict[int, list] = {}
-        d_hat: Dict[Tuple[int, int], list] = {}
-        for (a, b), p in hat.items():
-            rows.setdefault(a, []).append((b, p))
-            cols.setdefault(b, []).append((a, -p))
-            for m, (_, r) in enumerate(rules):
-                if q := _poly_total_derivative(chart, p, r):
-                    d_hat.setdefault((a, b), []).append((m, q))
-        for w in omegas:
-            terms: Dict[JetKey, list] = {}  # key -> the (w_ba, polynomial) pairs of its sum
-            for (a, b), v in w.items():
-                for m, q in d_hat.get((a, b), ()):  # X^m w_ba s_m d_m A'^a_b
-                    terms.setdefault((m, zero), []).append((v, q))
-                for m, p in rows.get(a, ()):  # d_b X^m w_ba A'^a_m
-                    terms.setdefault((m, units[b]), []).append((v, p))
-                for m, p in cols.get(b, ()):  # -d_m X^a w_ba A'^m_b
-                    terms.setdefault((a, units[m]), []).append((v, p))
-            coeffs: Dict[JetKey, Poly] = {}
-            for key, pairs_of_key in terms.items():
-                p = chart._reduce_checked(_poly_dot(pairs_of_key))
-                if p:
-                    coeffs[key] = p * (scales[key[0]] if key[1] == zero else big_s)
-            if coeffs:
-                eqs.append(Equation(coeffs))
+        eqs += _rows(chart, lie_derivative_jet(A), omegas)
     return LinearPDESystem(chart, n, eqs)
 
 
 def cprojective_symmetry_system(J: TensorField, D: Connection) -> LinearPDESystem:
     """L_X J = 0 plus: L_X D lies pointwise in the c-projective shift
     subspace.  The latter is imposed through an exact annihilator basis
-    of the shift subspace and is second order in X."""
+    of the shift subspace and is second order in X.  Both are
+    :func:`_rows`, of unit functionals on L_X J and the annihilator on
+    L_X D."""
     chart = J.chart
     n = chart.dim
     if not D.is_torsion_free():
         raise SymSysError("connection has torsion")
     if not covariant_derivative(D, J).is_zero():
         raise SymSysError("connection does not preserve J")
-
-    maps: List[Dict[JetKey, Expr]] = list(lie_derivative_jet(J).values())
-
+    eqs = _rows(chart, lie_derivative_jet(J), ({i: _ONE} for i in J.indices()))
     # the shift subspace is spanned by the c-projective shifts of the zero
     # connection by gamma = dx^k, read on i <= j
     slots = [(a, i, j) for a, i, j in itertools.product(range(n), repeat=3) if i <= j]
     flat = Connection(chart, {})
     shifts = [connection_shift(flat, TensorField(chart, ("d",), {(k,): chart.one()}),
                                [J]) for k in range(n)]
-    rows = [[shift.comp(*s) for s in slots] for shift in shifts]
-    ann = _linalg.nullspace(rows, len(slots))
-    ld = lie_derivative_connection_jet(D)
-    maps += [_contract(chart, omega, slots, ld) for omega in ann]
-    return LinearPDESystem.from_coefficient_maps(chart, n, maps)
+    ann = _linalg.nullspace([[shift.comp(*s) for s in slots] for shift in shifts], len(slots))
+    eqs += _rows(chart, lie_derivative_connection_jet(D), _functionals(chart, slots, ann))
+    return LinearPDESystem(chart, n, eqs)
 
 
 def obata_solve(I: TensorField, J: TensorField, K: TensorField) -> Connection:

@@ -4,6 +4,8 @@ The Eguchi-Hanson objects are session-scoped because building the
 symmetry systems is the expensive part of the suite.
 """
 
+import itertools
+
 import pytest
 
 from geosym import _linalg
@@ -145,6 +147,17 @@ def nested_root_chart() -> Chart:
     return Chart(["x", "y"], roots=[("W", "x^2 + 1"), ("V", "W + y^2 + 3")])
 
 
+def root_chart_metric():
+    """ds^2 + 2(t/W) ds dt + (t^2/W^2 + 1) dt^2 with W^2 = t^2 + 1: since
+    dW = (t/W) dt this is d(s + W)^2 + dt^2, a flat metric."""
+    chart = Chart(["s", "t"], roots=[("W", "t^2 + 1")])
+    W = chart.var("W")
+    t = chart.var("t")
+    return chart, G.TensorField(chart, ("d", "d"), {
+        (0, 0): chart.one(), (0, 1): t / W, (1, 0): t / W,
+        (1, 1): t * t / (W * W) + 1})
+
+
 def flat_chart(dim: int):
     """Chart x0..x(dim-1) with the Euclidean metric."""
     chart = Chart([f"x{i}" for i in range(dim)])
@@ -164,13 +177,10 @@ def shear_map(dim: int):
     return [f"x{i} + x{i + 1}^2" for i in range(dim - 1)] + [f"x{dim - 1}"]
 
 
-def flat_quaternionic_pullback(phi):
-    """The flat quaternionic structure on R^(4n) (Euclidean metric,
-    standard triple) pulled back by the polynomial map ``phi``, one
-    component string per coordinate x0, x1, ...: g = Jac^T Jac and
-    A -> Jac^-1 A Jac, with Jac^l_j = d_j phi^l.  Returns
-    ``(chart, jac, inv, g, triple)``; ``jac`` and its inverse ``inv``
-    are lists of rows."""
+def _jacobian(phi):
+    """(chart, jac, inv) for the polynomial map ``phi``, one component
+    string per coordinate x0, x1, ...: Jac^l_j = d_j phi^l and its
+    inverse, as lists of rows."""
     chart, _ = flat_chart(len(phi))
     dim = chart.dim
     comps = [parse_expr(chart, p) for p in phi]
@@ -178,15 +188,47 @@ def flat_quaternionic_pullback(phi):
     red, pivots = _linalg.rref([row + [chart.one() if j == i else chart.zero()
                                        for j in range(dim)] for i, row in enumerate(jac)])
     assert pivots == list(range(dim)), "phi is not a local diffeomorphism"
-    inv = [row[dim:] for row in red]
+    return chart, jac, [row[dim:] for row in red]
+
+
+def _pulled_back_endomorphism(chart, jac, inv, A):
+    """Jac^-1 A Jac."""
+    dim = chart.dim
+    return G.endomorphism(chart, [[chart.sum_products(
+        (inv[i][k], A.comp(k, l), jac[l][j]) for k in range(dim) for l in range(dim)
+        if not A.comp(k, l).is_zero()) for j in range(dim)] for i in range(dim)])
+
+
+def flat_quaternionic_pullback(phi):
+    """The flat quaternionic structure on R^(4n) (Euclidean metric,
+    standard triple) pulled back by the polynomial map ``phi``, one
+    component string per coordinate x0, x1, ...: g = Jac^T Jac and
+    A -> Jac^-1 A Jac, with Jac^l_j = d_j phi^l.  Returns
+    ``(chart, jac, inv, g, triple)``; ``jac`` and its inverse ``inv``
+    are lists of rows."""
+    chart, jac, inv = _jacobian(phi)
+    dim = chart.dim
     g = G.TensorField(chart, ("d", "d"), {
         (i, j): chart.sum_products((jac[k][i], jac[k][j]) for k in range(dim))
         for i in range(dim) for j in range(dim)})
-    triple = [G.endomorphism(chart, [[chart.sum_products(
-        (inv[i][k], A.comp(k, l), jac[l][j]) for k in range(dim) for l in range(dim)
-        if not A.comp(k, l).is_zero()) for j in range(dim)] for i in range(dim)])
-        for A in standard_triple(chart)]
+    triple = [_pulled_back_endomorphism(chart, jac, inv, A) for A in standard_triple(chart)]
     return chart, jac, inv, g, triple
+
+
+def flat_cprojective_pullback(phi):
+    """The flat c-projective structure on C^n = R^(2n) (the standard
+    complex structure, the flat connection) pulled back by ``phi`` as in
+    :func:`flat_quaternionic_pullback`: J -> Jac^-1 J Jac and
+    Gamma^k_ij = (Jac^-1)^k_l d_i Jac^l_j.  Returns ``(chart, J, D)``."""
+    chart, jac, inv = _jacobian(phi)
+    dim = chart.dim
+    J = _pulled_back_endomorphism(chart, jac, inv,
+                                  block_endomorphism(chart, [[0, -1], [1, 0]]))
+    D = G.Connection(chart, {
+        (k, i, j): chart.sum_products((inv[k][l], jac[l][j].differentiate(chart.coordinates[i]))
+                                      for l in range(dim))
+        for k in range(dim) for i in range(dim) for j in range(dim)})
+    return chart, J, D
 
 
 def reference_residuals(system, components):
@@ -207,3 +249,83 @@ def reference_residuals(system, components):
 
     return [chart.sum_products((c, jet(a, alpha)) for (a, alpha), c in eq.coeffs.items())
             for eq in system.equations]
+
+
+# -- Expr jet maps: the reference for the polynomial rows of symsys ----------
+
+
+def _collect(chart, keyed_terms):
+    """Coefficient map {key: sum of the products of its terms} of
+    (key, factors) pairs, one ``Chart.sum_products`` per key; a term
+    with a zero factor adds no key."""
+    terms = {}
+    for key, factors in keyed_terms:
+        if all(factors):
+            terms.setdefault(key, []).append(factors)
+    return {key: chart.sum_products(t) for key, t in terms.items()}
+
+
+def _unit(i, n):
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
+def expr_lie_derivative_jet(T):
+    """Jet-linear ``Expr`` coefficient maps of (L_X T)_idx, one per
+    component."""
+    chart = T.chart
+    n = chart.dim
+    zero = (0,) * n
+    out = {}
+    for idx in T.indices():
+        base = T.comp(*idx)
+        terms = [((mm, zero), (base.differentiate(chart.coordinates[mm]),))
+                 for mm in range(n)]
+        for p, v in enumerate(T.variance):
+            for mm in range(n):
+                t = T.comp(*idx[:p], mm, *idx[p + 1:])
+                if v == "d":
+                    # + (d_{idx_p} X^m) T(..m..)
+                    terms.append(((mm, _unit(idx[p], n)), (t,)))
+                else:
+                    # - (d_m X^{idx_p}) T(..m..)
+                    terms.append(((idx[p], _unit(mm, n)), (-1, t)))
+        out[idx] = _collect(chart, terms)
+    return out
+
+
+def expr_lie_derivative_connection_jet(D):
+    """Jet-linear ``Expr`` maps of (L_X D)^a_ij for i <= j; second order
+    in X."""
+    chart = D.chart
+    n = chart.dim
+    zero = (0,) * n
+    out = {}
+    for a, i, j in itertools.product(range(n), repeat=3):
+        if i > j:
+            continue  # symmetric in (i, j) for torsion-free D
+        terms = []
+        for mm in range(n):
+            terms += [((mm, zero), (D.comp(a, i, j).differentiate(chart.coordinates[mm]),)),
+                      ((a, _unit(mm, n)), (-1, D.comp(mm, i, j))),
+                      ((mm, _unit(i, n)), (D.comp(a, mm, j),)),
+                      ((mm, _unit(j, n)), (D.comp(a, i, mm),))]
+        alpha = [0] * n
+        alpha[i] += 1
+        alpha[j] += 1
+        terms.append(((a, tuple(alpha)), (1,)))
+        out[(a, i, j)] = _collect(chart, terms)
+    return out
+
+
+def expr_contract(chart, omega, slots, jets):
+    """Coefficient map of sum_s omega_s * (jet map of slot s): a
+    functional applied to the per-slot ``Expr`` jet maps."""
+    return _collect(chart, ((key, (c, w)) for w, s in zip(omega, slots) if w
+                            for key, c in jets[s].items()))
+
+
+def expr_rows(maps):
+    """The nonzero entries of each coefficient map, the maps left empty
+    dropped: the rows of a system built from ``Expr`` maps."""
+    rows = [{k: v for k, v in m.items() if v} for m in maps]
+    return [row for row in rows if row]

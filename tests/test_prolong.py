@@ -18,7 +18,7 @@ from geosym.exprfield import (_ONE, Chart, Expr, KernelInconsistency, Poly, _crt
                               _derivation_rules, _prime, parse_expr)
 
 from conftest import (flat_chart, flat_quaternionic_pullback, nested_root_chart,
-                      reference_residuals, shear_map, standard_triple)
+                      reference_residuals, root_chart_metric, shear_map, standard_triple)
 
 
 def _monotone_tables(tables):
@@ -373,7 +373,7 @@ def test_dropping_dependent_equations_keeps_tables(request, case, seed):
     forward and takes them from Taylor jets; its tables equal those of
     the full symbolic prolongations evaluated at the same point."""
     if case == "root-chart":
-        system = S.invariance_system(_root_chart_metric()[1])
+        system = S.invariance_system(root_chart_metric()[1])
     elif case == "nested-root":
         system = _nested_root_system()
     else:
@@ -449,20 +449,9 @@ def test_coefficient_denominator_divisible_by_prime_clears_to_integers():
     assert res.conclusive and res.bound == 1
 
 
-def _root_chart_metric():
-    """ds^2 + 2(t/W) ds dt + (t^2/W^2 + 1) dt^2 with W^2 = t^2 + 1: since
-    dW = (t/W) dt this is d(s + W)^2 + dt^2, a flat metric."""
-    chart = Chart(["s", "t"], roots=[("W", "t^2 + 1")])
-    W = chart.var("W")
-    t = chart.var("t")
-    return chart, G.TensorField(chart, ("d", "d"), {
-        (0, 0): chart.one(), (0, 1): t / W, (1, 0): t / W,
-        (1, 1): t * t / (W * W) + 1})
-
-
 @pytest.mark.parametrize("seeds", [(101, 202, 303), (1, 102, 203), (7, 108, 209)])
 def test_killing_bound_on_a_root_generator_chart(seeds):
-    chart, g = _root_chart_metric()
+    chart, g = root_chart_metric()
     res = P.solution_bound(S.invariance_system(g), seeds=seeds)
     assert res.conclusive
     assert res.bound == 3
@@ -488,7 +477,7 @@ def test_formal_roots_map_to_square_roots_mod_p():
     """A formal root W is sent to a square root of its radicand mod p; a
     point whose radicand is not a square mod p is replaced by the next
     point of the seed's stream."""
-    chart, _ = _root_chart_metric()
+    chart, _ = root_chart_metric()
     t, W = (chart.var_names.index(v) for v in ("t", "W"))
     resampled = 0
     for seed in range(1, 12):
@@ -778,7 +767,7 @@ def test_tables_do_not_depend_on_the_order_of_the_equations(request, case, seed)
     leading code, ties keep the given order, and any order of the rows
     gives the same pivots at a point and the same prolonged span."""
     if case == "root-chart":
-        system = S.invariance_system(_root_chart_metric()[1])
+        system = S.invariance_system(root_chart_metric()[1])
     else:
         system = _oracle_system(request, case)
     seeds = (seed, seed + 101, seed + 202)

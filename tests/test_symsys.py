@@ -5,20 +5,25 @@ import itertools
 
 import pytest
 
+from geosym import _linalg
 from geosym import geometry as G
 from geosym import prolong as P
 from geosym import symsys as S
 from geosym.exprfield import _ONE, Chart, Expr, KernelInconsistency, Poly, parse_expr
 
 from conftest import (block_endomorphism, build_eh_chart, build_eh_fields, build_eh_metric,
-                      flat_chart, flat_quaternionic_pullback, shear_map, standard_triple)
+                      expr_contract, expr_lie_derivative_connection_jet,
+                      expr_lie_derivative_jet, expr_rows, flat_chart, flat_cprojective_pullback,
+                      flat_quaternionic_pullback, nested_root_chart, root_chart_metric,
+                      shear_map, standard_triple)
 
 
 def test_invariance_system_counts(flat2):
     chart, g = flat2
     ks = S.invariance_system(g)
-    # one first-order equation per independent symmetric pair
-    assert len(ks) == 3 or len(ks) == 4  # zero components may drop out
+    # one first-order equation per symmetric pair: (0, 1) and (1, 0) give
+    # the same row, and the repeat is dropped
+    assert len(ks) == 3
     ok, _ = P.verify_solution(ks, [chart.one(), chart.zero()])
     assert ok
 
@@ -82,22 +87,121 @@ def test_obata_requires_hypercomplex(flat4):
         S.obata_solve(I, J, J)
 
 
-def test_lie_derivative_jet_matches_direct_computation(flat2):
-    chart, g = flat2
-    # the jet-linear form of L_X g evaluated on a concrete field equals
-    # the geometric Lie derivative
-    X = G.vector(chart, [parse_expr(chart, "x*y"), parse_expr(chart, "y^2")])
-    jets = S.lie_derivative_jet(g)
-    L = G.lie_derivative(g, X)
-    for idx, coeff_map in jets.items():
-        total = chart.zero()
-        for (a, alpha), c in coeff_map.items():
-            term = X.comp(a)
-            for i, k in enumerate(alpha):
-                for _ in range(k):
-                    term = term.differentiate(chart.coordinates[i])
-            total = total + c * term
-        assert (total - L.comp(*idx)).is_zero()
+def _on_field(chart, coeffs, X):
+    """sum c X^a_alpha over the coefficient map {(a, alpha): c} of
+    polynomials, for the concrete vector field X."""
+    def jet(a, alpha):
+        e = X.comp(a)
+        for i, k in enumerate(alpha):
+            for _ in range(k):
+                e = e.differentiate(chart.coordinates[i])
+        return e
+    return chart.sum_products((c, jet(a, alpha)) for (a, alpha), c in coeffs.items())
+
+
+def _jets_on_field(jets, idx, X):
+    """(d maps[idx] - hat[idx] xd)(X) / (S d^2): (L_X T)_idx by the
+    identity of :class:`~geosym.symsys.LieJets`."""
+    chart = X.chart
+    top = chart.sum_products([(jets.d, _on_field(chart, jets.maps[idx], X)),
+                              (-1, jets.hat.get(idx, Poly()), _on_field(chart, jets.xd, X))])
+    return top / Expr(chart, jets.s * jets.d * jets.d, _ONE)
+
+
+def _flat2_case():
+    chart = Chart(["x", "y"])
+    g = G.TensorField(chart, ("d", "d"), {(0, 0): chart.one(), (1, 1): chart.one()})
+    return g, G.vector(chart, [parse_expr(chart, "x*y"), parse_expr(chart, "y^2")])
+
+
+def _eh_case():
+    """The Eguchi-Hanson metric and a field that is no Killing field."""
+    chart = build_eh_chart()
+    return build_eh_metric(chart), G.vector(chart, [parse_expr(chart, c) for c in (
+        "rho*cos(phi)", "sin(psi)/rho", "rho^2", "cos(theta)*sin(phi)")])
+
+
+def _root_chart_case():
+    chart, g = root_chart_metric()
+    return g, G.vector(chart, [parse_expr(chart, c) for c in ("s*t", "W*s")])
+
+
+def _nested_root_case():
+    """V dx^2 + W dy^2 on the chart with W^2 = x^2 + 1, V^2 = W + y^2 + 3:
+    the rules of x and of y have different denominators."""
+    chart = nested_root_chart()
+    g = G.TensorField(chart, ("d", "d"), {(0, 0): chart.var("V"), (1, 1): chart.var("W")})
+    return g, G.vector(chart, [parse_expr(chart, c) for c in ("x*y", "V*x")])
+
+
+def _root_pullback_case():
+    chart, _, frame = _root_pullback_r4()
+    return frame[0], G.vector(chart, [parse_expr(chart, c) for c in
+                                      ("x1*W", "x0^2", "x3/W", "x2")])
+
+
+@pytest.mark.parametrize("build", [_flat2_case, _eh_case, _root_chart_case, _nested_root_case,
+                                   _root_pullback_case],
+                         ids=["flat2", "eguchi-hanson", "root-chart", "nested-root",
+                              "root-pullback-r4"])
+def test_lie_derivative_jet_matches_direct_computation(build):
+    """The jet-linear form of L_X T evaluated on a concrete field equals
+    the geometric Lie derivative: (d maps - T^ xd)(X) = S d^2 L_X T.  On
+    the curved charts d is not 1, and on the root charts S is not; on the
+    nested roots S / s_m is not 1 either."""
+    T, X = build()
+    jets = S.lie_derivative_jet(T)
+    L = G.lie_derivative(T, X)
+    assert set(jets.maps) == set(T.indices())
+    for idx in T.indices():
+        assert _jets_on_field(jets, idx, X).equals(L.comp(*idx)), idx
+
+
+def _submax_model():
+    from pathlib import Path
+
+    from geosym.modelfile import load_model
+
+    return load_model(str(Path(P.__file__).parent / "models" / "submax_cprojective_n2.model"))
+
+
+def _levi_civita_case(metric):
+    def build():
+        g, X = metric()
+        return G.levi_civita(g), X
+    return build
+
+
+def _submax_case():
+    model = _submax_model()
+    return model.connections["D"], G.vector(model.chart, [parse_expr(model.chart, c) for c in
+                                                          ("x1*y2", "x1^2", "y1", "x2*y1")])
+
+
+@pytest.mark.parametrize("build", [_levi_civita_case(_eh_case), _levi_civita_case(_root_chart_case),
+                                   _submax_case],
+                         ids=["eguchi-hanson", "root-chart", "submax-cprojective-n2"])
+def test_lie_derivative_connection_jet_matches_brackets(build):
+    """(L_X D)(d_i, d_j) = [X, D_(d_i) d_j] - D_([X, d_i]) d_j - D_(d_i) [X, d_j],
+    built from brackets of vector fields (``geometry.bracket``), equals
+    the jet-linear form of L_X D on the field X."""
+    D, X = build()
+    chart = D.chart
+    n = chart.dim
+    jets = S.lie_derivative_connection_jet(D)
+    units = [G.vector(chart, [1 if j == i else 0 for j in range(n)]) for i in range(n)]
+    moved = [G.bracket(X, e) for e in units]  # [X, d_i]
+    for i, j in itertools.product(range(n), repeat=2):
+        if i > j:
+            continue
+        along = G.bracket(X, G.vector(chart, [D.comp(k, i, j) for k in range(n)]))
+        for k in range(n):
+            oracle = chart.sum_products(
+                [(along.comp(k),)]
+                + [(-1, moved[i].comp(m), D.comp(k, m, j)) for m in range(n)]
+                + [(-1, moved[j].comp(k).differentiate(chart.coordinates[i]))]
+                + [(-1, D.comp(k, i, m), moved[j].comp(m)) for m in range(n)])
+            assert _jets_on_field(jets, (k, i, j), X).equals(oracle), (k, i, j)
 
 
 def test_translations_solve_every_flat_system(flat4):
@@ -203,25 +307,11 @@ def _sheared_r4():
     return chart, g, triple
 
 
-@pytest.mark.parametrize("build", [_eh, _flat_r4, _sheared_r4, _root_r4, _root_pullback_r4],
-                         ids=["eguchi-hanson", "flat-r4", "sheared-r4", "root-r4",
-                              "root-pullback-r4"])
-def test_quaternionic_rows_are_the_expr_rows_times_one_function(build):
-    """Each polynomial row is the Expr row omega(L_X A) of the jet maps
-    (the reference), frame element by frame element and annihilator row
-    by annihilator row, times one nonzero function: the key sets are
-    equal, and c_k r_l = c_l r_k for any two keys after reduction."""
-    chart, g, frame = build()
-    n = chart.dim
-    system = S.quaternionic_symmetry_system(frame, g)
-    slots = [(a, b) for b, a in itertools.product(range(n), repeat=2)]
-    ann = S._endo_annihilator_full(frame, chart)
-    reference = []
-    for A in frame:
-        jets = S.lie_derivative_jet(A)
-        for omega in ann:
-            row = {k: v for k, v in S._contract(chart, omega, slots, jets).items() if v}
-            reference += [row] if row else []
+def _assert_rows_times_one_function(system, reference):
+    """Each polynomial row is its reference row of ``Expr`` s times one
+    nonzero function: the key sets are equal, and c_k r_l = c_l r_k for
+    any two keys after reduction."""
+    chart = system.chart
     assert len(system) == len(reference)
     for eq, ref in zip(system.equations, reference):
         assert eq.coeffs.keys() == ref.keys()
@@ -229,6 +319,98 @@ def test_quaternionic_rows_are_the_expr_rows_times_one_function(build):
         first = next(iter(ref))
         for k in ref:
             assert c[k] * ref[first] == c[first] * ref[k], k
+
+
+@pytest.mark.parametrize("build", [_eh, _flat_r4, _sheared_r4, _root_r4, _root_pullback_r4],
+                         ids=["eguchi-hanson", "flat-r4", "sheared-r4", "root-r4",
+                              "root-pullback-r4"])
+def test_quaternionic_rows_are_the_expr_rows_times_one_function(build):
+    """Each polynomial row is the Expr row omega(L_X A) of the jet maps
+    (the reference), frame element by frame element and annihilator row
+    by annihilator row, times one nonzero function."""
+    chart, g, frame = build()
+    n = chart.dim
+    slots = [(a, b) for b, a in itertools.product(range(n), repeat=2)]
+    ann = S._endo_annihilator_full(frame, chart)
+    reference = expr_rows(expr_contract(chart, omega, slots, expr_lie_derivative_jet(A))
+                          for A in frame for omega in ann)
+    _assert_rows_times_one_function(S.quaternionic_symmetry_system(frame, g), reference)
+
+
+def _killing_case(metric):
+    def build():
+        g = metric()
+        maps = expr_rows(expr_lie_derivative_jet(g).values())
+        # a row equal to an earlier one is dropped, as invariance_system does
+        reference = [row for k, row in enumerate(maps) if row not in maps[:k]]
+        return S.invariance_system(g), reference
+    return build
+
+
+def _cprojective_case(structure):
+    def build():
+        J, D = structure()
+        chart = J.chart
+        n = chart.dim
+        slots = [(a, i, j) for a, i, j in itertools.product(range(n), repeat=3) if i <= j]
+        shifts = [G.connection_shift(G.Connection(chart, {}), G.one_form(
+            chart, [1 if j == k else 0 for j in range(n)]), [J]) for k in range(n)]
+        ann = _linalg.nullspace([[shift.comp(*s) for s in slots] for shift in shifts],
+                                  len(slots))
+        jets = expr_lie_derivative_connection_jet(D)
+        reference = expr_rows(list(expr_lie_derivative_jet(J).values())
+                              + [expr_contract(chart, omega, slots, jets) for omega in ann])
+        return S.cprojective_symmetry_system(J, D), reference
+    return build
+
+
+def _sphere_metric():
+    chart = Chart(["th", "ph"], trig_pairs=["th"])
+    return G.TensorField(chart, ("d", "d"), {(0, 0): chart.one(),
+                                             (1, 1): parse_expr(chart, "sin(th)^2")})
+
+
+def _flat_c2():
+    chart, _ = flat_chart(4)
+    return block_endomorphism(chart, [[0, -1], [1, 0]]), G.Connection(chart, {})
+
+
+def _submax_structure():
+    model = _submax_model()
+    return model.endomorphisms["J"], model.connections["D"]
+
+
+def _pulled_back_c2():
+    _, J, D = flat_cprojective_pullback(["x0 + x0^3", "x1", "x2 + x0*x3", "x3"])
+    return J, D
+
+
+@pytest.mark.parametrize("build", [
+    _killing_case(lambda: build_eh_metric(build_eh_chart())),
+    _killing_case(lambda: root_chart_metric()[1]),
+    _killing_case(_sphere_metric),
+    _cprojective_case(_submax_structure),
+    _cprojective_case(_flat_c2),
+    _cprojective_case(_pulled_back_c2),
+], ids=["killing-eguchi-hanson", "killing-root-chart", "killing-sphere",
+        "cprojective-submax-n2", "cprojective-flat-c2", "cprojective-pulled-back-c2"])
+def test_killing_and_cprojective_rows_are_the_expr_rows_times_one_function(build):
+    """The Killing rows (unit functionals on L_X g) and the c-projective
+    rows (unit functionals on L_X J, then the shift annihilator on L_X D)
+    are the Expr rows of the reference jet maps, in order, each times one
+    nonzero function.  The pulled-back C^2 has a connection with
+    denominators, so d is not 1 there."""
+    system, reference = build()
+    _assert_rows_times_one_function(system, reference)
+
+
+def test_pulled_back_c2_has_the_flat_cprojective_bound():
+    """The flat C^2 pulled back by a map with a non-constant Jacobian
+    determinant keeps the flat bound 16 and its tables."""
+    res = P.solution_bound(S.cprojective_symmetry_system(*_pulled_back_c2()), max_stage=6)
+    flat = P.solution_bound(S.cprojective_symmetry_system(*_flat_c2()), max_stage=6)
+    assert res.conclusive and res.bound == 16
+    assert [t.dims for t in res.tables] == [t.dims for t in flat.tables]
 
 
 @pytest.mark.parametrize("seed", [1, 101, 102])
@@ -296,12 +478,34 @@ def test_eguchi_hanson_quaternionic_rows_build_few_exprs(monkeypatch):
     assert len(built) <= 50
 
 
+def test_eguchi_hanson_killing_system_builds_no_expr(monkeypatch):
+    """Once the chart holds its derivation rules (built by the first
+    build and cached), building the Eguchi-Hanson Killing system makes
+    no Expr: every row is polynomial from the cleared metric."""
+    chart = build_eh_chart()
+    g = build_eh_metric(chart)
+    first = S.invariance_system(g)
+    built = []
+    init = Expr.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(Expr, "__init__", recording_init)
+    again = S.invariance_system(g)
+    assert built == []
+    assert len(again) == len(first) == 10
+
+
 def test_a_quaternionic_coefficient_that_reduces_to_zero_is_cross_checked(monkeypatch):
     """The build sends each coefficient through the chart's one zero
     cross-check (:meth:`Chart._reduce_checked`): a planted reduction that
     zeroes a nonzero coefficient raises there, called by the builder.
     The sheared chart has no relations, so its coefficients are the
-    unreduced sums; the longest is no numerator of an Expr of the build."""
+    unreduced sums; the longest is no numerator of an Expr of the build.
+    The builder's contraction, :func:`~geosym.symsys._rows`, calls the
+    check."""
     chart, g, frame = _sheared_r4()
     system = S.quaternionic_symmetry_system(frame, g)
     target = max((c for eq in system.equations for c in eq.coeffs.values()), key=len)
@@ -310,6 +514,5 @@ def test_a_quaternionic_coefficient_that_reduces_to_zero_is_cross_checked(monkey
                         lambda self, p: Poly() if p == target else reduce_poly(self, p))
     with pytest.raises(KernelInconsistency) as info:
         S.quaternionic_symmetry_system(frame, g)
-    assert [e.name for e in info.traceback[-2:]] == ["quaternionic_symmetry_system",
-                                                       "_reduce_checked"]
+    assert [e.name for e in info.traceback[-2:]] == ["_rows", "_reduce_checked"]
 
