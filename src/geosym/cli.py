@@ -32,7 +32,7 @@ from . import symsys as S
 from .exprfield import ExprError
 from .modelfile import Model, ModelError, Task, load_model
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 __all__ = ["main", "run_task", "SCHEMA_VERSION"]
 

@@ -44,13 +44,14 @@ canonical, so the result is the one the ``+``/``*`` fold gives.
 Generic-point checks (the cross-check of each zero normal form when it
 is built, :meth:`Chart._reduce_checked`, and symbol ranks in
 :mod:`geosym.prolong`) evaluate at seeded :class:`GenericPoint` s, each
-reduced modulo its own prime: 2^61 - 1, or a prime below it where the
-chart's radicands are nonzero squares.  Integer coefficients reduce mod
-any prime, so these evaluations meet no pole but the sample values'
-own.  Symbol ranks of prolonged rows use the truncated Taylor series
-at such points (:class:`TaylorMap`): the points of one bound search
-carry distinct primes p_i, so by the Chinese remainder theorem one map
-mod their product serves all of them.
+drawn uniformly in GF(p) for its own prime p: 2^61 - 1, or a prime below
+it where the chart's radicands are nonzero squares.  Integer
+coefficients reduce mod any prime, so these evaluations meet no pole,
+and a nonzero polynomial vanishes at such a point with probability
+about its degree over p.  Symbol ranks of prolonged rows use the
+truncated Taylor series at such points (:class:`TaylorMap`): the points
+of one bound search carry distinct primes p_i, so by the Chinese
+remainder theorem one map mod their product serves all of them.
 """
 
 from __future__ import annotations
@@ -308,7 +309,7 @@ class Chart:
     a root's once its radicand is parsed.  During a parse the roots
     without a rule are free variables: reduction leaves them alone, and
     the zero cross-check of :meth:`_reduce_checked`, on throughout, gives
-    them random values (:meth:`sample_point`), still a ring
+    them uniform values in GF(p) (:func:`_residues`), still a ring
     homomorphism.  A radicand holds only variables whose rules are set,
     so its normal form is final.  Setting a rule drops the cached
     relation and derivation rules and the sample pool, since a root's
@@ -862,14 +863,14 @@ class Chart:
     # -- admissible point sampling ----------------------------------------
 
     def sample_point(self, rng: random.Random) -> Dict[str, Fraction]:
-        """Random rational values of the coordinates and trig generators.
+        """Random rational values of the coordinates and trig generators,
+        for exact evaluation (:meth:`Expr.evaluate`) where a real point
+        is needed, such as the sign of :func:`~geosym.geometry.volume_root`.
 
         Trig pairs are sampled from rational circle points, so
-        sin^2 + cos^2 = 1 holds exactly.  Root generators get no value
-        here: :class:`GenericPoint` sends them to square roots modulo
-        its prime.  A root without a rule yet (only while the chart's
-        radicands are parsed) is a free variable and gets a value like a
-        coordinate.
+        sin^2 + cos^2 = 1 holds exactly.  Root generators get no value.
+        The points of the zero cross-check and of symbol ranks are not
+        these: they are drawn in GF(p) (:class:`GenericPoint`).
         """
         point = {x: Fraction(rng.randint(2, 19), rng.randint(1, 7))
                  for x in self.coordinates}
@@ -878,8 +879,6 @@ class Chart:
                 t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
                 point[g.name] = 2 * t / (1 + t * t)
                 point[g.partner] = (1 - t * t) / (1 + t * t)
-            elif g.kind == "root" and g.square_rhs is None:
-                point[g.name] = Fraction(rng.randint(2, 19), rng.randint(1, 7))
         return point
 
     def _check_pool(self, k: int) -> List["GenericPoint"]:
@@ -987,16 +986,6 @@ def _sqrt_mod(q: int, p: int) -> Optional[int]:
         e, c = i, b * b % p
         w, t = w * b % p, t * c % p
     return min(w, p - w)
-
-
-def _mod(q: Fraction, prime: int) -> int:
-    """Image in GF(prime) of a rational sample value; PoleError when its
-    denominator is divisible by the prime."""
-    den = q.denominator % prime
-    if not den:
-        raise PoleError(f"denominator of {q} is divisible by the prime {prime}")
-    num = q.numerator % prime
-    return num if den == 1 else num * pow(den, prime - 2, prime) % prime
 
 
 def _poly_mod(p: Poly, residues: Sequence[int], modulus: int) -> int:
@@ -1144,36 +1133,43 @@ class TaylorMap:
         return out
 
 
-def _residues(chart: Chart, values: Mapping[str, Fraction],
-              prime: int) -> Optional[List[int]]:
-    """One residue mod ``prime`` per chart variable, or None when a root
-    generator's radicand is zero or not a square mod ``prime``.
+def _residues(chart: Chart, rng: random.Random, prime: int) -> Optional[List[int]]:
+    """One residue mod ``prime`` per chart variable, drawn from ``rng``, or
+    None when a root generator's radicand is zero or not a square there.
 
-    Coordinates and trig values are reduced; a root W becomes the square
-    root :func:`_sqrt_mod` of the residue of its radicand, so the
-    relations keep holding mod prime.  W is nonzero, hence a unit in the
-    Taylor series of :class:`TaylorMap`."""
-    residues: List[int] = []
-    for name in chart.var_names:
-        if name in values:
-            residues.append(_mod(values[name], prime))
-            continue
-        g = chart._gens_by_name[name]
-        # the radicand holds no later variable: those get the value 0
-        later = [0] * (len(chart.var_names) - len(residues))
-        q = _poly_mod(g.square_rhs._num, residues + later, prime)
-        w = _sqrt_mod(q, prime) if q else None
-        if w is None:
-            return None
-        residues.append(w)
+    A coordinate is uniform in GF(prime); so is a root without a rule
+    yet, a free variable while the chart's radicands are parsed.  A trig
+    pair is (2t, 1 - t^2)/(1 + t^2) for a uniform t, drawn again while
+    1 + t^2 = 0 (which has roots only at a prime 1 mod 4), so
+    sin^2 + cos^2 = 1 holds.  A root W becomes the square root
+    :func:`_sqrt_mod` of the residue of its radicand, so its relation
+    holds too, and W is nonzero, hence a unit in the Taylor series of
+    :class:`TaylorMap`."""
+    n = len(chart.var_names)
+    residues = [rng.randrange(prime) for _ in chart.coordinates]
+    for g in chart.generators:
+        if g.kind == "sin":
+            t = rng.randrange(prime)
+            while not (d := (1 + t * t) % prime):
+                t = rng.randrange(prime)
+            inv = pow(d, -1, prime)
+            residues += [2 * t * inv % prime, (1 - t * t) * inv % prime]
+        elif g.kind == "root" and g.square_rhs is None:
+            residues.append(rng.randrange(prime))
+        elif g.kind == "root":
+            # the radicand holds no later variable: those get the value 0
+            q = _poly_mod(g.square_rhs._num, residues + [0] * (n - len(residues)), prime)
+            w = _sqrt_mod(q, prime) if q else None
+            if w is None:
+                return None
+            residues.append(w)
     return residues
 
 
 @dataclass
 class GenericPoint:
-    """Seeded sample point of a chart: the rational coordinate and trig
-    values of :meth:`Chart.sample_point`, one residue per chart variable
-    in GF(``prime``), the prime, and the seed.
+    """Seeded sample point of a chart: one residue per chart variable in
+    GF(``prime``) (:func:`_residues`), the prime, and the seed.
 
     Soundness.  The residues satisfy every generator relation mod the
     prime, so evaluating a polynomial at them is a ring homomorphism from
@@ -1182,21 +1178,32 @@ class GenericPoint:
     true zero therefore maps to zero: a check that flags a nonzero image
     never flags a true zero.  Ranks of evaluated matrices can only drop.
 
-    A nonzero element maps to zero far more often than deg/prime, since
-    the values come from small sets.  A coordinate is a/b with
-    2 <= a <= 19 and 1 <= b <= 7, no value more likely than 2 (1/18);
-    a trig pair is (2t, 1 - t^2)/(1 + t^2) with t = a/b, 1 <= a, b <= 9,
-    no t more likely than 1 (1/9), and sin and cos have degree 2 in t.
-    Such fractions stay distinct mod the prime, so a polynomial with a
-    coefficient the prime does not divide vanishes with probability at
-    most sum_x deg_x / 18 + sum_pairs 2 deg_pair / 9 (Schwartz 1980;
-    Zippel 1979, with these probabilities for 1/|S|); with root
-    generators the same holds for its norm, the product of its
-    conjugates under W -> -W.  The upper bounds of
+    A nonzero element seldom maps to zero, because the draws are
+    uniform.  Let f be a polynomial with a coefficient the prime does
+    not divide, of degree deg_x in each coordinate x and deg_pair in the
+    sin and cos of each trig pair.  Times (1 + t^2)^deg_pair for each
+    pair, f is a polynomial in the uniform draws of total degree at most
+    sum_x deg_x + 2 sum_pairs deg_pair, and not the zero polynomial, since
+    t -> (2t, 1 - t^2)/(1 + t^2) is a birational map onto the circle.  So
+    f vanishes at the point with probability at most
+    (sum_x deg_x + 2 sum_pairs deg_pair) / p (Schwartz 1980; Zippel 1979),
+    with p - 2 for p where 1 + t^2 = 0 has two roots, which are not drawn.
+    With root generators the same holds for f's norm, the product of its
+    conjugates under W -> -W, and the draws that give a radicand no
+    nonzero square root are drawn again, which at most multiplies the
+    probability by 1 / P(a draw is kept).  The upper bounds of
     :func:`~geosym.prolong.solution_bound` never depend on this, only
     their tightness does, and so does the chance that the zero
     cross-check of :meth:`Chart._reduce_checked` misses a kernel fault.
-    Values drawn uniformly in GF(prime) would make the bound deg/prime.
+    The elimination of :func:`~geosym.prolong.solution_bound` keeps one
+    pivot set for its points and drops a point where a reduced row's
+    least entry vanishes.  A surviving point's pivots are those of an
+    elimination at it alone, and a generic point is never dropped: while
+    all points share the generic pivots, each point's reduced row is the
+    image of the generic one, so its entry vanishes at a generic point
+    only when it does at every point.  So a point is dropped only where
+    a nonzero reduced polynomial vanishes, which by the bound above is
+    rare at p near 2^61.
 
     The points of one bound search carry distinct primes (``taken``), so
     one :class:`TaylorMap` mod the product of their primes holds all of
@@ -1204,30 +1211,29 @@ class GenericPoint:
     product of theirs (:meth:`Chart._cross_check_point`).
     """
 
-    values: Dict[str, Fraction]
     seed: int
     residues: List[int]
     prime: int
 
     @staticmethod
     def sample(chart: Chart, seed: int, taken: Collection[int] = ()) -> "GenericPoint":
-        """The first point of the ``random.Random(seed)`` stream whose
-        roots have nonzero square radicands mod the first prime of the
-        chain 2^61 - 1, then the primes below it (:func:`_prime`), that is
-        not in ``taken``; the stream moves to the next such prime only
-        when it yields no such point (a constant radicand, such as 3 or
-        -1, that is not a square mod the prime never does).  On a chart
-        without roots that is the stream's first point at the first
-        untaken prime.  A nonsquare rational is a square mod half of all
-        primes, so k such radicands need about 2^k primes."""
+        """The first point that the ``random.Random(seed)`` stream draws
+        (:func:`_residues`) whose roots have nonzero square radicands mod
+        the first prime of the chain 2^61 - 1, then the primes below it
+        (:func:`_prime`), that is not in ``taken``; the stream starts over
+        at the next such prime only when it yields no such point (a
+        constant radicand, such as 3 or -1, that is not a square mod the
+        prime never does).  On a chart without roots that is the stream's
+        first point at the first untaken prime.  A nonsquare rational is a
+        square mod half of all primes, so k such radicands need about 2^k
+        primes."""
         untaken = (p for p in map(_prime, count()) if p not in taken)
         for prime in islice(untaken, _MAX_PRIMES):
             rng = random.Random(seed)
             for _ in range(200):
-                values = chart.sample_point(rng)
-                residues = _residues(chart, values, prime)
+                residues = _residues(chart, rng, prime)
                 if residues is not None:
-                    return GenericPoint(values, seed, residues, prime)
+                    return GenericPoint(seed, residues, prime)
         raise ExprError(f"no sample point for seed {seed} whose roots have "
                         f"nonzero square radicands mod any of {_MAX_PRIMES} primes")
 

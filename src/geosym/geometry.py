@@ -11,12 +11,13 @@ dense metric.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from . import _linalg
-from .exprfield import Chart, Expr, ExprError, exact_sqrt
+from .exprfield import _POOL_SEED, Chart, Expr, ExprError, exact_sqrt
 
 Index = Tuple[int, ...]
 TwoFormMetric = Dict[Tuple[Tuple[int, int], Tuple[int, int]], Expr]  # see _two_form_metric
@@ -446,8 +447,8 @@ def _two_form_basis(n: int) -> List[Tuple[int, int]]:
 
 
 def volume_root(g: TensorField) -> Expr:
-    """sqrt(det g) within the field, positive at the rational values of
-    the chart's first cross-check point.
+    """sqrt(det g) within the field, positive at the rational point
+    ``chart.sample_point(random.Random(_POOL_SEED))``.
 
     The determinant must be a perfect square (possibly via a declared
     root generator whose relation matches it)."""
@@ -462,7 +463,7 @@ def _volume_root(det: Expr) -> Expr:
             "det(g) is not a perfect square in the field; "
             "declare a volume-root generator with relation W^2 = det(g)")
     try:
-        value = W.evaluate(det.chart._check_pool(1)[0].values)
+        value = W.evaluate(det.chart.sample_point(random.Random(_POOL_SEED)))
     except ExprError as ex:
         raise GeometryError(
             f"the sign of sqrt(det g) = {W} cannot be fixed at a rational "

@@ -28,16 +28,15 @@ unknowns and B above every jet order met, so codes sort like the graded
 keys (-|alpha|, a, alpha) and the column of X^a_(alpha+beta-gamma) is
 that of X^a_alpha plus a shift fixed by beta - gamma.  The elimination
 (:class:`_GradedElimination`) keeps its stored rows in reduced row
-echelon form (RREF) lane by lane: no stored tail holds a pivot column
-in a lane where it is a pivot.  A new row is reduced in one pass over
-its own keys, and its pivot is then cleared from the stored tails that
-hold it, found through an index from each column to the stored rows
-that hold it.  A pivot whose entry is a unit mod M is a pivot in every
-lane; where the entry vanishes mod some p_i, those lanes go on to
-their own next key, and the pivot records the lanes it serves.  Tail
-entries stay integers congruent to their residues until they are read
-as a multiplier.  The RREF of a row space is unique and its pivot set
-is the column rank profile; an order-preserving relabelling of the
+echelon form (RREF), with one pivot set for all lanes: no stored tail
+holds a pivot column.  A new row is reduced in one pass over its own
+keys, and its pivot is then cleared from the stored tails that hold it,
+found through an index from each column to the stored rows that hold
+it.  When the new pivot's entry is no unit mod M, the lanes where it
+vanishes are dropped and M becomes the product of the primes left.
+Tail entries stay integers congruent to their residues until they are
+read as a multiplier.  The RREF of a row space is unique and its pivot
+set is the column rank profile; an order-preserving relabelling of the
 columns and a later reduction mod p change neither, so pivots, ranks
 and tables are those of elimination on the graded keys with every step
 reduced.
@@ -62,20 +61,33 @@ evaluation at the point.  So the row of D^beta E it gives, for
 |beta| <= K, is the image of the true prolonged row.  A homomorphic
 image of a matrix has rank at most the rank of the matrix, so each rank
 can only drop, each dim g_k can only grow, and the bound stays an upper
-bound.  Reduction mod p_i is a ring homomorphism from Z/M onto GF(p_i)
-that commutes with every step of the Taylor map and of the elimination
-(sums, products, inverses of units), so lane i of the map mod M is the
-map of point i mod p_i, and lane i of the elimination is the RREF of
-point i's rows in the order they came: its pivots and tables are those
-of an elimination at point i alone.  Dropping an equation that is
-dependent mod p at every point can also only loosen the bound.  None
-of this depends on how likely a point is to be generic; only the
-tightness of the bound does.  The sample values come from small sets, so a nonzero polynomial
-vanishes at a point with probability up to
-sum_x deg_x / 18 + sum_pairs 2 deg_pair / 9, not deg/p
-(:class:`~geosym.exprfield.GenericPoint`); the tables are taken at
-several points.  A common factor of an equation's coefficients is one
-more polynomial that may vanish at a point.
+bound.  Dropping an equation that is dependent mod p at every point can
+also only loosen the bound.
+
+Soundness of one pivot set for all points.  Reduction mod p_i is a ring
+homomorphism from Z/M onto GF(p_i) that commutes with every step of the
+Taylor map and of the elimination (sums, products, inverses of units),
+so lane i of the map mod M is the map of point i mod p_i.  Reduction
+mod any divisor of M is a ring homomorphism too, so the stored integers
+stay valid when lanes are dropped.
+- A surviving lane's pivots are those of an elimination at its point
+  alone: each new row's least entry is nonzero mod each surviving
+  prime, so at each surviving point that key is the row's pivot, and
+  lane i of the elimination is the RREF of point i's rows in the order
+  they came.
+- A generic point is never dropped.  While all lanes share the generic
+  pivot set, each lane's reduced row is the image of the generic one
+  (the row reduced over the function field), so a generic lane's least
+  entry vanishes only when every lane's does, and then the row was
+  dependent and no lane is dropped.
+- With uniform draws, a nonzero reduced polynomial vanishes at a point
+  with probability at most (sum_x deg_x + 2 sum_pairs deg_pair) / p
+  (:class:`~geosym.exprfield.GenericPoint`), and p is about 2^61.
+None of this depends on how likely a point is to be generic; only the
+tightness of the bound does.  The tables are taken at several points,
+and a dropped point shows as ``point_independent`` false.  A common
+factor of an equation's coefficients is one more polynomial that may
+vanish at a point.
 """
 
 from __future__ import annotations
@@ -86,7 +98,7 @@ from math import comb, gcd, perm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, Poly, TaylorMap,
-                        _clear_denominators, _crt_basis, _derivation_rules, _poly_dot,
+                        _clear_denominators, _derivation_rules, _poly_dot,
                         _poly_total_derivative)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
@@ -323,25 +335,25 @@ class _GradedElimination:
     jet order) eliminated first.
 
     By the Chinese remainder theorem Z/M = GF(p_1) x ... x GF(p_r); lane
-    i is the factor GF(p_i), read by reducing mod p_i, and e_i is its
-    idempotent (1 mod p_i, 0 mod the other primes).  Lane by lane the
-    elimination is the RREF over GF(p_i) of the rows' lane-i images in
-    the order they arrive; with one lane it is the RREF mod the prime.
+    i is the factor GF(p_i), read by reducing mod p_i.  All lanes share
+    one pivot set: ``rows`` maps each pivot key to the rest of its stored
+    row, a dict from key to entry, and its pivot entry is 1.  A reduced
+    row whose least entry is no unit mod M drops the lanes where that
+    entry vanishes (:meth:`add`); ``primes`` are the lanes left and
+    ``modulus`` their product.  Reduction mod a divisor of M is a ring
+    homomorphism, so the stored integers stay valid as they are, and
+    lane by lane the elimination is the RREF over GF(p_i) of the rows'
+    lane-i images in the order they arrive; with one lane it is the RREF
+    mod the prime.
 
-    ``rows`` maps each pivot key to the rest of its stored row, a dict
-    from key to entry.  A key is a pivot in a set S of lanes, its mask:
-    every lane, unless ``_partial`` names the key with the idempotent
-    e_S = sum of e_i over S.  The stored row is zero outside S, its
-    pivot entry is e_S (1 for every lane), and read in a lane of S it is
-    that lane's RREF row with this pivot.  The invariant is that a
-    stored tail's entry at a key vanishes in every lane where that key
-    is a pivot, so a new row is reduced by one pass over its own keys,
-    and a new pivot is cleared from the stored tails that hold it
-    (back-substitution).  ``_holders`` names those tails: for each
-    column, the pivots whose tails hold it in some lane, appended to as
-    tails gain the column and dropped when they no longer hold it.
-    Tail entries are integers congruent to their residues, reduced when
-    read as a multiplier, so an entry may read 0.
+    The invariant is that no stored tail holds a pivot key, so a new row
+    is reduced by one pass over its own keys, and a new pivot is cleared
+    from the stored tails that hold it (back-substitution).
+    ``_holders`` names those tails: for each column, the pivots whose
+    tails hold it, appended to as tails gain the column and dropped when
+    the column becomes a pivot.  Tail entries are integers congruent to
+    their residues, reduced when read as a multiplier, so an entry may
+    read 0.
 
     The RREF of a row space is unique and its pivot set is the column
     rank profile: a column is a pivot exactly when it enlarges the rank
@@ -355,29 +367,26 @@ class _GradedElimination:
     """
 
     def __init__(self, primes: Sequence[int], columns: _Columns):
-        self.primes = tuple(primes)
-        self.modulus, self._basis = _crt_basis(self.primes)
+        self.primes = list(primes)
+        self.modulus = prod(self.primes)
         self.columns = columns
         self.rows: Dict[int, Dict[int, int]] = {}
-        self._partial: Dict[int, int] = {}  # pivot key -> e_S, for masks short of every lane
         self._holders: Dict[int, List[int]] = {}
 
     def add(self, row: Dict[int, int]) -> Optional[int]:
         """Reduce the row (integers, read mod M); store it and return its
-        least new pivot key, or return None if it is dependent on the rows
-        seen so far in every lane.
+        new pivot key, or return None if it is dependent on the rows seen
+        so far in every lane.
 
-        Each key of the row that is a pivot, with mask S, contributes its
-        entry times that pivot's tail and keeps its entry times 1 - e_S,
-        every other key is copied, and the sum is reduced mod M once:
-        stored tails vanish at each pivot key in its lanes, so the result
-        vanishes there too.  Its least key is the new pivot in every lane
-        when its entry there is a unit mod M.  Otherwise each lane takes
-        its own least key whose entry is nonzero mod its prime, and the
-        lanes L with pivot k take the row times the sum over L of
-        (entry mod p_i)^-1 e_i, which is zero outside L and has pivot
-        entry e_L.  Each new row is then stored (:meth:`_store`)."""
-        modulus, rows, partial = self.modulus, self.rows, self._partial
+        Each key of the row that is a pivot contributes its entry times
+        that pivot's tail, every other key is copied, and the sum is
+        reduced mod M once: stored tails hold no pivot key, so neither
+        does the result.  Its least key is the new pivot.  When the entry
+        there is no unit mod M, g = gcd(entry, M) is the product of the
+        primes of the lanes where it vanishes, whose own pivots would
+        differ: those lanes are dropped, M becomes M / g, and the row is
+        read mod the new M, where its least entry is a unit."""
+        modulus, rows = self.modulus, self.rows
         out: Dict[int, int] = {}
         for k, v in row.items():
             tail = rows.get(k)
@@ -386,88 +395,54 @@ class _GradedElimination:
             elif f := v % modulus:
                 for j, t in tail.items():
                     out[j] = out.get(j, 0) - f * t
-                if partial and (e := partial.get(k)) is not None:
-                    out[k] = out.get(k, 0) + f * (1 - e)
         out = {k: r for k, v in out.items() if (r := v % modulus)}
         if not out:
             return None
         least = min(out)
-        if gcd(out[least], modulus) == 1:
-            inv = pow(out.pop(least), -1, modulus)
-            self._store(least, {k: v * inv % modulus for k, v in out.items()}, 1)
-            return least
-        found: Dict[int, List[int]] = {}  # new pivot -> its lanes
-        for i, prime in enumerate(self.primes):
-            if out[least] % prime:
-                found.setdefault(least, []).append(i)
-            elif keys := [k for k, v in out.items() if v % prime]:
-                found.setdefault(min(keys), []).append(i)
-        for p, lanes in found.items():
-            inv = sum(pow(out[p], -1, self.primes[i]) * self._basis[i] for i in lanes)
-            self._store(p, {k: r for k, v in out.items() if k != p and (r := v * inv % modulus)},
-                        sum(self._basis[i] for i in lanes) % modulus)
-        return min(found)
+        g = gcd(out[least], modulus)
+        if g != 1:
+            self.primes = [p for p in self.primes if g % p]
+            self.modulus = modulus = modulus // g
+            out = {k: r for k, v in out.items() if (r := v % modulus)}
+        inv = pow(out.pop(least), -1, modulus)
+        self._store(least, {k: v * inv % modulus for k, v in out.items()})
+        return least
 
-    def _store(self, p: int, new: Dict[int, int], e: int) -> None:
-        """Make p a pivot in the lanes of the idempotent e (1 for every
-        lane) with the tail ``new``, which is zero outside those lanes.
-        The new row is subtracted, times its entry there, from each stored
-        tail that holds p in those lanes, and it joins the stored row of p
-        when p is already a pivot in other lanes."""
+    def _store(self, p: int, new: Dict[int, int]) -> None:
+        """Make p a pivot with the tail ``new``: the new row is subtracted,
+        times its entry there, from each stored tail that holds p."""
         modulus, rows, holders = self.modulus, self.rows, self._holders
-        kept = []
         for q in holders.pop(p, ()):
             tail = rows[q]
             f = tail.pop(p) % modulus
-            g = f * e % modulus  # the entry in the lanes of e
-            if f != g:  # the tail still holds p in its other lanes
-                tail[p] = f - g
-                kept.append(q)
-            if not g:
+            if not f:
                 continue
             for k, t in new.items():
                 old = tail.get(k)
                 if old is None:
-                    tail[k] = -g * t
+                    tail[k] = -f * t
                     holders.setdefault(k, []).append(q)
                 else:
-                    tail[k] = old - g * t
-        if kept:
-            holders[p] = kept
-        stored = rows.get(p)
-        if stored is None:
-            rows[p] = new
-            for k in new:
-                holders.setdefault(k, []).append(p)
-        else:
-            for k, t in new.items():
-                if k not in stored:
-                    holders.setdefault(k, []).append(p)
-                stored[k] = stored.get(k, 0) + t
-        mask = (self._partial.pop(p, 0) + e) % modulus  # masks of one key are disjoint
-        if mask != 1:
-            self._partial[p] = mask
+                    tail[k] = old - f * t
+        rows[p] = new
+        for k in new:
+            holders.setdefault(k, []).append(p)
 
-    def pivots(self, lane: int = 0) -> List[int]:
-        """The pivot keys of one lane."""
-        prime = self.primes[lane]
-        return [p for p in self.rows if (e := self._partial.get(p)) is None or e % prime]
-
-    def pivots_per_order(self, lane: int = 0) -> Dict[int, int]:
+    def pivots_per_order(self) -> Dict[int, int]:
         out: Dict[int, int] = {}
         order = self.columns.order
-        for p in self.pivots(lane):
+        for p in self.rows:
             k = order(p)
             out[k] = out.get(k, 0) + 1
         return out
 
 
-def _symbol_table(elim: _GradedElimination, lane: int, system: LinearPDESystem,
+def _symbol_table(elim: _GradedElimination, system: LinearPDESystem,
                   stage: int, max_order: int) -> SymbolTable:
-    """dim g_k = (order-k jet coordinates) - (pivots of order k in the
-    lane), listed from ``max_order`` down to 0."""
+    """dim g_k = (order-k jet coordinates) - (pivots of order k), listed
+    from ``max_order`` down to 0."""
     n, m = system.chart.dim, system.n_unknowns
-    per_order = elim.pivots_per_order(lane)
+    per_order = elim.pivots_per_order()
     return SymbolTable(stage, tuple(m * comb(n + k - 1, k) - per_order.get(k, 0)
                                     for k in range(max_order, -1, -1)))
 
@@ -504,7 +479,7 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     A prolonged row is the pair (E, beta): the row of D^beta E at a
     point comes from the Taylor coefficients of E's own coefficients
     there (:meth:`Equation.evaluate_sparse`), so no derivative is taken
-    symbolically.  Only the rows independent at some sample point are
+    symbolically.  Only the rows independent at the sample points are
     carried forward: derivatives of a dependent row are spanned by
     derivatives of the retained ones plus the retained lower-order rows,
     so the symbol tables are unchanged.
@@ -525,7 +500,11 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     Each point takes a prime that no earlier point took, so the rows at
     all points come from one :class:`~geosym.exprfield.TaylorMap` mod the
     product of the primes, and one :class:`_GradedElimination` reduces
-    them, point i in its lane i.
+    them, point i in its lane i, with one pivot set for all points.  A
+    point where a reduced row's least entry vanishes, though not at
+    every point, is dropped, and the tables are those of the points
+    left, each that point's own; ``point_independent`` says that no
+    point was dropped.
     """
     if max_stage < 1:
         raise ProlongError("max_stage must be at least 1")
@@ -539,36 +518,31 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
     elim = _GradedElimination([p.prime for p in points], columns)
 
     def admit(rows: Sequence[Row]) -> List[Row]:
-        """Add the rows at all points, through a Taylor map of the rows'
-        order, lowest jet order first: in descending order of their
+        """Add the rows at the points left, through a Taylor map of the
+        rows' order, lowest jet order first: in descending order of their
         leading codes (:meth:`_Columns.lead`), ties in the given order.
-        Keep the rows independent at some point (one dependent at every
-        point adds nothing to any symbol table: its derivatives stay in
+        Keep the rows independent at the points (one dependent at every
+        point adds nothing to the symbol table: its derivatives stay in
         the prolonged span of the retained ones)."""
         order = max((sum(beta) for _, beta in rows), default=0)
-        taylor = TaylorMap(chart, points, order)
+        taylor = TaylorMap(chart, [p for p in points if p.prime in elim.primes], order)
         return [(eq, beta) for eq, beta in sorted(rows, key=columns.lead, reverse=True)
                 if elim.add(eq.evaluate_sparse(beta, taylor, columns)) is not None]
 
     def result(bound: Optional[int]) -> BoundResult:
         return BoundResult(bound, bound is not None, tables, [p.seed for p in points],
-                           point_independent, [p.prime for p in points])
+                           len(elim.primes) == len(points), [p.prime for p in points])
 
     tables: List[SymbolTable] = []
-    point_independent = True
     zero = (0,) * chart.dim
     active = admit([(e, zero) for e in system.equations])
     frontier = list(active)
     for stage in range(1, max_stage + 1):
         max_order = max((columns.coded(eq)[0] + sum(beta) for eq, beta in active), default=0)
-        stage_tables = [_symbol_table(elim, lane, system, stage, max_order)
-                        for lane in range(len(points))]
-        best = min(stage_tables, key=lambda t: t.total())  # min dims = max rank
-        if any(t.dims != best.dims for t in stage_tables):
-            point_independent = False
-        tables.append(best)
-        if _finite_type(best):
-            return result(best.total())
+        table = _symbol_table(elim, system, stage, max_order)
+        tables.append(table)
+        if _finite_type(table):
+            return result(table.total())
         if stage == max_stage:
             break
         new_rows = _next_derivatives(frontier)

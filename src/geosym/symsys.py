@@ -123,9 +123,11 @@ def _rows(chart: Chart, jets: LieJets, functionals: Iterable[Mapping[Index, Poly
     """The equations omega(L_X T) = 0, in order, for cleared functionals
     w = lambda omega given as {idx: w_idx}: the row
     d w(S L_X T^) - w(T^) S X(d), or w(S L_X T^) when w(T^) reduces to
-    zero.  Each coefficient is one :func:`_poly_dot`, reduced once, a
-    zero cross-checked (:meth:`Chart._reduce_checked`); zero
-    coefficients and rows are dropped.
+    zero.  A caller that knows w(T^) = 0 for every functional passes the
+    jets with ``hat`` empty, and no w(T^) is built.  Each coefficient is
+    one :func:`_poly_dot`, reduced once, a zero cross-checked
+    (:meth:`Chart._reduce_checked`); zero coefficients and rows are
+    dropped.
 
     Soundness.  By the identity of :class:`LieJets` the row is
     omega(L_X T) times lambda S d^2, or lambda S d without the factor d:
@@ -134,8 +136,8 @@ def _rows(chart: Chart, jets: LieJets, functionals: Iterable[Mapping[Index, Poly
     (:class:`~geosym.prolong.Equation`), nor any coefficient's zeroness."""
     eqs = []
     for w in functionals:
-        w_hat = chart._reduce_checked(_poly_dot((v, jets.hat[s]) for s, v in w.items()
-                                                if s in jets.hat))
+        w_hat = jets.hat and chart._reduce_checked(
+            _poly_dot((v, jets.hat[s]) for s, v in w.items() if s in jets.hat))
         terms: Dict[JetKey, list] = {}  # key -> the (factor, coefficient) pairs of its sum
         for s, v in w.items():
             v = v * jets.d if w_hat else v
@@ -186,8 +188,9 @@ def quaternionic_symmetry_system(frame: Sequence[TensorField],
     conformally flat structures.
 
     Each annihilator row is cleared, omega = w/l, and contracted with
-    each frame element's jet maps (:func:`_rows`); w(A^) = 0, so d
-    drops and the row is omega(L_X A) times l d S.
+    each frame element's jet maps (:func:`_rows`); w(A^) = 0 by the
+    annihilator's construction, so the jets go without ``hat``, d drops
+    and the row is omega(L_X A) times l d S.
     """
     chart = g.chart
     n = chart.dim
@@ -198,7 +201,7 @@ def quaternionic_symmetry_system(frame: Sequence[TensorField],
     omegas = _functionals(chart, [(a, b) for b, a in itertools.product(range(n), repeat=2)], ann)
     eqs: List[Equation] = []
     for A in frame:
-        eqs += _rows(chart, lie_derivative_jet(A), omegas)
+        eqs += _rows(chart, lie_derivative_jet(A)._replace(hat={}), omegas)
     return LinearPDESystem(chart, n, eqs)
 
 

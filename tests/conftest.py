@@ -5,13 +5,14 @@ symmetry systems is the expensive part of the suite.
 """
 
 import itertools
+import random
 
 import pytest
 
 from geosym import _linalg
 from geosym import geometry as G
 from geosym import symsys as S
-from geosym.exprfield import Chart, parse_expr
+from geosym.exprfield import PRIME, Chart, GenericPoint, parse_expr
 
 
 EH_METRIC_COMPONENTS = {
@@ -81,6 +82,25 @@ def build_eh_fields(chart: Chart):
             comps[coords.index(coord)] = parse_expr(chart, src)
         fields.append(G.vector(chart, comps))
     return fields
+
+
+def planted_point(chart: Chart, seed: int) -> GenericPoint:
+    """The rational point ``chart.sample_point(random.Random(seed))`` of a
+    chart without roots, reduced mod PRIME = 2^61 - 1, as a GenericPoint
+    of that seed.  Its values have small numerators and denominators, so
+    such points are far more often degenerate than uniform GF(p) points."""
+    values = chart.sample_point(random.Random(seed))
+    return GenericPoint(seed, [v.numerator * pow(v.denominator, -1, PRIME) % PRIME
+                               for v in (values[name] for name in chart.var_names)], PRIME)
+
+
+def plant(monkeypatch, point: GenericPoint) -> None:
+    """Make ``GenericPoint.sample`` return ``point`` for its seed; every
+    other seed samples as before."""
+    sample = GenericPoint.sample
+    monkeypatch.setattr(GenericPoint, "sample", staticmethod(
+        lambda chart, seed, taken=(): point if seed == point.seed
+        else sample(chart, seed, taken)))
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ import importlib.resources
 import pytest
 
 import test_geometry
+from conftest import plant, planted_point
 
 
 @contextmanager
@@ -54,18 +55,22 @@ def test_criterion_1_eguchi_hanson_symbol_tables(eh_quaternionic_system):
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", [6, 14, 102])
 def test_eguchi_hanson_tables_when_a_sample_point_is_degenerate(
-        eh_quaternionic_system, seed):
-    """At these seeds the first sample point is not generic (its own
-    stage-1 table is (10, 3)); equations independent at any of the
-    points are kept, so the tables and the bound are the generic ones."""
+        eh_quaternionic_system, monkeypatch, seed):
+    """The rational point of each of these seeds, reduced mod 2^61 - 1, is
+    not generic: its own stage-1 table is (10, 3).  Joined with two
+    sampled points it is dropped, and the tables and the bound are the
+    generic ones, with ``point_independent`` false."""
+    plant(monkeypatch, planted_point(eh_quaternionic_system.chart, seed))
     first = P.solution_bound(eh_quaternionic_system, max_stage=1, seeds=(seed,))
     assert first.tables[0].dims == (10, 3)
+    assert first.point_independent
     res = P.solution_bound(eh_quaternionic_system, max_stage=5,
                            seeds=(seed, seed + 101, seed + 202))
     assert [t.dims for t in res.tables] == [
         (7, 4), (4, 7, 4), (0, 4, 4, 4), (0, 0, 0, 1, 3)]
     assert res.conclusive
     assert res.bound == 4
+    assert not res.point_independent
 
 
 def test_criterion_2_eguchi_hanson_isometries(

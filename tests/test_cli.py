@@ -171,7 +171,7 @@ def test_json_report_deterministic(tmp_path):
                      "--seed", "55", "--json", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     doc = json.loads(out1.read_text())
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert doc["seed"] == 55
     assert all(t["outcome"] == "pass" for t in doc["tasks"])
 

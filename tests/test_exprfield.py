@@ -4,6 +4,7 @@ derivations, relation handling, and evaluation."""
 import importlib
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 from math import prod
@@ -27,6 +28,7 @@ from geosym.exprfield import (
     GenericPoint,
     KernelInconsistency,
     _MAX_PRIMES,
+    PRIME,
     PoleError,
     Poly,
     TaylorMap,
@@ -36,11 +38,11 @@ from geosym.exprfield import (
     _divide,
     _ground,
     _is_prime,
-    _mod,
     _poly_dot,
     _poly_mod,
     _poly_total_derivative,
     _prime,
+    _residues,
     _sqrt_mod,
     _square_root,
     exact_sqrt,
@@ -274,9 +276,8 @@ def test_evaluate_at_formal_roots():
     point = GenericPoint.sample(ch, 3)
     p = point.prime
     r = dict(zip(ch.var_names, point.residues))
-    x, y = (_mod(point.values[v], p) for v in ("x", "y"))
+    x, y = r["x"], r["y"]
     # the residues of the roots satisfy the relations mod the point's prime
-    assert r["x"] == x and r["y"] == y
     assert r["W"] ** 2 % p == (x * x + 1) % p
     assert r["V"] ** 2 % p == (r["W"] + y * y + 3) % p
     # V*V - W reduces to y^2 + 3, and so does its value mod p
@@ -284,7 +285,8 @@ def test_evaluate_at_formal_roots():
     assert e == parse_expr(ch, "y^2 + 3")
     assert _poly_mod(e._num, point.residues, p) == (y * y + 3) % p
     # rational evaluation needs only the variables that occur
-    assert e.evaluate(point.values) == point.values["y"] ** 2 + 3
+    values = ch.sample_point(random.Random(3))
+    assert "W" not in values and e.evaluate(values) == values["y"] ** 2 + 3
 
 
 def _truncated_product(a, b, order, prime):
@@ -356,20 +358,62 @@ def test_taylor_map_of_several_points_reads_each_point_mod_its_prime(seed):
             TaylorMap(ch, [points[0], points[0]], K)
 
 
-def test_points_with_a_vanishing_radicand_are_resampled():
+class _PlantedRandom(random.Random):
+    """A ``random.Random`` stream whose first draws ``randrange(n)`` for
+    each n in ``planted`` are ``planted[n]`` (popped as drawn), the
+    stream's own draws after them."""
+
+    planted = {}
+
+    def randrange(self, n):
+        draws = self.planted.get(n)
+        return draws.pop(0) if draws else super().randrange(n)
+
+
+def test_points_with_a_vanishing_radicand_are_resampled(monkeypatch):
     """W^2 = x - 2 vanishes where x = 2; such a point is replaced by the
     next one of its seed's stream, like a point with a nonsquare
     radicand, so W stays a unit of the Taylor series."""
-    import random
     ch = Chart(["x"], roots=[("W", "x - 2")])
-    hit = [seed for seed in range(1, 100)
-           if ch.sample_point(random.Random(seed))["x"] == 2]
-    assert hit
-    for seed in hit:
-        point = GenericPoint.sample(ch, seed)
-        assert point.values["x"] != 2
-        assert point.residues[1] and point.residues[1] ** 2 % point.prime == \
-            _mod(point.values["x"] - 2, point.prime)
+    monkeypatch.setattr(_PlantedRandom, "planted", {PRIME: [2]})
+    monkeypatch.setattr(exprfield.random, "Random", _PlantedRandom)
+    point = GenericPoint.sample(ch, 5)
+    assert point.prime == PRIME
+    x, w = point.residues
+    assert x != 2 and w and w * w % PRIME == (x - 2) % PRIME
+    # the stream after the planted draw: its first draws, until the
+    # radicand is a nonzero square
+    rng = random.Random(5)
+    while (x0 := rng.randrange(PRIME)) != x:
+        assert not _sqrt_mod(x0 - 2, PRIME)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 101])
+def test_residues_satisfy_the_relations_and_skip_the_poles_of_the_circle(seed, monkeypatch):
+    """sin^2 + cos^2 = 1 and W^2 = radicand hold mod the point's prime.
+    3 is no square mod 2^61 - 1, so W^2 = 3 puts the points at the next
+    prime, which is 1 mod 4: there 1 + t^2 = 0 has two roots, and a t
+    drawn at one is drawn again."""
+    ch = Chart(["x", "y"], trig_pairs=["y"], roots=[("W", 3), ("V", "x*sin(y) + W")])
+    point = GenericPoint.sample(ch, seed)
+    q = point.prime
+    assert q == _prime(1) and q % 4 == 1
+    r = dict(zip(ch.var_names, point.residues))
+    assert (r["sin_y"] ** 2 + r["cos_y"] ** 2) % q == 1
+    assert r["W"] ** 2 % q == 3
+    assert r["V"] ** 2 % q == (r["x"] * r["sin_y"] + r["W"]) % q
+    # plant a root i of 1 + t^2 as the first t at q: the next draw is taken
+    ch = Chart(["x", "y"], trig_pairs=["y"], roots=[("W", 3)])
+    i = _sqrt_mod(-1, q)
+    assert (1 + i * i) % q == 0
+    monkeypatch.setattr(_PlantedRandom, "planted", {q: [3, 4, i]})
+    monkeypatch.setattr(exprfield.random, "Random", _PlantedRandom)
+    point = GenericPoint.sample(ch, seed)
+    t = random.Random(seed).randrange(q)
+    inv = pow(1 + t * t, -1, q)
+    assert point.prime == q
+    assert point.residues[:4] == [3, 4, 2 * t * inv % q, (1 - t * t) * inv % q]
+    assert point.residues[4] ** 2 % q == 3
 
 
 @pytest.mark.parametrize("radicand", [None, 3, 15, -1])
@@ -626,7 +670,12 @@ def test_the_zero_cross_check_runs_inside_a_radicand_parse(monkeypatch):
 
     def recording_pool(self, k):
         points = check_pool(self, k)
-        checked.append({g.name for g in self.generators if g.name not in points[0].values})
+        # the generators with a rule, whose residues are square roots of
+        # their radicands'; the others get uniform residues
+        checked.append({g.name for g in self.generators if g.square_rhs is not None})
+        for point in points:
+            assert len(point.residues) == len(self.var_names)
+            assert point.residues[self._index["W"]] ** 2 % point.prime == 3
         return points
 
     def radicand_with_a_cancelling_sum(self, name, source):

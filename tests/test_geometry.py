@@ -14,9 +14,9 @@ import pytest
 import sympy
 
 from geosym import geometry as G
-from geosym.exprfield import Chart, parse_expr
+from geosym.exprfield import _POOL_SEED, Chart, parse_expr
 
-from conftest import standard_triple
+from conftest import build_eh_chart, build_eh_metric, standard_triple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODELS = SRC / "geosym" / "models"
@@ -554,6 +554,25 @@ def test_volume_root_squares_to_det(sphere):
     chart, g = sphere
     w = G.volume_root(g)
     assert (w * w - G.metric_det(g)).is_zero()
+
+
+def test_volume_root_is_positive_at_the_rational_point_of_the_pool_seed(sphere):
+    """The sign of sqrt(det g) is fixed at the rational point
+    ``sample_point(random.Random(_POOL_SEED))``, on a chart with a root
+    generator too (whose radicand may be no square there): Eguchi-Hanson
+    gives rho sin(psi) sin(phi)^2 / 2, the round sphere sin(th), and
+    cos(y) W dx^2 + cos(y) / W dy^2 gives cos(y), positive there."""
+    eh = build_eh_chart()
+    assert G.volume_root(build_eh_metric(eh)) == \
+        parse_expr(eh, "rho*sin(psi)*(1 - cos(phi)^2)/2")
+    chart, g = sphere
+    assert G.volume_root(g) == parse_expr(chart, "sin(th)")
+    for radicand in ("x^2 + 1", "x - 3", 3, -1):
+        chart = Chart(["x", "y"], trig_pairs=["y"], roots=[("W", radicand)])
+        g = G.TensorField(chart, ("d", "d"), {(0, 0): parse_expr(chart, "cos(y)*W"),
+                                              (1, 1): parse_expr(chart, "cos(y)/W")})
+        assert chart.sample_point(random.Random(_POOL_SEED))["cos_y"] > 0
+        assert G.volume_root(g) == parse_expr(chart, "cos(y)")
 
 
 def test_volume_root_sign_needs_a_rational_value():

@@ -15,10 +15,11 @@ from geosym import geometry as G
 from geosym import prolong as P
 from geosym import symsys as S
 from geosym.exprfield import (_ONE, Chart, Expr, KernelInconsistency, Poly, _crt_basis,
-                              _derivation_rules, _prime, parse_expr)
+                              _derivation_rules, _poly_mod, _prime, _residues, parse_expr)
 
-from conftest import (flat_chart, flat_quaternionic_pullback, nested_root_chart,
-                      reference_residuals, root_chart_metric, shear_map, standard_triple)
+from conftest import (flat_chart, flat_quaternionic_pullback, nested_root_chart, plant,
+                      planted_point, reference_residuals, root_chart_metric, shear_map,
+                      standard_triple)
 
 
 def _monotone_tables(tables):
@@ -388,23 +389,43 @@ def _stage_one_dims(system, seed):
     return P.solution_bound(system, max_stage=1, seeds=(seed,)).tables[0].dims
 
 
-def _rational_table(system, point):
-    """Reference dim g_k from exact rational ranks at the point: the
-    order-k pivots of the graded elimination number
-    rank(columns of order >= k) - rank(columns of order > k).  With the
-    columns sorted highest jet order first, the pivots of one exact
-    reduced row echelon form are the column rank profile, so that count
-    is the number of its pivots in columns of order k."""
-    chart = system.chart
-    cols = sorted({key for eq in system.equations for key in eq.coeffs},
-                  key=lambda key: (-sum(key[1]), key))
-    rows = [[Expr(chart, eq.coeffs[key], _ONE).evaluate(point.values)
-             if key in eq.coeffs else Fraction(0) for key in cols]
-            for eq in system.equations]
-    orders = [sum(cols[p][1]) for p in _linalg.rref(rows)[1]]
-    n, m = chart.dim, system.n_unknowns
+def _graded_columns(system):
+    """The system's jet keys (a, alpha) as graded keys (-|alpha|, a,
+    alpha), which sort highest jet order first."""
+    return sorted({(-sum(alpha), a, alpha) for eq in system.equations for a, alpha in eq.coeffs})
+
+
+def _table_from_pivots(system, pivots):
+    """dim g_k from the pivot columns of an RREF over graded keys: with
+    the columns sorted highest jet order first, the pivots of one reduced
+    row echelon form are the column rank profile, so the order-k pivots
+    number rank(columns of order >= k) - rank(columns of order > k)."""
+    orders = [-key[0] for key in pivots]
+    n, m = system.chart.dim, system.n_unknowns
     return tuple(m * comb(n + k - 1, k) - orders.count(k)
                  for k in range(system.order, -1, -1))
+
+
+def _rational_table(system, values):
+    """Reference dim g_k from exact rational ranks at the rational point
+    ``values``."""
+    chart = system.chart
+    cols = _graded_columns(system)
+    rows = [[Expr(chart, eq.coeffs[a, alpha], _ONE).evaluate(values)
+             if (a, alpha) in eq.coeffs else Fraction(0) for _, a, alpha in cols]
+            for eq in system.equations]
+    return _table_from_pivots(system, [cols[p] for p in _linalg.rref(rows)[1]])
+
+
+def _dense_table(system, point):
+    """Reference dim g_k from dense ranks in GF(p) at a GenericPoint: each
+    coefficient of the symbolic rows evaluated at the point's residues
+    (``_poly_mod``), then dense elimination mod its prime
+    (:func:`_dense_pivots`)."""
+    rows = [{(-sum(alpha), a, alpha): _poly_mod(c, point.residues, point.prime)
+             for (a, alpha), c in eq.coeffs.items()} for eq in system.equations]
+    return _table_from_pivots(system, _dense_pivots(rows, _graded_columns(system),
+                                                    point.prime)[0])
 
 
 def _oracle_system(request, case):
@@ -419,17 +440,25 @@ def _oracle_system(request, case):
 @pytest.mark.parametrize("seed", [3, 17, 101])
 @pytest.mark.parametrize("case", ["sphere", "flat2", "flat3",
                                   pytest.param("flat-quaternionic", marks=pytest.mark.slow)])
-def test_symbol_tables_mod_p_match_rational_ranks(request, case, seed):
-    """The GF(2^61-1) tables of the system and its prolongations equal
-    the tables from exact rational elimination at the same point."""
+def test_symbol_tables_mod_p_match_rational_ranks(request, monkeypatch, case, seed):
+    """The GF(p) tables of the system and its prolongations equal those of
+    dense elimination mod p of the symbolic rows at the same point; at
+    the rational point of the seed, reduced mod 2^61 - 1, they equal the
+    tables from exact rational elimination too."""
     system = _oracle_system(request, case)
     point = P.GenericPoint.sample(system.chart, seed)
+    planted = planted_point(system.chart, seed)
+    values = system.chart.sample_point(random.Random(seed))
     for stage in (1, 2, 3):
         prolonged = P.prolong(system, stage - 1)
-        assert _stage_one_dims(prolonged, seed) == _rational_table(prolonged, point)
+        assert _stage_one_dims(prolonged, seed) == _dense_table(prolonged, point)
+        with monkeypatch.context() as m:
+            plant(m, planted)
+            assert _stage_one_dims(prolonged, seed) == _dense_table(prolonged, planted) \
+                == _rational_table(prolonged, values)
 
 
-def test_coefficient_denominator_divisible_by_prime_clears_to_integers():
+def test_coefficient_denominator_divisible_by_prime_clears_to_integers(monkeypatch):
     """X' / PRIME + x X = 0 clears to X' + PRIME x X = 0, integer
     coefficients that reduce mod 2^61 - 1 = PRIME without error.  Its
     table there is no smaller than the rational one at the same point
@@ -443,8 +472,10 @@ def test_coefficient_denominator_divisible_by_prime_clears_to_integers():
     point = P.GenericPoint.sample(chart, 1)
     assert point.prime == P.PRIME
     table = _stage_one_dims(system, 1)
-    assert all(a >= b for a, b in zip(table, _rational_table(system, point)))
-    assert table == _rational_table(system, point) == (0, 1)
+    assert table == _dense_table(system, point) == (0, 1)
+    plant(monkeypatch, planted_point(chart, 1))
+    assert _stage_one_dims(system, 1) == (0, 1) == \
+        _rational_table(system, chart.sample_point(random.Random(1)))
     res = P.solution_bound(system)
     assert res.conclusive and res.bound == 1
 
@@ -483,10 +514,14 @@ def test_formal_roots_map_to_square_roots_mod_p():
     for seed in range(1, 12):
         point = P.GenericPoint.sample(chart, seed)
         r = point.residues
-        assert r[t] == point.values["t"].numerator * pow(
-            point.values["t"].denominator, P.PRIME - 2, P.PRIME) % P.PRIME
         assert r[W] * r[W] % P.PRIME == (r[t] * r[t] + 1) % P.PRIME
-        resampled += point.values != chart.sample_point(random.Random(seed))
+        # the stream's first draw, or the first whose radicand is a square
+        rng = random.Random(seed)
+        first = _residues(chart, rng, P.PRIME)
+        while first is None:
+            resampled += 1
+            first = _residues(chart, rng, P.PRIME)
+        assert first == r
     assert resampled
     # a taken prime is skipped: the point takes the next prime of the
     # chain at which its stream has square radicands
@@ -495,18 +530,20 @@ def test_formal_roots_map_to_square_roots_mod_p():
         assert point.prime == _prime(1)
         r = point.residues
         assert r[W] * r[W] % point.prime == (r[t] * r[t] + 1) % point.prime
-    # 3 is not a square mod 2^61-1: W^2 = 3 samples at the next prime
-    # below it (which is 1 mod 4), and the relation holds there; with
-    # that prime taken too, at the next prime where 3 is a square
+    # 3 is not a square mod 2^61-1: W^2 = 3 samples the stream's first
+    # draw at the next prime below it (which is 1 mod 4), and the
+    # relation holds there; with that prime taken too, at the next prime
+    # where 3 is a square
     chart = Chart(["x"], roots=[("W", 3)])
     for seed in (1, 2):
         point = P.GenericPoint.sample(chart, seed)
         assert point.prime == _prime(1) != P.PRIME
         assert point.prime % 4 == 1
-        assert point.values == chart.sample_point(random.Random(seed))
+        assert point.residues[0] == random.Random(seed).randrange(point.prime)
         assert point.residues[1] ** 2 % point.prime == 3
         other = P.GenericPoint.sample(chart, seed, taken=(point.prime,))
-        assert other.prime < point.prime and other.values == point.values
+        assert other.prime < point.prime
+        assert other.residues[0] == random.Random(seed).randrange(other.prime)
         assert other.residues[1] ** 2 % other.prime == 3
 
 
@@ -654,11 +691,15 @@ _LANES = (7, 11, 13)
 def test_graded_elimination_over_lanes_matches_dense_reference_per_lane(data):
     """Rows over Z/(7 * 11 * 13), drawn lane by lane: a random sparse
     integer row whose image in some lanes is zero or loses some entries,
-    or a combination of earlier rows.  Read in each lane, the pivots,
-    per-order counts and stored rows (read mod the lane's prime) are
-    those of dense elimination mod that prime, whatever order the rows
-    are added in, and add returns None exactly when the row is dependent
-    in every lane."""
+    or a combination of earlier rows.  In each lane the reference is
+    dense elimination mod that lane's prime of the rows so far.  A lane
+    is dropped exactly when a row's new pivot in some lane left comes
+    before the lane's own (or the row is dependent there), that is when
+    the row's least reduced entry vanishes in it first; add returns None
+    exactly when the row is dependent in every lane left.  Read in each
+    surviving lane, the pivots, per-order counts and stored rows (read
+    mod the lane's prime) are those of dense elimination of all rows mod
+    that prime, whatever order the rows are added in."""
     modulus, basis = _crt_basis(_LANES)
     n, m, top = (data.draw(st.integers(1, 3)) for _ in range(3))
     cols = P._Columns(n, m, top)
@@ -685,38 +726,42 @@ def test_graded_elimination_over_lanes_matches_dense_reference_per_lane(data):
     columns = sorted({k for r in rows for k in r})
     for ordered in (rows, data.draw(st.permutations(rows))):
         elim = P._GradedElimination(_LANES, cols)
-        added = [elim.add(r) is not None for r in ordered]
-        grew = [False] * len(ordered)
-        for lane, prime in enumerate(_LANES):
+        alive = list(_LANES)
+        for i, row in enumerate(ordered):
+            # each lane's own new pivot: the pivot set grows by at most one
+            new = {p: set(_dense_pivots(ordered[:i + 1], columns, p)[0])
+                   - set(_dense_pivots(ordered[:i], columns, p)[0]) for p in alive}
+            least = min((min(v) for v in new.values() if v), default=None)
+            assert elim.add(row) == least
+            if least is not None:
+                alive = [p for p in alive if new[p] == {least}]
+            assert elim.primes == alive and elim.modulus == prod(alive)
+        for prime in alive:
             ref, ref_rows = _dense_pivots(ordered, columns, prime)
             ref_orders = {}
             for c in ref:
                 ref_orders[cols.order(c)] = ref_orders.get(cols.order(c), 0) + 1
-            assert sorted(elim.pivots(lane)) == ref
-            assert elim.pivots_per_order(lane) == ref_orders
+            assert sorted(elim.rows) == ref
+            assert elim.pivots_per_order() == ref_orders
             for p in ref:
                 assert {k: r for k, v in elim.rows[p].items() if (r := v % prime)} == \
                     ref_rows[p]
-            # the rows that raise the rank of the rows before them: the
-            # column rank profile of the transpose
-            transposed = [{i: r.get(c, 0) for i, r in enumerate(ordered)} for c in columns]
-            for i in _dense_pivots(transposed, list(range(len(ordered))), prime)[0]:
-                grew[i] = True
-        assert added == grew
 
 
-def test_graded_elimination_splits_a_pivot_by_lanes_and_joins_it_again():
-    """Over the lanes GF(7) x GF(11), the row 7 e0 + e1 has pivot 1 mod 7
-    and pivot 0 mod 11.  Then e0 makes 0 a pivot mod 7 and 1 one mod 11:
-    each key's two lane rows join into one row, a pivot in every lane."""
-    elim = P._GradedElimination((7, 11), P._Columns(1, 1, 1))
-    assert elim.add({0: 7, 1: 1}) == 0
-    assert elim.pivots(0) == [1] and elim.pivots(1) == [0]
-    assert elim.pivots_per_order(0) == elim.pivots_per_order(1) == {0: 1}
-    assert elim.rows[0][1] % 11 == pow(7, -1, 11) and elim.rows[0][1] % 7 == 0
-    assert elim.add({0: 1}) == 0
-    assert sorted(elim.pivots(0)) == sorted(elim.pivots(1)) == [0, 1]
-    assert elim.rows == {0: {}, 1: {}}
+def test_graded_elimination_drops_the_lanes_where_a_pivot_vanishes():
+    """Over the lanes GF(7) x GF(11), the row 7 e0 + e2 has pivot 0 mod 11
+    but pivot 2 mod 7: the lane of 7 is dropped, and the elimination goes
+    on mod 11 alone, the rows stored before unchanged.  A row whose least
+    entry is a unit in every lane left drops none."""
+    elim = P._GradedElimination((7, 11), P._Columns(1, 1, 2))
+    assert elim.add({1: 1, 2: 5}) == 1
+    assert elim.primes == [7, 11] and elim.modulus == 77
+    assert elim.add({0: 7, 2: 1}) == 0
+    assert elim.primes == [11] and elim.modulus == 11
+    assert elim.rows == {1: {2: 5}, 0: {2: pow(7, -1, 11)}}
+    assert elim.pivots_per_order() == {0: 2}
+    assert elim.add({2: 77 + 3}) == 2
+    assert elim.primes == [11] and elim.rows == {0: {}, 1: {}, 2: {}}
     assert elim.add({0: 5, 1: 3}) is None
 
 def test_columns_code_each_equation_once_and_lead_its_derivatives():
@@ -855,16 +900,15 @@ def test_flat_quaternionic_symmetries_commuting_with_a_rotation(n, bound, tables
     assert res.point_independent
 
 
-@pytest.mark.parametrize("seed, independent", [(1, False), (7, False), (101, True),
-                                               (102, False)])
-def test_eguchi_hanson_bound_at_three_points_of_distinct_primes(
-        eh_quaternionic_system, seed, independent):
+@pytest.mark.parametrize("seed", [1, 7, 101, 102])
+def test_eguchi_hanson_bound_at_three_points_of_distinct_primes(eh_quaternionic_system, seed):
     """The three points of a bound search carry distinct primes; the
     Eguchi-Hanson bound, its tables and point independence are those each
-    point's own elimination gives."""
+    point's own elimination gives.  Its rational points reduced mod p
+    were degenerate at seeds 1, 7 and 102; uniform GF(p) points are not."""
     res = P.solution_bound(eh_quaternionic_system, max_stage=5,
                            seeds=(seed, seed + 101, seed + 202))
     assert res.primes == [P.PRIME, _prime(1), _prime(2)]
     assert res.bound == 4
     assert [t.dims for t in res.tables] == [(7, 4), (4, 7, 4), (0, 4, 4, 4), (0, 0, 0, 1, 3)]
-    assert res.point_independent is independent
+    assert res.point_independent

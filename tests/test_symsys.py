@@ -337,6 +337,27 @@ def test_quaternionic_rows_are_the_expr_rows_times_one_function(build):
     _assert_rows_times_one_function(S.quaternionic_symmetry_system(frame, g), reference)
 
 
+@pytest.mark.parametrize("build", [_eh, _sheared_r4, _root_r4],
+                         ids=["eguchi-hanson", "sheared-r4", "root-r4"])
+def test_quaternionic_rows_skip_the_known_zero_pairing(build):
+    """w(A^) = 0 for each cleared annihilator row w and frame element A,
+    so the builder contracts jets without A^: its rows equal those that
+    :func:`~geosym.symsys._rows` builds with A^, which find each w(A^)
+    zero by reduction."""
+    chart, g, frame = build()
+    n = chart.dim
+    slots = [(a, b) for b, a in itertools.product(range(n), repeat=2)]
+    omegas = S._functionals(chart, slots, S._endo_annihilator_full(frame, chart))
+    for A in frame:
+        jets = S.lie_derivative_jet(A)
+        assert all(not chart._reduce_poly(sum((v * jets.hat[s] for s, v in w.items()
+                                               if s in jets.hat), Poly()))
+                   for w in omegas)
+    with_hat = [eq.coeffs for A in frame
+                for eq in S._rows(chart, S.lie_derivative_jet(A), omegas)]
+    assert [eq.coeffs for eq in S.quaternionic_symmetry_system(frame, g).equations] == with_hat
+
+
 def _killing_case(metric):
     def build():
         g = metric()

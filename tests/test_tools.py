@@ -44,6 +44,27 @@ def test_malformed_seeds_are_a_usage_error(seeds, monkeypatch, capsys):
     assert "no seeds in" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("parent, change, sign, verdict", [
+    ([1.0, 1.01, 0.99, 1.0], [1.3, 1.31, 1.29, 1.3], 1, "regression"),
+    ([1.0, 1.01, 0.99, 1.0], [1.2, 1.21, 1.19, 1.2], 1, "no regression"),
+    ([1.0, 1.01, 0.99, 1.0], [0.5, 0.51, 0.49, 0.5], 1, "no regression"),
+    ([1.0, 1.01, 0.99, 1.0], [0.7, 0.71, 0.69, 0.7], -1, "regression"),
+    ([1.0, 1.01, 0.99, 1.0], [1.3, 1.31, 1.29, 1.3], -1, "no regression"),
+    # the parent's quartiles 0.625 / 1.375 lie 0.75 apart, above 0.25 x 1.0
+    ([0.5, 1.0, 1.0, 1.5], [1.1, 1.0, 0.9, 1.0], 1, "unresolved"),
+    ([0.5, 1.0, 1.0, 1.5], [2.0, 2.1, 1.9, 2.0], 1, "unresolved"),
+    # ...unless every change run beats every parent run
+    ([0.5, 1.0, 1.0, 1.5], [0.4, 0.3, 0.45, 0.2], 1, "no regression"),
+    ([0.5, 1.0, 1.0, 1.5], [1.6, 1.7, 1.8, 2.0], -1, "no regression"),
+])
+def test_regression_verdict(parent, change, sign, verdict):
+    """A change median worse than the parent's by more than bound x the
+    parent median (bound 0.25 here) is a regression; a parent whose
+    quartile distance exceeds bound x its median leaves it unresolved,
+    unless every change run beats every parent run."""
+    assert _bench_pairs().regression_verdict(parent, change, sign, 0.25) == verdict
+
+
 @pytest.mark.parametrize("argv", [
     ["--parent", "a", "--change", "b", "--seeds", "10-1"],
     ["--parent", "a", "--change", "b", "--seeds", "x"],

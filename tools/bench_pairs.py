@@ -12,6 +12,8 @@ metric it prints each side's median and quartiles
 (ties count for neither side) and whether the change shows a gain: it
 wins at least nine tenths of the pairs, and its median is better than
 the parent's by more than the distance between the parent's quartiles.
+It also prints the no-regression verdict of each metric, against the
+metric's ``bound`` in ``BENCHMARK.json`` (:func:`regression_verdict`).
 It writes nothing itself; each ``run.py`` writes only under its own
 ``perfbench/out``.  Exit code 1 when any run reports an incorrect
 answer.
@@ -56,6 +58,24 @@ def quartiles(values: List[float]):
     return tuple(statistics.quantiles(values, n=4))
 
 
+def regression_verdict(parent: List[float], change: List[float], sign: int,
+                       bound: float) -> str:
+    """``regression`` when the change's median is worse than the parent's
+    by more than ``bound`` times the parent's median, ``no regression``
+    otherwise; but ``unresolved`` when the parent's quartile distance
+    exceeds ``bound`` times its median, unless every change run beats
+    every parent run.  ``sign`` is 1 when lower is better, -1 when
+    higher is."""
+    pq1, pmed, pq3 = quartiles(parent)
+    if all(sign * (p - c) > 0 for p in parent for c in change):
+        return "no regression"
+    if pq3 - pq1 > bound * abs(pmed):
+        return "unresolved"
+    if sign * (statistics.median(change) - pmed) > bound * abs(pmed):
+        return "regression"
+    return "no regression"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -97,7 +117,9 @@ def main() -> int:
               f"  change median {cmed:.4g}, quartiles {cq1:.4g} / {cq3:.4g}\n"
               f"  change wins {wins}, loses {losses} of {len(parent)} pairs; "
               f"median gain {gap:.4g} vs parent IQR {iqr:.4g}: "
-              f"{'gain' if gain else 'no gain shown'}")
+              f"{'gain' if gain else 'no gain shown'}\n"
+              f"  bound {m['bound']:.4g} of the parent median: "
+              f"{regression_verdict(parent, change, sign, m['bound'])}")
     print(f"incorrect runs: {incorrect}")
     return 1 if incorrect else 0
 
