@@ -32,8 +32,9 @@ A normal form needs gcd(n, d), and no polynomial is factored:
 :meth:`Chart._gcd` first tries whether one divides the other, then takes
 the heuristic gcd GCDHEU (integer gcds of values at a large integer,
 read back in its base and accepted only when they divide, which proves
-them), with Collins' subresultant remainder sequence as the fallback;
-gcds are memoized per chart, and lcms are built pairwise from them.
+them), at ever larger integers until a candidate divides, which some
+candidate does; gcds are memoized per chart, and lcms are built
+pairwise from them.
 :func:`_clear_denominators` puts a list of elements over the lcm of
 their denominators, for the equations of :mod:`geosym.prolong`, the
 coefficient rows of closure and the derivation rules alike.
@@ -353,7 +354,6 @@ class Chart:
         self._relations: Optional[List] = None  # see :meth:`_relation_powers`
         self._rewritable = 0  # set with _relations
         self._gcds: Dict = {}  # (f, g) -> (gcd, f / gcd, g / gcd), see :meth:`_gcd`
-        self.gcd_fallbacks = 0  # gcds that the heuristic gave up on, see :meth:`_cofactors`
         self._zero: Optional[Expr] = None  # see :meth:`zero`
         for s_name, c_name in self._trig_pairs.values():
             self._relate(self._gens_by_name[s_name], 1 - self.var(c_name) ** 2)
@@ -597,9 +597,7 @@ class Chart:
         divides the other (:func:`_divide`), it is the gcd; when one is
         ground, the gcd is the integer gcd of all coefficients.  Otherwise
         the contents are split off, c = gcd(content f, content g), and the
-        primitive parts go to :meth:`_heuristic_gcd`, or, when its
-        :data:`_HEU_TRIES` points all fail, to :meth:`_prs_gcd`, counted
-        in ``gcd_fallbacks``."""
+        primitive parts go to :meth:`_heuristic_gcd`, which always answers."""
         if len(f) < len(g):
             h, qg, qf = self._cofactors(g, f)
             return h, qf, qg
@@ -613,22 +611,18 @@ class Chart:
         cf, cg = math.gcd(*f.values()), math.gcd(*g.values())
         f1 = f if cf == 1 else f.quo_ground(cf)
         g1 = g if cg == 1 else g.quo_ground(cg)
-        out = self._heuristic_gcd(f1, g1)
-        if out is None:
-            self.gcd_fallbacks += 1
-            out = self._prs_gcd(f1, g1)
-        h, qf, qg = out
+        h, qf, qg = self._heuristic_gcd(f1, g1)
         c = math.gcd(cf, cg)
         return (h if c == 1 else h.mul_ground(c), qf if cf == c else qf.mul_ground(cf // c),
                 qg if cg == c else qg.mul_ground(cg // c))
 
-    def _heuristic_gcd(self, f: Poly, g: Poly) -> Optional[Tuple[Poly, Poly, Poly]]:
+    def _heuristic_gcd(self, f: Poly, g: Poly) -> Tuple[Poly, Poly, Poly]:
         """(h, f / h, g / h) for the primitive f and g, neither ground, and
         their primitive gcd h with a positive leading coefficient, by
-        GCDHEU (B. Char, K. Geddes, G. Gonnet, JSC 1989), or None after
-        :data:`_HEU_TRIES` failed points.  The first occurring variable x
-        is set to an integer xi >= 2 min(|f|, |g|) + 2 (|.| the largest
-        absolute coefficient), the gcd gamma of the images in ZZ[y], y
+        GCDHEU (B. Char, K. Geddes, G. Gonnet, JSC 1989), with as many
+        points as it takes.  The first occurring variable x is set to an
+        integer xi >= 2 min(|f|, |g|) + 2 (|.| the largest absolute
+        coefficient), the gcd gamma of the images in ZZ[y], y
         the other variables, is taken by :meth:`_cofactors`, and its
         coefficients are written in the symmetric base xi, digit e the
         coefficient of x^e (:func:`_interpolate`): a G with G(xi) = gamma
@@ -650,12 +644,28 @@ class Chart:
         y-coefficient of k divides that of F, so it does not vanish at xi,
         and since k(xi) is free of y, so is k.  Then k, in ZZ[x], divides
         every y-coefficient of F, and deg k >= 1 would give |K| >
-        (xi/2)^deg k >= xi/2.  So k is a primitive integer: k = 1."""
+        (xi/2)^deg k >= xi/2.  So k is a primitive integer: k = 1.
+
+        Termination: some point is accepted.  Write f = h a and g = h b,
+        a and b coprime.  h(xi) is not zero (above), so gamma = +-h(xi) e
+        for e = gcd(a(xi), b(xi)) in ZZ[y].  If a and b are both free of
+        x, e = 1.  Else r = Res_x(a, b) is a nonzero element of ZZ[y] of
+        the form A a + B b, A and B in ZZ[x, y], and putting xi for x
+        shows that e divides r.  In the same way, were e of positive
+        degree in a y_j, it would divide the image at xi of the nonzero
+        R = Res_{y_j}(a, b), which is free of y_j, so that image would be
+        zero: xi would be a root of a nonzero coefficient of R in ZZ[x],
+        so |xi| < 1 + |R|.  Past those xi, e is an integer dividing r, so
+        |e| <= |r|, and once xi > 2 |r| |h| as well, G = +-e h: its
+        coefficients are below xi/2 and its degree in x is deg_x h <= top.
+        The primitive part of G is h, which divides f and g and is
+        accepted.  xi at least doubles per try, so the tries number at
+        most log_2 (2 |r| |h| + max_j |Res_{y_j}(a, b)|) + 1."""
         bits = f.bits | g.bits
         shift = (bits.bit_length() - 1) // _FIELD * _FIELD
         top = min(_degree(f, shift), _degree(g, shift))  # deg_x of the gcd at most
         xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
-        for _ in range(_HEU_TRIES):
+        while True:
             gamma = self._cofactors(_evaluate(f, shift, xi), _evaluate(g, shift, xi))[0]
             h = _interpolate(gamma, shift, xi, top)
             if h is not None:
@@ -665,66 +675,6 @@ class Chart:
                 if (qg := _divide(g, h)) is not None and (qf := _divide(f, h)) is not None:
                     return h, qf, qg
             xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011  # the GCDHEU paper's growth
-        return None
-
-    def _prs_gcd(self, f: Poly, g: Poly) -> Tuple[Poly, Poly, Poly]:
-        """(h, f / h, g / h) for the primitive f and g, neither ground, and
-        their primitive gcd h with a positive leading coefficient, by
-        Collins' subresultant remainder sequence (Knuth, *The Art of
-        Computer Programming* 2, 4.6.1, Algorithm C; von zur Gathen and
-        Gerhard, *Modern Computer Algebra*, ch. 6 and 11) in the variable
-        x of least degree in them, one that occurs in one of them only
-        first.  Their contents in x (gcds of their coefficients in ZZ[y],
-        y the other variables, by :meth:`_cofactors`) are split off; then
-        each pseudo-remainder of lc(b)^(d+1) a by b
-        (:func:`_pseudo_remainder`, d = deg a - deg b) is divided by
-        gam psi^d, exactly, by the subresultant theorem; gam and psi are 1
-        at the first step, then gam = lc(a) and psi = gam^d / psi^(d-1)
-        with the d of the step before.
-        Unlike the primitive sequence this takes no content per step, and
-        its coefficients still grow only polynomially.  Since lc(b)^(d+1) a
-        = q b + r, each pair has the gcd of the one before in Q(y)[x], so
-        the last nonzero element is that gcd times an element of Q(y): h is
-        the gcd of the contents times its primitive part in x, or the gcd
-        of the contents alone when the sequence reaches a polynomial free
-        of x."""
-        bits = f.bits | g.bits
-        shift = min((s for s in range(0, bits.bit_length(), _FIELD) if bits >> s & _EXP),
-                    key=lambda s: sorted((_degree(f, s), _degree(g, s))))
-        a, ca = self._primitive_in(f, shift)
-        b, cb = self._primitive_in(g, shift)
-        if _degree(a, shift) < _degree(b, shift):
-            a, b = b, a
-        gam = psi = _ONE
-        while b and _degree(b, shift):
-            d = _degree(a, shift) - _degree(b, shift)
-            r = _divide(_pseudo_remainder(a, b, shift), gam * psi ** d)
-            if r is None:
-                raise KernelInconsistency("a subresultant division is not exact; kernel bug")
-            a, b = b, r
-            gam = _leading_in(a, shift)
-            psi = psi if not d else gam if d == 1 else _divide(gam ** d, psi ** (d - 1))
-        h = self._cofactors(ca, cb)[0]
-        if not b:  # a is the gcd in x up to a factor free of x
-            h = h * self._primitive_in(a, shift)[0]
-            if h.LC < 0:
-                h = -h
-        return h, _divide(f, h), _divide(g, h)
-
-    def _primitive_in(self, p: Poly, shift: int) -> Tuple[Poly, Poly]:
-        """(p / c, c) for c the content of p in the variable at ``shift``:
-        the gcd of its coefficients in the other variables, with a positive
-        leading coefficient; (0, 0) for p = 0."""
-        mask = _EXP << shift
-        coeffs: Dict[int, Dict[int, int]] = {}
-        for m, c in p.items():
-            coeffs.setdefault(m & mask, {})[m & ~mask] = c
-        content = Poly()
-        for coeff in sorted(coeffs.values(), key=len):  # short gcds first
-            content = self._cofactors(content, Poly(coeff))[0]
-            if content.is_one:
-                return p, content
-        return (_divide(p, content) if p else p), content
 
     def _lcm(self, polys: Sequence[Poly]) -> Tuple[Poly, List[Poly]]:
         """(l, [l / p for p in polys]) for the lcm l of the nonzero
@@ -1264,8 +1214,8 @@ class Expr:
         Cancelling the gcd (:meth:`Chart._cancel`) is sound: ZZ[vars] is a
         UFD, and :meth:`Chart._gcd` returns gcd(n, d), integer content
         included, with n and d divided by it exactly (:func:`_divide`);
-        each answer of its heuristic is proved by those divisions, and
-        its fallback is a sure method.  The divisor g of d is free of
+        each answer of GCDHEU is proved by those divisions, and GCDHEU
+        always answers.  The divisor g of d is free of
         quadratic generators, as d is, so the quotient n / g of the
         reduced n stays reduced.  The normal form is unique: a coprime
         pair is determined by its quotient up to a rational factor,
@@ -1521,9 +1471,6 @@ def _divide(p: Poly, f: Poly) -> Optional[Poly]:
     return q
 
 
-_HEU_TRIES = 6  # evaluation points of :meth:`Chart._heuristic_gcd` before the fallback
-
-
 def _degree(p: Poly, shift: int) -> int:
     """The degree of the nonzero p in the variable at ``shift``."""
     return max(m >> shift & _EXP for m in p)
@@ -1564,29 +1511,6 @@ def _interpolate(p: Poly, shift: int, xi: int, top: int) -> Optional[Poly]:
                 out[m + (e << shift)] = d
             c, e = (c - d) // xi, e + 1
     return Poly(out)
-
-
-def _leading_in(p: Poly, shift: int) -> Poly:
-    """The leading coefficient of the nonzero p in the variable at
-    ``shift``, a polynomial in the other variables."""
-    mask, top = _EXP << shift, _degree(p, shift)
-    return Poly({m & ~mask: c for m, c in p.items() if m >> shift & _EXP == top})
-
-
-def _pseudo_remainder(a: Poly, b: Poly, shift: int) -> Poly:
-    """The remainder of lc(b)^(deg a - deg b + 1) a on division by b in
-    the variable x at ``shift`` (lc the leading coefficient in x;
-    deg_x a >= deg_x b >= 1): each step takes lc(b) r - lc(r) x^(deg r -
-    deg b) b, until deg_x r < deg_x b, and the steps not taken multiply
-    the remainder by lc(b)."""
-    db = _degree(b, shift)
-    lb = _leading_in(b, shift)
-    r, k = a, _degree(a, shift) - db + 1
-    while r and (dr := _degree(r, shift)) >= db:
-        unit = dr - db << shift
-        r = r * lb - _leading_in(r, shift) * Poly({m + unit: c for m, c in b.items()})
-        k -= 1
-    return r * lb ** k
 
 
 def _clear_denominators(chart: Chart, exprs: Sequence[Expr]) -> Tuple[object, List]:

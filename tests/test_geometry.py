@@ -69,15 +69,13 @@ def _dense_metric(n):
 
 
 def test_dense_metric_inverse_is_the_inverse():
-    """g g^-1 = Id for the dense metric on six coordinates, with every
-    gcd of the cofactors and the determinant answered by GCDHEU."""
+    """g g^-1 = Id for the dense metric on six coordinates."""
     n = 6
     chart, g = _dense_metric(n)
     ginv = G.metric_inverse(g)
     for i, j in itertools.product(range(n), repeat=2):
         entry = chart.sum_products((g.comp(i, k), ginv.comp(k, j)) for k in range(n))
         assert entry == (1 if i == j else 0), (i, j)
-    assert chart.gcd_fallbacks == 0
 
 
 def test_dense_metric_inverse_in_dimension_seven_finishes_promptly():

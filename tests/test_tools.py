@@ -31,9 +31,12 @@ def test_seed_lists_and_ranges():
     assert parse("3-5") == [3, 4, 5]
     assert parse("7") == [7]
     assert parse("1,9,4") == [1, 9, 4]
+    assert parse("1-20,101,102") == [*range(1, 21), 101, 102]
+    assert parse("5,1-3,8-8") == [5, 1, 2, 3, 8]
 
 
-@pytest.mark.parametrize("seeds", ["10-1", "x", "", "1,,2", "1-2-3", "-4"])
+@pytest.mark.parametrize("seeds", ["10-1", "x", "", "1,,2", "1-2-3", "-4", "3-",
+                                   "1-20,", "1-20,x", "1,10-1", ",101"])
 def test_malformed_seeds_are_a_usage_error(seeds, monkeypatch, capsys):
     bench_pairs = _bench_pairs()
     monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "a", "--change", "b",

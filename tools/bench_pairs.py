@@ -2,10 +2,11 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W --seeds A-B
 
-For each seed (``A-B`` is a range, ``A,B,...`` a list) it runs the
-untraced ``perfbench/run.py`` of both checkouts, each in a fresh
-interpreter and one run at a time: the parent first in even-numbered
-pairs and the change first in odd-numbered ones.  Both checkouts' own
+For each seed (a list of seeds ``A`` and ranges ``A-B``, such as
+``1-20,101,102``) it runs the untraced ``perfbench/run.py`` of both
+checkouts, each in a fresh interpreter and one run at a time: the
+parent first in even-numbered pairs and the change first in
+odd-numbered ones.  Both checkouts' own
 ``BENCHMARK.json`` must give the same run length.  For each end-to-end
 metric it prints each side's median and quartiles
 (``statistics.quantiles`` with ``n=4``), the pairs the change wins
@@ -32,18 +33,22 @@ from bench_record import run
 
 
 def parse_seeds(text: str) -> List[int]:
-    """The seeds of ``A-B`` (A <= B) or ``A,B,...``; as an argparse type
-    it turns a malformed or empty list into a usage error (exit code 2)."""
-    try:
-        if "-" in text:
-            lo, hi = (int(x) for x in text.split("-"))
-            seeds = list(range(lo, hi + 1))
-        else:
-            seeds = [int(x) for x in text.split(",")]
-    except ValueError:
-        seeds = []
-    if not seeds:
-        raise argparse.ArgumentTypeError(f"no seeds in {text!r}; give A-B with A <= B, or A,B,...")
+    """The seeds of a comma-separated list of parts, each a seed ``A`` or
+    a range ``A-B`` with A <= B, as in ``1-20,101,102``; as an argparse
+    type it turns an empty, malformed or descending part into a usage
+    error (exit code 2)."""
+    seeds: List[int] = []
+    for part in text.split(","):
+        try:
+            lo, hi = part.split("-") if "-" in part else (part, part)
+            span = range(int(lo), int(hi) + 1)
+        except ValueError:
+            span = range(0)
+        if not span:
+            raise argparse.ArgumentTypeError(
+                f"no seeds in {part!r} of {text!r}; give A or A-B with A <= B, "
+                "or a comma-separated list of them")
+        seeds.extend(span)
     return seeds
 
 
@@ -81,7 +86,8 @@ def main() -> int:
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B or A,B,...")
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="seeds A and ranges A-B, comma-separated")
     args = parser.parse_args()
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     benches = {side: benchmark(root) for side, root in roots.items()}

@@ -1,15 +1,16 @@
 """Compare the JSON reports of two checkouts on the bundled models.
 
-    python3 tools/report_diff.py --parent DIR --change DIR --seeds A-B
+    python3 tools/report_diff.py --parent DIR --change DIR --seeds 1-20,101,102
 
 For each model bundled in both checkouts (``src/geosym/models``) and
-each seed (``A-B`` is a range, ``A,B,...`` a list) it runs
-``python -m geosym run <model> --seed s --json <file>`` in both
-checkouts, one run at a time, each on its own sources and its own copy
-of the model.  It also compares the flat quaternionic model of R^8, a
-dimension-8 system that no model file bundles: its text is generated by
-``flat_quaternionic_model(2)`` of the parent's ``perfbench/workloads.py``,
-and both checkouts run that one file.  It prints every pair of reports
+each seed (a list of seeds ``A`` and ranges ``A-B``, such as
+``1-20,101,102``) it runs ``python -m geosym run <model> --seed s
+--json <file>`` in both checkouts, one run at a time, each on its own
+sources and its own copy of the model.  It also compares the flat
+quaternionic model of R^8, a dimension-8 system that no model file
+bundles: its text is generated by ``flat_quaternionic_model(2)`` of the
+parent's ``perfbench/workloads.py``, and both checkouts run that one
+file.  It prints every pair of reports
 that differ in a byte outside the ``model`` line (which holds the model
 file's path) and every pair of exit codes that differ; for reports it
 also names the dotted JSON paths whose values differ, such as
@@ -140,7 +141,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--seeds", required=True, type=parse_seeds, help="A-B or A,B,...")
+    parser.add_argument("--seeds", required=True, type=parse_seeds,
+                        help="seeds A and ranges A-B, comma-separated")
     args = parser.parse_args()
     parent, change = os.path.abspath(args.parent), os.path.abspath(args.change)
     models = compared_models(parent, change)
