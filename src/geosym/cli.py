@@ -57,22 +57,28 @@ def _expect(checks: List[str], label: str, got, want) -> None:
 
 
 def _symmetry_system(model: Model, params: Dict[str, object]):
-    # the structure and the parameters it needs are checked at parse time
+    # the structure and the parameters it needs are checked at parse time;
+    # ``commute = v`` joins L_X v = 0 (a join concatenates the equations)
     structure = params["structure"]
     if structure == "killing":
-        g = model.metrics[params["metric"]]
-        return S.invariance_system(g)
-    if structure == "quaternionic":
+        system = S.invariance_system(model.metrics[params["metric"]])
+    elif structure == "quaternionic":
         g = model.metrics[params["metric"]]
         if params["frame"] is not None:
             frame = [model.endomorphisms[m]
                      for m in model.frames[params["frame"]]]
         else:
             frame = G.asd_span(g, orientation=params["orientation"])
-        return S.quaternionic_symmetry_system(frame, g)
-    J = model.endomorphisms[params["complex_structure"]]
-    D = model.connections[params["connection"]]
-    return S.cprojective_symmetry_system(J, D)
+        system = S.quaternionic_symmetry_system(frame, g)
+    else:
+        J = model.endomorphisms[params["complex_structure"]]
+        D = model.connections[params["connection"]]
+        system = S.cprojective_symmetry_system(J, D)
+    if params.get("commute") is None:
+        return system
+    commuting = S.invariance_system(model.vectors[params["commute"]])
+    return P.LinearPDESystem(system.chart, system.n_unknowns,
+                             system.equations + commuting.equations)
 
 
 def _run_symmetry_bound(model: Model, task: Task, seeds, max_stage):

@@ -972,115 +972,159 @@ def _poly_mod(p: Poly, residues: Sequence[int], modulus: int) -> int:
     return total % modulus
 
 
+_ORDER_BITS = 16  # bits per field of a packed multi-index: orders below 2^16
+
+
+def _series_key(gamma: Sequence[int]) -> int:
+    """The packed key |gamma| R^n + sum_i gamma_i R^(n-1-i), R = 2^16, of
+    a multi-index of n entries below R: keys add like multi-indices and
+    sort by degree first."""
+    n = len(gamma)
+    return sum(g << _ORDER_BITS * (n - i) for i, g in enumerate((sum(gamma), *gamma)))
+
+
 class TaylorMap:
     """Truncated Taylor series at :class:`GenericPoint` s of distinct
     primes p_1, ..., p_r, all at once mod their product M (``modulus``).
 
     Sends a polynomial p of the chart's ring to its Taylor coefficients
     T_gamma(p) = d^gamma p(x0) / gamma! for |gamma| <= ``order``, as a
-    dict from the multi-index gamma (one entry per coordinate) to a
-    nonzero residue mod M.  Each variable's value x0 is the residue
+    dict from the packed key of gamma (:func:`_series_key`) to a nonzero
+    residue mod M.  Each variable's value x0 is the residue
     mod M that reads, mod each p_i, point i's residue
     (:func:`_crt_residues`).  The variables' series are: a coordinate
     x0 + t; sin and cos in closed form, the k-th derivative cycling
-    through s0, c0, -s0, -c0; a root W = W0 * sum_k binom(1/2, k) u^k
-    with u = (q - q0) / q0 the radicand's relative increment (q0 is
-    nonzero mod each prime, :func:`_residues` resamples otherwise, so
-    it is a unit mod M; a non-unit raises).
+    through s0, c0, -s0, -c0; a root W of W^2 = q degree by degree, its
+    degree-d part W_d from 2 W0 W_d = q_d - sum_{0<e<d} W_e W_(d-e) (W0
+    is nonzero mod each prime, :func:`_residues` resamples otherwise, so
+    2 W0 is a unit mod M; a non-unit raises).
+
+    :meth:`extend` raises the order (to at most 2^16 - 1).  Each memoized
+    series records the order it is complete to, and a read computes only
+    the degrees above it: the degree-d part of a monomial m' x is the sum
+    over the terms g of m' of g times the degree-(d - |g|) part of x,
+    whose series is held per degree.  A read returns the memo itself.
 
     Soundness.  At one point the series satisfy every generator relation
     and every derivation rule up to the truncation, so the map is a ring
     homomorphism from the coordinate ring to GF(p)[[t]] / m^(order+1)
     that commutes with each d/dx_i up to the truncation.  Its constant
     terms are the point's residues, so order 0 is evaluation at the
-    point.  Reduction mod p_i is a ring homomorphism from Z/M onto
-    GF(p_i), and each step here (sums, products, inverses of units)
-    commutes with it, so read mod p_i (lane i) this map is point i's own
-    map.
+    point.  The degree-d part of a truncated product depends only on the
+    factors' parts of degree at most d, so an extended series equals the
+    series computed afresh at the higher order.  Reduction mod p_i is a
+    ring homomorphism from Z/M onto GF(p_i), and each step here (sums,
+    products, inverses of units) commutes with it, so read mod p_i (lane
+    i) this map is point i's own map, and read mod a divisor of M the map
+    of the points whose primes divide it.
     """
 
     def __init__(self, chart: Chart, points: Sequence["GenericPoint"], order: int):
-        self.order = order
-        res, modulus = _crt_residues(points)
-        self.modulus = modulus
-        n = chart.dim
-        self._zero: Tuple[int, ...] = (0,) * n
-        # packed monomial -> its series; key 0 is the monomial 1
-        self._monos: Dict[int, Dict[Tuple[int, ...], int]] = {0: {self._zero: 1}}
-        self._memo: Dict[Poly, Dict[Tuple[int, ...], int]] = {}
-        self._vars: Dict[int, Dict[Tuple[int, ...], int]] = {}  # field shift -> series
-        inv_fact = [1]
-        for k in range(1, order + 1):
-            inv_fact.append(inv_fact[-1] * pow(k, -1, modulus) % modulus)
-        trig = {}  # generator -> (angle index, derivatives at the point mod 4)
+        self._res, self.modulus = _crt_residues(points)
+        self._chart, n = chart, chart.dim
+        self._degree = _ORDER_BITS * n  # a key's degree is its bits from here up
+        self._units = [_series_key([int(j == i) for j in range(n)]) for i in range(n)]
+        self.order = -1
+        # packed monomial -> (its series, the index where each degree starts)
+        self._monos: Dict[int, Tuple[Dict[int, int], List[int]]] = {0: ({0: 1}, [0])}
+        self._memo: Dict[Poly, List] = {}  # p -> [its series, the order complete to]
+        self._vars: Dict[int, List[List[Tuple[int, int]]]] = {}  # field shift -> terms per degree
+        self._inv_fact = [1]
+        self._trig = {}  # generator -> (angle index, derivatives at the point mod 4)
         for angle, (s, c) in chart._trig_pairs.items():
+            s0, c0 = self._res[chart._index[s]], self._res[chart._index[c]]
             j = chart.coordinates.index(angle)
-            s0, c0 = res[chart._index[s]], res[chart._index[c]]
-            trig[s] = (j, (s0, c0, -s0, -c0))
-            trig[c] = (j, (c0, -s0, -c0, s0))
+            self._trig[s], self._trig[c] = (j, (s0, c0, -s0, -c0)), (j, (c0, -s0, -c0, s0))
+        self.extend(order)
+
+    def extend(self, order: int) -> None:
+        """Raise the map's order to ``order`` (a lower one changes nothing):
+        the variables' series gain their new degrees now, the memoized
+        series when they are next read."""
+        if order >= 1 << _ORDER_BITS:
+            raise ExprError(f"Taylor order {order} does not fit a packed multi-index")
+        lo = self.order + 1
+        if order < lo:
+            return
+        self.order = order
+        chart, res, modulus, inv_fact = self._chart, self._res, self.modulus, self._inv_fact
+        for k in range(len(inv_fact), order + 1):
+            inv_fact.append(inv_fact[-1] * pow(k, -1, modulus) % modulus)
+        one_starts = self._monos[0][1]
+        one_starts += [1] * (order + 1 - len(one_starts))
         for i, name in enumerate(chart.var_names):
-            if i < n:
-                series = {self._zero: res[i], self._unit(i, 1): 1}
-            elif name in trig:
-                j, cycle = trig[name]
-                series = {self._unit(j, k): cycle[k % 4] * inv_fact[k]
-                          for k in range(order + 1)}
-            else:  # root: W^2 = q
-                q = self(chart._gens_by_name[name].square_rhs._num)
-                q0_inv = pow(q.get(self._zero, 0), -1, modulus)
-                u = {g: v * q0_inv % modulus for g, v in q.items() if any(g)}
-                series, power, binom = {}, {self._zero: 1}, 1
-                for k in range(order + 1):  # u^k vanishes beyond the order
-                    for g, v in power.items():
-                        series[g] = (series.get(g, 0) + binom * v) % modulus
-                    power = self._mul(power, u)
-                    binom = binom * (1 - 2 * k) * pow(2 * k + 2, -1, modulus) % modulus
-                series = {g: v * res[i] for g, v in series.items()}
-            self._vars[chart._shift[i]] = {g: r for g, v in series.items() if (r := v % modulus)}
+            terms = self._vars.setdefault(chart._shift[i], [])
+            for d in range(lo, order + 1):
+                if i < chart.dim:
+                    part = {0: res[i]} if d == 0 else {self._units[i]: 1} if d == 1 else {}
+                elif name in self._trig:
+                    j, cycle = self._trig[name]
+                    part = {d * self._units[j]: cycle[d % 4] * inv_fact[d]}
+                elif d == 0:
+                    part = {0: res[i]}
+                else:  # root: W^2 = q, so 2 W_0 W_d = q_d - sum_{0<e<d} W_e W_(d-e)
+                    q = self(chart._gens_by_name[name].square_rhs._num)
+                    part = {g: v for g, v in q.items() if g >> self._degree == d}
+                    for e in range(1, d):
+                        for g, u in terms[e]:
+                            for h, v in terms[d - e]:
+                                part[g + h] = part.get(g + h, 0) - u * v
+                    inv = pow(2 * res[i], -1, modulus)
+                    part = {g: v * inv for g, v in part.items()}
+                terms.append([(g, r) for g, v in part.items() if (r := v % modulus)])
 
-    def _unit(self, i: int, k: int) -> Tuple[int, ...]:
-        g = list(self._zero)
-        g[i] = k
-        return tuple(g)
-
-    def _mul(self, a, b):
-        """Truncated product of two series."""
-        out: Dict[Tuple[int, ...], int] = {}
-        get = out.get
-        terms = [(gb, vb, sum(gb)) for gb, vb in b.items()]
-        for ga, va in a.items():
-            room = self.order - sum(ga)
-            for gb, vb, degree in terms:
-                if degree <= room:
-                    g = tuple(map(operator.add, ga, gb))
-                    out[g] = get(g, 0) + va * vb
-        modulus = self.modulus
-        return {g: r for g, v in out.items() if (r := v % modulus)}
-
-    def _monomial(self, m: int):
-        """The series of the monomial with packed key m: that of m divided
-        by its last variable (the lowest nonzero field), times the
-        variable's series."""
-        series = self._monos.get(m)
-        if series is None:
+    def _monomial(self, m: int) -> Tuple[Dict[int, int], List[int]]:
+        """The series of the monomial with packed key m, complete to the
+        map's order and filled in ascending degree, and the index in it
+        where each degree starts: m is m' times its last variable x (the
+        lowest nonzero field), and its degree d is the sum over e <= d of
+        m''s degree-e terms times x's degree-(d - e) terms."""
+        entry = self._monos.get(m)
+        if entry is None:
+            entry = self._monos[m] = ({}, [])
+        series, starts = entry
+        if len(starts) <= self.order:
             shift = ((m & -m).bit_length() - 1) // _FIELD * _FIELD
-            series = self._mul(self._monomial(m - (1 << shift)), self._vars[shift])
-            self._monos[m] = series
-        return series
-
-    def __call__(self, p: Poly) -> Dict[Tuple[int, ...], int]:
-        """Taylor coefficients of a polynomial of the chart's ring."""
-        out = self._memo.get(p)
-        if out is None:
+            low, low_starts = self._monomial(m - (1 << shift))
+            bounds = low_starts + [len(low)]
+            var = self._vars[shift]
             modulus = self.modulus
-            acc: Dict[Tuple[int, ...], int] = {}
+            for d in range(len(starts), self.order + 1):
+                starts.append(len(series))
+                acc: Dict[int, int] = {}
+                get = acc.get
+                for e in range(d + 1):
+                    part = var[d - e]
+                    if part:
+                        for g, u in islice(low.items(), bounds[e], bounds[e + 1]):
+                            for h, v in part:
+                                k = g + h
+                                acc[k] = get(k, 0) + u * v
+                for k, v in acc.items():
+                    if r := v % modulus:
+                        series[k] = r
+        return entry
+
+    def __call__(self, p: Poly) -> Dict[int, int]:
+        """Taylor coefficients of a polynomial of the chart's ring."""
+        entry = self._memo.get(p)
+        if entry is None:
+            entry = self._memo[p] = [{}, -1]
+        series, done = entry
+        if done < self.order:
+            modulus = self.modulus
+            acc: Dict[int, int] = {}
             get = acc.get
             for monom, coeff in p.items():
+                terms, starts = self._monomial(monom)
                 c = coeff % modulus
-                for g, v in self._monomial(monom).items():
+                for g, v in islice(terms.items(), starts[done + 1], None):
                     acc[g] = get(g, 0) + c * v
-            out = self._memo[p] = {g: r for g, v in acc.items() if (r := v % modulus)}
-        return out
+            for g, v in acc.items():
+                if r := v % modulus:
+                    series[g] = r
+            entry[1] = self.order
+        return series
 
 
 def _residues(chart: Chart, rng: random.Random, prime: int) -> Optional[List[int]]:

@@ -59,7 +59,8 @@ _TASKS = {
         "complex_structure": None, "blocks": None, "expect_ricci_flat": None,
         "expect_block_kernel_dimension": None,
     },
-    "symmetry-bound": {**_STRUCTURE_PARAMS, "expect_bound": None, "max_stage": 6},
+    "symmetry-bound": {**_STRUCTURE_PARAMS, "commute": None, "expect_bound": None,
+                       "max_stage": 6},
     "verify-fields": {**_STRUCTURE_PARAMS, "fields": REQUIRED},
     "closure": {
         "fields": REQUIRED, "expect_dimension": None,
@@ -167,6 +168,7 @@ _REFERENCES = {
     "complex_structure": "endomorphism",
     "frame": "frame",
     "vector": "vector",
+    "commute": "vector",
     "fields": "vector",
     "isotropy": "vector",
     "complement": "vector",

@@ -17,7 +17,8 @@ is point i.
 never does: a prolonged row is the pair (E, beta) of an equation and a
 multi-index, and the row of D^beta E at a point comes from the Taylor
 coefficients of E's coefficients there
-(:class:`~geosym.exprfield.TaylorMap`).  Equations compare by
+(:class:`~geosym.exprfield.TaylorMap`), one map per search, extended
+stage by stage, keyed by packed multi-indices.  Equations compare by
 identity, so any list of equations is a system, a concatenation of two
 systems included.
 
@@ -69,7 +70,8 @@ homomorphism from Z/M onto GF(p_i) that commutes with every step of the
 Taylor map and of the elimination (sums, products, inverses of units),
 so lane i of the map mod M is the map of point i mod p_i.  Reduction
 mod any divisor of M is a ring homomorphism too, so the stored integers
-stay valid when lanes are dropped.
+stay valid when lanes are dropped, and so do the Taylor map's rows mod
+M, read mod the elimination's modulus M', a divisor of M.
 - A surviving lane's pivots are those of an elimination at its point
   alone: each new row's least entry is nonzero mod each surviving
   prime, so at each surviving point that key is the row's pivot, and
@@ -99,7 +101,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exprfield import (PRIME, Chart, Expr, ExprError, GenericPoint, Poly, TaylorMap,
                         _clear_denominators, _derivation_rules, _poly_dot,
-                        _poly_total_derivative)
+                        _poly_total_derivative, _series_key)
 
 JetKey = Tuple[int, Tuple[int, ...]]  # (unknown index, derivative exponents)
 
@@ -144,8 +146,9 @@ class Equation:
         beta!/(beta-gamma)! T_gamma(c) X^a_(alpha+beta-gamma), where
         T_gamma(c) is the Taylor coefficient of c at the points:
         ``taylor``, the points' :class:`~geosym.exprfield.TaylorMap` of
-        order |beta| at least, supplies it.  With beta = 0 this is
-        c(point) X^a_alpha.
+        order |beta| at least, supplies it, at gamma's packed key.  With
+        beta = 0 this is c(point) X^a_alpha.  Read mod a divisor of
+        ``taylor.modulus``, the row is that at the points left.
         The code of X^a_(alpha+beta-gamma) is the code of X^a_alpha plus a
         shift that depends on beta - gamma only; the codes of X^a_alpha
         are those of :meth:`_Columns.coded`, taken once per equation."""
@@ -183,7 +186,7 @@ class _Columns:
         self._radix = tuple(self.base ** (n - 1 - i) for i in range(n))
         self._block = self.base ** n
         self._unit = m * self._block
-        self._shifts: Dict[Tuple[int, ...], Tuple[Tuple[Tuple[int, ...], int, int], ...]] = {}
+        self._shifts: Dict[Tuple[int, ...], Tuple[Tuple[int, int, int], ...]] = {}
         self._coded: Dict[Equation, Tuple[int, int, Tuple[Tuple[int, Poly], ...]]] = {}
 
     def code(self, a: int, alpha: Sequence[int]) -> int:
@@ -212,14 +215,15 @@ class _Columns:
     def order(self, code: int) -> int:
         return -(code // self._unit)
 
-    def shifts(self, beta: Tuple[int, ...]) -> Tuple[Tuple[Tuple[int, ...], int, int], ...]:
-        """The Leibniz terms of D^beta: (gamma, beta!/(beta-gamma)!,
+    def shifts(self, beta: Tuple[int, ...]) -> Tuple[Tuple[int, int, int], ...]:
+        """The Leibniz terms of D^beta: (the packed Taylor key of gamma,
+        :func:`~geosym.exprfield._series_key`, beta!/(beta-gamma)!,
         code(0, beta-gamma)) for each multi-index gamma <= beta, the last
         entry being the shift the term adds to a column code."""
         out = self._shifts.get(beta)
         if out is None:
             out = self._shifts[beta] = tuple(
-                (gamma, prod(perm(b, g) for b, g in zip(beta, gamma)),
+                (_series_key(gamma), prod(perm(b, g) for b, g in zip(beta, gamma)),
                  self.code(0, [b - g for b, g in zip(beta, gamma)]))
                 for gamma in product(*(range(b + 1) for b in beta)))
         return out
@@ -499,12 +503,13 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
 
     Each point takes a prime that no earlier point took, so the rows at
     all points come from one :class:`~geosym.exprfield.TaylorMap` mod the
-    product of the primes, and one :class:`_GradedElimination` reduces
-    them, point i in its lane i, with one pivot set for all points.  A
-    point where a reduced row's least entry vanishes, though not at
-    every point, is dropped, and the tables are those of the points
-    left, each that point's own; ``point_independent`` says that no
-    point was dropped.
+    product M of the primes, built once and extended to each batch's
+    order, and one :class:`_GradedElimination` reduces them, point i in
+    its lane i, with one pivot set for all points.  A point where a
+    reduced row's least entry vanishes, though not at every point, is
+    dropped, and the tables are those of the points left, each that
+    point's own; ``point_independent`` says that no point was dropped.
+    The map keeps all points; the elimination reads its rows mod M' | M.
     """
     if max_stage < 1:
         raise ProlongError("max_stage must be at least 1")
@@ -516,16 +521,16 @@ def solution_bound(system: LinearPDESystem, max_stage: int = 6,
         points.append(GenericPoint.sample(chart, s, taken=[p.prime for p in points]))
     columns = _Columns(chart.dim, system.n_unknowns, system.order + max_stage)
     elim = _GradedElimination([p.prime for p in points], columns)
+    taylor = TaylorMap(chart, points, 0)
 
     def admit(rows: Sequence[Row]) -> List[Row]:
-        """Add the rows at the points left, through a Taylor map of the
-        rows' order, lowest jet order first: in descending order of their
-        leading codes (:meth:`_Columns.lead`), ties in the given order.
-        Keep the rows independent at the points (one dependent at every
-        point adds nothing to the symbol table: its derivatives stay in
-        the prolonged span of the retained ones)."""
-        order = max((sum(beta) for _, beta in rows), default=0)
-        taylor = TaylorMap(chart, [p for p in points if p.prime in elim.primes], order)
+        """Add the rows, through the Taylor map extended to their order,
+        lowest jet order first: in descending order of their leading
+        codes (:meth:`_Columns.lead`), ties in the given order.  Keep the
+        rows independent at the points left (one dependent at every point
+        adds nothing to the symbol table: its derivatives stay in the
+        prolonged span of the retained ones)."""
+        taylor.extend(max((sum(beta) for _, beta in rows), default=0))
         return [(eq, beta) for eq, beta in sorted(rows, key=columns.lead, reverse=True)
                 if elim.add(eq.evaluate_sparse(beta, taylor, columns)) is not None]
 

@@ -303,3 +303,41 @@ def test_closure_with_a_pole_at_the_first_sample_point(tmp_path, capsys):
                      "expect_dimension = 2\nexpect_derived_dimension = 0\n")
     assert main(["run", str(model)]) == 0
     assert "dimension: 2" in capsys.readouterr().out
+
+
+def _eh_with_task(tmp_path, *entries):
+    """A copy of the bundled Eguchi-Hanson model with one more
+    symmetry-bound task, ``commute``, whose last entries are ``entries``;
+    returns its path and the line of the last entry."""
+    text = (MODELS / "eguchi_hanson.model").read_text().rstrip("\n") + "\n"
+    lines = ["", "[task commute]", "kind = symmetry-bound", "structure = quaternionic",
+             "metric = g", *entries]
+    model = tmp_path / "eh.model"
+    model.write_text(text + "\n".join(lines) + "\n")
+    return model, len(text.splitlines()) + len(lines)
+
+
+@pytest.mark.parametrize("vector, bound, tables", [
+    ("v1", 4, [[3, 4], [0, 1, 3], [0, 0, 1, 3]]),
+    ("v2", 2, None),
+])
+def test_symmetry_bound_of_the_symmetries_commuting_with_a_vector(
+        tmp_path, vector, bound, tables):
+    """``commute = v`` joins the structure's system with L_X v = 0: on
+    Eguchi-Hanson the quaternionic symmetries commuting with v1, which
+    generates the centre of u(2), have the bound 4, and those commuting
+    with v2 the bound 2."""
+    model, _ = _eh_with_task(tmp_path, f"commute = {vector}", f"expect_bound = {bound}")
+    out = tmp_path / "r.json"
+    assert main(["run", str(model), "--task", "commute", "--json", str(out)]) == 0
+    data = json.loads(out.read_text())["tasks"][0]["data"]
+    assert data["bound"] == bound and data["conclusive"] and data["point_independent"]
+    if tables:
+        assert data["tables"] == tables
+
+
+def test_commuting_with_an_undeclared_vector_is_a_parse_error(tmp_path, capsys):
+    model, line = _eh_with_task(tmp_path, "commute = v9")
+    assert main(["run", str(model), "--task", "commute"]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}" in err and "'v9' is not declared" in err

@@ -342,8 +342,8 @@ expect_ricci_flat = False
     tasks = parse_model(text).tasks
     assert tasks["bound"].params == {
         "structure": "killing", "metric": "g", "frame": None, "connection": None,
-        "complex_structure": None, "orientation": 1, "expect_bound": 3,
-        "max_stage": 6}
+        "complex_structure": None, "orientation": 1, "commute": None,
+        "expect_bound": 3, "max_stage": 6}
     assert tasks["inv"].params["point"] == (0, 0)
     assert tasks["inv"].params["tensor_type"] == (2, 1)
     assert tasks["inv"].params["isotropy"] == ["v"]

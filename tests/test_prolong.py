@@ -15,7 +15,8 @@ from geosym import geometry as G
 from geosym import prolong as P
 from geosym import symsys as S
 from geosym.exprfield import (_ONE, Chart, Expr, KernelInconsistency, Poly, _crt_basis,
-                              _derivation_rules, _poly_mod, _prime, _residues, parse_expr)
+                              _derivation_rules, _poly_mod, _prime, _residues, _series_key,
+                              parse_expr)
 
 from conftest import (flat_chart, flat_quaternionic_pullback, nested_root_chart, plant,
                       planted_point, reference_residuals, root_chart_metric, shear_map,
@@ -575,8 +576,10 @@ def test_column_codes_sort_like_graded_keys(n, m, top):
 @given(data=st.data())
 def test_column_codes_and_shifts_for_any_size(data):
     """For n, m <= 8 and any top order: two codes compare like their
-    graded keys, the order decodes, and the shift of beta - gamma moves
-    the column of X^a_alpha to that of X^a_(alpha+beta-gamma)."""
+    graded keys, the order decodes, and the Leibniz terms of D^beta are
+    one per gamma <= beta, keyed by gamma's packed Taylor key, each
+    with its weight and the shift of beta - gamma, which moves the
+    column of X^a_alpha to that of X^a_(alpha+beta-gamma)."""
     n, m = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
     top = data.draw(st.integers(0, 12))
     cols = P._Columns(n, m, top)
@@ -595,9 +598,11 @@ def test_column_codes_and_shifts_for_any_size(data):
     alpha, beta = k1[2], k2[2]
     if sum(alpha) + sum(beta) <= top:
         shifts = cols.shifts(beta)
-        assert len({gamma for gamma, _, _ in shifts}) == prod(b + 1 for b in beta)
-        for gamma, weight, delta in shifts:
-            assert all(g <= b for g, b in zip(gamma, beta))
+        gammas = {_series_key(gamma): gamma
+                  for gamma in product(*(range(b + 1) for b in beta))}
+        assert sorted(key for key, _, _ in shifts) == sorted(gammas)
+        for key, weight, delta in shifts:
+            gamma = gammas[key]
             up = tuple(x + b - g for x, b, g in zip(alpha, beta, gamma))
             assert c1 + delta == cols.code(k1[1], up)
             assert weight == prod(perm(b, g) for b, g in zip(beta, gamma))
@@ -898,6 +903,24 @@ def test_flat_quaternionic_symmetries_commuting_with_a_rotation(n, bound, tables
     assert res.conclusive and res.bound == bound == 2 * (n + 1) ** 2 - 1
     assert [t.dims for t in res.tables] == tables
     assert res.point_independent
+
+
+def test_a_bound_search_builds_one_taylor_map(monkeypatch, eh_quaternionic_system):
+    """solution_bound builds one Taylor map per call and extends it stage
+    by stage (orders 0 to 3 on Eguchi-Hanson), not one map per stage."""
+    built = []
+
+    class Counted(P.TaylorMap):
+        def __init__(self, *args):
+            built.append(args[-1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(P, "TaylorMap", Counted)
+    res = P.solution_bound(eh_quaternionic_system)
+    assert res.bound == 4 and len(res.tables) == 4
+    assert built == [0]
+    P.solution_bound(eh_quaternionic_system, max_stage=2)
+    assert built == [0, 0]
 
 
 @pytest.mark.parametrize("seed", [1, 7, 101, 102])
