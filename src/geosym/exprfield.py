@@ -20,10 +20,13 @@ order, a monomial product is one integer add and a divisibility test
 one mask test.  The two hot primitives of normalization work on these
 dicts:
 
-- reduction (:meth:`Chart._reduce_poly`) applies each rule g^2 -> rhs
-  once, latest-declared generator first, with the powers of rhs cached
-  per chart; a rule's rhs holds only earlier generators and rule-free
-  cos, so the one pass reaches the canonical normal form;
+- reduction (:meth:`Chart._reduce_poly`) is one pass over the terms:
+  a term c * u * g, with g its part in the ruled generators, becomes
+  c * u * NF(g).  NF(g) is memoized per chart and computed once by
+  applying each rule g^2 -> rhs once, latest-declared generator first,
+  with the powers of rhs cached per chart; a rule's rhs holds only
+  earlier generators and rule-free cos, so that pass reaches the
+  canonical normal form, and u * NF(g) is NF(u * g);
 - exact division (:func:`_divide`), in the lex order of the packed
   keys, so each quotient term is the remainder's leading term shifted
   by LM(f), its coefficient divided by LC(f) with ``divmod``.
@@ -49,10 +52,13 @@ drawn uniformly in GF(p) for its own prime p: 2^61 - 1, or a prime below
 it where the chart's radicands are nonzero squares.  Integer
 coefficients reduce mod any prime, so these evaluations meet no pole,
 and a nonzero polynomial vanishes at such a point with probability
-about its degree over p.  Symbol ranks of prolonged rows use the
-truncated Taylor series at such points (:class:`TaylorMap`): the points
-of one bound search carry distinct primes p_i, so by the Chinese
-remainder theorem one map mod their product serves all of them.
+about its degree over p.  The zero cross-check evaluates each
+unreduced zero once, mod the product of two such points' primes, with
+one evaluator per chart (:class:`_Evaluator`) that memoizes the values
+of groups of variables until a rule changes.  Symbol ranks of prolonged
+rows use the truncated Taylor series at such points (:class:`TaylorMap`):
+the points of one bound search carry distinct primes p_i, so by the
+Chinese remainder theorem one map mod their product serves all of them.
 """
 
 from __future__ import annotations
@@ -313,10 +319,11 @@ class Chart:
     them uniform values in GF(p) (:func:`_residues`), still a ring
     homomorphism.  A radicand holds only variables whose rules are set,
     so its normal form is final.  Setting a rule drops the cached
-    relation and derivation rules and the sample pool, since a root's
-    derivative and residue depend on its radicand.  The memo of gcds is
-    kept: gcds are facts about ZZ[vars]; so is the shared zero of
-    :meth:`zero`.
+    relation rules with the memoized normal forms of generator monomials,
+    the derivation rules and the sample pool with its check point's memo,
+    since a root's derivative and residue depend on its radicand.  The
+    memo of gcds is kept: gcds are facts about ZZ[vars]; so is the shared
+    zero of :meth:`zero`.
     """
 
     def __init__(self, coordinates: Sequence[str], trig_pairs: Iterable[str] = (),
@@ -350,9 +357,10 @@ class Chart:
         self._shift = [_FIELD * (n - 1 - i) for i in range(n)]
         self._gens = [Poly({1 << s: 1}) for s in self._shift]
         self._sample_pool: List[GenericPoint] = []
-        self._check_residues: Optional[Tuple[List[int], int]] = None  # see _cross_check_point
+        self._check_point: Optional[_Evaluator] = None  # see :meth:`_cross_check_point`
         self._relations: Optional[List] = None  # see :meth:`_relation_powers`
-        self._rewritable = 0  # set with _relations
+        self._ruled = self._rewritable = 0  # set with _relations
+        self._generator_forms: Dict[int, Poly] = {}  # g -> NF(g), see :meth:`_generator_form`
         self._gcds: Dict = {}  # (f, g) -> (gcd, f / gcd, g / gcd), see :meth:`_gcd`
         self._zero: Optional[Expr] = None  # see :meth:`zero`
         for s_name, c_name in self._trig_pairs.values():
@@ -462,15 +470,17 @@ class Chart:
     def _relate(self, g: GeneratorSpec, rhs: "Expr"):
         """Give g the rule g^2 -> rhs.  The cached rules lack it, a root's
         derivative rule dW = d(rhs)/(2W) is new, and the residue of a root
-        depends on its radicand, so the relation rules, the derivation
-        rules (:func:`_derivation_rules`) and the sample pool, with its
-        combined residues, are dropped; the memo of gcds and the shared
-        zero (:meth:`zero`) are kept."""
+        depends on its radicand, so the relation rules with the normal
+        forms of generator monomials (:meth:`_generator_form`), the
+        derivation rules (:func:`_derivation_rules`) and the sample pool,
+        with its check point and that point's memo, are dropped; the memo
+        of gcds and the shared zero (:meth:`zero`) are kept."""
         g.square_rhs = rhs
         self._relations = None
+        self._generator_forms = {}
         self._derivation_cache = {}
         self._sample_pool = []
-        self._check_residues = None
+        self._check_point = None
 
     def trig_pair(self, angle: str) -> Tuple["Expr", "Expr"]:
         if angle not in self._trig_pairs:
@@ -708,43 +718,81 @@ class Chart:
     def _relation_powers(self) -> List[Tuple[int, List]]:
         """(variable index of g, [1, rhs, rhs^2, ...]) for each rule
         g^2 -> rhs, latest-declared g first, built once per set of rules
-        together with ``_rewritable``, the mask of the ruled generators'
-        exponent bits that stand for 2 and more; :meth:`_reduce_poly`
-        extends each list of powers as it needs them.  :meth:`_relate`
-        drops the cache."""
+        together with two masks: ``_ruled``, the ruled generators'
+        exponent fields, and ``_rewritable``, their bits that stand for 2
+        and more.  :meth:`_generator_form` extends each list of powers as
+        it needs them.  :meth:`_relate` drops the cache."""
         if self._relations is None:
             self._relations = [
                 (self._index[g.name], [_ONE, g.square_rhs._num])
                 for g in reversed(self.generators) if g.square_rhs is not None]
+            self._ruled = sum(_EXP << self._shift[i] for i, _ in self._relations)
             self._rewritable = sum((_EXP - 1) << self._shift[i] for i, _ in self._relations)
         return self._relations
 
     def _reduce_poly(self, p):
-        """Normal form of p modulo the relation ideal, in one pass over the
-        rules, latest-declared generator first: each term c * m * g^e with
-        e >= 2 becomes c * m * g^(e mod 2) * rhs^(e // 2), the power taken
-        from :meth:`_relation_powers`.  p itself is returned when no term
-        has a rewritable power.
+        """Normal form of p modulo the relation ideal, in one pass over its
+        terms: a term c * u * g, where g is its part in the ruled
+        generators (the bits of ``_ruled``) and u the rest, becomes
+        c * u * NF(g), with NF(g) from :meth:`_generator_form`, memoized
+        per chart and unbounded like the memo of gcds (:meth:`_gcd`), until
+        :meth:`_relate` drops it with the rules.  p itself is returned when
+        no term has a rewritable power.  A result with an exponent past
+        2^16 - 1 raises :class:`KernelInconsistency`.
+
+        Soundness.  u * NF(g) has every ruled exponent below 2, since u
+        holds no ruled generator, and it is congruent to u * g modulo the
+        ideal.  The rules are a Groebner basis (:meth:`_generator_form`),
+        so that reduced form is the unique normal form: NF(u * g) =
+        u * NF(g), and NF(p) is the sum of its terms' normal forms.
+        """
+        self._relation_powers()
+        rewritable = self._rewritable
+        if not p.bits & rewritable:
+            return p
+        ruled, forms = self._ruled, self._generator_forms
+        out: Dict[int, int] = {}
+        get = out.get
+        for m, c in p.items():
+            if not m & rewritable:
+                out[m] = get(m, 0) + c
+                continue
+            g = m & ruled
+            form = forms.get(g)
+            if form is None:
+                form = self._generator_form(g)
+            u = m - g
+            for k, v in form.items():
+                mm = u + k
+                out[mm] = get(mm, 0) + c * v
+        terms = Poly({m: c for m, c in out.items() if c})
+        if terms.bits & _GUARD:
+            raise KernelInconsistency(f"an exponent of a reduction exceeds {_EXP}")
+        return terms
+
+    def _generator_form(self, g: int) -> Poly:
+        """NF(g) of the monomial g in the ruled generators, stored in
+        ``_generator_forms``.  The rules are applied once each,
+        latest-declared generator first: each term c * m * h^e with e >= 2
+        becomes c * m * h^(e mod 2) * rhs^(e // 2), the power taken from
+        :meth:`_relation_powers`.
 
         Soundness.  A rule's rhs holds only coordinates, generators
-        declared before g, and cos generators, which have no rule (sin's
-        rhs is 1 - cos^2).  So rewriting by g's rule raises only exponents
+        declared before h, and cos generators, which have no rule (sin's
+        rhs is 1 - cos^2).  So rewriting by h's rule raises only exponents
         of generators whose rules come later in the pass, and no later
-        rewrite raises g's: after the pass every ruled generator has
+        rewrite raises h's: after the pass every ruled generator has
         degree < 2 in every term, the fixpoint of repeated rewriting.  In
         the lex order that ranks generators above coordinates, later ones
         above earlier and each sin above its cos, the rules' leading
-        monomials are the g^2, pairwise coprime, so the rules are a
+        monomials are the h^2, pairwise coprime, so the rules are a
         Groebner basis and that normal form is canonical: rewriting in any
         order gives the same polynomial.
         """
-        relations = self._relation_powers()
-        if not p.bits & self._rewritable:
-            return p
-        terms = p
-        for idx, powers in relations:
+        terms = Poly({g: 1})
+        for idx, powers in self._relation_powers():
             shift = self._shift[idx]
-            high = (_EXP - 1) << shift  # the bits of exponents of g of 2 and more
+            high = (_EXP - 1) << shift  # the bits of exponents of h of 2 and more
             if not terms.bits & high:
                 continue
             out: Dict[int, int] = {}
@@ -756,31 +804,37 @@ class Chart:
                 k = (m >> shift & _EXP) >> 1
                 while len(powers) <= k:
                     powers.append(powers[-1] * powers[1])
-                base = m - (k << shift + 1)  # g^e becomes g^(e mod 2)
+                base = m - (k << shift + 1)  # h^e becomes h^(e mod 2)
                 for pm, pc in powers[k].items():
                     mm = base + pm
                     out[mm] = get(mm, 0) + c * pc
             terms = Poly({m: c for m, c in out.items() if c})
             if terms.bits & _GUARD:
                 raise KernelInconsistency(f"an exponent of a reduction exceeds {_EXP}")
+        self._generator_forms[g] = terms
         return terms
 
     def _reduce_checked(self, p):
         """Normal form of p (:meth:`_reduce_poly`), with a nonzero p that
         reduces to zero cross-checked: p must vanish at the first two
         points of the chart's pool of :class:`GenericPoint` s, whose primes
-        p_1 and p_2 differ.  It is evaluated once, mod p_1 p_2, at the
-        residues that read each point's residues mod its prime
-        (:meth:`_cross_check_point`); reduction mod p_i is a ring
-        homomorphism, so lane i of the value is the value at point i, and
-        the value is nonzero exactly when one lane is.  A p that reduces to
-        zero lies in the relation ideal, which vanishes at every pool
-        point, so no point is skipped.  A nonzero value raises
-        :class:`KernelInconsistency`; a true zero maps to zero, so the
-        check never raises falsely.  The zero polynomial itself needs no
-        check."""
+        p_1 and p_2 differ.  The unreduced p is evaluated once, mod
+        p_1 p_2, by the chart's one evaluator at the residues that read
+        each point's residues mod its prime (:meth:`_cross_check_point`);
+        reduction mod p_i is a ring homomorphism, so lane i of the value is
+        the value at point i, and the value is nonzero exactly when one
+        lane is.  A p that reduces to zero lies in the relation ideal,
+        which vanishes at every pool point, so no point is skipped.  A
+        nonzero value raises :class:`KernelInconsistency`; a true zero maps
+        to zero, so the check never raises falsely.  The zero polynomial
+        itself needs no check.  The memos of generator normal forms
+        (:meth:`_reduce_poly`) and of the evaluator's group values change
+        nothing of this: their values are fixed by the rules and the
+        residues, which only :meth:`_relate` changes, and it drops both.
+        Like the memo of gcds (:meth:`_gcd`), both live per chart,
+        unbounded."""
         r = self._reduce_poly(p)
-        if not r and p and _poly_mod(p, *self._cross_check_point()):
+        if not r and p and self._cross_check_point()(p):
             raise KernelInconsistency(
                 "reduction reports zero but evaluation is nonzero; kernel bug")
         return r
@@ -839,12 +893,18 @@ class Chart:
             self._sample_pool.append(GenericPoint.sample(self, seed, taken))
         return self._sample_pool[:k]
 
-    def _cross_check_point(self) -> Tuple[List[int], int]:
-        """The residues mod M = p_1 p_2 of the first two pool points,
-        combined (:func:`_crt_residues`), and M; built once per pool."""
-        if self._check_residues is None:
-            self._check_residues = _crt_residues(self._check_pool(2))
-        return self._check_residues
+    def _cross_check_point(self) -> "_Evaluator":
+        """The evaluator (:class:`_Evaluator`) mod M = p_1 p_2 at the
+        residues of the first two pool points, combined
+        (:func:`_crt_residues`); built once per pool.  Its memo of group
+        values is shared by every cross-check until :meth:`_relate` drops
+        the pool: the residues are fixed until then, and every value it
+        holds is a product of their powers, so a warm memo gives the value
+        a fresh one would.  It lives per chart, unbounded, like the memo
+        of gcds (:meth:`_gcd`)."""
+        if self._check_point is None:
+            self._check_point = _Evaluator(*_crt_residues(self._check_pool(2)))
+        return self._check_point
 
 
 PRIME = 2 ** 61 - 1  # the first prime of the chain the sample points draw from
@@ -938,38 +998,59 @@ def _sqrt_mod(q: int, p: int) -> Optional[int]:
     return min(w, p - w)
 
 
-def _poly_mod(p: Poly, residues: Sequence[int], modulus: int) -> int:
-    """Value mod ``modulus`` (a prime, or a product of primes as in
-    :func:`_crt_residues`) of a polynomial of the chart's ring at one
-    residue per variable.
+_GROUP = 5  # variables per memoized group of fields of an _Evaluator
 
-    The packed fields are read two at a time: variables 2j and 2j + 1
-    share one mask (the last variable is alone when their number is odd),
-    so a term costs one mask and one multiply per pair.  The value mod
-    ``modulus`` of a pair's bits, kept in place, is the product of its
-    two powers; it is memoized for this call only, in one dict for all
-    pairs, whose masks are disjoint, so distinct pairs' nonzero bits never
-    collide and no value outlives the residues it was computed from.  The
-    terms are summed as integers and reduced once, at the end."""
-    n = len(residues)
-    pairs = []
-    for i in range(0, n, 2):
-        fields = [(_FIELD * (n - 1 - j), residues[j]) for j in range(i, min(i + 2, n))]
-        pairs.append((sum(_EXP << s for s, _ in fields), fields))
-    values: Dict[int, int] = {}  # a pair's bits, in place -> the value they stand for
-    total = 0
-    for m, coeff in p.items():
-        for mask, fields in pairs:
-            if f := m & mask:
-                v = values.get(f)
-                if v is None:
-                    v = 1
-                    for s, r in fields:
-                        v = v * pow(r, f >> s & _EXP, modulus)
-                    v = values[f] = v % modulus
-                coeff *= v
-        total += coeff
-    return total % modulus
+
+class _Evaluator:
+    """Values mod ``modulus`` (a prime, or a product of primes as in
+    :func:`_crt_residues`) of polynomials of a chart's ring at one residue
+    per variable.
+
+    The packed fields are read five at a time: variables 5j to 5j + 4
+    share one mask (the last group holds the rest), so a term costs one
+    mask and at most one multiply per group.  The value mod ``modulus`` of
+    a group's bits, kept in place, is the product of its variables'
+    powers; it is memoized in one dict for all groups, whose masks are
+    disjoint, so distinct groups' nonzero bits never collide.  The memo
+    lives as long as the evaluator, which holds fixed residues: the zero
+    cross-check keeps one evaluator per check point
+    (:meth:`Chart._cross_check_point`), and :func:`_poly_mod` makes a
+    fresh one per call, so no value outlives the residues it was computed
+    from.  The terms are summed as integers and reduced once, at the
+    end."""
+
+    __slots__ = ("modulus", "_groups", "_values")
+
+    def __init__(self, residues: Sequence[int], modulus: int):
+        n = len(residues)
+        self.modulus = modulus
+        self._groups = []
+        for i in range(0, n, _GROUP):
+            fields = [(_FIELD * (n - 1 - j), residues[j]) for j in range(i, min(i + _GROUP, n))]
+            self._groups.append((sum(_EXP << s for s, _ in fields), fields))
+        self._values: Dict[int, int] = {}  # a group's bits, in place -> the value they stand for
+
+    def __call__(self, p: Poly) -> int:
+        modulus, groups, values = self.modulus, self._groups, self._values
+        total = 0
+        for m, coeff in p.items():
+            for mask, fields in groups:
+                if f := m & mask:
+                    v = values.get(f)
+                    if v is None:
+                        v = 1
+                        for s, r in fields:
+                            v = v * pow(r, f >> s & _EXP, modulus)
+                        v = values[f] = v % modulus
+                    coeff *= v
+            total += coeff
+        return total % modulus
+
+
+def _poly_mod(p: Poly, residues: Sequence[int], modulus: int) -> int:
+    """Value mod ``modulus`` of p at one residue per variable: a fresh
+    :class:`_Evaluator`, so nothing is memoized past this call."""
+    return _Evaluator(residues, modulus)(p)
 
 
 _ORDER_BITS = 16  # bits per field of a packed multi-index: orders below 2^16

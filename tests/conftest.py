@@ -12,7 +12,7 @@ import pytest
 from geosym import _linalg
 from geosym import geometry as G
 from geosym import symsys as S
-from geosym.exprfield import PRIME, Chart, GenericPoint, parse_expr
+from geosym.exprfield import PRIME, Chart, GenericPoint, Poly, parse_expr
 
 
 EH_METRIC_COMPONENTS = {
@@ -349,3 +349,36 @@ def expr_rows(maps):
     dropped: the rows of a system built from ``Expr`` maps."""
     rows = [{k: v for k, v in m.items() if v} for m in maps]
     return [row for row in rows if row]
+
+
+# -- rule-by-rule reduction: the reference for Chart._reduce_poly ------------
+
+
+def rule_by_rule_reduce(chart, p):
+    """p reduced by each rule g^2 -> rhs once, latest-declared g first,
+    over the whole polynomial: each term c * m * g^e with e >= 2 becomes
+    c * m * g^(e mod 2) * rhs^(e // 2).  This is how ``Chart._reduce_poly``
+    reduced before it read memoized normal forms of generator monomials;
+    the powers of each rhs are this call's own."""
+    exp = 2 ** 16 - 1
+    for g in reversed(chart.generators):
+        if g.square_rhs is None:
+            continue
+        shift = chart._shift[chart._index[g.name]]
+        high = (exp - 1) << shift  # the bits of exponents of g of 2 and more
+        if not p.bits & high:
+            continue
+        powers = [Poly({0: 1}), g.square_rhs._num]
+        out = {}
+        for m, c in p.items():
+            if not m & high:
+                out[m] = out.get(m, 0) + c
+                continue
+            k = (m >> shift & exp) >> 1
+            while len(powers) <= k:
+                powers.append(powers[-1] * powers[1])
+            base = m - (k << shift + 1)  # g^e becomes g^(e mod 2)
+            for pm, pc in powers[k].items():
+                out[base + pm] = out.get(base + pm, 0) + c * pc
+        p = Poly({m: c for m, c in out.items() if c})
+    return p

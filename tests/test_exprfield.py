@@ -34,6 +34,7 @@ from geosym.exprfield import (
     PoleError,
     Poly,
     TaylorMap,
+    _Evaluator,
     _clear_denominators,
     _coprime_base,
     _derivation_rules,
@@ -53,7 +54,7 @@ from geosym.exprfield import (
 from geosym.cli import _symmetry_system
 from geosym.modelfile import parse_model
 
-from conftest import build_eh_chart, nested_root_chart
+from conftest import build_eh_chart, nested_root_chart, rule_by_rule_reduce
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -518,21 +519,21 @@ def test_a_zero_numerator_is_checked_at_two_points_whatever_its_denominator(monk
     """With W^2 = 3, W*W - 3 over x reduces to zero: the numerator alone
     is evaluated, once, mod p_1 p_2 for the first two pool points, whose
     primes differ, and x never is."""
-    import geosym.exprfield as exprfield
-
     ch = Chart(["x"], roots=[("W", 3)])
     x, W = ch._gens
     p1, p2 = (point.prime for point in ch._check_pool(2))
     assert p1 != p2
     evaluated = []
-    poly_mod = exprfield._poly_mod
-    monkeypatch.setattr(exprfield, "_poly_mod",
-                        lambda p, residues, modulus: evaluated.append((p, modulus))
-                        or poly_mod(p, residues, modulus))
+    evaluate = exprfield._Evaluator.__call__
+    monkeypatch.setattr(exprfield._Evaluator, "__call__",
+                        lambda self, p: evaluated.append((self, p, self.modulus))
+                        or evaluate(self, p))
     assert Expr(ch, W * W - 3, x).is_zero()
-    assert evaluated == [(W * W - 3, p1 * p2)]
-    assert Expr(ch, W * W - 3, _ONE).is_zero()  # the combined residues are kept
-    assert ch._check_residues is not None and len(evaluated) == 2
+    check_point = ch._check_point
+    assert evaluated == [(check_point, W * W - 3, p1 * p2)]
+    assert Expr(ch, W * W - 3, _ONE).is_zero()  # the evaluator is kept
+    assert ch._check_point is check_point and len(evaluated) == 2
+    assert evaluated[1][0] is check_point
 
 
 def test_a_planted_reduction_fault_raises_through_arithmetic(monkeypatch):
@@ -546,6 +547,31 @@ def test_a_planted_reduction_fault_raises_through_arithmetic(monkeypatch):
                         lambda self, p: Poly() if p == target else reduce_poly(self, p))
     with pytest.raises(KernelInconsistency):
         x * y + 1
+
+
+@pytest.mark.parametrize("name", ["trig", "root", "nested-root"])
+def test_a_planted_reduction_fault_raises_after_the_memos_are_warm(name, monkeypatch):
+    """After true zeros have filled the memo of generator normal forms and
+    the check point's memo of group values, a _reduce_poly that sends a
+    nonzero polynomial to zero still raises, for a fault built from the
+    very monomials and groups already memoized."""
+    chart = {"trig": _make_chart, "root": _root_chart, "nested-root": nested_root_chart}[name]()
+    ruled = [chart._gens[chart._index[g.name]] for g in chart.generators
+             if g.square_rhs is not None]
+    for h, g in itertools.product(ruled, repeat=2):
+        for e in range(2, 5):
+            zero = h ** e * g - chart._reduce_poly(h ** e * g)
+            assert zero and Expr(chart, zero, _ONE).is_zero()
+    check_point = chart._check_point
+    assert chart._generator_forms and check_point._values
+    fault = ruled[0] ** 3 * chart._gens[0] + 1
+    assert check_point(fault) != 0
+    reduce_poly = chart._reduce_poly
+    monkeypatch.setattr(chart, "_reduce_poly",
+                        lambda p: Poly() if p == fault else reduce_poly(p))
+    with pytest.raises(KernelInconsistency):
+        Expr(chart, fault, _ONE)
+    assert chart._check_point is check_point
 
 
 @pytest.mark.parametrize("radicand", [None, 3])
@@ -1127,22 +1153,27 @@ def test_lcm_and_its_quotients_match_sympy(name, data):
 
 def test_setting_a_rule_drops_the_rules_and_the_pool_and_keeps_the_gcd_memo(monkeypatch):
     """Radicands are parsed in the chart's one ring.  Each rule drops the
-    cached rules and the sample pool with its combined residues, which
-    depend on the radicands; the memo of gcds filled while parsing them
-    is kept, and expressions built afterwards still match the gcd
-    oracle."""
+    cached rules with the memo of generator normal forms, and the sample
+    pool with its check point, which depend on the radicands; the memo of
+    gcds filled while parsing them is kept, and expressions built
+    afterwards still match the gcd oracle."""
     relate = Chart._relate
+    warm = []
 
     def checked_relate(self, g, rhs):
         self._cross_check_point()
-        self._relation_powers()
+        for h in self.generators:
+            if h.square_rhs is not None:  # W's rule while V's radicand is parsed
+                self._reduce_poly(self._gens[self._index[h.name]] ** 3)
+        warm.append(dict(self._generator_forms))
         relate(self, g, rhs)
         assert self._relations is None and not self._sample_pool
-        assert self._check_residues is None
+        assert self._check_point is None and not self._generator_forms
 
     monkeypatch.setattr(Chart, "_relate", checked_relate)
     ch = Chart(["x", "y"], roots=[("W", "(x^3 - x)/(x^2 - 1) + y^2 + 1"),
                                   ("V", "W*(x + 1)^2/(x^2 + 2*x + 1) + 3")])
+    assert [len(forms) for forms in warm] == [0, 1]
     assert ch._gcds
     W, V, x, y = (ch.var(v) for v in "WVxy")
     assert W ** 2 == x + y ** 2 + 1 and V ** 2 == W + 3
@@ -1329,8 +1360,12 @@ def test_coprime_base_decides_square_classes_on_random_integers(numbers):
 
 def _sympy_gcd(chart, f, g):
     """sympy's gcd over ZZ, signed to a positive leading coefficient in
-    the chart's lex order."""
-    h = _from_sympy(chart, _to_sympy(chart, f).gcd(_to_sympy(chart, g)))
+    the chart's lex order.  It is sympy's dense gcd, as in
+    :func:`_gcd_oracle`: the sparse ring's ``gcd`` is a heuristic gcd
+    with no fallback, which raises ``HeuristicGCDFailed`` on some
+    inputs."""
+    F = _to_sympy(chart, f)
+    h = _from_sympy(chart, F.ring.dmp_inner_gcd(F, _to_sympy(chart, g))[0])
     return h if h.LC > 0 else -h
 
 
@@ -1593,6 +1628,28 @@ def test_one_pass_reduction_matches_the_fixpoint(name, data):
     terms = data.draw(st.dictionaries(monom, coeff, max_size=5))
     p = chart._poly(terms)
     assert _same_poly(chart._reduce_poly(p), _fixpoint_reduce(chart, p))
+
+
+@pytest.mark.parametrize("name", sorted(_REDUCE_CHARTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reduction_from_generator_normal_forms_matches_rule_by_rule(name, data):
+    """Reading each term's ruled part from the memo of generator normal
+    forms gives the rule-by-rule reduction, at ruled exponents up to 8,
+    on trig charts, root charts and the nested-root chart, whose V rule
+    brings back powers of W (the cascade); the charts are shared, so
+    later examples read normal forms that earlier ones memoized."""
+    chart = _REDUCE_CHARTS[name]
+    n = len(chart.var_names)
+    monom = st.tuples(*[st.integers(0, 8)] * n)
+    coeff = st.sampled_from([1, -1, 2, 3, -7, 5 * 10 ** 20])
+    terms = data.draw(st.dictionaries(monom, coeff, max_size=6))
+    p = chart._poly(terms)
+    want = rule_by_rule_reduce(chart, p)
+    assert _same_poly(chart._reduce_poly(p), want)
+    assert _same_poly(chart._reduce_poly(p), want)  # every form now memoized
+    assert all(max(chart._unpack(m)[chart._index[g.name]] for m in want) < 2
+               for g in chart.generators if g.square_rhs is not None and want)
 
 
 def test_reduction_uses_cached_powers_of_each_rule():
@@ -1869,14 +1926,17 @@ def _poly_mod_one_variable_at_a_time(p, residues, modulus):
     return total % modulus
 
 
-@pytest.mark.parametrize("k", [1, 3, 10])
+@pytest.mark.parametrize("k", [1, 3, 7, 10])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_poly_mod_reads_pairs_of_variables_like_one_at_a_time(k, data):
-    """_poly_mod, which reads the packed fields two at a time (the last
-    alone for an odd count), gives the one-variable evaluator's value,
-    at exponents up to 2^16 - 1, mod one prime and mod a product of two;
-    a second call at other residues memoizes nothing of the first."""
+def test_poly_mod_reads_groups_of_variables_like_one_at_a_time(k, data):
+    """An evaluator, which reads the packed fields five at a time (the
+    last group holds the rest), gives the one-variable evaluator's value,
+    at exponents up to 2^16 - 1, mod one prime and mod a product of two,
+    for each of several polynomials read with one memo; so does
+    _poly_mod, a fresh evaluator per call.  A second point's evaluator,
+    built after the first's memo is warm, memoizes nothing of the first,
+    and the first reads as before after it."""
     chart = _PACKED_CHARTS[k]
     exponent = st.integers(0, 3) | st.integers(0, 2 ** 16 - 1)
     monom = st.tuples(*[exponent] * k)
@@ -1886,9 +1946,12 @@ def test_poly_mod_reads_pairs_of_variables_like_one_at_a_time(k, data):
     base = data.draw(monom)
     for i in data.draw(st.lists(st.integers(0, k - 1), max_size=4)):
         terms[base[:i] + (data.draw(exponent),) + base[i + 1:]] = data.draw(coeff)
-    p = chart._poly(terms)
+    polys = [chart._poly(terms), _draw_poly(data, chart), chart._poly(terms) * 3 + 1]
     modulus = data.draw(st.sampled_from([_prime(0), _prime(1) * _prime(2), 101]))
-    for _ in range(2):
-        residues = data.draw(st.lists(st.integers(0, modulus - 1), min_size=k, max_size=k))
-        assert _poly_mod(p, residues, modulus) == \
-            _poly_mod_one_variable_at_a_time(p, residues, modulus)
+    points = [data.draw(st.lists(st.integers(0, modulus - 1), min_size=k, max_size=k))
+              for _ in range(2)]
+    evaluators = [_Evaluator(residues, modulus) for residues in points]
+    for residues, evaluate in zip(points + points[:1], evaluators + evaluators[:1]):
+        for p in polys:
+            want = _poly_mod_one_variable_at_a_time(p, residues, modulus)
+            assert evaluate(p) == _poly_mod(p, residues, modulus) == want

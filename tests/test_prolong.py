@@ -18,9 +18,9 @@ from geosym.exprfield import (_ONE, Chart, Expr, KernelInconsistency, Poly, _crt
                               _derivation_rules, _poly_mod, _prime, _residues, _series_key,
                               parse_expr)
 
-from conftest import (flat_chart, flat_quaternionic_pullback, nested_root_chart, plant,
-                      planted_point, reference_residuals, root_chart_metric, shear_map,
-                      standard_triple)
+from conftest import (flat_chart, flat_cprojective_pullback, flat_quaternionic_pullback,
+                      nested_root_chart, plant, planted_point, reference_residuals,
+                      root_chart_metric, shear_map, standard_triple)
 
 
 def _monotone_tables(tables):
@@ -888,6 +888,8 @@ def test_eguchi_hanson_symmetries_commuting_with_a_killing_field(
 @pytest.mark.parametrize("n, bound, tables", [
     (1, 7, [(3, 4), (0, 3, 4), (0, 0, 3, 4)]),
     (2, 17, [(11, 8), (0, 9, 8), (0, 0, 9, 8)]),
+    (3, 31, [(27, 12), (0, 19, 12), (0, 0, 19, 12)]),
+    (4, 49, [(51, 16), (0, 33, 16), (0, 0, 33, 16)]),
 ])
 def test_flat_quaternionic_symmetries_commuting_with_a_rotation(n, bound, tables):
     """Flat H^n with the standard triple, joined with L_X v = 0 for
@@ -902,6 +904,20 @@ def test_flat_quaternionic_symmetries_commuting_with_a_rotation(n, bound, tables
         S.invariance_system(G.vector(chart, comps))))
     assert res.conclusive and res.bound == bound == 2 * (n + 1) ** 2 - 1
     assert [t.dims for t in res.tables] == tables
+    assert res.point_independent
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_flat_cprojective_bound_of_the_fixed_point_set(n):
+    """C^n, the zero set of the rotation above in flat H^n, with its flat
+    c-projective structure (built by pulling back along the identity
+    map): the bound is 2n^2 + 4n = dim sl(n+1, C), one less than the
+    commuting bound 2(n+1)^2 - 1, so every flat c-projective symmetry of
+    the fixed-point set extends, and the rotation itself is the rest."""
+    _, J, D = flat_cprojective_pullback([f"x{i}" for i in range(2 * n)])
+    res = P.solution_bound(S.cprojective_symmetry_system(J, D))
+    assert res.conclusive and res.bound == 2 * n * n + 4 * n == 2 * (n + 1) ** 2 - 2
+    assert res.final_table.dims == (0, 0, 2 * n, 2 * n * n, 2 * n)
     assert res.point_independent
 
 
