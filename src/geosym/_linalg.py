@@ -1,58 +1,109 @@
-"""Exact linear algebra: one elimination, :func:`rref`, and what is read
-off it.
+"""Exact linear algebra: one elimination, :func:`_eliminate`, and what
+is read off it.
 
 One code path for any exact field whose elements support ``bool`` (false
-exactly for zero) and ``/``: :class:`fractions.Fraction` matrices (Lie
-algebra work, and the integer coefficient rows of closure, whose ``int``
-entries :func:`rref` makes ``Fraction``; symbol ranks are taken mod p in
-:mod:`geosym.prolong`) and matrices of kernel ``Expr`` values, whose
-zero test is their normal form.  :func:`rank` counts the pivots and
-:func:`nullspace` reads a kernel basis off the reduced rows.  There is
-no separate solver: A x = b is asked as the kernel of [A | -b], whose
-vector with last entry 1 is a solution (:func:`geosym.liealg.vanishing_locus`),
-and coordinates in a basis are the non-pivot columns of one reduced
-matrix (:func:`geosym.liealg.closure_from_fields`).
+exactly for zero), ``*`` and ``/``: :class:`fractions.Fraction` matrices
+(Lie algebra work, closure's integer rows, made ``Fraction``) and
+matrices of kernel ``Expr`` values, whose zero test is their normal
+form.  :func:`rref` divides each row by its divisor, :func:`pivot_columns`
+and :func:`rank` read the pivots alone, :func:`nullspace` reads a kernel
+basis off the reduced rows (A x = b is the kernel of [A | -b]), and
+:func:`det_inverse` reads det M and M^-1 off [M | I].
+
+The elimination is fraction-free, so an ``Expr`` entry, a minor, keeps
+the denominators of the matrix entries.  Division by the pivots cleared
+a minor's quadratic generators and then took a gcd of large products
+at every step: 4 x 4 inverses over trig and root charts took seconds to
+minutes.  An ``Expr`` entry is updated by one ``Chart.sum_products``,
+one normal form, not the four of the fold of ``*``, ``-`` and ``/``;
+the normal form is canonical, so both agree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+from .exprfield import Expr
+
+
+def _eliminate(rows: Sequence[Sequence]):
+    """Fraction-free Gauss-Jordan elimination (Bareiss): (rows, pivot
+    columns, each row's divisor, the sign of the row swaps).
+
+    A step with pivot p takes each other row with entry f != 0 in the
+    pivot column to (p row - f pivot_row) / q and makes p its divisor q.
+    By Sylvester's identity the row then holds minors of the matrix, so
+    the division is exact.  A row not taken stands for itself times
+    d / q, d the last pivot; a pivot row is first scaled by that factor.
+    Each row divided by its divisor is the reduced row, and the last
+    pivot is the minor of the pivot rows and columns."""
+    m = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
+    d, sign, pivots = Fraction(1), 1, []
+    q = [d] * len(m)
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr], q[r], q[pr], sign = m[pr], m[r], q[pr], q[r], -sign
+        if q[r] is not d:  # the row was not taken at the step before
+            m[r] = _scaled(m[r], d / q[r])
+        p = m[r][c]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                inv = 1 / q[i]
+                m[i] = [_step(p, a, f, b, inv) if a or b else a for a, b in zip(m[i], m[r])]
+                q[i] = p
+        q[r] = d = p
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m[:len(pivots)], pivots, q, sign
+
+
+def _step(p, a, f, b, inv):
+    """(p a - f b) inv, normalized once when an entry is an ``Expr``."""
+    for x in (p, a, f, b):
+        if isinstance(x, Expr):
+            return x.chart.sum_products([(p, a, inv), (-1, f, b, inv)])
+    return (p * a - f * b) * inv
+
+
+def _scaled(row: List, s) -> List:
+    return [x * s if x else x for x in row]
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[List[List], List[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices).
+    A column is a pivot exactly when it is not in the span of the columns
+    before it."""
+    red, pivots, q, _ = _eliminate(rows)
+    return [_scaled(row, 1 / d) for row, d in zip(red, q)], pivots
 
-    Works over any exact field; rows are copied, with ``int`` entries
-    made ``Fraction`` so that ``/`` stays exact.  A column is a pivot
-    exactly when it is not in the span of the columns before it.
-    """
-    m = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+
+def pivot_columns(rows: Sequence[Sequence]) -> List[int]:
+    """The pivot columns of :func:`rref`, with no row divided."""
+    return _eliminate(rows)[1]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+    return len(pivot_columns(rows))
+
+
+def det_inverse(rows: Sequence[Sequence]) -> Tuple[object, Optional[List[List]]]:
+    """(det M, M^-1) of a square matrix M from one elimination of [M | I]:
+    the last pivot, signed by the row swaps, and the right half of the
+    reduced rows; ``(Fraction(0), None)`` when a column of M is no pivot."""
+    n = len(rows)
+    red, pivots, q, sign = _eliminate(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return Fraction(0), None
+    return (q[n - 1] if sign > 0 else -q[n - 1]), [_scaled(row[n:], 1 / d)
+                                                     for row, d in zip(red, q)]
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List]:

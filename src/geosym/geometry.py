@@ -3,9 +3,8 @@
 Components are kernel expressions stored sparsely by index tuple, and
 loops run densely over ``itertools.product`` of the index ranges: n^r
 steps for r slots on n coordinates (flat R^8 with 3 slots is 512).  The
-determinant of :func:`_det` is a cofactor expansion of up to n! terms
-(zero entries are skipped), the cost that limits the chart size of a
-dense metric.
+determinant and inverse of a metric are read off one fraction-free
+elimination (:func:`_linalg.det_inverse`) of about n^3 normal forms.
 """
 
 from __future__ import annotations
@@ -157,36 +156,25 @@ class Connection:
 
 
 def metric_det(g: TensorField) -> Expr:
-    n = g.chart.dim
-    return _det([[g.comp(i, j) for j in range(n)] for i in range(n)], g.chart)
-
-
-def _det(m: List[List[Expr]], chart: Chart) -> Expr:
-    if len(m) == 1:
-        return m[0][0]
-    return chart.sum_products(
-        ((-1) ** j, e, _det([row[:j] + row[j + 1:] for row in m[1:]], chart))
-        for j, e in enumerate(m[0]) if e)
+    """det g; zero for a degenerate metric."""
+    return g.chart.expr(_linalg.det_inverse(_matrix(g))[0])
 
 
 def metric_inverse(g: TensorField) -> TensorField:
-    return _inverse(g, metric_det(g))
+    return _det_inverse(g)[1]
 
 
-def _inverse(g: TensorField, det: Expr) -> TensorField:
-    """g^{-1} from the cofactors of g and its determinant ``det``."""
-    n = g.chart.dim
-    if det.is_zero():
+def _matrix(g: TensorField) -> List[List[Expr]]:
+    return [[g.comp(i, j) for j in range(g.chart.dim)] for i in range(g.chart.dim)]
+
+
+def _det_inverse(g: TensorField) -> Tuple[Expr, TensorField]:
+    """(det g, g^{-1}) from one elimination; raises on a degenerate metric."""
+    det, inv = _linalg.det_inverse(_matrix(g))
+    if inv is None:
         raise GeometryError("metric degenerate: determinant reduces to zero")
-    comps = {}
-    m = [[g.comp(i, j) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = _det(minor, g.chart) if n > 1 else g.chart.one()
-            sign = 1 if (i + j) % 2 == 0 else -1
-            comps[(j, i)] = cof * g.chart.const(sign) / det
-    return TensorField(g.chart, ("u", "u"), comps)
+    return det, TensorField(g.chart, ("u", "u"), {
+        (i, j): e for i, row in enumerate(inv) for j, e in enumerate(row)})
 
 
 def levi_civita(g: TensorField) -> Connection:
@@ -475,8 +463,8 @@ def hodge_star_matrix(g: TensorField) -> List[List[Expr]]:
     """Matrix of the Hodge star on 2-forms in the basis dx^a ^ dx^b, a<b."""
     if g.chart.dim != 4:
         raise GeometryError("Hodge-star machinery implemented for dimension 4")
-    det = metric_det(g)
-    return _hodge_star(_volume_root(det), _two_form_metric(_inverse(g, det)))
+    det, ginv = _det_inverse(g)
+    return _hodge_star(_volume_root(det), _two_form_metric(ginv))
 
 
 def _two_form_metric(ginv: TensorField) -> TwoFormMetric:
@@ -555,9 +543,8 @@ def _asd_orthogonal(g: TensorField, orientation: int):
         raise GeometryError("ASD machinery requires a 4-dimensional chart")
     if orientation not in (1, -1):
         raise GeometryError("orientation must be +1 or -1")
-    det = metric_det(g)
+    det, ginv = _det_inverse(g)
     W = _volume_root(det)
-    ginv = _inverse(g, det)
     lam = _two_form_metric(ginv)
     star = _hodge_star(W, lam)
     basis = _two_form_basis(4)
@@ -565,7 +552,7 @@ def _asd_orthogonal(g: TensorField, orientation: int):
     proj = [[chart.sum_products([(Fraction(int(r == c), 2),),
                                  (Fraction(-orientation, 2), star[r][c])])
              for c in range(6)] for r in range(6)]
-    keep = _linalg.rref(proj)[1]  # the columns outside the span of those before
+    keep = _linalg.pivot_columns(proj)  # the columns outside the span of those before
     if len(keep) != 3:
         raise GeometryError("ASD projector rank is not 3; metric degenerate?")
     forms = [{basis[r]: proj[r][c] for r in range(6)} for c in keep]

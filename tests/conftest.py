@@ -178,6 +178,30 @@ def root_chart_metric():
         (1, 1): t * t / (W * W) + 1})
 
 
+def laplace_det(m, chart: Chart):
+    """Reference determinant: the Laplace expansion along the first row,
+    up to n! products (zero entries skipped)."""
+    if len(m) == 1:
+        return m[0][0]
+    return chart.sum_products(
+        ((-1) ** j, e, laplace_det([row[:j] + row[j + 1:] for row in m[1:]], chart))
+        for j, e in enumerate(m[0]) if e)
+
+
+def cofactor_inverse(m, chart: Chart):
+    """Reference inverse: the transposed cofactors over the Laplace
+    determinant; None when that determinant is zero."""
+    n = len(m)
+    det = laplace_det(m, chart)
+    if det.is_zero():
+        return None
+
+    def cofactor(i, j):
+        minor = [[m[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
+        return chart.const((-1) ** (i + j)) * (laplace_det(minor, chart) if n > 1 else chart.one())
+    return [[cofactor(j, i) / det for j in range(n)] for i in range(n)]
+
+
 def flat_chart(dim: int):
     """Chart x0..x(dim-1) with the Euclidean metric."""
     chart = Chart([f"x{i}" for i in range(dim)])
@@ -202,13 +226,11 @@ def _jacobian(phi):
     string per coordinate x0, x1, ...: Jac^l_j = d_j phi^l and its
     inverse, as lists of rows."""
     chart, _ = flat_chart(len(phi))
-    dim = chart.dim
     comps = [parse_expr(chart, p) for p in phi]
     jac = [[f.differentiate(c) for c in chart.coordinates] for f in comps]
-    red, pivots = _linalg.rref([row + [chart.one() if j == i else chart.zero()
-                                       for j in range(dim)] for i, row in enumerate(jac)])
-    assert pivots == list(range(dim)), "phi is not a local diffeomorphism"
-    return chart, jac, [row[dim:] for row in red]
+    _, inv = _linalg.det_inverse(jac)
+    assert inv is not None, "phi is not a local diffeomorphism"
+    return chart, jac, inv
 
 
 def _pulled_back_endomorphism(chart, jac, inv, A):

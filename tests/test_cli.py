@@ -129,13 +129,15 @@ def test_a_degenerate_metric_fails_check_structure_alike(tmp_path, capsys, ricci
 
 
 def test_check_structure_with_ricci_inverts_the_metric_once(tmp_path, capsys, monkeypatch):
-    """The Levi-Civita connection's inverse is the nondegeneracy check,
-    and nondegeneracy is still reported before Ricci-flatness."""
-    from geosym import geometry as G
+    """The Levi-Civita connection's inverse, one elimination of [g | I],
+    is the nondegeneracy check, and nondegeneracy is still reported
+    before Ricci-flatness."""
+    from geosym import _linalg
 
     inverses = []
-    inverse = G._inverse
-    monkeypatch.setattr(G, "_inverse", lambda g, det: inverses.append(g) or inverse(g, det))
+    det_inverse = _linalg.det_inverse
+    monkeypatch.setattr(_linalg, "det_inverse",
+                        lambda rows: inverses.append(rows) or det_inverse(rows))
     model = tmp_path / "flat.model"
     model.write_text(FAILING_MODEL.split("[task")[0] + "[task structure]\n"
                      "kind = check-structure\nmetric = g\nexpect_ricci_flat = true\n")

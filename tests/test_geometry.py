@@ -12,11 +12,14 @@ from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from geosym import _linalg
 from geosym import geometry as G
-from geosym.exprfield import _POOL_SEED, Chart, parse_expr
+from geosym.exprfield import _POOL_SEED, Chart, Expr, parse_expr
 
-from conftest import build_eh_chart, build_eh_metric, standard_triple
+from conftest import (build_eh_chart, build_eh_metric, cofactor_inverse, laplace_det,
+                      standard_triple)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODELS = SRC / "geosym" / "models"
@@ -91,6 +94,85 @@ def test_dense_metric_inverse_in_dimension_seven_finishes_promptly():
             "    for i in range(7) for j in range(7)}))\n")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                    env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+def test_dense_metric_in_dimension_eight_takes_one_elimination():
+    """det g and g^-1 of the dense metric on eight coordinates come from
+    one elimination of at most 2 n^3 normal forms (a Laplace expansion
+    and its cofactors built 229,982); g g^-1 = Id and det g = 2^7 (x.x + 2)."""
+    n = 8
+    chart, g = _dense_metric(n)
+    built = []
+    init = Expr.__init__
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Expr, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+        det, ginv = G._det_inverse(g)
+    assert len(built) <= 2 * n ** 3
+    xs = [chart.var(v) for v in chart.coordinates]
+    assert det == chart.sum_products([(2 ** 7, x, x) for x in xs] + [(2 ** 8,)])
+    for i, j in itertools.product(range(n), repeat=2):
+        entry = chart.sum_products((g.comp(i, k), ginv.comp(k, j)) for k in range(n))
+        assert entry == (1 if i == j else 0), (i, j)
+
+
+def _square_charts(n):
+    coords = [f"x{i}" for i in range(n)]
+    charts = [Chart(coords, trig_pairs=[coords[0]]), Chart(coords, roots=[("W", "x0^2 + 1")])]
+    return charts + [build_eh_chart()] * (n == 4)
+
+
+SQUARE_CHARTS = [chart for n in range(1, 5) for chart in _square_charts(n)]
+
+
+@st.composite
+def square_metrics(draw):
+    """(chart, matrix, singular): a chart of dimension n <= 4 (trig, root
+    or Eguchi-Hanson) and an n x n matrix over it with entries c + c' a b,
+    a and b drawn from 1 and at most four variables of the chart, for
+    n <= 3 some of them divided by 1 + a^2.  When ``singular``, one row
+    is a combination of the others (a zero row for n = 1).  More
+    variables, or denominators at n = 4, make single gcds of the
+    reference and the elimination alike take seconds to minutes."""
+    chart = draw(st.sampled_from(SQUARE_CHARTS))
+    n = chart.dim
+    names = (["rho", "sin_phi", "cos_phi", "cos_psi"] if "rho" in chart.var_names else
+             [v for v in chart.var_names if v not in chart.coordinates[2:]])
+    atoms = st.sampled_from([chart.one()] + [chart.var(v) for v in names])
+    small = st.integers(-2, 2)
+
+    def entry():
+        e = chart.expr(draw(small) + draw(small) * draw(atoms) * draw(atoms))
+        return e / (1 + draw(atoms) ** 2) if n <= 3 and draw(st.booleans()) else e
+
+    m = [[entry() for _ in range(n)] for _ in range(n)]
+    singular = draw(st.booleans())
+    if singular:
+        k = draw(st.integers(0, n - 1))
+        coeffs = [(draw(small), draw(atoms)) for _ in range(n)]
+        m[k] = [chart.sum_products((c0, a, m[r][c]) for r, (c0, a) in enumerate(coeffs) if r != k)
+                for c in range(n)]
+    return chart, m, singular
+
+
+@settings(max_examples=25, deadline=None)
+@given(drawn=square_metrics())
+def test_det_and_inverse_equal_the_laplace_and_cofactor_reference(drawn):
+    """metric_det and metric_inverse equal the Laplace determinant and the
+    cofactor inverse exactly, entry by entry; a singular matrix has
+    determinant zero and its inverse raises."""
+    chart, m, singular = drawn
+    n = chart.dim
+    g = G.TensorField(chart, ("d", "d"), {(i, j): m[i][j] for i in range(n) for j in range(n)})
+    assert G.metric_det(g) == laplace_det(m, chart)
+    inverse = cofactor_inverse(m, chart)
+    assert inverse is None or not singular
+    if inverse is None:
+        with pytest.raises(G.GeometryError, match="^metric degenerate: determinant reduces to zero$"):
+            G.metric_inverse(g)
+    else:
+        ginv = G.metric_inverse(g)
+        for i, j in itertools.product(range(n), repeat=2):
+            assert ginv.comp(i, j) == inverse[i][j], (i, j)
 
 
 def test_levi_civita_matches_sympy_sphere(sphere):
@@ -196,22 +278,15 @@ def test_ricci_builds_one_sum_per_entry(eh_metric, monkeypatch):
 
 
 def test_asd_span_takes_one_determinant_and_one_inverse(eh_metric, monkeypatch):
-    """asd_span builds det g once and g^-1 once, for the volume root, the
-    Hodge star, the inner product and the raised forms alike."""
-    counts = {"metric_det": 0, "_inverse": 0}
-
-    def counting(name):
-        f = getattr(G, name)
-
-        def wrapper(*args):
-            counts[name] += 1
-            return f(*args)
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(G, name, counting(name))
+    """asd_span reads det g and g^-1 off one elimination of [g | I], for
+    the volume root, the Hodge star, the inner product and the raised
+    forms alike."""
+    calls = []
+    det_inverse = _linalg.det_inverse
+    monkeypatch.setattr(_linalg, "det_inverse",
+                        lambda rows: calls.append(len(rows)) or det_inverse(rows))
     G.asd_span(eh_metric, orientation=1)
-    assert counts == {"metric_det": 1, "_inverse": 1}
+    assert calls == [4]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from geosym import _linalg
@@ -45,6 +46,7 @@ def test_rref_pivots_are_the_greedy_independent_columns(m):
     """The pivot columns span the column space, and each non-pivot column
     lies in the span of the pivot columns before it."""
     _, pivots = _linalg.rref(m)
+    assert _linalg.pivot_columns(m) == pivots
     cols = [list(c) for c in zip(*m)]
     assert _linalg.rank([cols[c] for c in pivots]) == len(pivots) == _linalg.rank(m)
     for c in range(len(cols)):
@@ -71,3 +73,28 @@ def test_rref_idempotent():
     red, pivots = _linalg.rref(m)
     red2, pivots2 = _linalg.rref(red)
     assert red == red2 and pivots == pivots2
+
+
+@pytest.mark.parametrize("m, det, inverse", [
+    ([[2, 1], [1, 1]], 1, [[1, -1], [-1, 2]]),
+    ([[1, 2, 0], [0, 1, 3], [4, 0, 1]], 25,
+     [[Fraction(x, 25) for x in row] for row in [[1, -2, 6], [12, 1, -3], [-4, 8, 1]]]),
+    # the first column's pivot is in the second row: one row swap
+    ([[0, 1], [1, 0]], -1, [[0, 1], [1, 0]]),
+    ([[0, 2], [3, 5]], -6, [[Fraction(-5, 6), Fraction(1, 3)], [Fraction(1, 2), 0]]),
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1, [[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+    ([[7]], 7, [[Fraction(1, 7)]]),
+])
+def test_det_and_inverse_of_fraction_matrices(m, det, inverse):
+    assert _linalg.det_inverse(m) == (det, inverse)
+
+
+@pytest.mark.parametrize("m", [
+    [[1, 2], [2, 4]],
+    [[1, 2, 3], [2, 4, 6], [1, 0, 1]],  # the middle column has no pivot
+    [[0, 0], [0, 0]],
+    [[0]],
+])
+def test_singular_fraction_matrix_has_determinant_zero_and_no_inverse(m):
+    det, inverse = _linalg.det_inverse(m)
+    assert det == 0 and type(det) is Fraction and inverse is None

@@ -415,7 +415,7 @@ def _rational_table(system, values):
     rows = [[Expr(chart, eq.coeffs[a, alpha], _ONE).evaluate(values)
              if (a, alpha) in eq.coeffs else Fraction(0) for _, a, alpha in cols]
             for eq in system.equations]
-    return _table_from_pivots(system, [cols[p] for p in _linalg.rref(rows)[1]])
+    return _table_from_pivots(system, [cols[p] for p in _linalg.pivot_columns(rows)])
 
 
 def _dense_table(system, point):

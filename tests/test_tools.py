@@ -47,6 +47,24 @@ def test_malformed_seeds_are_a_usage_error(seeds, monkeypatch, capsys):
     assert "no seeds in" in capsys.readouterr().err
 
 
+def test_unknown_workload_is_a_usage_error(monkeypatch, capsys):
+    """run.py refuses an unknown workload with exit code 2; bench_record.run
+    raises UsageError with its message, and bench_pairs exits 2 with it,
+    without a traceback."""
+    repo = str(TOOLS.parent)
+    bench_record = _tool("bench_record")
+    with pytest.raises(bench_record.UsageError, match="invalid choice: 'nope'"):
+        bench_record.run(repo, "nope", 1, 1, 0)
+    bench_pairs = _bench_pairs()
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", repo, "--change", repo,
+                                      "--workload", "nope", "--seeds", "1"])
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "invalid choice: 'nope'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("parent, change, sign, verdict", [
     ([1.0, 1.01, 0.99, 1.0], [1.3, 1.31, 1.29, 1.3], 1, "regression"),
     ([1.0, 1.01, 0.99, 1.0], [1.2, 1.21, 1.19, 1.2], 1, "no regression"),

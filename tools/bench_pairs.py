@@ -17,7 +17,8 @@ It also prints the no-regression verdict of each metric, against the
 metric's ``bound`` in ``BENCHMARK.json`` (:func:`regression_verdict`).
 It writes nothing itself; each ``run.py`` writes only under its own
 ``perfbench/out``.  Exit code 1 when any run reports an incorrect
-answer.
+answer, and 2, with ``run.py``'s message, when ``run.py`` refuses its
+arguments (an unknown workload, say).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import statistics
 import sys
 from typing import Dict, List
 
-from bench_record import run
+from bench_record import UsageError, run
 
 
 def parse_seeds(text: str) -> List[int]:
@@ -102,7 +103,10 @@ def main() -> int:
     incorrect = 0
     for i, seed in enumerate(args.seeds):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            result = run(roots[side], args.workload, seed, seconds, 0)
+            try:
+                result = run(roots[side], args.workload, seed, seconds, 0)
+            except UsageError as ex:
+                parser.error(str(ex))
             incorrect += not result["correct"]
             for m in metrics:
                 values[side][m["name"]].append(result["metrics"][m["name"]]["value"])

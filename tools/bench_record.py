@@ -57,14 +57,22 @@ def revision(root: str) -> Tuple[str, List[str]]:
     return head, [line[3:] for line in changed.splitlines()]
 
 
+class UsageError(Exception):
+    """``perfbench/run.py`` refused its arguments (exit code 2), such as an
+    unknown workload; the message is the last line of its error output."""
+
+
 def run(root: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One run of ``perfbench/run.py``; its last output line, parsed."""
+    """One run of ``perfbench/run.py``; its last output line, parsed.
+    Raises :class:`UsageError` when the run exits with code 2."""
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-        check=True)
+        cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode == 2:
+        raise UsageError(proc.stderr.strip().splitlines()[-1])
+    proc.check_returncode()
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -88,7 +96,10 @@ def main() -> int:
     for trace in (0, 1):
         for workload in WORKLOADS:
             for seed in SEEDS:
-                result = run(root, workload, seed, seconds, trace)
+                try:
+                    result = run(root, workload, seed, seconds, trace)
+                except UsageError as ex:
+                    parser.error(str(ex))
                 doc["runs"].append({"workload": workload, "seed": seed,
                                     "trace": trace, **result})
                 solve = result["metrics"].get(
