@@ -3,8 +3,8 @@
 Components are kernel expressions stored sparsely by index tuple, and
 loops run densely over ``itertools.product`` of the index ranges: n^r
 steps for r slots on n coordinates (flat R^8 with 3 slots is 512).  The
-determinant and inverse of a metric are read off one fraction-free
-elimination (:func:`_linalg.det_inverse`) of about n^3 normal forms.
+determinant and inverse of a metric are read off one elimination
+(:mod:`geosym._linalg`) of about n^3 normal forms.
 """
 
 from __future__ import annotations
@@ -115,11 +115,8 @@ def one_form(chart: Chart, comps: Sequence) -> TensorField:
 
 def endomorphism(chart: Chart, matrix: Sequence[Sequence]) -> TensorField:
     """(1,1) tensor from a row-major matrix A[a][b] = A^a_b."""
-    comps = {}
-    for a, row in enumerate(matrix):
-        for b, e in enumerate(row):
-            comps[(a, b)] = chart.expr(e)
-    return TensorField(chart, ("u", "d"), comps)
+    return TensorField(chart, ("u", "d"), {(a, b): chart.expr(e) for a, row in enumerate(matrix)
+                                           for b, e in enumerate(row)})
 
 
 def identity_endo(chart: Chart) -> TensorField:
@@ -157,7 +154,7 @@ class Connection:
 
 def metric_det(g: TensorField) -> Expr:
     """det g; zero for a degenerate metric."""
-    return g.chart.expr(_linalg.det_inverse(_matrix(g))[0])
+    return g.chart.expr(_linalg.det(_matrix(g)))
 
 
 def metric_inverse(g: TensorField) -> TensorField:
@@ -184,10 +181,8 @@ def levi_civita(g: TensorField) -> Connection:
     n = g.chart.dim
     ginv = metric_inverse(g)
     gamma: Dict[Index, Expr] = {}
-    dg = {}  # dg[(i, j, l)] = d_l g_ij
-    for i, j in itertools.product(range(n), repeat=2):
-        for l in range(n):
-            dg[(i, j, l)] = g.comp(i, j).differentiate(g.chart.coordinates[l])
+    dg = {(i, j, l): g.comp(i, j).differentiate(g.chart.coordinates[l])  # d_l g_ij
+          for i, j, l in itertools.product(range(n), repeat=3)}
     half = Fraction(1, 2)
     for k in range(n):
         for i in range(n):
@@ -227,10 +222,8 @@ def curvature(D: Connection) -> TensorField:
     """
     n = D.chart.dim
     coords = D.chart.coordinates
-    dG: Dict[Index, Expr] = {}
-    for (k, i, j), e in D.gamma.items():
-        for l in range(n):
-            dG[(k, i, j, l)] = e.differentiate(coords[l])
+    dG = {(k, i, j, l): e.differentiate(coords[l])
+          for (k, i, j), e in D.gamma.items() for l in range(n)}
     comps: Dict[Index, Expr] = {}
     for a, b, i, j in itertools.product(range(n), repeat=4):
         if i >= j:
@@ -308,10 +301,7 @@ def nijenhuis(J: TensorField) -> TensorField:
     """Nijenhuis tensor N_J as a (1,2) tensor field."""
     n = J.chart.dim
     coords = J.chart.coordinates
-    dJ = {}
-    for (a, b), e in J.items():
-        for m in range(n):
-            dJ[(a, b, m)] = e.differentiate(coords[m])
+    dJ = {(a, b, m): e.differentiate(coords[m]) for (a, b), e in J.items() for m in range(n)}
     comps = {}
     for a, i, j in itertools.product(range(n), repeat=3):
         if i >= j:
@@ -498,37 +488,24 @@ def _hodge_star(W: Expr, lam: TwoFormMetric) -> List[List[Expr]]:
     (*omega)_{ij} = 1/2 W eps_{ijkl} omega^{kl} = W eps_{ijkl} omega^{kl},
     for the one pair k < l besides i, j, and omega^{kl} is
     lam[(k, l), (a, b)]; so each entry is +-W times one entry of lam."""
-    chart = W.chart
     basis = _two_form_basis(4)
-    cols = []
-    for ab in basis:
-        col = []
-        for (i, j) in basis:
-            k, l = (x for x in range(4) if x not in (i, j))
-            col.append(chart.sum_products([(_perm_sign((i, j, k, l)), W, lam[(k, l), ab])]))
-        cols.append(col)
-    # columns were computed; return matrix rows
-    return [[cols[c][r] for c in range(6)] for r in range(6)]
+    rows = []
+    for (i, j) in basis:
+        k, l = (x for x in range(4) if x not in (i, j))
+        rows.append([W.chart.sum_products([(_perm_sign((i, j, k, l)), W, lam[(k, l), ab])])
+                     for ab in basis])
+    return rows
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 def _form_to_endo(g_inv: TensorField, comps2: Mapping[Tuple[int, int], Expr],
                   chart: Chart) -> TensorField:
     """Raise the first index of an antisymmetric 2-form."""
     n = chart.dim
-    full: Dict[Tuple[int, int], Expr] = {}
-    for (a, b), e in comps2.items():
-        full[(a, b)] = e
-        full[(b, a)] = -e
+    full = {**comps2, **{(b, a): -e for (a, b), e in comps2.items()}}
     out = {(i, j): chart.sum_products((g_inv.comp(i, k), full[(k, j)])
                                       for k in range(n) if (k, j) in full)
            for i, j in itertools.product(range(n), repeat=2)}

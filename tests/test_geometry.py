@@ -289,6 +289,16 @@ def test_asd_span_takes_one_determinant_and_one_inverse(eh_metric, monkeypatch):
     assert calls == [4]
 
 
+def test_metric_det_eliminates_the_metric_alone(eh_metric, monkeypatch):
+    """det g is read off an elimination of g, not of [g | I]."""
+    widths = []
+    eliminate = _linalg._eliminate
+    monkeypatch.setattr(_linalg, "_eliminate",
+                        lambda rows: widths.append(len(rows[0])) or eliminate(rows))
+    assert G.metric_det(eh_metric) == G._det_inverse(eh_metric)[0]
+    assert widths == [4, 8]
+
+
 # ---------------------------------------------------------------------------
 # Lie derivative against a finite-difference flow oracle
 # ---------------------------------------------------------------------------

@@ -87,6 +87,7 @@ def test_rref_idempotent():
 ])
 def test_det_and_inverse_of_fraction_matrices(m, det, inverse):
     assert _linalg.det_inverse(m) == (det, inverse)
+    assert _linalg.det(m) == det
 
 
 @pytest.mark.parametrize("m", [
@@ -98,3 +99,5 @@ def test_det_and_inverse_of_fraction_matrices(m, det, inverse):
 def test_singular_fraction_matrix_has_determinant_zero_and_no_inverse(m):
     det, inverse = _linalg.det_inverse(m)
     assert det == 0 and type(det) is Fraction and inverse is None
+    det = _linalg.det(m)
+    assert det == 0 and type(det) is Fraction
